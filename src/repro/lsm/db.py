@@ -25,10 +25,10 @@ while a fresh MemTable absorbs writes; compactions run on the same
 thread; concurrent writers queue behind a leader that appends and syncs
 all their WAL batches at once (group commit); level-0 pileups slow and
 then stop writers (backpressure waits instead of
-:class:`~repro.lsm.errors.WriteStallError`); and readers pin a
-``(MemTable, immutable MemTable, Version)`` triple plus the published
-sequence number, so every read observes a consistent snapshot without
-holding the mutex.
+:class:`~repro.lsm.errors.WriteStallError`); and every read's *view*
+(:meth:`DB._acquire_view`: both MemTables, a pinned Version, the published
+sequence number) is a consistent snapshot it reads without the mutex.
+Inline, the same view is taken lock- and pin-free.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import Any, Callable, Iterator
 
 from repro.lsm.compaction import Compaction, Compactor, pick_compaction
@@ -50,6 +50,7 @@ from repro.lsm.errors import (
     DBClosedError,
     InvalidArgumentError,
     ReadOnlyError,
+    WriteStallError,
 )
 from repro.lsm.iterator import merge_streams
 from repro.lsm.keys import (
@@ -69,6 +70,7 @@ from repro.lsm.manifest import (
     ManifestWriter,
     current_tmp_file_name,
     log_file_name,
+    manifest_file_name,
     recover_version_set,
     table_file_name,
 )
@@ -80,6 +82,10 @@ from repro.lsm.version import VersionEdit, VersionSet
 from repro.lsm.wal import LogReader, LogWriter
 
 FlushListener = Callable[[int], None]
+
+#: Group commit stops coalescing queued writers once the combined encoded
+#: batches reach this size (LevelDB caps groups at 1 MiB).
+MAX_WRITE_GROUP_BYTES = 1 << 20
 
 logger = logging.getLogger(__name__)
 
@@ -194,17 +200,6 @@ class _Writer:
         self.error: BaseException | None = None
 
 
-class _ReadState:
-    """What one read pins: both MemTables, a Version, the published seq.
-
-    Captured under the mutex in one short critical section; afterwards the
-    read runs lock-free.  The Version is refcounted so background
-    compaction defers deleting table files the read may still touch.
-    """
-
-    __slots__ = ("memtable", "imm", "version", "seq")
-
-
 @dataclass
 class CorruptionStats:
     """Containment counters (``DB.stats()["corruption"]``).
@@ -277,8 +272,7 @@ class DB:
         self._work_cv = threading.Condition(self._mutex)   # bg thread waits
         self._stall_cv = threading.Condition(self._mutex)  # writers wait
         self.imm: MemTable | None = None     # sealed MemTable being flushed
-        self._imm_retire_log = 0  # log_number the imm's flush edit records
-        self._imm_old_log = 0     # WAL file deleted once the imm is durable
+        self._imm_old_log = 0  # WAL file deleted once the imm is durable
         self._writers: deque[_Writer] = deque()
         self._pending_seq = 0  # last *allocated* seq; published lags behind
         self._version_pins: dict[int, list] = {}  # id(version) -> [v, refs]
@@ -356,28 +350,47 @@ class DB:
                 # tables from recovered logs during open.
                 self.compactor.flush_memtable(self.memtable)
                 self.memtable = MemTable()
-        new_manifest_number = self.versions.new_file_number()
         self._manifest = ManifestWriter(self.vfs, self.name,
-                                        new_manifest_number)
-        self._log_number = self.versions.new_file_number()
+                                        self.versions.new_file_number())
+        log_number = self.versions.new_file_number()
+        self.versions.log_number = log_number
+        self._manifest.log_edit(self._snapshot_edit(log_number))
+        self._manifest.install_as_current()
+        self._open_wal(log_number)
+        self._delete_obsolete_files()
+
+    def _snapshot_edit(self, log_number: int, version=None,
+                       compact_pointers: bool = True) -> VersionEdit:
+        """One self-contained edit describing ``version`` (default: current).
+
+        A manifest holding just this edit reopens to the same tree
+        (LevelDB writes a similar "snapshot" record on reopen and when it
+        rolls a grown manifest).
+        """
         edit = VersionEdit(
-            log_number=self._log_number,
+            log_number=log_number,
             next_file_number=self.versions.next_file_number,
             last_sequence=self.versions.last_sequence)
-        # Re-log the full current state into the fresh manifest so it is
-        # self-contained (LevelDB writes a similar "snapshot" record).
-        for level, meta in self.versions.current.all_files():
+        for level, meta in (version or self.versions.current).all_files():
             edit.add_file(level, meta)
-        for level, pointer in enumerate(self.versions.compact_pointers):
-            if pointer is not None:
-                edit.compact_pointers.append((level, pointer))
-        self.versions.log_number = self._log_number
-        self._manifest.log_edit(edit)
-        self._manifest.install_as_current()
+        if compact_pointers:
+            for level, pointer in enumerate(self.versions.compact_pointers):
+                if pointer is not None:
+                    edit.compact_pointers.append((level, pointer))
+        return edit
+
+    def _open_wal(self, log_number: int) -> None:
+        """Make ``log_number`` the WAL that writes append to from now on.
+
+        The previous WAL is closed but stays on disk: only the flush edit
+        that records a newer log number makes it obsolete.
+        """
+        if self._log is not None:
+            self._log.close()
         self._log = LogWriter(
-            self.vfs.create(log_file_name(self.name, self._log_number)),
+            self.vfs.create(log_file_name(self.name, log_number)),
             sync=self.options.sync_writes)
-        self._delete_obsolete_files()
+        self._log_number = log_number
 
     def _replay_logs(self) -> None:
         log_names = [name for name in self.vfs.list_dir(self.name + "/")
@@ -578,70 +591,49 @@ class DB:
             invalidate(table_file_name(self.name, file_number))
         logger.warning("quarantined corrupt table %06d: %s", file_number, exc)
 
-    def _contain_or_raise(self, file_number: int, exc: CorruptionError) -> None:
-        """Apply ``options.on_corruption`` to a failed table read."""
+    def _contain(self, file_number: int, exc: CorruptionError) -> None:
+        """A table read failed: apply ``options.on_corruption``.
+
+        The one place the policy is consulted.  ``"raise"`` propagates the
+        error; ``"quarantine"`` counts it, quarantines the table and
+        returns, so the read that hit it carries on without the table.
+        Every table access of the read path uses one idiom around this::
+
+            if file_number in self._quarantined: <serve around it>
+            try: <open the table through the table cache and read it>
+            except CorruptionError as exc: self._contain(file_number, exc)
+
+        so a quarantined table reads as absent, a table whose *open* fails
+        (bad footer/index) is quarantined whole on the spot, and entries
+        already decoded from a table that fails later stay served.  Under
+        ``"raise"`` the quarantine set is empty and ``try`` costs nothing.
+        """
         if self.options.on_corruption != "quarantine":
             raise exc
         self.corruption_stats.events += 1
         self._quarantine_table(file_number, exc)
 
-    def _safe_table(self, file_number: int):
-        """Table reader for ``file_number``, or ``None`` when contained.
+    def _park_if_disk_full(self, exc: BaseException) -> bool:
+        """Flip into clean read-only mode if ``exc`` is a write-path ENOSPC.
 
-        Only used on the quarantine-policy read paths: a quarantined table
-        reads as absent, and a table whose *open* fails (bad footer/index)
-        is quarantined whole on the spot.
-        """
-        if file_number in self._quarantined:
-            return None
-        try:
-            return self.table_cache.get(file_number)
-        except CorruptionError as exc:
-            self._contain_or_raise(file_number, exc)
-            return None
-
-    def _guarded_sorted_entries(self, file_number: int,
-                                start_key: bytes | None, category: Category
-                                ) -> Iterator[tuple[tuple[bytes, int], bytes]]:
-        """A table's scan stream under the quarantine policy.
-
-        Block decode errors end the stream (later blocks of the table are
-        unreachable once it is quarantined) instead of killing the whole
-        scan; entries from blocks that decoded cleanly have already been
-        served and stay valid.
-        """
-        table = self._safe_table(file_number)
-        if table is None:
-            return
-        stream = table.sorted_entries(start_key, category)
-        while True:
-            try:
-                item = next(stream)
-            except StopIteration:
-                return
-            except CorruptionError as exc:
-                self._contain_or_raise(file_number, exc)
-                return
-            yield item
-
-    def _is_enospc(self, exc: BaseException) -> bool:
-        return getattr(exc, "errno", None) == errno.ENOSPC
-
-    def _enter_read_only_locked(self, exc: BaseException) -> None:
-        """Flip into clean read-only mode after a write-path ENOSPC.
-
-        Mutex held.  Reads keep working against everything already
-        acknowledged (MemTables included); every later mutation raises
+        The failed operation installed or acknowledged nothing, so reads
+        keep working against everything already acknowledged (MemTables
+        included); every later mutation raises
         :class:`~repro.lsm.errors.ReadOnlyError`; the background pipeline
         parks (no crash-loop of doomed flush retries) but its thread stays
-        alive so ``close()`` remains orderly.
+        alive so ``close()`` remains orderly.  Returns whether it parked;
+        the caller decides whether its own caller still sees ``exc``.
         """
-        if not self._read_only:
-            self._read_only = True
-            self._read_only_reason = f"{type(exc).__name__}: {exc}"
-            logger.warning("entering read-only mode: %s", exc)
-        self._stall_cv.notify_all()
-        self._work_cv.notify_all()
+        if getattr(exc, "errno", None) != errno.ENOSPC:
+            return False
+        with self._mutex:
+            if not self._read_only:
+                self._read_only = True
+                self._read_only_reason = f"{type(exc).__name__}: {exc}"
+                logger.warning("entering read-only mode: %s", exc)
+            self._stall_cv.notify_all()
+            self._work_cv.notify_all()
+        return True
 
     def _check_writable(self) -> None:
         if self._read_only:
@@ -708,22 +700,11 @@ class DB:
         self._check_writable()
         if not batch.ops:
             return self.versions.last_sequence
-        if self.versions.current.num_files(0) >= \
-                self.options.l0_stop_writes_trigger:
-            from repro.lsm.errors import WriteStallError
-
-            raise WriteStallError(
-                f"level 0 holds {self.versions.current.num_files(0)} files "
-                f"(stop trigger {self.options.l0_stop_writes_trigger}); "
-                f"run compact_range() or enable auto compaction")
-        if self.options.sequence_oracle is not None:
-            start_seq = self.options.sequence_oracle(len(batch.ops))
-            if start_seq <= self.versions.last_sequence:
-                raise InvalidArgumentError(
-                    f"sequence oracle went backwards: {start_seq} <= "
-                    f"{self.versions.last_sequence}")
-        else:
-            start_seq = self.versions.last_sequence + 1
+        l0_files = self.versions.current.num_files(0)
+        if l0_files >= self.options.l0_stop_writes_trigger:
+            raise self._stall_error(l0_files)
+        start_seq = self._next_sequence(len(batch.ops),
+                                        self.versions.last_sequence)
         assert self._log is not None
         try:
             self._log.add_record(batch.encode(start_seq))
@@ -731,21 +712,32 @@ class DB:
             # ENOSPC before any MemTable insert: the batch is not acked and
             # nothing is half-applied.  Park the DB read-only; the caller
             # sees the original error, later writes see ReadOnlyError.
-            if self._is_enospc(exc):
-                with self._mutex:
-                    self._enter_read_only_locked(exc)
+            self._park_if_disk_full(exc)
             raise
         for offset, (kind, key, value) in enumerate(batch.ops):
             self.memtable.add(start_seq + offset, kind, key, value)
         self.versions.last_sequence = start_seq + len(batch.ops) - 1
-        self._maybe_flush()
+        if self.memtable.approximate_memory_usage \
+                >= self.options.memtable_budget:
+            self.flush()
         return self.versions.last_sequence
 
-    def _maybe_flush(self) -> None:
-        if self.memtable.approximate_memory_usage \
-                < self.options.memtable_budget:
-            return
-        self.flush()
+    def _stall_error(self, l0_files: int) -> WriteStallError:
+        return WriteStallError(
+            f"level 0 holds {l0_files} files "
+            f"(stop trigger {self.options.l0_stop_writes_trigger}); "
+            f"run compact_range() or enable auto compaction")
+
+    def _next_sequence(self, count: int, last: int) -> int:
+        """First of ``count`` fresh sequence numbers, all above ``last``."""
+        oracle = self.options.sequence_oracle
+        if oracle is None:
+            return last + 1
+        start_seq = oracle(count)
+        if start_seq <= last:
+            raise InvalidArgumentError(
+                f"sequence oracle went backwards: {start_seq} <= {last}")
+        return start_seq
 
     # -- concurrent write path (background_compaction) -------------------------
 
@@ -788,19 +780,12 @@ class DB:
                     if candidate.batch is None:
                         break  # flush sentinel: do not commit past it
                     size = _approximate_batch_bytes(candidate.batch)
-                    if group_bytes + size > self.options.max_write_group_bytes:
+                    if group_bytes + size > MAX_WRITE_GROUP_BYTES:
                         break
                     group.append(candidate)
                     group_bytes += size
                 total_ops = sum(len(w.batch.ops) for w in group)
-                if self.options.sequence_oracle is not None:
-                    start_seq = self.options.sequence_oracle(total_ops)
-                    if start_seq <= self._pending_seq:
-                        raise InvalidArgumentError(
-                            f"sequence oracle went backwards: {start_seq} "
-                            f"<= {self._pending_seq}")
-                else:
-                    start_seq = self._pending_seq + 1
+                start_seq = self._next_sequence(total_ops, self._pending_seq)
                 self._pending_seq = start_seq + total_ops - 1
             except BaseException:
                 self._writers.remove(writer)
@@ -832,11 +817,11 @@ class DB:
             if error is None:
                 self.versions.last_sequence = max(
                     self.versions.last_sequence, start_seq + total_ops - 1)
-            elif self._is_enospc(error):
+            else:
                 # Disk full during the group's WAL append: nothing in the
                 # group was acknowledged.  Park read-only so queued writers
                 # fail fast instead of each rediscovering the full disk.
-                self._enter_read_only_locked(error)
+                self._park_if_disk_full(error)
             stats = self.pipeline_stats
             stats.write_groups += 1
             stats.group_commit_batches += len(group)
@@ -881,12 +866,7 @@ class DB:
             l0_files = self.versions.current.num_files(0)
             if l0_files >= options.l0_stop_writes_trigger \
                     and options.disable_auto_compaction:
-                from repro.lsm.errors import WriteStallError
-
-                raise WriteStallError(
-                    f"level 0 holds {l0_files} files "
-                    f"(stop trigger {options.l0_stop_writes_trigger}); "
-                    f"run compact_range() or enable auto compaction")
+                raise self._stall_error(l0_files)
             if allow_delay and not options.disable_auto_compaction \
                     and options.l0_slowdown_writes_trigger <= l0_files \
                     < options.l0_stop_writes_trigger:
@@ -905,53 +885,77 @@ class DB:
                     < options.memtable_budget:
                 return
             if self.imm is not None:
-                started = time.perf_counter()
-                stats.stall_events += 1
-                self._await_locked(
-                    self._stall_cv,
-                    lambda: self.imm is None or self._bg_error is not None
-                    or self._read_only,
-                    "stall:memtable")
-                stats.stall_seconds += time.perf_counter() - started
+                self._stall_until(lambda: self.imm is None, "stall:memtable")
                 continue
             if l0_files >= options.l0_stop_writes_trigger:
-                started = time.perf_counter()
-                stats.stall_events += 1
-                self._await_locked(
-                    self._stall_cv,
+                self._stall_until(
                     lambda: (self.versions.current.num_files(0)
-                             < options.l0_stop_writes_trigger
-                             or self._bg_error is not None
-                             or self._read_only),
+                             < options.l0_stop_writes_trigger),
                     "stall:stop")
-                stats.stall_seconds += time.perf_counter() - started
                 continue
             self._rotate_memtable_locked()
             return
 
+    def _await_pipeline(self, drained: Callable[[], bool], label: str) -> None:
+        """Wait, mutex held, for the background thread to make ``drained()``.
+
+        Also returns once it never will — the thread died into
+        ``_bg_error`` or parked read-only — so callers recheck both.
+        """
+        self._await_locked(
+            self._stall_cv,
+            lambda: drained() or self._bg_error is not None or self._read_only,
+            label)
+
+    def _stall_until(self, drained: Callable[[], bool], label: str) -> None:
+        """A writer's :meth:`_await_pipeline`, counted as a stall."""
+        stats = self.pipeline_stats
+        started = time.perf_counter()
+        stats.stall_events += 1
+        self._await_pipeline(drained, label)
+        stats.stall_seconds += time.perf_counter() - started
+
     def _rotate_memtable_locked(self) -> None:
         """Seal the active MemTable into ``imm`` and switch to a new WAL.
 
-        Mutex held; ``self.imm`` must be ``None``.  The old WAL stays on
-        disk until the background flush durably installs the level-0 table
-        whose edit records the *new* log number — the same
-        crash-consistency invariant as the inline flush.
+        Mutex held (or inline); ``self.imm`` must be ``None``.  The old WAL
+        stays on disk until :meth:`_flush_imm` durably installs the
+        level-0 table whose edit records the *new* log number.
         """
         assert self.imm is None
-        old_log_number = self._log_number
-        new_log_number = self.versions.new_file_number()
-        assert self._log is not None
-        self._log.close()
-        self._log = LogWriter(
-            self.vfs.create(log_file_name(self.name, new_log_number)),
-            sync=self.options.sync_writes)
-        self._log_number = new_log_number
+        self._imm_old_log = self._log_number
+        self._open_wal(self.versions.new_file_number())
         self.memtable.seal()
         self.imm = self.memtable
-        self._imm_retire_log = new_log_number
-        self._imm_old_log = old_log_number
         self.memtable = MemTable()
         self._work_cv.notify_all()
+
+    def _flush_imm(self) -> None:
+        """Flush the sealed MemTable to level 0, then retire its WAL.
+
+        The steps every flush runs, on the background thread or — inline —
+        on the caller's.  One edit makes the table live AND retires the old
+        WAL: two edits would open a crash window where the table is live
+        but the manifest still points at the old log, and recovery would
+        replay writes already in the table, folding merge operands twice.
+        """
+        imm = self.imm
+        assert imm is not None
+        # No rotation happens while an imm is pending, so the current WAL
+        # is still the one opened when this MemTable was sealed.
+        self.compactor.flush_memtable(imm, log_number=self._log_number)
+        old_log = self._imm_old_log
+        with self._mutex:
+            self.imm = None
+            if self._bg:
+                self.pipeline_stats.bg_flushes += 1
+            self._stall_cv.notify_all()
+        # A crash-interrupted earlier flush (or recovery's own cleanup) may
+        # have removed the previous WAL already.
+        self.vfs.delete_if_exists(log_file_name(self.name, old_log))
+        # Listeners run on whichever thread flushed.
+        for listener in self._flush_listeners:
+            listener(imm.max_seq or 0)
 
     # -- background thread -----------------------------------------------------
 
@@ -993,34 +997,23 @@ class DB:
                         compaction = pick_compaction(self.versions)
                         if compaction is not None:
                             self._bg_compacting = True
-                if imm is not None:
-                    self._step("bg:flush")
-                    try:
-                        self._background_flush(imm)
-                    except OSError as exc:
-                        if not self._is_enospc(exc):
-                            raise
-                        # Disk full mid-flush: the version edit was not
-                        # installed and the imm's WAL is still on disk, so
-                        # nothing acknowledged is lost.  Park read-only
-                        # (imm stays readable in memory) instead of dying
-                        # into a sticky background error.
-                        with self._mutex:
-                            self._enter_read_only_locked(exc)
-                elif compaction is not None:
-                    self._step("bg:compact")
-                    try:
-                        try:
-                            self.compactor.run(compaction)
-                        except OSError as exc:
-                            if not self._is_enospc(exc):
-                                raise
-                            # A failed compaction installed nothing; inputs
-                            # remain live.  Reads are unaffected — just stop
-                            # generating doomed write traffic.
-                            with self._mutex:
-                                self._enter_read_only_locked(exc)
-                    finally:
+                try:
+                    if imm is not None:
+                        self._step("bg:flush")
+                        self._flush_imm()
+                    elif compaction is not None:
+                        self._step("bg:compact")
+                        self.compactor.run(compaction)
+                except OSError as exc:
+                    # Disk full: a failed flush or compaction installed
+                    # nothing (the imm stays readable in memory and its
+                    # WAL on disk; compaction inputs stay live), so
+                    # nothing acknowledged is lost.  Park read-only
+                    # instead of dying into a sticky background error.
+                    if not self._park_if_disk_full(exc):
+                        raise
+                finally:
+                    if compaction is not None:
                         with self._mutex:
                             self._bg_compacting = False
                             self.pipeline_stats.bg_compactions += 1
@@ -1031,43 +1024,33 @@ class DB:
                 self._bg_compacting = False
                 self._stall_cv.notify_all()
 
-    def _background_flush(self, imm: MemTable) -> None:
-        """Flush the immutable MemTable and retire its WAL."""
-        self.compactor.flush_memtable(imm, log_number=self._imm_retire_log)
-        flushed_max_seq = imm.max_seq or 0
-        old_log = self._imm_old_log
-        with self._mutex:
-            self.imm = None
-            self.pipeline_stats.bg_flushes += 1
-            self._stall_cv.notify_all()
-        self.vfs.delete_if_exists(log_file_name(self.name, old_log))
-        # Listeners run on the background thread in pipeline mode.
-        for listener in self._flush_listeners:
-            listener(flushed_max_seq)
-
     def _retire_table_files(self, file_numbers: list[int]) -> None:
-        """Dispose of compaction-input tables, honoring pinned versions.
-
-        A snapshot-isolated read pins the Version it started from; deleting
-        a table that version references would yank blocks out from under
-        the read.  Such files become *zombies*, deleted when the last pin
-        drops (see :meth:`_release_read_state`).  With no pins — always the
-        case inline — this deletes immediately, matching the old behavior.
-        """
-        from repro.lsm.manifest import table_file_name
-
+        """Dispose of compaction-input tables, honoring pinned versions."""
         with self._mutex:
-            pinned = [entry[0] for entry in self._version_pins.values()]
-            current_live = self.versions.current.live_file_numbers()
-            for file_number in file_numbers:
-                if file_number in current_live:
-                    continue  # resurrected by a racing edit; keep it
-                if any(file_number in version.live_file_numbers()
-                       for version in pinned):
-                    self._zombie_tables.add(file_number)
-                else:
-                    self.table_cache.evict(file_number)
-                    self.vfs.delete(table_file_name(self.name, file_number))
+            self._sweep_retired_locked(file_numbers)
+
+    def _sweep_retired_locked(self, file_numbers) -> None:
+        """Delete each retired table that no version references any more.
+
+        A pinned read view holds the Version it started from; deleting a
+        table that version names would yank blocks out from under the
+        read.  Such files wait as *zombies* and are swept again when a pin
+        drops (:meth:`_release_view`).  With no pins — always the case
+        inline — every retired table is deleted on the spot.
+        """
+        current_live = self.versions.current.live_file_numbers()
+        pinned = [entry[0].live_file_numbers()
+                  for entry in self._version_pins.values()]
+        for file_number in file_numbers:
+            self._zombie_tables.discard(file_number)
+            if file_number in current_live:
+                continue  # resurrected by a racing edit; keep it
+            if any(file_number in live for live in pinned):
+                self._zombie_tables.add(file_number)
+            else:
+                self.table_cache.evict(file_number)
+                self.vfs.delete_if_exists(
+                    table_file_name(self.name, file_number))
 
     def _discard_worker_outputs(self, file_numbers: list[int]) -> None:
         """Delete the partial outputs of a failed worker compaction job.
@@ -1084,107 +1067,99 @@ class DB:
                 self._shm_cache.evict_file(file_number)
             self.vfs.delete_if_exists(table_file_name(self.name, file_number))
 
-    # -- snapshot-isolated read state -------------------------------------------
+    # -- the read view --------------------------------------------------------
 
-    def _acquire_read_state(self) -> _ReadState:
-        """Pin everything one read needs, in one short critical section."""
+    def _acquire_view(self):
+        """What one read sees: ``(memtables, version, max_seq, pin)``.
+
+        ``memtables`` come newest first (the active one, then a sealed one
+        still being flushed); ``max_seq`` is the implicit snapshot of a read
+        that names none; ``pin`` goes back to :meth:`_release_view`.  This
+        is the one place the read path looks at the engine's mode.  Inline
+        there is one thread, so the view is taken lock- and pin-free and
+        everything written is visible.  In pipeline mode it is captured
+        under the mutex in one short critical section, after which the read
+        runs lock-free: the Version is refcounted so compaction defers
+        deleting table files the read may still touch, and ``max_seq`` is
+        the *published* sequence — a committing group publishes only after
+        all its MemTable inserts, so no torn (half-a-batch) read is
+        possible.
+        """
+        if self._closed:
+            raise DBClosedError("database is closed")
+        if not self._bg:
+            return (self.memtable,), self.versions.current, MAX_SEQUENCE, None
         # The one scheduling point of the read path: once pinned, snapshot
         # isolation makes the rest of the read independent of concurrent
         # writers, so yielding *here* lets the deterministic harness explore
         # every distinct read outcome.
         self._step("read:pin")
-        state = _ReadState()
         with self._mutex:
-            state.memtable = self.memtable
-            state.imm = self.imm
-            state.version = self.versions.current
-            state.seq = self.versions.last_sequence
-            key = id(state.version)
-            entry = self._version_pins.get(key)
-            if entry is None:
-                self._version_pins[key] = [state.version, 1]
-            else:
-                entry[1] += 1
-        return state
+            memtables = self._memtables_locked()
+            version = self.versions.current
+            entry = self._version_pins.setdefault(id(version), [version, 0])
+            entry[1] += 1
+            return memtables, version, self.versions.last_sequence, version
 
-    def _release_read_state(self, state: _ReadState) -> None:
-        from repro.lsm.manifest import table_file_name
+    def _memtables_locked(self) -> tuple[MemTable, ...]:
+        """The view's MemTables; also all that gauges need (no pin, and no
+        scheduling point in the middle of a ``stats()`` call)."""
+        return (self.memtable,) if self.imm is None \
+            else (self.memtable, self.imm)
 
+    def _release_view(self, pin) -> None:
+        """Drop a view's pin; the last one out sweeps the zombie tables."""
+        if pin is None:
+            return
         with self._mutex:
-            key = id(state.version)
-            entry = self._version_pins.get(key)
-            if entry is None:
-                return
+            entry = self._version_pins[id(pin)]
             entry[1] -= 1
             if entry[1] > 0:
                 return
-            del self._version_pins[key]
-            if not self._zombie_tables:
-                return
-            current_live = self.versions.current.live_file_numbers()
-            still_pinned = [e[0] for e in self._version_pins.values()]
-            for file_number in sorted(self._zombie_tables):
-                if file_number in current_live:
-                    self._zombie_tables.discard(file_number)
-                    continue
-                if any(file_number in version.live_file_numbers()
-                       for version in still_pinned):
-                    continue
-                self._zombie_tables.discard(file_number)
-                self.table_cache.evict(file_number)
-                self.vfs.delete_if_exists(
-                    table_file_name(self.name, file_number))
+            del self._version_pins[id(pin)]
+            if self._zombie_tables:
+                self._sweep_retired_locked(sorted(self._zombie_tables))
 
     def flush(self) -> None:
         """Flush the MemTable to a level-0 SSTable and run due compactions.
 
-        In pipeline mode this seals the active MemTable (if non-empty) and
-        blocks until the background thread has drained every immutable
-        MemTable — i.e. all data acknowledged so far is in level 0.
+        Both modes run the same steps — seal the MemTable behind a new WAL
+        (:meth:`_rotate_memtable_locked`), then :meth:`_flush_imm` — and
+        differ in who runs the second.  In pipeline mode this seals the
+        active MemTable (if non-empty) and blocks until the background
+        thread has drained every immutable MemTable — i.e. all data
+        acknowledged so far is in level 0.  Inline, the caller's thread
+        does the flush and the due compactions itself.
         """
+        self._check_open()
         if self._bg:
             self._flush_concurrent()
             return
-        self._check_open()
         self._check_writable()
         if self.memtable.is_empty():
             return
         try:
-            self._flush_inline()
+            with self._mutex:
+                self._rotate_memtable_locked()
+            try:
+                self._flush_imm()
+            except BaseException:
+                if self.imm is not None:
+                    # The table was not installed.  One thread: nothing was
+                    # written since the seal, so the sealed MemTable goes
+                    # back into service — every acknowledged write stays
+                    # readable, and replayable from the old WAL the failed
+                    # flush did not retire.
+                    self.imm.unseal()
+                    self.memtable, self.imm = self.imm, None
+                raise
+            if not self.options.disable_auto_compaction:
+                self.compactor.maybe_compact()
         except OSError as exc:
-            # A full disk mid-flush is survivable: the version edit was not
-            # installed, the MemTable was not reset and the old WAL is still
-            # on disk, so every acknowledged write remains readable (and
-            # replayable on reopen).  Park read-only rather than letting
-            # callers retry a doomed flush forever.
-            if self._is_enospc(exc):
-                with self._mutex:
-                    self._enter_read_only_locked(exc)
+            # A full disk is survivable (see above); park read-only rather
+            # than letting callers retry a doomed flush forever.
+            self._park_if_disk_full(exc)
             raise
-
-    def _flush_inline(self) -> None:
-        flushed_max_seq = self.memtable.max_seq or 0
-        old_log_number = self._log_number
-        assert self._log is not None
-        self._log.close()
-        self._log_number = self.versions.new_file_number()
-        self._log = LogWriter(
-            self.vfs.create(log_file_name(self.name, self._log_number)),
-            sync=self.options.sync_writes)
-        # One edit makes the table live AND retires the old WAL.  Two
-        # separate edits would open a crash window where the table is live
-        # but the manifest still points at the old log: recovery would
-        # replay writes already in the table, folding merge operands twice.
-        self.compactor.flush_memtable(self.memtable,
-                                      log_number=self._log_number)
-        self.memtable = MemTable()
-        # A crash-interrupted earlier flush (or recovery's own cleanup) may
-        # have removed the previous WAL already.
-        self.vfs.delete_if_exists(log_file_name(self.name, old_log_number))
-        for listener in self._flush_listeners:
-            listener(flushed_max_seq)
-        if not self.options.disable_auto_compaction:
-            self.compactor.maybe_compact()
 
     def _flush_concurrent(self) -> None:
         """Pipeline-mode flush: rotate under a queue sentinel, then drain.
@@ -1193,7 +1168,6 @@ class DB:
         inserting into the active MemTable while it is sealed; pending
         writers simply commit after the rotation, into the fresh MemTable.
         """
-        self._check_open()
         sentinel = _Writer(None)
         with self._mutex:
             self._raise_if_bg_failed()
@@ -1205,11 +1179,8 @@ class DB:
                 "flush:queue")
             try:
                 if not self.memtable.is_empty():
-                    self._await_locked(
-                        self._stall_cv,
-                        lambda: self.imm is None or self._bg_error is not None
-                        or self._read_only,
-                        "flush:room")
+                    self._await_pipeline(lambda: self.imm is None,
+                                         "flush:room")
                     self._raise_if_bg_failed()
                     self._check_writable()
                     self._rotate_memtable_locked()
@@ -1217,11 +1188,7 @@ class DB:
                 popped = self._writers.popleft()
                 assert popped is sentinel
                 self._stall_cv.notify_all()
-            self._await_locked(
-                self._stall_cv,
-                lambda: self.imm is None or self._bg_error is not None
-                or self._read_only,
-                "flush:drain")
+            self._await_pipeline(lambda: self.imm is None, "flush:drain")
             self._raise_if_bg_failed()
             if self.imm is not None:
                 # Read-only parked the background thread with the immutable
@@ -1258,22 +1225,11 @@ class DB:
         rewrites it as a single self-contained snapshot of the current
         version (LevelDB does the same on reopen and past a size limit).
         """
-        from repro.lsm.manifest import manifest_file_name
-
         old_manifest = self._manifest
         assert old_manifest is not None
-        number = self.versions.new_file_number()
-        snapshot = VersionEdit(
-            log_number=self._log_number,
-            next_file_number=self.versions.next_file_number,
-            last_sequence=self.versions.last_sequence)
-        for level, meta in self.versions.current.all_files():
-            snapshot.add_file(level, meta)
-        for level, pointer in enumerate(self.versions.compact_pointers):
-            if pointer is not None:
-                snapshot.compact_pointers.append((level, pointer))
-        new_manifest = ManifestWriter(self.vfs, self.name, number)
-        new_manifest.log_edit(snapshot)
+        new_manifest = ManifestWriter(self.vfs, self.name,
+                                      self.versions.new_file_number())
+        new_manifest.log_edit(self._snapshot_edit(self._log_number))
         new_manifest.install_as_current()
         old_manifest.close()
         self.vfs.delete_if_exists(
@@ -1300,44 +1256,33 @@ class DB:
         For a merge chain the sequence of the newest operand is reported:
         it is the "time" the value last changed.
         """
-        self._check_open()
-        if not self._bg:
-            max_seq = snapshot.seq if snapshot is not None else MAX_SEQUENCE
-            return self._get_with_seq_pinned(key, max_seq, None)
-        state = self._acquire_read_state()
+        memtables, version, max_seq, pin = self._acquire_view()
         try:
-            # Without an explicit snapshot, the published sequence at read
-            # start is the implicit one: a concurrently committing group
-            # publishes only after all its MemTable inserts, so no torn
-            # (half-a-batch) read is possible.
-            max_seq = snapshot.seq if snapshot is not None else state.seq
-            return self._get_with_seq_pinned(key, max_seq, state)
-        finally:
-            self._release_read_state(state)
-
-    def _get_with_seq_pinned(self, key: bytes, max_seq: int,
-                             state: _ReadState | None
-                             ) -> tuple[bytes, int] | None:
-        operands: list[bytes] = []
-        newest_seq: int | None = None
-        for kind, seq, value in self._versions_of(key, max_seq, state):
-            if newest_seq is None:
-                newest_seq = seq
-            if kind == KIND_MERGE:
-                operands.append(value)
-                continue
-            if kind == KIND_VALUE:
+            if snapshot is not None:
+                max_seq = snapshot.seq
+            operands: list[bytes] = []
+            newest_seq: int | None = None
+            for kind, seq, value in self._versions_of(key, max_seq,
+                                                      memtables, version):
+                if newest_seq is None:
+                    newest_seq = seq
+                if kind == KIND_MERGE:
+                    operands.append(value)
+                    continue
+                if kind == KIND_VALUE:
+                    if operands:
+                        return self._fold(key, operands, value), newest_seq
+                    return value, seq
+                # Tombstone: stop — older versions are dead.
                 if operands:
-                    return self._fold(key, operands, value), newest_seq
-                return value, seq
-            # Tombstone: stop — older versions are dead.
+                    return self._fold(key, operands, None), newest_seq
+                return None
             if operands:
+                assert newest_seq is not None
                 return self._fold(key, operands, None), newest_seq
             return None
-        if operands:
-            assert newest_seq is not None
-            return self._fold(key, operands, None), newest_seq
-        return None
+        finally:
+            self._release_view(pin)
 
     def _fold(self, key: bytes, operands_newest_first: list[bytes],
               base: bytes | None) -> bytes:
@@ -1350,71 +1295,42 @@ class DB:
             oldest_first.insert(0, base)
         return operator(key, oldest_first)
 
-    def _versions_of(self, key: bytes, max_seq: int,
-                     state: _ReadState | None = None
+    def _versions_of(self, key: bytes, max_seq: int, memtables, version
                      ) -> Iterator[tuple[int, int, bytes]]:
-        """All stored versions of ``key``, newest first, across components."""
-        if state is None:
-            memtables = (self.memtable,)
-            version = self.versions.current
-        else:
-            # Active MemTable first: its sequences are strictly newer than
-            # the immutable one's, preserving newest-first order.
-            memtables = (state.memtable,) if state.imm is None \
-                else (state.memtable, state.imm)
-            version = state.version
+        """All stored versions of ``key``, newest first, across components.
+
+        Lazy: a GET that resolves in an upper component never opens the
+        tables below it.  Tables are read under :meth:`_contain`'s idiom.
+        """
         for memtable in memtables:
             for entry in memtable.versions(key, max_seq):
                 yield entry.kind, entry.seq, entry.value
-        if self.options.on_corruption == "quarantine":
-            yield from self._table_versions_contained(key, max_seq, version)
-            return
+        quarantined = self._quarantined
         table_cache_get = self.table_cache.get
         # Level 0 files may each hold versions; interleave them by seq.
         l0_entries: list[tuple[int, int, bytes]] = []
         for meta in version.files_containing_key(0, key):
-            table = table_cache_get(meta.file_number)
-            l0_entries.extend(table.versions_raw(key, max_seq))
-        if l0_entries:
-            l0_entries.sort(key=lambda item: -item[1])
-            yield from l0_entries
-        for level in range(1, self.options.max_levels):
-            for meta in version.files_containing_key(level, key):
-                table = table_cache_get(meta.file_number)
-                yield from table.versions_raw(key, max_seq)
-
-    def _table_versions_contained(self, key: bytes, max_seq: int, version
-                                  ) -> Iterator[tuple[int, int, bytes]]:
-        """Quarantine-policy twin of the SSTable half of :meth:`_versions_of`.
-
-        A quarantined table contributes nothing; a table that fails *while*
-        being read is quarantined on the spot and its partial result
-        discarded (cleanly decoded versions from other tables still serve).
-        """
-        l0_entries: list[tuple[int, int, bytes]] = []
-        for meta in version.files_containing_key(0, key):
-            table = self._safe_table(meta.file_number)
-            if table is None:
+            file_number = meta.file_number
+            if file_number in quarantined:
                 continue
             try:
-                l0_entries.extend(table.versions_raw(key, max_seq))
+                l0_entries.extend(
+                    table_cache_get(file_number).versions_raw(key, max_seq))
             except CorruptionError as exc:
-                self._contain_or_raise(meta.file_number, exc)
+                self._contain(file_number, exc)
         if l0_entries:
             l0_entries.sort(key=lambda item: -item[1])
             yield from l0_entries
         for level in range(1, self.options.max_levels):
             for meta in version.files_containing_key(level, key):
-                table = self._safe_table(meta.file_number)
-                if table is None:
+                file_number = meta.file_number
+                if file_number in quarantined:
                     continue
                 try:
-                    # Materialized so a decode error cannot fire mid-yield.
-                    found = list(table.versions_raw(key, max_seq))
+                    yield from table_cache_get(file_number) \
+                        .versions_raw(key, max_seq)
                 except CorruptionError as exc:
-                    self._contain_or_raise(meta.file_number, exc)
-                    continue
-                yield from found
+                    self._contain(file_number, exc)
 
     # -- LevelDB++ probes -------------------------------------------------------
 
@@ -1427,55 +1343,38 @@ class DB:
         (Algorithm 3): "it checks the MemTable and then the SSTables, and
         moves down in the storage hierarchy one level at a time".
         """
-        self._check_open()
-        if self._bg:
-            state = self._acquire_read_state()
-            try:
-                if max_seq == MAX_SEQUENCE:
-                    max_seq = state.seq  # implicit snapshot, as in get()
-                return self._fragments_pinned(key, max_seq, state)
-            finally:
-                self._release_read_state(state)
-        return self._fragments_pinned(key, max_seq, None)
-
-    def _fragments_pinned(self, key: bytes, max_seq: int,
-                          state: _ReadState | None
-                          ) -> list[tuple[int, list[tuple[int, int, bytes]]]]:
-        out: list[tuple[int, list[tuple[int, int, bytes]]]] = []
-        if state is None:
-            memtables = (self.memtable,)
-            version = self.versions.current
-        else:
-            memtables = (state.memtable,) if state.imm is None \
-                else (state.memtable, state.imm)
-            version = state.version
-        mem = [(e.kind, e.seq, e.value)
-               for memtable in memtables
-               for e in memtable.versions(key, max_seq)]
-        if mem:
-            mem.sort(key=lambda item: -item[1])
-            out.append((-1, mem))
-        contain = self.options.on_corruption == "quarantine"
-        for level in range(self.options.max_levels):
-            found: list[tuple[int, int, bytes]] = []
-            for meta in version.files_containing_key(level, key):
-                if contain:
-                    table = self._safe_table(meta.file_number)
-                    if table is None:
+        memtables, version, view_seq, pin = self._acquire_view()
+        try:
+            if max_seq == MAX_SEQUENCE:
+                max_seq = view_seq  # implicit snapshot, as in get()
+            out: list[tuple[int, list[tuple[int, int, bytes]]]] = []
+            # Active MemTable first: its sequences are strictly newer than
+            # the sealed one's, so the concatenation is already newest-first.
+            mem = [(e.kind, e.seq, e.value)
+                   for memtable in memtables
+                   for e in memtable.versions(key, max_seq)]
+            if mem:
+                out.append((-1, mem))
+            quarantined = self._quarantined
+            table_cache_get = self.table_cache.get
+            for level in range(self.options.max_levels):
+                found: list[tuple[int, int, bytes]] = []
+                for meta in version.files_containing_key(level, key):
+                    file_number = meta.file_number
+                    if file_number in quarantined:
                         continue
                     try:
-                        found.extend(table.versions_raw(key, max_seq,
-                                                        Category.INDEX))
+                        found.extend(
+                            table_cache_get(file_number)
+                            .versions_raw(key, max_seq, Category.INDEX))
                     except CorruptionError as exc:
-                        self._contain_or_raise(meta.file_number, exc)
-                    continue
-                table = self.table_cache.get(meta.file_number)
-                found.extend(table.versions_raw(key, max_seq,
-                                                Category.INDEX))
-            if found:
-                found.sort(key=lambda item: -item[1])
-                out.append((level, found))
-        return out
+                        self._contain(file_number, exc)
+                if found:
+                    found.sort(key=lambda item: -item[1])
+                    out.append((level, found))
+            return out
+        finally:
+            self._release_view(pin)
 
     def key_maybe_in_levels(self, key: bytes, below_level: int,
                             include_memtable: bool = True) -> bool:
@@ -1487,41 +1386,33 @@ class DB:
         levels (0 to currentlevel-1) ... there is an updated version".
         May return false positives at the bloom rate; never false negatives.
         """
-        self._check_open()
-        state = self._acquire_read_state() if self._bg else None
+        memtables, version, _max_seq, pin = self._acquire_view()
         try:
-            if state is None:
-                memtables = (self.memtable,)
-                version = self.versions.current
-            else:
-                memtables = (state.memtable,) if state.imm is None \
-                    else (state.memtable, state.imm)
-                version = state.version
             if include_memtable:
                 for memtable in memtables:
                     if memtable.get(key) is not None:
                         return True
-            contain = self.options.on_corruption == "quarantine"
+            quarantined = self._quarantined
+            table_cache_get = self.table_cache.get
             for level in range(min(below_level, self.options.max_levels)):
                 for meta in version.files_containing_key(level, key):
-                    if contain:
-                        # Conservative: a quarantined (or unopenable) table
-                        # *may* hold a newer version we can no longer prove
-                        # absent, so GetLite must treat the row as stale —
-                        # missing-but-detected, never a silently wrong value.
-                        table = self._safe_table(meta.file_number)
-                        if table is None:
+                    file_number = meta.file_number
+                    # Conservative: a quarantined (or unopenable) table
+                    # *may* hold a newer version we can no longer prove
+                    # absent, so GetLite must treat the row as stale —
+                    # missing-but-detected, never a silently wrong value.
+                    if file_number in quarantined:
+                        return True
+                    try:
+                        if table_cache_get(file_number) \
+                                .may_contain_user_key(key):
                             return True
-                        if table.may_contain_user_key(key):
-                            return True
-                        continue
-                    table = self.table_cache.get(meta.file_number)
-                    if table.may_contain_user_key(key):
+                    except CorruptionError as exc:
+                        self._contain(file_number, exc)
                         return True
             return False
         finally:
-            if state is not None:
-                self._release_read_state(state)
+            self._release_view(pin)
 
     # -- range reads ------------------------------------------------------------
 
@@ -1546,174 +1437,131 @@ class DB:
         pairs, so no :class:`InternalKey` is allocated per entry and no
         per-entry generator hand-off happens between pipeline stages.
         """
-        self._check_open()
-        if not self._bg:
-            max_seq = snapshot.seq if snapshot is not None else MAX_SEQUENCE
-            yield from self._scan_pinned(lo, hi, max_seq, None, category)
-            return
-        state = self._acquire_read_state()
+        memtables, version, max_seq, pin = self._acquire_view()
         try:
-            max_seq = snapshot.seq if snapshot is not None else state.seq
-            yield from self._scan_pinned(lo, hi, max_seq, state, category)
+            if snapshot is not None:
+                max_seq = snapshot.seq
+            entries = methodcaller(
+                "sorted_entries",
+                None if lo is None else
+                pack_internal_key(lo, MAX_SEQUENCE, KIND_FOR_SEEK),
+                category)
+            streams = [self._memtable_sorted(lo, memtable)
+                       for memtable in memtables]
+            # Level-0 files overlap: one heap stream each.  Deeper levels are
+            # disjoint and sorted, so a whole level concatenates into a single
+            # stream (LevelDB's concatenating iterator) — the heap holds one
+            # entry per *level*, not per file, keeping each sift logarithmic in
+            # the number of components rather than the number of files.
+            for meta in version.overlapping_files(0, lo, hi):
+                streams.append(self._table_entries((meta,), entries))
+            for level in range(1, self.options.max_levels):
+                files = version.overlapping_files(level, lo, hi)
+                if files:
+                    streams.append(self._table_entries(files, entries))
+
+            # Seed the heap: (sort_key, stream_index, value, advance).  The
+            # stream index breaks sort-key ties, so the newest component wins
+            # (streams are listed memtable first, then levels top-down).
+            heap: list[tuple[tuple[bytes, int], int, bytes, Any]] = []
+            for index, stream in enumerate(streams):
+                advance = stream.__next__
+                try:
+                    sort_key, value = advance()
+                except StopIteration:
+                    continue
+                heap.append((sort_key, index, value, advance))
+            heapq.heapify(heap)
+            heappop, heapreplace = heapq.heappop, heapq.heapreplace
+
+            current_key: bytes | None = None
+            operands: list[bytes] = []  # newest-first merge operands
+            operand_seq = 0
+            done_with_key = False
+            while heap:
+                sort_key, index, value, advance = heap[0]
+                try:
+                    nxt = advance()
+                except StopIteration:
+                    heappop(heap)
+                else:
+                    heapreplace(heap, (nxt[0], index, nxt[1], advance))
+                user_key = sort_key[0]
+                if user_key != current_key:
+                    if operands:
+                        yield (current_key,
+                               self._fold(current_key, operands, None),
+                               operand_seq)
+                        operands = []
+                    if hi is not None and user_key > hi:
+                        return
+                    current_key = user_key
+                    done_with_key = False
+                if done_with_key or (lo is not None and user_key < lo):
+                    continue
+                tag = -sort_key[1]
+                seq = tag >> 8
+                if seq > max_seq:
+                    continue
+                kind = tag & 0xFF
+                if kind == KIND_MERGE:
+                    if not operands:
+                        operand_seq = seq
+                    operands.append(value)
+                    continue
+                done_with_key = True
+                if operands:
+                    base = value if kind == KIND_VALUE else None
+                    yield (current_key,
+                           self._fold(current_key, operands, base),
+                           operand_seq)
+                    operands = []
+                elif kind == KIND_VALUE:
+                    yield current_key, value, seq
+                # KIND_DELETE with no pending operands: key is simply hidden.
+            if operands:
+                yield (current_key, self._fold(current_key, operands, None),
+                       operand_seq)
         finally:
             # Released when the scan is exhausted, closed, or abandoned
             # (generator finalization runs this finally block).
-            self._release_read_state(state)
+            self._release_view(pin)
 
-    def _scan_pinned(self, lo: bytes | None, hi: bytes | None, max_seq: int,
-                     state: _ReadState | None, category: Category
-                     ) -> Iterator[tuple[bytes, bytes, int]]:
-        start_key = None if lo is None else \
-            pack_internal_key(lo, MAX_SEQUENCE, KIND_FOR_SEEK)
-        if state is None:
-            streams = [self._memtable_sorted(lo)]
-            version = self.versions.current
-        else:
-            streams = [self._memtable_sorted(lo, state.memtable)]
-            if state.imm is not None:
-                streams.append(self._memtable_sorted(lo, state.imm))
-            version = state.version
-        table_cache_get = self.table_cache.get
-        contain = self.options.on_corruption == "quarantine"
-        # Level-0 files overlap: one heap stream each.  Deeper levels are
-        # disjoint and sorted, so a whole level concatenates into a single
-        # stream (LevelDB's concatenating iterator) — the heap holds one
-        # entry per *level*, not per file, keeping each sift logarithmic in
-        # the number of components rather than the number of files.
-        for meta in version.overlapping_files(0, lo, hi):
-            if contain:
-                streams.append(self._guarded_sorted_entries(
-                    meta.file_number, start_key, category))
-            else:
-                streams.append(table_cache_get(meta.file_number)
-                               .sorted_entries(start_key, category))
-        for level in range(1, self.options.max_levels):
-            files = version.overlapping_files(level, lo, hi)
-            if contain:
-                if files:
-                    streams.append(self._sorted_level_stream(
-                        files, start_key, category))
-            elif len(files) == 1:
-                streams.append(table_cache_get(files[0].file_number)
-                               .sorted_entries(start_key, category))
-            elif files:
-                streams.append(
-                    self._sorted_level_stream(files, start_key, category))
+    def _table_entries(self, files, entries: Callable[[Any], Iterator]
+                       ) -> Iterator:
+        """``entries(table)`` of each of ``files`` in turn, as one stream.
 
-        # Seed the heap: (sort_key, stream_index, value, advance).  The
-        # stream index breaks sort-key ties, so the newest component wins
-        # (streams are listed memtable first, then levels top-down).
-        heap: list[tuple[tuple[bytes, int], int, bytes, Any]] = []
-        for index, stream in enumerate(streams):
-            advance = stream.__next__
-            try:
-                sort_key, value = advance()
-            except StopIteration:
-                continue
-            heap.append((sort_key, index, value, advance))
-        heapq.heapify(heap)
-        heappop, heapreplace = heapq.heappop, heapq.heapreplace
-
-        current_key: bytes | None = None
-        operands: list[bytes] = []  # newest-first merge operands
-        operand_seq = 0
-        done_with_key = False
-        while heap:
-            sort_key, index, value, advance = heap[0]
-            try:
-                nxt = advance()
-            except StopIteration:
-                heappop(heap)
-            else:
-                heapreplace(heap, (nxt[0], index, nxt[1], advance))
-            user_key = sort_key[0]
-            if user_key != current_key:
-                if operands:
-                    yield (current_key,
-                           self._fold(current_key, operands, None),
-                           operand_seq)
-                    operands = []
-                if hi is not None and user_key > hi:
-                    return
-                current_key = user_key
-                done_with_key = False
-            if done_with_key or (lo is not None and user_key < lo):
-                continue
-            tag = -sort_key[1]
-            seq = tag >> 8
-            if seq > max_seq:
-                continue
-            kind = tag & 0xFF
-            if kind == KIND_MERGE:
-                if not operands:
-                    operand_seq = seq
-                operands.append(value)
-                continue
-            done_with_key = True
-            if operands:
-                base = value if kind == KIND_VALUE else None
-                yield (current_key, self._fold(current_key, operands, base),
-                       operand_seq)
-                operands = []
-            elif kind == KIND_VALUE:
-                yield current_key, value, seq
-            # KIND_DELETE with no pending operands: key is simply hidden.
-        if operands:
-            yield (current_key, self._fold(current_key, operands, None),
-                   operand_seq)
-
-    def _sorted_level_stream(self, files, start_key: bytes | None,
-                             category: Category
-                             ) -> Iterator[tuple[tuple[bytes, int], bytes]]:
-        """Concatenated ``(sort_key, value)`` stream over one disjoint level."""
-        if self.options.on_corruption == "quarantine":
-            for meta in files:
-                yield from self._guarded_sorted_entries(
-                    meta.file_number, start_key, category)
-            return
-        table_cache_get = self.table_cache.get
+        The scan paths' form of :meth:`_contain`'s idiom: a quarantined
+        table contributes nothing, and a decode error ends *that table's*
+        part of the stream (its later blocks are unreachable once it is
+        quarantined) instead of killing the whole scan; entries from blocks
+        that decoded cleanly have already been served and stay valid.
+        """
+        quarantined = self._quarantined
         for meta in files:
-            yield from table_cache_get(meta.file_number) \
-                .sorted_entries(start_key, category)
+            file_number = meta.file_number
+            if file_number in quarantined:
+                continue
+            try:
+                yield from entries(self.table_cache.get(file_number))
+            except CorruptionError as exc:
+                self._contain(file_number, exc)
 
-    def _memtable_sorted(self, lo: bytes | None,
-                         memtable: MemTable | None = None
+    @staticmethod
+    def _memtable_sorted(lo: bytes | None, memtable: MemTable
                          ) -> Iterator[tuple[tuple[bytes, int], bytes]]:
-        """MemTable entries as ``(sort_key, value)`` pairs for the scan path."""
-        if memtable is None:
-            memtable = self.memtable
-        if lo is None:
-            for entry in memtable:
-                yield ((entry.user_key, -((entry.seq << 8) | entry.kind)),
-                       entry.value)
-            return
-        for _key, entry in memtable._list.items_from((lo, 0)):
+        """MemTable entries from ``lo`` on, as the scan path's
+        ``(sort_key, value)`` pairs (``b""`` sorts before every key)."""
+        for _key, entry in memtable._list.items_from((lo or b"", 0)):
             yield ((entry.user_key, -((entry.seq << 8) | entry.kind)),
                    entry.value)
 
-    def _memtable_stream(self, lo: bytes | None,
-                         memtable: MemTable | None = None
+    @staticmethod
+    def _memtable_stream(lo: bytes | None, memtable: MemTable
                          ) -> Iterator[tuple[InternalKey, bytes]]:
-        if memtable is None:
-            memtable = self.memtable
-        if lo is None:
-            for entry in memtable:
-                yield InternalKey(entry.user_key, entry.seq, entry.kind), \
-                    entry.value
-            return
-        start = (lo, 0)
-        for (_user_key, _inv_seq), entry in memtable._list.items_from(start):
+        for _key, entry in memtable._list.items_from((lo or b"", 0)):
             yield InternalKey(entry.user_key, entry.seq, entry.kind), \
                 entry.value
-
-    @staticmethod
-    def _table_stream_from(table, lo: bytes | None, category: Category
-                           ) -> Iterator[tuple[InternalKey, bytes]]:
-        if lo is None:
-            yield from table
-        else:
-            start = pack_internal_key(lo, MAX_SEQUENCE, KIND_FOR_SEEK)
-            yield from table.iterate_from(start, category)
 
     def scan_level(self, level: int, lo: bytes | None = None,
                    hi: bytes | None = None,
@@ -1726,40 +1574,26 @@ class DB:
         interpret per-level entries themselves (Algorithms 3-4, 6-7).
         Entries outside ``[lo, hi]`` (user keys) are excluded.
         """
-        self._check_open()
-        state = self._acquire_read_state() if self._bg else None
+        memtables, version, _max_seq, pin = self._acquire_view()
         try:
             if level == -1:
-                if state is None:
-                    stream: Iterator[tuple[InternalKey, bytes]] = \
-                        self._memtable_stream(lo)
-                elif state.imm is None:
-                    stream = self._memtable_stream(lo, state.memtable)
-                else:
-                    # Level -1 is "the in-memory component": both MemTables,
-                    # merged into one internal-key-ordered stream.
-                    stream = merge_streams([
-                        self._memtable_stream(lo, state.memtable),
-                        self._memtable_stream(lo, state.imm)])
+                # Level -1 is "the in-memory component": every MemTable of
+                # the view, merged into one internal-key-ordered stream.
+                streams = [self._memtable_stream(lo, memtable)
+                           for memtable in memtables]
             else:
-                version = self.versions.current if state is None \
-                    else state.version
+                entries = iter if lo is None else methodcaller(
+                    "iterate_from",
+                    pack_internal_key(lo, MAX_SEQUENCE, KIND_FOR_SEEK),
+                    category)
                 files = version.overlapping_files(level, lo, hi)
-                contain = self.options.on_corruption == "quarantine"
                 if level == 0:
-                    if contain:
-                        stream = merge_streams([
-                            self._guarded_table_stream(meta.file_number, lo,
-                                                       category)
-                            for meta in files])
-                    else:
-                        stream = merge_streams([
-                            self._table_stream_from(
-                                self.table_cache.get(meta.file_number), lo,
-                                category)
-                            for meta in files])
+                    streams = [self._table_entries((meta,), entries)
+                               for meta in files]
                 else:
-                    stream = self._concat_tables(files, lo, category)
+                    streams = [self._table_entries(files, entries)]
+            stream = streams[0] if len(streams) == 1 \
+                else merge_streams(streams)
             for ikey, value in stream:
                 if lo is not None and ikey.user_key < lo:
                     continue
@@ -1767,37 +1601,7 @@ class DB:
                     return
                 yield ikey, value
         finally:
-            if state is not None:
-                self._release_read_state(state)
-
-    def _concat_tables(self, files, lo: bytes | None, category: Category
-                       ) -> Iterator[tuple[InternalKey, bytes]]:
-        if self.options.on_corruption == "quarantine":
-            for meta in files:
-                yield from self._guarded_table_stream(meta.file_number, lo,
-                                                      category)
-            return
-        for meta in files:
-            table = self.table_cache.get(meta.file_number)
-            yield from self._table_stream_from(table, lo, category)
-
-    def _guarded_table_stream(self, file_number: int, lo: bytes | None,
-                              category: Category
-                              ) -> Iterator[tuple[InternalKey, bytes]]:
-        """Quarantine-policy ``(InternalKey, value)`` stream of one table."""
-        table = self._safe_table(file_number)
-        if table is None:
-            return
-        stream = self._table_stream_from(table, lo, category)
-        while True:
-            try:
-                item = next(stream)
-            except StopIteration:
-                return
-            except CorruptionError as exc:
-                self._contain_or_raise(file_number, exc)
-                return
-            yield item
+            self._release_view(pin)
 
     # -- snapshots ----------------------------------------------------------------
 
@@ -1836,28 +1640,26 @@ class DB:
         self._check_open()
         self._check_writable()
         self.flush()
-        if self._bg:
-            with self._mutex:
-                self._manual_compaction = True
+        with self._mutex:
+            self._manual_compaction = True
+            self._work_cv.notify_all()
+            try:
+                self._await_locked(
+                    self._stall_cv,
+                    lambda: not self._bg_compacting
+                    or self._bg_error is not None,
+                    "manual:exclusive")
+                self._raise_if_bg_failed()
+            except BaseException:
+                self._manual_compaction = False
                 self._work_cv.notify_all()
-                try:
-                    self._await_locked(
-                        self._stall_cv,
-                        lambda: not self._bg_compacting
-                        or self._bg_error is not None,
-                        "manual:exclusive")
-                    self._raise_if_bg_failed()
-                except BaseException:
-                    self._manual_compaction = False
-                    self._work_cv.notify_all()
-                    raise
+                raise
         try:
             self._compact_range_levels()
         finally:
-            if self._bg:
-                with self._mutex:
-                    self._manual_compaction = False
-                    self._work_cv.notify_all()
+            with self._mutex:
+                self._manual_compaction = False
+                self._work_cv.notify_all()
 
     def _compact_range_levels(self) -> None:
         for level in range(self.options.max_levels - 1):
@@ -1880,36 +1682,27 @@ class DB:
         """
         self._check_open()
         self.flush()
-        from repro.lsm.manifest import ManifestWriter, table_file_name
-
-        # Pinning the version keeps background compaction from deleting a
-        # table file mid-copy (it becomes a zombie until we release).
-        state = self._acquire_read_state() if self._bg else None
+        # The view's pin keeps background compaction from deleting a table
+        # file mid-copy (it becomes a zombie until we release).
+        _memtables, version, _max_seq, pin = self._acquire_view()
         try:
-            version = self.versions.current if state is None \
-                else state.version
             copied = 0
-            edit = VersionEdit(
-                log_number=0,
-                next_file_number=self.versions.next_file_number,
-                last_sequence=self.versions.last_sequence)
-            for level, meta in version.all_files():
+            for _level, meta in version.all_files():
                 payload = self.vfs.read_whole(
                     table_file_name(self.name, meta.file_number),
                     Category.OTHER)
                 dest_vfs.write_whole(
                     table_file_name(dest_name, meta.file_number), payload,
                     Category.OTHER)
-                edit.add_file(level, meta)
                 copied += 1
             manifest = ManifestWriter(dest_vfs, dest_name, 1)
-            manifest.log_edit(edit)
+            manifest.log_edit(self._snapshot_edit(0, version,
+                                                  compact_pointers=False))
             manifest.install_as_current()
             manifest.close()
             return copied
         finally:
-            if state is not None:
-                self._release_read_state(state)
+            self._release_view(pin)
 
     def verify_integrity(self):
         """Audit the database's persistent state; see :mod:`repro.lsm.checker`.
@@ -1931,8 +1724,10 @@ class DB:
 
     def num_nonempty_levels(self) -> int:
         """The paper's L: populated on-disk levels, plus the MemTable if any."""
-        levels = self.versions.current.num_nonempty_levels()
-        if not self.memtable.is_empty():
+        with self._mutex:
+            memtables = self._memtables_locked()
+            levels = self.versions.current.num_nonempty_levels()
+        if not all(memtable.is_empty() for memtable in memtables):
             levels += 1
         return levels
 
@@ -1945,14 +1740,17 @@ class DB:
         ``GetProperty``, condensed): compaction work, table-cache and
         block-cache hit rates, I/O meters and the level shape."""
         self._check_open()
+        with self._mutex:
+            memtables = self._memtables_locked()
         compaction = self.compactor.stats
         io = self.vfs.stats
         block_cache = self.table_cache.block_cache
         return {
             "levels": self.level_file_counts(),
             "last_sequence": self.versions.last_sequence,
-            "memtable_entries": len(self.memtable),
-            "memtable_bytes": self.memtable.approximate_memory_usage,
+            "memtable_entries": sum(len(m) for m in memtables),
+            "memtable_bytes": sum(m.approximate_memory_usage
+                                  for m in memtables),
             "compaction": {
                 "flush_count": compaction.flush_count,
                 "compaction_count": compaction.compaction_count,

@@ -75,6 +75,10 @@ class MemTable:
         """
         self._sealed = True
 
+    def unseal(self) -> None:
+        """Put a sealed MemTable back into service (its flush failed)."""
+        self._sealed = False
+
     def add(self, seq: int, kind: int, user_key: bytes, value: bytes) -> None:
         """Insert one version.  ``value`` is ignored for deletions."""
         if self._sealed:

@@ -140,12 +140,10 @@ class Options:
         advisory, so degraded reads stay correct, just slower.  Quarantined
         *index* tables can be rebuilt from the primary records
         (:meth:`repro.core.database.SecondaryIndexedDB.heal_indexes`).
-    read_retries / read_retry_backoff_seconds:
+    read_retries:
         Transient read errors (``EIO`` that is not a checksum failure) are
-        retried up to ``read_retries`` times, sleeping
-        ``read_retry_backoff_seconds * 2**attempt`` (bounded) between
-        attempts, before being treated as corruption.  The default backoff
-        of 0 keeps the deterministic test harness instant.
+        retried up to ``read_retries`` times, back to back, before being
+        treated as corruption.
     sync_writes:
         Fsync the WAL after every write batch (LocalVFS only).
     max_manifest_size:
@@ -180,9 +178,6 @@ class Options:
         background thread a head start before the hard stop trigger.
     slowdown_sleep_seconds:
         Length of one slowdown pause (LevelDB sleeps 1 ms).
-    max_write_group_bytes:
-        Group commit stops coalescing queued writers once the combined
-        encoded batches reach this size (LevelDB caps groups at 1 MiB).
     step_hook:
         Test-only instrumentation: when set, the engine calls
         ``step_hook(label)`` at the named yield points of the background
@@ -239,14 +234,12 @@ class Options:
     paranoid_checks: bool = False
     on_corruption: str = "raise"
     read_retries: int = 2
-    read_retry_backoff_seconds: float = 0.0
     sync_writes: bool = False
     disable_auto_compaction: bool = False
     max_manifest_size: int = 64 * 1024
     background_compaction: bool = False
     l0_slowdown_writes_trigger: int = 8
     slowdown_sleep_seconds: float = 0.001
-    max_write_group_bytes: int = 1 << 20
     step_hook: StepHook | None = field(default=None, repr=False)
     compaction_processes: int = 0
     shm_cache_bytes: int = 0
@@ -274,8 +267,6 @@ class Options:
         self.l0_slowdown_writes_trigger = min(
             max(self.l0_slowdown_writes_trigger, self.l0_compaction_trigger),
             self.l0_stop_writes_trigger)
-        if self.max_write_group_bytes < 1:
-            raise ValueError("max_write_group_bytes must be positive")
         if self.max_open_files < 1:
             raise ValueError("max_open_files must be at least 1")
         if self.on_corruption not in ("raise", "quarantine"):
@@ -283,8 +274,6 @@ class Options:
                 f"unknown on_corruption policy: {self.on_corruption!r}")
         if self.read_retries < 0:
             raise ValueError("read_retries must be >= 0")
-        if self.read_retry_backoff_seconds < 0:
-            raise ValueError("read_retry_backoff_seconds must be >= 0")
         if self.compaction_processes < 0:
             raise ValueError("compaction_processes must be >= 0")
         if self.shm_cache_bytes < 0:

@@ -22,7 +22,6 @@ only data blocks that survive pruning are read — and charged.
 from __future__ import annotations
 
 import struct
-import time
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from typing import Any, Iterator
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.bloom import BloomFilterBuilder, bloom_may_contain
 from repro.lsm.compression import Compressor, decompress
-from repro.lsm.errors import CorruptionError, SimulatedCrashError
+from repro.lsm.errors import CorruptionError
 from repro.lsm.keys import (
     KIND_FOR_SEEK,
     KIND_VALUE,
@@ -46,7 +45,12 @@ from repro.lsm.keys import (
     unpack_internal_key,
 )
 from repro.lsm.options import Options, resolve_attribute_path
-from repro.lsm.vfs import Category, RandomAccessFile, WritableFile
+from repro.lsm.vfs import (
+    Category,
+    RandomAccessFile,
+    WritableFile,
+    retry_transient_io,
+)
 from repro.lsm.zonemap import ZoneMap, ZoneMapBuilder, encode_attribute
 
 _U32 = struct.Struct("<I")
@@ -101,42 +105,15 @@ def _write_physical_block(out: WritableFile, payload: bytes,
     return BlockHandle(offset, len(data))
 
 
-def _read_at_retry(file: RandomAccessFile, offset: int, length: int,
-                   category: Category, options: Options) -> bytes:
-    """``read_at`` with bounded retries for *transient* I/O errors.
-
-    A checksum failure is not transient (the bytes arrived, they are just
-    wrong) and a simulated crash is terminal, so neither is retried.  A
-    read that keeps failing past the retry budget is treated as corruption:
-    the containment layer then quarantines rather than crash-looping.
-    """
-    attempts = options.read_retries
-    delay = options.read_retry_backoff_seconds
-    max_delay = options.read_retry_backoff_seconds * 8
-    while True:
-        try:
-            return file.read_at(offset, length, category)
-        except (CorruptionError, SimulatedCrashError):
-            raise
-        except OSError as exc:
-            if attempts <= 0:
-                raise CorruptionError(
-                    f"read at offset {offset} still failing after "
-                    f"{options.read_retries} retries: {exc}") from exc
-            attempts -= 1
-            if delay > 0:
-                time.sleep(delay)
-                delay = min(delay * 2, max_delay)
-
-
 def _read_physical_block(file: RandomAccessFile, handle: BlockHandle,
                          category: Category, verify_crc: bool,
                          options: Options | None = None) -> bytes:
     if options is None:
         raw = file.read_at(handle.offset, handle.size + 5, category)
     else:
-        raw = _read_at_retry(file, handle.offset, handle.size + 5, category,
-                             options)
+        raw = retry_transient_io(options.read_retries, "block read",
+                                 file.read_at, handle.offset,
+                                 handle.size + 5, category)
     if len(raw) != handle.size + 5:
         raise CorruptionError(
             f"truncated block read at offset {handle.offset}")
@@ -362,8 +339,9 @@ class SSTable:
         self.options = options
         self.file = file
         self.file_number = file_number
-        footer = _read_at_retry(file, file.size - _FOOTER_SIZE, _FOOTER_SIZE,
-                                Category.INDEX, options)
+        footer = retry_transient_io(
+            options.read_retries, "footer read", file.read_at,
+            file.size - _FOOTER_SIZE, _FOOTER_SIZE, Category.INDEX)
         if len(footer) != _FOOTER_SIZE or footer[-8:] != _MAGIC:
             raise CorruptionError(
                 f"bad SSTable footer in file {file_number}")

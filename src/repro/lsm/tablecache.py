@@ -10,15 +10,13 @@ once per file lifetime and consulted for free afterwards.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 
 from repro.lsm.cache import LRUCache
-from repro.lsm.errors import CorruptionError, SimulatedCrashError
 from repro.lsm.manifest import table_file_name
 from repro.lsm.options import Options
 from repro.lsm.sstable import SSTable
-from repro.lsm.vfs import VFS
+from repro.lsm.vfs import VFS, retry_transient_io
 
 
 class TableCache:
@@ -73,7 +71,9 @@ class TableCache:
         # Opening reads the footer/index/filter blocks — do the I/O outside
         # the lock.  A racing open of the same table is harmless: both
         # readers work, the later insert wins the cache slot.
-        handle = self._open_with_retry(file_number)
+        handle = retry_transient_io(
+            self.options.read_retries, "table open", self.vfs.open_random,
+            table_file_name(self.db_name, file_number))
         table = SSTable(self.options, handle, file_number)
         table._block_cache = self.block_cache
         if table.degraded_filters:
@@ -85,35 +85,6 @@ class TableCache:
                 evicted.file.close()
                 self.evictions += 1
         return table
-
-    def _open_with_retry(self, file_number: int):
-        """``open_random`` with the same bounded retry as block reads.
-
-        A transient ``EIO`` on open (a retryable media error) gets
-        ``options.read_retries`` more chances; one that keeps failing is
-        reported as :class:`CorruptionError` so the containment layer can
-        quarantine the table instead of crash-looping the read.  Missing
-        files and simulated crashes are not transient and pass through.
-        """
-        name = table_file_name(self.db_name, file_number)
-        attempts = self.options.read_retries
-        delay = self.options.read_retry_backoff_seconds
-        max_delay = delay * 8
-        while True:
-            try:
-                return self.vfs.open_random(name)
-            except (CorruptionError, SimulatedCrashError):
-                raise
-            except OSError as exc:
-                if attempts <= 0:
-                    raise CorruptionError(
-                        f"open of table {file_number:06d} still failing "
-                        f"after {self.options.read_retries} retries: "
-                        f"{exc}") from exc
-                attempts -= 1
-                if delay > 0:
-                    time.sleep(delay)
-                    delay = min(delay * 2, max_delay)
 
     def stats(self) -> dict[str, int]:
         return {

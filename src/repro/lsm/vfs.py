@@ -29,10 +29,44 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.lsm.errors import NotFoundError
+from typing import Any, Callable
+
+from repro.lsm.errors import (
+    CorruptionError,
+    NotFoundError,
+    SimulatedCrashError,
+)
 
 #: Device block size used to convert byte counts into I/O operations.
 DEVICE_BLOCK_SIZE = 4096
+
+
+def retry_transient_io(retries: int, what: str,
+                       call: Callable[..., Any], *args: Any) -> Any:
+    """``call(*args)``, with ``retries`` more tries on *transient* I/O errors.
+
+    The engine's one retry policy for reads (``Options.read_retries``): an
+    ``EIO`` from the device usually succeeds on the next attempt.  A
+    checksum failure is not transient (the bytes arrived, they are just
+    wrong) and a simulated crash is terminal, so neither is retried; a
+    missing file (:class:`NotFoundError`, no ``OSError``) passes through
+    too.  A call that keeps failing past
+    the budget is reported as :class:`CorruptionError` — ``what`` and the
+    arguments name it — so the containment layer quarantines the table
+    instead of crash-looping the read.
+    """
+    remaining = retries
+    while True:
+        try:
+            return call(*args)
+        except (CorruptionError, SimulatedCrashError):
+            raise
+        except OSError as exc:
+            if remaining <= 0:
+                raise CorruptionError(
+                    f"{what} {args} still failing after {retries} "
+                    f"retries: {exc}") from exc
+            remaining -= 1
 
 
 class Category(str, Enum):

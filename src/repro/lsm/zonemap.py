@@ -43,7 +43,8 @@ def encode_attribute(value: Any) -> bytes:
         # bool is an int subclass; keep it in the numeric family explicitly.
         value = int(value)
     if isinstance(value, (int, float)):
-        bits = _U64.unpack(_F64.pack(float(value)))[0]
+        # "+ 0.0" folds -0.0 into 0.0: equal numbers must encode equally.
+        bits = _U64.unpack(_F64.pack(float(value) + 0.0))[0]
         if bits & (1 << 63):
             bits ^= 0xFFFFFFFFFFFFFFFF  # negative: flip all bits
         else:

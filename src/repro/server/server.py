@@ -59,7 +59,8 @@ from repro.server.protocol import (
 logger = logging.getLogger(__name__)
 
 __all__ = ["Server", "ServerStats", "DEFAULT_MAX_INFLIGHT",
-           "DEFAULT_SCAN_LIMIT", "MAX_COALESCED_OPS", "DEDUP_WINDOW"]
+           "DEFAULT_SCAN_LIMIT", "MAX_COALESCED_OPS", "DEDUP_WINDOW",
+           "DEDUP_CLIENTS"]
 
 #: Unanswered requests one connection may have queued before its reader
 #: stops reading the socket (the backpressure bound).
@@ -77,6 +78,13 @@ MAX_COALESCED_OPS = 128
 #: longer recognizable — far beyond any real retry horizon (a client
 #: retries its most recent unacked writes, not a thousand-op backlog).
 DEDUP_WINDOW = 1024
+
+#: Clients whose dedup windows are kept: the most recently active ones.
+#: Every ``Client`` object draws a fresh id, so without a bound a server
+#: fed by short-lived clients grows one window per client forever.  A
+#: client idle long enough for this many others to write after it has no
+#: retry in flight any more (retries run against a deadline of seconds).
+DEDUP_CLIENTS = 1024
 
 _EOF = object()          # reader -> worker: clean end of stream
 _REJECT = "__reject__"   # reader -> worker: fatal frame error, then close
@@ -190,7 +198,7 @@ class Server:
         # Idempotent-retry dedup: client_id -> its bounded result window.
         # Per-client locks make check-and-apply atomic even when a retry
         # races the original attempt still draining on a dead connection.
-        self._dedup: dict[str, _DedupWindow] = {}
+        self._dedup: OrderedDict[str, _DedupWindow] = OrderedDict()
         self._dedup_lock = threading.Lock()
         # -- engine binding -------------------------------------------------
         if isinstance(db, DB):
@@ -634,6 +642,10 @@ class Server:
             window = self._dedup.get(client_id)
             if window is None:
                 window = self._dedup[client_id] = _DedupWindow()
+                while len(self._dedup) > DEDUP_CLIENTS:
+                    self._dedup.popitem(last=False)  # least recently active
+            else:
+                self._dedup.move_to_end(client_id)
         with window.lock:
             if client_seq in window.results:
                 self.stats.dedup_hits += 1

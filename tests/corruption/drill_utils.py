@@ -21,7 +21,6 @@ def corruption_options(**overrides) -> Options:
         l1_target_size=16 * 1024,
         compression="none",
         on_corruption="quarantine",
-        read_retry_backoff_seconds=0.0,
     )
     defaults.update(overrides)
     return Options(**defaults)

@@ -1,0 +1,187 @@
+"""One read path: every probe answers the same in every engine mode.
+
+``DB`` has two mode switches that used to fork the read path four ways:
+``background_compaction`` (inline vs pipeline: how a read's view of the
+MemTables and the Version is taken) and ``on_corruption`` (``"raise"`` vs
+``"quarantine"``: what a failed table read does).  The probes now share
+one body, so one seeded op stream must give identical answers from every
+probe in all four cells — and, with one table bit-flipped, the two
+quarantine cells must still agree with each other while serving around it.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.lsm.db import DB
+from repro.lsm.faults import FaultInjectingVFS
+
+from drill_utils import corruption_options, table_files
+
+MODES = [(background, policy)
+         for background in (False, True)
+         for policy in ("raise", "quarantine")]
+KEYS = [b"k%03d" % i for i in range(60)]
+
+
+def _concat(_key, operands):
+    return b"|".join(operands)
+
+
+def _options(background: bool, policy: str):
+    # Explicit flushes and one manual compaction only: the tree shape is
+    # then a function of the op stream, not of background timing, so the
+    # per-level probes are comparable across modes.
+    return corruption_options(
+        background_compaction=background, on_corruption=policy,
+        paranoid_checks=True, merge_operator=_concat,
+        memtable_budget=1 << 30, disable_auto_compaction=True)
+
+
+def _drive(db: DB, seed: int = 2018) -> dict[bytes, bytes]:
+    """Puts, overwrites, deletes, merges, flushes, a manual compaction.
+
+    Ends with data in every component: compacted levels, fresh level-0
+    tables on top, and an unflushed MemTable.  Returns the model.
+    """
+    rng = random.Random(seed)
+    model: dict[bytes, bytes] = {}
+    for step in range(600):
+        key = rng.choice(KEYS)
+        roll = rng.random()
+        if roll < 0.55:
+            value = b"v%04d-" % step + b"x" * rng.randrange(40)
+            db.put(key, value)
+            model[key] = value
+        elif roll < 0.75:
+            db.delete(key)
+            model.pop(key, None)
+        else:
+            operand = b"m%04d" % step
+            db.merge(key, operand)
+            model[key] = model[key] + b"|" + operand \
+                if key in model else operand
+        if step % 70 == 69:
+            db.flush()
+        if step == 350:
+            db.compact_range()
+    return model
+
+
+def _probe_everything(db: DB) -> dict:
+    """The answer of every read probe, over every key and level."""
+    levels = range(-1, db.options.max_levels)
+    return {
+        "get_with_seq": [db.get_with_seq(key) for key in KEYS],
+        "fragments_by_level": [db.fragments_by_level(key) for key in KEYS],
+        "fragments_bounded": [db.fragments_by_level(key, max_seq=300)
+                              for key in KEYS],
+        "key_maybe_in_levels": [
+            [db.key_maybe_in_levels(key, below)
+             for below in range(db.options.max_levels + 1)]
+            + [db.key_maybe_in_levels(key, 3, include_memtable=False)]
+            for key in KEYS],
+        "scan_with_seq": list(db.scan_with_seq()),
+        "scan_bounded": list(db.scan_with_seq(KEYS[10], KEYS[40])),
+        "scan_level": [list(db.scan_level(level)) for level in levels],
+        "scan_level_bounded": [list(db.scan_level(level, KEYS[5], KEYS[25]))
+                               for level in levels],
+    }
+
+
+def _assert_no_pins_left(db: DB) -> None:
+    assert db._version_pins == {}, "a read view was not released"
+    assert db._zombie_tables == set()
+
+
+@pytest.fixture(scope="module")
+def inline_raise_answers():
+    db = DB.open_memory(_options(False, "raise"))
+    model = _drive(db)
+    answers = _probe_everything(db)
+    shape = db.level_file_counts()
+    db.close()
+    return model, answers, shape
+
+
+@pytest.mark.parametrize("background,policy", MODES)
+def test_every_probe_agrees_across_modes(background, policy,
+                                         inline_raise_answers):
+    model, want, shape = inline_raise_answers
+    db = DB.open_memory(_options(background, policy))
+    assert _drive(db) == model
+    # The drill needs data in every component or it compares nothing.
+    assert db.level_file_counts() == shape
+    assert shape[0] >= 1 and sum(shape[1:]) >= 1
+    assert len(db.memtable) > 0
+    got = _probe_everything(db)
+    for probe, answer in want.items():
+        assert got[probe] == answer, f"{probe} differs in this mode"
+    # And the shared answer is the right one.
+    assert {key: value for key, value, _seq in got["scan_with_seq"]} == model
+    assert [None if hit is None else hit[0]
+            for hit in got["get_with_seq"]] == [model.get(k) for k in KEYS]
+    _assert_no_pins_left(db)
+    assert db.stats()["corruption"]["events"] == 0
+    db.close()
+
+
+def _rotten_image() -> tuple[FaultInjectingVFS, dict[bytes, bytes], int]:
+    """A closed database with one bit flipped in a deep table's data."""
+    vfs = FaultInjectingVFS()
+    db = DB.open(vfs, "db", _options(False, "quarantine"))
+    model = _drive(db)
+    db.flush()
+    deepest = max(level for level, files
+                  in enumerate(db.versions.current.levels) if files)
+    victim_number = db.versions.current.levels[deepest][0].file_number
+    db.close()
+    victim = next(name for name in table_files(vfs)
+                  if int(name.rsplit("/", 1)[-1].split(".")[0])
+                  == victim_number)
+    # Compression is off and a table starts with its first data block:
+    # byte 3 of the file is payload the block CRC covers.
+    vfs.flip_bit(victim, 3)
+    return vfs, model, victim_number
+
+
+def test_pipeline_reads_around_a_bit_flipped_table():
+    """Pipeline + quarantine: containment with a *pinned* read view.
+
+    The version pin and the quarantine decision meet here: every probe
+    must serve around the rotten table (missing-but-detected, never
+    wrong), release its pin, and agree with the inline engine reading the
+    same damaged image.
+    """
+    answers = {}
+    for background in (False, True):
+        vfs, model, victim_number = _rotten_image()
+        db = DB.open(vfs, "db", _options(background, "quarantine"))
+        got = _probe_everything(db)
+        corruption = db.stats()["corruption"]
+        assert corruption["quarantined"] == [victim_number]
+        assert corruption["events"] >= 1
+        # Never a wrong value: what is returned is what was written (a
+        # merge chain whose base sat in the rotten table folds the rest).
+        for key, value, _seq in got["scan_with_seq"]:
+            assert model[key] == value or b"|" in model[key]
+        served = {key for key, _value, _seq in got["scan_with_seq"]}
+        assert served < set(model), "the rotten table's rows must be missing"
+        for key, hit in zip(KEYS, got["get_with_seq"]):
+            if key in served:
+                assert hit is not None
+        # GetLite stays conservative about what it can no longer see.
+        lost = sorted(set(model) - served)
+        assert all(db.key_maybe_in_levels(key, db.options.max_levels)
+                   for key in lost)
+        _assert_no_pins_left(db)
+        # The engine keeps serving: writes, a flush, reads of new data.
+        db.put(b"after", b"quarantine")
+        db.flush()
+        assert db.get(b"after") == b"quarantine"
+        _assert_no_pins_left(db)
+        answers[background] = got
+        db.close()
+    assert answers[True] == answers[False]

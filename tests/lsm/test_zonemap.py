@@ -25,6 +25,12 @@ class TestAttributeEncoding:
         encoded = [encode_attribute(v) for v in values]
         assert encoded == sorted(encoded)
 
+    def test_negative_zero_is_zero(self):
+        # Equal numbers must share one encoding, or a record indexed under
+        # -0.0 is invisible to LOOKUP(0).
+        assert encode_attribute(-0.0) == encode_attribute(0.0) \
+            == encode_attribute(0)
+
     def test_int_float_interleaved(self):
         assert encode_attribute(1) < encode_attribute(1.5)
         assert encode_attribute(1.5) < encode_attribute(2)

@@ -159,6 +159,26 @@ class TestDedupWindow:
             assert 1 not in window.results
             assert DEDUP_WINDOW + 9 in window.results
 
+    def test_client_windows_are_bounded(self):
+        """One-shot clients (ROADMAP 5d) must not grow the server forever,
+        and the bound evicts idle clients, never a live one."""
+        from repro.server.server import DEDUP_CLIENTS
+        with _Rig(FaultSchedule()) as rig:
+            server = rig.server
+            live_seq = server._op_apply(["live", 1, "put", [b"live", b"v"]])
+            for i in range(10 * DEDUP_CLIENTS):
+                server._op_apply([f"one-shot-{i}", 1, "put", [b"k", b"v"]])
+                if i % (DEDUP_CLIENTS // 2) == 0:
+                    # The live client keeps writing now and then ...
+                    server._op_apply(["live", 2 + i, "put", [b"live", b"v"]])
+            assert len(server._dedup) <= DEDUP_CLIENTS
+            # ... so its window survived 10 x N strangers: a retry of its
+            # first write still dedups to the same sequence number.
+            hits = server.stats.dedup_hits
+            assert server._op_apply(
+                ["live", 1, "put", [b"live", b"v"]]) == live_seq
+            assert server.stats.dedup_hits == hits + 1
+
     def test_errors_are_not_cached(self):
         with _Rig(FaultSchedule()) as rig:
             server = rig.server
