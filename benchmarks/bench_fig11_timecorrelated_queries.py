@@ -9,7 +9,13 @@ Eager is included, as in the paper's Figure 11.
 
 import pytest
 
-from harness import ALL_KINDS, ResultTable, quartiles, timed_queries
+from harness import (
+    ALL_KINDS,
+    ResultTable,
+    open_all_tables,
+    quartiles,
+    timed_queries,
+)
 
 from repro.core.base import IndexKind
 
@@ -49,6 +55,7 @@ def _total_reads(db):
 def test_fig11_timecorrelated_queries(benchmark, static_cache, kind):
     db, workload = static_cache.get(kind)
     lookups = list(workload.lookups(_QUERIES_PER_CONFIG, "CreationTime"))
+    open_all_tables(db)
 
     measurements = {}
     for top_k in _TOP_KS:

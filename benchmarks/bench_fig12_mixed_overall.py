@@ -5,6 +5,8 @@ the Embedded, Lazy and Composite variants (Eager was already ruled out).
 The paper's findings: the stand-alone variants stay close; the Embedded
 index suffers on read-heavy mixes because each LOOKUP on the
 non-time-correlated UserID scans bloom filters across the whole store.
+Here it no longer does: the walk stops each level at the K-th result's
+sequence number (see ``_finalize``).
 """
 
 import pytest
@@ -42,13 +44,21 @@ def test_fig12_mixed(benchmark, kind, workload_name):
 
 def _finalize():
     _TABLE.write()
-    # Read-heavy: Embedded's LOOKUPs are the slow path on this
+    # Read-heavy: the paper found Embedded's LOOKUPs the slow path on this
     # non-time-correlated attribute (bloom-probe CPU + extra block reads).
+    # Departure (EXPERIMENTS.md, Fig. 12): walking each level newest file
+    # first and stopping at the K-th result's sequence makes a top-5
+    # LOOKUP read fewer blocks than either stand-alone index (an exact
+    # count) and take less time than Composite; against Lazy the time is
+    # a tie within run-to-run noise, so only a parity band is asserted.
     embedded = _RESULTS[(IndexKind.EMBEDDED, "read_heavy")]
     lazy = _RESULTS[(IndexKind.LAZY, "read_heavy")]
     composite = _RESULTS[(IndexKind.COMPOSITE, "read_heavy")]
-    assert embedded.mean_micros("lookup") > lazy.mean_micros("lookup")
-    assert embedded.mean_micros("lookup") > composite.mean_micros("lookup")
+    for standalone in (lazy, composite):
+        assert embedded.read_blocks_by_op["lookup"] < \
+            standalone.read_blocks_by_op["lookup"]
+    assert embedded.mean_micros("lookup") < composite.mean_micros("lookup")
+    assert embedded.mean_micros("lookup") < 1.25 * lazy.mean_micros("lookup")
     # Write-heavy: Embedded's PUTs carry no index-table I/O (its overhead
     # is filter-construction CPU, which Python wall time reports noisily —
     # the paper's block counters are the robust signal).

@@ -15,14 +15,24 @@ consulting only the *in-memory* filters and reading just the data blocks
 that pass both checks.  Matches are validated with GetLite — "checks the
 in-memory metadata, index block and bloom filters for primary keys"
 (:meth:`repro.core.validity.ValidityChecker.is_newest_version`) — and
-ranked by the Algorithm-1 min-heap.  Because entries inside a level are
-ordered by primary key, not by time, the scan always finishes a level
-before stopping.
+ranked by the Algorithm-1 min-heap.  Entries inside a level are ordered by
+primary key, not by time, so the scan may stop only at a level boundary —
+but it finishes just the files of the level that can still beat the K-th
+result.  The manifest's per-file ``max_seq`` is a zone map on the one
+attribute top-K ranks by (Luo & Carey's component range filter): a level is
+walked newest file first (:attr:`repro.lsm.version.Version.by_recency`) and
+abandoned at the first file whose ``max_seq`` the full heap would refuse;
+inside a file, blocks are visited last to first and an entry is parsed only
+if the heap would still accept its sequence number.  This is filter
+reordering — validity never depends on heap state — so the answers are
+those of the forward walk (kept as the reference in
+``tests/core/test_embedded_pruning.py``).
 
 RANGELOOKUP (Algorithm 8) is the same walk driven by zone-map overlap
 tests; bloom filters cannot help ranges.  As the paper's analysis warns,
-the pruning power of zone maps — and therefore range performance — depends
-entirely on the attribute being time-correlated.
+the pruning power of the *attribute* zone maps depends entirely on the
+attribute being time-correlated; the sequence bound prunes regardless, but
+only a bounded K, and only once the newest files have filled the heap.
 """
 
 from __future__ import annotations
@@ -39,14 +49,13 @@ from repro.core.records import (
 )
 from repro.core.topk import TopKBySeq
 from repro.core.validity import ValidityChecker
-from repro.lsm.bloom import bloom_may_contain
+from repro.lsm.bloom import bloom_hash, bloom_probe
 from repro.lsm.db import DB
 from repro.lsm.keys import (
     KIND_FOR_SEEK,
     KIND_VALUE,
     MAX_SEQUENCE,
     pack_internal_key,
-    unpack_internal_key,
 )
 from repro.lsm.options import resolve_attribute_path
 from repro.lsm.sstable import SSTable
@@ -85,8 +94,11 @@ class EmbeddedIndex(SecondaryIndex):
         self.filter_probes = 0
         #: Blocks read from disk during index scans.
         self.blocks_read = 0
-        #: Blocks skipped thanks to file-level zone maps alone.
+        #: Files skipped thanks to file-level zone maps alone.
         self.files_pruned = 0
+        #: Files skipped because their ``max_seq`` could not beat the K-th
+        #: result (the recency walk's own pruning; never with ``k=None``).
+        self.files_seq_pruned = 0
 
     def _rebuild_memview(self) -> None:
         """Re-index MemTable contents recovered from the WAL on reopen.
@@ -127,16 +139,8 @@ class EmbeddedIndex(SecondaryIndex):
         encoded = encode_attribute(value)
         heap: TopKBySeq[LookupResult] = TopKBySeq(k)
         self._memtable_matches(heap, self.memview.get(encoded))
-        if early_termination and heap.is_full:
-            return heap.results()
-        version = self.primary.versions.current
-        for level in range(self.primary.options.max_levels):
-            for position, meta in enumerate(version.levels[level]):
-                self._scan_file_for_value(
-                    heap, level, position, meta, encoded)
-            if early_termination and heap.is_full:
-                break
-        return heap.results()
+        return self._walk_levels(heap, encoded, encoded, bloom_hash(encoded),
+                                 early_termination)
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
@@ -147,13 +151,29 @@ class EmbeddedIndex(SecondaryIndex):
         heap: TopKBySeq[LookupResult] = TopKBySeq(k)
         for _enc, postings in self.memview.range(low_encoded, high_encoded):
             self._memtable_matches(heap, postings)
+        return self._walk_levels(heap, low_encoded, high_encoded, None,
+                                 early_termination)
+
+    def _walk_levels(self, heap: TopKBySeq[LookupResult], low: bytes,
+                     high: bytes, value_hash: tuple[int, int] | None,
+                     early_termination: bool) -> list[LookupResult]:
+        """The disk half of Algorithms 5 and 8: values in ``[low, high]``.
+
+        ``value_hash`` is the bloom hash of a point LOOKUP's value (then
+        ``low == high``); ranges pass ``None`` and rely on zone maps alone.
+        A level is abandoned at the first file whose sequence bound cannot
+        beat the K-th result: the files after it are older still, and
+        ``would_accept`` would refuse their entries one by one.
+        """
         if early_termination and heap.is_full:
             return heap.results()
-        version = self.primary.versions.current
-        for level in range(self.primary.options.max_levels):
-            for position, meta in enumerate(version.levels[level]):
-                self._scan_file_for_range(
-                    heap, level, position, meta, low_encoded, high_encoded)
+        for level, files in enumerate(self.primary.versions.current.by_recency):
+            for visited, (position, meta) in enumerate(files):
+                if not heap.would_accept(meta.seq_upper_bound):
+                    self.files_seq_pruned += len(files) - visited
+                    break
+                self._scan_file(heap, level, position, meta, low, high,
+                                value_hash)
             if early_termination and heap.is_full:
                 break
         return heap.results()
@@ -174,79 +194,65 @@ class EmbeddedIndex(SecondaryIndex):
 
     # -- SSTable scans ----------------------------------------------------------
 
-    def _scan_file_for_value(self, heap: TopKBySeq[LookupResult], level: int,
-                             position: int, meta: FileMetaData,
-                             encoded: bytes) -> None:
-        file_zone = meta.secondary_zonemaps.get(self.attribute) \
-            if self.use_file_zonemaps else None
+    def _scan_file(self, heap: TopKBySeq[LookupResult], level: int,
+                   position: int, meta: FileMetaData, low: bytes, high: bytes,
+                   value_hash: tuple[int, int] | None) -> None:
+        """Scan the blocks of one file whose filters admit ``[low, high]``."""
         self.filter_probes += 1
-        if file_zone is not None and not file_zone.contains(encoded):
-            self.files_pruned += 1
-            return
-        table = self.primary.table_cache.get(meta.file_number)
-        blooms = table.secondary_filters.get(self.attribute, [])
-        zonemaps = table.secondary_zonemaps.get(self.attribute, [])
-        for block_index in range(table.num_data_blocks):
-            self.filter_probes += 1
-            if block_index < len(blooms) and not bloom_may_contain(
-                    blooms[block_index], encoded):
-                continue
-            if block_index < len(zonemaps) and not \
-                    zonemaps[block_index].contains(encoded):
-                continue
-            self._scan_block(heap, level, position, table, block_index,
-                             lambda enc: enc == encoded)
-
-    def _scan_file_for_range(self, heap: TopKBySeq[LookupResult], level: int,
-                             position: int, meta: FileMetaData,
-                             low: bytes, high: bytes) -> None:
-        file_zone = meta.secondary_zonemaps.get(self.attribute) \
-            if self.use_file_zonemaps else None
-        self.filter_probes += 1
-        if file_zone is not None and not file_zone.overlaps(low, high):
-            self.files_pruned += 1
-            return
+        if self.use_file_zonemaps:
+            file_zone = meta.secondary_zonemaps.get(self.attribute)
+            if file_zone is not None and not file_zone.overlaps(low, high):
+                self.files_pruned += 1
+                return
         table = self.primary.table_cache.get(meta.file_number)
         zonemaps = table.secondary_zonemaps.get(self.attribute, [])
-        for block_index in range(table.num_data_blocks):
-            self.filter_probes += 1
+        blooms = table.secondary_filters.get(self.attribute, []) \
+            if value_hash is not None else []
+        self.filter_probes += table.num_data_blocks
+        # Last block first: on an insert-ordered table the newest records
+        # sit at the end, and once they fill the heap the older matches
+        # fail ``would_accept`` before any validity work is spent on them.
+        for block_index in reversed(range(table.num_data_blocks)):
             if block_index < len(zonemaps) and not \
                     zonemaps[block_index].overlaps(low, high):
+                continue  # two compares: cheaper than the bloom, so first
+            if block_index < len(blooms) and not bloom_probe(
+                    blooms[block_index], *value_hash):
                 continue
             self._scan_block(heap, level, position, table, block_index,
-                             lambda enc: low <= enc <= high)
+                             low, high)
 
     def _scan_block(self, heap: TopKBySeq[LookupResult], level: int,
                     position: int, table: SSTable, block_index: int,
-                    matches) -> None:
-        """Read one surviving block and harvest valid matches from it."""
+                    low: bytes, high: bytes) -> None:
+        """Read one surviving block and harvest valid matches from it.
+
+        Filters run cheapest first — version order, kind, recency — so a
+        value is parsed only if the heap could still take it, and parsed
+        once: the facade stores JSON documents, so the extractor's dict is
+        the result document.
+        """
         extractor = self.primary.options.attribute_extractor
         block = table.read_data_block(block_index, Category.DATA)
         self.blocks_read += 1
-        seen_in_block: set[bytes] = set()
-        for ikey_bytes, value in block:
-            ikey = unpack_internal_key(ikey_bytes)
-            key = ikey.user_key
-            if key in seen_in_block:
-                continue  # an older version within the same block
-            seen_in_block.add(key)
-            if ikey.kind != KIND_VALUE:
+        previous_key = None
+        for (key, negated_tag), value in block.sorted_items():
+            if key == previous_key:
+                continue  # an older version: a key's versions are contiguous
+            previous_key = key
+            tag = -negated_tag  # (seq << 8) | kind
+            if tag & 0xFF != KIND_VALUE:
                 continue
-            attr_value = resolve_attribute_path(extractor(value),
-                                                self.attribute)
-            if attr_value is None:
+            seq = tag >> 8
+            if not heap.would_accept(seq):
+                continue  # too old to matter — skip parse and validity work
+            document = extractor(value)
+            attr_value = resolve_attribute_path(document, self.attribute)
+            if attr_value is None or \
+                    not low <= encode_attribute(attr_value) <= high:
                 continue
-            encoded = encode_attribute(attr_value)
-            if not matches(encoded):
-                continue
-            if not heap.would_accept(ikey.seq):
-                continue  # too old to matter — skip the validity work
-            if not self._is_valid(table, key, ikey.seq, level, position,
-                                  block_index):
-                continue
-            document = decode_document(value)
-            heap.add(ikey.seq,
-                     LookupResult(key_to_str(key), document, ikey.seq))
+            if self._is_valid(table, key, seq, level, position, block_index):
+                heap.add(seq, LookupResult(key_to_str(key), document, seq))
 
     def _is_valid(self, table: SSTable, key: bytes, seq: int, level: int,
                   position: int, block_index: int) -> bool:
@@ -297,6 +303,7 @@ class EmbeddedIndex(SecondaryIndex):
             "filter_probes": self.filter_probes,
             "blocks_read": self.blocks_read,
             "files_pruned": self.files_pruned,
+            "files_seq_pruned": self.files_seq_pruned,
             "getlite_memory_only": self.checker.getlite_memory_only,
             "getlite_confirm_reads": self.checker.getlite_confirm_reads,
         }

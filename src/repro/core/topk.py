@@ -44,10 +44,8 @@ class TopKBySeq(Generic[T]):
         for items that are too old to matter — the same short-circuit the
         paper's Algorithm 1 enables.
         """
-        if not self.is_full:
-            return True
-        root = self.min_seq()
-        return root is not None and seq > root
+        heap = self._heap  # k >= 1, so a full heap has a root
+        return self.k is None or len(heap) < self.k or seq > heap[0][0]
 
     def add(self, seq: int, item: T) -> bool:
         """Offer an item; returns True if it was retained."""

@@ -21,14 +21,14 @@ import struct
 _U64 = struct.Struct("<QQ")
 
 
-def _hash_pair(key: bytes) -> tuple[int, int]:
-    """Two independent 64-bit hashes of ``key``.
+def bloom_hash(key: bytes) -> tuple[int, int]:
+    """Two independent 64-bit hashes of ``key``, for :func:`bloom_probe`.
 
     blake2b is seed-stable across processes (unlike ``hash()``), fast, and
-    gives us 16 bytes in one call.
+    gives us 16 bytes in one call.  A caller probing many filters for one
+    key (an Embedded LOOKUP walks one filter per data block) hashes once.
     """
-    digest = hashlib.blake2b(key, digest_size=16).digest()
-    return _U64.unpack(digest)
+    return _U64.unpack(hashlib.blake2b(key, digest_size=16).digest())
 
 
 def optimal_num_probes(bits_per_key: float) -> int:
@@ -59,7 +59,7 @@ class BloomFilterBuilder:
         self._hashes: list[tuple[int, int]] = []
 
     def add(self, key: bytes) -> None:
-        self._hashes.append(_hash_pair(key))
+        self._hashes.append(bloom_hash(key))
 
     def __len__(self) -> int:
         return len(self._hashes)
@@ -84,6 +84,13 @@ class BloomFilterBuilder:
 
 def bloom_may_contain(filter_blob: bytes, key: bytes) -> bool:
     """Membership probe.  No false negatives; false-positive rate per Eq. 1."""
+    # bloom_hash, inlined: this runs once per (get, candidate block).
+    return bloom_probe(
+        filter_blob, *_U64.unpack(hashlib.blake2b(key, digest_size=16).digest()))
+
+
+def bloom_probe(filter_blob: bytes, h: int, h2: int) -> bool:
+    """:func:`bloom_may_contain` for a key already hashed by :func:`bloom_hash`."""
     if len(filter_blob) < 2:
         return False
     num_probes = filter_blob[-1]
@@ -92,8 +99,6 @@ def bloom_may_contain(filter_blob: bytes, key: bytes) -> bool:
         # the same): claim presence so a corrupt filter never loses data.
         return True
     nbits = (len(filter_blob) - 1) * 8
-    # _hash_pair, inlined: this probe runs once per (get, candidate block).
-    h, h2 = _U64.unpack(hashlib.blake2b(key, digest_size=16).digest())
     for _ in range(num_probes):
         pos = h % nbits
         if not filter_blob[pos >> 3] & (1 << (pos & 7)):

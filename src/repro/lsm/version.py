@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.lsm.errors import CorruptionError
+from repro.lsm.keys import MAX_SEQUENCE
 from repro.lsm.options import Options
 from repro.lsm.zonemap import ZoneMap
 
@@ -48,6 +49,16 @@ class FileMetaData:
     @cached_property
     def largest_user_key(self) -> bytes:
         return self.largest[:-8]
+
+    @property
+    def seq_upper_bound(self) -> int:
+        """No entry of the file has a larger sequence number.
+
+        Sequence numbers start at 1, so ``max_seq == 0`` means the manifest
+        did not record one (the dataclass and :meth:`from_json` default):
+        such a file is unbounded and a recency-pruned read never skips it.
+        """
+        return self.max_seq or MAX_SEQUENCE
 
     def contains_user_key(self, user_key: bytes) -> bool:
         return self.smallest_user_key <= user_key <= self.largest_user_key
@@ -232,6 +243,20 @@ class Version:
                 files = [meta for meta in self.levels[0]
                          if meta.overlaps_user_range(current_lo, current_hi)]
         return files
+
+    @cached_property
+    def by_recency(self) -> list[list[tuple[int, FileMetaData]]]:
+        """Per level, ``(position, meta)`` with the newest file first.
+
+        Ordered by descending :attr:`FileMetaData.seq_upper_bound` — a
+        sequence-number zone map over the level: a top-K-by-recency read
+        that walks a level in this order can stop at the first file whose
+        bound cannot beat its K-th result.  ``position`` is the file's
+        index in ``levels[level]`` (level 0's newest-first overlap order).
+        """
+        return [sorted(enumerate(files),
+                       key=lambda entry: -entry[1].seq_upper_bound)
+                for files in self.levels]
 
     def all_files(self) -> list[tuple[int, FileMetaData]]:
         out = []
