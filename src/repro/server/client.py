@@ -49,20 +49,22 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, TypeVar
 
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
+    FrameReader,
     ProtocolError,
     STATUS_OK,
     decode_value,
     encode_frame,
     encode_value,
-    read_frame,
 )
 
 __all__ = ["Client", "Pipeline", "RemoteError", "RetryPolicy",
            "ClientClosedError"]
+
+_T = TypeVar("_T")
 
 
 class RemoteError(Exception):
@@ -111,6 +113,26 @@ class RetryPolicy:
             delay *= 1.0 - self.jitter * self.rng.random()
         return delay
 
+    def run(self, attempt: Callable[[], _T]) -> _T:
+        """Call ``attempt`` until it returns, backing off after each
+        transient transport failure; past the deadline the last one
+        re-raises."""
+        deadline = self.clock() + self.deadline
+        retries = 0
+        while True:
+            try:
+                return attempt()
+            except ClientClosedError:
+                raise
+            except _TRANSIENT:
+                now = self.clock()
+                if now >= deadline:
+                    raise
+                delay = min(self.backoff(retries), deadline - now)
+                if delay > 0:
+                    self.sleep(delay)
+                retries += 1
+
 
 #: Pool sentinel: close() enqueues it to wake blocked waiters; every
 #: waiter that receives it puts it back for the next one and raises.
@@ -122,12 +144,13 @@ _TRANSIENT = (OSError, ProtocolError)
 
 
 class _Conn:
-    """One pooled socket plus its request-id counter."""
+    """One pooled socket, its response frames and request-id counter."""
 
-    __slots__ = ("sock", "next_id", "broken")
+    __slots__ = ("sock", "frames", "next_id", "broken")
 
-    def __init__(self, sock: Any) -> None:
+    def __init__(self, sock: Any, max_frame_bytes: int) -> None:
         self.sock = sock
+        self.frames = FrameReader(sock, max_frame_bytes)
         self.next_id = 1
         self.broken = False
 
@@ -187,7 +210,7 @@ class Client:
             pass
         if self._op_timeout is not None:
             sock.settimeout(self._op_timeout)
-        return _Conn(sock)
+        return _Conn(sock, self._max_frame_bytes)
 
     def _checkout(self) -> _Conn:
         if self._closed:
@@ -264,45 +287,25 @@ class Client:
             conn.next_id += 1
             conn.sock.sendall(encode_frame(encode_value(
                 [request_id, op, *args])))
-            return _read_response(conn, request_id, self._max_frame_bytes)
+            return _read_response(conn, request_id)
         except (OSError, ProtocolError):
             conn.broken = True
             raise
         finally:
             self._release(conn)
 
-    def _call_with_retry(self, op: str, args: list) -> Any:
-        policy = self._retry
-        assert policy is not None
-        deadline = policy.clock() + policy.deadline
-        attempt = 0
-        while True:
-            try:
-                return self._call_once(op, args)
-            except ClientClosedError:
-                raise
-            except _TRANSIENT as exc:
-                last_error = exc
-            now = policy.clock()
-            if now >= deadline:
-                raise last_error
-            delay = min(policy.backoff(attempt), deadline - now)
-            if delay > 0:
-                policy.sleep(delay)
-            attempt += 1
-
     def _call(self, op: str, args: list) -> Any:
         if self._retry is None:
             return self._call_once(op, args)
-        return self._call_with_retry(op, args)
+        return self._retry.run(lambda: self._call_once(op, args))
 
     def _call_write(self, op: str, args: list) -> Any:
-        if self._retry is None:
-            return self._call_once(op, args)
-        # Envelope once, outside the retry loop: every attempt carries
-        # the same (client_id, seq), which is what makes it deduplicable.
-        envelope = [self._client_id, self._next_write_seq(), op, args]
-        return self._call_with_retry("apply", envelope)
+        if self._retry is not None:
+            # Envelope once, outside the retry loop: every attempt carries
+            # the same (client_id, seq), which is what makes it deduplicable.
+            op, args = "apply", [self._client_id, self._next_write_seq(),
+                                 op, args]
+        return self._call(op, args)
 
     # -- operations -----------------------------------------------------------
 
@@ -411,8 +414,7 @@ class Pipeline:
             first_error: RemoteError | None = None
             for request_id in request_ids:
                 try:
-                    batch.append(_read_response(
-                        conn, request_id, self._client._max_frame_bytes))
+                    batch.append(_read_response(conn, request_id))
                 except RemoteError as exc:
                     batch.append(exc)
                     if first_error is None:
@@ -439,23 +441,7 @@ class Pipeline:
         if policy is None:
             batch, first_error = self._attempt(queued)
         else:
-            deadline = policy.clock() + policy.deadline
-            attempt = 0
-            while True:
-                try:
-                    batch, first_error = self._attempt(queued)
-                    break
-                except ClientClosedError:
-                    raise
-                except _TRANSIENT as exc:
-                    last_error = exc
-                now = policy.clock()
-                if now >= deadline:
-                    raise last_error
-                delay = min(policy.backoff(attempt), deadline - now)
-                if delay > 0:
-                    policy.sleep(delay)
-                attempt += 1
+            batch, first_error = policy.run(lambda: self._attempt(queued))
         self.results.extend(batch)
         if first_error is not None and raise_errors:
             raise first_error
@@ -482,9 +468,8 @@ class Pipeline:
         return iter(self.results)
 
 
-def _read_response(conn: _Conn, request_id: int,
-                   max_frame_bytes: int) -> Any:
-    payload = read_frame(conn.sock, max_frame_bytes)
+def _read_response(conn: _Conn, request_id: int) -> Any:
+    payload = conn.frames.next()
     if payload is None:
         raise ProtocolError("server closed the connection mid-request")
     response = decode_value(payload)

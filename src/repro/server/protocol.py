@@ -53,9 +53,8 @@ __all__ = [
     "encode_value",
     "decode_value",
     "encode_frame",
-    "read_frame",
-    "write_frame",
-    "recv_exact",
+    "FrameReader",
+    "RECV_BYTES",
     "OPS",
     "STATUS_OK",
     "STATUS_ERROR",
@@ -224,53 +223,75 @@ def encode_frame(payload: bytes) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
-def recv_exact(sock: socket.socket, length: int) -> bytes | None:
-    """Read exactly ``length`` bytes, or signal how the stream ended.
+#: One ``recv``: what a :class:`FrameReader` asks the kernel for at a time.
+RECV_BYTES = 1 << 16
 
-    Returns ``None`` on a clean EOF *before any byte* (the peer closed
-    between frames — the normal way a connection ends).  Raises
-    :class:`TornFrameError` on EOF after a partial read: the peer died
-    mid-frame and the fragment must be discarded.
+
+class FrameReader:
+    """The frames of one socket's byte stream, in order.
+
+    Bytes are received ``RECV_BYTES`` at a time into one buffer and
+    frames are sliced out of it, so a burst of pipelined frames costs one
+    system call, and more is received only when the buffer holds no whole
+    frame: it never grows past one frame plus one receive.
+
+    :meth:`next` returns the next payload, or ``None`` at a clean end of
+    stream (the peer closed between frames — the normal way a connection
+    ends).  It raises :class:`TornFrameError` if the stream ends inside a
+    frame (the fragment stays in :attr:`pending` and is never returned)
+    and :class:`FrameTooLargeError` as soon as a header declares a
+    payload over ``max_frame_bytes`` — from the header alone, without
+    waiting for or buffering that payload; the stream cannot be
+    re-synchronized after it, so every later call raises it again.
+
+    ``next(wait=False)`` never blocks: it returns a frame only if the
+    buffer plus what the kernel already holds completes one, else
+    ``None``.  :attr:`eof` tells "nothing yet" from "never": it is set
+    once the peer's end of stream has been seen.
     """
-    if length == 0:
-        return b""
-    chunks: list[bytes] = []
-    received = 0
-    while received < length:
-        chunk = sock.recv(min(length - received, 1 << 16))
-        if not chunk:
-            if received == 0:
-                return None
-            raise TornFrameError(
-                f"connection closed {received}/{length} bytes into a frame")
-        chunks.append(chunk)
-        received += len(chunk)
-    return b"".join(chunks)
 
+    __slots__ = ("_sock", "_max_frame_bytes", "_buffer", "eof")
 
-def read_frame(sock: socket.socket,
-               max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-               ) -> bytes | None:
-    """Read one frame's payload; ``None`` on clean EOF between frames.
+    def __init__(self, sock: Any,
+                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> None:
+        self._sock = sock
+        self._max_frame_bytes = max_frame_bytes
+        self._buffer = bytearray()
+        self.eof = False
 
-    Raises :class:`FrameTooLargeError` as soon as the header declares a
-    payload over ``max_frame_bytes`` — the payload is never read — and
-    :class:`TornFrameError` if the stream ends inside the header or the
-    payload.
-    """
-    header = recv_exact(sock, _LENGTH.size)
-    if header is None:
-        return None
-    (length,) = _LENGTH.unpack(header)
-    if length > max_frame_bytes:
-        raise FrameTooLargeError(
-            f"frame of {length} bytes exceeds limit {max_frame_bytes}")
-    payload = recv_exact(sock, length)
-    if payload is None:
-        raise TornFrameError("connection closed between header and payload")
-    return payload
+    @property
+    def pending(self) -> int:
+        """Bytes received that no returned frame has consumed."""
+        return len(self._buffer)
 
-
-def write_frame(sock: socket.socket, payload: bytes) -> None:
-    """Send one frame (header + payload) in full."""
-    sock.sendall(encode_frame(payload))
+    def next(self, wait: bool = True) -> bytes | None:
+        buffer = self._buffer
+        while True:
+            if len(buffer) >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(buffer)
+                if length > self._max_frame_bytes:
+                    raise FrameTooLargeError(
+                        f"frame of {length} bytes exceeds limit "
+                        f"{self._max_frame_bytes}")
+                end = _LENGTH.size + length
+                if len(buffer) >= end:
+                    payload = bytes(buffer[_LENGTH.size:end])
+                    del buffer[:end]
+                    return payload
+            if not self.eof:
+                if wait:
+                    chunk = self._sock.recv(RECV_BYTES)
+                else:
+                    try:
+                        chunk = self._sock.recv(RECV_BYTES,
+                                                socket.MSG_DONTWAIT)
+                    except BlockingIOError:
+                        return None
+                if chunk:
+                    buffer += chunk
+                    continue
+                self.eof = True
+            if wait and buffer:
+                raise TornFrameError(
+                    f"connection closed {len(buffer)} bytes into a frame")
+            return None

@@ -1,28 +1,27 @@
 """A threaded socket server over one database.
 
-Each accepted connection gets two threads:
+Each accepted connection gets one thread that loops *frame in → decode →
+execute → response out* (pipelined requests are answered strictly FIFO).
+Frames come off the socket through a
+:class:`~repro.server.protocol.FrameReader`.
 
-* a **reader** that parses length-prefixed frames off the socket and
-  pushes them into a *bounded* per-connection queue, and
-* a **worker** that decodes requests from the queue, executes them
-  against the database, and writes responses back in request order
-  (pipelined requests are answered strictly FIFO).
+Concurrency model (DESIGN.md §10): the threads of all connections call
+the engine *concurrently*.  With the background pipeline enabled
+(``Options.background_compaction``) the engine's leader/follower group
+commit coalesces their WAL appends, so one fsync covers a whole batch of
+network writers — the server adds no locking of its own on that path.
+On top of it a connection coalesces a *run* of consecutive pipelined
+writes into a single :class:`~repro.lsm.db.WriteBatch`, so a client that
+pipelines N puts enqueues one group-commit entry, not N: after a write
+the thread looks ahead at the frames the kernel already holds, without
+blocking, and folds in the writes it finds.
 
-Concurrency model (DESIGN.md §10): the worker threads of all
-connections call the engine *concurrently*.  With the background
-pipeline enabled (``Options.background_compaction``) the engine's
-leader/follower group commit coalesces their WAL appends, so one fsync
-covers a whole batch of network writers — the server adds no locking of
-its own on that path.  On top of it the worker coalesces a *run* of
-consecutive pipelined writes from one connection into a single
-:class:`~repro.lsm.db.WriteBatch`, so a client that pipelines N puts
-enqueues one group-commit entry, not N.
-
-Backpressure: the request queue is bounded (``max_inflight``).  When a
-connection's writes stall — the worker is parked in the engine's
-write-stall ladder — the queue fills and the reader stops reading the
-socket; the kernel's TCP window then pushes back on the client.  A flood
-of writers degrades into flow control instead of unbounded buffering.
+Backpressure is the kernel's: a connection reads the socket only when it
+has nothing left to execute, and holds at most one frame plus one receive
+of unexecuted bytes.  When its writes stall — the thread is parked in the
+engine's write-stall ladder — nothing is read, the socket's receive
+window fills, and TCP pushes back on the client.  A flood of writers
+degrades into flow control instead of unbounded buffering.
 
 Serving an inline (non-pipeline) engine still works: the handlers
 serialize on one lock, trading parallelism for the single-threaded
@@ -34,11 +33,11 @@ is not concurrency-safe.
 from __future__ import annotations
 
 import logging
-import queue
+import select
 import socket
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.core.records import key_to_bytes
@@ -46,6 +45,7 @@ from repro.lsm.db import DB, WriteBatch
 from repro.lsm.errors import InvalidArgumentError
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
+    FrameReader,
     FrameTooLargeError,
     STATUS_ERROR,
     STATUS_OK,
@@ -53,18 +53,12 @@ from repro.server.protocol import (
     decode_value,
     encode_frame,
     encode_value,
-    read_frame,
 )
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["Server", "ServerStats", "DEFAULT_MAX_INFLIGHT",
-           "DEFAULT_SCAN_LIMIT", "MAX_COALESCED_OPS", "DEDUP_WINDOW",
-           "DEDUP_CLIENTS"]
-
-#: Unanswered requests one connection may have queued before its reader
-#: stops reading the socket (the backpressure bound).
-DEFAULT_MAX_INFLIGHT = 32
+__all__ = ["Server", "ServerStats", "DEFAULT_SCAN_LIMIT",
+           "MAX_COALESCED_OPS", "DEDUP_WINDOW", "DEDUP_CLIENTS"]
 
 #: SCAN responses are paged: a request with no explicit limit gets at
 #: most this many entries, keeping one response inside a frame.
@@ -86,8 +80,7 @@ DEDUP_WINDOW = 1024
 #: retry in flight any more (retries run against a deadline of seconds).
 DEDUP_CLIENTS = 1024
 
-_EOF = object()          # reader -> worker: clean end of stream
-_REJECT = "__reject__"   # reader -> worker: fatal frame error, then close
+_WRITES = ("put", "delete")
 
 
 @dataclass
@@ -99,8 +92,11 @@ class ServerStats:
     responses: int = 0
     errors: int = 0               # error responses sent
     frames_rejected: int = 0      # oversized frames (connection dropped)
-    torn_frames: int = 0          # connections that died mid-frame
-    backpressure_waits: int = 0   # reader blocked on a full request queue
+    torn_frames: int = 0          # connections ended with unexecuted bytes
+    # Always 0: no server-side request queue is left to fill (backpressure
+    # is TCP's).  Kept until the [benchmark] PR that drops the
+    # server.backpressure_waits metric bench/wl_remote_mixed.py reads.
+    backpressure_waits: int = 0
     coalesced_groups: int = 0     # write runs folded into one WriteBatch
     coalesced_ops: int = 0        # ops committed through those runs
     max_coalesced_ops: int = 0
@@ -109,21 +105,7 @@ class ServerStats:
     leaked_threads: int = 0       # threads still alive after close() joins
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "connections_accepted": self.connections_accepted,
-            "requests": self.requests,
-            "responses": self.responses,
-            "errors": self.errors,
-            "frames_rejected": self.frames_rejected,
-            "torn_frames": self.torn_frames,
-            "backpressure_waits": self.backpressure_waits,
-            "coalesced_groups": self.coalesced_groups,
-            "coalesced_ops": self.coalesced_ops,
-            "max_coalesced_ops": self.max_coalesced_ops,
-            "dedup_hits": self.dedup_hits,
-            "dedup_applied": self.dedup_applied,
-            "leaked_threads": self.leaked_threads,
-        }
+        return asdict(self)
 
 
 class _DedupWindow:
@@ -132,7 +114,7 @@ class _DedupWindow:
     ``results`` maps the client's write sequence to the result it was
     (or would have been) acked with; the lock makes check-and-apply
     atomic per client, so a retry racing its original attempt — the old
-    connection's worker may still be draining when the client has
+    connection's thread may still be draining when the client has
     already reconnected — can never double-apply.
     """
 
@@ -144,20 +126,26 @@ class _DedupWindow:
 
 
 class _Connection:
-    """One accepted socket plus its queue and threads."""
+    """One accepted socket, its frame reader and its thread."""
 
-    __slots__ = ("sock", "queue", "reader", "worker", "closing", "peer")
+    __slots__ = ("sock", "frames", "thread", "peer")
 
-    def __init__(self, sock: socket.socket, max_inflight: int) -> None:
+    def __init__(self, sock: socket.socket, max_frame_bytes: int) -> None:
         self.sock = sock
-        self.queue: queue.Queue = queue.Queue(maxsize=max_inflight)
-        self.closing = threading.Event()
-        self.reader: threading.Thread | None = None
-        self.worker: threading.Thread | None = None
+        self.frames = FrameReader(sock, max_frame_bytes)
+        self.thread: threading.Thread | None = None
         try:
             self.peer = "%s:%d" % sock.getpeername()[:2]
         except OSError:
             self.peer = "?"
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Zero-timeout poll: would a ``recv`` return (data, EOF or error)?"""
+    try:
+        return bool(select.select([sock], (), (), 0)[0])
+    except (OSError, ValueError):
+        return True  # closed under us: the recv that follows reports it
 
 
 class Server:
@@ -179,15 +167,11 @@ class Server:
     """
 
     def __init__(self, db: Any, host: str = "127.0.0.1", port: int = 0, *,
-                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
                  max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                  backlog: int = 128) -> None:
-        if max_inflight < 1:
-            raise InvalidArgumentError("max_inflight must be >= 1")
         self._host = host
         self._port = port
         self._backlog = backlog
-        self.max_inflight = max_inflight
         self.max_frame_bytes = max_frame_bytes
         self.stats = ServerStats()
         self._listener: socket.socket | None = None
@@ -260,13 +244,12 @@ class Server:
         graceful path — the drain state machine (DESIGN.md §13):
 
         1. stop accepting (close the listener);
-        2. half-close every connection for reading (``SHUT_RD``): each
-           reader consumes the bytes already in flight, then sees a clean
-           EOF and enqueues the end-of-stream marker *behind* every fully
-           received request;
-        3. each worker finishes its queued requests — commits them
-           through the engine's group commit and writes every response —
-           before it observes the marker and exits.
+        2. half-close every connection for reading (``SHUT_RD``): the
+           bytes already received stay readable, and the end of stream
+           sits *behind* every fully received request;
+        3. each connection's thread executes those requests — commits
+           them through the engine's group commit and writes every
+           response — then reads the EOF and exits.
 
         A torn frame at the cut is discarded whole (never half-applied),
         and every request whose last byte arrived gets executed *and*
@@ -293,22 +276,20 @@ class Server:
                 pass
         with self._conn_lock:
             connections = list(self._connections)
+        threads = [thread for thread in
+                   (self._accept_thread, *(c.thread for c in connections))
+                   if thread is not None]
         if drain:
             for conn in connections:
                 try:
                     conn.sock.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass
-            if self._accept_thread is not None:
-                self._accept_thread.join(timeout=timeout)
-            for conn in connections:
-                for thread in (conn.reader, conn.worker):
-                    if thread is not None:
-                        thread.join(timeout=timeout)
+            for thread in threads:
+                thread.join(timeout=timeout)
         # Hard phase: whatever is still up (everything, when drain=False;
         # only stragglers past the drain timeout otherwise) gets dropped.
         for conn in connections:
-            conn.closing.set()
             try:
                 conn.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -317,20 +298,9 @@ class Server:
                 conn.sock.close()
             except OSError:
                 pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=timeout)
-        for conn in connections:
-            for thread in (conn.reader, conn.worker):
-                if thread is not None:
-                    thread.join(timeout=timeout)
-        leaked = 0
-        if self._accept_thread is not None \
-                and self._accept_thread.is_alive():
-            leaked += 1
-        for conn in connections:
-            for thread in (conn.reader, conn.worker):
-                if thread is not None and thread.is_alive():
-                    leaked += 1
+        for thread in threads:
+            thread.join(timeout=timeout)
+        leaked = sum(thread.is_alive() for thread in threads)
         if leaked:
             self.stats.leaked_threads += leaked
             logger.warning("server close leaked %d threads "
@@ -348,7 +318,7 @@ class Server:
         with self._conn_lock:
             return len(self._connections)
 
-    # -- accept / reader / worker ---------------------------------------------
+    # -- accept / serve ----------------------------------------------------------
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
@@ -361,141 +331,92 @@ class Server:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
-            conn = _Connection(sock, self.max_inflight)
+            conn = _Connection(sock, self.max_frame_bytes)
             with self._conn_lock:
                 if self._closing.is_set():
                     sock.close()
                     return
                 self._connections.add(conn)
                 self.stats.connections_accepted += 1
-            conn.reader = threading.Thread(
-                target=self._reader_main, args=(conn,),
-                name=f"server:read:{conn.peer}", daemon=True)
-            conn.worker = threading.Thread(
-                target=self._worker_main, args=(conn,),
-                name=f"server:work:{conn.peer}", daemon=True)
-            conn.worker.start()
-            conn.reader.start()
+            conn.thread = threading.Thread(
+                target=self._serve, args=(conn,),
+                name=f"server:conn:{conn.peer}", daemon=True)
+            conn.thread.start()
 
-    def _enqueue(self, conn: _Connection, item: Any) -> None:
-        """Bounded put: block (backpressure) until the worker makes room.
+    def _next_frame(self, conn: _Connection) -> bytes | None:
+        """Blocking read of the next frame, cooperative under a step hook.
 
-        The timeout loop keeps a dead worker (or a server close) from
-        wedging the reader thread forever.
-        """
-        try:
-            conn.queue.put_nowait(item)
-            return
-        except queue.Full:
-            self.stats.backpressure_waits += 1
-        while not conn.closing.is_set():
-            try:
-                conn.queue.put(item, timeout=0.1)
-                return
-            except queue.Full:
-                if conn.worker is not None and not conn.worker.is_alive():
-                    return
-
-    def _reader_main(self, conn: _Connection) -> None:
-        """Frames off the socket, into the bounded queue; nothing else.
-
-        Request *decoding* happens on the worker so a slow/corrupt payload
-        cannot stall frame reassembly accounting, and so torn frames are
-        discarded before anything could act on them.
-        """
-        try:
-            while not conn.closing.is_set():
-                payload = read_frame(conn.sock, self.max_frame_bytes)
-                if payload is None:
-                    break  # clean EOF between frames
-                self._enqueue(conn, payload)
-        except FrameTooLargeError as exc:
-            self.stats.frames_rejected += 1
-            # The oversized payload was never read, so the stream cannot
-            # be re-synchronized: report and drop the connection.
-            self._enqueue(conn, (_REJECT, str(exc)))
-            return  # worker closes the socket after responding
-        except TornFrameError:
-            self.stats.torn_frames += 1
-        except OSError:
-            pass  # connection reset / server close
-        finally:
-            self._enqueue(conn, _EOF)
-
-    def _next_item(self, conn: _Connection) -> Any:
-        """Worker-side blocking dequeue, cooperative under a step hook.
-
-        With the deterministic scheduler installed, a plain blocking get
+        With the deterministic scheduler installed, a blocking ``recv``
         would hold the run token while waiting and freeze every scheduled
-        thread; instead the wait is a guarded park, same pattern as
-        ``DB._await_locked``.
+        thread; instead the wait is a guarded park until the socket is
+        readable, same pattern as ``DB._await_locked``.
         """
-        hook = self._step_hook
+        frames, hook = conn.frames, self._step_hook
         if hook is None:
-            return conn.queue.get()
+            return frames.next()
         park_until = getattr(hook, "park_until", None)
         while True:
-            try:
-                return conn.queue.get_nowait()
-            except queue.Empty:
-                pass
-            if conn.closing.is_set():
-                return _EOF
+            payload = frames.next(wait=False)
+            if payload is not None:
+                return payload
+            if frames.eof:
+                return frames.next()  # None, or the torn frame's error
             if park_until is not None:
-                park_until("server:recv",
-                           lambda: not conn.queue.empty()
-                           or conn.closing.is_set())
+                park_until("server:recv", lambda: _readable(conn.sock))
             else:
                 hook("server:recv")
 
-    def _worker_main(self, conn: _Connection) -> None:
-        pushback: list[Any] = []  # at most one item read ahead
-
-        def next_item() -> Any:
-            if pushback:
-                return pushback.pop()
-            return self._next_item(conn)
-
+    def _serve(self, conn: _Connection) -> None:
+        """One connection: frame in, decode, execute, response out."""
+        frames = conn.frames
+        ahead = None  # the one request decoded past the end of a write run
+        rejected = False
         try:
             while True:
-                item = next_item()
-                if item is _EOF:
-                    return
-                if isinstance(item, tuple) and item[0] == _REJECT:
-                    self._respond(conn, 0, STATUS_ERROR,
-                                  ["FrameTooLargeError", item[1]])
-                    return
-                request = self._decode_request(conn, item)
+                request, ahead = ahead, None
                 if request is None:
-                    continue  # error already answered; stream still synced
-                request_id, op, args = request
-                if op in ("put", "delete") and self._can_coalesce():
-                    batch_members = [(request_id, op, args)]
-                    while len(batch_members) < MAX_COALESCED_OPS \
-                            and not conn.queue.empty():
-                        try:
-                            follow = conn.queue.get_nowait()
-                        except queue.Empty:
-                            break
-                        if isinstance(follow, bytes):
-                            decoded = self._decode_request(conn, follow)
-                            if decoded is None:
-                                continue
-                            if decoded[1] in ("put", "delete"):
-                                batch_members.append(decoded)
-                                continue
-                            pushback.append(follow)
-                        else:
-                            pushback.append(follow)
-                        break
-                    self._execute_write_run(conn, batch_members)
+                    payload = self._next_frame(conn)
+                    if payload is None:
+                        return  # clean EOF between frames
+                    request = self._decode_request(payload)
+                if isinstance(request, Exception):
+                    # Framing stayed in sync, so a bad payload costs one
+                    # error response, not the connection.
+                    self._respond_error(conn, 0, request)
+                elif request[1] in _WRITES and self._can_coalesce():
+                    run = [request]
+                    try:
+                        while len(run) < MAX_COALESCED_OPS:
+                            payload = frames.next(wait=False)
+                            if payload is None:
+                                break
+                            follow = self._decode_request(payload)
+                            if isinstance(follow, Exception) \
+                                    or follow[1] not in _WRITES:
+                                ahead = follow
+                                break
+                            run.append(follow)
+                    except FrameTooLargeError:
+                        pass  # after the run's answers: next read re-raises
+                    self._execute_write_run(conn, run)
                 else:
-                    self._execute(conn, request_id, op, args)
-        except BrokenPipeError:
-            pass  # peer vanished while a response was in flight
-        except OSError:
-            pass
+                    self._execute(conn, *request)
+        except FrameTooLargeError as exc:
+            # The oversized payload was never read, so the stream cannot
+            # be re-synchronized: report, then drop the connection.
+            self.stats.frames_rejected += 1
+            rejected = True
+            try:
+                self._respond_error(conn, 0, exc)
+            except OSError:
+                pass
+        except (TornFrameError, OSError):
+            pass  # peer died mid-frame, reset, or server close
         finally:
+            # Counted here, not where the read failed: a peer that dies
+            # mid-frame may surface first as a failed response write.
+            if frames.pending and not rejected:
+                self.stats.torn_frames += 1
             try:
                 conn.sock.close()
             except OSError:
@@ -505,13 +426,9 @@ class Server:
 
     # -- request handling -------------------------------------------------------
 
-    def _decode_request(self, conn: _Connection, payload: bytes
-                        ) -> tuple[int, str, list] | None:
-        """Parse one request; answers (and absorbs) malformed ones.
-
-        Framing stayed in sync, so a bad payload costs one error response,
-        not the connection.
-        """
+    def _decode_request(self, payload: bytes
+                        ) -> tuple[int, str, list] | Exception:
+        """Parse one request; a malformed one comes back as its error."""
         self.stats.requests += 1
         try:
             request = decode_value(payload)
@@ -524,9 +441,7 @@ class Server:
                     "request id must be int, op must be str")
             return request_id, op, request[2:]
         except Exception as exc:  # noqa: BLE001 - reported to the peer
-            self._respond(conn, 0, STATUS_ERROR,
-                          [type(exc).__name__, str(exc)])
-            return None
+            return exc
 
     def _respond(self, conn: _Connection, request_id: int, status: int,
                  payload: Any) -> None:
@@ -536,13 +451,17 @@ class Server:
         conn.sock.sendall(encode_frame(encode_value(
             [request_id, status, payload])))
 
+    def _respond_error(self, conn: _Connection, request_id: int,
+                       exc: Exception) -> None:
+        self._respond(conn, request_id, STATUS_ERROR,
+                      [type(exc).__name__, str(exc)])
+
     def _execute(self, conn: _Connection, request_id: int, op: str,
                  args: list) -> None:
         try:
             result = self._dispatch(op, args)
         except Exception as exc:  # noqa: BLE001 - reported to the peer
-            self._respond(conn, request_id, STATUS_ERROR,
-                          [type(exc).__name__, str(exc)])
+            self._respond_error(conn, request_id, exc)
             return
         self._respond(conn, request_id, STATUS_OK, result)
 
@@ -571,19 +490,17 @@ class Server:
                     batch.put(key, value)
                 else:
                     batch.delete(key)
-        except Exception as exc:  # noqa: BLE001 - malformed member
+        except Exception:  # noqa: BLE001 - malformed member
             # Fall back to op-by-op so the well-formed members still apply
             # and only the malformed one is refused.
             for request_id, op, args in members:
                 self._execute(conn, request_id, op, args)
-            del exc
             return
         try:
             last_seq = self.db.write(batch)
         except Exception as exc:  # noqa: BLE001 - shared by the whole run
             for request_id, _op, _args in members:
-                self._respond(conn, request_id, STATUS_ERROR,
-                              [type(exc).__name__, str(exc)])
+                self._respond_error(conn, request_id, exc)
             return
         self.stats.coalesced_groups += 1
         self.stats.coalesced_ops += len(members)
@@ -634,7 +551,7 @@ class Server:
             raise InvalidArgumentError(
                 "apply needs [client_id, client_seq, op, args]")
         client_id, client_seq, op, inner_args = args
-        if op not in ("put", "delete"):
+        if op not in _WRITES:
             raise InvalidArgumentError(
                 f"apply wraps writes only, not {op!r} "
                 "(reads are idempotent without it)")

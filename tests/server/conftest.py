@@ -1,6 +1,6 @@
 """Shared setup for the server suite.
 
-A wedged socket (lost wakeup, reader/worker deadlock, server that never
+A wedged socket (lost wakeup, connection-thread deadlock, server that never
 answers) must not hang the whole run.  Same dependency-free watchdog as
 the concurrency suite: ``faulthandler.dump_traceback_later`` arms around
 every test, so a hang dumps every thread's stack and kills the process.

@@ -9,15 +9,13 @@ import threading
 import pytest
 
 from repro.server.protocol import (
+    FrameReader,
     FrameTooLargeError,
     ProtocolError,
     TornFrameError,
     decode_value,
     encode_frame,
     encode_value,
-    read_frame,
-    recv_exact,
-    write_frame,
 )
 
 
@@ -115,11 +113,13 @@ def _pair() -> tuple[socket.socket, socket.socket]:
 
 def test_frame_round_trip():
     left, right = _pair()
+    frames = FrameReader(right)
     try:
-        write_frame(left, b"hello")
-        assert read_frame(right) == b"hello"
-        write_frame(left, b"")
-        assert read_frame(right) == b""
+        left.sendall(encode_frame(b"hello"))
+        assert frames.next() == b"hello"
+        left.sendall(encode_frame(b""))
+        assert frames.next() == b""
+        assert frames.pending == 0
     finally:
         left.close()
         right.close()
@@ -127,11 +127,12 @@ def test_frame_round_trip():
 
 def test_many_frames_one_stream():
     left, right = _pair()
+    frames = FrameReader(right)
     payloads = [encode_value([i, "op", b"x" * i]) for i in range(50)]
     try:
         left.sendall(b"".join(encode_frame(p) for p in payloads))
         for expected in payloads:
-            assert read_frame(right) == expected
+            assert frames.next() == expected
     finally:
         left.close()
         right.close()
@@ -141,7 +142,9 @@ def test_clean_eof_returns_none():
     left, right = _pair()
     try:
         left.close()
-        assert read_frame(right) is None
+        frames = FrameReader(right)
+        assert frames.next() is None
+        assert frames.eof and frames.pending == 0
     finally:
         right.close()
 
@@ -152,7 +155,7 @@ def test_torn_header_raises():
         left.sendall(b"\x00\x00")  # half a length prefix
         left.close()
         with pytest.raises(TornFrameError):
-            read_frame(right)
+            FrameReader(right).next()
     finally:
         right.close()
 
@@ -163,7 +166,7 @@ def test_torn_payload_raises():
         left.sendall(struct.pack(">I", 100) + b"only-part")
         left.close()
         with pytest.raises(TornFrameError):
-            read_frame(right)
+            FrameReader(right).next()
     finally:
         right.close()
 
@@ -174,19 +177,92 @@ def test_header_then_eof_raises_torn():
         left.sendall(struct.pack(">I", 8))
         left.close()
         with pytest.raises(TornFrameError):
-            read_frame(right)
+            FrameReader(right).next()
+    finally:
+        right.close()
+
+
+def test_truncation_at_every_offset_is_clean_eof_or_torn():
+    """Two frames cut at every byte: whole frames come out, a cut on a
+    frame boundary is a clean EOF, a cut anywhere else is torn — and the
+    fragment stays in ``pending``, never returned."""
+    payloads = [encode_value([1, "put", b"k", b"v"]), b""]
+    stream = b"".join(encode_frame(p) for p in payloads)
+    ends = [4 + len(payloads[0]), len(stream)]  # where each frame ends
+    for cut in range(len(stream) + 1):
+        left, right = _pair()
+        try:
+            left.sendall(stream[:cut])
+            left.close()
+            frames = FrameReader(right)
+            whole = sum(1 for end in ends if end <= cut)
+            for expected in payloads[:whole]:
+                assert frames.next() == expected
+            fragment = cut - ([0] + ends)[whole]
+            if fragment == 0:
+                assert frames.next() is None, cut
+            else:
+                with pytest.raises(TornFrameError):
+                    frames.next()
+            assert frames.eof and frames.pending == fragment
+        finally:
+            right.close()
+
+
+def test_frame_split_across_three_segments():
+    left, right = socket.socketpair()  # no timeout: wait=False polls
+    frames = FrameReader(right)
+    frame = encode_frame(b"split-me-in-three")
+    try:
+        left.sendall(frame[:2])                 # inside the header
+        assert frames.next(wait=False) is None
+        left.sendall(frame[2:9])                # header done, payload begun
+        assert frames.next(wait=False) is None
+        assert frames.pending == 9 and not frames.eof
+        left.sendall(frame[9:])
+        assert frames.next(wait=False) == b"split-me-in-three"
+        assert frames.pending == 0
+    finally:
+        left.close()
+        right.close()
+
+
+def test_no_wait_returns_only_what_the_kernel_holds():
+    left, right = socket.socketpair()  # no timeout: wait=False polls
+    frames = FrameReader(right)
+    try:
+        assert frames.next(wait=False) is None  # empty stream, still open
+        assert not frames.eof
+        # Two frames in one segment: one recv, both sliced from the buffer.
+        left.sendall(encode_frame(b"one") + encode_frame(b"two"))
+        assert frames.next(wait=False) == b"one"
+        assert frames.pending == 4 + 3
+        assert frames.next(wait=False) == b"two"
+        assert frames.next(wait=False) is None
+        # At end of stream it still answers None (and notes the EOF); the
+        # verdict on a half-arrived frame is the blocking call's.
+        left.sendall(encode_frame(b"half")[:6])
+        left.close()
+        assert frames.next(wait=False) is None
+        assert frames.eof and frames.pending == 6
+        with pytest.raises(TornFrameError):
+            frames.next()
     finally:
         right.close()
 
 
 def test_oversized_frame_rejected_without_reading_payload():
     left, right = _pair()
+    frames = FrameReader(right, max_frame_bytes=1024)
     try:
         # Only the header is sent; the reader must reject from the header
         # alone rather than wait for (or allocate) the declared payload.
         left.sendall(struct.pack(">I", 2**31))
         with pytest.raises(FrameTooLargeError):
-            read_frame(right, max_frame_bytes=1024)
+            frames.next()
+        # The stream cannot be re-synchronized: it stays rejected.
+        with pytest.raises(FrameTooLargeError):
+            frames.next()
     finally:
         left.close()
         right.close()
@@ -204,18 +280,9 @@ def test_frame_at_limit_accepted():
 
         thread = threading.Thread(target=sender)
         thread.start()
-        assert read_frame(right, max_frame_bytes=1024) == payload
+        assert FrameReader(right, max_frame_bytes=1024).next() == payload
         done.wait(5)
         thread.join(5)
-    finally:
-        left.close()
-        right.close()
-
-
-def test_recv_exact_zero_length():
-    left, right = _pair()
-    try:
-        assert recv_exact(right, 0) == b""
     finally:
         left.close()
         right.close()

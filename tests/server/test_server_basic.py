@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -14,7 +15,15 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.vfs import MemoryVFS
 from repro.server import Client, RemoteError, Server
-from repro.server.protocol import encode_frame, encode_value, read_frame
+from repro.server.protocol import (
+    RECV_BYTES,
+    STATUS_ERROR,
+    STATUS_OK,
+    FrameReader,
+    decode_value,
+    encode_frame,
+    encode_value,
+)
 
 
 @pytest.fixture()
@@ -149,16 +158,42 @@ def test_pipeline_error_does_not_desync(kv_server):
         assert client.get(b"good2") == b"2"
 
 
-def test_backpressure_bounds_inflight(kv_server):
-    server, db = kv_server
-    server.max_inflight = 2  # shrink before the connection is made
-    with connect(server) as client:
-        with client.pipeline() as p:
-            for i in range(60):
-                p.put(b"bp%03d" % i, b"x")
-        assert len(p.results) == 60
-        assert db.get(b"bp059") == b"x"
-    assert server.stats.backpressure_waits > 0
+def test_stalled_connection_buffers_one_receive_not_the_burst(doc_server):
+    """Backpressure is the kernel's: while dispatch is stalled a
+    connection reads nothing more, so a pipelined flood waits in the
+    socket buffers, not in server memory — and is answered in order once
+    the stall clears."""
+    server, _db = doc_server
+    count = 2000
+    burst = [encode_frame(encode_value(
+        [i, "put", "t%04d" % i, {"UserID": "u%d" % (i % 7), "pad": "x" * 100}]))
+        for i in range(1, count + 1)]
+    assert sum(map(len, burst)) > 3 * RECV_BYTES
+    sock = socket.create_connection(server.address, timeout=30)
+    sender = threading.Thread(target=sock.sendall, args=(b"".join(burst),))
+    try:
+        with server._lock:  # every handler of a document-mode server takes it
+            sender.start()
+            deadline = time.time() + 5
+            while server.stats.requests == 0 and time.time() < deadline:
+                time.sleep(0.005)
+            (conn,) = server._connections
+            for _ in range(40):  # the first request is parked on the lock
+                assert conn.frames.pending <= RECV_BYTES + len(burst[0])
+                time.sleep(0.005)
+            assert server.stats.responses == 0
+        responses = FrameReader(sock)
+        seqs = []
+        for request_id in range(1, count + 1):
+            echoed_id, status, seq = decode_value(responses.next())
+            assert (echoed_id, status) == (request_id, STATUS_OK)
+            seqs.append(seq)
+        assert seqs == sorted(seqs)
+    finally:
+        sock.close()
+        sender.join(timeout=10)
+    assert not sender.is_alive()
+    assert server.stats.backpressure_waits == 0  # no server-side queue
 
 
 # -- error handling ----------------------------------------------------------
@@ -180,37 +215,56 @@ def test_lookup_rejected_in_kv_mode(kv_server):
 
 def test_malformed_request_payload_keeps_connection(kv_server):
     server, _db = kv_server
-    host, port = server.address
-    sock = socket.create_connection((host, port), timeout=5)
+    sock = socket.create_connection(server.address, timeout=5)
+    responses = FrameReader(sock)
+    garbage = encode_frame(b"\x7f\x00garbage")
     try:
-        sock.sendall(encode_frame(b"\x7f\x00garbage"))
-        response = read_frame(sock)
-        assert response is not None  # an error response, not a hangup
+        sock.sendall(garbage)
+        # An error response, not a hangup.
+        assert decode_value(responses.next())[:2] == [0, STATUS_ERROR]
         # Framing stayed in sync: a well-formed request still works.
         sock.sendall(encode_frame(encode_value([1, "put", b"k", b"v"])))
-        assert read_frame(sock) is not None
+        assert decode_value(responses.next())[:2] == [1, STATUS_OK]
+        # Inside a pipelined write run it is answered in its own place.
+        sock.sendall(encode_frame(encode_value([2, "put", b"k2", b"v"]))
+                     + garbage
+                     + encode_frame(encode_value([3, "put", b"k3", b"v"])))
+        assert [decode_value(responses.next())[:2] for _ in range(3)] \
+            == [[2, STATUS_OK], [0, STATUS_ERROR], [3, STATUS_OK]]
     finally:
         sock.close()
-    assert server.stats.errors >= 1
+    assert server.stats.errors == 2
 
 
 def test_oversized_frame_rejected_and_connection_dropped():
     db = DB.open(MemoryVFS(), "data", Options(background_compaction=True))
     server = Server(db, max_frame_bytes=1024)
     host, port = server.start()
+    oversized = struct.pack(">I", 1 << 20)
     try:
-        sock = socket.create_connection((host, port), timeout=5)
-        try:
-            sock.sendall(struct.pack(">I", 1 << 20))
-            response = read_frame(sock)
-            assert response is not None  # error response before the close
-            assert read_frame(sock) is None  # then EOF
-        finally:
-            sock.close()
-        deadline = time.time() + 5
-        while server.stats.frames_rejected == 0 and time.time() < deadline:
-            time.sleep(0.01)
-        assert server.stats.frames_rejected == 1
+        # Alone, then behind two whole PUTs in the same segment: what the
+        # look-ahead already read is executed and answered first.
+        for rejected, ahead in enumerate((0, 2), start=1):
+            sock = socket.create_connection((host, port), timeout=5)
+            responses = FrameReader(sock)
+            try:
+                sock.sendall(b"".join(
+                    encode_frame(encode_value([i, "put", b"o%d" % i, b"v"]))
+                    for i in range(1, ahead + 1)) + oversized)
+                acks = [decode_value(responses.next()) for _ in range(ahead)]
+                assert [ack[:2] for ack in acks] \
+                    == [[i, STATUS_OK] for i in range(1, ahead + 1)]
+                assert [ack[2] for ack in acks] \
+                    == list(range(1, ahead + 1))  # their sequences
+                error = decode_value(responses.next())
+                assert error[:2] == [0, STATUS_ERROR]
+                assert error[2][0] == "FrameTooLargeError"
+                assert responses.next() is None  # then EOF
+            finally:
+                sock.close()
+            assert server.stats.frames_rejected == rejected
+            assert server.stats.torn_frames == 0
+        assert db.get(b"o2") == b"v"
         # The server survives and serves new connections.
         with Client(host, port) as client:
             assert client.put(b"k", b"v") > 0

@@ -3,7 +3,7 @@
 The deterministic test puts the *engine* under the
 :class:`DeterministicScheduler` (flush/compaction/group-commit decision
 points all schedule-driven) while real socket clients free-run against
-the server.  Server worker threads join the schedule on their first
+the server.  Server connection threads join the schedule on their first
 engine hook and park cooperatively while idle (``server:recv``), so the
 scheduler — not luck — decides how network writes interleave with
 background maintenance.
@@ -23,7 +23,7 @@ import time
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.testing import DeterministicScheduler
-from repro.lsm.vfs import MemoryVFS
+from repro.lsm.vfs import LocalVFS, MemoryVFS
 from repro.server import Client, Server
 
 CLIENTS = 3
@@ -69,8 +69,8 @@ def _run_seed(seed: int) -> dict:
 
     # The scheduler's creating thread holds the run token from birth: this
     # thread must *park* while the clients run, or no scheduled task (the
-    # server workers included) ever gets a grant.  The guard keeps it
-    # ineligible until every client thread has finished.
+    # server's connection threads included) ever gets a grant.  The guard
+    # keeps it ineligible until every client thread has finished.
     def clients_done() -> bool:
         return all(not thread.is_alive() for thread in client_threads)
 
@@ -113,12 +113,13 @@ def test_scheduled_pipeline_vs_network_clients():
         assert pipeline["bg_flushes"] > 0, f"seed {seed}"
 
 
-def test_real_threads_group_commit_accounting():
+def test_real_threads_group_commit_accounting(tmp_path):
     """Free-running load: every network write lands in exactly one commit
-    group, whatever the interleaving."""
-    db = DB.open(MemoryVFS(), "data",
-                 Options(background_compaction=True, memtable_budget=4096,
-                         l0_compaction_trigger=2))
+    group, whatever the interleaving — and with a real fsync to wait
+    behind, the groups carry more than one connection's write."""
+    db = DB.open(LocalVFS(str(tmp_path)), "data",
+                 Options(background_compaction=True, sync_writes=True,
+                         memtable_budget=4096, l0_compaction_trigger=2))
     server = Server(db)
     host, port = server.start()
     total = 8 * 40
@@ -144,6 +145,9 @@ def test_real_threads_group_commit_accounting():
         assert pipeline["group_commit_ops"] == total
         assert 1 <= pipeline["write_groups"] <= total
         assert pipeline["max_group_batches"] >= 1
+        # The fan-in the serving layer exists for: 8 connections' threads
+        # enter the engine concurrently and share fsyncs.
+        assert pipeline["group_commit_ops"] / pipeline["write_groups"] > 1
         db.flush()
         assert sum(1 for _ in db.scan()) == total
     finally:
