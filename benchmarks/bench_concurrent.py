@@ -57,10 +57,9 @@ P99_TOLERANCE = 0.90
 #: ...or when background throughput drops below this fraction of inline's.
 THROUGHPUT_TOLERANCE = 0.60
 
-#: Every mode runs this many times and the run with the lowest p99 wins —
-#: same spirit as ``bench_engine_micro``'s best-of timing: the minimum is
-#: the run least disturbed by other tenants of the machine, which matters
-#: doubly for tail latencies on shared CI runners.
+#: Every mode runs this many times and the run with the lowest p99 wins:
+#: the minimum is the run least disturbed by other tenants of the machine,
+#: which matters doubly for tail latencies on shared CI runners.
 REPEATS = 3
 
 #: Small geometry so flushes and compactions actually happen at benchmark

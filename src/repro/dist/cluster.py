@@ -20,6 +20,12 @@ copies stamp each write with identical sequence numbers — which is also
 what lets a live shard split (:mod:`repro.dist.migration`) replay its WAL
 tail onto the new shard without perturbing recency order.
 
+The topology — ring, replica shape, index layout — is one value, a
+:class:`~repro.dist.topology.ClusterManifest`: ``open`` loads it from the
+CLUSTER file or makes it from its arguments, and the cluster is built from
+it either way; every topology change (a split's intent, flip and cleanup)
+is a new manifest generation.
+
 Concurrency contract: like a single ``SecondaryIndexedDB``, the facade
 expects one mutating call at a time (the network server serializes behind
 its dispatch lock; the drills serialize through the DeterministicScheduler).
@@ -40,11 +46,17 @@ from repro.core.records import (
     decode_document,
     key_to_bytes,
 )
-from repro.dist.partitioner import HashPartitioner, SplitHashRing
-from repro.dist.replication import ReplicaSet, SequenceChannel
+from repro.dist.migration import ShardSplit
+from repro.dist.partitioner import (
+    HashPartitioner,
+    RangePartitioner,
+    SplitHashRing,
+    partitioner_from_shape,
+)
+from repro.dist.replication import ReplicaSet, SequenceChannel, purge_files
 from repro.dist.topology import ClusterManifest, load_cluster_manifest
 from repro.lsm.db import DB
-from repro.lsm.errors import InvalidArgumentError
+from repro.lsm.errors import DBClosedError, InvalidArgumentError
 from repro.lsm.options import Options
 from repro.lsm.vfs import VFS, MemoryVFS
 from repro.lsm.zonemap import encode_attribute
@@ -107,25 +119,26 @@ class GlobalSecondaryIndex:
     overlap the query.
     """
 
-    def __init__(self, attribute: str, num_index_shards: int,
-                 options: Options, checker: _RoutedValidity,
-                 partitioner=None) -> None:
+    def __init__(self, attribute: str, partitioner, options: Options,
+                 checker: _RoutedValidity) -> None:
         self.attribute = attribute
-        self.partitioner = partitioner or HashPartitioner(num_index_shards)
-        if self.partitioner.num_shards != num_index_shards:
-            raise InvalidArgumentError(
-                f"partitioner covers {self.partitioner.num_shards} shards, "
-                f"expected {num_index_shards}")
+        self.partitioner = partitioner
         self.checker = checker
         self._index_options = replace(options, indexed_attributes=(),
                                       merge_operator=posting_merge_operator)
-        self.shards: list[LazyIndex] = []
-        for shard_id in range(num_index_shards):
-            index_db = DB.open(MemoryVFS(), f"gsi-{attribute}-{shard_id}",
-                               self._index_options)
-            self.shards.append(LazyIndex(attribute, index_db, checker))
+        self.shards = self._open_ring()
         #: Index shards touched by queries (the cross-shard fan-out metric).
         self.shards_contacted = 0
+
+    def _open_ring(self) -> list[LazyIndex]:
+        """A fresh, empty ring: one in-memory Lazy index table per
+        partition."""
+        return [LazyIndex(self.attribute,
+                          DB.open(MemoryVFS(),
+                                  f"gsi-{self.attribute}-{shard_id}",
+                                  self._index_options),
+                          self.checker)
+                for shard_id in range(self.partitioner.num_shards)]
 
     def _shard_for(self, value: Any) -> LazyIndex:
         return self.shards[self.partitioner.shard_of(
@@ -192,15 +205,8 @@ class GlobalSecondaryIndex:
         wholesale, so afterwards it answers queries exactly as a ring that
         never missed an update.  Returns the number of records replayed.
         """
-        for shard in self.shards:
-            shard.close()
-        self.shards = []
-        for shard_id in range(self.partitioner.num_shards):
-            index_db = DB.open(MemoryVFS(),
-                               f"gsi-{self.attribute}-{shard_id}",
-                               self._index_options)
-            self.shards.append(LazyIndex(self.attribute, index_db,
-                                         self.checker))
+        self.close()
+        self.shards = self._open_ring()
         replayed = 0
         for key_bytes, document, seq in records:
             self.on_put(key_bytes, document, seq)
@@ -235,27 +241,44 @@ class GlobalSecondaryIndex:
 class ShardedDB:
     """N replicated data shards + optional global index rings, one facade."""
 
-    def __init__(self, data_shards: list[ReplicaSet], ring: SplitHashRing,
-                 local_attributes: set[str],
-                 global_indexes: dict[str, GlobalSecondaryIndex],
-                 oracle: SequenceOracle, base_options: Options,
-                 replication_factor: int,
-                 local_indexes: Mapping[str, IndexKind],
+    def __init__(self, manifest: ClusterManifest, oracle: SequenceOracle,
+                 base_options: Options,
                  vfs_factory: Callable[[int, int], VFS] | None = None,
-                 meta_vfs: VFS | None = None,
-                 manifest: ClusterManifest | None = None
-                 ) -> None:
-        """Assembled by :meth:`open_memory` / :meth:`open`."""
-        self.data_shards = data_shards
-        self.ring = ring
-        self.local_attributes = local_attributes
-        self.global_indexes = global_indexes
+                 meta_vfs: VFS | None = None) -> None:
+        """Build the ring, the replica groups and the GSI rings that
+        ``manifest`` describes (see :meth:`open`)."""
+        #: The topology.  Evolved by :meth:`_save_topology`, which also
+        #: writes it through ``meta_vfs`` when there is one (without one
+        #: the topology lives as long as the process).
+        self.manifest = manifest
+        self._meta_vfs = meta_vfs
+        self.ring = SplitHashRing.from_state(manifest.base_shards,
+                                             manifest.splits)
         self.oracle = oracle
         self.base_options = base_options
-        self.replication_factor = replication_factor
-        self.local_indexes = dict(local_indexes)
+        # RF 1 without filesystems is the single-copy in-memory layout the
+        # paper-figure benches measure (``open_replicated``, ``None`` VFS).
+        single_copy = vfs_factory is None and manifest.replication_factor == 1
         self._vfs_factory = vfs_factory or (lambda _sid, _rid: MemoryVFS())
         self._step_hook: Callable[[str], None] | None = base_options.step_hook
+        local_indexes = {attribute: IndexKind(kind) for attribute, kind
+                         in manifest.local_indexes.items()}
+        self.data_shards: list[ReplicaSet] = []
+        for shard_id in range(self.ring.num_shards):
+            channel = SequenceChannel(oracle.allocate)
+            vfs_list = [None if single_copy
+                        else self._vfs_factory(shard_id, replica_id)
+                        for replica_id in range(manifest.replication_factor)]
+            self.data_shards.append(ReplicaSet.open_replicated(
+                shard_id, vfs_list, local_indexes,
+                replace(base_options, sequence_oracle=channel.allocate),
+                channel, self._step_hook))
+        checker = _RoutedValidity(self._routed_get_with_seq)
+        self.global_indexes = {
+            attribute: GlobalSecondaryIndex(
+                attribute, partitioner_from_shape(shape), base_options,
+                checker)
+            for attribute, shape in manifest.global_indexes.items()}
         #: Data shards touched by secondary queries (scatter-gather cost).
         self.data_shards_contacted = 0
         #: GSI rings that missed a maintenance update (fault mid-put) and
@@ -263,16 +286,12 @@ class ShardedDB:
         self._dirty_global: set[str] = set()
         #: The in-flight :class:`~repro.dist.migration.ShardSplit`, if any.
         self._migration = None
-        #: Once a split has ever begun, scatter/scan results are filtered
-        #: by ring ownership (pre-cleanup copies must not surface twice).
-        #: Never set on a static cluster, so the default path is untouched.
-        self._filter_owned = False
+        #: Shards may hold copies the ring assigns elsewhere — true once a
+        #: split has begun in this process, or when the last committed
+        #: split's purge never finished.  See :meth:`_owns`.
+        self._filter_owned = manifest.pending_cleanup
         self.splits_completed = 0
         self._closed = False
-        #: Filesystem holding the durable CLUSTER manifest (``None`` keeps
-        #: topology process-lifetime, the pre-durability behaviour).
-        self._meta_vfs = meta_vfs
-        self._manifest = manifest
 
     # -- construction ------------------------------------------------------
 
@@ -299,14 +318,12 @@ class ShardedDB:
         copies, each on its own filesystem so it can be killed, revived
         and reseeded.
         """
-        oracle = SequenceOracle()
-        base_options = replace(options or Options(),
-                               sequence_oracle=oracle.allocate)
-        cluster = cls._assemble(
-            num_shards, local_indexes, global_indexes, oracle, base_options,
-            replication_factor, num_index_shards, global_split_points,
-            vfs_factory=None)
-        return cluster
+        return cls.open(None, num_shards=num_shards,
+                        replication_factor=replication_factor,
+                        local_indexes=local_indexes,
+                        global_indexes=global_indexes, options=options,
+                        num_index_shards=num_index_shards,
+                        global_split_points=global_split_points)
 
     @classmethod
     def open(cls, vfs_factory: Callable[[int, int], VFS],
@@ -337,34 +354,25 @@ class ShardedDB:
         (old topology, zero orphans); a committed-but-unclean split has
         its stray copies purged (new topology) — both idempotent.
         """
-        manifest = None
-        ring = None
-        global_shapes = None
-        if meta_vfs is not None:
-            manifest = load_cluster_manifest(meta_vfs)
-        if manifest is not None:
-            if manifest.in_flight is not None:
-                cls._purge_unflipped_split(vfs_factory, manifest)
-                manifest = manifest.evolve(in_flight=None)
-                manifest.save(meta_vfs)
-            num_shards = manifest.base_shards
-            replication_factor = manifest.replication_factor
-            local_indexes = {attribute: IndexKind(kind) for attribute, kind
-                             in manifest.local_indexes.items()}
-            global_shapes = manifest.global_indexes
-            global_indexes = tuple(sorted(global_shapes))
-            num_index_shards = None
-            global_split_points = None
-            ring = SplitHashRing.from_state(manifest.base_shards,
-                                            manifest.splits)
+        manifest = None if meta_vfs is None \
+            else load_cluster_manifest(meta_vfs)
+        fresh = manifest is None
+        if fresh:
+            manifest = cls._describe(
+                num_shards, replication_factor, local_indexes,
+                global_indexes, num_index_shards, global_split_points)
+        elif manifest.in_flight is not None:
+            # The intent is durable but the flip never committed: delete
+            # the half-copied destination, land on the old topology.
+            new_id = manifest.in_flight[1]
+            for replica_id in range(manifest.replication_factor):
+                purge_files(vfs_factory(new_id, replica_id), f"shard-{new_id}")
+            manifest = manifest.evolve(in_flight=None)
+            manifest.save(meta_vfs)
         oracle = SequenceOracle()
         base_options = replace(options or Options(),
                                sequence_oracle=oracle.allocate)
-        cluster = cls._assemble(
-            num_shards, local_indexes, global_indexes, oracle, base_options,
-            replication_factor, num_index_shards, global_split_points,
-            vfs_factory=vfs_factory, ring=ring, global_shapes=global_shapes,
-            meta_vfs=meta_vfs, manifest=manifest)
+        cluster = cls(manifest, oracle, base_options, vfs_factory, meta_vfs)
         recovered = 0
         for group in cluster.data_shards:
             for replica in group.replicas:
@@ -376,7 +384,7 @@ class ShardedDB:
                         recovered = max(recovered,
                                         index_db.versions.last_sequence)
         oracle.advance_past(recovered)
-        if manifest is not None and manifest.pending_cleanup:
+        if manifest.pending_cleanup:
             # The flip committed but the stray purge never finished;
             # rerun it (idempotent) before anything reads cross-shard.
             cluster._purge_strays()
@@ -384,115 +392,66 @@ class ShardedDB:
         if recovered:
             for attribute in list(cluster.global_indexes):
                 cluster.rebuild_global_index(attribute)
-        if meta_vfs is not None and manifest is None:
-            # Fresh cluster: make the base topology durable immediately,
-            # so a crash right after open still reopens consistently.
+        if fresh:
+            # Make the base topology durable immediately, so a crash
+            # right after open still reopens consistently.
             cluster._save_topology()
         return cluster
 
     @staticmethod
-    def _purge_unflipped_split(vfs_factory: Callable[[int, int], VFS],
-                               manifest: ClusterManifest) -> None:
-        """Delete every file of a split whose intent is durable but whose
-        flip never committed — reopen lands on the old topology with zero
-        orphan shard directories."""
-        _source_id, new_id = manifest.in_flight
-        prefix = f"shard-{new_id}/"
-        for replica_id in range(manifest.replication_factor):
-            vfs = vfs_factory(new_id, replica_id)
-            for name in list(vfs.list_dir(prefix)):
-                vfs.delete_if_exists(name)
-
-    def _purge_strays(self) -> int:
-        """Delete records the current ring does not assign to their shard
-        (resumed split cleanup).  Idempotent; returns keys purged."""
-        purged = 0
-        ring = self.ring
-        for shard_id, group in enumerate(self.data_shards):
-            strays = [key for key, _value, _seq
-                      in group.primary.scan_with_seq()
-                      if ring.shard_of(key) != shard_id]
-            for key in strays:
-                group.apply_local("delete", key, None)
-                purged += 1
-            if strays:
-                group.flush()
-        return purged
-
-    @classmethod
-    def _assemble(cls, num_shards, local_indexes, global_indexes, oracle,
-                  base_options, replication_factor, num_index_shards,
-                  global_split_points, vfs_factory, ring=None,
-                  global_shapes=None, meta_vfs=None,
-                  manifest=None) -> "ShardedDB":
-        from repro.dist.partitioner import RangePartitioner
-
-        local_indexes = dict(local_indexes or {})
-        global_split_points = dict(global_split_points or {})
-        overlap = set(local_indexes) & set(global_indexes)
+    def _describe(num_shards: int, replication_factor: int,
+                  local_indexes: Mapping[str, IndexKind] | None,
+                  global_indexes: tuple[str, ...],
+                  num_index_shards: int | None,
+                  global_split_points: Mapping[str, list] | None
+                  ) -> ClusterManifest:
+        """The manifest of a fresh cluster: :meth:`open`'s arguments."""
+        overlap = set(local_indexes or {}) & set(global_indexes)
         if overlap:
             raise InvalidArgumentError(
                 f"attributes indexed both locally and globally: {overlap}")
-        unknown = set(global_split_points) - set(global_indexes)
+        split_points = dict(global_split_points or {})
+        unknown = set(split_points) - set(global_indexes)
         if unknown:
             raise InvalidArgumentError(
                 f"split points for non-global attributes: {unknown}")
-        if replication_factor < 1:
-            raise InvalidArgumentError("replication_factor must be >= 1")
-        if ring is None:
-            ring = SplitHashRing(num_shards)
-        step_hook = base_options.step_hook
-        groups: list[ReplicaSet] = []
-        for shard_id in range(ring.num_shards):
-            channel = SequenceChannel(oracle.allocate)
-            group_options = replace(base_options,
-                                    sequence_oracle=channel.allocate)
-            if replication_factor == 1 and vfs_factory is None:
-                group = ReplicaSet.open_legacy(
-                    shard_id, local_indexes, group_options, channel,
-                    step_hook)
-            else:
-                factory = vfs_factory or (lambda _sid, _rid: MemoryVFS())
-                vfs_list = [factory(shard_id, replica_id)
-                            for replica_id in range(replication_factor)]
-                group = ReplicaSet.open_replicated(
-                    shard_id, vfs_list, local_indexes, group_options,
-                    channel, step_hook)
-            groups.append(group)
-        cluster = cls(groups, ring, set(local_indexes), {}, oracle,
-                      base_options, replication_factor, local_indexes,
-                      vfs_factory, meta_vfs=meta_vfs, manifest=manifest)
-        checker = _RoutedValidity(cluster._routed_get_with_seq)
+        global_shapes = {}
         for attribute in global_indexes:
-            if global_shapes is not None:
-                shape = global_shapes[attribute]
-                if shape.get("scheme") == "range":
-                    points = [bytes.fromhex(point)
-                              for point in shape["split_points"]]
-                    index_partitioner = RangePartitioner(points)
-                    ring_size = index_partitioner.num_shards
-                else:
-                    index_partitioner = None
-                    ring_size = int(shape["shards"])
-            elif attribute in global_split_points:
-                splits = [encode_attribute(value)
-                          for value in global_split_points[attribute]]
-                index_partitioner = RangePartitioner(splits)
-                ring_size = index_partitioner.num_shards
+            if attribute in split_points:
+                partitioner = RangePartitioner(
+                    [encode_attribute(value)
+                     for value in split_points[attribute]])
             else:
-                index_partitioner = None
-                ring_size = num_index_shards or num_shards
-            cluster.global_indexes[attribute] = GlobalSecondaryIndex(
-                attribute, ring_size, base_options, checker,
-                partitioner=index_partitioner)
-        return cluster
+                partitioner = HashPartitioner(num_index_shards or num_shards)
+            global_shapes[attribute] = partitioner.shape()
+        return ClusterManifest(
+            base_shards=num_shards, replication_factor=replication_factor,
+            local_indexes={attribute: getattr(kind, "value", kind)
+                           for attribute, kind
+                           in (local_indexes or {}).items()},
+            global_indexes=global_shapes)
+
+    def _purge_strays(self, shard_ids: Iterable[int] | None = None
+                      ) -> tuple[int, ...]:
+        """Delete every record the ring assigns to another shard (the
+        copies a split leaves on its source and destination) and flush.
+        Idempotent — a split's cleanup and a reopen that finds it
+        unfinished run the same purge.  Returns the keys purged per shard
+        visited (default: every shard)."""
+        purged = []
+        for shard_id in (range(len(self.data_shards)) if shard_ids is None
+                         else shard_ids):
+            group = self.data_shards[shard_id]
+            strays = [key for key, _value, _seq
+                      in group.primary.scan_with_seq()
+                      if not self._owns(shard_id, key)]
+            for key in strays:
+                group.apply_local("delete", key, None)
+            group.flush()
+            purged.append(len(strays))
+        return tuple(purged)
 
     # -- routing ---------------------------------------------------------------
-
-    @property
-    def partitioner(self):
-        """Backwards-compatible alias: the current routing ring."""
-        return self.ring
 
     @property
     def num_shards(self) -> int:
@@ -500,6 +459,16 @@ class ShardedDB:
 
     def _shard_for(self, key: bytes) -> ReplicaSet:
         return self.data_shards[self.ring.shard_of(key)]
+
+    def _owns(self, shard_id: int, key: str | bytes) -> bool:
+        """The one ownership rule: the ring assigns ``key`` to
+        ``shard_id``.  Between a split's copy and its cleanup both sides
+        hold copies of the same records, and every consumer — scatter
+        results, scans, GSI rebuilds, balance counts, the purge itself —
+        must see each record on exactly one shard.  A cluster that never
+        split owns every copy by construction and is never hashed."""
+        return not self._filter_owned \
+            or self.ring.shard_of(key_to_bytes(key)) == shard_id
 
     def _routed_get_with_seq(self, key: bytes) -> tuple[bytes, int] | None:
         self.data_shards_contacted += 1
@@ -517,27 +486,12 @@ class ShardedDB:
         split is in flight, acked writes to moving keys are also journaled
         for the WAL-tail replay.
         """
-        self._check_open()
-        key_bytes = key_to_bytes(key)
-        shard_id = self.ring.shard_of(key_bytes)
-        group = self.data_shards[shard_id]
-        self._order_after_tail(shard_id)
-        journaled = []
-        seq = group.put(key_bytes, document,
-                        on_commit=lambda s, log: self._observe_commit(
-                            "put", key_bytes, document, shard_id, s, log,
-                            journaled))
-        if not journaled:
-            seq = self._reroute_straggler("put", key_bytes, document,
-                                          shard_id, seq)
-        self._maintain_global(
-            lambda index: index.on_put(key_bytes, document, seq))
-        return seq
+        return self._write("put", key_to_bytes(key), document)
 
     def get(self, key: str | bytes) -> Document | None:
         """Point read, routed by primary key; fails over within the shard."""
         self._check_open()
-        self._sync_with_tail()
+        self._drain_tail()
         return self._shard_for(key_to_bytes(key)).get(key_to_bytes(key))
 
     def delete(self, key: str | bytes) -> int:
@@ -549,60 +503,66 @@ class ShardedDB:
         a stranger's sequence, breaking the globally-comparable-sequence
         invariant :meth:`_scatter_gather` and validation rely on.
         """
+        return self._write("delete", key_to_bytes(key), None)
+
+    def _write(self, op: str, key_bytes: bytes,
+               document: Document | None) -> int:
+        """Route, commit (journaling into an in-flight split), re-route a
+        straggler, maintain the GSIs; returns the sequence now served."""
         self._check_open()
-        key_bytes = key_to_bytes(key)
         shard_id = self.ring.shard_of(key_bytes)
         group = self.data_shards[shard_id]
-        self._order_after_tail(shard_id)
+        self._drain_tail(shard_id)
         old_document = None
-        if self.global_indexes:
+        if op == "delete" and self.global_indexes:
             old_document = group.get(key_bytes)
         journaled = []
-        seq = group.delete(key_bytes,
-                           on_commit=lambda s, log: self._observe_commit(
-                               "delete", key_bytes, None, shard_id, s, log,
-                               journaled))
-        if not journaled:
-            seq = self._reroute_straggler("delete", key_bytes, None,
+
+        def on_commit(seq, alloc_log):
+            journaled.append(self._observe_commit(
+                op, key_bytes, document, shard_id, seq, alloc_log))
+
+        if op == "put":
+            seq = group.put(key_bytes, document, on_commit=on_commit)
+        else:
+            seq = group.delete(key_bytes, on_commit=on_commit)
+        if not any(journaled):
+            seq = self._reroute_straggler(op, key_bytes, document,
                                           shard_id, seq)
-        self._maintain_global(
-            lambda index: index.on_delete(key_bytes, old_document, seq))
+        if op == "put":
+            self._maintain_global(
+                lambda index: index.on_put(key_bytes, document, seq))
+        else:
+            self._maintain_global(
+                lambda index: index.on_delete(key_bytes, old_document, seq))
         return seq
 
-    def _order_after_tail(self, shard_id: int) -> None:
-        """Serialize direct writes to a split's destination behind the
-        journal tail.
-
-        After the ring flips, new writes route straight to the new shard
-        while older writes (routed pre-flip) may still sit in the split's
-        journal with *lower* sequence numbers.  Applying the new write
-        first would make the later tail replay go backwards, so the tail
-        drains now, inside this write's atomic chunk."""
-        if self._migration is not None \
-                and shard_id == self._migration.new_id:
-            self._migration.flush_tail()
-
-    def _sync_with_tail(self) -> None:
-        """Read barrier against an in-flight split's journal tail.
+    def _drain_tail(self, written_shard: int | None = None) -> None:
+        """Barrier against an in-flight split's journal tail.
 
         Post-flip, the destination owns keys whose newest versions may
-        still be journaled (a write routed pre-flip, committed post-flip).
-        Serving the destination's copy before the tail lands would read a
-        stale value — or resurrect a tombstoned record — so every query
-        first drains the tail.  No-op without a registered migration."""
-        if self._migration is not None:
-            self._migration.flush_tail()
+        still be journaled (a write routed pre-flip, committed post-flip),
+        with *lower* sequence numbers than anything applied there since.
+        Serving the destination's copy first would read a stale value —
+        or resurrect a tombstoned record — and applying a direct write
+        first would make the later tail replay go backwards.  So every
+        query, and every write routed to the destination
+        (``written_shard``), first drains the tail inside its own atomic
+        chunk.  No-op without a registered migration."""
+        migration = self._migration
+        if migration is not None \
+                and written_shard in (None, migration.new_id):
+            migration.flush_tail()
 
     def _observe_commit(self, op: str, key_bytes: bytes,
                         document: Document | None, shard_id: int, seq: int,
-                        alloc_log: tuple[tuple[int, int], ...],
-                        journaled: list) -> None:
+                        alloc_log: tuple[tuple[int, int], ...]) -> bool:
         """Journal a commit into the in-flight split, atomically with the
-        commit itself (runs before the fan-out's ack yield point)."""
-        if self._migration is not None \
-                and self._migration.observe(op, key_bytes, document,
-                                            shard_id, seq, alloc_log):
-            journaled.append(True)
+        commit itself (runs before the fan-out's ack yield point);
+        returns whether the split took it."""
+        return self._migration is not None \
+            and self._migration.observe(op, key_bytes, document, shard_id,
+                                        seq, alloc_log)
 
     def _reroute_straggler(self, op: str, key_bytes: bytes,
                            document: Document | None, shard_id: int,
@@ -640,7 +600,7 @@ class ShardedDB:
         # The owner may itself be the source of a newer in-flight split;
         # journal the re-applied write so that split's drains ferry it.
         self._observe_commit(op, key_bytes, document, owner_id, new_seq,
-                             owner.last_alloc_log, [])
+                             owner.last_alloc_log)
         return new_seq
 
     def _maintain_global(self, apply: Callable[[GlobalSecondaryIndex], None]
@@ -671,41 +631,40 @@ class ShardedDB:
     def lookup(self, attribute: str, value: Any, k: int | None = None,
                early_termination: bool = True) -> list[LookupResult]:
         """LOOKUP: one GSI shard (global) or all-shard scatter (local)."""
-        self._check_open()
-        if self._step_hook is not None:
-            self._step_hook(f"read:lookup:{attribute}")
-        self._sync_with_tail()
-        if attribute in self.global_indexes:
-            if attribute in self._dirty_global:
-                self.rebuild_global_index(attribute)
-            return self.global_indexes[attribute].lookup(
-                value, k, early_termination)
-        if attribute not in self.local_attributes:
-            raise InvalidArgumentError(
-                f"no index on attribute {attribute!r}")
-        return self._scatter_gather(
+        return self._query(
+            "lookup", attribute, k,
+            lambda index: index.lookup(value, k, early_termination),
             lambda shard: shard.lookup(attribute, value, k,
-                                       early_termination), k)
+                                       early_termination))
 
     def range_lookup(self, attribute: str, low: Any, high: Any,
                      k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
         """RANGELOOKUP, routed or scattered per the attribute's scope."""
+        return self._query(
+            "rangelookup", attribute, k,
+            lambda index: index.range_lookup(low, high, k,
+                                             early_termination),
+            lambda shard: shard.range_lookup(attribute, low, high, k,
+                                             early_termination))
+
+    def _query(self, label: str, attribute: str, k: int | None,
+               on_global, on_shard) -> list[LookupResult]:
+        """One secondary query: ``on_global`` against the attribute's GSI
+        ring (rebuilt first if dirty), else ``on_shard`` scattered over
+        the data shards' local indexes."""
         self._check_open()
         if self._step_hook is not None:
-            self._step_hook(f"read:rangelookup:{attribute}")
-        self._sync_with_tail()
+            self._step_hook(f"read:{label}:{attribute}")
+        self._drain_tail()
         if attribute in self.global_indexes:
             if attribute in self._dirty_global:
                 self.rebuild_global_index(attribute)
-            return self.global_indexes[attribute].range_lookup(
-                low, high, k, early_termination)
-        if attribute not in self.local_attributes:
+            return on_global(self.global_indexes[attribute])
+        if attribute not in self.manifest.local_indexes:
             raise InvalidArgumentError(
                 f"no index on attribute {attribute!r}")
-        return self._scatter_gather(
-            lambda shard: shard.range_lookup(attribute, low, high, k,
-                                             early_termination), k)
+        return self._scatter_gather(on_shard, k)
 
     def _scatter_gather(self, query, k: int | None) -> list[LookupResult]:
         """Local indexes: ask every shard for its top-K, merge exactly.
@@ -721,16 +680,11 @@ class ShardedDB:
         maps to a distinct record beating it globally), so the filter
         never causes an under-count.
         """
-        ring = self.ring
         merged: list[LookupResult] = []
         for shard_id, group in enumerate(self.data_shards):
             self.data_shards_contacted += 1
-            results = query(group)
-            if self._filter_owned:
-                results = [result for result in results
-                           if ring.shard_of(key_to_bytes(result.key))
-                           == shard_id]
-            merged.extend(results)
+            merged.extend(result for result in query(group)
+                          if self._owns(shard_id, result.key))
         merged.sort(key=lambda r: -r.seq)
         return merged if k is None else merged[:k]
 
@@ -742,18 +696,15 @@ class ShardedDB:
         self._check_open()
         if self._step_hook is not None:
             self._step_hook("read:scan")
-        self._sync_with_tail()
-        ring = self.ring
-        iterators = [self._owned_scan(shard_id, group, low, high, ring)
+        self._drain_tail()
+        iterators = [self._owned_scan(shard_id, group, low, high)
                      for shard_id, group in enumerate(self.data_shards)]
         return heapq.merge(*iterators, key=lambda pair: pair[0])
 
-    def _owned_scan(self, shard_id: int, group: ReplicaSet, low, high, ring):
+    def _owned_scan(self, shard_id: int, group: ReplicaSet, low, high):
         for key, document in group.scan(low, high):
-            if self._filter_owned and \
-                    ring.shard_of(key_to_bytes(key)) != shard_id:
-                continue
-            yield key, document
+            if self._owns(shard_id, key):
+                yield key, document
 
     # -- replication control -----------------------------------------------------
 
@@ -782,8 +733,6 @@ class ShardedDB:
         the most live records) onto a new shard; returns the
         :class:`~repro.dist.migration.ShardSplit` to drive with ``step()``
         / ``run()``."""
-        from repro.dist.migration import ShardSplit
-
         self._check_open()
         if source_id is None:
             counts = self.shard_record_counts()
@@ -818,10 +767,8 @@ class ShardedDB:
         reopens onto the new ring), then the new group joins the shard
         list *before* the ring flips (the old ring never routes to it),
         then one attribute assignment moves ownership."""
-        self._save_topology(
-            splits=self.ring.splits + ((migration.source_id,
-                                        migration.new_id),),
-            in_flight=None, pending_cleanup=True)
+        self._save_topology(splits=migration.next_ring.splits,
+                            in_flight=None, pending_cleanup=True)
         self.data_shards.append(migration.dest)
         self.ring = migration.next_ring
         self.splits_completed += 1
@@ -831,45 +778,16 @@ class ShardedDB:
 
     # -- durable topology --------------------------------------------------------
 
-    def _global_shapes(self) -> dict[str, dict[str, Any]]:
-        """The live GSI ring shapes in manifest form."""
-        from repro.dist.partitioner import RangePartitioner
-
-        shapes: dict[str, dict[str, Any]] = {}
-        for attribute, index in self.global_indexes.items():
-            partitioner = index.partitioner
-            if isinstance(partitioner, RangePartitioner):
-                shapes[attribute] = {
-                    "scheme": "range",
-                    "split_points": [point.hex() for point
-                                     in partitioner.split_points]}
-            else:
-                shapes[attribute] = {"scheme": "hash",
-                                     "shards": partitioner.num_shards}
-        return shapes
-
-    def _snapshot_manifest(self) -> ClusterManifest:
-        """A fresh manifest describing the live topology."""
-        return ClusterManifest(
-            base_shards=self.ring.base_shards,
-            replication_factor=self.replication_factor,
-            splits=self.ring.splits,
-            local_indexes={attribute: kind.value for attribute, kind
-                           in self.local_indexes.items()},
-            global_indexes=self._global_shapes())
-
     def _save_topology(self, **changes: Any) -> None:
-        """Persist the next topology generation (no-op without a
-        ``meta_vfs``).  The in-memory manifest only advances once the
-        save is durable, so a failed write leaves both the file and our
-        view on the previous generation."""
-        if self._meta_vfs is None:
-            return
-        manifest = (self._manifest or self._snapshot_manifest())
-        if changes:
-            manifest = manifest.evolve(**changes)
-        manifest.save(self._meta_vfs)
-        self._manifest = manifest
+        """Move to the next topology generation, persisting it first when
+        there is a ``meta_vfs``: the in-memory manifest only advances
+        once the save is durable, so a failed write leaves both the file
+        and our view on the previous generation."""
+        manifest = self.manifest.evolve(**changes) if changes \
+            else self.manifest
+        if self._meta_vfs is not None:
+            manifest.save(self._meta_vfs)
+        self.manifest = manifest
 
     # -- anti-entropy ------------------------------------------------------------
 
@@ -902,13 +820,10 @@ class ShardedDB:
     def _owned_records(self) -> Iterator[tuple[bytes, Document, int]]:
         """Every live record the current ring assigns to its shard —
         the authoritative dataset GSI rebuilds replay."""
-        ring = self.ring
         for shard_id, group in enumerate(self.data_shards):
             for key_bytes, value, seq in group.primary.scan_with_seq():
-                if self._filter_owned and \
-                        ring.shard_of(key_bytes) != shard_id:
-                    continue
-                yield key_bytes, decode_document(value), seq
+                if self._owns(shard_id, key_bytes):
+                    yield key_bytes, decode_document(value), seq
 
     def rebuild_global_index(self, attribute: str) -> int:
         """Rebuild one GSI ring from the (authoritative) data shards.
@@ -952,17 +867,9 @@ class ShardedDB:
 
     def shard_record_counts(self) -> list[int]:
         """Live *owned* records per shard (balance check)."""
-        ring = self.ring
-        counts = []
-        for shard_id, group in enumerate(self.data_shards):
-            count = 0
-            for key_bytes, _value in group.primary.scan():
-                if self._filter_owned and \
-                        ring.shard_of(key_bytes) != shard_id:
-                    continue
-                count += 1
-            counts.append(count)
-        return counts
+        return [sum(self._owns(shard_id, key_bytes)
+                    for key_bytes, _value in group.primary.scan())
+                for shard_id, group in enumerate(self.data_shards)]
 
     def verify_integrity(self) -> dict[str, Any]:
         """Integrity reports for every replica table in the cluster."""
@@ -979,7 +886,7 @@ class ShardedDB:
         migration = self._migration
         return {
             "num_shards": len(self.data_shards),
-            "replication_factor": self.replication_factor,
+            "replication_factor": self.manifest.replication_factor,
             "ring": {"base_shards": self.ring.base_shards,
                      "splits": list(self.ring.splits)},
             "last_sequence": self.oracle.last_allocated,
@@ -989,11 +896,11 @@ class ShardedDB:
             "migration": None if migration is None else migration.status(),
             "global_indexes": sorted(self.global_indexes),
             "dirty_global_indexes": self.dirty_global_indexes(),
-            "topology": None if self._manifest is None else {
+            "topology": None if self._meta_vfs is None else {
                 "durable": True,
-                "epoch": self._manifest.epoch,
-                "in_flight": self._manifest.in_flight,
-                "pending_cleanup": self._manifest.pending_cleanup,
+                "epoch": self.manifest.epoch,
+                "in_flight": self.manifest.in_flight,
+                "pending_cleanup": self.manifest.pending_cleanup,
             },
         }
 
@@ -1029,6 +936,4 @@ class ShardedDB:
 
     def _check_open(self) -> None:
         if self._closed:
-            from repro.lsm.errors import DBClosedError
-
             raise DBClosedError("cluster is closed")

@@ -43,9 +43,9 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.core.records import Document
-from repro.dist.replication import ReplicaSet, SequenceChannel
+from repro.dist.replication import ReplicaSet, SequenceChannel, purge_files
 from repro.lsm.errors import LSMError
-from repro.lsm.vfs import VFS, MemoryVFS
+from repro.lsm.vfs import VFS
 
 
 class MigrationError(LSMError):
@@ -72,7 +72,7 @@ class ShardSplit:
     """
 
     def __init__(self, cluster, source_id: int,
-                 vfs_factory: Callable[[int], VFS] | None = None) -> None:
+                 vfs_factory: Callable[[int], VFS]) -> None:
         if not 0 <= source_id < len(cluster.data_shards):
             raise MigrationError(f"no shard {source_id} to split")
         if cluster._migration is not None:
@@ -82,7 +82,7 @@ class ShardSplit:
         self.new_id = len(cluster.data_shards)
         self.dest_name = f"shard-{self.new_id}"
         self.next_ring = cluster.ring.with_split(source_id, self.new_id)
-        self._vfs_factory = vfs_factory or (lambda _replica_id: MemoryVFS())
+        self._vfs_factory = vfs_factory
         self.phase = "prepare"
         self.journal: list[JournalEntry] = []
         self.dest: ReplicaSet | None = None
@@ -168,7 +168,7 @@ class ShardSplit:
         options = replace(source.options, sequence_oracle=channel.allocate)
         name = self.dest_name
         self.dest_vfs = [self._vfs_factory(replica_id) for replica_id
-                         in range(self.cluster.replication_factor)]
+                         in range(self.cluster.manifest.replication_factor)]
         for vfs in self.dest_vfs:
             leader.db.checkpoint(vfs, name)
         self.dest = ReplicaSet.open_replicated(
@@ -210,20 +210,8 @@ class ShardSplit:
         # committed (and journaled) after the flip-chunk drain; replay
         # that last tail before deciding what is a purgeable stray.
         self._drain_once()
-        source = self.cluster.data_shards[self.source_id]
-        moved = [key for key, _value, _seq
-                 in source.primary.scan_with_seq()
-                 if self.next_ring.shard_of(key) == self.new_id]
-        for key in moved:
-            source.apply_local("delete", key, None)
-        unmoved = [key for key, _value, _seq
-                   in self.dest.primary.scan_with_seq()
-                   if self.next_ring.shard_of(key) != self.new_id]
-        for key in unmoved:
-            self.dest.apply_local("delete", key, None)
-        source.flush()
-        self.dest.flush()
-        self.purged = (len(moved), len(unmoved))
+        self.purged = self.cluster._purge_strays((self.source_id,
+                                                   self.new_id))
         # Only now stop observing: any later straggler is re-routed by
         # the write path itself (it sees no in-flight migration).
         self.cluster._unregister_migration(self)
@@ -247,12 +235,10 @@ class ShardSplit:
         if self.dest is not None:
             self.dest.close()
             self.dest = None
-        # Scope the purge to the destination shard's name prefix: a drill
-        # may host every shard (and the cluster manifest) on one shared
-        # filesystem, and every file the split created lives under it.
+        # Every file the split created lives under the destination
+        # shard's name prefix.
         for vfs in self.dest_vfs:
-            for name in list(vfs.list_dir(self.dest_name + "/")):
-                vfs.delete_if_exists(name)
+            purge_files(vfs, self.dest_name)
         self.journal.clear()
         if self.phase != "aborted":
             # Files first, intent last: a crash in between re-purges the

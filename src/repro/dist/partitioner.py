@@ -40,6 +40,10 @@ class HashPartitioner:
         """Hashing scatters ranges: every shard may hold in-range keys."""
         return list(range(self.num_shards))
 
+    def shape(self) -> dict:
+        """The partitioner as plain data (see :func:`partitioner_from_shape`)."""
+        return {"scheme": "hash", "shards": self.num_shards}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HashPartitioner(num_shards={self.num_shards})"
 
@@ -108,11 +112,6 @@ class SplitHashRing:
         return SplitHashRing(self.base_shards,
                              self.splits + ((parent, new_id),))
 
-    def state(self) -> dict:
-        """The ring as plain data — what the cluster manifest persists."""
-        return {"base_shards": self.base_shards,
-                "splits": [list(pair) for pair in self.splits]}
-
     @classmethod
     def from_state(cls, base_shards: int,
                    splits: "tuple[tuple[int, int], ...] | list" = ()
@@ -158,5 +157,23 @@ class RangePartitioner:
         last = self.shard_of(high)
         return list(range(first, last + 1))
 
+    def shape(self) -> dict:
+        """The partitioner as plain data (see :func:`partitioner_from_shape`)."""
+        return {"scheme": "range",
+                "split_points": [point.hex() for point in self.split_points]}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RangePartitioner(num_shards={self.num_shards})"
+
+
+def partitioner_from_shape(shape) -> HashPartitioner | RangePartitioner:
+    """Inverse of ``shape()``: the one place that reads the dialect the
+    cluster manifest stores a global index ring in.  Raises ``ValueError``
+    / ``KeyError`` / ``TypeError`` for anything ``shape()`` cannot have
+    written."""
+    if shape["scheme"] == "hash":
+        return HashPartitioner(int(shape["shards"]))
+    if shape["scheme"] == "range":
+        return RangePartitioner([bytes.fromhex(point)
+                                 for point in shape["split_points"]])
+    raise ValueError(f"unknown partitioning scheme {shape['scheme']!r}")

@@ -18,8 +18,9 @@ fresh self-contained manifest) before it serves again.
 
 The same channel log powers migration (:mod:`repro.dist.migration`): a
 journaled write carries its leader's allocation log, so replaying the WAL
-tail onto a destination shard reproduces the exact sequence numbers the
-source assigned — cross-shard top-K merges stay exact through a split.
+tail onto a destination shard — the same fan-out loop, every replica a
+follower of the recorded write — reproduces the exact sequence numbers
+the source assigned; cross-shard top-K merges stay exact through a split.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ class NoReplicaError(ReplicationError):
 
 class ReplicaDivergenceError(ReplicationError):
     """A replica produced a different sequence than its leader recorded."""
+
+
+def purge_files(vfs: VFS, name: str) -> None:
+    """Delete every file of the shard copy ``name`` on ``vfs`` (other
+    shards — and the cluster manifest — may share the filesystem)."""
+    for file_name in list(vfs.list_dir(name + "/")):
+        vfs.delete_if_exists(file_name)
 
 
 class SequenceChannel:
@@ -120,8 +128,8 @@ class Replica:
     def __init__(self, replica_id: int, vfs: VFS | None,
                  db: SecondaryIndexedDB) -> None:
         self.replica_id = replica_id
-        #: The replica's private filesystem (``None`` for the legacy
-        #: RF=1 in-memory layout, which cannot be killed and revived).
+        #: The replica's private filesystem (``None`` for the RF=1
+        #: in-memory layout, which cannot be killed and revived).
         self.vfs = vfs
         self.db = db
         self.state = UP
@@ -161,21 +169,7 @@ class ReplicaSet:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def open_legacy(cls, shard_id: int, indexes: Mapping[str, IndexKind],
-                    options: Options, channel: SequenceChannel,
-                    step_hook: Callable[[str], None] | None = None
-                    ) -> "ReplicaSet":
-        """The pre-replication layout: one in-memory replica whose index
-        tables each sit on their own metered VFS (the paper's per-table
-        I/O accounting).  Behaviour-identical to the old static ring."""
-        name = f"shard-{shard_id}"
-        db = SecondaryIndexedDB.open_memory(indexes=indexes, options=options,
-                                            name=name)
-        return cls(shard_id, name, [Replica(0, None, db)], channel,
-                   indexes, options, step_hook)
-
-    @classmethod
-    def open_replicated(cls, shard_id: int, vfs_list: list[VFS],
+    def open_replicated(cls, shard_id: int, vfs_list: list[VFS | None],
                         indexes: Mapping[str, IndexKind], options: Options,
                         channel: SequenceChannel,
                         step_hook: Callable[[str], None] | None = None,
@@ -183,11 +177,17 @@ class ReplicaSet:
         """Open one replica per VFS (shared by that replica's tables so the
         whole copy can be checkpoint-reseeded and reopened).  A VFS that
         already holds a checkpoint recovers it — migration uses this to
-        open destination replicas over shipped SSTables."""
+        open destination replicas over shipped SSTables.  A ``None`` VFS
+        opens an in-memory replica whose index tables each sit on their
+        own metered VFS (the paper's per-table I/O accounting); it cannot
+        be killed and revived."""
         name = name or f"shard-{shard_id}"
         replicas = []
         for replica_id, vfs in enumerate(vfs_list):
-            db = SecondaryIndexedDB.open(vfs, name, indexes, options)
+            if vfs is None:
+                db = SecondaryIndexedDB.open_memory(indexes, options, name)
+            else:
+                db = SecondaryIndexedDB.open(vfs, name, indexes, options)
             replicas.append(Replica(replica_id, vfs, db))
         return cls(shard_id, name, replicas, channel, indexes, options,
                    step_hook)
@@ -264,9 +264,15 @@ class ReplicaSet:
     def _apply(self, op: str, key: bytes, document: Document | None,
                hooked: bool,
                on_commit: Callable[[int, tuple[tuple[int, int], ...]], None]
-               | None = None) -> int:
-        result: int | None = None
-        log: tuple[tuple[int, int], ...] | None = None
+               | None = None,
+               log: tuple[tuple[int, int], ...] | None = None,
+               result: int | None = None) -> int:
+        """The one fan-out loop.  Without ``log`` the first live replica
+        leads (its allocations are recorded) and the rest follow; with
+        ``log`` and ``result`` given — a journaled write — every replica
+        follows that recording."""
+        replayed = log is not None
+        applied = False
         try:
             for replica in self.replicas:
                 if replica.state != UP:
@@ -290,14 +296,16 @@ class ReplicaSet:
                             f"{replica.replica_id}: {op} returned seq "
                             f"{echoed}, leader recorded {result}")
                 replica.applied += 1
+                applied = True
         except BaseException:
             self.channel.abandon()
             raise
-        if log is None:
+        if not applied:
             raise NoReplicaError(
                 f"shard {self.shard_id}: no live replica; {op} not acked")
         self.ops_applied += 1
-        self.last_alloc_log = log
+        if not replayed:
+            self.last_alloc_log = log
         if on_commit is not None:
             # Runs inside the commit's atomic chunk, *before* the ack
             # yield point: a migration journaling this write can never
@@ -313,29 +321,8 @@ class ReplicaSet:
                        expected_seq: int) -> int:
         """Replay a journaled write (migration WAL tail) on every live
         replica against the originating leader's allocation log."""
-        applied = False
-        try:
-            for replica in self.replicas:
-                if replica.state != UP:
-                    continue
-                self.channel.start_replay(alloc_log)
-                seq = self._invoke(replica, op, key, document)
-                self.channel.finish_replay()
-                if seq != expected_seq:
-                    raise ReplicaDivergenceError(
-                        f"shard {self.shard_id} replica "
-                        f"{replica.replica_id}: replayed {op} returned seq "
-                        f"{seq}, journal recorded {expected_seq}")
-                replica.applied += 1
-                applied = True
-        except BaseException:
-            self.channel.abandon()
-            raise
-        if not applied:
-            raise NoReplicaError(
-                f"shard {self.shard_id}: no live replica for replay")
-        self.ops_applied += 1
-        return expected_seq
+        return self._apply(op, key, document, hooked=False, log=alloc_log,
+                           result=expected_seq)
 
     # -- reads -------------------------------------------------------------
 
@@ -418,8 +405,7 @@ class ReplicaSet:
                 replica.db.close()
             except Exception:  # noqa: BLE001 - superseded copy
                 pass
-        for name in list(replica.vfs.list_dir(self.name + "/")):
-            replica.vfs.delete_if_exists(name)
+        purge_files(replica.vfs, self.name)
         source.db.checkpoint(replica.vfs, self.name)
         replica.db = SecondaryIndexedDB.open(replica.vfs, self.name,
                                              self.indexes, self.options)

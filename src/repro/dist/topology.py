@@ -1,18 +1,20 @@
-"""Durable cluster topology: the CLUSTER manifest.
+"""The cluster's topology: the CLUSTER manifest.
 
-Everything *inside* a shard replica is already durable — each engine
-persists its own MANIFEST and WAL and recovers them on open.  What was
-not durable (DESIGN.md §12, before this change) is the topology *above*
-the shards: the :class:`~repro.dist.partitioner.SplitHashRing` split
-list, the replica-set shape, and the global-index ring shapes all lived
-only in process memory, so a durable cluster reopened at the base shard
-count silently served just the unmoved keys.
+Everything *inside* a shard replica is durable on its own — each engine
+persists its MANIFEST and WAL and recovers them on open.
+:class:`ClusterManifest` describes what sits *above* the shards — the
+:class:`~repro.dist.partitioner.SplitHashRing` split list, the
+replica-set shape, the local index kinds and the global-index ring
+shapes — and is the only thing :class:`~repro.dist.cluster.ShardedDB` is
+built from: ``open`` arguments are turned into one, a CLUSTER file is
+decoded into one, and both pass the same validation
+(:meth:`ClusterManifest.__post_init__`).
 
-:class:`ClusterManifest` is the fix: a tiny JSON document with a CRC32
-header, written with the same atomic temp-file + fsync + rename protocol
-as the shard-level ``CURRENT`` file (§6) — a crash during any write
-leaves either the old or the new manifest, never a torn one.  The
-manifest also carries the two-phase split protocol:
+On disk it is a tiny JSON document with a CRC32 header, written with the
+same atomic temp-file + fsync + rename protocol as the shard-level
+``CURRENT`` file (§6) — a crash during any write leaves either the old
+or the new manifest, never a torn one.  The manifest also carries the
+two-phase split protocol:
 
 * ``in_flight = [source, new_id]`` is written **before** the first
   destination file exists (split *intent*).  A reopen that finds an
@@ -25,10 +27,8 @@ manifest also carries the two-phase split protocol:
   lands on the new topology and re-runs the (idempotent) stray purge.
 * cleanup's last act clears ``pending_cleanup``.
 
-``epoch`` increments on every save, so drills (and operators reading the
-file) can order topology generations; ``replication_factor`` and the
-index shapes let :meth:`ShardedDB.open` reconstruct the whole cluster
-from the manifest alone, without the caller re-specifying anything.
+``epoch`` increments on every evolve, so drills (and operators reading
+the file) can order topology generations.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-from repro.lsm.errors import CorruptionError
+from repro.core.base import IndexKind
+from repro.dist.partitioner import SplitHashRing, partitioner_from_shape
+from repro.lsm.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.vfs import VFS, Category
 
 __all__ = [
@@ -82,6 +84,22 @@ class ClusterManifest:
     #: "shards": N} | {"scheme": "range", "split_points": [hex, ...]}}``.
     global_indexes: Mapping[str, Mapping[str, Any]] = \
         field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        """Reject a topology no cluster can be built from.  Arguments
+        (``ShardedDB.open``) and file (:meth:`decode`, which re-raises as
+        ``CorruptionError``) share this one check."""
+        if self.replication_factor < 1:
+            raise InvalidArgumentError("replication_factor must be >= 1")
+        try:
+            SplitHashRing.from_state(self.base_shards, self.splits)
+            for kind in self.local_indexes.values():
+                IndexKind(kind)
+            for shape in self.global_indexes.values():
+                partitioner_from_shape(shape)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidArgumentError(
+                f"invalid cluster topology: {exc!r}") from exc
 
     @property
     def num_shards(self) -> int:

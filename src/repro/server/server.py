@@ -185,8 +185,8 @@ class Server:
         self._dedup: OrderedDict[str, _DedupWindow] = OrderedDict()
         self._dedup_lock = threading.Lock()
         # -- engine binding -------------------------------------------------
+        self.db = db
         if isinstance(db, DB):
-            self.db = db
             self._primary = db
             self._indexed = None
             # The pipeline engine takes concurrent writers natively (group
@@ -195,20 +195,12 @@ class Server:
             self._lock: threading.Lock | None = \
                 None if db.options.background_compaction \
                 else threading.Lock()
-        elif hasattr(db, "data_shards"):
-            # ShardedDB (duck-typed): the cluster facade expects one
-            # mutating call at a time (replica fan-out + GSI maintenance),
-            # so every op serializes behind the dispatch lock.
-            self.db = db
-            self._primary = None
-            self._indexed = db
-            self._lock = threading.Lock()
         else:
-            # SecondaryIndexedDB (duck-typed): index maintenance and
-            # validation are not concurrency-safe, so every op serializes,
-            # whatever the primary table's pipeline setting.
-            self.db = db
-            self._primary = db.primary
+            # SecondaryIndexedDB or ShardedDB (duck-typed; the cluster has
+            # no one primary table).  Index maintenance, validation and
+            # the cluster's replica fan-out expect one call at a time, so
+            # every op serializes, whatever the tables' pipeline setting.
+            self._primary = getattr(db, "primary", None)
             self._indexed = db
             self._lock = threading.Lock()
         self._step_hook = self._primary.options.step_hook \

@@ -27,6 +27,7 @@ import argparse
 import cProfile
 import pstats
 import sys
+from dataclasses import replace
 from typing import IO
 
 from repro.lsm.checker import verify_integrity
@@ -203,8 +204,8 @@ def _profile_target(workload: str, ops: int):
 
     Setup (data loading, flushes) happens *outside* the profiled region so
     the report shows the operation's own hot path, not the build phase.
-    Geometry matches ``benchmarks/bench_engine_micro.py`` so conclusions
-    carry over to the BENCH numbers.
+    Table geometry is the paper's (``bench/engines.py`` ``PAPER_GEOMETRY``) so
+    conclusions carry over to the ``bench/`` numbers.
     """
     from repro.lsm.db import DB
 
@@ -324,12 +325,14 @@ def cmd_serve(directory: str, name: str, out: IO[str], host: str,
 
     from repro.server import Server
 
+    options = Options(sync_writes=sync,
+                      compaction_processes=compaction_processes,
+                      shm_cache_bytes=shm_cache_bytes)
+    index_map = _parse_index_map(indexes, out) if indexes else {}
+    if index_map is None:
+        return 2
     if shards:
         from repro.dist.cluster import ShardedDB
-
-        index_map = _parse_index_map(indexes, out) if indexes else {}
-        if index_map is None:
-            return 2
 
         def shard_vfs(shard_id: int, replica_id: int) -> LocalVFS:
             return LocalVFS(_os.path.join(
@@ -337,30 +340,16 @@ def cmd_serve(directory: str, name: str, out: IO[str], host: str,
 
         db: object = ShardedDB.open(
             shard_vfs, num_shards=shards, replication_factor=replication,
-            local_indexes=index_map,
-            options=Options(sync_writes=sync,
-                            compaction_processes=compaction_processes,
-                            shm_cache_bytes=shm_cache_bytes),
+            local_indexes=index_map, options=options,
             meta_vfs=LocalVFS(_os.path.join(directory, f"{name}-cluster")))
-        closer = db.close
     elif indexes:
         from repro.core.database import SecondaryIndexedDB
 
-        index_map = _parse_index_map(indexes, out)
-        if index_map is None:
-            return 2
-        db = SecondaryIndexedDB.open(
-            LocalVFS(directory), name, indexes=index_map,
-            options=Options(sync_writes=sync,
-                            compaction_processes=compaction_processes,
-                            shm_cache_bytes=shm_cache_bytes))
-        closer = db.close
+        db = SecondaryIndexedDB.open(LocalVFS(directory), name,
+                                     indexes=index_map, options=options)
     else:
         db = _open(directory, name,
-                   Options(sync_writes=sync, background_compaction=True,
-                           compaction_processes=compaction_processes,
-                           shm_cache_bytes=shm_cache_bytes))
-        closer = db.close
+                   replace(options, background_compaction=True))
     server = Server(db, host=host, port=port)
     stop = _threading.Event()
     previous_handler = None
@@ -384,10 +373,10 @@ def cmd_serve(directory: str, name: str, out: IO[str], host: str,
     finally:
         # Graceful drain on every exit path: every fully received
         # request is executed and answered before the threads join, so
-        # acked writes reach the engine before closer() makes them
+        # acked writes reach the engine before close() makes them
         # durable on disk.
         server.close(drain=True)
-        closer()
+        db.close()
         if previous_handler is not None:
             try:
                 _signal.signal(_signal.SIGTERM, previous_handler)

@@ -22,7 +22,6 @@ from repro.workloads.generator import (
 )
 from repro.workloads.ops import Delete, Get, Lookup, Put, RangeLookup
 from repro.workloads.runner import (
-    LatencyRecorder,
     RunReport,
     WorkloadRunner,
     nearest_rank_index,
@@ -32,7 +31,6 @@ from repro.workloads.tweets import SeedProfile, TweetGenerator
 __all__ = [
     "Delete",
     "Get",
-    "LatencyRecorder",
     "Lookup",
     "MIXED_RATIOS",
     "MixedWorkload",

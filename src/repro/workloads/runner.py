@@ -34,71 +34,6 @@ def nearest_rank_index(fraction: float, n: int) -> int:
     return min(n - 1, max(0, math.ceil(fraction * n) - 1))
 
 
-class LatencyRecorder:
-    """Thread-safe latency accumulator with nearest-rank percentiles.
-
-    One recorder per operation type (or per whatever slice is being
-    measured); many client threads may :meth:`record` into it
-    concurrently.  Shared by :class:`WorkloadRunner` and the server
-    benchmark so every latency number in the repo is computed one way.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._seconds: list[float] = []
-
-    def record(self, seconds: float) -> None:
-        with self._lock:
-            self._seconds.append(seconds)
-
-    def record_many(self, seconds: Iterable[float]) -> None:
-        values = list(seconds)
-        with self._lock:
-            self._seconds.extend(values)
-
-    def merge(self, other: "LatencyRecorder") -> None:
-        self.record_many(other.snapshot())
-
-    def snapshot(self) -> list[float]:
-        with self._lock:
-            return list(self._seconds)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._seconds)
-
-    def mean_micros(self) -> float:
-        with self._lock:
-            if not self._seconds:
-                return 0.0
-            return sum(self._seconds) * 1e6 / len(self._seconds)
-
-    def percentile_micros(self, fraction: float) -> float:
-        """Nearest-rank percentile (e.g. ``0.99``) in microseconds."""
-        with self._lock:
-            if not self._seconds:
-                return 0.0
-            ordered = sorted(self._seconds)
-        return ordered[nearest_rank_index(fraction, len(ordered))] * 1e6
-
-    def summary_micros(self,
-                       fractions: tuple[float, ...] = (0.5, 0.99)) -> dict:
-        """``{"count", "mean_micros", "p50_micros", ...}`` in one pass."""
-        with self._lock:
-            ordered = sorted(self._seconds)
-        summary: dict[str, float | int] = {"count": len(ordered)}
-        if not ordered:
-            summary["mean_micros"] = 0.0
-            for fraction in fractions:
-                summary[f"p{round(fraction * 100)}_micros"] = 0.0
-            return summary
-        summary["mean_micros"] = sum(ordered) * 1e6 / len(ordered)
-        for fraction in fractions:
-            summary[f"p{round(fraction * 100)}_micros"] = \
-                ordered[nearest_rank_index(fraction, len(ordered))] * 1e6
-        return summary
-
-
 @dataclass
 class Sample:
     """One point of the time series recorded during a run."""

@@ -204,6 +204,74 @@ class TestSplitInterleavings:
         assert list(replay_sched.decisions) == list(first_sched.decisions)
 
 
+class TestOwnershipAtEveryPhase:
+    def test_stepped_split_shows_each_record_once(self):
+        """Drive a split with ``step()`` and write between the chunks:
+        after every chunk the four consumers of the ownership rule — the
+        scan, the local-index scatter, the balance counts and the GSI
+        rebuild — each see exactly the oracle's live set, although source
+        and destination both hold copies from the copy chunk to cleanup.
+        """
+        cluster = ShardedDB.open_memory(
+            num_shards=2, replication_factor=2,
+            local_indexes={"UserID": IndexKind.LAZY},
+            global_indexes=("Tag",), options=_options())
+        ring = SplitHashRing(2)
+        others = [key for key in (f"o{i:03d}" for i in range(200))
+                  if ring.shard_of(key.encode()) == 1][:4]
+        live = {}
+
+        def put(key, n):
+            live[key] = {"UserID": f"u{n % 3}", "Tag": f"t{n % 2}", "n": n}
+            cluster.put(key, live[key])
+
+        def delete(key):
+            live.pop(key, None)
+            cluster.delete(key)
+
+        def check(phase):
+            assert dict(cluster.scan()) == live, phase
+            scattered = [result.key for value in ("u0", "u1", "u2")
+                         for result in cluster.lookup(
+                             "UserID", value, early_termination=False)]
+            assert sorted(scattered) == sorted(live), phase
+            assert sum(cluster.shard_record_counts()) == len(live), phase
+            assert cluster.rebuild_global_index("Tag") == len(live), phase
+            tagged = [result.key for value in ("t0", "t1")
+                      for result in cluster.lookup(
+                          "Tag", value, early_termination=False)]
+            assert sorted(tagged) == sorted(live), phase
+
+        for n, key in enumerate(MOVING[:3] + STAYING[:3] + others):
+            put(key, n)
+        # One batch per chunk boundary: new, overwritten and deleted keys
+        # on both sides of the split, and on the shard it leaves alone.
+        batches = [
+            [(put, MOVING[3], 20), (put, STAYING[0], 21)],
+            [(put, MOVING[0], 22), (delete, STAYING[1])],
+            [(delete, MOVING[1]), (put, STAYING[3], 23), (put, others[0], 24)],
+            [(put, MOVING[1], 25), (delete, MOVING[2]), (delete, others[1])],
+            [(put, STAYING[1], 26), (put, MOVING[2], 27),
+             (delete, MOVING[3]), (put, STAYING[2], 28)],
+        ]
+        split = cluster.begin_split(0)
+        phases = []
+        more = True
+        while more:
+            more = split.step()
+            phases.append(split.phase)
+            for operation, *arguments in batches.pop(0) if batches else ():
+                operation(*arguments)
+            check(f"after {phases}")
+        assert not batches, "the split finished before every batch ran"
+        assert {"copy", "drain", "flip", "cleanup", "done"} <= set(phases)
+        assert split.replayed > 0
+        assert sum(split.purged) > 0
+        report = cluster.verify_integrity()
+        assert all(r.ok for r in report.values())
+        cluster.close()
+
+
 class TestSplitCrashDrills:
     def _probe_clean_ops(self):
         cluster = _open_cluster()

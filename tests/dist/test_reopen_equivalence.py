@@ -47,6 +47,7 @@ class TestReopenAfterSplit:
         _apply_workload(cluster, seed=6, num_ops=80)
         expected = _answers(cluster)
         shards_before = len(cluster.data_shards)
+        manifest_before = cluster.manifest
         cluster.close()
 
         # Reopen through the manifest alone: topology arguments are
@@ -56,6 +57,7 @@ class TestReopenAfterSplit:
         try:
             assert len(reopened.data_shards) == shards_before == 3
             assert reopened.ring.splits == ((0, 2),)
+            assert reopened.manifest == manifest_before
             assert _answers(reopened) == expected
             report = reopened.verify_integrity()
             assert all(r.ok for r in report.values())

@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.core.base import IndexKind
+from repro.dist import ShardedDB
 from repro.dist.topology import (
     CLUSTER_FILE,
     CLUSTER_TMP_FILE,
     ClusterManifest,
     load_cluster_manifest,
 )
-from repro.lsm.errors import CorruptionError
+from repro.lsm.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.vfs import Category, MemoryVFS
 
 
@@ -140,3 +142,83 @@ class TestDurableInstallation:
         stranded.close()
         assert load_cluster_manifest(vfs) is None
         assert not vfs.exists(CLUSTER_TMP_FILE)
+
+
+def _crc_valid_file(**overrides) -> bytes:
+    """A CLUSTER file whose CRC checks out but whose fields were edited."""
+    import json
+    import zlib
+    payload = ClusterManifest(base_shards=2).encode().split(b"\n", 1)[1]
+    doc = {**json.loads(payload), **overrides}
+    payload = json.dumps(doc, sort_keys=True,
+                         separators=(",", ":")).encode()
+    return b"crc32:%08x\n" % zlib.crc32(payload) + payload
+
+
+class TestSemanticValidation:
+    """A CRC-valid manifest no cluster can be built from is corruption —
+    not a bare KeyError/ValueError out of ``ShardedDB.open``."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"global_indexes": {"UserID": {"scheme": "bogus"}}},
+        {"global_indexes": {"UserID": {"scheme": "range"}}},
+        {"splits": [[7, 2]]},
+        {"local_indexes": {"UserID": "btree"}},
+        {"replication_factor": 0},
+    ], ids=["unknown-scheme", "range-without-points", "split-of-no-shard",
+            "unknown-index-kind", "zero-replicas"])
+    def test_open_reports_corruption(self, overrides):
+        meta = MemoryVFS()
+        meta.write_whole(CLUSTER_FILE, _crc_valid_file(**overrides))
+        with pytest.raises(CorruptionError, match="field error"):
+            ShardedDB.open(lambda _shard, _replica: MemoryVFS(),
+                           meta_vfs=meta)
+
+    def test_same_rules_reject_arguments(self):
+        with pytest.raises(InvalidArgumentError):
+            ClusterManifest(base_shards=2, replication_factor=0)
+        with pytest.raises(InvalidArgumentError):
+            ClusterManifest(base_shards=2, splits=((7, 2),))
+
+
+class TestGoldenBytes:
+    """The exact CLUSTER bytes of a fresh cluster and of the same cluster
+    after one split — epochs included: the number of manifest generations
+    a split writes is part of the drilled protocol."""
+
+    FRESH = (
+        b'crc32:4e4bca63\n{"base_shards":2,"epoch":1,"global_indexes":'
+        b'{"Time":{"scheme":"range","split_points":["6ec024000000000000",'
+        b'"6ec034000000000000"]}},"in_flight":null,"local_indexes":'
+        b'{"UserID":"lazy"},"magic":"repro-cluster-v1","pending_cleanup":'
+        b'false,"replication_factor":2,"splits":[]}')
+    SPLIT = (
+        b'crc32:227beea3\n{"base_shards":2,"epoch":4,"global_indexes":'
+        b'{"Time":{"scheme":"range","split_points":["6ec024000000000000",'
+        b'"6ec034000000000000"]}},"in_flight":null,"local_indexes":'
+        b'{"UserID":"lazy"},"magic":"repro-cluster-v1","pending_cleanup":'
+        b'false,"replication_factor":2,"splits":[[0,2]]}')
+
+    def test_fresh_and_split_cluster_files(self):
+        meta = MemoryVFS()
+        replicas: dict = {}
+
+        def factory(shard_id, replica_id):
+            return replicas.setdefault((shard_id, replica_id), MemoryVFS())
+
+        cluster = ShardedDB.open(
+            factory, num_shards=2, replication_factor=2,
+            local_indexes={"UserID": IndexKind.LAZY},
+            global_indexes=("Time",),
+            global_split_points={"Time": [10, 20]}, meta_vfs=meta)
+        assert meta.read_whole(CLUSTER_FILE) == self.FRESH
+        cluster.split_shard()
+        assert meta.read_whole(CLUSTER_FILE) == self.SPLIT
+        cluster.close()
+
+        reopened = ShardedDB.open(factory, meta_vfs=meta)
+        assert reopened.manifest == ClusterManifest.decode(self.SPLIT)
+        assert reopened.ring.splits == ((0, 2),)
+        assert len(reopened.data_shards) == 3
+        assert meta.read_whole(CLUSTER_FILE) == self.SPLIT
+        reopened.close()

@@ -8,7 +8,7 @@ from repro.lsm.options import Options
 from repro.workloads.generator import MIXED_RATIOS, MixedWorkload
 from repro.workloads.ops import Delete, Get, Lookup, Put, RangeLookup
 from repro.workloads.runner import (
-    LatencyRecorder,
+    ConcurrentRunReport,
     WorkloadRunner,
     nearest_rank_index,
 )
@@ -159,9 +159,9 @@ class TestNearestRankIndex:
         # The regression this pins: ``int(0.5 * 2)`` is 1 (the larger
         # sample); nearest rank says ceil(0.5 * 2) = rank 1, index 0.
         assert nearest_rank_index(0.5, 2) == 0
-        recorder = LatencyRecorder()
-        recorder.record_many([2e-6, 1e-6])
-        assert recorder.percentile_micros(0.5) == pytest.approx(1.0)
+        report = ConcurrentRunReport(threads=1, wall_seconds=1.0,
+                                     latencies_by_op={"get": [2e-6, 1e-6]})
+        assert report.percentile_micros("get", 0.5) == pytest.approx(1.0)
 
     def test_textbook_ranks(self):
         assert nearest_rank_index(0.5, 1) == 0
@@ -177,49 +177,3 @@ class TestNearestRankIndex:
         for fraction in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 nearest_rank_index(fraction, 10)
-
-
-class TestLatencyRecorder:
-    def test_percentiles_and_mean(self):
-        recorder = LatencyRecorder()
-        recorder.record_many(s * 1e-6 for s in range(100, 0, -1))
-        assert len(recorder) == 100
-        assert recorder.percentile_micros(0.5) == pytest.approx(50.0)
-        assert recorder.percentile_micros(0.99) == pytest.approx(99.0)
-        assert recorder.percentile_micros(1.0) == pytest.approx(100.0)
-        assert recorder.mean_micros() == pytest.approx(50.5)
-
-    def test_empty_recorder_reports_zero(self):
-        recorder = LatencyRecorder()
-        assert recorder.mean_micros() == 0.0
-        assert recorder.percentile_micros(0.99) == 0.0
-        assert recorder.summary_micros() == {
-            "count": 0, "mean_micros": 0.0,
-            "p50_micros": 0.0, "p99_micros": 0.0}
-
-    def test_merge_and_summary(self):
-        left, right = LatencyRecorder(), LatencyRecorder()
-        left.record(1e-6)
-        right.record(3e-6)
-        left.merge(right)
-        summary = left.summary_micros()
-        assert summary["count"] == 2
-        assert summary["mean_micros"] == pytest.approx(2.0)
-        assert summary["p50_micros"] == pytest.approx(1.0)
-        assert summary["p99_micros"] == pytest.approx(3.0)
-
-    def test_concurrent_recording(self):
-        import threading
-
-        recorder = LatencyRecorder()
-
-        def worker():
-            for _ in range(500):
-                recorder.record(1e-6)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(recorder) == 2000
