@@ -12,7 +12,9 @@ Index, LOOKUP needs to traverse all levels to find top-k entries": because
 compaction picks files round-robin by key range, composite keys of one
 attribute value are *not* time-ordered across levels, so no early
 termination is possible — the reason Lazy wins at small K and Composite
-wins as K grows (Figure 10).
+wins as K grows (Figure 10).  The entries carry their write sequence, so
+the scan's candidates are ranked first and only a K prefix is validated
+(:meth:`repro.core.validity.ValidityChecker.harvest`, batched GETs).
 
 The composite key uses an order-preserving escape of the attribute
 encoding (``0x00`` → ``0x00 0xFF``; terminator ``0x00 0x00``) so that
@@ -25,7 +27,8 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.core.base import IndexKind, LookupResult, SecondaryIndex
-from repro.core.records import Document, attribute_of, key_to_str
+from repro.core.records import Document, attribute_of
+from repro.core.topk import TopKBySeq
 from repro.core.validity import (
     ValidityChecker,
     attribute_equals,
@@ -128,42 +131,28 @@ class CompositeIndex(SecondaryIndex):
         posting sequence (a newer version would have re-written the
         composite entry), so the ranking is exact.
         """
-        encoded = encode_attribute(value)
-        predicate = attribute_equals(self.attribute, value)
-        candidates = list(self._prefix_scan(encoded))
+        candidates = list(self._prefix_scan(encode_attribute(value)))
         self.candidates_scanned += len(candidates)
         return self._validate_newest_first(
-            ((seq, pk) for pk, seq in candidates), predicate, k)
+            candidates, attribute_equals(self.attribute, value), k)
 
-    def _validate_newest_first(self, candidates, predicate,
-                               k: int | None) -> list[LookupResult]:
-        ordered = sorted(candidates, reverse=True)
-        results: list[LookupResult] = []
-        seen: set[bytes] = set()
-        for _posting_seq, primary_key in ordered:
-            if k is not None and len(results) >= k:
-                break
-            if primary_key in seen:
-                continue
-            seen.add(primary_key)
-            found = self.checker.fetch_valid(primary_key, predicate)
-            if found is None:
-                continue
-            document, seq = found
-            results.append(
-                LookupResult(key_to_str(primary_key), document, seq))
-        results.sort(key=lambda r: -r.seq)
-        return results
+    def _validate_newest_first(self, candidates: list[tuple[int, bytes]],
+                               predicate, k: int | None) -> list[LookupResult]:
+        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
+        self.checker.harvest(sorted(candidates, reverse=True), predicate,
+                             heap, set())
+        return heap.results()
 
     def _prefix_scan(self, encoded_attr: bytes
-                     ) -> Iterator[tuple[bytes, int]]:
+                     ) -> Iterator[tuple[int, bytes]]:
+        """``(posting_seq, primary_key)`` of every entry under one value."""
         prefix = attribute_prefix(encoded_attr)
         for composite, payload in self.index_db.scan(
                 prefix, prefix_successor(prefix)):
             if not composite.startswith(prefix):
                 return
             seq, _pos = decode_varint(payload, 0)
-            yield composite[len(prefix):], seq
+            yield seq, composite[len(prefix):]
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:

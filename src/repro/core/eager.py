@@ -11,12 +11,16 @@ write, producing the catastrophic write amplification of Figure 9c
 
 This is the strategy of MongoDB/CouchDB-style B+-tree indexes and of
 Riak's secondary indexes, transplanted onto an LSM index table.
+
+Queries hand the list (RANGELOOKUP: the lists of the range), sorted by
+sequence, to :meth:`repro.core.validity.ValidityChecker.harvest`, which
+validates a K prefix against the data table in batched GETs.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Iterator
+from operator import attrgetter
+from typing import Any
 
 from repro.core.base import IndexKind, LookupResult, SecondaryIndex
 from repro.core.posting import (
@@ -96,20 +100,8 @@ class EagerIndex(SecondaryIndex):
         payload = self.index_db.get(encode_attribute(value))
         if payload is None:
             return []
-        predicate = attribute_equals(self.attribute, value)
-        results: list[LookupResult] = []
-        for entry in decode_posting_list(payload):
-            if entry.deleted:
-                continue
-            found = self.checker.fetch_valid(key_to_bytes(entry.key),
-                                             predicate)
-            if found is None:
-                continue
-            document, seq = found
-            results.append(LookupResult(entry.key, document, seq))
-            if k is not None and len(results) >= k:
-                break
-        return results
+        return self._harvest(decode_posting_list(payload),
+                             attribute_equals(self.attribute, value), k)
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
@@ -117,50 +109,35 @@ class EagerIndex(SecondaryIndex):
 
         "We issue this range query on our index table for given range
         [a, b] ... we need to add associated posting lists' primary keys to
-        the min-heap to get the top-k" — implemented as a K-way merge of the
-        (already time-sorted) posting lists so candidates are validated in
-        strictly newest-first order and validation GETs stop after K hits.
+        the min-heap to get the top-k": the lists of the range are merged
+        by sequence so candidates are validated in strictly newest-first
+        order and validation GETs stop after K hits.
         """
         low_encoded = encode_attribute(low)
         high_encoded = encode_attribute(high)
         if low_encoded > high_encoded:
             return []
-        predicate = attribute_in_range(self.attribute, low, high,
-                                       encode_attribute)
-        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-        seen: set[str] = set()
-        for entry in self._merged_candidates(low_encoded, high_encoded):
-            if entry.deleted or entry.key in seen:
-                continue
-            seen.add(entry.key)
-            if k is not None and heap.is_full and not \
-                    heap.would_accept(entry.seq):
-                break  # candidates arrive newest-first: nothing better follows
-            found = self.checker.fetch_valid(key_to_bytes(entry.key),
-                                             predicate)
-            if found is None:
-                continue
-            document, seq = found
-            heap.add(seq, LookupResult(entry.key, document, seq))
-        return heap.results()
+        postings = [entry for _key, payload
+                    in self.index_db.scan(low_encoded, high_encoded)
+                    for entry in decode_posting_list(payload)]
+        return self._harvest(
+            postings,
+            attribute_in_range(self.attribute, low, high, encode_attribute),
+            k)
 
-    def _merged_candidates(self, low: bytes, high: bytes
-                           ) -> Iterator[PostingEntry]:
-        """All postings in the value range, globally newest-first."""
-        lists = []
-        for _key, payload in self.index_db.scan(low, high):
-            entries = decode_posting_list(payload)
-            if entries:
-                lists.append(entries)
-        merged: list[tuple[int, int, int]] = []  # (-seq, list_idx, pos)
-        for index, entries in enumerate(lists):
-            heapq.heappush(merged, (-entries[0].seq, index, 0))
-        while merged:
-            _neg_seq, index, pos = heapq.heappop(merged)
-            yield lists[index][pos]
-            if pos + 1 < len(lists[index]):
-                heapq.heappush(
-                    merged, (-lists[index][pos + 1].seq, index, pos + 1))
+    def _harvest(self, postings: list[PostingEntry], predicate,
+                 k: int | None) -> list[LookupResult]:
+        """Validate postings newest first; see ``ValidityChecker.harvest``.
+
+        A list is newest-first as the write path leaves it (the sort is
+        then one pass) but in key order after ``rebuild_index``.
+        """
+        postings.sort(key=attrgetter("seq"), reverse=True)
+        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
+        self.checker.harvest(
+            ((entry.seq, key_to_bytes(entry.key)) for entry in postings
+             if not entry.deleted), predicate, heap, set())
+        return heap.results()
 
     # -- maintenance ----------------------------------------------------------
 

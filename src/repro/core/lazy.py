@@ -14,7 +14,11 @@ component first; since fragments only migrate downward through compaction,
 every fragment of a key is strictly newer than the same key's fragments in
 deeper levels, so the scan may stop as soon as the top-K heap fills at a
 level boundary — the property that makes Lazy beat Composite on small-K
-queries (Figure 10a).
+queries (Figure 10a).  Within a level the postings are gathered, sorted by
+sequence and validated by
+:meth:`repro.core.validity.ValidityChecker.harvest` in batched GETs of what
+the heap can still accept, so a level costs K data-table GETs whatever
+order its fragments arrive in.
 
 DEL writes a fragment carrying a deletion marker, which cancels older
 postings of the key when fragments merge (during compaction or at query
@@ -23,10 +27,15 @@ time).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any
 
 from repro.core.base import IndexKind, LookupResult, SecondaryIndex
-from repro.core.posting import decode_posting_list, single_posting_fragment
+from repro.core.posting import (
+    PostingEntry,
+    decode_posting_list,
+    single_posting_fragment,
+)
 from repro.core.records import (
     Document,
     attribute_of,
@@ -45,12 +54,16 @@ from repro.lsm.zonemap import encode_attribute
 
 
 class _HarvestState:
-    """Cross-level bookkeeping for one query (see ``LazyIndex._harvest``)."""
+    """One query's bookkeeping across levels (see ``LazyIndex._gather``)."""
 
-    __slots__ = ("resolved", "cancelled")
+    __slots__ = ("heap", "predicate", "resolved", "cancelled")
 
-    def __init__(self) -> None:
-        self.resolved: set[str] = set()
+    def __init__(self, k: int | None, predicate) -> None:
+        self.heap: TopKBySeq[LookupResult] = TopKBySeq(k)
+        self.predicate = predicate
+        #: Primary keys whose fate a data-table GET decided.
+        self.resolved: set[bytes] = set()
+        #: ``(index key, primary key)`` pairs a deletion marker cancelled.
         self.cancelled: set[tuple[bytes, str]] = set()
 
 
@@ -99,73 +112,56 @@ class LazyIndex(SecondaryIndex):
         """Algorithm 3: merge the key's fragments, one level at a time."""
         self.lookups += 1
         fragments = self.index_db.fragments_by_level(encode_attribute(value))
-        predicate = attribute_equals(self.attribute, value)
-        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-        state = _HarvestState()
+        state = _HarvestState(k, attribute_equals(self.attribute, value))
         for _level, entries in fragments:
             self.levels_visited += 1
-            stop_descending = self._consume_level(
-                entries, heap, state, predicate)
-            if stop_descending:
+            postings: list[PostingEntry] = []
+            shadows_deeper = False
+            for kind, _seq, payload in entries:
+                if kind != KIND_DELETE:
+                    self._gather(b"", payload, postings, state)
+                if kind != KIND_MERGE:
+                    # A ``KIND_VALUE`` entry is a fully folded list
+                    # (compaction reached a base) and a tombstone hides
+                    # everything older: deeper levels hold only obsolete
+                    # data for this key.
+                    shadows_deeper = True
+                    break
+            self._harvest(postings, state)
+            if shadows_deeper or (early_termination and state.heap.is_full):
                 break
-            if early_termination and heap.is_full:
-                break
-        return heap.results()
+        return state.heap.results()
 
-    def _consume_level(self, entries, heap: TopKBySeq[LookupResult],
-                       state: "_HarvestState", predicate) -> bool:
-        """Process one level's fragments; True if deeper levels are shadowed.
+    def _gather(self, index_key: bytes, payload: bytes,
+                postings: list[PostingEntry], state: _HarvestState) -> None:
+        """Collect one fragment's live postings for the level's harvest.
 
-        A ``KIND_VALUE`` entry is a fully folded list (compaction reached a
-        base), and a tombstone hides everything older — in both cases
-        deeper levels hold only obsolete data for this key.
+        A deletion marker *cancels* older postings of the same primary key
+        under the same index key; fragments only migrate downward, so in
+        arrival order a marker always precedes what it cancels.
         """
-        for kind, _seq, payload in entries:
-            if kind != KIND_MERGE:
-                if kind == KIND_DELETE:
-                    return True
-                self._harvest(b"", decode_posting_list(payload), heap, state,
-                              predicate)
-                return True
-            self._harvest(b"", decode_posting_list(payload), heap, state,
-                          predicate)
-        return False
-
-    def _harvest(self, index_key: bytes, postings,
-                 heap: TopKBySeq[LookupResult], state: "_HarvestState",
-                 predicate) -> None:
-        """Validate postings against the data table, newest first.
-
-        Bookkeeping rules (shared by LOOKUP and RANGELOOKUP):
-
-        * a primary key whose fate was decided by a data-table GET is
-          *resolved* — later (older or duplicate) postings are ignored;
-        * a deletion marker *cancels* older postings of the same primary
-          key under the same index key (markers are always encountered
-          before the postings they cancel, because fragments only migrate
-          downward);
-        * a posting too old for the heap is skipped without a GET, but left
-          unresolved: the same record may carry a newer posting under a
-          different attribute value in a range scan.
-        """
-        for posting in postings:
-            if posting.key in state.resolved:
-                continue
+        for posting in decode_posting_list(payload):
             scope = (index_key, posting.key)
             if scope in state.cancelled:
                 continue
             if posting.deleted:
                 state.cancelled.add(scope)
-                continue
-            if not heap.would_accept(posting.seq):
-                continue  # too old: skip the data-table GET entirely
-            state.resolved.add(posting.key)
-            found = self.checker.fetch_valid(key_to_bytes(posting.key),
-                                             predicate)
-            if found is None:
-                continue
-            document, seq = found
-            heap.add(seq, LookupResult(posting.key, document, seq))
+            else:
+                postings.append(posting)
+
+    def _harvest(self, postings: list[PostingEntry],
+                 state: _HarvestState) -> None:
+        """Validate one level's postings, newest first, in batches.
+
+        ``ValidityChecker.harvest`` GETs only what the heap can still
+        accept and stops at the first posting too old for it, so a level
+        that can fill the heap costs K GETs whatever order its fragments
+        arrived in; what it skips stays unresolved for deeper levels.
+        """
+        postings.sort(key=attrgetter("seq"), reverse=True)
+        self.checker.harvest(
+            ((posting.seq, key_to_bytes(posting.key)) for posting in postings),
+            state.predicate, state.heap, state.resolved)
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
@@ -183,13 +179,12 @@ class LazyIndex(SecondaryIndex):
         high_encoded = encode_attribute(high)
         if low_encoded > high_encoded:
             return []
-        predicate = attribute_in_range(self.attribute, low, high,
-                                       encode_attribute)
-        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-        state = _HarvestState()
+        state = _HarvestState(k, attribute_in_range(
+            self.attribute, low, high, encode_attribute))
         shadowed: set[bytes] = set()
         for level in [-1, *range(self.index_db.options.max_levels)]:
             self.levels_visited += 1
+            postings: list[PostingEntry] = []
             for ikey, payload in self.index_db.scan_level(
                     level, low_encoded, high_encoded):
                 if ikey.user_key in shadowed:
@@ -198,11 +193,11 @@ class LazyIndex(SecondaryIndex):
                     shadowed.add(ikey.user_key)
                     if ikey.kind == KIND_DELETE:
                         continue
-                self._harvest(ikey.user_key, decode_posting_list(payload),
-                              heap, state, predicate)
-            if early_termination and heap.is_full:
+                self._gather(ikey.user_key, payload, postings, state)
+            self._harvest(postings, state)
+            if early_termination and state.heap.is_full:
                 break
-        return heap.results()
+        return state.heap.results()
 
     # -- maintenance -------------------------------------------------------------
 

@@ -5,8 +5,13 @@ Updates leave stale information behind in every index variant (Section 4:
 the data table"), so each candidate must be validated before it becomes a
 result:
 
-* Stand-alone indexes issue a GET on the data table and re-check the
-  attribute value (:meth:`ValidityChecker.fetch_valid`).
+* Stand-alone indexes GET the candidates on the data table and re-check
+  the attribute value.  :meth:`ValidityChecker.harvest` is the one loop
+  that does it for Eager, Lazy, Composite and the cluster's global index:
+  candidates come newest first, and each round resolves as many of them as
+  the top-K heap still has room for in one batched point lookup
+  (:meth:`repro.lsm.db.DB.get_many_with_seq` — one read view, a data block
+  shared by several candidates read once).
 * The Embedded index found the *record version itself* in a primary-table
   block, so it only needs to know whether a **newer version** of the key
   exists — the paper's GetLite (:meth:`ValidityChecker.is_newest_version`),
@@ -18,19 +23,35 @@ result:
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
-from repro.core.records import Document, attribute_of, decode_document
+from repro.core.base import LookupResult
+from repro.core.records import (
+    Document,
+    attribute_of,
+    decode_document,
+    key_to_str,
+)
+from repro.core.topk import TopKBySeq
 from repro.lsm.db import DB
-from repro.lsm.keys import MAX_SEQUENCE
-from repro.lsm.vfs import Category
+
+#: A batched data-table GET: ``keys -> {key: (value, seq) | None}``.
+FetchMany = Callable[[list[bytes]], dict[bytes, tuple[bytes, int] | None]]
 
 
 class ValidityChecker:
-    """Candidate validation against one primary table."""
+    """Candidate validation against one data table.
 
-    def __init__(self, primary: DB) -> None:
+    ``fetch_many`` is the stand-alone kinds' one dependency on the data
+    table; it defaults to ``primary.get_many_with_seq`` (the cluster's
+    global index passes a fetch routed across shards and no ``primary``).
+    GetLite needs the engine's own probes and therefore a ``primary``.
+    """
+
+    def __init__(self, primary: DB | None,
+                 fetch_many: FetchMany | None = None) -> None:
         self.primary = primary
+        self._fetch_many = fetch_many
         #: Number of GETs issued on the data table for validation — the
         #: "K GET queries on data table" term of the paper's Table 5.
         self.validation_gets = 0
@@ -38,24 +59,50 @@ class ValidityChecker:
         self.getlite_memory_only = 0
         self.getlite_confirm_reads = 0
 
-    def fetch_valid(self, key: bytes,
-                    predicate: Callable[[Document], bool]
-                    ) -> tuple[Document, int] | None:
-        """GET ``key``; return ``(document, seq)`` if live and matching.
+    def harvest(self, candidates: Iterable[tuple[int, bytes]],
+                predicate: Callable[[Document], bool],
+                heap: TopKBySeq[LookupResult], resolved: set[bytes]) -> None:
+        """Turn ``(posting_seq, primary_key)`` candidates into results.
 
-        Used by the Eager, Lazy and Composite LOOKUP/RANGELOOKUP paths:
-        "for each entry k in the list of primary keys, we issue a GET(k) on
-        data table ... we make sure val(A_i) = a".
+        "For each entry k in the list of primary keys, we issue a GET(k) on
+        data table ... we make sure val(A_i) = a" — in rounds.  Candidates
+        must come newest first.  Each round takes as many unresolved
+        candidates as ``heap`` still has room for (at least one; all of
+        them for ``k=None``), GETs them in one batch and adds the live,
+        matching records under their data-table sequence.  The first
+        candidate too old for the heap ends the harvest — nothing newer
+        follows — and stays unresolved: the same record may carry a newer
+        posting elsewhere.  A key whose fate a GET decided joins
+        ``resolved`` and is never fetched again.
         """
-        self.validation_gets += 1
-        found = self.primary.get_with_seq(key)
-        if found is None:
-            return None
-        value, seq = found
-        document = decode_document(value)
-        if not predicate(document):
-            return None
-        return document, seq
+        candidates = iter(candidates)
+        while True:
+            room = None if heap.k is None else max(heap.k - len(heap), 1)
+            batch: list[bytes] = []
+            for posting_seq, key in candidates:
+                if key in resolved:
+                    continue
+                if not heap.would_accept(posting_seq):
+                    candidates = iter(())  # nothing newer follows
+                    break
+                resolved.add(key)
+                batch.append(key)
+                if len(batch) == room:
+                    break
+            if not batch:
+                return
+            self.validation_gets += len(batch)
+            # Resolved at call time: a tracer may wrap it on the instance.
+            fetch_many = self._fetch_many or self.primary.get_many_with_seq
+            found = fetch_many(batch)
+            for key in batch:
+                hit = found[key]
+                if hit is None:
+                    continue
+                value, seq = hit
+                document = decode_document(value)
+                if predicate(document):
+                    heap.add(seq, LookupResult(key_to_str(key), document, seq))
 
     def is_newest_version(self, key: bytes, seq: int, level: int) -> bool:
         """GetLite: is the version of ``key`` at ``seq`` still the newest?
@@ -67,34 +114,16 @@ class ValidityChecker:
 
         The in-memory probe (:meth:`repro.lsm.db.DB.key_maybe_in_levels`)
         decides the common case for free; a positive — which may be a bloom
-        false positive — is confirmed with a real read so the check never
+        false positive — is confirmed with a real read
+        (:meth:`repro.lsm.db.DB.newest_seq_above`) so the check never
         wrongly discards a live record.
         """
         if not self.primary.key_maybe_in_levels(key, level):
             self.getlite_memory_only += 1
             return True
         self.getlite_confirm_reads += 1
-        newest = self._newest_seq_above(key, level)
+        newest = self.primary.newest_seq_above(key, level)
         return newest is None or newest <= seq
-
-    def _newest_seq_above(self, key: bytes, below_level: int) -> int | None:
-        """Newest sequence of ``key`` among MemTable and levels < ``below_level``."""
-        entry = self.primary.memtable.get(key)
-        if entry is not None:
-            return entry.seq
-        version = self.primary.versions.current
-        best: int | None = None
-        for level in range(min(below_level, self.primary.options.max_levels)):
-            for meta in version.files_containing_key(level, key):
-                table = self.primary.table_cache.get(meta.file_number)
-                for ikey, _value in table.versions(key, MAX_SEQUENCE,
-                                                   Category.DATA):
-                    if best is None or ikey.seq > best:
-                        best = ikey.seq
-                    break  # newest in this table is enough
-            if best is not None and level >= 1:
-                break  # deeper levels are older still
-        return best
 
 
 def attribute_equals(attribute: str, value: Any) -> Callable[[Document], bool]:

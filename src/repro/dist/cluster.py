@@ -46,6 +46,7 @@ from repro.core.records import (
     decode_document,
     key_to_bytes,
 )
+from repro.core.validity import ValidityChecker
 from repro.dist.migration import ShardSplit
 from repro.dist.partitioner import (
     HashPartitioner,
@@ -85,28 +86,6 @@ class SequenceOracle:
         return self._next - 1
 
 
-class _RoutedValidity:
-    """Duck-typed stand-in for :class:`~repro.core.validity.ValidityChecker`
-    whose data-table GETs route across shards by primary key."""
-
-    def __init__(self, fetch: Callable[[bytes], tuple[bytes, int] | None]
-                 ) -> None:
-        self._fetch = fetch
-        self.validation_gets = 0
-
-    def fetch_valid(self, key: bytes, predicate) -> tuple[Document, int] | None:
-        """Routed GET + predicate check (ValidityChecker's contract)."""
-        self.validation_gets += 1
-        found = self._fetch(key)
-        if found is None:
-            return None
-        value, seq = found
-        document = decode_document(value)
-        if not predicate(document):
-            return None
-        return document, seq
-
-
 class GlobalSecondaryIndex:
     """DynamoDB-style GSI: one lazy index ring, partitioned by value.
 
@@ -120,7 +99,7 @@ class GlobalSecondaryIndex:
     """
 
     def __init__(self, attribute: str, partitioner, options: Options,
-                 checker: _RoutedValidity) -> None:
+                 checker: ValidityChecker) -> None:
         self.attribute = attribute
         self.partitioner = partitioner
         self.checker = checker
@@ -273,7 +252,7 @@ class ShardedDB:
                 shard_id, vfs_list, local_indexes,
                 replace(base_options, sequence_oracle=channel.allocate),
                 channel, self._step_hook))
-        checker = _RoutedValidity(self._routed_get_with_seq)
+        checker = ValidityChecker(None, self._routed_get_many_with_seq)
         self.global_indexes = {
             attribute: GlobalSecondaryIndex(
                 attribute, partitioner_from_shape(shape), base_options,
@@ -470,9 +449,19 @@ class ShardedDB:
         return not self._filter_owned \
             or self.ring.shard_of(key_to_bytes(key)) == shard_id
 
-    def _routed_get_with_seq(self, key: bytes) -> tuple[bytes, int] | None:
-        self.data_shards_contacted += 1
-        return self._shard_for(key).get_with_seq(key)
+    def _routed_get_many_with_seq(self, keys: list[bytes]
+                                  ) -> dict[bytes, tuple[bytes, int] | None]:
+        """The GSI's validation fetch: each key's owner resolves its share
+        of the batch; a key still costs one shard contact."""
+        self.data_shards_contacted += len(keys)
+        by_shard: dict[int, list[bytes]] = {}
+        for key in keys:
+            by_shard.setdefault(self.ring.shard_of(key), []).append(key)
+        found: dict[bytes, tuple[bytes, int] | None] = {}
+        for shard_id, shard_keys in by_shard.items():
+            found.update(
+                self.data_shards[shard_id].get_many_with_seq(shard_keys))
+        return found
 
     # -- base operations ---------------------------------------------------------
 

@@ -329,8 +329,9 @@ class ReplicaSet:
     def get(self, key: bytes) -> Document | None:
         return self._read_replica().db.get(key)
 
-    def get_with_seq(self, key: bytes) -> tuple[bytes, int] | None:
-        return self._read_replica().db.primary.get_with_seq(key)
+    def get_many_with_seq(self, keys: list[bytes]
+                          ) -> dict[bytes, tuple[bytes, int] | None]:
+        return self._read_replica().db.primary.get_many_with_seq(keys)
 
     def lookup(self, attribute: str, value: Any, k: int | None = None,
                early_termination: bool = True) -> list[LookupResult]:

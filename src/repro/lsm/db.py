@@ -42,7 +42,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter, methodcaller
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.lsm.compaction import Compaction, Compactor, pick_compaction
 from repro.lsm.errors import (
@@ -1260,29 +1260,49 @@ class DB:
         try:
             if snapshot is not None:
                 max_seq = snapshot.seq
-            operands: list[bytes] = []
-            newest_seq: int | None = None
-            for kind, seq, value in self._versions_of(key, max_seq,
-                                                      memtables, version):
-                if newest_seq is None:
-                    newest_seq = seq
-                if kind == KIND_MERGE:
-                    operands.append(value)
-                    continue
-                if kind == KIND_VALUE:
-                    if operands:
-                        return self._fold(key, operands, value), newest_seq
-                    return value, seq
-                # Tombstone: stop — older versions are dead.
-                if operands:
-                    return self._fold(key, operands, None), newest_seq
-                return None
-            if operands:
-                assert newest_seq is not None
-                return self._fold(key, operands, None), newest_seq
-            return None
+            return self._resolve(key, max_seq, memtables, version, None)
         finally:
             self._release_view(pin)
+
+    def get_many_with_seq(self, keys: Iterable[bytes]
+                          ) -> dict[bytes, tuple[bytes, int] | None]:
+        """:meth:`get_with_seq` of every key — answer and corruption
+        containment alike — under one read view.  Keys are resolved in
+        sorted order, so each table's data blocks are visited in
+        non-decreasing order and holding the last block read per table
+        (``held``) lets keys that share a block read it once."""
+        memtables, version, max_seq, pin = self._acquire_view()
+        try:
+            held: dict = {}
+            return {key: self._resolve(key, max_seq, memtables, version, held)
+                    for key in sorted(set(keys))}
+        finally:
+            self._release_view(pin)
+
+    def _resolve(self, key: bytes, max_seq: int, memtables, version,
+                 held: dict | None) -> tuple[bytes, int] | None:
+        """Fold ``key``'s versions, newest first, down to a base or tombstone."""
+        operands: list[bytes] = []
+        newest_seq: int | None = None
+        for kind, seq, value in self._versions_of(key, max_seq, memtables,
+                                                  version, held):
+            if newest_seq is None:
+                newest_seq = seq
+            if kind == KIND_MERGE:
+                operands.append(value)
+                continue
+            if kind == KIND_VALUE:
+                if operands:
+                    return self._fold(key, operands, value), newest_seq
+                return value, seq
+            # Tombstone: stop — older versions are dead.
+            if operands:
+                return self._fold(key, operands, None), newest_seq
+            return None
+        if operands:
+            assert newest_seq is not None
+            return self._fold(key, operands, None), newest_seq
+        return None
 
     def _fold(self, key: bytes, operands_newest_first: list[bytes],
               base: bytes | None) -> bytes:
@@ -1295,8 +1315,8 @@ class DB:
             oldest_first.insert(0, base)
         return operator(key, oldest_first)
 
-    def _versions_of(self, key: bytes, max_seq: int, memtables, version
-                     ) -> Iterator[tuple[int, int, bytes]]:
+    def _versions_of(self, key: bytes, max_seq: int, memtables, version,
+                     held: dict | None) -> Iterator[tuple[int, int, bytes]]:
         """All stored versions of ``key``, newest first, across components.
 
         Lazy: a GET that resolves in an upper component never opens the
@@ -1314,8 +1334,8 @@ class DB:
             if file_number in quarantined:
                 continue
             try:
-                l0_entries.extend(
-                    table_cache_get(file_number).versions_raw(key, max_seq))
+                l0_entries.extend(table_cache_get(file_number).versions_raw(
+                    key, max_seq, Category.DATA, held))
             except CorruptionError as exc:
                 self._contain(file_number, exc)
         if l0_entries:
@@ -1328,7 +1348,7 @@ class DB:
                     continue
                 try:
                     yield from table_cache_get(file_number) \
-                        .versions_raw(key, max_seq)
+                        .versions_raw(key, max_seq, Category.DATA, held)
                 except CorruptionError as exc:
                     self._contain(file_number, exc)
 
@@ -1411,6 +1431,40 @@ class DB:
                         self._contain(file_number, exc)
                         return True
             return False
+        finally:
+            self._release_view(pin)
+
+    def newest_seq_above(self, key: bytes, below_level: int) -> int | None:
+        """Newest sequence of ``key`` among MemTables and levels < ``below_level``.
+
+        The confirm read (``Category.DATA``) behind a
+        :meth:`key_maybe_in_levels` positive; ``None``: it was false.  A
+        quarantined or unreadable table may hold a version nobody can prove
+        absent, so it answers ``MAX_SEQUENCE``.
+        """
+        memtables, version, _max_seq, pin = self._acquire_view()
+        try:
+            for memtable in memtables:
+                entry = memtable.get(key)
+                if entry is not None:
+                    return entry.seq
+            best: int | None = None
+            for level in range(min(below_level, self.options.max_levels)):
+                for meta in version.files_containing_key(level, key):
+                    file_number = meta.file_number
+                    if file_number in self._quarantined:
+                        return MAX_SEQUENCE
+                    try:
+                        newest = next(self.table_cache.get(file_number)
+                                      .versions_raw(key, MAX_SEQUENCE), None)
+                    except CorruptionError as exc:
+                        self._contain(file_number, exc)
+                        return MAX_SEQUENCE
+                    if newest is not None:
+                        best = max(best or 0, newest[1])
+                if best is not None and level >= 1:
+                    break  # deeper levels are older still
+            return best
         finally:
             self._release_view(pin)
 

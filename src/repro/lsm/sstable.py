@@ -419,9 +419,17 @@ class SSTable:
     def num_data_blocks(self) -> int:
         return len(self._index_entries)
 
-    def read_data_block(self, index: int,
-                        category: Category = Category.DATA) -> Block:
-        """Read (and decompress) data block ``index``, consulting the cache."""
+    def read_data_block(self, index: int, category: Category = Category.DATA,
+                        held: dict | None = None) -> Block:
+        """Read (and decompress) data block ``index``, consulting the cache —
+        after ``held``, a batched read's ``{file_number: (index, block)}`` of
+        the block each table served last, which needs no second read."""
+        if held is not None:
+            kept = held.get(self.file_number)
+            if kept is None or kept[0] != index:
+                kept = held[self.file_number] = (
+                    index, self.read_data_block(index, category))
+            return kept[1]
         handle = self._index_entries[index][1]
         cache_key = (self.file_number, handle.offset)
         if self._block_cache is not None:
@@ -493,7 +501,8 @@ class SSTable:
             yield InternalKey(user_key, seq, kind), value
 
     def versions_raw(self, user_key: bytes, max_seq: int,
-                     category: Category = Category.DATA
+                     category: Category = Category.DATA,
+                     held: dict | None = None
                      ) -> Iterator[tuple[int, int, bytes]]:
         """Versions of ``user_key`` as ``(kind, seq, value)``, newest first.
 
@@ -517,7 +526,7 @@ class SSTable:
                 if not self._user_key_may_continue(user_key, block_index):
                     return
                 continue
-            block = self.read_data_block(block_index, category)
+            block = self.read_data_block(block_index, category, held)
             for ikey_bytes, value in block.seek(probe):
                 if len(ikey_bytes) != encoded_len or \
                         not ikey_bytes.startswith(user_key):

@@ -1,15 +1,19 @@
-"""The read view's MemTable set is what the gauges report.
+"""The read view's MemTable set is what the gauges and GetLite see.
 
 A sealed MemTable still waiting for its flush is part of every read's view
 (:meth:`DB._acquire_view`); ``DB.stats()`` and ``num_nonempty_levels()`` —
-the paper's *L*, fed to the cost model — must count it too.
+the paper's *L*, fed to the cost model — must count it too, and GetLite's
+confirm read (:meth:`DB.newest_seq_above`) must find a newer version
+parked there.
 """
 
 from __future__ import annotations
 
+from repro.core.validity import ValidityChecker
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.testing import DeterministicScheduler
+from repro.lsm.vfs import MemoryVFS
 
 
 def test_gauges_count_a_sealed_unflushed_memtable():
@@ -39,4 +43,38 @@ def test_gauges_count_a_sealed_unflushed_memtable():
     db.flush()
     assert db.stats()["memtable_entries"] == 0
     assert db.num_nonempty_levels() == 1  # now the level-0 table
+    db.close()
+
+
+def test_getlite_sees_a_newer_version_in_the_sealed_memtable():
+    # An earlier, inline life of the store leaves one version on disk.
+    vfs = MemoryVFS()
+    db = DB.open(vfs, "db", Options())
+    old_seq = db.put(b"t1", b"old")
+    db.flush()
+    db.close()
+    # Same pattern as above: the leader seals, the background thread is
+    # held at its next yield point, and the newer version of ``t1`` sits
+    # in ``imm`` — neither in the active MemTable nor in any table.
+    sched = DeterministicScheduler(default="first")
+    db = DB.open(vfs, "db", Options(background_compaction=True,
+                                    step_hook=sched, memtable_budget=2048))
+    new_seq = db.put(b"t1", b"new")
+    written = 0
+    while db.imm is None:
+        db.put(b"k%05d" % written, b"v" * 40)
+        written += 1
+        assert written < 1000, "the leader never sealed the MemTable"
+    assert db.imm.get(b"t1").seq == new_seq and len(db.memtable) == 0
+    assert db.level_file_counts()[0] == 1
+    reads_before = vfs.stats.read_blocks
+    assert db.newest_seq_above(b"t1", db.options.max_levels) == new_seq
+    assert vfs.stats.read_blocks == reads_before  # resolved in memory
+    # GetLite on the on-disk version (found at level 0, so only the
+    # MemTables can hold anything newer): stale.
+    checker = ValidityChecker(db)
+    assert not checker.is_newest_version(b"t1", old_seq, level=0)
+    assert checker.getlite_confirm_reads == 1
+    assert checker.is_newest_version(b"t1", new_seq, level=0)
+    sched.shutdown()
     db.close()

@@ -1,6 +1,7 @@
 """Validity checking: GET-based candidate filtering and GetLite."""
 
 from repro.core.records import encode_document
+from repro.core.topk import TopKBySeq
 from repro.core.validity import (
     ValidityChecker,
     attribute_equals,
@@ -18,24 +19,34 @@ def _open(**overrides):
     return DB.open_memory(Options(**base))
 
 
+def _harvest(checker, keys, predicate, k=None):
+    """Harvest ``keys`` (offered newest first) into a fresh heap."""
+    heap = TopKBySeq(k)
+    candidates = [(len(keys) - i, key) for i, key in enumerate(keys)]
+    checker.harvest(candidates, predicate, heap, set())
+    return heap.results()
+
+
 class TestFetchValid:
+    """``ValidityChecker.harvest``: batched GET, then re-check the value."""
+
     def test_live_matching_record(self):
         db = _open()
         db.put(b"t1", encode_document({"UserID": "u1"}))
         checker = ValidityChecker(db)
-        found = checker.fetch_valid(b"t1", attribute_equals("UserID", "u1"))
-        assert found is not None
-        document, seq = found
-        assert document["UserID"] == "u1"
-        assert seq == db.versions.last_sequence
+        [found] = _harvest(checker, [b"t1"], attribute_equals("UserID", "u1"))
+        assert found.key == "t1"
+        assert found.document["UserID"] == "u1"
+        assert found.seq == db.versions.last_sequence
         assert checker.validation_gets == 1
         db.close()
 
     def test_missing_record(self):
         db = _open()
         checker = ValidityChecker(db)
-        assert checker.fetch_valid(
-            b"gone", attribute_equals("UserID", "u1")) is None
+        assert _harvest(checker, [b"gone"],
+                        attribute_equals("UserID", "u1")) == []
+        assert checker.validation_gets == 1
         db.close()
 
     def test_stale_attribute_rejected(self):
@@ -43,8 +54,8 @@ class TestFetchValid:
         db.put(b"t1", encode_document({"UserID": "u1"}))
         db.put(b"t1", encode_document({"UserID": "u2"}))
         checker = ValidityChecker(db)
-        assert checker.fetch_valid(
-            b"t1", attribute_equals("UserID", "u1")) is None
+        assert _harvest(checker, [b"t1"],
+                        attribute_equals("UserID", "u1")) == []
         db.close()
 
     def test_deleted_record_rejected(self):
@@ -52,8 +63,41 @@ class TestFetchValid:
         db.put(b"t1", encode_document({"UserID": "u1"}))
         db.delete(b"t1")
         checker = ValidityChecker(db)
-        assert checker.fetch_valid(
-            b"t1", attribute_equals("UserID", "u1")) is None
+        assert _harvest(checker, [b"t1"],
+                        attribute_equals("UserID", "u1")) == []
+        db.close()
+
+    def test_rounds_fetch_only_what_the_heap_has_room_for(self):
+        db = _open()
+        for i in range(6):
+            db.put(b"t%d" % i, encode_document(
+                {"UserID": "u1" if i % 2 else "u2"}))
+        batches = []
+        checker = ValidityChecker(
+            db, lambda keys: batches.append(list(keys))
+            or db.get_many_with_seq(keys))
+        newest_first = [b"t%d" % i for i in reversed(range(6))]
+        resolved = set()
+        heap = TopKBySeq(2)
+        checker.harvest([(6 - i, key) for i, key in enumerate(newest_first)],
+                        attribute_equals("UserID", "u1"), heap, resolved)
+        # Round 1 asks for K=2 and keeps t5; round 2 asks for the one still
+        # missing (t3); t2 is too old for the full heap and ends the walk.
+        assert batches == [[b"t5", b"t4"], [b"t3"]]
+        assert [r.key for r in heap.results()] == ["t5", "t3"]
+        assert checker.validation_gets == 3
+        assert resolved == {b"t5", b"t4", b"t3"}
+        db.close()
+
+    def test_resolved_keys_are_not_fetched_again(self):
+        db = _open()
+        db.put(b"t1", encode_document({"UserID": "u1"}))
+        checker = ValidityChecker(db)
+        heap = TopKBySeq(None)
+        checker.harvest([(9, b"t1"), (4, b"t1")],
+                        attribute_equals("UserID", "u1"), heap, {b"t0"})
+        assert checker.validation_gets == 1
+        assert len(heap) == 1
         db.close()
 
 

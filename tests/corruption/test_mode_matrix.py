@@ -16,7 +16,9 @@ import random
 import pytest
 
 from repro.lsm.db import DB
+from repro.lsm.errors import CorruptionError
 from repro.lsm.faults import FaultInjectingVFS
+from repro.lsm.keys import MAX_SEQUENCE
 
 from drill_utils import corruption_options, table_files
 
@@ -75,6 +77,7 @@ def _probe_everything(db: DB) -> dict:
     levels = range(-1, db.options.max_levels)
     return {
         "get_with_seq": [db.get_with_seq(key) for key in KEYS],
+        "get_many_with_seq": db.get_many_with_seq(KEYS),
         "fragments_by_level": [db.fragments_by_level(key) for key in KEYS],
         "fragments_bounded": [db.fragments_by_level(key, max_seq=300)
                               for key in KEYS],
@@ -83,6 +86,9 @@ def _probe_everything(db: DB) -> dict:
              for below in range(db.options.max_levels + 1)]
             + [db.key_maybe_in_levels(key, 3, include_memtable=False)]
             for key in KEYS],
+        "newest_seq_above": [
+            [db.newest_seq_above(key, below)
+             for below in range(db.options.max_levels + 1)] for key in KEYS],
         "scan_with_seq": list(db.scan_with_seq()),
         "scan_bounded": list(db.scan_with_seq(KEYS[10], KEYS[40])),
         "scan_level": [list(db.scan_level(level)) for level in levels],
@@ -123,6 +129,7 @@ def test_every_probe_agrees_across_modes(background, policy,
     assert {key: value for key, value, _seq in got["scan_with_seq"]} == model
     assert [None if hit is None else hit[0]
             for hit in got["get_with_seq"]] == [model.get(k) for k in KEYS]
+    assert got["get_many_with_seq"] == dict(zip(KEYS, got["get_with_seq"]))
     _assert_no_pins_left(db)
     assert db.stats()["corruption"]["events"] == 0
     db.close()
@@ -176,6 +183,8 @@ def test_pipeline_reads_around_a_bit_flipped_table():
         lost = sorted(set(model) - served)
         assert all(db.key_maybe_in_levels(key, db.options.max_levels)
                    for key in lost)
+        assert all(db.newest_seq_above(key, db.options.max_levels)
+                   == MAX_SEQUENCE for key in lost)
         _assert_no_pins_left(db)
         # The engine keeps serving: writes, a flush, reads of new data.
         db.put(b"after", b"quarantine")
@@ -185,3 +194,40 @@ def test_pipeline_reads_around_a_bit_flipped_table():
         answers[background] = got
         db.close()
     assert answers[True] == answers[False]
+
+
+@pytest.mark.parametrize("background", [False, True])
+def test_batched_get_contains_a_rotten_block_as_the_single_get_does(
+        background):
+    """``get_many_with_seq`` meeting the bit-flipped block *first*.
+
+    ``"raise"``: the batch raises what the first per-key GET to touch the
+    block raises, and quarantines nothing.  ``"quarantine"``: the batch
+    itself makes the quarantine decision, serves the rest of its keys
+    around the table and answers what per-key GETs answer on a second
+    copy of the same image; a batch repeated afterwards agrees.
+    """
+    vfs, _model, victim_number = _rotten_image()
+    db = DB.open(vfs, "db", _options(background, "raise"))
+    with pytest.raises(CorruptionError) as batch_error:
+        db.get_many_with_seq(KEYS)
+    with pytest.raises(CorruptionError) as single_error:
+        for key in KEYS:
+            db.get_with_seq(key)
+    assert str(batch_error.value) == str(single_error.value)
+    assert db.quarantined_tables() == []
+    _assert_no_pins_left(db)
+    db.close()
+
+    db = DB.open(vfs, "db", _options(background, "quarantine"))
+    batch = db.get_many_with_seq(KEYS)
+    assert db.quarantined_tables() == [victim_number]
+    assert db.stats()["corruption"]["events"] == 1
+    assert db.get_many_with_seq(KEYS[::-1]) == batch
+    _assert_no_pins_left(db)
+    db.close()
+    twin_vfs, _model, _victim = _rotten_image()
+    twin = DB.open(twin_vfs, "db", _options(background, "quarantine"))
+    assert batch == {key: twin.get_with_seq(key) for key in KEYS}
+    assert any(hit is None for hit in batch.values())
+    twin.close()
