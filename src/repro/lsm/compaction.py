@@ -18,19 +18,23 @@ postings list ... is merged later, during the periodic compaction phase").
 Live snapshots suppress folding and dropping conservatively: correctness
 first, space later.
 
-The merge pipeline itself (stream -> group -> keep/fold/elide -> cut into
-output files) is module-level and parameterised, not a method of
-:class:`Compactor`: compaction worker *processes*
-(:mod:`repro.lsm.procpool`) execute exactly the same code over their own
-VFS handles, which is what makes worker output byte-identical to inline
-output by construction rather than by parallel maintenance.
+"Turn these input tables into output tables" is one module-level function,
+:func:`run_compaction_job`, and who runs it is an *executor*:
+:class:`InProcessExecutor` calls it on the spot over the table cache, a
+:class:`~repro.lsm.procpool.ProcessCompactionExecutor` ships the job to a
+worker process that calls it over its own VFS handle.  Worker output is
+byte-identical to in-process output because there is no second body to keep
+in step.
 """
 
 from __future__ import annotations
 
+import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from repro.lsm.errors import InvalidArgumentError
+from repro.lsm.compression import compressor_for
+from repro.lsm.errors import InvalidArgumentError, SimulatedCrashError
 from repro.lsm.iterator import merge_streams
 from repro.lsm.keys import (
     KIND_DELETE,
@@ -39,11 +43,14 @@ from repro.lsm.keys import (
     InternalKey,
     MAX_SEQUENCE,
     pack_internal_key,
+    unpack_internal_key,
 )
 from repro.lsm.manifest import table_file_name
 from repro.lsm.sstable import TableBuilder
 from repro.lsm.vfs import Category
 from repro.lsm.version import FileMetaData, Version, VersionEdit, VersionSet
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -129,13 +136,22 @@ class Compactor:
 
     The collaborator protocol (rather than importing ``DB``) keeps this
     module independently testable: it needs a VFS, options, the version
-    set, a table cache, a way to log version edits, and the oldest live
-    snapshot sequence number.
+    set, a table cache, a way to log version edits, the oldest live
+    snapshot sequence number, and the two ways a table file leaves the
+    directory:
+
+    ``retire_files(file_numbers)``
+        disposes of compaction *inputs* once the edit removing them is
+        applied (the DB defers deletion while a pinned version reads them).
+    ``discard_outputs(file_numbers)``
+        deletes those of ``file_numbers`` the current version does not
+        name: *outputs* that were allocated a number but never became live
+        (a failed flush or merge must not leave orphans).
     """
 
     def __init__(self, vfs, db_name: str, options, versions: VersionSet,
                  table_cache, log_and_apply, oldest_snapshot_seq,
-                 retire_files=None) -> None:
+                 retire_files, discard_outputs) -> None:
         self.vfs = vfs
         self.db_name = db_name
         self.options = options
@@ -143,28 +159,38 @@ class Compactor:
         self.table_cache = table_cache
         self._log_and_apply = log_and_apply
         self._oldest_snapshot_seq = oldest_snapshot_seq
-        # ``retire_files(file_numbers)`` disposes of compaction inputs once
-        # the edit removing them is applied.  The default deletes them on
-        # the spot; a DB running background compaction passes a callback
-        # that defers deletion while any pinned version still reads them.
-        self._retire_files = retire_files or self._retire_files_now
+        self._retire_files = retire_files
+        self._discard_outputs = discard_outputs
         self.stats = CompactionStats()
-        # When set (a ProcessCompactionExecutor), compactions are shipped to
-        # worker processes; the coordinator still applies the version edit
-        # and retires inputs locally, so stall/crash semantics are shared
-        # with the inline path.  Flushes never dispatch: they read the live
+        # Who runs the merge body.  A DB with worker processes swaps in its
+        # ProcessCompactionExecutor; either way the version edit, input
+        # retirement and output discard run here, so stall and failure
+        # semantics are shared.  Flushes never dispatch: they read the live
         # MemTable, which exists only in this process.
-        self.executor = None
+        self.executor = InProcessExecutor(self)
 
     def _step(self, label: str) -> None:
         hook = self.options.step_hook
         if hook is not None:
             hook(label)
 
-    def _retire_files_now(self, file_numbers) -> None:
-        for file_number in file_numbers:
-            self.table_cache.evict(file_number)
-            self.vfs.delete(table_file_name(self.db_name, file_number))
+    def _discard_uninstalled(self, file_numbers: list[int],
+                             error: BaseException | None = None) -> None:
+        """Delete the allocated outputs that did not become live (all of
+        them when ``error`` stopped the flush or merge).
+
+        A simulated crash took the filesystem down with it — there is no
+        cleanup I/O to attempt, and recovery collects non-live tables.  A
+        cleanup that itself fails must not mask ``error``: the caller's
+        policy (a full disk parks the DB) keys on it.
+        """
+        if isinstance(error, SimulatedCrashError):
+            return
+        try:
+            self._discard_outputs(file_numbers)
+        except OSError as exc:
+            logger.warning("could not delete uninstalled outputs %s: %s",
+                           file_numbers, exc)
 
     # -- flush ----------------------------------------------------------------
 
@@ -184,123 +210,73 @@ class Compactor:
             return None
         self._step("flush:build")
         file_number = self.versions.new_file_number()
-        name = table_file_name(self.db_name, file_number)
-        out = self.vfs.create(name)
-        from repro.lsm.compression import compressor_for
-
-        builder = TableBuilder(self.options, out,
-                               compressor_for(self.options.compression),
-                               Category.FLUSH)
-        for entry in memtable:
-            key = pack_internal_key(entry.user_key, entry.seq, entry.kind)
-            builder.add(key, entry.value)
-        props = builder.finish()
-        # The manifest edit below durably records this table as live; the
-        # table's bytes must reach stable storage first, or a crash could
-        # leave a live-but-torn file.
-        out.sync()
-        out.close()
-        self._step("flush:install")
-        meta = FileMetaData(
-            file_number=file_number,
-            file_size=props.file_size,
-            smallest=props.smallest,
-            largest=props.largest,
-            min_seq=props.min_seq,
-            max_seq=props.max_seq,
-            num_entries=props.num_entries,
-            secondary_zonemaps=props.secondary_zonemaps,
-        )
-        edit = VersionEdit(log_number=log_number)
-        edit.add_file(0, meta)
-        self._log_and_apply(edit)
+        out = None
+        try:
+            out = self.vfs.create(table_file_name(self.db_name, file_number))
+            builder = TableBuilder(self.options, out,
+                                   compressor_for(self.options.compression),
+                                   Category.FLUSH)
+            for entry in memtable:
+                key = pack_internal_key(entry.user_key, entry.seq, entry.kind)
+                builder.add(key, entry.value)
+            meta = finish_table(builder, out, file_number)
+            self._step("flush:install")
+            edit = VersionEdit(log_number=log_number)
+            edit.add_file(0, meta)
+            self._log_and_apply(edit)
+        except BaseException as exc:
+            _abandon(out)
+            self._discard_uninstalled([file_number], exc)
+            raise
         self.stats.flush_count += 1
-        self.stats.bytes_flushed += props.file_size
+        self.stats.bytes_flushed += meta.file_size
         return meta
 
     # -- compaction -------------------------------------------------------------
 
-    def maybe_compact(self) -> int:
-        """Run compactions until no level is over budget; returns the count."""
-        ran = 0
-        while True:
-            compaction = pick_compaction(self.versions)
-            if compaction is None:
-                return ran
-            self.run(compaction)
-            ran += 1
-
     def run(self, compaction: Compaction) -> list[FileMetaData]:
-        """Merge the input files into new files at the output level."""
-        oldest_snapshot = self._oldest_snapshot_seq()
-        if self.executor is not None and self.options.step_hook is None:
-            return self._run_remote(compaction, oldest_snapshot)
-        return self._run_inline(compaction, oldest_snapshot)
+        """Merge the input files into new files at the output level.
 
-    def _run_inline(self, compaction: Compaction,
-                    oldest_snapshot: int) -> list[FileMetaData]:
-        base_version = self.versions.current
-        streams = []
-        for _level, meta in compaction.input_files():
-            table = self.table_cache.get(meta.file_number)
-            streams.append(table_entry_stream(table))
-
-        outputs: list[FileMetaData] = []
-        self._step("compact:merge")
-
-        def open_output():
-            file_number = self.versions.new_file_number()
-            name = table_file_name(self.db_name, file_number)
-            return file_number, self.vfs.create(name), None
-
-        writer = CompactionOutputWriter(
-            self.options, open_output, outputs,
-            on_output=lambda: self._step("compact:output"))
-        merge_entry_streams(
-            self.options, streams, oldest_snapshot,
-            lambda user_key: self._is_base_level(
-                user_key, compaction, base_version),
-            writer, self.stats)
-        return self._install_outputs(compaction, outputs)
-
-    def _run_remote(self, compaction: Compaction,
-                    oldest_snapshot: int) -> list[FileMetaData]:
-        """Ship the merge to a worker process; install its result locally.
-
-        The worker returns manifest-ready :class:`FileMetaData` documents;
-        the version edit, retirement and stall interactions run through
-        exactly the same code as the inline path, so crash semantics are
-        unchanged — a job that dies installs nothing and its partial
-        outputs are deleted by the executor.
+        One path whoever executes the merge: build the job, hand it to the
+        executor, install what it wrote.  Every output file number passes
+        through ``allocate``, so whatever goes wrong before the edit is
+        applied, exactly the files this call created are deleted and the
+        compaction simply did not happen — its inputs stay live.
         """
-        base_version = self.versions.current
-        job = build_compaction_job(
-            self.db_name, compaction, base_version, oldest_snapshot,
-            self.options)
-        self._step("compact:merge")
-        result = self.executor.run_job(
-            job, allocate=self.versions.new_file_number)
-        outputs = [FileMetaData.from_json(doc) for doc in result["outputs"]]
-        self.stats.entries_dropped += result.get("entries_dropped", 0)
-        self.stats.merges_folded += result.get("merges_folded", 0)
-        return self._install_outputs(compaction, outputs)
+        job = build_compaction_job(compaction, self.versions.current,
+                                   self._oldest_snapshot_seq(), self.options)
+        allocated: list[int] = []
 
-    def _install_outputs(self, compaction: Compaction,
-                         outputs: list[FileMetaData]) -> list[FileMetaData]:
-        edit = VersionEdit()
-        for level, meta in compaction.input_files():
-            edit.delete_file(level, meta.file_number)
-        for meta in outputs:
-            edit.add_file(compaction.output_level, meta)
-        if compaction.inputs0:
-            pointer = max(meta.largest for meta in compaction.inputs0)
-            edit.compact_pointers.append((compaction.level, pointer))
-        self._step("compact:install")
-        self._log_and_apply(edit)
+        def allocate() -> int:
+            allocated.append(self.versions.new_file_number())
+            return allocated[-1]
+
+        self._step("compact:merge")
+        try:
+            result = self.executor.run_job(job, allocate)
+            outputs: list[FileMetaData] = result["outputs"]
+            edit = VersionEdit()
+            for level, meta in compaction.input_files():
+                edit.delete_file(level, meta.file_number)
+            for meta in outputs:
+                edit.add_file(compaction.output_level, meta)
+            if compaction.inputs0:
+                pointer = max(meta.largest for meta in compaction.inputs0)
+                edit.compact_pointers.append((compaction.level, pointer))
+            self._step("compact:install")
+            self._log_and_apply(edit)
+        except BaseException as exc:
+            self._discard_uninstalled(allocated, exc)
+            raise
+        if len(allocated) > len(outputs):
+            # A worker that died mid-job left files the retry did not reuse.
+            self._discard_uninstalled(allocated)
 
         self._retire_files([meta.file_number
                             for _level, meta in compaction.input_files()])
 
+        self.stats.entries_dropped += result["entries_dropped"]
+        self.stats.merges_folded += result["merges_folded"]
         self.stats.compaction_count += 1
         level_key = compaction.level
         self.stats.compactions_by_level[level_key] = (
@@ -309,59 +285,59 @@ class Compactor:
         self.stats.bytes_compacted_out += sum(m.file_size for m in outputs)
         return outputs
 
-    def _is_base_level(self, user_key: bytes, compaction: Compaction,
-                       base_version: Version) -> bool:
-        """No level deeper than the output could contain ``user_key``."""
-        for level in range(compaction.output_level + 1,
-                           self.options.max_levels):
-            if base_version.files_containing_key(level, user_key):
-                return False
-        return True
+
+class InProcessExecutor:
+    """The degenerate executor: the merge body runs on the calling thread,
+    reading inputs through the table cache and creating outputs on the
+    compactor's own VFS."""
+
+    def __init__(self, compactor: Compactor) -> None:
+        self._compactor = compactor
+
+    def run_job(self, job: dict, allocate) -> dict:
+        compactor = self._compactor
+
+        def open_output():
+            file_number = allocate()
+            name = table_file_name(compactor.db_name, file_number)
+            return file_number, compactor.vfs.create(name), None
+
+        return run_compaction_job(
+            job, compactor.options,
+            lambda file_number: compactor.table_cache.get(file_number),
+            open_output, on_output=lambda: compactor._step("compact:output"))
 
 
-def build_compaction_job(db_name: str, compaction: Compaction,
-                         base_version: Version, oldest_snapshot: int,
-                         options) -> dict:
-    """The JSON-safe job description a worker process merges from.
+def build_compaction_job(compaction: Compaction, base_version: Version,
+                         oldest_snapshot: int, options) -> dict:
+    """What an executor merges from, picklable for the worker pipe.
 
-    Everything a worker needs that is not already on disk: the input file
-    metadata (levels + manifest documents), the snapshot horizon, and — so
-    the worker can evaluate the tombstone-elision predicate without the
-    coordinator's :class:`Version` — the user-key bounds of every file in
-    levels deeper than the output.  The executor stamps in the VFS root,
-    the options snapshot and the shared-cache name before dispatch.
+    Everything the merge body needs that is not already on disk: the input
+    files' metadata, the snapshot horizon, and — so the tombstone-elision
+    predicate needs no :class:`Version` — the user-key bounds of every file
+    in levels deeper than the output.  The process executor stamps in the
+    database name, VFS root, options snapshot and shared-cache name before
+    dispatch.
     """
-    deeper_bounds = []
-    for level in range(compaction.output_level + 1, options.max_levels):
-        files = base_version.levels[level]
-        if files:
-            deeper_bounds.append([level, [
-                [meta.smallest_user_key.hex(), meta.largest_user_key.hex()]
-                for meta in files]])
+    deeper_bounds = [
+        [(meta.smallest_user_key, meta.largest_user_key)
+         for meta in base_version.levels[level]]
+        for level in range(compaction.output_level + 1, options.max_levels)]
     return {
-        "db_name": db_name,
         "level": compaction.level,
-        "output_level": compaction.output_level,
-        "inputs": [[level, meta.to_json()]
-                   for level, meta in compaction.input_files()],
-        "deeper_bounds": deeper_bounds,
+        "inputs": compaction.input_files(),
+        "deeper_bounds": [bounds for bounds in deeper_bounds if bounds],
         "oldest_snapshot": oldest_snapshot,
     }
 
 
 def bounds_base_predicate(deeper_bounds):
-    """``is_base(user_key)`` from serialized deeper-level key bounds.
+    """``is_base(user_key)``: could no level deeper than the output hold it?
 
     Levels >= 1 are sorted and disjoint, so containment is one bisect per
-    level — the same binary search :meth:`Version.files_containing_key`
-    performs, evaluated against shipped bounds instead of live metadata.
+    level over the job's ``(smallest, largest)`` user-key bounds.
     """
-    from bisect import bisect_left
-
-    levels = []
-    for _level, pairs in deeper_bounds:
-        bounds = [(bytes.fromhex(lo), bytes.fromhex(hi)) for lo, hi in pairs]
-        levels.append((bounds, [hi for _lo, hi in bounds]))
+    levels = [(bounds, [hi for _lo, hi in bounds]) for bounds in deeper_bounds]
 
     def is_base(user_key: bytes) -> bool:
         for bounds, largests in levels:
@@ -371,6 +347,64 @@ def bounds_base_predicate(deeper_bounds):
         return True
 
     return is_base
+
+
+def run_compaction_job(job: dict, options, open_table, open_output,
+                       on_output=None) -> dict:
+    """Turn the job's input tables into output tables: the one merge body.
+
+    ``open_table(file_number)`` yields an opened
+    :class:`~repro.lsm.sstable.SSTable`; ``open_output()`` supplies each
+    output file (see :class:`CompactionOutputWriter`).  On failure the
+    in-flight output handle is closed so the caller can delete every file
+    it allocated.
+    """
+    stats = CompactionStats()
+    outputs: list[FileMetaData] = []
+    writer = CompactionOutputWriter(options, open_output, outputs, on_output)
+    streams = [table_entry_stream(open_table(meta.file_number))
+               for _level, meta in job["inputs"]]
+    try:
+        merge_entry_streams(
+            options, streams, job["oldest_snapshot"],
+            bounds_base_predicate(job["deeper_bounds"]), writer, stats)
+    except BaseException:
+        writer.abort()
+        raise
+    return {"outputs": outputs,
+            "entries_dropped": stats.entries_dropped,
+            "merges_folded": stats.merges_folded}
+
+
+def _abandon(out) -> None:
+    """Close a half-written output without finishing it (failure path: the
+    caller deletes the file)."""
+    if out is not None:
+        try:
+            out.close()
+        except (OSError, ValueError):
+            pass
+
+
+def finish_table(builder: TableBuilder, out, file_number: int) -> FileMetaData:
+    """The tail of every table write: finish, make durable, close, describe.
+
+    The manifest edit that follows names this table live; its bytes must
+    reach stable storage first, or a crash could leave a live-but-torn file.
+    """
+    props = builder.finish()
+    out.sync()
+    out.close()
+    return FileMetaData(
+        file_number=file_number,
+        file_size=props.file_size,
+        smallest=props.smallest,
+        largest=props.largest,
+        min_seq=props.min_seq,
+        max_seq=props.max_seq,
+        num_entries=props.num_entries,
+        secondary_zonemaps=props.secondary_zonemaps,
+    )
 
 
 def process_key_group(options, user_key: bytes,
@@ -435,11 +469,7 @@ def fold_operands(options, user_key: bytes,
 def merge_entry_streams(options, streams, oldest_snapshot: int, is_base_of,
                         writer: "CompactionOutputWriter",
                         stats: CompactionStats) -> None:
-    """The whole merge loop: k-way merge, per-key policy, output cutting.
-
-    This is the function both the inline compactor and worker processes
-    run; byte identity of their outputs follows from sharing it.
-    """
+    """The whole merge loop: k-way merge, per-key policy, output cutting."""
     merged = merge_streams(streams)
     for user_key, group in _group_by_user_key(merged):
         kept = process_key_group(options, user_key, group, oldest_snapshot,
@@ -451,8 +481,6 @@ def merge_entry_streams(options, streams, oldest_snapshot: int, is_base_of,
 
 def table_entry_stream(table):
     """Entry stream over a whole table, charged as compaction I/O."""
-    from repro.lsm.keys import unpack_internal_key
-
     for block_index in range(table.num_data_blocks):
         block = table.read_data_block(block_index, Category.COMPACTION)
         for ikey_bytes, value in block:
@@ -478,11 +506,9 @@ class CompactionOutputWriter:
     """Cuts compaction output into files of ``sstable_target_size``.
 
     ``open_output()`` supplies each file: it returns ``(file_number,
-    writable, block_observer)``.  Inline that is a local allocation +
+    writable, block_observer)``.  In-process that is an allocation +
     ``vfs.create``; in a worker it is an allocation round-trip over the
-    coordinator pipe plus a shared-cache pre-warm observer.  Everything
-    else — cut threshold, sync-before-install, metadata assembly — is
-    common, which the byte-identity guarantee rides on.
+    coordinator pipe plus a shared-cache pre-warm observer.
     """
 
     def __init__(self, options, open_output,
@@ -497,56 +523,29 @@ class CompactionOutputWriter:
 
     def add(self, ikey: InternalKey, value: bytes) -> None:
         if self._builder is None:
-            self._open()
-        assert self._builder is not None
+            self._file_number, self._out, observer = self.open_output()
+            self._builder = TableBuilder(
+                self.options, self._out,
+                compressor_for(self.options.compression),
+                Category.COMPACTION, block_observer=observer)
         self._builder.add(ikey.encode(), value)
         if self._builder.estimated_file_size >= \
                 self.options.sstable_target_size:
-            self._close()
+            self.finish()
 
-    def _open(self) -> None:
-        from repro.lsm.compression import compressor_for
-
-        self._file_number, self._out, observer = self.open_output()
-        self._builder = TableBuilder(
-            self.options, self._out,
-            compressor_for(self.options.compression),
-            Category.COMPACTION, block_observer=observer)
-
-    def _close(self) -> None:
+    def finish(self) -> None:
+        """Close the current output file, if one is open."""
         if self._builder is None:
             return
-        props = self._builder.finish()
-        self._out.sync()  # durable before the manifest edit names it live
-        self._out.close()
-        self.outputs.append(FileMetaData(
-            file_number=self._file_number,
-            file_size=props.file_size,
-            smallest=props.smallest,
-            largest=props.largest,
-            min_seq=props.min_seq,
-            max_seq=props.max_seq,
-            num_entries=props.num_entries,
-            secondary_zonemaps=props.secondary_zonemaps,
-        ))
+        self.outputs.append(
+            finish_table(self._builder, self._out, self._file_number))
         self._builder = None
         self._out = None
         if self.on_output is not None:
             self.on_output()
 
     def abort(self) -> None:
-        """Close the in-flight output handle without finishing the table.
-
-        Failure path only: the worker calls this before reporting a failed
-        job so the coordinator can delete every allocated output file.
-        """
-        if self._out is not None:
-            try:
-                self._out.close()
-            except (OSError, ValueError):
-                pass
+        """Failure path: drop the in-flight output without finishing it."""
+        _abandon(self._out)
         self._builder = None
         self._out = None
-
-    def finish(self) -> None:
-        self._close()

@@ -36,7 +36,6 @@ from __future__ import annotations
 import errno
 import heapq
 import logging
-import os
 import threading
 import time
 from collections import deque
@@ -228,21 +227,6 @@ class PipelineStats:
     bg_compactions: int = 0        # compactions run by the thread
 
 
-def _requested_compaction_processes(options: Options) -> tuple[int, bool]:
-    """``(worker_count, came_from_env)`` for multiprocess compaction.
-
-    ``Options.compaction_processes`` wins; when it is 0 the
-    ``REPRO_COMPACTION_PROCESSES`` environment variable can opt a whole
-    test run in without touching call sites (the CI multiprocess job).
-    """
-    if options.compaction_processes > 0:
-        return options.compaction_processes, False
-    raw = os.environ.get("REPRO_COMPACTION_PROCESSES", "")
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw), True
-    return 0, False
-
-
 class DB:
     """A LevelDB-style LSM key-value store over a metered VFS."""
 
@@ -286,15 +270,20 @@ class DB:
         self.compactor = Compactor(
             vfs, name, options, self.versions, self.table_cache,
             self._log_and_apply, self._oldest_snapshot_seq,
-            retire_files=self._retire_table_files)
+            retire_files=self._retire_table_files,
+            discard_outputs=self._discard_table_files)
         # -- multiprocess compaction (DESIGN.md §11) ------------------------
         self._shm_cache = None
         self._executor = None
-        processes, from_env = _requested_compaction_processes(options)
-        if processes > 0 and options.step_hook is None \
-                and getattr(vfs, "root", None) is not None:
+        # The deterministic scheduler serialises threads, not processes, so
+        # a step hook keeps the merge in-process.
+        if options.compaction_processes > 0 and options.step_hook is None:
             from repro.lsm.procpool import create_executor
 
+            self._executor = create_executor(
+                vfs, name, options, options.compaction_processes)
+        if self._executor is not None:
+            self.compactor.executor = self._executor
             if options.shm_cache_bytes > 0:
                 from repro.lsm.shmcache import (
                     SharedBlockCache,
@@ -303,15 +292,10 @@ class DB:
 
                 self._shm_cache = SharedBlockCache.create(
                     options.shm_cache_bytes, slot_payload_bytes(options))
+                self._executor.shm_name = self._shm_cache.name
                 # Before _recover(): tables opened later must see the
                 # layered cache.
                 self.table_cache.attach_shared_cache(self._shm_cache)
-            self._executor = create_executor(
-                vfs, name, options, processes,
-                shm_name=(self._shm_cache.name
-                          if self._shm_cache is not None else None),
-                discard=self._discard_worker_outputs, quiet=from_env)
-            self.compactor.executor = self._executor
         self._recover()
         self._pending_seq = self.versions.last_sequence
         if self._bg:
@@ -474,7 +458,6 @@ class DB:
             # terminate/kill — a dead or wedged worker cannot hang close().
             self._executor.close()
             self._executor = None
-            self.compactor.executor = None
         if self._log is not None:
             # A clean shutdown must not lose acknowledged writes even with
             # sync_writes off: push the WAL tail to stable storage first.
@@ -1003,7 +986,7 @@ class DB:
                         self._flush_imm()
                     elif compaction is not None:
                         self._step("bg:compact")
-                        self.compactor.run(compaction)
+                        self._run_compaction(compaction)
                 except OSError as exc:
                     # Disk full: a failed flush or compaction installed
                     # nothing (the imm stays readable in memory and its
@@ -1012,17 +995,36 @@ class DB:
                     # instead of dying into a sticky background error.
                     if not self._park_if_disk_full(exc):
                         raise
-                finally:
-                    if compaction is not None:
-                        with self._mutex:
-                            self._bg_compacting = False
-                            self.pipeline_stats.bg_compactions += 1
-                            self._stall_cv.notify_all()
         except BaseException as exc:  # noqa: BLE001 - surfaced as _bg_error
             with self._mutex:
                 self._bg_error = exc
                 self._bg_compacting = False
                 self._stall_cv.notify_all()
+
+    def _run_compaction(self, compaction: Compaction) -> None:
+        """Run one compaction — the only caller of ``compactor.run``.
+
+        Inline auto-compaction inside :meth:`flush`, the background thread
+        and :meth:`compact_range` all come through here, so what a failed
+        compaction does never depends on who asked for it: it installed
+        nothing, its inputs stay live and the compactor has deleted what it
+        wrote; a full disk parks the DB read-only; the error goes to the
+        asker (the background thread has none, so an error that did not
+        park becomes the sticky ``_bg_error`` in :meth:`_background_main`);
+        and the background thread's claim on the compaction slot is
+        released so :meth:`compact_range` and stalled writers move on.
+        """
+        try:
+            self.compactor.run(compaction)
+        except OSError as exc:
+            self._park_if_disk_full(exc)
+            raise
+        finally:
+            if self._bg_compacting:
+                with self._mutex:
+                    self._bg_compacting = False
+                    self.pipeline_stats.bg_compactions += 1
+                    self._stall_cv.notify_all()
 
     def _retire_table_files(self, file_numbers: list[int]) -> None:
         """Dispose of compaction-input tables, honoring pinned versions."""
@@ -1052,16 +1054,30 @@ class DB:
                 self.vfs.delete_if_exists(
                     table_file_name(self.name, file_number))
 
-    def _discard_worker_outputs(self, file_numbers: list[int]) -> None:
-        """Delete the partial outputs of a failed worker compaction job.
+    def _discard_table_files(self, file_numbers: list[int]) -> None:
+        """Delete the outputs of a flush or compaction that did not install.
 
         These files were allocated numbers but never entered any version,
         so there are no pins to honor — they must simply not survive as
         orphans for ``verify_integrity`` to flag.  Poisoned shared-cache
         blocks keyed by a reused file number would serve wrong bytes, so
-        the shm slots go too.
+        the shm slots go too.  A file the current version does name stays:
+        its edit was applied before the failure (a manifest roll that
+        failed after it).
+
+        If the failure was the edit's own manifest write, its record may
+        sit in the manifest un-synced, where a later sync would make it
+        durable and a reopen would replay it — naming these files.  A fresh
+        manifest written from the in-memory state settles that first; if
+        it cannot be written either, this raises and nothing is deleted.
         """
+        with self._mutex:
+            if self._manifest is not None and self._manifest.in_doubt:
+                self._roll_manifest()
+            live = self.versions.current.live_file_numbers()
         for file_number in file_numbers:
+            if file_number in live:
+                continue
             self.table_cache.evict(file_number)
             if self._shm_cache is not None:
                 self._shm_cache.evict_file(file_number)
@@ -1153,13 +1169,14 @@ class DB:
                     self.imm.unseal()
                     self.memtable, self.imm = self.imm, None
                 raise
-            if not self.options.disable_auto_compaction:
-                self.compactor.maybe_compact()
         except OSError as exc:
             # A full disk is survivable (see above); park read-only rather
             # than letting callers retry a doomed flush forever.
             self._park_if_disk_full(exc)
             raise
+        if not self.options.disable_auto_compaction:
+            while (compaction := pick_compaction(self.versions)) is not None:
+                self._run_compaction(compaction)
 
     def _flush_concurrent(self) -> None:
         """Pipeline-mode flush: rotate under a queue sentinel, then drain.
@@ -1210,6 +1227,8 @@ class DB:
                 # the applied state, so nothing is lost by skipping the log.
                 self.versions.apply(edit)
                 return
+            if self._manifest.in_doubt:
+                self._roll_manifest()  # no edit may follow a doubtful record
             self._manifest.log_edit(edit)
             self.versions.apply(edit)
             if self._manifest.size > self.options.max_manifest_size:
@@ -1229,7 +1248,9 @@ class DB:
         assert old_manifest is not None
         new_manifest = ManifestWriter(self.vfs, self.name,
                                       self.versions.new_file_number())
-        new_manifest.log_edit(self._snapshot_edit(self._log_number))
+        # The *manifest's* log number, not the WAL being appended to: a
+        # sealed MemTable whose flush has not installed still needs its WAL.
+        new_manifest.log_edit(self._snapshot_edit(self.versions.log_number))
         new_manifest.install_as_current()
         old_manifest.close()
         self.vfs.delete_if_exists(
@@ -1723,7 +1744,7 @@ class DB:
             lo = min(meta.smallest_user_key for meta in files)
             hi = max(meta.largest_user_key for meta in files)
             inputs1 = self.versions.current.overlapping_files(level + 1, lo, hi)
-            self.compactor.run(Compaction(level, files, inputs1))
+            self._run_compaction(Compaction(level, files, inputs1))
 
     def checkpoint(self, dest_vfs: VFS, dest_name: str) -> int:
         """Write a consistent, independently openable copy of the database.

@@ -45,14 +45,21 @@ class ManifestWriter:
         self.number = number
         self._file = vfs.create(manifest_file_name(db_name, number))
         self._log = LogWriter(self._file)
+        #: A failed :meth:`log_edit` may have left its record in the file
+        #: without the sync: whether a reopen replays it is unknown.
+        self.in_doubt = False
 
     def log_edit(self, edit: VersionEdit) -> None:
-        self._log.add_record(edit.encode())
-        # Version edits record which files exist; losing one to a crash
-        # would orphan live tables (and recovery would then delete them as
-        # garbage).  LevelDB syncs the manifest on every LogAndApply; so
-        # do we — edits are rare (per flush/compaction) and tiny.
-        self._file.sync()
+        try:
+            self._log.add_record(edit.encode())
+            # Version edits record which files exist; losing one to a crash
+            # would orphan live tables (and recovery would then delete them
+            # as garbage).  LevelDB syncs the manifest on every LogAndApply;
+            # so do we — edits are rare (per flush/compaction) and tiny.
+            self._file.sync()
+        except OSError:
+            self.in_doubt = True
+            raise
 
     @property
     def size(self) -> int:

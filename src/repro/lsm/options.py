@@ -205,11 +205,6 @@ class Options:
         server reads them without re-reading or re-decompressing.  0 (the
         default) disables the shared cache; it layers *behind* the
         per-process ``block_cache_size`` LRU when both are enabled.
-    shm_slot_bytes:
-        Payload capacity of one shared-cache slot.  Blocks larger than a
-        slot are simply not shared.  0 (the default) auto-sizes to
-        ``2 * block_size``, which fits every block the builder cuts except
-        pathological single-entry blocks.
     """
 
     block_size: int = 4096
@@ -243,7 +238,6 @@ class Options:
     step_hook: StepHook | None = field(default=None, repr=False)
     compaction_processes: int = 0
     shm_cache_bytes: int = 0
-    shm_slot_bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:
@@ -278,8 +272,6 @@ class Options:
             raise ValueError("compaction_processes must be >= 0")
         if self.shm_cache_bytes < 0:
             raise ValueError("shm_cache_bytes must be >= 0")
-        if self.shm_slot_bytes < 0:
-            raise ValueError("shm_slot_bytes must be >= 0")
 
     def max_bytes_for_level(self, level: int) -> float:
         """Size budget of ``level``; level 0 is governed by file count instead."""

@@ -7,8 +7,8 @@ manifest is the only mutable truth, which makes compaction embarrassingly
 exportable: a *job* is just the input files' metadata, the snapshot
 horizon, deeper-level key bounds and an options snapshot.  A worker
 process re-opens the inputs through its own :class:`~repro.lsm.vfs.LocalVFS`
-handle, runs exactly the same merge pipeline
-(:func:`repro.lsm.compaction.merge_entry_streams`) and reports
+handle, runs the one merge body
+(:func:`repro.lsm.compaction.run_compaction_job`) and reports
 manifest-ready :class:`~repro.lsm.version.FileMetaData` back; the
 coordinator installs the version edit under its existing locks.  While the
 worker burns CPU, the coordinator thread sits in ``Connection.poll`` —
@@ -26,11 +26,13 @@ within a job)::
 
 File numbers are allocated by the coordinator *during* the job (workers
 write real ``NNNNNN.ldb`` names directly — no temp-file rename pass), so a
-job that dies can leave orphans only among the numbers the coordinator
-handed out; it deletes exactly those before retrying or abandoning, which
-is what keeps ``verify_integrity()`` clean through worker crashes.  A
-coordinator that itself crashes mid-job leaves non-live ``.ldb`` files,
-and recovery's ``_delete_obsolete_files`` already collects those.
+job that dies can leave orphans only among the numbers ``allocate`` handed
+out; :meth:`repro.lsm.compaction.Compactor.run` records them and deletes
+whichever did not become live — the same discard path an in-process merge
+takes — which is what keeps ``verify_integrity()`` clean through worker
+crashes.  A coordinator that itself crashes mid-job leaves non-live
+``.ldb`` files, and recovery's ``_delete_obsolete_files`` already collects
+those.
 
 Workers are spawned (never forked — the coordinator runs threads) and are
 daemonic: a dying coordinator cannot leak them.
@@ -46,17 +48,11 @@ import time
 from dataclasses import fields as dataclass_fields
 
 from repro.lsm import errors as lsm_errors
-from repro.lsm.compaction import (
-    CompactionOutputWriter,
-    CompactionStats,
-    bounds_base_predicate,
-    merge_entry_streams,
-    table_entry_stream,
-)
+from repro.lsm.compaction import run_compaction_job
 from repro.lsm.errors import CompactionWorkerError, LSMError
 from repro.lsm.manifest import table_file_name
 from repro.lsm.options import Options
-from repro.lsm.version import FileMetaData
+from repro.lsm.sstable import SSTable
 from repro.lsm.vfs import LocalVFS
 
 logger = logging.getLogger(__name__)
@@ -222,57 +218,38 @@ def _execute_job(conn, job: dict, shm_cache) -> dict:
 
         block_cache = ShmBackedBlockCache(shm_cache, local=None)
 
-    from repro.lsm.sstable import SSTable
-
     handles = []
-    streams = []
+
+    def open_table(file_number: int) -> SSTable:
+        handle = vfs.open_random(table_file_name(db_name, file_number))
+        handles.append(handle)
+        table = SSTable(options, handle, file_number)
+        table._block_cache = block_cache
+        return table
+
+    def open_output():
+        conn.send(("alloc", None))
+        reply = conn.recv()
+        assert reply[0] == "alloc", reply
+        file_number = reply[1]
+        out = vfs.create(table_file_name(db_name, file_number))
+        observer = None
+        if shm_cache is not None:
+            def observer(offset, payload, _n=file_number):
+                shm_cache.put((_n, offset), payload)
+        return file_number, out, observer
+
     try:
-        for _level, meta_doc in job["inputs"]:
-            meta = FileMetaData.from_json(meta_doc)
-            handle = vfs.open_random(
-                table_file_name(db_name, meta.file_number))
-            handles.append(handle)
-            table = SSTable(options, handle, meta.file_number)
-            table._block_cache = block_cache
-            streams.append(table_entry_stream(table))
-
-        outputs: list[FileMetaData] = []
-
-        def open_output():
-            conn.send(("alloc", None))
-            reply = conn.recv()
-            assert reply[0] == "alloc", reply
-            file_number = reply[1]
-            out = vfs.create(table_file_name(db_name, file_number))
-            observer = None
-            if shm_cache is not None:
-                def observer(offset, payload, _n=file_number):
-                    shm_cache.put((_n, offset), payload)
-            return file_number, out, observer
-
-        stats = CompactionStats()
-        writer = CompactionOutputWriter(options, open_output, outputs)
-        try:
-            merge_entry_streams(
-                options, streams, job["oldest_snapshot"],
-                bounds_base_predicate(job["deeper_bounds"]),
-                writer, stats)
-        except BaseException:
-            writer.abort()
-            raise
-        return {
-            "outputs": [meta.to_json() for meta in outputs],
-            "entries_dropped": stats.entries_dropped,
-            "merges_folded": stats.merges_folded,
-            "read_bytes": vfs.stats.read_bytes,
-            "write_bytes": vfs.stats.write_bytes,
-        }
+        result = run_compaction_job(job, options, open_table, open_output)
     finally:
         for handle in handles:
             try:
                 handle.close()
             except OSError:
                 pass
+    result["read_bytes"] = vfs.stats.read_bytes
+    result["write_bytes"] = vfs.stats.write_bytes
+    return result
 
 
 # -- coordinator side ---------------------------------------------------------
@@ -309,15 +286,11 @@ class ProcessCompactionExecutor:
     """
 
     def __init__(self, root: str, db_name: str, options_doc: dict,
-                 processes: int, shm_name: str | None = None,
-                 discard=None) -> None:
+                 processes: int, shm_name: str | None = None) -> None:
         self.root = root
         self.db_name = db_name
         self.options_doc = options_doc
         self.shm_name = shm_name
-        # ``discard(file_numbers)`` deletes the table files of a failed
-        # job's allocated outputs (DB passes a table-cache-aware one).
-        self._discard = discard or self._discard_files
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._closed = False
@@ -373,20 +346,17 @@ class ProcessCompactionExecutor:
     def run_job(self, job: dict, allocate) -> dict:
         """Dispatch ``job``; returns the worker's result document.
 
-        ``allocate()`` must return a fresh file number (the coordinator's
-        ``VersionSet.new_file_number``).  Worker deaths are retried on a
-        fresh process up to :data:`MAX_JOB_RETRIES` times; worker-reported
-        exceptions are re-raised here (mapped back onto engine error types)
-        without retry.  Either way a failed attempt's allocated output
-        files are deleted before control leaves this method.
+        ``allocate()`` must return a fresh file number and remember it:
+        the caller deletes whatever a failed attempt wrote under the numbers
+        it handed out.  Worker deaths are retried on a fresh process up to
+        :data:`MAX_JOB_RETRIES` times; worker-reported exceptions are
+        re-raised here (mapped back onto engine error types) without retry.
         """
         with self._lock:
             if self._closed:
                 raise CompactionWorkerError("executor is closed")
-            job = dict(job)
-            job.setdefault("root", self.root)
-            job.setdefault("options", self.options_doc)
-            job.setdefault("shm_name", self.shm_name)
+            job = dict(job, db_name=self.db_name, root=self.root,
+                       options=self.options_doc, shm_name=self.shm_name)
             if self._armed_fault is not None:
                 job["fault_plan"] = self._armed_fault
                 self._armed_fault = None
@@ -413,7 +383,6 @@ class ProcessCompactionExecutor:
                     job.pop("fault_plan", None)
 
     def _attempt(self, worker: _Worker, job: dict, allocate) -> dict:
-        allocated: list[int] = []
         worker.stats["jobs_dispatched"] += 1
         self.jobs_dispatched += 1
         try:
@@ -429,9 +398,7 @@ class ProcessCompactionExecutor:
                 message = worker.conn.recv()
                 kind = message[0]
                 if kind == "alloc":
-                    number = allocate()
-                    allocated.append(number)
-                    worker.conn.send(("alloc", number))
+                    worker.conn.send(("alloc", allocate()))
                 elif kind == "done":
                     result = message[1]
                     worker.stats["jobs_completed"] += 1
@@ -444,25 +411,18 @@ class ProcessCompactionExecutor:
                 elif kind == "fail":
                     worker.stats["jobs_failed"] += 1
                     self.jobs_failed += 1
-                    self._discard(allocated)
                     _raise_worker_failure(message[1])
                 else:  # pragma: no cover - protocol violation
                     raise _WorkerDied(f"unexpected message {kind!r}")
         except LSMError:
-            # A worker-*reported* failure (deterministic; outputs already
-            # discarded).  Some engine errors double as OSError — e.g.
-            # FaultInjectedError(LSMError, IOError) — so this must outrank
-            # the pipe-error clause below or a clean failure report would
-            # masquerade as a worker death and be retried.
+            # A worker-*reported* failure (deterministic).  Some engine
+            # errors double as OSError — e.g. FaultInjectedError(LSMError,
+            # IOError) — so this must outrank the pipe-error clause below or
+            # a clean failure report would masquerade as a worker death and
+            # be retried.
             raise
         except (EOFError, OSError, BrokenPipeError) as exc:
-            self._discard(allocated)
             raise _WorkerDied(str(exc)) from exc
-
-    def _discard_files(self, file_numbers: list[int]) -> None:
-        vfs = LocalVFS(self.root)
-        for number in file_numbers:
-            vfs.delete_if_exists(table_file_name(self.db_name, number))
 
     # -- observability & shutdown -------------------------------------------
 
@@ -529,27 +489,26 @@ def _raise_worker_failure(info: dict) -> None:
 
 
 def create_executor(vfs, db_name: str, options: Options, processes: int,
-                    shm_name: str | None = None, discard=None,
-                    quiet: bool = False) -> ProcessCompactionExecutor | None:
+                    shm_name: str | None = None
+                    ) -> ProcessCompactionExecutor | None:
     """Build an executor for ``vfs``, or ``None`` when it cannot apply.
 
     Worker processes need a real filesystem to open the tables from, so
     only a VFS exposing a local ``root`` qualifies; memory and
-    fault-injecting filesystems fall back to in-process compaction (the
-    deterministic test harness depends on that).  ``quiet`` downgrades the
-    fallback log to debug for environment-driven opt-ins.
+    fault-injecting filesystems compact in-process (the deterministic test
+    harness depends on that).
     """
     root = getattr(vfs, "root", None)
-    log = logger.debug if quiet else logger.warning
     if root is None:
-        log("compaction_processes=%d ignored: %s has no local root; "
+        logger.warning(
+            "compaction_processes=%d ignored: %s has no local root; "
             "compacting in-process", processes, type(vfs).__name__)
         return None
     options_doc, reason = snapshot_options(options)
     if options_doc is None:
-        log("compaction_processes=%d ignored: %s; compacting in-process",
+        logger.warning(
+            "compaction_processes=%d ignored: %s; compacting in-process",
             processes, reason)
         return None
     return ProcessCompactionExecutor(
-        root, db_name, options_doc, processes, shm_name=shm_name,
-        discard=discard)
+        root, db_name, options_doc, processes, shm_name=shm_name)

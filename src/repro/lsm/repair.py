@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lsm.block import Block
+from repro.lsm.compaction import finish_table
 from repro.lsm.errors import CorruptionError
 from repro.lsm.keys import KIND_VALUE, unpack_internal_key
 from repro.lsm.manifest import (
@@ -297,20 +298,9 @@ class _Repairer:
                                Category.OTHER)
         for ikey_bytes, value in entries:
             builder.add(ikey_bytes, value)
-        props = builder.finish()
-        out.sync()
-        out.close()
-        self.max_seq = max(self.max_seq, props.max_seq)
-        return FileMetaData(
-            file_number=file_number,
-            file_size=props.file_size,
-            smallest=props.smallest,
-            largest=props.largest,
-            min_seq=props.min_seq,
-            max_seq=props.max_seq,
-            num_entries=props.num_entries,
-            secondary_zonemaps=props.secondary_zonemaps,
-        )
+        meta = finish_table(builder, out, file_number)
+        self.max_seq = max(self.max_seq, meta.max_seq)
+        return meta
 
     # -- WAL ----------------------------------------------------------------
 

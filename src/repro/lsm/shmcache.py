@@ -59,9 +59,9 @@ _MASK64 = (1 << 64) - 1
 
 
 def slot_payload_bytes(options) -> int:
-    """Per-slot payload capacity for ``options`` (auto = 2 * block_size)."""
-    if options.shm_slot_bytes > 0:
-        return options.shm_slot_bytes
+    """Per-slot payload capacity: ``2 * block_size`` fits every block the
+    builder cuts except pathological single-entry blocks, which are simply
+    not shared."""
     return 2 * options.block_size
 
 

@@ -68,23 +68,6 @@ def cmd_stats(directory: str, name: str, out: IO[str]) -> int:
                   f"{pipeline['compaction_queue_depth']}\n")
         out.write(f"  stalls:          {pipeline['stall_events']} events, "
                   f"{pipeline['stall_seconds']:.3f}s\n")
-        workers = pipeline["workers"]
-        if workers is None:
-            out.write("  workers:         off\n")
-        else:
-            out.write(f"  workers:         {workers['processes']} processes, "
-                      f"{workers['jobs_completed']}/"
-                      f"{workers['jobs_dispatched']} jobs, "
-                      f"{workers['jobs_failed']} failed, "
-                      f"{workers['worker_cpu_seconds']:.3f}s cpu\n")
-        shm = pipeline["shm_cache"]
-        if shm is None:
-            out.write("  shm cache:       off\n")
-        else:
-            out.write(f"  shm cache:       {shm['slot_count']} slots x "
-                      f"{shm['slot_bytes']} bytes, "
-                      f"{shm['hits']} hits, {shm['misses']} misses, "
-                      f"{shm['evictions']} evictions\n")
         return 0
     finally:
         db.close()

@@ -10,8 +10,11 @@ background error or retrying a doomed flush forever.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.lsm.compaction import pick_compaction
 from repro.lsm.db import DB
 from repro.lsm.errors import OutOfSpaceError, ReadOnlyError
 from repro.lsm.faults import FaultInjectingVFS
@@ -97,9 +100,47 @@ class TestInlineWrites:
         db.close()
 
 
+    def test_enospc_during_manual_compaction_parks(self):
+        _manual_compaction_hits_a_full_disk(corruption_options())
+
+
+def _manual_compaction_hits_a_full_disk(options):
+    """The disk fills two appends into ``compact_range()``'s first output
+    (the MemTable is empty and the pipeline idle, so that output's create
+    is the call's first mutating op): same parking as a flush's ENOSPC."""
+    vfs = FaultInjectingVFS()
+    db = DB.open(vfs, "db", options)
+    expected = populate(db, rows=200)
+    if options.background_compaction:
+        deadline = time.monotonic() + 10.0
+        while db._bg_compacting or pick_compaction(db.versions) is not None:
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+    live = db.versions.live_file_numbers()
+    vfs.schedule_enospc(vfs.op_count + 3)
+    with pytest.raises(OutOfSpaceError):
+        db.compact_range()
+    assert db.read_only
+    with pytest.raises(ReadOnlyError):
+        db.put(b"late", b"write")
+    # The compaction did not happen: inputs live, partial output deleted.
+    assert db.versions.live_file_numbers() == live
+    assert db.verify_integrity().ok
+    assert dict(db.scan()) == expected
+    db.close()
+    vfs.clear_enospc()
+    db = DB.open(vfs, "db", options)
+    db.compact_range()
+    assert dict(db.scan()) == expected
+    db.close()
+
+
 class TestBackgroundPipeline:
     def _options(self):
         return corruption_options(background_compaction=True)
+
+    def test_enospc_during_manual_compaction_parks(self):
+        _manual_compaction_hits_a_full_disk(self._options())
 
     def test_pipeline_parks_instead_of_dying(self):
         vfs = FaultInjectingVFS()

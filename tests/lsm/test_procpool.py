@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.posting import posting_merge_operator
 from repro.lsm.checker import verify_integrity
+from repro.lsm.compaction import InProcessExecutor
 from repro.lsm.db import DB
 from repro.lsm.errors import (
     CompactionWorkerError,
@@ -205,6 +206,7 @@ class TestWorkerCrash:
             db._executor.arm_fault(FaultPlan(enospc_at=4))
             with pytest.raises(OutOfSpaceError):
                 db.compact_range()
+            assert db.read_only
             assert verify_integrity(db).ok
         finally:
             db.close()
@@ -238,19 +240,7 @@ class TestExecutorGating:
         db = DB.open(LocalVFS(str(tmp_path)), "db", options)
         try:
             assert db._executor is None
-            assert db.compactor.executor is None
-        finally:
-            db.close()
-
-    def test_env_var_opts_in(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPACTION_PROCESSES", "1")
-        db = DB.open(LocalVFS(str(tmp_path)), "db", _options())
-        try:
-            assert db._executor is not None
-            _load(db, rounds=2)
-            db.compact_range()
-            _expect(db, rounds=2)
-            assert db.stats()["pipeline"]["workers"]["jobs_completed"] > 0
+            assert isinstance(db.compactor.executor, InProcessExecutor)
         finally:
             db.close()
 

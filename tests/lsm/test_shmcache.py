@@ -117,10 +117,6 @@ class TestSlotSizing:
     def test_defaults_to_twice_block_size(self):
         assert slot_payload_bytes(Options(block_size=4096)) == 8192
 
-    def test_explicit_override_wins(self):
-        options = Options(block_size=4096, shm_slot_bytes=1 << 16)
-        assert slot_payload_bytes(options) == 1 << 16
-
 
 def _block_payload(items):
     builder = BlockBuilder(restart_interval=4)

@@ -38,18 +38,6 @@ class TestStats:
         assert "imm pending:     0" in text
         assert "queue depth:" in text
         assert "stalls:          0 events" in text
-        assert "workers:         off" in text
-        assert "shm cache:       off" in text
-
-    def test_reports_worker_gauges_when_enabled(self, populated_dir,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_COMPACTION_PROCESSES", "1")
-        out = io.StringIO()
-        status = main(["stats", populated_dir, "db"], out)
-        text = out.getvalue()
-        assert status == 0
-        assert "workers:         1 processes" in text
-        assert "shm cache:       off" in text
 
 
 class TestDump:
