@@ -28,7 +28,7 @@ paper's LevelDB++.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.core.base import IndexKind, LookupResult, SecondaryIndex
 from repro.core.composite import CompositeIndex
@@ -285,6 +285,16 @@ class SecondaryIndexedDB:
         for index in self.indexes.values():
             index.compact()
 
+    def tables(self) -> Iterator[tuple[str, DB]]:
+        """Every LSM table of the store: ``("primary", db)``, then
+        ``(f"index:{attribute}", index_db)`` for each stand-alone index
+        (the embedded kind and NoIndex live in the primary table)."""
+        yield "primary", self.primary
+        for attribute, index in self.indexes.items():
+            index_db = getattr(index, "index_db", None)
+            if index_db is not None:
+                yield f"index:{attribute}", index_db
+
     def quarantined_indexes(self) -> list[str]:
         """Attributes whose stand-alone index has quarantined tables.
 
@@ -293,12 +303,10 @@ class SecondaryIndexedDB:
         advisory and degrade in place rather than quarantining).
         """
         self._check_open()
-        damaged = []
-        for attribute, index in self.indexes.items():
-            index_db = getattr(index, "index_db", None)
-            if index_db is not None and index_db.quarantined_tables():
-                damaged.append(attribute)
-        return sorted(damaged)
+        return sorted(label.removeprefix("index:")
+                      for label, table in self.tables()
+                      if table is not self.primary
+                      and table.quarantined_tables())
 
     def rebuild_index(self, attribute: str) -> int:
         """Rebuild ``attribute``'s stand-alone index from the primary table.
@@ -346,15 +354,10 @@ class SecondaryIndexedDB:
         Returns the total number of files copied.
         """
         self._check_open()
-        copied = self.primary.checkpoint(dest_vfs, f"{name}/primary")
-        for attribute, index in self.indexes.items():
-            index_db = getattr(index, "index_db", None)
-            if index_db is None:
-                continue
-            index.flush()
-            copied += index_db.checkpoint(
-                dest_vfs, f"{name}/index-{index.kind.value}-{attribute}")
-        return copied
+        return sum(
+            table.checkpoint(dest_vfs,
+                             f"{name}/{table.name.rsplit('/', 1)[-1]}")
+            for _label, table in self.tables())
 
     def verify_integrity(self) -> dict[str, Any]:
         """Offline checker over the primary table and every index table.
@@ -364,12 +367,8 @@ class SecondaryIndexedDB:
         manifest entry verified.
         """
         self._check_open()
-        reports: dict[str, Any] = {"primary": self.primary.verify_integrity()}
-        for attribute, index in self.indexes.items():
-            index_db = getattr(index, "index_db", None)
-            if index_db is not None:
-                reports[f"index:{attribute}"] = index_db.verify_integrity()
-        return reports
+        return {label: table.verify_integrity()
+                for label, table in self.tables()}
 
     def size_breakdown(self) -> dict[str, int]:
         """Bytes per table — the paper's Figure 8a decomposition.
@@ -388,11 +387,8 @@ class SecondaryIndexedDB:
 
     def io_stats(self) -> dict[str, Any]:
         """Per-table I/O meters plus validation-GET counters."""
-        stats: dict[str, Any] = {"primary": self.primary.vfs.stats}
-        for attribute, index in self.indexes.items():
-            index_db = getattr(index, "index_db", None)
-            if index_db is not None:
-                stats[f"index:{attribute}"] = index_db.vfs.stats
+        stats: dict[str, Any] = {label: table.vfs.stats
+                                 for label, table in self.tables()}
         stats["validation_gets"] = self.checker.validation_gets
         return stats
 

@@ -355,13 +355,8 @@ class ShardedDB:
         recovered = 0
         for group in cluster.data_shards:
             for replica in group.replicas:
-                recovered = max(recovered,
-                                replica.db.primary.versions.last_sequence)
-                for index in replica.db.indexes.values():
-                    index_db = getattr(index, "index_db", None)
-                    if index_db is not None:
-                        recovered = max(recovered,
-                                        index_db.versions.last_sequence)
+                for _label, table in replica.db.tables():
+                    recovered = max(recovered, table.versions.last_sequence)
         oracle.advance_past(recovered)
         if manifest.pending_cleanup:
             # The flip committed but the stray purge never finished;

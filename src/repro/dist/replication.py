@@ -470,12 +470,8 @@ class ReplicaSet:
     def scrub_replica(self, replica: Replica,
                       block_budget: int | None = None) -> dict:
         """Run the PR 4 scrubber over one replica's tables."""
-        reports = {"primary": replica.db.primary.scrub(block_budget)}
-        for attribute, index in replica.db.indexes.items():
-            index_db = getattr(index, "index_db", None)
-            if index_db is not None:
-                reports[f"index:{attribute}"] = index_db.scrub(block_budget)
-        return reports
+        return {label: table.scrub(block_budget)
+                for label, table in replica.db.tables()}
 
     # -- maintenance plumbing (cluster facade surface) ---------------------
 

@@ -211,13 +211,10 @@ class WorkloadRunner:
 
     def _all_meters(self) -> list:
         """The distinct IOStats objects of every table in the database."""
-        meters = [self.db.primary.vfs.stats]
-        for index in self.db.indexes.values():
-            index_db = getattr(index, "index_db", None)
-            if index_db is None:
-                continue
-            if all(index_db.vfs.stats is not stats for stats in meters):
-                meters.append(index_db.vfs.stats)
+        meters = []
+        for _label, table in self.db.tables():
+            if all(table.vfs.stats is not stats for stats in meters):
+                meters.append(table.vfs.stats)
         return meters
 
     def _apply(self, operation: Operation) -> None:
@@ -239,13 +236,10 @@ class WorkloadRunner:
         primary_stats = self.db.primary.vfs.stats
         index_read = index_write = index_compaction = 0
         seen_vfs = {id(self.db.primary.vfs)}
-        for index in self.db.indexes.values():
-            index_db = getattr(index, "index_db", None)
-            if index_db is None:
-                continue
+        for _label, index_db in self.db.tables():
             stats = index_db.vfs.stats
             if id(index_db.vfs) in seen_vfs:
-                continue  # shared VFS: already counted under primary
+                continue  # the primary, or a VFS shared with it
             seen_vfs.add(id(index_db.vfs))
             index_read += stats.read_blocks
             index_write += stats.write_blocks
