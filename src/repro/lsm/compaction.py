@@ -244,7 +244,7 @@ class Compactor:
         compaction simply did not happen — its inputs stay live.
         """
         job = build_compaction_job(compaction, self.versions.current,
-                                   self._oldest_snapshot_seq(), self.options)
+                                   self._oldest_snapshot_seq())
         allocated: list[int] = []
 
         def allocate() -> int:
@@ -302,6 +302,8 @@ class InProcessExecutor:
             name = table_file_name(compactor.db_name, file_number)
             return file_number, compactor.vfs.create(name), None
 
+        # table_cache.get is looked up per call: bench/ wraps it on the
+        # instance after the DB is built.
         return run_compaction_job(
             job, compactor.options,
             lambda file_number: compactor.table_cache.get(file_number),
@@ -309,7 +311,7 @@ class InProcessExecutor:
 
 
 def build_compaction_job(compaction: Compaction, base_version: Version,
-                         oldest_snapshot: int, options) -> dict:
+                         oldest_snapshot: int) -> dict:
     """What an executor merges from, picklable for the worker pipe.
 
     Everything the merge body needs that is not already on disk: the input
@@ -319,14 +321,14 @@ def build_compaction_job(compaction: Compaction, base_version: Version,
     database name, VFS root, options snapshot and shared-cache name before
     dispatch.
     """
-    deeper_bounds = [
-        [(meta.smallest_user_key, meta.largest_user_key)
-         for meta in base_version.levels[level]]
-        for level in range(compaction.output_level + 1, options.max_levels)]
     return {
         "level": compaction.level,
         "inputs": compaction.input_files(),
-        "deeper_bounds": [bounds for bounds in deeper_bounds if bounds],
+        "deeper_bounds": [
+            [(meta.smallest_user_key, meta.largest_user_key)
+             for meta in files]
+            for files in base_version.levels[compaction.output_level + 1:]
+            if files],
         "oldest_snapshot": oldest_snapshot,
     }
 

@@ -240,16 +240,13 @@ def _execute_job(conn, job: dict, shm_cache) -> dict:
         return file_number, out, observer
 
     try:
-        result = run_compaction_job(job, options, open_table, open_output)
+        return run_compaction_job(job, options, open_table, open_output)
     finally:
         for handle in handles:
             try:
                 handle.close()
             except OSError:
                 pass
-    result["read_bytes"] = vfs.stats.read_bytes
-    result["write_bytes"] = vfs.stats.write_bytes
-    return result
 
 
 # -- coordinator side ---------------------------------------------------------

@@ -7,6 +7,8 @@ Kept out of ``conftest.py`` so test modules can import them directly
 
 from __future__ import annotations
 
+import time
+
 from repro.lsm.db import DB
 from repro.lsm.faults import FaultInjectingVFS
 from repro.lsm.options import Options
@@ -44,3 +46,11 @@ def table_files(vfs: FaultInjectingVFS, name: str = "db") -> list[str]:
 
 def wal_files(vfs: FaultInjectingVFS, name: str = "db") -> list[str]:
     return sorted(n for n in vfs.list_dir(name + "/") if n.endswith(".log"))
+
+
+def wait_until(predicate, what: str, timeout: float = 10.0) -> None:
+    """Poll ``predicate`` (background-thread progress) with a deadline."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.002)

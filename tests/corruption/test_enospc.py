@@ -10,8 +10,6 @@ background error or retrying a doomed flush forever.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.lsm.compaction import pick_compaction
@@ -19,7 +17,7 @@ from repro.lsm.db import DB
 from repro.lsm.errors import OutOfSpaceError, ReadOnlyError
 from repro.lsm.faults import FaultInjectingVFS
 
-from drill_utils import corruption_options, populate
+from drill_utils import corruption_options, populate, wait_until
 
 
 class TestInlineWrites:
@@ -112,10 +110,9 @@ def _manual_compaction_hits_a_full_disk(options):
     db = DB.open(vfs, "db", options)
     expected = populate(db, rows=200)
     if options.background_compaction:
-        deadline = time.monotonic() + 10.0
-        while db._bg_compacting or pick_compaction(db.versions) is not None:
-            assert time.monotonic() < deadline
-            time.sleep(0.002)
+        wait_until(lambda: not db._bg_compacting
+                   and pick_compaction(db.versions) is None,
+                   "the pipeline to go idle")
     live = db.versions.live_file_numbers()
     vfs.schedule_enospc(vfs.op_count + 3)
     with pytest.raises(OutOfSpaceError):

@@ -20,8 +20,6 @@ so by allowing an orphaned table at exactly those points.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.lsm.db import DB
@@ -33,7 +31,7 @@ from repro.lsm.errors import (
 from repro.lsm.faults import FaultInjectingVFS
 from repro.lsm.options import Options
 
-from drill_utils import table_files
+from drill_utils import table_files, wait_until
 
 ROUNDS = 3
 KEYS = 60
@@ -56,13 +54,6 @@ def _write_round(db: DB, r: int) -> None:
 def _expected() -> dict[bytes, bytes]:
     return {f"k{i:03d}".encode(): f"r{ROUNDS - 1}-{i:03d}".encode() * 6
             for i in range(KEYS)}
-
-
-def _wait(predicate, what: str, timeout: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, f"timed out waiting for {what}"
-        time.sleep(0.002)
 
 
 # -- the three drivers ---------------------------------------------------------
@@ -110,7 +101,7 @@ def _trigger_background(vfs, _state):
     """Reopen on the pipeline: the thread finds level 0 at the trigger and
     compacts; nothing else touches the filesystem meanwhile."""
     db = DB.open(vfs, "db", _options(background_compaction=True))
-    _wait(lambda: db.compactor.stats.compaction_count > 0
+    wait_until(lambda: db.compactor.stats.compaction_count > 0
           or db._bg_error is not None or db.read_only,
           "the background compaction")
     return db
