@@ -8,16 +8,16 @@ expires postings once their entries are flushed into SSTables (where the
 embedded bloom filters and zone maps take over).
 
 The tree is a classic order-``m`` B-tree with node splitting on insert.
-Removals (which only happen when a flush expires postings) delete from the
-leaf without rebalancing: the structure is bounded by the MemTable budget
-and is rebuilt naturally as it drains, so rebalance complexity buys
-nothing here.
+Nothing is ever deleted from it: a flush expires postings by rebuilding the
+tree from the survivors (the postings of a MemTable still being written —
+few or none), so the structure stays bounded by the MemTable budget and
+rebalance complexity buys nothing here.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
+import threading
 from typing import Iterator
 
 _ORDER = 32  # max keys per node
@@ -41,20 +41,26 @@ class MemTableAttributeIndex:
 
     def __init__(self) -> None:
         self._root = _Node(leaf=True)
-        self._count = 0
-        # Postings ordered by seq (a heap: insertions are *usually* in seq
-        # order, but a WAL-recovery rebuild walks the MemTable in key
-        # order), for cheap flush expiry.
-        self._by_seq: list[tuple[int, bytes, bytes]] = []
+        #: Every live posting, ``(encoded_value, seq, primary_key)``: what
+        #: a flush expiry rebuilds the tree from.
+        self._postings: list[tuple[bytes, int, bytes]] = []
+        # The flush listener expires postings on the engine's maintenance
+        # thread while the caller's thread inserts and queries.
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         """Number of live postings (not distinct keys)."""
-        return self._count
+        return len(self._postings)
 
     # -- insertion ----------------------------------------------------------
 
     def insert(self, encoded_value: bytes, seq: int, primary_key: bytes) -> None:
         """Record that ``primary_key`` carried ``encoded_value`` at ``seq``."""
+        with self._lock:
+            self._insert_locked(encoded_value, seq, primary_key)
+
+    def _insert_locked(self, encoded_value: bytes, seq: int,
+                       primary_key: bytes) -> None:
         root = self._root
         if len(root.keys) >= _ORDER:
             new_root = _Node(leaf=False)
@@ -64,8 +70,7 @@ class MemTableAttributeIndex:
             self._root = new_root
             root = new_root
         self._insert_nonfull(root, encoded_value, seq, primary_key)
-        heapq.heappush(self._by_seq, (seq, encoded_value, primary_key))
-        self._count += 1
+        self._postings.append((encoded_value, seq, primary_key))
 
     def _split_child(self, parent: _Node, index: int) -> None:
         assert parent.children is not None
@@ -111,20 +116,23 @@ class MemTableAttributeIndex:
 
     def get(self, encoded_value: bytes) -> list[tuple[int, bytes]]:
         """Postings for one attribute value, newest first."""
-        node = self._root
-        while True:
-            index = bisect.bisect_left(node.keys, encoded_value)
-            if index < len(node.keys) and node.keys[index] == encoded_value:
-                return sorted(node.values[index], key=lambda p: -p[0])
-            if node.is_leaf:
-                return []
-            assert node.children is not None
-            node = node.children[index]
+        with self._lock:
+            node = self._root
+            while True:
+                index = bisect.bisect_left(node.keys, encoded_value)
+                if index < len(node.keys) and \
+                        node.keys[index] == encoded_value:
+                    return sorted(node.values[index], key=lambda p: -p[0])
+                if node.is_leaf:
+                    return []
+                assert node.children is not None
+                node = node.children[index]
 
     def range(self, low: bytes, high: bytes
-              ) -> Iterator[tuple[bytes, list[tuple[int, bytes]]]]:
+              ) -> list[tuple[bytes, list[tuple[int, bytes]]]]:
         """All ``(encoded_value, postings)`` with ``low <= value <= high``."""
-        yield from self._range_walk(self._root, low, high)
+        with self._lock:
+            return list(self._range_walk(self._root, low, high))
 
     def _range_walk(self, node: _Node, low: bytes, high: bytes
                     ) -> Iterator[tuple[bytes, list[tuple[int, bytes]]]]:
@@ -148,26 +156,12 @@ class MemTableAttributeIndex:
         Called from the primary table's flush listener: once entries are in
         SSTables, the embedded per-block structures answer for them.
         """
-        expired = 0
-        while self._by_seq and self._by_seq[0][0] <= flushed_max_seq:
-            seq, encoded_value, primary_key = heapq.heappop(self._by_seq)
-            self._remove(encoded_value, seq, primary_key)
-            expired += 1
-        self._count -= expired
+        with self._lock:
+            survivors = [posting for posting in self._postings
+                         if posting[1] > flushed_max_seq]
+            expired = len(self._postings) - len(survivors)
+            if expired:
+                self._root, self._postings = _Node(leaf=True), []
+                for posting in survivors:
+                    self._insert_locked(*posting)
         return expired
-
-    def _remove(self, key: bytes, seq: int, primary_key: bytes) -> None:
-        node = self._root
-        while True:
-            index = bisect.bisect_left(node.keys, key)
-            if index < len(node.keys) and node.keys[index] == key:
-                postings = node.values[index]
-                try:
-                    postings.remove((seq, primary_key))
-                except ValueError:
-                    pass
-                return
-            if node.is_leaf:
-                return
-            assert node.children is not None
-            node = node.children[index]

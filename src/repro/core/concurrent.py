@@ -1,15 +1,17 @@
 """Thread safety: a synchronized wrapper around the facade.
 
-The engine is deliberately single-threaded — the paper chose LevelDB
-*because* "it is a single-threaded pure single-node key value store, so we
-can easily isolate and explain the performance differences".  Flushes and
-compactions run inline in the writing thread, and nothing in
-:mod:`repro.lsm` takes locks.
+The facade takes one caller at a time — the paper chose LevelDB *because*
+"it is a single-threaded pure single-node key value store, so we can
+easily isolate and explain the performance differences", and index
+maintenance on PUT still assumes it.  The engine's own maintenance may run
+on its own thread (``Options.background_compaction``): every index reads
+through the engine's read view, so a flush or compaction landing in the
+middle of a LOOKUP changes nothing the LOOKUP sees.
 
 Applications that want to share one database across threads wrap it in
 :class:`ThreadSafeDB`: a re-entrant mutex serialises every operation, so
-the single-threaded invariants hold while callers get a thread-safe
-surface (coarse-grained, like SQLite's default mode — correctness first,
+the one-caller invariant holds while callers get a thread-safe surface
+(coarse-grained, like SQLite's default mode — correctness first,
 parallelism never).
 """
 

@@ -28,6 +28,16 @@ reordering — validity never depends on heap state — so the answers are
 those of the forward walk (kept as the reference in
 ``tests/core/test_embedded_pruning.py``).
 
+A query is a client of the engine's read view: everything after the B-tree
+read runs inside one ``with primary.read_view()`` block.  A MemTable sealed
+but not yet flushed enters through :meth:`repro.lsm.db.DB.newest_in_memory`
+(B-tree postings are checked against both MemTables of the view) and
+through GetLite's probes, which see the same view; a quarantined table
+enters through :meth:`repro.lsm.db.DB.blocks_admitting` (it has no blocks;
+one found rotten mid-walk is quarantined there, or the error raised, as
+``Options.on_corruption`` says) and through GetLite, which treats what it
+can no longer read as "maybe newer".
+
 RANGELOOKUP (Algorithm 8) is the same walk driven by zone-map overlap
 tests; bloom filters cannot help ranges.  As the paper's analysis warns,
 the pruning power of the *attribute* zone maps depends entirely on the
@@ -49,18 +59,12 @@ from repro.core.records import (
 )
 from repro.core.topk import TopKBySeq
 from repro.core.validity import ValidityChecker
-from repro.lsm.bloom import bloom_hash, bloom_probe
+from repro.lsm.block import Block
+from repro.lsm.bloom import bloom_hash
 from repro.lsm.db import DB
-from repro.lsm.keys import (
-    KIND_FOR_SEEK,
-    KIND_VALUE,
-    MAX_SEQUENCE,
-    pack_internal_key,
-)
+from repro.lsm.keys import KIND_VALUE
 from repro.lsm.options import resolve_attribute_path
-from repro.lsm.sstable import SSTable
-from repro.lsm.vfs import Category
-from repro.lsm.version import FileMetaData
+from repro.lsm.version import FileMetaData, Version
 from repro.lsm.zonemap import encode_attribute
 
 
@@ -107,15 +111,9 @@ class EmbeddedIndex(SecondaryIndex):
         entries replayed into the MemTable need their B-tree postings back.
         """
         extractor = self.primary.options.attribute_extractor
-        for entry in self.primary.memtable:
-            if entry.kind != KIND_VALUE:
-                continue
-            attr_value = resolve_attribute_path(
-                extractor(entry.value), self.attribute)
-            if attr_value is None:
-                continue
-            self.memview.insert(encode_attribute(attr_value), entry.seq,
-                                entry.user_key)
+        for ikey, value in self.primary.scan_level(-1):
+            if ikey.kind == KIND_VALUE:
+                self.on_put(ikey.user_key, extractor(value), ikey.seq)
 
     # -- write hooks ------------------------------------------------------------
 
@@ -137,10 +135,8 @@ class EmbeddedIndex(SecondaryIndex):
     def lookup(self, value: Any, k: int | None = None,
                early_termination: bool = True) -> list[LookupResult]:
         encoded = encode_attribute(value)
-        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-        self._memtable_matches(heap, self.memview.get(encoded))
-        return self._walk_levels(heap, encoded, encoded, bloom_hash(encoded),
-                                 early_termination)
+        return self._query(self.memview.get(encoded), encoded, encoded,
+                           bloom_hash(encoded), k, early_termination)
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
@@ -148,15 +144,34 @@ class EmbeddedIndex(SecondaryIndex):
         high_encoded = encode_attribute(high)
         if low_encoded > high_encoded:
             return []
-        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-        for _enc, postings in self.memview.range(low_encoded, high_encoded):
-            self._memtable_matches(heap, postings)
-        return self._walk_levels(heap, low_encoded, high_encoded, None,
-                                 early_termination)
+        postings = [posting for _enc, value_postings
+                    in self.memview.range(low_encoded, high_encoded)
+                    for posting in value_postings]
+        return self._query(postings, low_encoded, high_encoded, None, k,
+                           early_termination)
 
-    def _walk_levels(self, heap: TopKBySeq[LookupResult], low: bytes,
-                     high: bytes, value_hash: tuple[int, int] | None,
-                     early_termination: bool) -> list[LookupResult]:
+    def _query(self, postings: list[tuple[int, bytes]], low: bytes,
+               high: bytes, value_hash: tuple[int, int] | None,
+               k: int | None, early_termination: bool) -> list[LookupResult]:
+        """Algorithms 5 and 8 under one engine read view.
+
+        ``postings`` were read from the B-tree *before* the view is taken:
+        a flush that lands in between expires them from the B-tree on its
+        own thread, and read in this order they can only be stale — the
+        view then no longer holds their MemTable, they fail the check
+        against it and the same records are found on disk — never missing.
+        """
+        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
+        with self.primary.read_view() as version:
+            self._memtable_matches(heap, postings)
+            self._walk_levels(heap, version, low, high, value_hash,
+                              early_termination)
+        return heap.results()
+
+    def _walk_levels(self, heap: TopKBySeq[LookupResult], version: Version,
+                     low: bytes, high: bytes,
+                     value_hash: tuple[int, int] | None,
+                     early_termination: bool) -> None:
         """The disk half of Algorithms 5 and 8: values in ``[low, high]``.
 
         ``value_hash`` is the bloom hash of a point LOOKUP's value (then
@@ -166,8 +181,8 @@ class EmbeddedIndex(SecondaryIndex):
         ``would_accept`` would refuse their entries one by one.
         """
         if early_termination and heap.is_full:
-            return heap.results()
-        for level, files in enumerate(self.primary.versions.current.by_recency):
+            return
+        for level, files in enumerate(version.by_recency):
             for visited, (position, meta) in enumerate(files):
                 if not heap.would_accept(meta.seq_upper_bound):
                     self.files_seq_pruned += len(files) - visited
@@ -176,20 +191,20 @@ class EmbeddedIndex(SecondaryIndex):
                                 value_hash)
             if early_termination and heap.is_full:
                 break
-        return heap.results()
 
     # -- memtable component ---------------------------------------------------
 
     def _memtable_matches(self, heap: TopKBySeq[LookupResult],
                           postings: list[tuple[int, bytes]]) -> None:
-        memtable = self.primary.memtable
+        newest_in_memory = self.primary.newest_in_memory
         for seq, key in postings:
-            newest = memtable.get(key)
-            if newest is None or newest.seq != seq:
-                continue  # superseded inside the MemTable itself
-            if newest.kind != KIND_VALUE:
+            newest = newest_in_memory(key)
+            if newest is None or newest[1] != seq:
+                continue  # superseded in, or flushed out of, the MemTables
+            kind, _seq, value = newest
+            if kind != KIND_VALUE:
                 continue
-            document = decode_document(newest.value)
+            document = decode_document(value)
             heap.add(seq, LookupResult(key_to_str(key), document, seq))
 
     # -- SSTable scans ----------------------------------------------------------
@@ -204,38 +219,28 @@ class EmbeddedIndex(SecondaryIndex):
             if file_zone is not None and not file_zone.overlaps(low, high):
                 self.files_pruned += 1
                 return
-        table = self.primary.table_cache.get(meta.file_number)
-        zonemaps = table.secondary_zonemaps.get(self.attribute, [])
-        blooms = table.secondary_filters.get(self.attribute, []) \
-            if value_hash is not None else []
-        self.filter_probes += table.num_data_blocks
-        # Last block first: on an insert-ordered table the newest records
-        # sit at the end, and once they fill the heap the older matches
-        # fail ``would_accept`` before any validity work is spent on them.
-        for block_index in reversed(range(table.num_data_blocks)):
-            if block_index < len(zonemaps) and not \
-                    zonemaps[block_index].overlaps(low, high):
-                continue  # two compares: cheaper than the bloom, so first
-            if block_index < len(blooms) and not bloom_probe(
-                    blooms[block_index], *value_hash):
-                continue
-            self._scan_block(heap, level, position, table, block_index,
+        num_blocks, blocks = self.primary.blocks_admitting(
+            meta, self.attribute, low, high, value_hash)
+        self.filter_probes += num_blocks
+        for block, boundary_key in blocks:
+            self._scan_block(heap, level, position, block, boundary_key,
                              low, high)
 
     def _scan_block(self, heap: TopKBySeq[LookupResult], level: int,
-                    position: int, table: SSTable, block_index: int,
+                    position: int, block: Block, boundary_key: bytes | None,
                     low: bytes, high: bytes) -> None:
-        """Read one surviving block and harvest valid matches from it.
+        """Harvest valid matches from one surviving block.
 
         Filters run cheapest first — version order, kind, recency — so a
         value is parsed only if the heap could still take it, and parsed
         once: the facade stores JSON documents, so the extractor's dict is
-        the result document.
+        the result document.  ``boundary_key`` ends the block before this
+        one: entries for it are older versions too, decided purely from
+        the in-memory index block.
         """
         extractor = self.primary.options.attribute_extractor
-        block = table.read_data_block(block_index, Category.DATA)
         self.blocks_read += 1
-        previous_key = None
+        previous_key = boundary_key
         for (key, negated_tag), value in block.sorted_items():
             if key == previous_key:
                 continue  # an older version: a key's versions are contiguous
@@ -251,51 +256,27 @@ class EmbeddedIndex(SecondaryIndex):
             if attr_value is None or \
                     not low <= encode_attribute(attr_value) <= high:
                 continue
-            if self._is_valid(table, key, seq, level, position, block_index):
+            if self._is_valid(key, seq, level, position):
                 heap.add(seq, LookupResult(key_to_str(key), document, seq))
 
-    def _is_valid(self, table: SSTable, key: bytes, seq: int, level: int,
-                  position: int, block_index: int) -> bool:
+    def _is_valid(self, key: bytes, seq: int, level: int,
+                  position: int) -> bool:
         """Is the matched version still the record's newest version?"""
         if not self.use_getlite:
             # Ablation baseline: a plain GET on the data table, as a naive
             # implementation would do.
             found = self.primary.get_with_seq(key)
             return found is not None and found[1] == seq
-        if not self._newest_in_file(table, key, block_index):
-            return False
-        if level == 0 and not self._newest_across_l0(key, position):
-            return False
-        return self.checker.is_newest_version(key, seq, level)
-
-    def _newest_in_file(self, table: SSTable, key: bytes,
-                        block_index: int) -> bool:
-        """Is the key's first (newest) version in this file inside this block?
-
-        Versions of one key are contiguous in the file, so if the first
-        block that can contain the key precedes this one, that earlier
-        block necessarily ends with a newer version of the key — decided
-        purely from the in-memory index block.
-        """
-        probe = pack_internal_key(key, MAX_SEQUENCE, KIND_FOR_SEEK)
-        first_block = table._block_index_for(probe)
-        return first_block is None or first_block >= block_index
-
-    def _newest_across_l0(self, key: bytes, position: int) -> bool:
-        """No newer level-0 file (they are ordered newest first) holds the key."""
-        version = self.primary.versions.current
-        for newer in version.levels[0][:position]:
-            if not newer.contains_user_key(key):
-                continue
-            newer_table = self.primary.table_cache.get(newer.file_number)
-            if not newer_table.may_contain_user_key(key):
-                continue
-            # Bloom positive: confirm with a real probe (charged) so a
-            # false positive cannot discard a live record.
-            self.checker.getlite_confirm_reads += 1
-            for _ikey, _value in newer_table.versions(key, MAX_SEQUENCE):
-                return False
-        return True
+        checker = self.checker
+        if level == 0:
+            # Level-0 files overlap: the ones before this one are newer
+            # components too.  Each item is one confirm read (charged), so
+            # a bloom false positive cannot discard a live record.
+            for newest in self.primary.newer_level0_versions(key, position):
+                checker.getlite_confirm_reads += 1
+                if newest:
+                    return False
+        return checker.is_newest_version(key, seq, level)
 
     def probe_stats(self) -> dict[str, int]:
         """Counters for the cost-model experiments (Table 3)."""

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.lsm.block import Block
 from repro.lsm.bloom import bloom_may_contain
 from repro.lsm.db import DB
 from repro.lsm.errors import CorruptionError
-from repro.lsm.keys import KIND_VALUE, internal_sort_key
-from repro.lsm.manifest import table_file_name
-from repro.lsm.vfs import Category
+from repro.lsm.keys import KIND_VALUE, internal_sort_key, unpack_internal_key
+from repro.lsm.manifest import parse_file_number, table_file_name
 from repro.lsm.zonemap import encode_attribute
 
 
@@ -63,18 +63,13 @@ def verify_integrity(db: DB) -> IntegrityReport:
     return report
 
 
-def _file_number(base: str) -> int | None:
-    stem = base.split(".")[0]
-    return int(stem) if stem.isdigit() else None
-
-
 def _check_manifest_vs_files(db: DB, report: IntegrityReport) -> None:
     live = db.versions.live_file_numbers()
     on_disk = {}
     for name in db.vfs.list_dir(db.name + "/"):
         base = name.rsplit("/", 1)[-1]
         if base.endswith(".ldb"):
-            number = _file_number(base)
+            number = parse_file_number(base)
             if number is not None:
                 on_disk[number] = name
     for number in live:
@@ -105,11 +100,11 @@ def _check_orphans(db: DB, report: IntegrityReport) -> None:
         if name == current_tmp_file_name(db.name):
             report.problem("stranded CURRENT.tmp (interrupted install)")
         elif base.endswith(".ldb"):
-            number = _file_number(base)
+            number = parse_file_number(base)
             if number is not None and number not in live:
                 report.problem(f"orphaned table file {name}")
         elif base.endswith(".log"):
-            number = _file_number(base)
+            number = parse_file_number(base)
             if number is not None and number != db._log_number:
                 report.problem(f"orphaned log file {name}")
         elif base.startswith("MANIFEST-"):
@@ -158,18 +153,14 @@ def _check_table(db: DB, level: int, meta, report: IntegrityReport) -> None:
     smallest = largest = None
     min_seq = max_seq = None
     extractor = db.options.attribute_extractor
-    for block_index in range(table.num_data_blocks):
+    # The audit never trusts the paranoid_checks setting (which gates the
+    # engine's own reads) nor any cache: verified_blocks re-reads and
+    # re-checksums every byte.
+    for block_index, payload in table.verified_blocks():
         report.blocks_checked += 1
         try:
-            # One raw read with verify_crc=True: the audit never trusts the
-            # paranoid_checks setting (which gates the engine's own reads)
-            # nor any cache — every byte is re-read and re-checksummed.
-            from repro.lsm.block import Block
-            from repro.lsm.sstable import _read_physical_block
-
-            payload = _read_physical_block(
-                table.file, table._index_entries[block_index][1],
-                Category.OTHER, verify_crc=True, options=db.options)
+            if isinstance(payload, CorruptionError):
+                raise payload
             block = Block(payload)
         except CorruptionError as exc:
             report.problem(
@@ -187,8 +178,6 @@ def _check_table(db: DB, level: int, meta, report: IntegrityReport) -> None:
             if smallest is None:
                 smallest = ikey_bytes
             largest = ikey_bytes
-            from repro.lsm.keys import unpack_internal_key
-
             ikey = unpack_internal_key(ikey_bytes)
             min_seq = ikey.seq if min_seq is None else min(min_seq, ikey.seq)
             max_seq = ikey.seq if max_seq is None else max(max_seq, ikey.seq)

@@ -12,7 +12,9 @@ plus:
 * ``scan_level`` / ``fragments_by_level``: raw per-level access, which the
   Lazy and Composite indexes need for level-at-a-time traversal;
 * ``key_maybe_in_levels``: the in-memory presence probe behind the
-  Embedded index's GetLite validity check.
+  Embedded index's GetLite validity check;
+* ``read_view``: one view held across several probes, which is how the
+  Embedded index reads (``newest_in_memory``, ``blocks_admitting``).
 
 By default, writes are synchronous and single-threaded (the paper chose
 LevelDB for exactly this property, to isolate index costs); a MemTable
@@ -39,6 +41,7 @@ import logging
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter, methodcaller
 from typing import Any, Callable, Iterable, Iterator
@@ -70,6 +73,7 @@ from repro.lsm.manifest import (
     current_tmp_file_name,
     log_file_name,
     manifest_file_name,
+    parse_file_number,
     recover_version_set,
     table_file_name,
 )
@@ -87,17 +91,6 @@ FlushListener = Callable[[int], None]
 MAX_WRITE_GROUP_BYTES = 1 << 20
 
 logger = logging.getLogger(__name__)
-
-
-def _parse_file_number(base: str) -> int | None:
-    """File number encoded in a ``NNNNNN.ldb``/``NNNNNN.log`` basename.
-
-    Returns ``None`` for names the engine did not produce (editor
-    droppings, half-renamed scratch files): recovery must tolerate them,
-    not crash on them.
-    """
-    stem = base.split(".")[0]
-    return int(stem) if stem.isdigit() else None
 
 
 class WriteBatch:
@@ -260,6 +253,7 @@ class DB:
         self._writers: deque[_Writer] = deque()
         self._pending_seq = 0  # last *allocated* seq; published lags behind
         self._version_pins: dict[int, list] = {}  # id(version) -> [v, refs]
+        self._held_views: dict[int, tuple] = {}  # thread id -> read_view()'s
         self._zombie_tables: set[int] = set()  # retired but pinned files
         self._bg_thread: threading.Thread | None = None
         self._bg_stop = False
@@ -367,20 +361,23 @@ class DB:
         """Make ``log_number`` the WAL that writes append to from now on.
 
         The previous WAL is closed but stays on disk: only the flush edit
-        that records a newer log number makes it obsolete.
+        that records a newer log number makes it obsolete.  It is closed
+        only once the new one exists, so a failed rotation leaves the
+        writer on the old WAL and the next write retries the rotation.
         """
-        if self._log is not None:
-            self._log.close()
-        self._log = LogWriter(
+        log = LogWriter(
             self.vfs.create(log_file_name(self.name, log_number)),
             sync=self.options.sync_writes)
+        if self._log is not None:
+            self._log.close()
+        self._log = log
         self._log_number = log_number
 
     def _replay_logs(self) -> None:
         log_names = [name for name in self.vfs.list_dir(self.name + "/")
                      if name.endswith(".log")]
         for name in sorted(log_names):
-            number = _parse_file_number(name.rsplit("/", 1)[-1])
+            number = parse_file_number(name.rsplit("/", 1)[-1])
             if number is None:
                 logger.warning("ignoring unrecognized log file %r", name)
                 continue
@@ -406,7 +403,7 @@ class DB:
                 # after open.
                 self.vfs.delete_if_exists(name)
             elif base.endswith(".ldb"):
-                number = _parse_file_number(base)
+                number = parse_file_number(base)
                 if number is None:
                     logger.warning("ignoring unrecognized table file %r",
                                    name)
@@ -414,7 +411,7 @@ class DB:
                     self.table_cache.evict(number)
                     self.vfs.delete_if_exists(name)
             elif base.endswith(".log"):
-                number = _parse_file_number(base)
+                number = parse_file_number(base)
                 if number is None:
                     logger.warning("ignoring unrecognized log file %r", name)
                 elif number < self._log_number:
@@ -1103,6 +1100,10 @@ class DB:
         """
         if self._closed:
             raise DBClosedError("database is closed")
+        if self._held_views:
+            held = self._held_views.get(threading.get_ident())
+            if held is not None:
+                return held
         if not self._bg:
             return (self.memtable,), self.versions.current, MAX_SEQUENCE, None
         # The one scheduling point of the read path: once pinned, snapshot
@@ -1135,6 +1136,36 @@ class DB:
             del self._version_pins[id(pin)]
             if self._zombie_tables:
                 self._sweep_retired_locked(sorted(self._zombie_tables))
+
+    @contextmanager
+    def read_view(self):
+        """One view for every probe the calling thread makes inside the
+        ``with`` block; yields its :class:`~repro.lsm.version.Version`.
+
+        For a client whose read is several probes that must agree on the
+        MemTables and the tables (the Embedded index: a walk, then GetLite
+        per match).  The block owns the one pin and drops it on every way
+        out; inside, :meth:`_acquire_view` hands out this view pin-free.
+        In pipeline mode the holder's own writes inside the block are not
+        visible to its probes, and a generator probe started inside must
+        be finished inside.  Only this explicit block is re-entrant: an
+        open :meth:`scan_with_seq` keeps its view to itself, so a GET
+        between two of its items still reads the caller's latest writes.
+        """
+        ident = threading.get_ident()
+        memtables, version, max_seq, pin = view = self._acquire_view()
+        if self._held_views.get(ident) is view:
+            yield version  # nested: the outer block owns the view
+            return
+        self._held_views[ident] = (memtables, version, max_seq, None)
+        try:
+            # The holder runs client code between its probes: a scheduling
+            # point, so the deterministic harness puts maintenance there.
+            self._step("read:held")
+            yield version
+        finally:
+            del self._held_views[ident]
+            self._release_view(pin)
 
     def flush(self) -> None:
         """Flush the MemTable to a level-0 SSTable and run due compactions.
@@ -1427,33 +1458,8 @@ class DB:
         levels (0 to currentlevel-1) ... there is an updated version".
         May return false positives at the bloom rate; never false negatives.
         """
-        memtables, version, _max_seq, pin = self._acquire_view()
-        try:
-            if include_memtable:
-                for memtable in memtables:
-                    if memtable.get(key) is not None:
-                        return True
-            quarantined = self._quarantined
-            table_cache_get = self.table_cache.get
-            for level in range(min(below_level, self.options.max_levels)):
-                for meta in version.files_containing_key(level, key):
-                    file_number = meta.file_number
-                    # Conservative: a quarantined (or unopenable) table
-                    # *may* hold a newer version we can no longer prove
-                    # absent, so GetLite must treat the row as stale —
-                    # missing-but-detected, never a silently wrong value.
-                    if file_number in quarantined:
-                        return True
-                    try:
-                        if table_cache_get(file_number) \
-                                .may_contain_user_key(key):
-                            return True
-                    except CorruptionError as exc:
-                        self._contain(file_number, exc)
-                        return True
-            return False
-        finally:
-            self._release_view(pin)
+        return self._newest_above(key, below_level, include_memtable,
+                                  confirm=False) is not None
 
     def newest_seq_above(self, key: bytes, below_level: int) -> int | None:
         """Newest sequence of ``key`` among MemTables and levels < ``below_level``.
@@ -1463,31 +1469,114 @@ class DB:
         quarantined or unreadable table may hold a version nobody can prove
         absent, so it answers ``MAX_SEQUENCE``.
         """
+        return self._newest_above(key, below_level, True, confirm=True)
+
+    def newer_level0_versions(self, key: bytes, position: int
+                              ) -> Iterator[int]:
+        """GetLite inside level 0, whose files overlap: one confirm read per
+        file before ``position`` (newer) that the in-memory probe admits —
+        the newest sequence of ``key`` in it, 0 for a bloom false positive.
+        Lazy, so the caller stops at the first hit."""
+        _memtables, version, _max_seq, pin = self._acquire_view()
+        try:
+            for meta in version.levels[0][:position]:
+                if meta.contains_user_key(key):
+                    newest = self._newest_in_table(meta, key, True)
+                    if newest is not None:
+                        yield newest
+        finally:
+            self._release_view(pin)
+
+    def _newest_above(self, key: bytes, below_level: int,
+                      include_memtable: bool, confirm: bool) -> int | None:
+        """GetLite's one walk of the components above ``below_level``: the
+        newest sequence of ``key`` there, ``None`` if none holds it.  A
+        MemTable hit or a table's ``MAX_SEQUENCE`` ends the walk."""
         memtables, version, _max_seq, pin = self._acquire_view()
         try:
-            for memtable in memtables:
-                entry = memtable.get(key)
-                if entry is not None:
-                    return entry.seq
+            if include_memtable:
+                for memtable in memtables:
+                    entry = memtable.get(key)
+                    if entry is not None:
+                        return entry.seq
             best: int | None = None
             for level in range(min(below_level, self.options.max_levels)):
                 for meta in version.files_containing_key(level, key):
-                    file_number = meta.file_number
-                    if file_number in self._quarantined:
-                        return MAX_SEQUENCE
-                    try:
-                        newest = next(self.table_cache.get(file_number)
-                                      .versions_raw(key, MAX_SEQUENCE), None)
-                    except CorruptionError as exc:
-                        self._contain(file_number, exc)
-                        return MAX_SEQUENCE
-                    if newest is not None:
-                        best = max(best or 0, newest[1])
+                    newest = self._newest_in_table(meta, key, confirm)
+                    if newest == MAX_SEQUENCE:
+                        return newest
+                    if newest:
+                        best = max(best or 0, newest)
                 if best is not None and level >= 1:
                     break  # deeper levels are older still
             return best
         finally:
             self._release_view(pin)
+
+    def _newest_in_table(self, meta, key: bytes, confirm: bool) -> int | None:
+        """What one table knows of ``key``.
+
+        ``None``: its index block and primary blooms (zero I/O) say it is
+        not there.  Otherwise ``MAX_SEQUENCE`` — only a read could tell —
+        or, with ``confirm``, what the read found: the newest sequence, 0
+        for a bloom false positive.  Conservative: a quarantined (or
+        unreadable) table *may* hold a newer version we can no longer
+        prove absent, so it answers ``MAX_SEQUENCE`` too and GetLite
+        treats the row as stale — missing-but-detected, never a silently
+        wrong value.
+        """
+        file_number = meta.file_number
+        if file_number in self._quarantined:
+            return MAX_SEQUENCE
+        try:
+            table = self.table_cache.get(file_number)
+            if not table.may_contain_user_key(key):
+                return None
+            if not confirm:
+                return MAX_SEQUENCE
+            newest = next(table.versions_raw(key, MAX_SEQUENCE), None)
+        except CorruptionError as exc:
+            self._contain(file_number, exc)
+            return MAX_SEQUENCE
+        return newest[1] if newest else 0
+
+    def newest_in_memory(self, key: bytes) -> tuple[int, int, bytes] | None:
+        """``(kind, seq, value)`` of ``key``'s newest version in the view's
+        MemTables (the active one, then a sealed one not yet flushed)."""
+        memtables, _version, max_seq, pin = self._acquire_view()
+        try:
+            for memtable in memtables:
+                entry = memtable.get(key, max_seq)
+                if entry is not None:
+                    return entry.kind, entry.seq, entry.value
+            return None
+        finally:
+            self._release_view(pin)
+
+    def blocks_admitting(self, meta, attribute: str, low: bytes, high: bytes,
+                         value_hash: tuple[int, int] | None = None
+                         ) -> tuple[int, Iterable]:
+        """One table of a held view, opened for the Embedded index: its
+        data-block count (each costs the caller a filter probe) and its
+        :meth:`~repro.lsm.sstable.SSTable.blocks_admitting`, read under
+        :meth:`_contain`'s idiom — a quarantined or unopenable table has
+        no blocks, a rotten block ends the stream."""
+        file_number = meta.file_number
+        if file_number not in self._quarantined:
+            try:
+                table = self.table_cache.get(file_number)
+                return table.num_data_blocks, self._contained(
+                    file_number,
+                    table.blocks_admitting(attribute, low, high, value_hash))
+            except CorruptionError as exc:
+                self._contain(file_number, exc)
+        return 0, ()
+
+    def _contained(self, file_number: int, entries: Iterator) -> Iterator:
+        try:
+            yield from entries
+        except CorruptionError as exc:
+            self._contain(file_number, exc)
 
     # -- range reads ------------------------------------------------------------
 

@@ -36,6 +36,17 @@ def log_file_name(db_name: str, number: int) -> str:
     return f"{db_name}/{number:06d}.log"
 
 
+def parse_file_number(base: str) -> int | None:
+    """File number encoded in a ``NNNNNN.ldb``/``NNNNNN.log`` basename.
+
+    Returns ``None`` for names the engine did not produce (editor
+    droppings, half-renamed scratch files): recovery must tolerate them,
+    not crash on them.
+    """
+    stem = base.split(".")[0]
+    return int(stem) if stem.isdigit() else None
+
+
 class ManifestWriter:
     """Appends version edits to the active manifest."""
 

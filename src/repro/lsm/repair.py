@@ -42,11 +42,12 @@ from repro.lsm.keys import KIND_VALUE, unpack_internal_key
 from repro.lsm.manifest import (
     ManifestWriter,
     current_tmp_file_name,
+    parse_file_number,
     table_file_name,
 )
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import Options, resolve_attribute_path
-from repro.lsm.sstable import SSTable, TableBuilder, _read_physical_block
+from repro.lsm.sstable import SSTable, TableBuilder
 from repro.lsm.version import FileMetaData, VersionEdit
 from repro.lsm.vfs import VFS, Category
 from repro.lsm.wal import BLOCK_SIZE, HEADER_SIZE, _HEADER
@@ -71,11 +72,6 @@ class RepairReport:
 
     def action(self, text: str) -> None:
         self.actions.append(text)
-
-
-def _parse_file_number(base: str) -> int | None:
-    stem = base.split(".")[0]
-    return int(stem) if stem.isdigit() else None
 
 
 def _salvage_wal_payloads(data: bytes, report: RepairReport, name: str):
@@ -167,12 +163,12 @@ class _Repairer:
         for full in self.vfs.list_dir(self.name + "/"):
             base = full.rsplit("/", 1)[-1]
             if base.endswith(".ldb"):
-                number = _parse_file_number(base)
+                number = parse_file_number(base)
                 if number is not None:
                     self.table_numbers.append(number)
                     self.max_file_number = max(self.max_file_number, number)
             elif base.endswith(".log"):
-                number = _parse_file_number(base)
+                number = parse_file_number(base)
                 if number is not None:
                     self.log_numbers.append(number)
                     self.max_file_number = max(self.max_file_number, number)
@@ -204,12 +200,10 @@ class _Repairer:
             return
         good: list[tuple[bytes, bytes]] = []
         bad_blocks = 0
-        for block_index in range(table.num_data_blocks):
-            block_handle = table._index_entries[block_index][1]
+        for block_index, payload in table.verified_blocks():
             try:
-                payload = _read_physical_block(
-                    table.file, block_handle, Category.OTHER,
-                    verify_crc=True, options=self.options)
+                if isinstance(payload, CorruptionError):
+                    raise payload
                 entries = list(Block(payload))
             except CorruptionError as exc:
                 bad_blocks += 1

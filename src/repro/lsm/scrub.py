@@ -33,7 +33,6 @@ from repro.lsm.manifest import (
     read_current_manifest_number,
     table_file_name,
 )
-from repro.lsm.vfs import Category
 from repro.lsm.version import VersionEdit
 from repro.lsm.wal import LogReader
 
@@ -112,7 +111,7 @@ class Scrubber:
             report.quarantined.append(file_number)
 
     def _scrub_table(self, file_number: int, report: ScrubReport) -> None:
-        from repro.lsm.sstable import SSTable, _read_physical_block
+        from repro.lsm.sstable import SSTable
 
         db = self.db
         name = table_file_name(db.name, file_number)
@@ -137,17 +136,13 @@ class Scrubber:
                 report.problems.append(
                     f"table {file_number}: corrupt meta block {degraded!r}")
             bad_blocks = 0
-            for block_index in range(table.num_data_blocks):
+            for block_index, payload in table.verified_blocks():
                 report.blocks_verified += 1
-                block_handle = table._index_entries[block_index][1]
-                try:
-                    _read_physical_block(
-                        table.file, block_handle, Category.OTHER,
-                        verify_crc=True, options=db.options)
-                except CorruptionError as exc:
+                if isinstance(payload, CorruptionError):
                     bad_blocks += 1
                     report.problems.append(
-                        f"table {file_number} block {block_index}: {exc}")
+                        f"table {file_number} block {block_index}: "
+                        f"{payload}")
             if bad_blocks or table.degraded_filters:
                 self._contain(
                     file_number,

@@ -28,7 +28,11 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.lsm.block import Block, BlockBuilder
-from repro.lsm.bloom import BloomFilterBuilder, bloom_may_contain
+from repro.lsm.bloom import (
+    BloomFilterBuilder,
+    bloom_may_contain,
+    bloom_probe,
+)
 from repro.lsm.compression import Compressor, decompress
 from repro.lsm.errors import CorruptionError
 from repro.lsm.keys import (
@@ -452,6 +456,52 @@ class SSTable:
         if self._block_cache is not None:
             self._block_cache.put(cache_key, block, len(payload))
         return block
+
+    def verified_blocks(self) -> Iterator[tuple[int, bytes | CorruptionError]]:
+        """``(block_index, payload)`` of every data block, re-read from the
+        file and re-checksummed: the audit read of the checker, the scrubber
+        and repair, which trusts neither ``paranoid_checks`` nor any cache.
+        A block that fails yields its error in place of its payload, so one
+        rotten block does not end the walk."""
+        for block_index, (_key, handle) in enumerate(self._index_entries):
+            try:
+                payload = _read_physical_block(
+                    self.file, handle, Category.OTHER, verify_crc=True,
+                    options=self.options)
+            except CorruptionError as exc:
+                payload = exc
+            yield block_index, payload
+
+    def blocks_admitting(self, attribute: str, low: bytes, high: bytes,
+                         value_hash: tuple[int, int] | None = None
+                         ) -> Iterator[tuple[Block, bytes | None]]:
+        """The Embedded index's scan of one table (paper Section 3): the
+        data blocks whose in-memory filters admit a value of ``attribute``
+        in ``[low, high]`` (encoded).  ``value_hash`` is a point query's
+        :func:`~repro.lsm.bloom.bloom_hash`; ranges have none — blooms
+        cannot help them.
+
+        Last block first: on an insert-ordered table the newest records
+        sit at the end, and once they fill a top-K heap the older matches
+        are refused before any validity work is spent on them.  Each block
+        comes with the last user key of the block before it (``None`` for
+        the first): a key's versions are contiguous, so an entry for that
+        key is not its newest in this table — the newer one ends the
+        previous block.
+        """
+        zonemaps = self.secondary_zonemaps.get(attribute, [])
+        blooms = self.secondary_filters.get(attribute, []) \
+            if value_hash is not None else []
+        last_user_keys = self._index_last_user_keys
+        for block_index in reversed(range(len(last_user_keys))):
+            if block_index < len(zonemaps) and not \
+                    zonemaps[block_index].overlaps(low, high):
+                continue  # two compares: cheaper than the bloom, so first
+            if block_index < len(blooms) and not bloom_probe(
+                    blooms[block_index], *value_hash):
+                continue
+            yield (self.read_data_block(block_index),
+                   last_user_keys[block_index - 1] if block_index else None)
 
     def _block_index_for(self, internal_key: bytes) -> int | None:
         """Index of the first block whose last key is >= ``internal_key``."""

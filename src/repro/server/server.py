@@ -26,8 +26,9 @@ degrades into flow control instead of unbounded buffering.
 Serving an inline (non-pipeline) engine still works: the handlers
 serialize on one lock, trading parallelism for the single-threaded
 engine's invariants.  :class:`~repro.core.database.SecondaryIndexedDB`
-is always served behind that lock, because secondary-index maintenance
-is not concurrency-safe.
+is always served behind that lock: its reads go through the engine's read
+view and tolerate background maintenance, but index maintenance on PUT
+takes one caller at a time.
 """
 
 from __future__ import annotations

@@ -1,0 +1,206 @@
+"""The Embedded index reads through the engine's view.
+
+One caller at a time on the facade, the engine's maintenance on its own
+thread: an Embedded LOOKUP must see what every other read sees — both
+MemTables, one pinned Version — however the background flush and
+compaction interleave with it.  NoIndex (a full scan through
+``DB.scan_with_seq``) is the reference answer.
+
+The race in scope is the B-tree's: the flush listener expires MemTable
+postings on the background thread.  A posting expired after the query's
+view was taken must still be found (in the view's sealed MemTable); one
+flushed before it must be found exactly once (on disk, not also through
+the B-tree).
+"""
+
+from __future__ import annotations
+
+from repro.core.base import IndexKind
+from repro.core.database import SecondaryIndexedDB
+from repro.core.noindex import NoIndex
+from repro.lsm.options import Options
+from repro.lsm.testing import DeterministicScheduler, explore_interleavings
+from repro.lsm.vfs import MemoryVFS
+
+USERS = ("alice", "bob", "carol")
+
+
+def _doc(user: str, n: int) -> dict:
+    return {"u": user, "n": n, "pad": "x" * 40}
+
+
+def _answer(results):
+    return [(r.key, r.seq, r.document) for r in results]
+
+
+class HoldFlush:
+    """A step hook that keeps the background flush parked until released.
+
+    The background thread parks at ``bg:flush`` with the sealed MemTable
+    in hand; guarding that park makes it ineligible, so the test's thread
+    keeps the token for as long as it wants to look at the sealed state.
+    """
+
+    def __init__(self, scheduler: DeterministicScheduler) -> None:
+        self.scheduler = scheduler
+        self.hold = True
+
+    def __call__(self, label: str) -> None:
+        self.park_until(label, None)
+
+    def park_until(self, label, guard) -> None:
+        if label == "bg:flush":
+            guard = lambda: not self.hold  # noqa: E731
+        self.scheduler.park_until(label, guard)
+
+
+def _assert_equals_noindex(db: SecondaryIndexedDB) -> int:
+    """LOOKUP and RANGELOOKUP, ``k=None`` and ``k=3``; returns how many
+    records the unbounded LOOKUPs found."""
+    reference = NoIndex("u", db.primary)
+    found = 0
+    for k in (None, 3):
+        for user in USERS + ("nobody",):
+            got = _answer(db.lookup("u", user, k))
+            assert got == _answer(reference.lookup(user, k)), (user, k)
+            assert len({key for key, _seq, _doc in got}) == len(got)
+            if k is None:
+                found += len(got)
+        got = _answer(db.range_lookup("u", "alice", "bob", k))
+        assert got == _answer(reference.range_lookup("alice", "bob", k)), k
+    return found
+
+
+def test_embedded_equals_noindex_around_a_sealed_memtable():
+    sched = DeterministicScheduler(default="first")
+    hook = HoldFlush(sched)
+    db = SecondaryIndexedDB.open_memory(
+        {"u": IndexKind.EMBEDDED},
+        Options(background_compaction=True, step_hook=hook,
+                memtable_budget=4096))
+    primary = db.primary
+    written = 0
+    while primary.imm is None:
+        db.put(f"t{written:04d}", _doc(USERS[written % 3], written))
+        written += 1
+        assert written < 1000, "the leader never sealed the MemTable"
+    # Everything written so far sits in the sealed MemTable, un-flushed.
+    assert len(primary.imm) == written and len(primary.memtable) == 0
+    assert primary.level_file_counts()[0] == 0
+    assert _assert_equals_noindex(db) == written
+
+    # An update and a delete of sealed records land in the active MemTable.
+    db.put("t0000", _doc("bob", 9000))
+    db.delete("t0001")
+    db.put("t9999", _doc("alice", 9001))
+    assert primary.imm is not None and len(primary.memtable) == 3
+    assert _assert_equals_noindex(db) == written
+    assert [r.key for r in db.lookup("u", "bob", k=1)] == ["t0000"]
+
+    # The flush installs: the same records, now from level 0.
+    hook.hold = False
+    db.flush()
+    assert primary.imm is None and primary.level_file_counts()[0] >= 1
+    assert len(db.indexes["u"].memview) == 0
+    assert _assert_equals_noindex(db) == written
+    assert primary._version_pins == {}
+    sched.shutdown()
+    db.close()
+
+
+# -- every interleaving of one caller with the background thread ------------------
+
+
+def _seeded_store(l0_files: int) -> tuple[MemoryVFS, dict, dict]:
+    """An inline life of the store: ``l0_files`` level-0 tables."""
+    vfs = MemoryVFS()
+    db = SecondaryIndexedDB.open(
+        vfs, "data", {"u": IndexKind.EMBEDDED},
+        Options(disable_auto_compaction=True))
+    docs, seqs = {}, {}
+    for table in range(l0_files):
+        for i in range(4):
+            key = f"t{i:02d}" if table else f"s{i:02d}"
+            docs[key] = _doc(USERS[(i + table) % 3], table * 10 + i)
+            seqs[key] = db.put(key, docs[key])
+        db.flush()
+    db.close()
+    return vfs, docs, seqs
+
+
+def _one_caller_scenario(l0_files: int, seal: bool, **tree_options):
+    """One client thread — put, overwrite, delete, a LOOKUP checked against
+    the model after each — against the background thread.
+
+    ``seal``: the first PUT fills the MemTable, so the rest runs against
+    its background flush.  Otherwise level 0 is at the compaction trigger
+    from the start and the client runs against a background compaction.
+    """
+
+    def scenario(sched: DeterministicScheduler):
+        vfs, docs, seqs = _seeded_store(l0_files)
+        db = SecondaryIndexedDB.open(
+            vfs, "data", {"u": IndexKind.EMBEDDED},
+            Options(background_compaction=True, step_hook=sched,
+                    memtable_budget=450, **tree_options))
+        primary = db.primary
+        failures: list[str] = []
+
+        def check(step: str) -> None:
+            want = sorted(((key, seqs[key], doc) for key, doc in docs.items()
+                           if doc["u"] == "alice"), key=lambda hit: -hit[1])
+            got = _answer(db.lookup("u", "alice"))
+            if got != want:
+                failures.append(
+                    f"{step}: LOOKUP = {[hit[:2] for hit in got]}, "
+                    f"model {[hit[:2] for hit in want]}")
+
+        def client() -> None:
+            try:
+                if seal:
+                    docs["new"] = dict(_doc("alice", 100), pad="x" * 400)
+                    seqs["new"] = db.put("new", docs["new"])
+                    check("put")
+                docs["t01"] = _doc("alice", 101)  # was on disk
+                seqs["t01"] = db.put("t01", docs["t01"])
+                check("overwrite")
+                if seal:
+                    del docs["new"]               # was sealed
+                    db.delete("new")
+                    check("delete")
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(f"client died: {exc!r}")
+
+        thread = sched.spawn("client", client)
+        sched.wait_threads(thread)
+        sched.shutdown()
+        db.flush()
+        check("drained")
+        pins, zombies = dict(primary._version_pins), set(primary._zombie_tables)
+        work = primary.stats()["compaction"]
+        db.close()
+        return failures, pins, zombies, work
+
+    return scenario
+
+
+def _explore(scenario, budget: int = 3000):
+    results = explore_interleavings(scenario, max_interleavings=budget)
+    assert len(results) < budget, "choice tree did not converge"
+    assert len(results) > 10, "enumeration never varied the schedule"
+    for decisions, (failures, pins, zombies, _work) in results:
+        assert failures == [], (decisions, failures)
+        assert pins == {} and zombies == set(), decisions
+    return [work for _decisions, (*_rest, work) in results]
+
+
+def test_lookup_equals_model_at_every_interleaving_with_a_background_flush():
+    work = _explore(_one_caller_scenario(1, seal=True,
+                                         disable_auto_compaction=True))
+    assert all(stats["flush_count"] >= 1 for stats in work)
+
+
+def test_lookup_equals_model_at_every_interleaving_with_a_compaction():
+    work = _explore(_one_caller_scenario(2, seal=False,
+                                         l0_compaction_trigger=2))
+    assert all(stats["compaction_count"] >= 1 for stats in work)

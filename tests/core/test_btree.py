@@ -1,6 +1,8 @@
 """The MemTable attribute B-tree."""
 
 import random
+import sys
+import threading
 
 from repro.core.btree import MemTableAttributeIndex
 from repro.lsm.zonemap import encode_attribute
@@ -121,3 +123,42 @@ class TestRandomizedAgainstOracle:
             want = sorted(((s, p) for s, v, p in live if v == value),
                           key=lambda item: -item[0])
             assert tree.get(value) == want
+
+    def test_expiry_on_another_thread_loses_nothing(self):
+        """The flush listener expires postings on the engine's maintenance
+        thread while the caller's thread inserts and reads: every posting
+        is found until it is expired, and the count stays exact."""
+        tree = MemTableAttributeIndex()
+        total = 20_000
+        inserted = 0  # postings 0..inserted-1 are in the tree
+        failures: list[str] = []
+
+        def expirer() -> None:
+            try:
+                while inserted < total:
+                    tree.expire_up_to(inserted - 50)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=expirer, daemon=True)
+        try:
+            thread.start()
+            for seq in range(total):
+                tree.insert(_enc(seq * 7919 % total), seq, b"t%d" % seq)
+                inserted = seq + 1
+                if seq % 97 == 0:
+                    assert tree.get(_enc(seq * 7919 % total)) == \
+                        [(seq, b"t%d" % seq)]
+        finally:
+            inserted = total
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and failures == []
+        tree.expire_up_to(total - 11)
+        assert len(tree) == 10
+        assert sorted(posting for _value, postings
+                      in tree.range(_enc(0), _enc(total))
+                      for posting in postings) == \
+            [(seq, b"t%d" % seq) for seq in range(total - 10, total)]

@@ -22,7 +22,13 @@ from repro.core.embedded import EmbeddedIndex
 from repro.core.records import decode_document, key_to_str
 from repro.core.topk import TopKBySeq
 from repro.lsm.bloom import bloom_may_contain
-from repro.lsm.keys import KIND_VALUE, unpack_internal_key
+from repro.lsm.keys import (
+    KIND_FOR_SEEK,
+    KIND_VALUE,
+    MAX_SEQUENCE,
+    pack_internal_key,
+    unpack_internal_key,
+)
 from repro.lsm.manifest import (
     manifest_file_name,
     read_current_manifest_number,
@@ -104,11 +110,20 @@ def _reference_block(index, heap, level, position, table, block_index,
             continue
         if not heap.would_accept(ikey.seq):
             continue
-        if not index._is_valid(table, ikey.user_key, ikey.seq, level,
-                               position, block_index):
+        if not _newest_in_file(table, ikey.user_key, block_index):
+            continue
+        if not index._is_valid(ikey.user_key, ikey.seq, level, position):
             continue
         heap.add(ikey.seq, LookupResult(key_to_str(ikey.user_key),
                                         decode_document(value), ikey.seq))
+
+
+def _newest_in_file(table, key, block_index):
+    """The key's first (newest) version in the file sits in this block: the
+    first block that can hold the key does not precede it."""
+    probe = pack_internal_key(key, MAX_SEQUENCE, KIND_FOR_SEEK)
+    first_block = table._block_index_for(probe)
+    return first_block is None or first_block >= block_index
 
 
 def _answer(results):

@@ -15,6 +15,8 @@ import random
 
 import pytest
 
+from repro.core.base import IndexKind
+from repro.core.database import SecondaryIndexedDB
 from repro.lsm.db import DB
 from repro.lsm.errors import CorruptionError
 from repro.lsm.faults import FaultInjectingVFS
@@ -99,6 +101,7 @@ def _probe_everything(db: DB) -> dict:
 
 def _assert_no_pins_left(db: DB) -> None:
     assert db._version_pins == {}, "a read view was not released"
+    assert db._held_views == {}, "a read_view() block did not exit"
     assert db._zombie_tables == set()
 
 
@@ -231,3 +234,127 @@ def test_batched_get_contains_a_rotten_block_as_the_single_get_does(
     assert batch == {key: twin.get_with_seq(key) for key in KEYS}
     assert any(hit is None for hit in batch.values())
     twin.close()
+
+
+# -- the facade: five index kinds x {inline, pipeline} x {raise, quarantine} ------
+
+
+FACADE_USERS = [f"u{i}" for i in range(6)]
+
+
+def _drive_facade(db: SecondaryIndexedDB, seed: int = 2018) -> dict[str, dict]:
+    """Puts, overwrites, deletes, flushes and one manual compaction; ends
+    with compacted levels, level-0 tables and an unflushed MemTable."""
+    rng = random.Random(seed)
+    model: dict[str, dict] = {}
+    for step in range(500):
+        key = f"t{rng.randrange(120):04d}"
+        if rng.random() < 0.8:
+            model[key] = {"UserID": rng.choice(FACADE_USERS),
+                          "CreationTime": step, "Body": "b" * rng.randrange(60)}
+            db.put(key, model[key])
+        else:
+            db.delete(key)
+            model.pop(key, None)
+        if step % 60 == 59:
+            db.flush()
+        if step == 300:
+            db.compact_all()
+    return model
+
+
+def _facade_answers(db: SecondaryIndexedDB) -> dict:
+    def answer(results):
+        return [(r.key, r.seq, r.document) for r in results]
+
+    return {
+        "lookup": {(user, k): answer(db.lookup("UserID", user, k))
+                   for user in FACADE_USERS + ["nobody"] for k in (None, 3)},
+        "range_lookup": {k: answer(db.range_lookup("UserID", "u0", "u9", k))
+                         for k in (None, 5)},
+    }
+
+
+def _open_facade(vfs, kind: IndexKind, background: bool, policy: str):
+    return SecondaryIndexedDB.open(vfs, "data", {"UserID": kind},
+                                   _options(background, policy))
+
+
+@pytest.fixture(scope="module")
+def noindex_answers():
+    db = _open_facade(FaultInjectingVFS(), IndexKind.NOINDEX, False, "raise")
+    model = _drive_facade(db)
+    answers = _facade_answers(db)
+    db.close()
+    assert sorted(key for key, _seq, _doc in answers["range_lookup"][None]) \
+        == sorted(model)
+    return answers
+
+
+@pytest.mark.parametrize("kind", list(IndexKind), ids=lambda kind: kind.value)
+def test_facade_answers_agree_across_modes_and_with_noindex(
+        kind, noindex_answers):
+    for background, policy in MODES:
+        db = _open_facade(FaultInjectingVFS(), kind, background, policy)
+        _drive_facade(db)
+        shape = db.primary.level_file_counts()
+        assert shape[0] >= 1 and sum(shape[1:]) >= 1
+        assert len(db.primary.memtable) > 0
+        assert _facade_answers(db) == noindex_answers, (background, policy)
+        for _label, table in db.tables():
+            _assert_no_pins_left(table)
+            assert table.stats()["corruption"]["events"] == 0
+        db.close()
+
+
+def _rotten_facade_image(kind: IndexKind):
+    """A closed store with one bit flipped in the deepest primary table."""
+    vfs = FaultInjectingVFS()
+    db = _open_facade(vfs, kind, False, "quarantine")
+    _drive_facade(db)
+    db.flush()
+    version = db.primary.versions.current
+    victim_number = version.levels[version.deepest_nonempty_level()][0] \
+        .file_number
+    db.close()
+    # Compression is off and a table starts with its first data block:
+    # byte 3 of the file is payload the block CRC covers.
+    vfs.flip_bit(f"data/primary/{victim_number:06d}.ldb", 3)
+    return vfs, victim_number
+
+
+@pytest.mark.parametrize("kind", list(IndexKind), ids=lambda kind: kind.value)
+def test_facade_serves_around_a_bit_flipped_primary_table(kind):
+    """Quarantine: every kind serves around the rotten table, reports it,
+    and — once the quarantine has settled — answers what NoIndex answers
+    on the same image, inline and pipeline alike.  Raise: every kind
+    raises, and quarantines nothing."""
+    settled = {}
+    for background in (False, True):
+        vfs, victim_number = _rotten_facade_image(kind)
+        db = _open_facade(vfs, kind, background, "raise")
+        with pytest.raises(CorruptionError):
+            db.range_lookup("UserID", "u0", "u9")
+        assert db.primary.quarantined_tables() == []
+        _assert_no_pins_left(db.primary)
+        db.close()
+
+        db = _open_facade(vfs, kind, background, "quarantine")
+        # The query that meets the rotten block makes the quarantine
+        # decision itself; what it had already decoded stays served.
+        first = db.range_lookup("UserID", "u0", "u9")
+        assert db.primary.quarantined_tables() == [victim_number]
+        assert db.primary.stats()["corruption"]["events"] >= 1
+        settled[background] = _facade_answers(db)
+        survivors = {key for key, _seq, _doc
+                     in settled[background]["range_lookup"][None]}
+        assert survivors and survivors <= {r.key for r in first}
+        _assert_no_pins_left(db.primary)
+        db.close()
+
+        reference = _open_facade(vfs, IndexKind.NOINDEX, background,
+                                 "quarantine")
+        assert _facade_answers(reference) == settled[background]
+        assert reference.primary.quarantined_tables() == [victim_number]
+        reference.close()
+    assert settled[True] == settled[False]
