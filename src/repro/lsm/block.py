@@ -64,9 +64,15 @@ class BlockBuilder:
     def current_size_estimate(self) -> int:
         return len(self._buffer) + 4 * len(self._restarts) + 4
 
-    def add(self, key: bytes, value: bytes) -> None:
-        """Append an entry.  Keys must arrive in strictly increasing order."""
-        sort_key = internal_sort_key(key)
+    def add(self, key: bytes, value: bytes,
+            sort_key: tuple[bytes, int] | None = None) -> None:
+        """Append an entry.  Keys must arrive in strictly increasing order.
+
+        ``sort_key`` is ``internal_sort_key(key)`` from a caller that holds
+        the key decoded already.
+        """
+        if sort_key is None:
+            sort_key = internal_sort_key(key)
         if self._last_sort_key is not None and sort_key <= self._last_sort_key:
             raise ValueError("block keys must be added in increasing order")
         self._last_sort_key = sort_key

@@ -105,7 +105,10 @@ def _check_orphans(db: DB, report: IntegrityReport) -> None:
                 report.problem(f"orphaned table file {name}")
         elif base.endswith(".log"):
             number = parse_file_number(base)
-            if number is not None and number != db._log_number:
+            # A WAL at or above the manifest's log number is still needed:
+            # the one being appended to, and that of a sealed (or, after a
+            # failed flush, restored) MemTable whose table is not installed.
+            if number is not None and number < db.versions.log_number:
                 report.problem(f"orphaned log file {name}")
         elif base.startswith("MANIFEST-"):
             suffix = base.split("-", 1)[1]

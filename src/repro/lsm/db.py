@@ -249,7 +249,9 @@ class DB:
         self._work_cv = threading.Condition(self._mutex)   # bg thread waits
         self._stall_cv = threading.Condition(self._mutex)  # writers wait
         self.imm: MemTable | None = None     # sealed MemTable being flushed
-        self._imm_old_log = 0  # WAL file deleted once the imm is durable
+        # WALs a rotation closed, deleted once a flush edit records a newer
+        # log number (more than one when an inline flush failed and retried).
+        self._closed_logs: list[int] = []
         self._writers: deque[_Writer] = deque()
         self._pending_seq = 0  # last *allocated* seq; published lags behind
         self._version_pins: dict[int, list] = {}  # id(version) -> [v, refs]
@@ -903,8 +905,9 @@ class DB:
         level-0 table whose edit records the *new* log number.
         """
         assert self.imm is None
-        self._imm_old_log = self._log_number
+        closed_log = self._log_number
         self._open_wal(self.versions.new_file_number())
+        self._closed_logs.append(closed_log)
         self.memtable.seal()
         self.imm = self.memtable
         self.memtable = MemTable()
@@ -924,15 +927,17 @@ class DB:
         # No rotation happens while an imm is pending, so the current WAL
         # is still the one opened when this MemTable was sealed.
         self.compactor.flush_memtable(imm, log_number=self._log_number)
-        old_log = self._imm_old_log
         with self._mutex:
             self.imm = None
+            # Every WAL closed so far is below the log number just recorded.
+            obsolete_logs, self._closed_logs = self._closed_logs, []
             if self._bg:
                 self.pipeline_stats.bg_flushes += 1
             self._stall_cv.notify_all()
         # A crash-interrupted earlier flush (or recovery's own cleanup) may
-        # have removed the previous WAL already.
-        self.vfs.delete_if_exists(log_file_name(self.name, old_log))
+        # have removed a previous WAL already.
+        for old_log in obsolete_logs:
+            self.vfs.delete_if_exists(log_file_name(self.name, old_log))
         # Listeners run on whichever thread flushed.
         for listener in self._flush_listeners:
             listener(imm.max_seq or 0)
@@ -1833,7 +1838,8 @@ class DB:
             lo = min(meta.smallest_user_key for meta in files)
             hi = max(meta.largest_user_key for meta in files)
             inputs1 = self.versions.current.overlapping_files(level + 1, lo, hi)
-            self._run_compaction(Compaction(level, files, inputs1))
+            self._run_compaction(
+                Compaction(level, files, inputs1, manual=True))
 
     def checkpoint(self, dest_vfs: VFS, dest_name: str) -> int:
         """Write a consistent, independently openable copy of the database.
@@ -1924,6 +1930,8 @@ class DB:
                 "entries_dropped": compaction.entries_dropped,
                 "merges_folded": compaction.merges_folded,
                 "compactions_by_level": dict(compaction.compactions_by_level),
+                "trivial_moves": compaction.trivial_moves,
+                "bytes_moved": compaction.bytes_moved,
             },
             "table_cache": self.table_cache.stats(),
             "block_cache": None if block_cache is None else {
@@ -2027,6 +2035,9 @@ class DB:
             f"{stats.bytes_compacted_out:,} out  "
             f"dropped entries: {stats.entries_dropped}  "
             f"merges folded: {stats.merges_folded}")
+        lines.append(
+            f"trivial moves: {stats.trivial_moves} "
+            f"({stats.bytes_moved:,} bytes relabelled, none rewritten)")
         lines.append(
             f"io: {io.read_blocks:,} read blocks / "
             f"{io.write_blocks:,} write blocks "

@@ -189,14 +189,27 @@ class TableBuilder:
 
     def add(self, internal_key: bytes, value: bytes) -> None:
         """Append an entry (keys must be in internal-key order)."""
+        self._add(internal_key, *unpack_internal_key(internal_key), value)
+
+    def add_entry(self, user_key: bytes, seq: int, kind: int,
+                  value: bytes) -> None:
+        """:meth:`add` for a caller that holds the key decoded (a MemTable
+        entry, a merged compaction entry): packed here once, never unpacked."""
+        self._add(pack_internal_key(user_key, seq, kind),
+                  user_key, seq, kind, value)
+
+    def _add(self, internal_key: bytes, user_key: bytes, seq: int, kind: int,
+             value: bytes) -> None:
         if self._finished:
             raise ValueError("builder already finished")
-        decoded = unpack_internal_key(internal_key)
-        self._data_block.add(internal_key, value)
-        self._primary_filter.add(decoded.user_key)
-        if self.options.indexed_attributes and decoded.kind == KIND_VALUE:
+        # The sort key is InternalKey.sort_key(), inline: once per entry
+        # written, and the parts are already in hand.
+        self._data_block.add(internal_key, value,
+                             (user_key, -((seq << 8) | kind)))
+        self._primary_filter.add(user_key)
+        if self.options.indexed_attributes and kind == KIND_VALUE:
             self._observe_secondary(value)
-        self._track_bounds(internal_key, decoded.seq)
+        self._track_bounds(internal_key, seq)
         self.props.num_entries += 1
         if self._data_block.current_size_estimate() >= self.options.block_size:
             self._flush_data_block()

@@ -59,7 +59,17 @@ def cmd_stats(directory: str, name: str, out: IO[str]) -> int:
             entries = sum(meta.num_entries for meta in files)
             out.write(f"  L{level}: {len(files):3d} files  "
                       f"{size:>10,} bytes  {entries:>8,} entries\n")
-        pipeline = db.stats()["pipeline"]
+        stats = db.stats()
+        work = stats["compaction"]
+        out.write("maintenance since open:\n")
+        out.write(f"  flushes:         {work['flush_count']}, "
+                  f"{work['bytes_flushed']:,} bytes\n")
+        out.write(f"  compactions:     {work['compaction_count']} merged, "
+                  f"{work['bytes_compacted_in']:,} bytes in / "
+                  f"{work['bytes_compacted_out']:,} out\n")
+        out.write(f"  trivial moves:   {work['trivial_moves']}, "
+                  f"{work['bytes_moved']:,} bytes relabelled\n")
+        pipeline = stats["pipeline"]
         out.write("pipeline:\n")
         out.write(f"  background:      "
                   f"{'on' if pipeline['background'] else 'off'}\n")

@@ -15,6 +15,8 @@ the B-tree).
 
 from __future__ import annotations
 
+import time
+
 from repro.core.base import IndexKind
 from repro.core.database import SecondaryIndexedDB
 from repro.core.noindex import NoIndex
@@ -111,6 +113,18 @@ def test_embedded_equals_noindex_around_a_sealed_memtable():
 # -- every interleaving of one caller with the background thread ------------------
 
 
+def _drain(db: SecondaryIndexedDB) -> None:
+    """Flush, then wait until the background thread owes no compaction (the
+    scheduler is shut down by now: the thread runs free)."""
+    primary = db.primary
+    db.flush()
+    deadline = time.monotonic() + 10.0
+    while primary._bg_compacting \
+            or primary.stats()["pipeline"]["compaction_queue_depth"]:
+        assert time.monotonic() < deadline, "background compaction hung"
+        time.sleep(0.001)
+
+
 def _seeded_store(l0_files: int) -> tuple[MemoryVFS, dict, dict]:
     """An inline life of the store: ``l0_files`` level-0 tables."""
     vfs = MemoryVFS()
@@ -134,7 +148,8 @@ def _one_caller_scenario(l0_files: int, seal: bool, **tree_options):
 
     ``seal``: the first PUT fills the MemTable, so the rest runs against
     its background flush.  Otherwise level 0 is at the compaction trigger
-    from the start and the client runs against a background compaction.
+    from the start and the client runs against a background compaction —
+    a merge of ``l0_files`` tables, or with one table a trivial move.
     """
 
     def scenario(sched: DeterministicScheduler):
@@ -174,7 +189,7 @@ def _one_caller_scenario(l0_files: int, seal: bool, **tree_options):
         thread = sched.spawn("client", client)
         sched.wait_threads(thread)
         sched.shutdown()
-        db.flush()
+        _drain(db)
         check("drained")
         pins, zombies = dict(primary._version_pins), set(primary._zombie_tables)
         work = primary.stats()["compaction"]
@@ -204,3 +219,62 @@ def test_lookup_equals_model_at_every_interleaving_with_a_compaction():
     work = _explore(_one_caller_scenario(2, seal=False,
                                          l0_compaction_trigger=2))
     assert all(stats["compaction_count"] >= 1 for stats in work)
+
+
+def test_lookup_equals_model_at_every_interleaving_with_a_trivial_move():
+    """One level-0 table at a trigger of one: the background compaction has
+    one input and nothing below it, so it is a relabel, not a merge."""
+    work = _explore(_one_caller_scenario(1, seal=False,
+                                         l0_compaction_trigger=1))
+    assert all(stats["trivial_moves"] >= 1 for stats in work)
+    assert all(stats["compaction_count"] == 0 for stats in work)
+
+
+def test_a_view_pinned_before_a_move_reads_the_table_at_its_old_level():
+    """The moved table is in the pinned Version (level 0) and in the current
+    one (level 1) under one file number: nothing is retired, so the pin has
+    nothing to protect and leaves nothing behind."""
+
+    def scenario(sched: DeterministicScheduler):
+        vfs, _docs, _seqs = _seeded_store(1)
+        db = SecondaryIndexedDB.open(
+            vfs, "data", {"u": IndexKind.EMBEDDED},
+            Options(background_compaction=True, step_hook=sched,
+                    l0_compaction_trigger=1))
+        primary = db.primary
+        seen: dict = {}
+
+        def client() -> None:
+            with primary.read_view() as version:
+                seen["pinned"] = [len(files) for files in version.levels[:2]]
+                seen["current"] = primary.level_file_counts()[:2]
+                pinned_level = seen["pinned"].index(1)
+                seen["keys"] = [ikey.user_key for ikey, _value
+                                in primary.scan_level(pinned_level)]
+                seen["other"] = list(primary.scan_level(1 - pinned_level))
+                seen["lookup"] = len(db.lookup("u", "alice"))
+
+        sched.wait_threads(sched.spawn("client", client))
+        sched.shutdown()
+        _drain(db)
+        seen["after"] = primary.level_file_counts()[:2]
+        seen["tables"] = [name for name in vfs.list_dir("data/")
+                          if name.endswith(".ldb")]
+        seen["pins"] = dict(primary._version_pins)
+        seen["zombies"] = set(primary._zombie_tables)
+        seen["moves"] = primary.stats()["compaction"]["trivial_moves"]
+        db.close()
+        return seen
+
+    results = explore_interleavings(scenario, max_interleavings=500)
+    assert len(results) < 500, "choice tree did not converge"
+    moved_under_the_pin = 0
+    for decisions, seen in results:
+        assert seen["keys"] == [b"s00", b"s01", b"s02", b"s03"], decisions
+        assert seen["other"] == [] and seen["lookup"] == 2, decisions
+        assert seen["after"] == [0, 1] and seen["moves"] == 1, decisions
+        assert len(seen["tables"]) == 1, decisions
+        assert seen["pins"] == {} and seen["zombies"] == set(), decisions
+        if seen["pinned"] == [1, 0] and seen["current"] == [0, 1]:
+            moved_under_the_pin += 1
+    assert moved_under_the_pin > 0

@@ -4,7 +4,7 @@ from conftest import load_tweets, open_db
 
 from repro.core.base import IndexKind
 from repro.core.posting import decode_posting_list
-from repro.lsm.keys import KIND_MERGE
+from repro.lsm.keys import KIND_MERGE, KIND_VALUE
 from repro.lsm.zonemap import encode_attribute
 
 
@@ -33,6 +33,31 @@ class TestFragmentWrites:
         live = [p for p in postings if not p.deleted]
         assert [p.key for p in live] == [
             f"t{i:05d}" for i in range(399, -1, -1) if i % 4 == 1]
+        db.close()
+
+    def test_compact_folds_a_one_table_index(self, index_options):
+        """The index table is one level-0 file with nothing below it — an
+        automatic compaction would relabel it; ``compact()`` is manual and
+        rewrites it, so the three fragments fold into one list."""
+        db = open_db(IndexKind.LAZY, index_options)
+        for i in range(3):
+            db.put(f"t{i}", {"UserID": "u1"})
+        index_db = db.indexes["UserID"].index_db
+        index_db.flush()
+        assert index_db.level_file_counts()[0] == 1
+        assert sum(index_db.level_file_counts()) == 1
+        (_level, entries), = index_db.fragments_by_level(
+            encode_attribute("u1"))
+        assert [kind for kind, _seq, _value in entries] == [KIND_MERGE] * 3
+        db.indexes["UserID"].compact()
+        (level, entries), = index_db.fragments_by_level(encode_attribute("u1"))
+        assert level == index_db.options.max_levels - 1
+        (kind, _seq, value), = entries
+        assert kind == KIND_VALUE
+        assert [p.key for p in decode_posting_list(value)] \
+            == ["t2", "t1", "t0"]
+        stats = index_db.stats()["compaction"]
+        assert stats["trivial_moves"] == 0 and stats["merges_folded"] >= 3
         db.close()
 
     def test_memtable_fragment_is_merge_kind(self, index_options):

@@ -31,7 +31,7 @@ from repro.lsm.errors import (
 from repro.lsm.faults import FaultInjectingVFS
 from repro.lsm.options import Options
 
-from drill_utils import table_files, wait_until
+from drill_utils import table_files, wait_until, wal_files
 
 ROUNDS = 3
 KEYS = 60
@@ -204,12 +204,9 @@ class TestFailedMerge:
 
 
 class TestFailedFlush:
-    """``Compactor.flush_memtable`` deletes its one output the same way.
-
-    (``verify_integrity()`` still reports the pre-rotation WAL of a failed
-    inline flush as an orphaned *log* — it is the restored MemTable's WAL
-    and recovery needs it; only table files are asserted on here.)
-    """
+    """``Compactor.flush_memtable`` deletes its one output the same way,
+    and the pre-rotation WAL — the restored MemTable's, which recovery
+    needs — is no orphan until a later flush installs and deletes it."""
 
     @pytest.mark.parametrize("schedule, error", [
         ("schedule_write_error", FaultInjectedError),
@@ -224,8 +221,7 @@ class TestFailedFlush:
         with pytest.raises(error):
             db.flush()
         assert table_files(vfs) == []
-        assert not [p for p in db.verify_integrity().problems
-                    if "table" in p]
+        assert db.verify_integrity().ok
         assert dict(db.scan()) == _expected()  # the MemTable went back
         db.close()
         vfs.clear_enospc()
@@ -264,6 +260,8 @@ class TestFailedFlush:
         assert table_files(vfs) == []
         db.put(b"after", b"the-fault")  # a later edit syncs the manifest
         db.flush()
+        assert len(wal_files(vfs)) == 1  # the failed flush's WAL went too
+        assert db.verify_integrity().ok
         db.close()
         db = DB.open(vfs, "db", _options())
         assert dict(db.scan()) == {**_expected(), b"after": b"the-fault"}

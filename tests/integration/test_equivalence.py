@@ -136,3 +136,50 @@ def test_equivalence_after_full_compaction(kind):
         got_k = [(r.seq, r.key) for r in db.lookup("UserID", value, k=4)]
         assert got_k == _oracle_lookup(oracle, "UserID", value)[:4]
     db.close()
+
+
+def _apply_time_ordered_ops(db, seed, num_ops, num_users=20):
+    """Mostly new keys in key order (a tweet stream), with updates of recent
+    and of old records and deletes — the load whose tables get moved."""
+    rng = random.Random(seed)
+    oracle = {}
+    written = 0
+    for i in range(num_ops):
+        roll = rng.random()
+        if roll < 0.80 or not written:
+            key = f"t{written:05d}"
+            written += 1
+        elif roll < 0.92:
+            key = f"t{rng.randrange(max(0, written - 50), written):05d}"
+        else:
+            key = f"t{rng.randrange(written):05d}"
+        if roll >= 0.95:
+            db.delete(key)
+            oracle.pop(key, None)
+            continue
+        doc = {"UserID": f"u{rng.randrange(num_users):03d}",
+               "CreationTime": i, "Body": "x" * rng.randrange(30)}
+        oracle[key] = (doc, db.put(key, doc))
+    return oracle
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_equivalence_across_trivial_moves(kind):
+    """A moved table changes level, not content: GetLite's "levels above the
+    match" and Lazy's "fragments only migrate downward" both survive it."""
+    db = SecondaryIndexedDB.open_memory(
+        indexes={"UserID": kind, "CreationTime": kind}, options=_options())
+    oracle = _apply_time_ordered_ops(db, seed=106, num_ops=2500)
+    assert db.primary.stats()["compaction"]["trivial_moves"] > 0
+    for k in (None, 1, 5):
+        for user_index in range(0, 20, 3):
+            value = f"u{user_index:03d}"
+            got = [(r.seq, r.key) for r in db.lookup(
+                "UserID", value, k=k, early_termination=False)]
+            assert got == _oracle_lookup(oracle, "UserID", value)[:k]
+        for attribute, low, high in (("UserID", "u005", "u012"),
+                                     ("CreationTime", 700, 1900)):
+            got = [(r.seq, r.key) for r in db.range_lookup(
+                attribute, low, high, k=k, early_termination=False)]
+            assert got == _oracle_range(oracle, attribute, low, high)[:k]
+    db.close()

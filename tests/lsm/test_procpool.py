@@ -254,6 +254,25 @@ class TestExecutorGating:
             db.close()
 
 
+    def test_a_trivial_move_is_never_shipped(self, tmp_path):
+        """Disjoint tables at a level-0 trigger of one: every compaction is
+        a relabel, decided before there is a job — the worker stays idle."""
+        db = DB.open(LocalVFS(str(tmp_path)), "db",
+                     _options(compaction_processes=1,
+                              l0_compaction_trigger=1))
+        try:
+            for r in range(4):
+                for i in range(40):
+                    db.put(b"t%02d-%03d" % (r, i), b"v" * 60)
+                db.flush()
+            assert db.stats()["compaction"]["trivial_moves"] >= 4
+            assert db.stats()["pipeline"]["workers"]["jobs_dispatched"] == 0
+            assert db.level_file_counts()[0] == 0
+            assert db.get(b"t00-000") == b"v" * 60
+        finally:
+            db.close()
+
+
 class TestOptionsSnapshot:
     def test_roundtrip_preserves_engine_fields(self):
         options = _options(compression="none", block_size=2048,

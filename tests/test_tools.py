@@ -33,6 +33,8 @@ class TestStats:
         assert "last sequence:   300" in text
         assert "L0:" in text or "L1:" in text
         assert "total size:" in text
+        assert "compactions:     0 merged" in text
+        assert "trivial moves:   0, 0 bytes relabelled" in text
         assert "pipeline:" in text
         assert "background:      off" in text
         assert "imm pending:     0" in text
