@@ -26,6 +26,7 @@ the source assigned; cross-shard top-K merges stay exact through a split.
 from __future__ import annotations
 
 import hashlib
+import logging
 from collections import deque
 from typing import Any, Callable, Iterable, Mapping
 
@@ -35,6 +36,8 @@ from repro.core.records import Document
 from repro.lsm.errors import InvalidArgumentError, LSMError
 from repro.lsm.options import Options
 from repro.lsm.vfs import VFS
+
+logger = logging.getLogger(__name__)
 
 #: Replica lifecycle states.
 UP = "up"
@@ -357,10 +360,7 @@ class ReplicaSet:
             raise InvalidArgumentError(
                 f"shard {self.shard_id} replica {replica_id} already down")
         replica.state = DOWN
-        try:
-            replica.db.close()
-        except Exception:  # noqa: BLE001 - dying replicas close best-effort
-            pass
+        self._close_best_effort(replica)
 
     def revive(self, replica_id: int) -> str:
         """Restart a downed replica from its surviving files (WAL replay
@@ -402,10 +402,7 @@ class ReplicaSet:
                 f"shard {self.shard_id} replica {replica.replica_id} has "
                 f"no durable filesystem to reseed")
         if replica.state != DOWN:
-            try:
-                replica.db.close()
-            except Exception:  # noqa: BLE001 - superseded copy
-                pass
+            self._close_best_effort(replica)
         purge_files(replica.vfs, self.name)
         source.db.checkpoint(replica.vfs, self.name)
         replica.db = SecondaryIndexedDB.open(replica.vfs, self.name,
@@ -518,7 +515,13 @@ class ReplicaSet:
         for replica in self.replicas:
             if replica.state == DOWN:
                 continue
-            try:
-                replica.db.close()
-            except Exception:  # noqa: BLE001 - closing a faulted replica
-                pass
+            self._close_best_effort(replica)
+
+    def _close_best_effort(self, replica: Replica) -> None:
+        """Close a replica that is dying, superseded or shutting down: a
+        faulted copy may fail to close, and nothing waits on its answer."""
+        try:
+            replica.db.close()
+        except Exception as exc:  # noqa: BLE001 - best-effort by design
+            logger.debug("shard %s replica %s: close failed: %r",
+                         self.shard_id, replica.replica_id, exc)

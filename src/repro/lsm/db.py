@@ -52,6 +52,7 @@ from repro.lsm.errors import (
     DBClosedError,
     InvalidArgumentError,
     ReadOnlyError,
+    SimulatedCrashError,
     WriteStallError,
 )
 from repro.lsm.iterator import merge_streams
@@ -457,6 +458,9 @@ class DB:
             # terminate/kill — a dead or wedged worker cannot hang close().
             self._executor.close()
             self._executor = None
+        with self._mutex:
+            if self._zombie_tables:
+                self._sweep_retired_locked(sorted(self._zombie_tables))
         if self._log is not None:
             # A clean shutdown must not lose acknowledged writes even with
             # sync_writes off: push the WAL tail to stable storage first.
@@ -1029,9 +1033,11 @@ class DB:
                     self._stall_cv.notify_all()
 
     def _retire_table_files(self, file_numbers: list[int]) -> None:
-        """Dispose of compaction-input tables, honoring pinned versions."""
+        """Dispose of compaction-input tables, honoring pinned versions;
+        zombies left by an earlier sweep get another try."""
         with self._mutex:
-            self._sweep_retired_locked(file_numbers)
+            self._sweep_retired_locked(
+                [*file_numbers, *sorted(self._zombie_tables)])
 
     def _sweep_retired_locked(self, file_numbers) -> None:
         """Delete each retired table that no version references any more.
@@ -1039,8 +1045,11 @@ class DB:
         A pinned read view holds the Version it started from; deleting a
         table that version names would yank blocks out from under the
         read.  Such files wait as *zombies* and are swept again when a pin
-        drops (:meth:`_release_view`).  With no pins — always the case
-        inline — every retired table is deleted on the spot.
+        drops (:meth:`_release_view`), at the next retire and at
+        :meth:`close`.  With no pins — always the case inline — every
+        retired table is deleted on the spot.  A delete that fails leaves
+        a zombie too: the edit that dropped the table is already applied,
+        so the compaction stands and only the disposal waits.
         """
         current_live = self.versions.current.live_file_numbers()
         pinned = [entry[0].live_file_numbers()
@@ -1053,8 +1062,16 @@ class DB:
                 self._zombie_tables.add(file_number)
             else:
                 self.table_cache.evict(file_number)
-                self.vfs.delete_if_exists(
-                    table_file_name(self.name, file_number))
+                try:
+                    self.vfs.delete_if_exists(
+                        table_file_name(self.name, file_number))
+                except SimulatedCrashError:
+                    raise  # a crash unwinds everything, as a panic would
+                except OSError as exc:
+                    logger.error("retired table %d not deleted (%s); "
+                                 "retrying at the next sweep",
+                                 file_number, exc)
+                    self._zombie_tables.add(file_number)
 
     def _discard_table_files(self, file_numbers: list[int]) -> None:
         """Delete the outputs of a flush or compaction that did not install.

@@ -1,17 +1,32 @@
-"""Fault injection and crash simulation on top of the metered VFS.
+"""Fault injection and crash simulation: one schedule, two adapters.
 
 The paper's experiments assume an engine that survives month-long runs on
 real disks, so the WAL/manifest recovery paths must hold up under power
-loss, not just clean shutdowns.  :class:`FaultInjectingVFS` makes crashes a
-first-class, deterministic test input:
+loss, not just clean shutdowns.  Every drill scripts the same rule — "fail
+the *N*-th event of kind *K*, optionally for a run of events" — and
+:class:`FaultSchedule` is that rule: it counts events per kind, maps an
+event index to a fault, logs what fired, and round-trips through JSON so
+it can ride in a compaction worker's job.  Two adapters execute it:
 
-* **Scheduled faults** — :meth:`~FaultInjectingVFS.schedule_write_error`
+* :class:`FaultInjectingVFS` wraps a base :class:`~repro.lsm.vfs.VFS` (a
+  fresh :class:`~repro.lsm.vfs.MemoryVFS` by default; the compaction
+  worker wraps its :class:`~repro.lsm.vfs.LocalVFS`) and counts ``write``
+  events (mutating ops: create, append, sync, delete, rename) and ``read``
+  events (``open_random``, ``read_at``).
+* :class:`~repro.server.netfaults.FaultInjectingTransport` counts the
+  wire's ``connect`` / ``send`` / ``response`` events.
+
+The storage faults:
+
+* **Write errors and crashes** — :meth:`~FaultInjectingVFS.schedule_write_error`
   makes the *N*-th mutating operation fail with
   :class:`~repro.lsm.errors.FaultInjectedError` (the ``EIO`` case);
   :meth:`~FaultInjectingVFS.schedule_crash` instead raises
   :class:`~repro.lsm.errors.SimulatedCrashError` and freezes the
   filesystem: every later operation fails the same way, so in-flight work
-  unwinds exactly as on a kernel panic.
+  unwinds exactly as on a kernel panic.  The ``exit`` fault ends the
+  process with ``os._exit(1)`` — the SIGKILL-equivalent a compaction
+  worker's coordinator must absorb.
 
 * **Durability tracking** — every file records how many of its bytes have
   been ``sync()``\\ ed.  :meth:`~FaultInjectingVFS.crash_image` snapshots
@@ -23,9 +38,8 @@ first-class, deterministic test input:
   Metadata operations (create/delete/rename) model a journaling filesystem:
   they are durable as soon as they are applied.
 
-* **Read faults and bit rot** — reads get the same treatment writes got in
-  PR 1.  :meth:`~FaultInjectingVFS.schedule_read_error` makes the *N*-th
-  read operation (``open_random`` or ``read_at``) raise a transient
+* **Read faults and bit rot** — :meth:`~FaultInjectingVFS.schedule_read_error`
+  makes read operations raise a transient
   :class:`~repro.lsm.errors.ReadFaultError` (``EIO``); the engine is
   expected to retry.  :meth:`~FaultInjectingVFS.flip_bit` and
   :meth:`~FaultInjectingVFS.garble` silently damage stored bytes (flipping
@@ -46,16 +60,17 @@ first-class, deterministic test input:
   workload, crashing before each operation in turn, for exhaustive
   recovery drills (see ``tests/property/test_crash_consistency.py``).
 
-The wrapper is a complete :class:`~repro.lsm.vfs.VFS`, so a whole
-:class:`~repro.lsm.db.DB` stack runs on it unmodified and I/O metering
-keeps working.
+Crash imaging and stored-byte damage need the default ``MemoryVFS`` base;
+counting and raising work over any base, and I/O metering keeps working
+because the adapter shares its base's :class:`~repro.lsm.vfs.IOStats`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable
+import random
+import threading
+from typing import Callable, Container, Iterable
 
 from repro.lsm.errors import (
     FaultInjectedError,
@@ -83,7 +98,131 @@ _SPACE_CONSUMING = frozenset({"create", "append", "sync"})
 #: In-flight read corruption flavours.
 CORRUPT_MODES = ("bitflip", "garble")
 
+#: Every counted event, and the faults it can carry.
+FAULTS = {
+    "write": ("crash", "error", "enospc", "exit"),  # VFS mutating ops
+    "read": ("eio",),                               # VFS read ops
+    "connect": ("refuse",),                         # socket connect attempts
+    "send": ("break", "torn"),                      # socket send calls
+    "response": ("drop", "torn"),                   # response-frame reads
+}
+_NET_EVENTS = ("connect", "send", "response")
+
+#: What :meth:`FaultSchedule.random` draws from: faults a workload rides out.
+_RANDOM_FAULTS = {"send": ("break", "torn"), "response": ("drop", "torn"),
+                  "write": ("error",), "read": ("eio",)}
+
+#: The exception each write fault raises (``exit`` raises nothing).
+_RAISES = {"crash": SimulatedCrashError, "error": FaultInjectedError,
+           "enospc": OutOfSpaceError}
+
+#: Write faults that fire once and replace each other when re-armed.
+_ONE_SHOT = ("crash", "error")
+
 Workload = Callable[[VFS], None]
+
+
+class FaultSchedule:
+    """Counted-event faults: "fail the *N*-th event of kind *K*".
+
+    Adapters report each event with :meth:`hit`; the schedule counts it
+    (1-based, per event, under one lock — a pooled client's threads or a
+    DB's background compactor may share a schedule) and returns the fault
+    armed at that index, if any.  A fault ``(event, at, fault, count)``
+    covers events ``at`` … ``at + count - 1`` (``count=None``: every event
+    from ``at`` on).  Bounded faults on one event may not overlap, and a
+    bounded fault outranks an open-ended one.  ``delay`` — a sleep, or a
+    ``DeterministicScheduler`` step hook — is called before every event
+    returns, with a name such as ``"net:send:3"`` or ``"vfs:write:7"``.
+    """
+
+    def __init__(self, faults: Iterable[Iterable] = (), *,
+                 delay: Callable[[str], None] | None = None) -> None:
+        self._lock = threading.Lock()
+        #: Events counted so far, per event name.
+        self.counts = dict.fromkeys(FAULTS, 0)
+        #: Armed ``(event, at, fault, count)`` entries, bounded ones first.
+        self.faults: list[tuple[str, int, str, int | None]] = []
+        #: Every fault fired: ``(f"{fault}_{event}", 1-based index)`` —
+        #: lets a drill assert the scheduled fault actually happened.
+        self.injected: list[tuple[str, int]] = []
+        self.delay = delay
+        for fault in faults:
+            self.arm(*fault)
+
+    @classmethod
+    def random(cls, seed: int, *, sends: int = 0, responses: int | None = None,
+               writes: int = 0, reads: int = 0, fault_rate: float = 0.15,
+               refuse_connects: int = 0,
+               delay: Callable[[str], None] | None = None) -> "FaultSchedule":
+        """A reproducible chaos schedule over the first ``sends`` send
+        calls, ``responses`` response frames (default: as many as sends),
+        ``writes`` mutating ops and ``reads`` read ops: each event
+        independently faults with ``fault_rate``, its flavour chosen
+        uniformly among the transient ones.  Same seed, same schedule."""
+        rng = random.Random(seed)
+        schedule = cls(delay=delay)
+        if refuse_connects:
+            schedule.arm("connect", 1, "refuse", refuse_connects)
+        totals = {"send": sends, "write": writes, "read": reads,
+                  "response": sends if responses is None else responses}
+        for event in ("send", "response", "write", "read"):
+            kinds = _RANDOM_FAULTS[event]
+            for index in range(1, totals[event] + 1):
+                if rng.random() < fault_rate:
+                    schedule.arm(event, index,
+                                 kinds[int(rng.random() * len(kinds))])
+        return schedule
+
+    def to_json(self) -> list[list]:
+        """The armed faults; ``FaultSchedule(doc)`` rebuilds them."""
+        return [list(entry) for entry in self.faults]
+
+    def arm(self, event: str, at: int, fault: str, count: int | None = 1,
+            *, replace: Container[str] = ()) -> None:
+        """Fire ``fault`` at ``count`` events of ``event`` from ``at`` on,
+        after dropping that event's armed ``replace`` faults."""
+        if fault not in FAULTS[event]:
+            raise ValueError(f"{event} events cannot carry {fault!r}")
+        if at < 1 or (count is not None and count < 1):
+            raise ValueError("fault indices are 1-based and counts >= 1")
+        with self._lock:
+            self._drop(event, replace)
+            if count is not None and any(
+                    e == event and n is not None
+                    and a < at + count and at < a + n
+                    for e, a, _f, n in self.faults):
+                raise ValueError(f"{event} faults overlap at {at}")
+            self.faults.append((event, at, fault, count))
+            self.faults.sort(key=lambda entry: entry[3] is None)
+
+    def disarm(self, event: str, *faults: str) -> None:
+        """Drop ``event``'s armed ``faults`` (every one if none is named)."""
+        with self._lock:
+            self._drop(event, faults or FAULTS[event])
+
+    def _drop(self, event: str, faults: Container[str]) -> None:
+        self.faults = [entry for entry in self.faults
+                       if entry[0] != event or entry[2] not in faults]
+
+    def hit(self, event: str, skip: Container[str] = ()) -> str | None:
+        """Count one ``event``; returns the fault it fires, or ``None``.
+
+        ``skip`` names faults that cannot apply to this particular event
+        (ENOSPC on a delete)."""
+        with self._lock:
+            self.counts[event] += 1
+            index = self.counts[event]
+            fault = next((f for e, a, f, n in self.faults
+                          if e == event and a <= index
+                          and (n is None or index < a + n)
+                          and f not in skip), None)
+            if fault is not None:
+                self.injected.append((f"{fault}_{event}", index))
+        if self.delay is not None:
+            layer = "net" if event in _NET_EVENTS else "vfs"
+            self.delay(f"{layer}:{event}:{index}")
+        return fault
 
 
 def _garble_pattern(length: int, seed: int = 0) -> bytes:
@@ -130,86 +269,68 @@ class _ReadCorruption:
         return bytes(damaged)
 
 
-class _FaultedFile:
-    """Backing store for one file: its bytes plus the synced watermark."""
-
-    __slots__ = ("data", "durable")
-
-    def __init__(self) -> None:
-        self.data = bytearray()
-        self.durable = 0
-
-    def surviving_length(self, unsynced: str) -> int:
-        if unsynced == "keep":
-            return len(self.data)
-        if unsynced == "torn":
-            # Whole 4 KiB device pages of the un-synced tail may have hit
-            # the platter before power died; partial pages never survive.
-            page_aligned = (len(self.data) // DEVICE_BLOCK_SIZE) \
-                * DEVICE_BLOCK_SIZE
-            return max(self.durable, min(page_aligned, len(self.data)))
-        if unsynced == "drop":
-            return self.durable
-        raise ValueError(f"unknown unsynced mode: {unsynced!r}")
-
-
 class FaultInjectingVFS(VFS):
-    """In-memory VFS that can fail writes on schedule and simulate crashes.
+    """The storage adapter: a :class:`FaultSchedule` executed on a base VFS.
 
-    Mutating operations (create, append, sync, delete, rename) are counted;
-    reads are free.  ``op_count`` after a fault-free run is therefore the
-    number of enumerable crash points of a workload.
+    Mutating operations (create, append, sync, delete, rename) are counted
+    as ``write`` events; reads are free of them.  ``op_count`` after a
+    fault-free run is therefore the number of enumerable crash points of a
+    workload.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, base: VFS | None = None,
+                 schedule: FaultSchedule | None = None) -> None:
         super().__init__()
-        self._files: dict[str, _FaultedFile] = {}
-        self.op_count = 0
+        self.base = MemoryVFS() if base is None else base
+        self.stats = self.base.stats
+        self.schedule = FaultSchedule() if schedule is None else schedule
+        #: Synced length of each file written through this adapter; a
+        #: file without an entry is durable whole.
+        self._durable: dict[str, int] = {}
         #: One ``(kind, name)`` entry per counted mutating op — crash-point
         #: drills use it to find the ops that touch a particular file
         #: (``op_log[i]`` describes 1-based mutating op ``i + 1``).
         self.op_log: list[tuple[str, str]] = []
         self.crashed = False
-        self._fail_at: int | None = None
-        self._fail_mode = "crash"
-        self.read_op_count = 0
-        self._read_fail_at: int | None = None
-        self._read_fail_count = 0
-        self._enospc_at: int | None = None
         self._read_corruptions: list[_ReadCorruption] = []
+
+    @property
+    def op_count(self) -> int:
+        """Mutating operations counted so far."""
+        return self.schedule.counts["write"]
+
+    @op_count.setter
+    def op_count(self, value: int) -> None:
+        self.schedule.counts["write"] = value
+
+    @property
+    def read_op_count(self) -> int:
+        """Read operations counted so far (``open_random``, ``read_at``)."""
+        return self.schedule.counts["read"]
+
+    def reset_stats(self) -> None:
+        self.base.reset_stats()
+        self.stats = self.base.stats
 
     # -- fault scheduling ----------------------------------------------------
 
     def schedule_crash(self, at_op: int) -> None:
         """Crash the machine just before mutating operation ``at_op`` (1-based)."""
-        if at_op < 1:
-            raise ValueError("at_op is 1-based")
-        self._fail_at = at_op
-        self._fail_mode = "crash"
+        self.schedule.arm("write", at_op, "crash", replace=_ONE_SHOT)
 
     def schedule_write_error(self, at_op: int) -> None:
         """Fail mutating operation ``at_op`` once; later operations succeed."""
-        if at_op < 1:
-            raise ValueError("at_op is 1-based")
-        self._fail_at = at_op
-        self._fail_mode = "error"
+        self.schedule.arm("write", at_op, "error", replace=_ONE_SHOT)
 
     def schedule_read_error(self, at_read: int, count: int = 1) -> None:
         """Fail ``count`` read operations starting at read op ``at_read``.
 
-        Read operations (``open_random`` and ``read_at``) are counted
-        separately from mutating ops in ``read_op_count``.  Failures raise
-        :class:`~repro.lsm.errors.ReadFaultError` — a *transient* ``EIO``:
-        retrying the read is a new read op, so after ``count`` failures the
-        same read succeeds.  Models the retryable media errors the engine's
-        bounded read-retry loop exists for.
+        Failures raise :class:`~repro.lsm.errors.ReadFaultError` — a
+        *transient* ``EIO``: retrying the read is a new read op, so after
+        ``count`` failures the same read succeeds.  Models the retryable
+        media errors the engine's bounded read-retry loop exists for.
         """
-        if at_read < 1:
-            raise ValueError("at_read is 1-based")
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        self._read_fail_at = at_read
-        self._read_fail_count = count
+        self.schedule.arm("read", at_read, "eio", count, replace=("eio",))
 
     def schedule_enospc(self, at_op: int = 1) -> None:
         """Run out of disk space at mutating operation ``at_op`` (1-based).
@@ -219,22 +340,30 @@ class FaultInjectingVFS(VFS):
         renames and all reads keep working.  Persistent until
         :meth:`clear_enospc` — a full disk stays full.
         """
-        if at_op < 1:
-            raise ValueError("at_op is 1-based")
-        self._enospc_at = at_op
+        self.schedule.arm("write", at_op, "enospc", None, replace=("enospc",))
 
     def clear_enospc(self) -> None:
         """Free up space: space-consuming operations succeed again."""
-        self._enospc_at = None
+        self.schedule.disarm("write", "enospc")
 
     # -- stored-byte damage (bit rot) ----------------------------------------
+
+    def _stored(self, name: str | None = None):
+        """The base's byte buffers (or ``name``'s): crash imaging and bit
+        rot edit stored bytes, which only a ``MemoryVFS`` base exposes."""
+        if not isinstance(self.base, MemoryVFS):
+            raise TypeError("crash imaging and bit rot need a MemoryVFS base")
+        files = self.base._files
+        if name is None:
+            return files
+        if name not in files:
+            raise NotFoundError(f"no such file: {name}")
+        return files[name]
 
     def flip_bit(self, name: str, byte_offset: int, bit: int = 0) -> None:
         """Silently flip one stored bit of ``name`` (XOR — flipping the same
         bit again heals the file, which cache-poisoning drills rely on)."""
-        if name not in self._files:
-            raise NotFoundError(f"no such file: {name}")
-        data = self._files[name].data
+        data = self._stored(name)
         if not 0 <= byte_offset < len(data):
             raise ValueError(
                 f"byte_offset {byte_offset} outside {name} "
@@ -248,9 +377,7 @@ class FaultInjectingVFS(VFS):
         """Overwrite a stored byte range with deterministic junk (a whole
         device page by default).  Returns the original bytes so a drill can
         restore them."""
-        if name not in self._files:
-            raise NotFoundError(f"no such file: {name}")
-        data = self._files[name].data
+        data = self._stored(name)
         if not 0 <= offset < len(data):
             raise ValueError(
                 f"offset {offset} outside {name} ({len(data)} bytes)")
@@ -280,24 +407,19 @@ class FaultInjectingVFS(VFS):
         self._read_corruptions.append(
             _ReadCorruption(count, name_substring, category, mode))
 
-    def _mutate(self, kind: str = "write", name: str = "") -> None:
+    def _mutate(self, kind: str, name: str) -> None:
         """Gate every mutating operation: count it, maybe fault, maybe crash."""
-        if self.crashed:
-            raise SimulatedCrashError("filesystem is down (simulated crash)")
-        self.op_count += 1
+        self._check_up()
+        fault = self.schedule.hit(
+            "write", () if kind in _SPACE_CONSUMING else ("enospc",))
         self.op_log.append((kind, name))
-        if self._fail_at is not None and self.op_count == self._fail_at:
-            self._fail_at = None
-            if self._fail_mode == "crash":
-                self.crashed = True
-                raise SimulatedCrashError(
-                    f"simulated crash at mutating op {self.op_count}")
-            raise FaultInjectedError(
-                f"injected write failure at mutating op {self.op_count}")
-        if self._enospc_at is not None and self.op_count >= self._enospc_at \
-                and kind in _SPACE_CONSUMING:
-            raise OutOfSpaceError(
-                f"simulated ENOSPC at mutating op {self.op_count} ({kind})")
+        if fault is None:
+            return
+        if fault == "exit":
+            os._exit(1)
+        self.crashed = fault == "crash"
+        raise _RAISES[fault](
+            f"injected {fault} at mutating op {self.op_count} ({kind})")
 
     def _check_up(self) -> None:
         if self.crashed:
@@ -306,14 +428,9 @@ class FaultInjectingVFS(VFS):
     def _read_op(self) -> None:
         """Gate every read operation: count it, maybe raise transient EIO."""
         self._check_up()
-        self.read_op_count += 1
-        if self._read_fail_at is not None:
-            end = self._read_fail_at + self._read_fail_count
-            if self._read_fail_at <= self.read_op_count < end:
-                raise ReadFaultError(
-                    f"injected read failure at read op {self.read_op_count}")
-            if self.read_op_count >= end:
-                self._read_fail_at = None
+        if self.schedule.hit("read") is not None:
+            raise ReadFaultError(
+                f"injected read failure at read op {self.read_op_count}")
 
     def _maybe_corrupt(self, name: str, category: Category,
                        data: bytes) -> bytes:
@@ -329,6 +446,19 @@ class FaultInjectingVFS(VFS):
 
     # -- crash imaging -------------------------------------------------------
 
+    def _surviving_length(self, name: str, unsynced: str) -> int:
+        size = len(self._stored(name))
+        durable = self._durable.get(name, size)
+        if unsynced == "keep":
+            return size
+        if unsynced == "torn":
+            # Whole 4 KiB device pages of the un-synced tail may have hit
+            # the platter before power died; partial pages never survive.
+            return max(durable, size - size % DEVICE_BLOCK_SIZE)
+        if unsynced == "drop":
+            return durable
+        raise ValueError(f"unknown unsynced mode: {unsynced!r}")
+
     def crash_image(self, unsynced: str = "drop") -> MemoryVFS:
         """A fresh :class:`MemoryVFS` holding what survives power loss.
 
@@ -338,127 +468,120 @@ class FaultInjectingVFS(VFS):
         applied metadata operations always survive.
         """
         image = MemoryVFS()
-        for name, file in self._files.items():
-            image._files[name] = bytearray(
-                file.data[:file.surviving_length(unsynced)])
+        for name, data in self._stored().items():
+            image._files[name] = data[:self._surviving_length(name, unsynced)]
         return image
 
     def reboot(self, unsynced: str = "drop") -> None:
         """Apply :meth:`crash_image` semantics in place and come back up."""
-        for file in self._files.values():
-            del file.data[file.surviving_length(unsynced):]
-            file.durable = len(file.data)
+        for name, data in self._stored().items():
+            del data[self._surviving_length(name, unsynced):]
+        self._durable.clear()
         self.crashed = False
-        self._fail_at = None
-        # Transient read faults (in-flight EIO / controller corruption) do
-        # not survive a reboot; stored bit rot and a full disk do.
-        self._read_fail_at = None
+        # Transient faults (a pending write fault, in-flight EIO,
+        # controller corruption) do not survive a reboot; stored bit rot
+        # and a full disk do.
+        self.schedule.disarm("write", *_ONE_SHOT)
+        self.schedule.disarm("read")
         self._read_corruptions.clear()
 
     def durable_size(self, name: str) -> int:
         """Bytes of ``name`` guaranteed to survive a crash right now."""
-        if name not in self._files:
-            raise NotFoundError(f"no such file: {name}")
-        return self._files[name].durable
+        return self._durable.get(name, self.base.file_size(name))
 
     # -- VFS interface -------------------------------------------------------
 
     def create(self, name: str) -> WritableFile:
         self._mutate("create", name)
-        file = _FaultedFile()
-        self._files[name] = file
-        return _FaultedWritable(self, name, file)
+        handle = self.base.create(name)
+        self._durable[name] = 0
+        return _FaultedWritable(self, name, handle)
 
     def open_random(self, name: str) -> RandomAccessFile:
         self._read_op()
-        if name not in self._files:
-            raise NotFoundError(f"no such file: {name}")
-        return _FaultedRandomAccess(self, name, self._files[name])
+        return _FaultedRandomAccess(self, name, self.base.open_random(name))
 
     def exists(self, name: str) -> bool:
         self._check_up()
-        return name in self._files
+        return self.base.exists(name)
 
     def delete(self, name: str) -> None:
         self._check_up()
-        if name not in self._files:
+        if not self.base.exists(name):
             raise NotFoundError(f"no such file: {name}")
         self._mutate("delete", name)
-        del self._files[name]
+        self.base.delete(name)
+        self._durable.pop(name, None)
 
     def rename(self, old: str, new: str) -> None:
         self._check_up()
-        if old not in self._files:
+        if not self.base.exists(old):
             raise NotFoundError(f"no such file: {old}")
         self._mutate("rename", new)
-        self._files[new] = self._files.pop(old)
+        self.base.rename(old, new)
+        if old in self._durable:
+            self._durable[new] = self._durable.pop(old)
+        else:
+            self._durable.pop(new, None)
 
     def list_dir(self, prefix: str = "") -> list[str]:
         self._check_up()
-        return sorted(name for name in self._files if name.startswith(prefix))
+        return self.base.list_dir(prefix)
 
     def file_size(self, name: str) -> int:
         self._check_up()
-        if name not in self._files:
-            raise NotFoundError(f"no such file: {name}")
-        return len(self._files[name].data)
+        return self.base.file_size(name)
 
 
 class _FaultedWritable(WritableFile):
     def __init__(self, vfs: FaultInjectingVFS, name: str,
-                 file: _FaultedFile) -> None:
+                 base: WritableFile) -> None:
         self._vfs = vfs
         self._name = name
-        self._file = file
-        self._closed = False
+        self._base = base
 
     def append(self, data: bytes, category: Category = Category.OTHER) -> None:
-        if self._closed:
-            raise ValueError(f"file already closed: {self._name}")
         self._vfs._mutate("append", self._name)
-        self._file.data.extend(data)
-        self._vfs.stats.record_write(len(data), category)
+        self._base.append(data, category)
 
     def flush(self) -> None:
-        return None  # library-buffer flush: no device visibility
+        self._base.flush()
 
     def sync(self) -> None:
         self._vfs._mutate("sync", self._name)
-        self._file.durable = len(self._file.data)
+        self._base.sync()
+        self._vfs._durable[self._name] = self._base.size
 
     def close(self) -> None:
         # Closing is always safe (even post-crash): it promises no
         # durability, exactly like POSIX close(2) without fsync.
-        self._closed = True
+        self._base.close()
 
     @property
     def size(self) -> int:
-        return len(self._file.data)
+        return self._base.size
 
 
 class _FaultedRandomAccess(RandomAccessFile):
     def __init__(self, vfs: FaultInjectingVFS, name: str,
-                 file: _FaultedFile) -> None:
+                 base: RandomAccessFile) -> None:
         self._vfs = vfs
         self._name = name
-        self._file = file
+        self._base = base
 
     def read_at(self, offset: int, length: int,
                 category: Category = Category.DATA,
                 charge: bool = True) -> bytes:
         self._vfs._read_op()
-        data = bytes(self._file.data[offset:offset + length])
-        data = self._vfs._maybe_corrupt(self._name, category, data)
-        if charge:
-            self._vfs.stats.record_read(len(data), category)
-        return data
+        data = self._base.read_at(offset, length, category, charge)
+        return self._vfs._maybe_corrupt(self._name, category, data)
 
     def close(self) -> None:
-        return None
+        self._base.close()
 
     @property
     def size(self) -> int:
-        return len(self._file.data)
+        return self._base.size
 
 
 # -- crash-point enumeration -----------------------------------------------
@@ -494,123 +617,3 @@ def run_until_crash(workload: Workload, at_op: int) -> FaultInjectingVFS:
     except SimulatedCrashError:
         pass
     return vfs
-
-
-# -- worker-process fault plumbing -------------------------------------------
-
-
-@dataclass
-class FaultPlan:
-    """A predetermined fault schedule small enough to ship to a worker.
-
-    :class:`FaultInjectingVFS` is interactive — tests arm it call by call —
-    but a compaction worker process only ever receives one serialized job,
-    so its faults must be decided up front.  Counters count *mutating*
-    operations (appends, deletes, renames) against the wrapped VFS:
-
-    ``fail_write_at``
-        the N-th mutating op raises :class:`FaultInjectedError` (EIO).
-    ``enospc_at``
-        from the N-th mutating op onward, space-consuming ops raise
-        :class:`OutOfSpaceError`.
-    ``exit_at``
-        the worker dies with ``os._exit(1)`` at the N-th mutating op — no
-        exception propagation, no cleanup handlers: the SIGKILL-equivalent
-        the coordinator's crash handling must absorb.
-    """
-
-    fail_write_at: int | None = None
-    enospc_at: int | None = None
-    exit_at: int | None = None
-
-    def to_json(self) -> dict:
-        return {"fail_write_at": self.fail_write_at,
-                "enospc_at": self.enospc_at,
-                "exit_at": self.exit_at}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FaultPlan":
-        return cls(fail_write_at=doc.get("fail_write_at"),
-                   enospc_at=doc.get("enospc_at"),
-                   exit_at=doc.get("exit_at"))
-
-
-class PlannedFaultVFS(VFS):
-    """Wrap any VFS and execute a :class:`FaultPlan` against it.
-
-    Unlike :class:`FaultInjectingVFS` (a self-contained memory filesystem
-    with crash imaging), this is a thin pass-through: it exists so worker
-    processes can run real :class:`~repro.lsm.vfs.LocalVFS` I/O with
-    deterministic faults injected mid-compaction.  Reads are never faulted
-    here — read-fault drills stay in the coordinator where the containment
-    machinery lives.
-    """
-
-    def __init__(self, base: VFS, plan: FaultPlan) -> None:
-        super().__init__()
-        self.base = base
-        self.stats = base.stats
-        self.plan = plan
-        self.mutations = 0
-
-    def _mutate(self, space_consuming: bool) -> None:
-        self.mutations += 1
-        plan = self.plan
-        if plan.exit_at is not None and self.mutations >= plan.exit_at:
-            os._exit(1)
-        if plan.fail_write_at is not None \
-                and self.mutations == plan.fail_write_at:
-            raise FaultInjectedError(
-                f"planned write fault at mutating op {self.mutations}")
-        if plan.enospc_at is not None and space_consuming \
-                and self.mutations >= plan.enospc_at:
-            raise OutOfSpaceError(
-                f"planned disk-full at mutating op {self.mutations}")
-
-    def create(self, name: str) -> WritableFile:
-        self._mutate(space_consuming=True)
-        return _PlannedWritable(self, self.base.create(name))
-
-    def open_random(self, name: str) -> RandomAccessFile:
-        return self.base.open_random(name)
-
-    def exists(self, name: str) -> bool:
-        return self.base.exists(name)
-
-    def delete(self, name: str) -> None:
-        self._mutate(space_consuming=False)
-        self.base.delete(name)
-
-    def rename(self, old: str, new: str) -> None:
-        self._mutate(space_consuming=False)
-        self.base.rename(old, new)
-
-    def list_dir(self, prefix: str = "") -> list[str]:
-        return self.base.list_dir(prefix)
-
-    def file_size(self, name: str) -> int:
-        return self.base.file_size(name)
-
-
-class _PlannedWritable(WritableFile):
-    def __init__(self, vfs: PlannedFaultVFS, base: WritableFile) -> None:
-        self._vfs = vfs
-        self._base = base
-
-    def append(self, data: bytes, category: Category = Category.OTHER) -> None:
-        self._vfs._mutate(space_consuming=True)
-        self._base.append(data, category)
-
-    def flush(self) -> None:
-        self._base.flush()
-
-    def sync(self) -> None:
-        self._vfs._mutate(space_consuming=True)
-        self._base.sync()
-
-    def close(self) -> None:
-        self._base.close()
-
-    @property
-    def size(self) -> int:
-        return self._base.size

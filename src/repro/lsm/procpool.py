@@ -206,10 +206,10 @@ def _worker_main(conn) -> None:
 def _execute_job(conn, job: dict, shm_cache) -> dict:
     options = restore_options(job["options"])
     vfs = LocalVFS(job["root"])
-    if job.get("fault_plan"):
-        from repro.lsm.faults import FaultPlan, PlannedFaultVFS
+    if job.get("faults"):
+        from repro.lsm.faults import FaultInjectingVFS, FaultSchedule
 
-        vfs = PlannedFaultVFS(vfs, FaultPlan.from_json(job["fault_plan"]))
+        vfs = FaultInjectingVFS(vfs, FaultSchedule(job["faults"]))
     db_name = job["db_name"]
 
     block_cache = None
@@ -291,7 +291,7 @@ class ProcessCompactionExecutor:
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._closed = False
-        self._armed_fault: dict | None = None
+        self._armed_fault: list | None = None
         self.jobs_dispatched = 0
         self.jobs_completed = 0
         self.jobs_failed = 0
@@ -333,10 +333,10 @@ class ProcessCompactionExecutor:
         return [worker.proc.pid for worker in self._workers
                 if worker.proc is not None]
 
-    def arm_fault(self, plan) -> None:
-        """Attach ``plan`` (a :class:`~repro.lsm.faults.FaultPlan`) to the
-        next dispatched job — the crash-drill hook."""
-        self._armed_fault = plan.to_json()
+    def arm_fault(self, schedule) -> None:
+        """Attach ``schedule`` (a :class:`~repro.lsm.faults.FaultSchedule`)
+        to the next dispatched job — the crash-drill hook."""
+        self._armed_fault = schedule.to_json()
 
     # -- job execution -------------------------------------------------------
 
@@ -355,7 +355,7 @@ class ProcessCompactionExecutor:
             job = dict(job, db_name=self.db_name, root=self.root,
                        options=self.options_doc, shm_name=self.shm_name)
             if self._armed_fault is not None:
-                job["fault_plan"] = self._armed_fault
+                job["faults"] = self._armed_fault
                 self._armed_fault = None
             deaths = 0
             while True:
@@ -375,9 +375,9 @@ class ProcessCompactionExecutor:
                             f"compaction worker died {deaths} times on one "
                             f"job (level {job.get('level')}); abandoning")
                     self.jobs_retried += 1
-                    # A crashed attempt must not re-run the fault plan that
-                    # (deliberately, in drills) killed it.
-                    job.pop("fault_plan", None)
+                    # A crashed attempt must not re-run the fault schedule
+                    # that (deliberately, in drills) killed it.
+                    job.pop("faults", None)
 
     def _attempt(self, worker: _Worker, job: dict, allocate) -> dict:
         worker.stats["jobs_dispatched"] += 1

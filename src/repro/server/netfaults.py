@@ -1,49 +1,49 @@
 """Network fault injection: scheduled disconnects, torn frames, delays.
 
-The storage layer earns its crash-safety claims from
-:class:`~repro.lsm.faults.FaultInjectingVFS`; this module is the same
-discipline applied to the wire.  A :class:`FaultSchedule` scripts faults
-against *counted protocol events* — connect attempts, frame sends,
-response-frame reads — and a :class:`FaultInjectingTransport` wraps each
-client socket to execute them, so a drill can disconnect the client at
-every response boundary in turn and prove the retry machinery keeps each
-acked write applied exactly once.
+The socket adapter of the one fault schedule.  The storage layer earns its
+crash-safety claims from :class:`~repro.lsm.faults.FaultInjectingVFS`, an
+adapter of :class:`~repro.lsm.faults.FaultSchedule`; this module executes
+the same schedule on the wire.  A :class:`FaultInjectingTransport` wraps
+each client socket and reports *counted protocol events* — ``connect``
+attempts, ``send`` calls (a pipeline burst is one call), ``response``
+frame reads — so a drill can disconnect the client at every response
+boundary in turn and prove the retry machinery keeps each acked write
+applied exactly once.  Counters are global across every socket the
+schedule touches, so they keep advancing across reconnects.
 
-Fault points (all counters are global across every socket the schedule
-touches, so they keep advancing across reconnects):
+The faults each event can carry:
 
-* ``refuse_connects`` — the first N connect attempts raise
-  ``ConnectionRefusedError`` (server down / backlog full).
-* ``break_send_at`` — that send call fails before any byte leaves: the
+* ``connect`` / ``"refuse"`` — the attempt raises
+  ``ConnectionRefusedError`` (server down / backlog full);
+  ``FaultSchedule([("connect", 1, "refuse", 3)])`` refuses the first three.
+* ``send`` / ``"break"`` — the send fails before any byte leaves: the
   request never reached the server (safe to retry blindly).
-* ``torn_send_at`` — half the bytes leave, then the connection dies: the
-  server reads a torn frame and discards it whole, so a torn *request*
-  is never half-applied (DESIGN.md §10); any complete frames in front of
-  the tear *are* applied — exactly the case idempotent retry exists for.
-* ``drop_response_at`` — the connection dies just before that response
-  frame is read: the server applied the write and sent the ack, the
-  client never saw it.  The acked-but-lost case; a blind retry would
+* ``send`` / ``"torn"`` — half the bytes leave, then the connection dies:
+  the server reads a torn frame and discards it whole, so a torn
+  *request* is never half-applied (DESIGN.md §10); any complete frames in
+  front of the tear *are* applied — exactly the case idempotent retry
+  exists for.
+* ``response`` / ``"drop"`` — the connection dies just before that
+  response frame is read: the server applied the write and sent the ack,
+  the client never saw it.  The acked-but-lost case; a blind retry would
   double-apply without the server's dedup window.
-* ``torn_response_at`` — the response frame arrives cut in half
+* ``response`` / ``"torn"`` — the response frame arrives cut in half
   (``TornFrameError`` on the client), same recovery obligation.
-* ``delay`` — an optional hook called before every counted event with
-  its name; drills pass a ``DeterministicScheduler`` step hook or a
-  sleep to model latency.
 
-:func:`FaultSchedule.random` derives a randomized-but-reproducible
-schedule from a seed — the chaos job prints the seed on failure so any
-red run replays bit-for-bit.
-
-Counters are locked: a pooled client's threads may share one schedule.
+The schedule's ``delay`` hook sees every event (``"net:send:3"``), and
+:meth:`FaultSchedule.random(seed, sends=..., responses=...)
+<repro.lsm.faults.FaultSchedule.random>` derives a randomized but
+reproducible schedule from a seed — the chaos job prints the seed on
+failure so any red run replays bit-for-bit.
 """
 
 from __future__ import annotations
 
-import random
 import socket
 import struct
-import threading
-from typing import Any, Callable, Iterable
+from typing import Any
+
+from repro.lsm.faults import FaultSchedule
 
 __all__ = [
     "FaultSchedule",
@@ -52,117 +52,6 @@ __all__ = [
 ]
 
 _LENGTH = struct.Struct(">I")
-
-
-class FaultSchedule:
-    """Scripted network faults, consulted by every wrapped socket.
-
-    ``break_send_at`` / ``torn_send_at`` index *send calls* (a pipeline
-    burst is one call), ``drop_response_at`` / ``torn_response_at``
-    index *response frames*, all 1-based and global across sockets.
-    """
-
-    def __init__(self, *, refuse_connects: int = 0,
-                 break_send_at: Iterable[int] = (),
-                 torn_send_at: Iterable[int] = (),
-                 drop_response_at: Iterable[int] = (),
-                 torn_response_at: Iterable[int] = (),
-                 delay: Callable[[str], None] | None = None) -> None:
-        self.refuse_connects = refuse_connects
-        self.break_send_at = set(break_send_at)
-        self.torn_send_at = set(torn_send_at)
-        overlap = self.break_send_at & self.torn_send_at
-        if overlap:
-            raise ValueError(f"send faults overlap: {sorted(overlap)}")
-        self.drop_response_at = set(drop_response_at)
-        self.torn_response_at = set(torn_response_at)
-        overlap = self.drop_response_at & self.torn_response_at
-        if overlap:
-            raise ValueError(f"response faults overlap: {sorted(overlap)}")
-        self.delay = delay
-        self._lock = threading.Lock()
-        #: Counted events so far (inspection / next-schedule sizing).
-        self.connects = 0
-        self.sends = 0
-        self.responses = 0
-        #: Every fault fired: ``(kind, 1-based index)`` — lets a drill
-        #: assert the scheduled fault actually happened.
-        self.injected: list[tuple[str, int]] = []
-
-    @classmethod
-    def random(cls, seed: int, *, sends: int, fault_rate: float = 0.15,
-               refuse_connects: int = 0, responses: int | None = None,
-               delay: Callable[[str], None] | None = None
-               ) -> "FaultSchedule":
-        """A reproducible chaos schedule over ``sends`` send calls (and
-        ``responses`` response frames, default the same count): each
-        event independently faults with ``fault_rate``, fault flavour
-        chosen uniformly.  Same seed, same schedule."""
-        rng = random.Random(seed)
-        if responses is None:
-            responses = sends
-        break_send, torn_send, drop_resp, torn_resp = set(), set(), set(), set()
-        for index in range(1, sends + 1):
-            if rng.random() < fault_rate:
-                (break_send if rng.random() < 0.5 else torn_send).add(index)
-        for index in range(1, responses + 1):
-            if rng.random() < fault_rate:
-                (drop_resp if rng.random() < 0.5 else torn_resp).add(index)
-        return cls(refuse_connects=refuse_connects,
-                   break_send_at=break_send, torn_send_at=torn_send,
-                   drop_response_at=drop_resp, torn_response_at=torn_resp,
-                   delay=delay)
-
-    # -- event gates (called by the transport) -----------------------------
-
-    def _event(self, name: str) -> None:
-        if self.delay is not None:
-            self.delay(name)
-
-    def on_connect(self) -> None:
-        """Gate one connect attempt; raises to refuse it."""
-        with self._lock:
-            self.connects += 1
-            index = self.connects
-            refused = index <= self.refuse_connects
-            if refused:
-                self.injected.append(("refuse_connect", index))
-        self._event(f"net:connect:{index}")
-        if refused:
-            raise ConnectionRefusedError(
-                f"injected connection refusal (attempt {index})")
-
-    def on_send(self) -> str | None:
-        """Gate one send call; returns ``None`` | ``"break"`` | ``"torn"``."""
-        with self._lock:
-            self.sends += 1
-            index = self.sends
-            if index in self.break_send_at:
-                fault = "break"
-            elif index in self.torn_send_at:
-                fault = "torn"
-            else:
-                fault = None
-            if fault:
-                self.injected.append((f"{fault}_send", index))
-        self._event(f"net:send:{index}")
-        return fault
-
-    def on_response(self) -> str | None:
-        """Gate one response-frame read; ``None`` | ``"drop"`` | ``"torn"``."""
-        with self._lock:
-            self.responses += 1
-            index = self.responses
-            if index in self.drop_response_at:
-                fault = "drop"
-            elif index in self.torn_response_at:
-                fault = "torn"
-            else:
-                fault = None
-            if fault:
-                self.injected.append((f"{fault}_response", index))
-        self._event(f"net:response:{index}")
-        return fault
 
 
 class FaultInjectingTransport:
@@ -192,7 +81,7 @@ class FaultInjectingTransport:
             pass
 
     def sendall(self, data: bytes) -> None:
-        fault = self._schedule.on_send()
+        fault = self._schedule.hit("send")
         if fault == "break":
             self._die()
             raise ConnectionResetError("injected disconnect before send")
@@ -224,7 +113,7 @@ class FaultInjectingTransport:
                 return b""
             # Frame boundary: pull one whole response frame, consulting
             # the schedule first.
-            fault = self._schedule.on_response()
+            fault = self._schedule.hit("response")
             if fault == "drop":
                 self._die()
                 raise ConnectionResetError(
@@ -288,6 +177,9 @@ class FaultyConnector:
 
     def __call__(self, address: tuple[str, int],
                  timeout: float | None = None) -> FaultInjectingTransport:
-        self.schedule.on_connect()
+        if self.schedule.hit("connect") == "refuse":
+            raise ConnectionRefusedError(
+                "injected connection refusal (attempt "
+                f"{self.schedule.counts['connect']})")
         sock = socket.create_connection(address, timeout=timeout)
         return FaultInjectingTransport(sock, self.schedule)

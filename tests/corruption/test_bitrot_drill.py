@@ -48,7 +48,7 @@ def build_image(flush: bool) -> tuple[dict[str, bytes], dict[bytes, bytes]]:
     if flush:
         db.flush()
     db.close()
-    image = {name: bytes(file.data) for name, file in vfs._files.items()}
+    image = {name: bytes(data) for name, data in vfs.base._files.items()}
     return image, expected
 
 
@@ -63,7 +63,7 @@ def vfs_from_image(image: dict[str, bytes],
     vfs.op_count = 0
     if flip is not None:
         name, offset = flip
-        vfs._files[name].data[offset] ^= 0xFF
+        vfs.base._files[name][offset] ^= 0xFF
     return vfs
 
 

@@ -27,7 +27,7 @@ def block_offsets(vfs: FaultInjectingVFS, name: str):
     from repro.lsm.keys import decode_length_prefixed, decode_varint
     from repro.lsm.sstable import _FOOTER_SIZE, Block, BlockHandle
 
-    data = bytes(vfs._files[name].data)
+    data = bytes(vfs.base._files[name])
     footer = data[-_FOOTER_SIZE:]
     metaindex_handle, pos = BlockHandle.decode(footer, 0)
     index_handle, _pos = BlockHandle.decode(footer, pos)

@@ -12,13 +12,12 @@ the fault is cleared (and the DB reopened where the mode requires it) a
 second ``compact_range()`` succeeds.
 
 The sweep at the bottom moves one write fault over every mutating op of an
-inline load.  A failed *retire* of a compaction input (a ``delete`` fault,
-23 points of the sweep) leaves that input behind as a non-live table until
-the next reopen collects it; that is out of scope here and the sweep says
-so by allowing an orphaned table at exactly those points.
+inline load, and a seeded drill scatters write faults over the same load.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -28,7 +27,7 @@ from repro.lsm.errors import (
     OutOfSpaceError,
     ReadOnlyError,
 )
-from repro.lsm.faults import FaultInjectingVFS
+from repro.lsm.faults import FaultInjectingVFS, FaultSchedule
 from repro.lsm.options import Options
 
 from drill_utils import table_files, wait_until, wal_files
@@ -287,6 +286,58 @@ class TestFailedFlush:
         db.close()
 
 
+class TestFailedRetire:
+    """A delete fault on a retired compaction input: the edit that dropped
+    it is applied, so the compaction stands and reports no error; the input
+    waits as a zombie and the next sweep — the next retire, or ``close()``
+    — deletes it without a reopen."""
+
+    @staticmethod
+    def _retire_fault():
+        """``(vfs, db, name)``: a ``flush()`` whose inline compaction
+        failed to delete its first retired input, ``name``."""
+        probe = FaultInjectingVFS()
+        db = _prepare_flush(probe)
+        start = probe.op_count
+        db.flush()
+        db.close()
+        at_op, name = next((index, name) for index, (kind, name)
+                           in enumerate(probe.op_log[start:], start=start + 1)
+                           if kind == "delete" and name.endswith(".ldb"))
+        vfs = FaultInjectingVFS()
+        db = _prepare_flush(vfs)
+        vfs.schedule_write_error(at_op)
+        db.flush()  # no error: the compaction installed
+        assert db.compactor.stats.compaction_count == 1
+        assert db.level_file_counts()[0] == 0
+        assert vfs.exists(name)
+        assert db.verify_integrity().problems == [
+            f"orphaned table file {name}"]
+        return vfs, db, name
+
+    def test_next_retire_deletes_it(self):
+        vfs, db, name = self._retire_fault()
+        for r in range(ROUNDS):
+            _write_round(db, r)
+            db.flush()
+        assert db.compactor.stats.compaction_count > 1
+        assert not vfs.exists(name)
+        report = db.verify_integrity()
+        assert report.ok, report.problems
+        assert dict(db.scan()) == _expected()
+        db.close()
+
+    def test_close_deletes_it(self):
+        vfs, db, name = self._retire_fault()
+        db.close()
+        assert not vfs.exists(name)
+        db = DB.open(vfs, "db", _options())
+        report = db.verify_integrity()
+        assert report.ok, report.problems
+        assert dict(db.scan()) == _expected()
+        db.close()
+
+
 # -- one write fault at every mutating op of an inline load ------------------------
 
 
@@ -319,14 +370,15 @@ def _sweep_run(vfs):
     return db, acked, report
 
 
-def test_write_fault_sweep_orphans_a_table_only_at_delete_faults():
+def test_write_fault_sweep_never_orphans_a_table():
     clean = FaultInjectingVFS()
     db, acked, report = _sweep_run(clean)
     db.close()
     assert report is None and len(acked) == 300
     op_log = list(clean.op_log)
 
-    failing_puts = orphaned_at = 0
+    failing_puts = 0
+    orphaned_at = []
     for at_op, (kind, name) in enumerate(op_log, start=1):
         vfs = FaultInjectingVFS()
         vfs.schedule_write_error(at_op)
@@ -336,12 +388,8 @@ def test_write_fault_sweep_orphans_a_table_only_at_delete_faults():
             continue  # the fault hit DB.open itself
         if report is not None:
             failing_puts += 1
-            orphans = [p for p in report.problems
-                       if p.startswith("orphaned table file")]
-            if orphans:
-                orphaned_at += 1
-                assert kind == "delete" and name.endswith(".ldb"), (
-                    at_op, kind, name, orphans)
+            orphaned_at += [(at_op, kind, name, p) for p in report.problems
+                            if p.startswith("orphaned table file")]
         if "MANIFEST" not in name and (kind, name[-4:]) != ("create", ".log"):
             continue
         # A failed version edit: nothing it named may come back on reopen.
@@ -357,4 +405,41 @@ def test_write_fault_sweep_orphans_a_table_only_at_delete_faults():
         assert report.ok, (at_op, kind, name, report.problems)
         db.close()
     assert failing_puts > 500
-    assert orphaned_at > 0  # the out-of-scope delete faults are still there
+    assert orphaned_at == []
+
+
+def test_seeded_write_faults_keep_every_acked_put():
+    """Random-but-seeded write faults (EIO) over the sweep's load, past
+    ``DB.open``: every acknowledged PUT survives a fault-free reopen and the
+    store verifies clean.  The failure message carries the seed so a red
+    run replays exactly (``REPRO_CHAOS_SEED=...``)."""
+    clean = FaultInjectingVFS()
+    db, _acked, _report = _sweep_run(clean)
+    db.close()
+    probe = FaultInjectingVFS()
+    DB.open(probe, "db", _sweep_options()).close()
+    base_seed = int(os.environ.get("REPRO_CHAOS_SEED", "20260809"))
+    rounds = 12 if os.environ.get("REPRO_DIST_DRILLS") == "full" else 4
+    for seed in range(base_seed, base_seed + rounds):
+        chaos = FaultSchedule.random(seed, writes=clean.op_count,
+                                     fault_rate=0.02)
+        vfs = FaultInjectingVFS(schedule=FaultSchedule(
+            fault for fault in chaos.faults if fault[1] > probe.op_count))
+        try:
+            db, acked, _report = _sweep_run(vfs)
+            assert vfs.schedule.injected  # the faults actually fired
+            try:
+                db.close()
+            except OSError:
+                pass
+            vfs.schedule.disarm("write")
+            db = DB.open(vfs, "db", _sweep_options())
+            assert all(db.get(key) == SWEEP_VALUE for key in acked)
+            report = db.verify_integrity()
+            assert report.ok, report.problems
+            db.close()
+        except BaseException as exc:
+            raise AssertionError(
+                f"storage chaos round failed; replay with "
+                f"REPRO_CHAOS_SEED={seed} (injected: "
+                f"{vfs.schedule.injected!r})") from exc

@@ -206,13 +206,13 @@ class TestRepair:
         populate(db)
         db.close()
         flip_data_block(vfs, table_files(vfs)[0])
-        before = {name: bytes(file.data)
-                  for name, file in vfs._files.items()}
+        before = {name: bytes(data)
+                  for name, data in vfs.base._files.items()}
         report = repair_db(vfs, "db", corruption_options(), dry_run=True)
         assert report.dry_run
         assert report.actions, "dry run still reports what it would do"
-        after = {name: bytes(file.data)
-                 for name, file in vfs._files.items()}
+        after = {name: bytes(data)
+                 for name, data in vfs.base._files.items()}
         assert after == before
 
     def test_repair_is_idempotent(self):

@@ -1,16 +1,21 @@
-"""Fault-injecting VFS: scheduled failures, crash imaging, enumeration."""
+"""Fault schedule and its VFS adapter: scheduled failures, crash imaging,
+enumeration."""
+
+import json
 
 import pytest
 
 from repro.lsm.errors import FaultInjectedError, NotFoundError, \
     SimulatedCrashError
 from repro.lsm.faults import (
+    FAULTS,
     FaultInjectingVFS,
+    FaultSchedule,
     count_mutations,
     crash_points,
     run_until_crash,
 )
-from repro.lsm.vfs import DEVICE_BLOCK_SIZE, Category
+from repro.lsm.vfs import DEVICE_BLOCK_SIZE, Category, LocalVFS
 
 
 def _write(vfs, name, data, sync=True):
@@ -224,3 +229,73 @@ class TestErrors:
         vfs.read_whole("f")
         assert vfs.stats.write_bytes == 10000
         assert vfs.stats.read_bytes == 10000
+
+
+class TestOneSchedule:
+    @pytest.mark.parametrize("base", ["memory", "local"])
+    def test_same_ops_fire_over_any_base(self, base, tmp_path):
+        """The compaction worker's configuration (a LocalVFS base) fires
+        exactly what the drills' MemoryVFS base fires."""
+        vfs = FaultInjectingVFS(LocalVFS(str(tmp_path))
+                                if base == "local" else None)
+        vfs.schedule_write_error(2)
+        vfs.schedule_enospc(7)
+        fired = []
+
+        def attempt(op, *args):
+            try:
+                return op(*args)
+            except FaultInjectedError as exc:
+                fired.append((vfs.op_count, type(exc).__name__))
+
+        handle = attempt(vfs.create, "a")               # 1
+        attempt(handle.append, b"doomed")               # 2: EIO
+        attempt(handle.append, b"ok")                   # 3
+        attempt(handle.sync)                            # 4
+        handle.close()
+        attempt(vfs.rename, "a", "b")                   # 5
+        handle = attempt(vfs.create, "c")               # 6
+        attempt(handle.append, b"no room")              # 7: ENOSPC
+        attempt(vfs.delete, "b")                        # 8: deletes work
+        attempt(handle.sync)                            # 9: ENOSPC
+        handle.close()
+        assert fired == [(2, "FaultInjectedError"), (7, "OutOfSpaceError"),
+                         (9, "OutOfSpaceError")]
+        assert vfs.schedule.injected == [("error_write", 2),
+                                         ("enospc_write", 7),
+                                         ("enospc_write", 9)]
+        assert [kind for kind, _name in vfs.op_log] == [
+            "create", "append", "append", "sync", "rename", "create",
+            "append", "delete", "sync"]
+        assert vfs.list_dir() == ["c"] and vfs.file_size("c") == 0
+
+    def test_json_round_trip_of_every_fault_kind(self):
+        schedule = FaultSchedule()
+        for event, kinds in FAULTS.items():
+            for at, fault in enumerate(kinds, start=1):
+                count = None if fault == "enospc" else 2 if event == "read" \
+                    else 1
+                schedule.arm(event, at * 3, fault, count)
+        doc = json.loads(json.dumps(schedule.to_json()))
+        assert FaultSchedule(doc).faults == schedule.faults
+        assert {(event, fault) for event, _at, fault, _n in schedule.faults} \
+            == {(event, fault) for event, kinds in FAULTS.items()
+                for fault in kinds}
+
+    def test_bounded_fault_outranks_open_ended(self):
+        schedule = FaultSchedule([("write", 1, "enospc", None),
+                                  ("write", 2, "error")])
+        assert [schedule.hit("write") for _ in range(3)] == [
+            "enospc", "error", "enospc"]
+        assert schedule.hit("write", skip=("enospc",)) is None
+
+    def test_unknown_fault_rejected(self):
+        with pytest.raises(ValueError, match="cannot carry"):
+            FaultSchedule([("write", 1, "torn")])
+
+    def test_random_storage_faults_are_transient(self):
+        first = FaultSchedule.random(7, writes=200, reads=200)
+        assert first.faults == FaultSchedule.random(
+            7, writes=200, reads=200).faults
+        assert {(event, fault) for event, _at, fault, _n in first.faults} \
+            == {("write", "error"), ("read", "eio")}

@@ -20,7 +20,7 @@ from repro.lsm.errors import (
     FaultInjectedError,
     OutOfSpaceError,
 )
-from repro.lsm.faults import FaultPlan
+from repro.lsm.faults import FaultSchedule
 from repro.lsm.manifest import table_file_name
 from repro.lsm.options import Options
 from repro.lsm.procpool import (
@@ -132,7 +132,7 @@ class TestWorkerCrash:
             _load(db, rounds=4)
             # Kill the worker partway into writing the first output; the
             # retry must strip the plan and complete on a respawned worker.
-            db._executor.arm_fault(FaultPlan(exit_at=3))
+            db._executor.arm_fault(FaultSchedule([("write", 3, "exit")]))
             db.compact_range()
             _expect(db, rounds=4)
             workers = db.stats()["pipeline"]["workers"]
@@ -170,7 +170,7 @@ class TestWorkerCrash:
             original = procpool.MAX_JOB_RETRIES
             procpool.MAX_JOB_RETRIES = 0
             try:
-                db._executor.arm_fault(FaultPlan(exit_at=3))
+                db._executor.arm_fault(FaultSchedule([("write", 3, "exit")]))
                 with pytest.raises(CompactionWorkerError):
                     db.compact_range()
             finally:
@@ -188,7 +188,7 @@ class TestWorkerCrash:
                      _options(compaction_processes=1))
         try:
             _load(db, rounds=3)
-            db._executor.arm_fault(FaultPlan(fail_write_at=5))
+            db._executor.arm_fault(FaultSchedule([("write", 5, "error")]))
             with pytest.raises(FaultInjectedError):
                 db.compact_range()
             _expect(db, rounds=3)
@@ -203,7 +203,8 @@ class TestWorkerCrash:
                      _options(compaction_processes=1))
         try:
             _load(db, rounds=3)
-            db._executor.arm_fault(FaultPlan(enospc_at=4))
+            db._executor.arm_fault(
+                FaultSchedule([("write", 4, "enospc", None)]))
             with pytest.raises(OutOfSpaceError):
                 db.compact_range()
             assert db.read_only

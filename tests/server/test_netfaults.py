@@ -48,21 +48,23 @@ def connect(server, schedule=None, **kwargs):
 class TestFaultSchedule:
     def test_overlapping_send_faults_rejected(self):
         with pytest.raises(ValueError, match="send faults overlap"):
-            FaultSchedule(break_send_at={1, 2}, torn_send_at={2})
+            FaultSchedule([("send", 1, "break"), ("send", 2, "break"),
+                           ("send", 2, "torn")])
         with pytest.raises(ValueError, match="response faults overlap"):
-            FaultSchedule(drop_response_at={3}, torn_response_at={3})
+            FaultSchedule([("response", 3, "drop"),
+                           ("response", 3, "torn")])
 
     def test_counters_and_injected_log(self):
-        schedule = FaultSchedule(refuse_connects=1, break_send_at={2},
-                                 drop_response_at={1})
-        with pytest.raises(ConnectionRefusedError):
-            schedule.on_connect()
-        schedule.on_connect()
-        assert schedule.on_send() is None
-        assert schedule.on_send() == "break"
-        assert schedule.on_response() == "drop"
-        assert (schedule.connects, schedule.sends,
-                schedule.responses) == (2, 2, 1)
+        schedule = FaultSchedule([("connect", 1, "refuse"),
+                                  ("send", 2, "break"),
+                                  ("response", 1, "drop")])
+        assert schedule.hit("connect") == "refuse"
+        assert schedule.hit("connect") is None
+        assert schedule.hit("send") is None
+        assert schedule.hit("send") == "break"
+        assert schedule.hit("response") == "drop"
+        assert (schedule.counts["connect"], schedule.counts["send"],
+                schedule.counts["response"]) == (2, 2, 1)
         assert schedule.injected == [("refuse_connect", 1),
                                      ("break_send", 2),
                                      ("drop_response", 1)]
@@ -70,28 +72,23 @@ class TestFaultSchedule:
     def test_random_is_reproducible(self):
         first = FaultSchedule.random(42, sends=100)
         second = FaultSchedule.random(42, sends=100)
-        assert first.break_send_at == second.break_send_at
-        assert first.torn_send_at == second.torn_send_at
-        assert first.drop_response_at == second.drop_response_at
-        assert first.torn_response_at == second.torn_response_at
+        assert first.faults == second.faults
         different = FaultSchedule.random(43, sends=100)
-        assert (first.break_send_at, first.drop_response_at) != \
-            (different.break_send_at, different.drop_response_at)
+        assert first.faults != different.faults
 
     def test_random_respects_fault_rate_extremes(self):
         none = FaultSchedule.random(1, sends=50, fault_rate=0.0)
-        assert not (none.break_send_at | none.torn_send_at
-                    | none.drop_response_at | none.torn_response_at)
+        assert not none.faults
         full = FaultSchedule.random(1, sends=50, fault_rate=1.0)
-        assert (full.break_send_at | full.torn_send_at) == \
-            set(range(1, 51))
+        assert {at for event, at, _fault, _count in full.faults
+                if event == "send"} == set(range(1, 51))
 
     def test_delay_hook_sees_every_event(self):
         events = []
         schedule = FaultSchedule(delay=events.append)
-        schedule.on_connect()
-        schedule.on_send()
-        schedule.on_response()
+        schedule.hit("connect")
+        schedule.hit("send")
+        schedule.hit("response")
         assert events == ["net:connect:1", "net:send:1", "net:response:1"]
 
 
@@ -121,18 +118,18 @@ class TestReconnect:
     def test_refused_connects_retried_within_deadline(self, kv_server):
         server, _db = kv_server
         slept = []
-        schedule = FaultSchedule(refuse_connects=3)
+        schedule = FaultSchedule([("connect", 1, "refuse", 3)])
         policy = _fast_retry(sleep=slept.append)
         with connect(server, schedule, retry=policy) as client:
             assert client.put(b"k", b"v") == 1
-        assert schedule.connects == 4  # 3 refusals + 1 success
+        assert schedule.counts["connect"] == 4  # 3 refusals + 1 success
         assert len(slept) == 3
         # Exponential shape survives jitter: each nominal doubles.
         assert slept[0] <= 0.001 and slept[1] <= 0.002
 
     def test_without_retry_refusal_surfaces(self, kv_server):
         server, _db = kv_server
-        schedule = FaultSchedule(refuse_connects=1)
+        schedule = FaultSchedule([("connect", 1, "refuse")])
         with connect(server, schedule) as client:
             with pytest.raises(ConnectionRefusedError):
                 client.put(b"k", b"v")
@@ -147,18 +144,18 @@ class TestReconnect:
         def fake_sleep(seconds):
             clock[0] += seconds
 
-        schedule = FaultSchedule(refuse_connects=10_000)
+        schedule = FaultSchedule([("connect", 1, "refuse", 10_000)])
         policy = RetryPolicy(deadline=0.05, base_delay=0.01,
                              sleep=fake_sleep, clock=fake_clock)
         with connect(server, schedule, retry=policy) as client:
             with pytest.raises(ConnectionRefusedError):
                 client.put(b"k", b"v")
         # The deadline bounded the attempts well below the fault budget.
-        assert schedule.connects < 100
+        assert schedule.counts["connect"] < 100
 
     def test_torn_response_without_retry_is_protocol_error(self, kv_server):
         server, _db = kv_server
-        schedule = FaultSchedule(torn_response_at={1})
+        schedule = FaultSchedule([("response", 1, "torn")])
         with connect(server, schedule) as client:
             with pytest.raises(ProtocolError):
                 client.put(b"k", b"v")

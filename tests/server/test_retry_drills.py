@@ -84,7 +84,7 @@ def _assert_exactly_once(rig, seqs, count=NUM_WRITES):
 class TestEveryResponseBoundary:
     @pytest.mark.parametrize("boundary", range(1, NUM_WRITES + 1))
     def test_dropped_response(self, boundary):
-        schedule = FaultSchedule(drop_response_at={boundary})
+        schedule = FaultSchedule([("response", boundary, "drop")])
         with _Rig(schedule) as rig:
             seqs = _run_writes(rig)
             _assert_exactly_once(rig, seqs)
@@ -96,7 +96,7 @@ class TestEveryResponseBoundary:
 
     @pytest.mark.parametrize("boundary", range(1, NUM_WRITES + 1))
     def test_torn_response(self, boundary):
-        schedule = FaultSchedule(torn_response_at={boundary})
+        schedule = FaultSchedule([("response", boundary, "torn")])
         with _Rig(schedule) as rig:
             seqs = _run_writes(rig)
             _assert_exactly_once(rig, seqs)
@@ -107,7 +107,7 @@ class TestEveryResponseBoundary:
 class TestEverySendBoundary:
     @pytest.mark.parametrize("boundary", range(1, NUM_WRITES + 1))
     def test_broken_send(self, boundary):
-        schedule = FaultSchedule(break_send_at={boundary})
+        schedule = FaultSchedule([("send", boundary, "break")])
         with _Rig(schedule) as rig:
             seqs = _run_writes(rig)
             _assert_exactly_once(rig, seqs)
@@ -118,7 +118,7 @@ class TestEverySendBoundary:
         # A torn request frame reaches the server half-written; the
         # server discards it whole (never half-applied) and the retry
         # re-sends the same envelope.
-        schedule = FaultSchedule(torn_send_at={boundary})
+        schedule = FaultSchedule([("send", boundary, "torn")])
         with _Rig(schedule) as rig:
             seqs = _run_writes(rig)
             _assert_exactly_once(rig, seqs)
@@ -191,15 +191,15 @@ class TestDedupWindow:
 
 class TestPipelineRetry:
     @pytest.mark.parametrize("fault", [
-        {"torn_send_at": {1}},           # burst torn on the wire
-        {"break_send_at": {1}},          # burst never sent
-        {"drop_response_at": {3}},       # died mid-response-drain
-        {"torn_response_at": {5}},
+        ("send", 1, "torn"),             # burst torn on the wire
+        ("send", 1, "break"),            # burst never sent
+        ("response", 3, "drop"),         # died mid-response-drain
+        ("response", 5, "torn"),
     ], ids=["torn-send", "broken-send", "dropped-response",
             "torn-response"])
     def test_burst_converges_to_exactly_once(self, fault):
         count = 10
-        schedule = FaultSchedule(**fault)
+        schedule = FaultSchedule([fault])
         with _Rig(schedule) as rig:
             with rig.client.pipeline() as pipe:
                 for i in range(count):
