@@ -5,6 +5,9 @@ No separate index table exists.  Instead:
 * each primary-table SSTable carries, per data block, a bloom filter and a
   zone map for every indexed attribute (built for free when the table is
   written — SSTables are immutable, so the filters never need updates);
+  the zone map is the min/max of the block's *attribute column*, every
+  entry's encoded value in entry order, which a scan compares instead of
+  parsing the values it skips;
 * each SSTable's file-level zone map lives in the manifest metadata
   ("a global metadata file"), pruning whole files;
 * the MemTable is covered by an in-memory B-tree on the attribute
@@ -23,7 +26,8 @@ attribute top-K ranks by (Luo & Carey's component range filter): a level is
 walked newest file first (:attr:`repro.lsm.version.Version.by_recency`) and
 abandoned at the first file whose ``max_seq`` the full heap would refuse;
 inside a file, blocks are visited last to first and an entry is parsed only
-if the heap would still accept its sequence number.  This is filter
+if its column slot is in range, the heap would still accept its sequence
+number and GetLite finds it live.  This is filter
 reordering — validity never depends on heap state — so the answers are
 those of the forward walk (kept as the reference in
 ``tests/core/test_embedded_pruning.py``).
@@ -42,7 +46,9 @@ RANGELOOKUP (Algorithm 8) is the same walk driven by zone-map overlap
 tests; bloom filters cannot help ranges.  As the paper's analysis warns,
 the pruning power of the *attribute* zone maps depends entirely on the
 attribute being time-correlated; the sequence bound prunes regardless, but
-only a bounded K, and only once the newest files have filled the heap.
+only a bounded K, and only once the newest files have filled the heap.  The
+column is exact where zone maps are not: it changes no block read, only
+which entries of a read block are looked at.
 """
 
 from __future__ import annotations
@@ -62,8 +68,8 @@ from repro.core.validity import ValidityChecker
 from repro.lsm.block import Block
 from repro.lsm.bloom import bloom_hash
 from repro.lsm.db import DB
+from repro.lsm.errors import CorruptionError
 from repro.lsm.keys import KIND_VALUE
-from repro.lsm.options import resolve_attribute_path
 from repro.lsm.version import FileMetaData, Version
 from repro.lsm.zonemap import encode_attribute
 
@@ -103,6 +109,9 @@ class EmbeddedIndex(SecondaryIndex):
         #: Files skipped because their ``max_seq`` could not beat the K-th
         #: result (the recency walk's own pruning; never with ``k=None``).
         self.files_seq_pruned = 0
+        #: Stored values parsed into documents: one per heap admission,
+        #: since a scan compares column bytes and parses only what it keeps.
+        self.records_parsed = 0
 
     def _rebuild_memview(self) -> None:
         """Re-index MemTable contents recovered from the WAL on reopen.
@@ -204,8 +213,9 @@ class EmbeddedIndex(SecondaryIndex):
             kind, _seq, value = newest
             if kind != KIND_VALUE:
                 continue
-            document = decode_document(value)
-            heap.add(seq, LookupResult(key_to_str(key), document, seq))
+            self.records_parsed += 1
+            heap.add(seq, LookupResult(key_to_str(key),
+                                       decode_document(value), seq))
 
     # -- SSTable scans ----------------------------------------------------------
 
@@ -222,42 +232,52 @@ class EmbeddedIndex(SecondaryIndex):
         num_blocks, blocks = self.primary.blocks_admitting(
             meta, self.attribute, low, high, value_hash)
         self.filter_probes += num_blocks
-        for block, boundary_key in blocks:
-            self._scan_block(heap, level, position, block, boundary_key,
-                             low, high)
+        for block, column, boundary_key in blocks:
+            self._scan_block(heap, level, position, block, column,
+                             boundary_key, low, high)
 
     def _scan_block(self, heap: TopKBySeq[LookupResult], level: int,
-                    position: int, block: Block, boundary_key: bytes | None,
-                    low: bytes, high: bytes) -> None:
+                    position: int, block: Block, column: list[bytes],
+                    boundary_key: bytes | None, low: bytes,
+                    high: bytes) -> None:
         """Harvest valid matches from one surviving block.
 
-        Filters run cheapest first — version order, kind, recency — so a
-        value is parsed only if the heap could still take it, and parsed
-        once: the facade stores JSON documents, so the extractor's dict is
-        the result document.  ``boundary_key`` ends the block before this
-        one: entries for it are older versions too, decided purely from
-        the in-memory index block.
+        The column decides first: an entry is looked at only if its
+        encoded value lies in ``[low, high]``, and a block with no such
+        entry is never decoded.  Then, cheapest first — version order,
+        kind, recency, GetLite — and only a record that passes them all
+        is parsed, once, into the result document.  An entry is its key's
+        newest version in this table unless the entry before it — or, for
+        the first, ``boundary_key``, the last key of the block before —
+        has the same key: a key's versions are contiguous.
         """
-        extractor = self.primary.options.attribute_extractor
         self.blocks_read += 1
-        previous_key = boundary_key
-        for (key, negated_tag), value in block.sorted_items():
-            if key == previous_key:
-                continue  # an older version: a key's versions are contiguous
-            previous_key = key
+        if low == high:
+            hits = [i for i, encoded in enumerate(column) if encoded == low]
+        else:
+            hits = [i for i, encoded in enumerate(column)
+                    if low <= encoded <= high]
+        if not hits:
+            return
+        sort_keys, values = block.sorted_arrays()
+        if len(sort_keys) != len(column):
+            raise CorruptionError(
+                f"attribute column of {len(column)} entries for a block "
+                f"of {len(sort_keys)}")
+        for i in hits:
+            key, negated_tag = sort_keys[i]
+            if key == (sort_keys[i - 1][0] if i else boundary_key):
+                continue  # an older version
             tag = -negated_tag  # (seq << 8) | kind
             if tag & 0xFF != KIND_VALUE:
                 continue
             seq = tag >> 8
             if not heap.would_accept(seq):
-                continue  # too old to matter — skip parse and validity work
-            document = extractor(value)
-            attr_value = resolve_attribute_path(document, self.attribute)
-            if attr_value is None or \
-                    not low <= encode_attribute(attr_value) <= high:
-                continue
+                continue  # too old to matter — skip validity work
             if self._is_valid(key, seq, level, position):
-                heap.add(seq, LookupResult(key_to_str(key), document, seq))
+                self.records_parsed += 1
+                heap.add(seq, LookupResult(key_to_str(key),
+                                           decode_document(values[i]), seq))
 
     def _is_valid(self, key: bytes, seq: int, level: int,
                   position: int) -> bool:
@@ -269,12 +289,13 @@ class EmbeddedIndex(SecondaryIndex):
             return found is not None and found[1] == seq
         checker = self.checker
         if level == 0:
-            # Level-0 files overlap: the ones before this one are newer
-            # components too.  Each item is one confirm read (charged), so
-            # a bloom false positive cannot discard a live record.
-            for newest in self.primary.newer_level0_versions(key, position):
+            # Level-0 files overlap: the others may hold newer versions.
+            # Each item is one confirm read (charged), so a bloom false
+            # positive cannot discard a live record.
+            for newest in self.primary.newer_level0_versions(key, position,
+                                                             seq):
                 checker.getlite_confirm_reads += 1
-                if newest:
+                if newest > seq:
                     return False
         return checker.is_newest_version(key, seq, level)
 
@@ -285,6 +306,7 @@ class EmbeddedIndex(SecondaryIndex):
             "blocks_read": self.blocks_read,
             "files_pruned": self.files_pruned,
             "files_seq_pruned": self.files_seq_pruned,
+            "records_parsed": self.records_parsed,
             "getlite_memory_only": self.checker.getlite_memory_only,
             "getlite_confirm_reads": self.checker.getlite_confirm_reads,
         }

@@ -266,6 +266,11 @@ class Block:
         sort_keys = self._materialize_sort_keys()
         return iter(zip(sort_keys, self._values))
 
+    def sorted_arrays(self) -> tuple[list[tuple[bytes, int]], list[bytes]]:
+        """The arrays behind :meth:`sorted_items` — sort keys and values,
+        index-aligned — for a caller that visits chosen entries only."""
+        return self._materialize_sort_keys(), self._values
+
     def sorted_seek(self, target: bytes
                     ) -> Iterator[tuple[tuple[bytes, int], bytes]]:
         """``(sort_key, value)`` pairs with internal key >= ``target``."""

@@ -15,7 +15,9 @@ and ``ldb verify`` do, without mutating anything:
   ordered newest-first;
 * **embedded-index soundness** — every secondary attribute value stored in
   a block is accepted by that block's bloom filter and zone map (a filter
-  that could reject a present value would silently lose query results).
+  that could reject a present value would silently lose query results),
+  and the block's attribute column holds, entry by entry, the encoding
+  recomputed from the entry itself.
 
 Findings are returned as a list of human-readable problem strings; an
 empty list means the database is sound.
@@ -31,7 +33,7 @@ from repro.lsm.db import DB
 from repro.lsm.errors import CorruptionError
 from repro.lsm.keys import KIND_VALUE, internal_sort_key, unpack_internal_key
 from repro.lsm.manifest import parse_file_number, table_file_name
-from repro.lsm.zonemap import encode_attribute
+from repro.lsm.zonemap import column_entry
 
 
 @dataclass
@@ -156,6 +158,7 @@ def _check_table(db: DB, level: int, meta, report: IntegrityReport) -> None:
     smallest = largest = None
     min_seq = max_seq = None
     extractor = db.options.attribute_extractor
+    attributes = table.indexed_attributes
     # The audit never trusts the paranoid_checks setting (which gates the
     # engine's own reads) nor any cache: verified_blocks re-reads and
     # re-checksums every byte.
@@ -169,7 +172,9 @@ def _check_table(db: DB, level: int, meta, report: IntegrityReport) -> None:
             report.problem(
                 f"table {meta.file_number} block {block_index}: {exc}")
             continue
-        for ikey_bytes, value in block:
+        block_entries = 0
+        for position, (ikey_bytes, value) in enumerate(block):
+            block_entries += 1
             entries += 1
             if previous_key is not None and \
                     internal_sort_key(ikey_bytes) <= \
@@ -184,8 +189,17 @@ def _check_table(db: DB, level: int, meta, report: IntegrityReport) -> None:
             ikey = unpack_internal_key(ikey_bytes)
             min_seq = ikey.seq if min_seq is None else min(min_seq, ikey.seq)
             max_seq = ikey.seq if max_seq is None else max(max_seq, ikey.seq)
-            _check_embedded_soundness(
-                table, meta, block_index, ikey, value, extractor, report)
+            if attributes:
+                _check_embedded_soundness(
+                    table, meta, attributes, block_index, position,
+                    extractor(value) if ikey.kind == KIND_VALUE else None,
+                    report)
+        for attribute, columns in table.secondary_columns.items():
+            if len(columns[block_index]) != block_entries:
+                report.problem(
+                    f"table {meta.file_number} block {block_index}: column "
+                    f"for {attribute!r} holds {len(columns[block_index])} "
+                    f"entries, the block {block_entries}")
     report.entries_checked += entries
 
     if entries != meta.num_entries:
@@ -206,17 +220,22 @@ def _check_table(db: DB, level: int, meta, report: IntegrityReport) -> None:
     table.file.close()
 
 
-def _check_embedded_soundness(table, meta, block_index, ikey, value,
-                              extractor, report: IntegrityReport) -> None:
-    """Present attribute values must pass their block's bloom + zone map."""
-    if ikey.kind != KIND_VALUE or not table.secondary_filters:
-        return
-    attrs = extractor(value)
-    for attribute, blooms in table.secondary_filters.items():
-        attr_value = attrs.get(attribute)
-        if attr_value is None:
+def _check_embedded_soundness(table, meta, attributes, block_index, position,
+                              attrs, report: IntegrityReport) -> None:
+    """The column must hold the entry's encoding, recomputed here from
+    ``attrs`` (the extracted dict; ``None`` for a non-VALUE entry), and a
+    present value must pass its block's bloom + zone map."""
+    for attribute in attributes:
+        encoded = column_entry(attrs, attribute)
+        columns = table.secondary_columns.get(attribute)
+        if columns is not None and position < len(columns[block_index]) \
+                and columns[block_index][position] != encoded:
+            report.problem(
+                f"table {meta.file_number} block {block_index}: column "
+                f"for {attribute!r} disagrees with entry {position}")
+        if not encoded:
             continue
-        encoded = encode_attribute(attr_value)
+        blooms = table.secondary_filters.get(attribute, [])
         if block_index < len(blooms) and blooms[block_index] and \
                 not bloom_may_contain(blooms[block_index], encoded):
             report.problem(

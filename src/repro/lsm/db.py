@@ -1493,16 +1493,24 @@ class DB:
         """
         return self._newest_above(key, below_level, True, confirm=True)
 
-    def newer_level0_versions(self, key: bytes, position: int
+    def newer_level0_versions(self, key: bytes, position: int, seq: int
                               ) -> Iterator[int]:
         """GetLite inside level 0, whose files overlap: one confirm read per
-        file before ``position`` (newer) that the in-memory probe admits —
-        the newest sequence of ``key`` in it, 0 for a bloom false positive.
-        Lazy, so the caller stops at the first hit."""
+        other file that may hold a version above ``seq`` (its ``max_seq``
+        says so) and that the in-memory probe admits — the newest sequence
+        of ``key`` in it, 0 for a bloom false positive.  Lazy, so the caller
+        stops at the first hit.
+
+        In a tree the engine built, those are files before ``position``:
+        flushes give level 0 ordered, disjoint sequence ranges.  Repair
+        puts every table in level 0 by file number, and a table it rewrote
+        gets a new number — ahead of newer ones; asking by sequence range
+        keeps GetLite right there too, with no extra read elsewhere."""
         _memtables, version, _max_seq, pin = self._acquire_view()
         try:
-            for meta in version.levels[0][:position]:
-                if meta.contains_user_key(key):
+            for index, meta in enumerate(version.levels[0]):
+                if index != position and meta.seq_upper_bound > seq and \
+                        meta.contains_user_key(key):
                     newest = self._newest_in_table(meta, key, True)
                     if newest is not None:
                         yield newest
@@ -1580,7 +1588,8 @@ class DB:
                          ) -> tuple[int, Iterable]:
         """One table of a held view, opened for the Embedded index: its
         data-block count (each costs the caller a filter probe) and its
-        :meth:`~repro.lsm.sstable.SSTable.blocks_admitting`, read under
+        :meth:`~repro.lsm.sstable.SSTable.blocks_admitting` — ``(block,
+        column, boundary_key)`` triples — read under
         :meth:`_contain`'s idiom — a quarantined or unopenable table has
         no blocks, a rotten block ends the stream."""
         file_number = meta.file_number

@@ -104,7 +104,8 @@ class Options:
         counts are surfaced via :meth:`repro.lsm.db.DB.stats`.
     indexed_attributes:
         Secondary attributes for which the SSTable builder embeds per-block
-        bloom filters and zone maps (the Embedded Index of Section 3).
+        bloom filters and attribute columns, whose min/max are the blocks'
+        zone maps (the Embedded Index of Section 3).
         Empty for index *tables* and for unindexed primary tables.
     attribute_extractor:
         Maps a stored value to its ``{attribute: value}`` dict; JSON by

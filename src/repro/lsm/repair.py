@@ -10,10 +10,15 @@ strategy:
   ``RepairDB`` ("we abandon the contents of the descriptor").
 * Every table file is audited block by block.  Clean tables are kept
   as-is (their metadata recomputed from the actual bytes); tables with
-  some bad blocks are *salvaged* — the cleanly decoding entries are
+  some bad blocks, or a rotten meta block (filters and columns are
+  derived data), are *salvaged* — the cleanly decoding entries are
   rewritten into a fresh table, dropping **only the provably-bad
   blocks**; tables whose footer or index is unreadable are dropped
   whole.
+* The Embedded index's metadata survives: options that name no indexed
+  attributes (the CLI passes none) take them from the tables themselves
+  (their ``filter.secondary.<attr>`` meta blocks), so file-level zone maps
+  are recomputed and salvaged tables get their blooms and columns back.
 * Every WAL file is salvaged with a fragment-skipping reader: a bad
   fragment loses at most the rest of its 32 KiB block, and every intact
   record is replayed into a new level-0 table (LevelDB likewise
@@ -33,7 +38,7 @@ happen without writing or deleting a single byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.lsm.block import Block
 from repro.lsm.compaction import finish_table
@@ -46,12 +51,12 @@ from repro.lsm.manifest import (
     table_file_name,
 )
 from repro.lsm.memtable import MemTable
-from repro.lsm.options import Options, resolve_attribute_path
+from repro.lsm.options import Options
 from repro.lsm.sstable import SSTable, TableBuilder
 from repro.lsm.version import FileMetaData, VersionEdit
 from repro.lsm.vfs import VFS, Category
 from repro.lsm.wal import BLOCK_SIZE, HEADER_SIZE, _HEADER
-from repro.lsm.zonemap import ZoneMapBuilder, encode_attribute
+from repro.lsm.zonemap import ZoneMapBuilder, column_entry
 import zlib
 
 
@@ -184,12 +189,32 @@ class _Repairer:
 
     # -- tables -------------------------------------------------------------
 
+    def _open_table(self, file_number: int) -> SSTable:
+        """Open for the audit: a rotten meta block is dropped (and the table
+        then rewritten), whatever the options' corruption policy says."""
+        handle = self.vfs.open_random(table_file_name(self.name, file_number))
+        return SSTable(replace(self.options, on_corruption="quarantine"),
+                       handle, file_number)
+
+    def _infer_indexed_attributes(self) -> None:
+        """Options naming no indexed attributes take those of the tables."""
+        attributes: set[str] = set()
+        for file_number in self.table_numbers:
+            try:
+                table = self._open_table(file_number)
+            except (CorruptionError, OSError):
+                continue  # the audit reports it
+            attributes.update(table.indexed_attributes)
+            table.file.close()
+        if attributes:
+            self.options = replace(
+                self.options, indexed_attributes=tuple(sorted(attributes)))
+
     def _audit_table(self, file_number: int) -> None:
         report = self.report
         name = table_file_name(self.name, file_number)
         try:
-            handle = self.vfs.open_random(name)
-            table = SSTable(self.options, handle, file_number)
+            table = self._open_table(file_number)
         except (CorruptionError, OSError) as exc:
             report.tables_dropped += 1
             report.problems.append(
@@ -260,11 +285,10 @@ class _Repairer:
             max_seq = ikey.seq if max_seq is None else max(max_seq, ikey.seq)
             if options.indexed_attributes and ikey.kind == KIND_VALUE:
                 attrs = options.attribute_extractor(value)
-                for attr in options.indexed_attributes:
-                    attr_value = resolve_attribute_path(attrs, attr)
-                    if attr_value is not None:
-                        zonemap_builders[attr].add(
-                            encode_attribute(attr_value))
+                for attr, builder in zonemap_builders.items():
+                    encoded = column_entry(attrs, attr)
+                    if encoded:
+                        builder.add(encoded)
         self.max_seq = max(self.max_seq, max_seq or 0)
         return FileMetaData(
             file_number=file_number,
@@ -387,6 +411,8 @@ class _Repairer:
 
     def run(self) -> RepairReport:
         self._scan_dir()
+        if not self.options.indexed_attributes:
+            self._infer_indexed_attributes()
         for file_number in self.table_numbers:
             self._audit_table(file_number)
         self._salvage_logs()

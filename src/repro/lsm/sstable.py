@@ -7,16 +7,22 @@ File layout (LevelDB's, extended per the paper's Figure 3)::
     [data block N]
     [primary filter meta block]        one bloom filter per data block
     [secondary filter meta block(s)]   per indexed attribute   (LevelDB++)
-    [secondary zone-map meta block(s)] per indexed attribute   (LevelDB++)
+    [secondary column meta block(s)]   per indexed attribute   (LevelDB++)
     [metaindex block]                  meta block name -> handle
     [index block]                      last key per data block -> handle
     [footer]                           metaindex + index handles, magic
 
 Each physical block is followed by a one-byte compression tag and a CRC32
-of payload+tag, as in LevelDB.  Filter and zone-map blocks are loaded into
+of payload+tag, as in LevelDB.  Filter and column blocks are loaded into
 memory when a table is opened (the paper keeps them memory-resident via a
 large ``max_open_files``), so query-time pruning consults them without I/O;
 only data blocks that survive pruning are read — and charged.
+
+A *column* holds, per data block and in entry order, each entry's encoded
+attribute value (``b""`` for none).  Each block's zone map is the min/max
+of its column, so the column takes the place of the zone-map block that
+tables written before it carry (still read, never written); and a scan
+compares column bytes instead of parsing the values it skips.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import struct
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterator
 
 from repro.lsm.block import Block, BlockBuilder
@@ -48,14 +55,14 @@ from repro.lsm.keys import (
     pack_internal_key,
     unpack_internal_key,
 )
-from repro.lsm.options import Options, resolve_attribute_path
+from repro.lsm.options import Options
 from repro.lsm.vfs import (
     Category,
     RandomAccessFile,
     WritableFile,
     retry_transient_io,
 )
-from repro.lsm.zonemap import ZoneMap, ZoneMapBuilder, encode_attribute
+from repro.lsm.zonemap import ZoneMap, column_entry
 
 _U32 = struct.Struct("<I")
 _TRAILER = struct.Struct(">Q")
@@ -64,6 +71,8 @@ _MAGIC = b"LDBppPY1"
 
 _META_PRIMARY_FILTER = b"filter.primary"
 _META_SECONDARY_FILTER = "filter.secondary."
+_META_SECONDARY_COLUMN = "column.secondary."
+#: Per-block zone maps, as tables written before the column carry them.
 _META_SECONDARY_ZONEMAP = "zonemap.secondary."
 
 
@@ -142,10 +151,11 @@ class TableBuilder:
 
     When :attr:`Options.indexed_attributes` is non-empty, the builder runs
     the options' attribute extractor over every VALUE entry and accumulates,
-    per data block, a bloom filter and a zone map for each attribute — the
-    Embedded Index structures of the paper's Section 3.  They cost nothing
-    extra at write time beyond CPU: they are emitted with the table during
-    flush/compaction, never updated in place.
+    per data block, a bloom filter and a column for each attribute — the
+    Embedded Index structures of the paper's Section 3 (the column stands
+    in for the zone map, which the reader derives from it).  They cost
+    nothing extra at write time beyond CPU: they are emitted with the table
+    during flush/compaction, never updated in place.
     """
 
     def __init__(self, options: Options, out: WritableFile,
@@ -169,11 +179,9 @@ class TableBuilder:
         self._secondary_filters: dict[str, list[bytes]] = {
             attr: [] for attr in options.indexed_attributes}
         self._secondary_filter_builders: dict[str, BloomFilterBuilder] = {}
-        self._secondary_zonemaps: dict[str, list[ZoneMap]] = {
+        self._secondary_columns: dict[str, list[list[bytes]]] = {
             attr: [] for attr in options.indexed_attributes}
-        self._secondary_zonemap_builders: dict[str, ZoneMapBuilder] = {}
-        self._file_zonemap_builders: dict[str, ZoneMapBuilder] = {
-            attr: ZoneMapBuilder() for attr in options.indexed_attributes}
+        self._block_columns: dict[str, list[bytes]] = {}
         self._reset_block_secondary_builders()
         self.props = TableProperties()
         self._finished = False
@@ -183,9 +191,8 @@ class TableBuilder:
         self._secondary_filter_builders = {
             attr: BloomFilterBuilder(bits)
             for attr in self.options.indexed_attributes}
-        self._secondary_zonemap_builders = {
-            attr: ZoneMapBuilder()
-            for attr in self.options.indexed_attributes}
+        self._block_columns = {
+            attr: [] for attr in self.options.indexed_attributes}
 
     def add(self, internal_key: bytes, value: bytes) -> None:
         """Append an entry (keys must be in internal-key order)."""
@@ -207,23 +214,23 @@ class TableBuilder:
         self._data_block.add(internal_key, value,
                              (user_key, -((seq << 8) | kind)))
         self._primary_filter.add(user_key)
-        if self.options.indexed_attributes and kind == KIND_VALUE:
-            self._observe_secondary(value)
+        if self.options.indexed_attributes:
+            self._observe_secondary(
+                self.options.attribute_extractor(value)
+                if kind == KIND_VALUE else None)
         self._track_bounds(internal_key, seq)
         self.props.num_entries += 1
         if self._data_block.current_size_estimate() >= self.options.block_size:
             self._flush_data_block()
 
-    def _observe_secondary(self, value: bytes) -> None:
-        attrs = self.options.attribute_extractor(value)
-        for attr in self.options.indexed_attributes:
-            attr_value = resolve_attribute_path(attrs, attr)
-            if attr_value is None:
-                continue
-            encoded = encode_attribute(attr_value)
-            self._secondary_filter_builders[attr].add(encoded)
-            self._secondary_zonemap_builders[attr].add(encoded)
-            self._file_zonemap_builders[attr].add(encoded)
+    def _observe_secondary(self, attrs: dict[str, Any] | None) -> None:
+        """One column slot per entry and attribute; a present value also
+        enters the block's bloom."""
+        for attr, column in self._block_columns.items():
+            encoded = column_entry(attrs, attr)
+            column.append(encoded)
+            if encoded:
+                self._secondary_filter_builders[attr].add(encoded)
 
     def _track_bounds(self, internal_key: bytes, seq: int) -> None:
         props = self.props
@@ -252,8 +259,7 @@ class TableBuilder:
         for attr in self.options.indexed_attributes:
             self._secondary_filters[attr].append(
                 self._secondary_filter_builders[attr].finish())
-            self._secondary_zonemaps[attr].append(
-                self._secondary_zonemap_builders[attr].finish())
+            self._secondary_columns[attr].append(self._block_columns[attr])
         self._reset_block_secondary_builders()
         self._data_block.reset()
         self.props.num_data_blocks += 1
@@ -276,13 +282,7 @@ class TableBuilder:
             _META_PRIMARY_FILTER,
             self._write_filter_block(self._primary_filters)))
         for attr in self.options.indexed_attributes:
-            name = (_META_SECONDARY_FILTER + attr).encode("utf-8")
-            meta_handles.append((
-                name, self._write_filter_block(self._secondary_filters[attr])))
-            name = (_META_SECONDARY_ZONEMAP + attr).encode("utf-8")
-            meta_handles.append((
-                name,
-                self._write_zonemap_block(self._secondary_zonemaps[attr])))
+            meta_handles.extend(self._secondary_meta_blocks(attr))
         metaindex_handle = self._write_metaindex(meta_handles)
         for last_key, handle in self._index_entries:
             self._index_block.add(last_key, handle.encode())
@@ -296,10 +296,20 @@ class TableBuilder:
         self._out.sync()
         self.props.file_size = self._out.size
         self.props.secondary_zonemaps = {
-            attr: builder.finish()
-            for attr, builder in self._file_zonemap_builders.items()}
+            attr: ZoneMap.of_column(chain.from_iterable(columns))
+            for attr, columns in self._secondary_columns.items()}
         self._finished = True
         return self.props
+
+    def _secondary_meta_blocks(self, attr: str
+                               ) -> list[tuple[bytes, BlockHandle]]:
+        """The Embedded index's meta blocks for ``attr``: blooms, column."""
+        return [
+            ((_META_SECONDARY_FILTER + attr).encode("utf-8"),
+             self._write_filter_block(self._secondary_filters[attr])),
+            ((_META_SECONDARY_COLUMN + attr).encode("utf-8"),
+             self._write_column_block(self._secondary_columns[attr])),
+        ]
 
     def _write_filter_block(self, filters: list[bytes]) -> BlockHandle:
         payload = bytearray(encode_varint(len(filters)))
@@ -308,10 +318,16 @@ class TableBuilder:
         return _write_physical_block(
             self._out, bytes(payload), self._compressor, self._category)
 
-    def _write_zonemap_block(self, zonemaps: list[ZoneMap]) -> BlockHandle:
-        payload = bytearray(encode_varint(len(zonemaps)))
-        for zone in zonemaps:
-            payload += zone.encode()
+    def _write_column_block(self, columns: list[list[bytes]]) -> BlockHandle:
+        payload = bytearray(encode_varint(len(columns)))
+        for column in columns:
+            payload += encode_varint(len(column))
+            for encoded in column:
+                if len(encoded) < 0x80:  # a one-byte varint, inline
+                    payload.append(len(encoded))
+                    payload += encoded
+                else:
+                    payload += encode_length_prefixed(encoded)
         return _write_physical_block(
             self._out, bytes(payload), self._compressor, self._category)
 
@@ -343,12 +359,42 @@ def _decode_zonemap_block(payload: bytes) -> list[ZoneMap]:
     return zonemaps
 
 
+def _decode_column_block(payload: bytes, num_blocks: int) -> list[list[bytes]]:
+    """One column per data block; a column that cannot describe this
+    table's blocks is corrupt, like a block failing its CRC."""
+    try:
+        count, pos = decode_varint(payload, 0)
+        if count != num_blocks:
+            raise ValueError(f"{count} columns for {num_blocks} blocks")
+        columns = []
+        for _ in range(count):
+            num_entries, pos = decode_varint(payload, pos)
+            column = []
+            append = column.append
+            for _ in range(num_entries):
+                length = payload[pos]  # one varint byte below 128 bytes
+                if length < 0x80:
+                    pos += 1
+                else:
+                    length, pos = decode_varint(payload, pos)
+                end = pos + length
+                append(payload[pos:end])
+                pos = end
+            columns.append(column)
+        if pos != len(payload):
+            raise ValueError("column block length mismatch")
+    except (ValueError, IndexError) as exc:
+        raise CorruptionError(f"bad attribute column block: {exc}") from exc
+    return columns
+
+
 class SSTable:
     """Read-side handle on one table file.
 
     Opening a table reads the footer, the index block and all meta blocks
-    (filters and zone maps); after that, key lookups touch "disk" only for
-    data blocks that pass the bloom-filter and zone-map checks.
+    (filters and columns, each block's zone map derived from its column);
+    after that, key lookups touch "disk" only for data blocks that pass the
+    bloom-filter and zone-map checks.
     """
 
     def __init__(self, options: Options, file: RandomAccessFile,
@@ -381,12 +427,13 @@ class SSTable:
             key[:-8] for key, _handle in self._index_entries]
         self.primary_filters: list[bytes] = []
         self.secondary_filters: dict[str, list[bytes]] = {}
+        self.secondary_columns: dict[str, list[list[bytes]]] = {}
         self.secondary_zonemaps: dict[str, list[ZoneMap]] = {}
         #: Meta blocks that failed their CRC and were dropped instead of
-        #: failing the open (``on_corruption="quarantine"`` only).  Filters
-        #: and zone maps are advisory — a missing one means "must read the
-        #: data block", never a wrong answer — so the table degrades to
-        #: filter-less reads rather than being lost whole.
+        #: failing the open (``on_corruption="quarantine"`` only).  Filters,
+        #: columns and zone maps are advisory — a missing one means "must
+        #: read (and parse) the data block", never a wrong answer — so the
+        #: table degrades to filter-less reads rather than being lost whole.
         self.degraded_filters: list[str] = []
         self._load_meta(metaindex_handle)
         self._block_cache: Any = None  # set by TableCache when caching is on
@@ -414,6 +461,9 @@ class SSTable:
                 block_payload = _read_physical_block(
                     self.file, handle, Category.FILTER, verify_crc=True,
                     options=self.options)
+                if name.startswith(_META_SECONDARY_COLUMN):
+                    columns = _decode_column_block(block_payload,
+                                                   self.num_data_blocks)
             except CorruptionError:
                 if not degrade:
                     raise
@@ -425,10 +475,22 @@ class SSTable:
                 attr = name[len(_META_SECONDARY_FILTER):]
                 self.secondary_filters[attr] = _decode_filter_block(
                     block_payload)
+            elif name.startswith(_META_SECONDARY_COLUMN):
+                attr = name[len(_META_SECONDARY_COLUMN):]
+                self.secondary_columns[attr] = columns
+                self.secondary_zonemaps[attr] = [
+                    ZoneMap.of_column(column) for column in columns]
             elif name.startswith(_META_SECONDARY_ZONEMAP):
                 attr = name[len(_META_SECONDARY_ZONEMAP):]
                 self.secondary_zonemaps[attr] = _decode_zonemap_block(
                     block_payload)
+
+    @property
+    def indexed_attributes(self) -> tuple[str, ...]:
+        """The attributes this table carries secondary meta blocks for."""
+        return tuple(sorted(set(self.secondary_filters)
+                            | set(self.secondary_columns)
+                            | set(self.secondary_zonemaps)))
 
     # -- block access -------------------------------------------------------
 
@@ -487,10 +549,12 @@ class SSTable:
 
     def blocks_admitting(self, attribute: str, low: bytes, high: bytes,
                          value_hash: tuple[int, int] | None = None
-                         ) -> Iterator[tuple[Block, bytes | None]]:
+                         ) -> Iterator[tuple[Block, list[bytes],
+                                             bytes | None]]:
         """The Embedded index's scan of one table (paper Section 3): the
         data blocks whose in-memory filters admit a value of ``attribute``
-        in ``[low, high]`` (encoded).  ``value_hash`` is a point query's
+        in ``[low, high]`` (encoded), each with its column of ``attribute``.
+        ``value_hash`` is a point query's
         :func:`~repro.lsm.bloom.bloom_hash`; ranges have none — blooms
         cannot help them.
 
@@ -503,6 +567,7 @@ class SSTable:
         previous block.
         """
         zonemaps = self.secondary_zonemaps.get(attribute, [])
+        columns = self.secondary_columns.get(attribute)
         blooms = self.secondary_filters.get(attribute, []) \
             if value_hash is not None else []
         last_user_keys = self._index_last_user_keys
@@ -513,8 +578,21 @@ class SSTable:
             if block_index < len(blooms) and not bloom_probe(
                     blooms[block_index], *value_hash):
                 continue
-            yield (self.read_data_block(block_index),
+            block = self.read_data_block(block_index)
+            yield (block,
+                   columns[block_index] if columns is not None
+                   else self._parse_column(block, attribute),
                    last_user_keys[block_index - 1] if block_index else None)
+
+    def _parse_column(self, block: Block, attribute: str) -> list[bytes]:
+        """The column of a table that has none — written before columns
+        existed, or its column block dropped as corrupt — parsed from the
+        block's values."""
+        extractor = self.options.attribute_extractor
+        return [column_entry(extractor(value)
+                             if -negated_tag & 0xFF == KIND_VALUE else None,
+                             attribute)
+                for (_key, negated_tag), value in block.sorted_items()]
 
     def _block_index_for(self, internal_key: bytes) -> int | None:
         """Index of the first block whose last key is >= ``internal_key``."""

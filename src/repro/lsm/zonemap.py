@@ -1,11 +1,12 @@
 """Zone maps: per-block and per-file min/max filters on attribute values.
 
 A zone map stores the minimum and maximum value of an attribute within a
-zone (here: one SSTable data block, or one whole SSTable file).  A query for
-value ``a`` (or range ``[a, b]``) can skip every zone whose ``[min, max]``
-interval does not intersect the query — which, as the paper shows, prunes
-almost everything when the attribute is *time-correlated* and almost nothing
-otherwise (Section 3, Figures 10-11).
+zone (here: one SSTable data block — derived from the block's attribute
+column, :func:`column_entry` per entry — or one whole SSTable file).  A
+query for value ``a`` (or range ``[a, b]``) can skip every zone whose
+``[min, max]`` interval does not intersect the query — which, as the paper
+shows, prunes almost everything when the attribute is *time-correlated* and
+almost nothing otherwise (Section 3, Figures 10-11).
 
 Attribute values in the paper's data model are JSON scalars.  To make zone
 maps (and the Composite index's key order) well defined across types, values
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.lsm.keys import decode_length_prefixed, encode_length_prefixed
+from repro.lsm.options import resolve_attribute_path
 
 _TAG_NUMBER = b"n"
 _TAG_STRING = b"s"
@@ -76,6 +78,17 @@ def decode_attribute(encoded: bytes) -> Any:
     raise ValueError(f"unknown attribute tag: {tag!r}")
 
 
+def column_entry(document: dict[str, Any] | None, attribute: str) -> bytes:
+    """One entry's slot in a block's attribute column: the encoded value of
+    ``attribute`` in ``document`` (the extractor's dict of a VALUE entry),
+    or ``b""`` — which no encoding produces — when the entry is not a VALUE
+    (``document is None``) or lacks the attribute."""
+    if document is None:
+        return b""
+    value = resolve_attribute_path(document, attribute)
+    return b"" if value is None else encode_attribute(value)
+
+
 @dataclass(frozen=True)
 class ZoneMap:
     """Closed interval ``[min_value, max_value]`` of encoded attribute values.
@@ -90,6 +103,12 @@ class ZoneMap:
     @property
     def is_empty(self) -> bool:
         return self.min_value is None
+
+    @classmethod
+    def of_column(cls, column: Iterable[bytes]) -> "ZoneMap":
+        """The zone of an attribute column (its non-empty slots)."""
+        present = [encoded for encoded in column if encoded]
+        return cls(min(present), max(present)) if present else cls()
 
     def contains(self, encoded: bytes) -> bool:
         """Might a value equal to ``encoded`` lie in this zone?"""

@@ -48,6 +48,24 @@ def wal_files(vfs: FaultInjectingVFS, name: str = "db") -> list[str]:
     return sorted(n for n in vfs.list_dir(name + "/") if n.endswith(".log"))
 
 
+def meta_block_offset(vfs: FaultInjectingVFS, name: str,
+                      block_name: str) -> int:
+    """File offset of the meta block ``block_name`` of one stored table."""
+    from repro.lsm.keys import decode_length_prefixed, decode_varint
+    from repro.lsm.sstable import _FOOTER_SIZE, BlockHandle
+
+    data = bytes(vfs.base._files[name])
+    metaindex, _pos = BlockHandle.decode(data[-_FOOTER_SIZE:], 0)
+    payload = data[metaindex.offset:metaindex.offset + metaindex.size]
+    count, pos = decode_varint(payload, 0)
+    for _ in range(count):
+        found, pos = decode_length_prefixed(payload, pos)
+        handle_bytes, pos = decode_length_prefixed(payload, pos)
+        if found == block_name.encode():
+            return BlockHandle.decode(handle_bytes, 0)[0].offset
+    raise KeyError(f"{name} has no meta block {block_name!r}")
+
+
 def wait_until(predicate, what: str, timeout: float = 10.0) -> None:
     """Poll ``predicate`` (background-thread progress) with a deadline."""
     deadline = time.monotonic() + timeout

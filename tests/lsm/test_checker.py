@@ -161,6 +161,40 @@ class TestFaultInjection:
         assert any("zone map" in problem for problem in report.problems)
         db.close()
 
+    @pytest.mark.parametrize("sabotage", ["column", "bloom"])
+    def test_nested_attribute_disagreeing_metadata_detected(
+            self, monkeypatch, sabotage):
+        """A dotted attribute is audited like a flat one: its column must
+        match each entry's recomputed encoding, its bloom admit the value."""
+        import json
+
+        import repro.lsm.sstable as sstable_module
+
+        real_sstable = sstable_module.SSTable
+
+        class SabotagedSSTable(real_sstable):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if sabotage == "column":
+                    column = self.secondary_columns["user.id"][0]
+                    column[0] = b"s" + column[0][1:] + b"-not-this"
+                else:
+                    blooms = self.secondary_filters["user.id"]
+                    blooms[0] = bytes(len(blooms[0]) - 1) + blooms[0][-1:]
+
+        db = DB.open(MemoryVFS(), "db",
+                     _options(indexed_attributes=("user.id",)))
+        for i in range(300):
+            doc = {"user": {"id": f"u{i % 40}"}, "Body": "x" * 40}
+            db.put(f"k{i:05d}".encode(), json.dumps(doc).encode())
+        db.flush()
+        assert verify_integrity(db).ok
+        monkeypatch.setattr(sstable_module, "SSTable", SabotagedSSTable)
+        report = verify_integrity(db)
+        assert any(sabotage in problem and "'user.id'" in problem
+                   for problem in report.problems), report.problems
+        db.close()
+
     def test_random_corruption_sweep(self):
         """Any single flipped byte inside a table is either harmless to
         decoding (caught by CRC) or detected some other way — never a

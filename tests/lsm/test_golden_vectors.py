@@ -9,8 +9,10 @@ not — fails here first, before it can silently orphan existing files.
 
 The SSTable recipe (120 keys, 256-byte blocks, an embedded UserID
 index, kinds cycling VALUE/DELETE/MERGE) matches docs/FORMAT.md's
-feature inventory: prefix compression, restarts, bloom filters, zone
-maps, and meta blocks are all exercised.
+feature inventory: prefix compression, restarts, bloom filters,
+attribute columns (empty slots for DELETE/MERGE included), and meta
+blocks are all exercised.  The digests changed once on purpose, when the
+column block replaced the zone-map block (FORMAT.md §4.3).
 """
 
 import hashlib
@@ -122,12 +124,12 @@ def _build_golden_table(compression_name):
 
 @pytest.mark.parametrize("compression_name,sha256,size", [
     ("none",
-     "e992611c57c502f91d6a52acd2ea9268cd6f1cf8df20651c8bec13cc6a98b5ee",
-     4736),
+     "2c953a20783fcfabbd1792c43f1252bc3e867c5ef10fc7c4b1359c19765c00be",
+     4885),
     ("zlib",
-     "4a313c0c9078c4b1cac7b13aab0dc92ffd6689e2bb77387f470017c30944c265",
-     2932),
-])
+     "a4397bc96daa591ee904a901a99ae5cfb020ddc408fac7dd97ea67f35e866673",
+     2981),
+], ids=["none", "zlib"])
 def test_sstable_golden_digest(compression_name, sha256, size):
     _options, _reader, raw = _build_golden_table(compression_name)
     assert len(raw) == size
@@ -148,3 +150,7 @@ def test_sstable_golden_roundtrip(compression_name):
         assert kind == (KIND_VALUE, KIND_DELETE, KIND_MERGE)[i % 3]
         if kind != KIND_VALUE:
             assert value == b"v%d" % i
+    column = [slot for block_column in table.secondary_columns["UserID"]
+              for slot in block_column]
+    assert column == [b"su%02d" % (i % 11) if i % 3 == 0 else b""
+                      for i in range(120)]

@@ -180,6 +180,41 @@ class TestEmbeddedMetadata:
         zone = props.secondary_zonemaps["UserID"]
         assert zone.contains(encode_attribute("u1"))
 
+    def test_column_holds_each_entry_in_order(self):
+        """One slot per entry, block by block: the encoded value, or b""
+        for a tombstone or a value without the attribute."""
+        options = Options(block_size=512, compression="none",
+                          indexed_attributes=("UserID",))
+        entries = []
+        for i in range(150):
+            kind = KIND_DELETE if i % 5 == 0 else KIND_VALUE
+            value = (b"" if kind == KIND_DELETE else
+                     b'{"Body": "no user"}' if i % 7 == 0 else
+                     _tweet(f"u{i % 10}"))
+            entries.append((f"t{i:04d}".encode(), i + 1, kind, value))
+        table, _props, _vfs = _build_table(entries, options)
+        columns = table.secondary_columns["UserID"]
+        assert len(columns) == table.num_data_blocks > 1
+        expected = [b"" if kind == KIND_DELETE or b"UserID" not in value
+                    else encode_attribute(f"u{i % 10}")
+                    for i, (_key, _seq, kind, value) in enumerate(entries)]
+        assert [slot for column in columns for slot in column] == expected
+        for column, zone in zip(columns, table.secondary_zonemaps["UserID"]):
+            present = [slot for slot in column if slot]
+            assert (zone.min_value, zone.max_value) == \
+                (min(present), max(present))
+
+    def test_column_not_matching_the_blocks_is_corrupt(self):
+        from repro.lsm.keys import encode_varint
+        from repro.lsm.sstable import _decode_column_block
+
+        one_block = encode_varint(1) + encode_varint(1) + b"\x02su"
+        assert _decode_column_block(one_block, 1) == [[b"su"]]
+        for payload, blocks in ((one_block, 2), (one_block[:-1], 1),
+                                (one_block + b"\x00", 1)):
+            with pytest.raises(CorruptionError):
+                _decode_column_block(payload, blocks)
+
     def test_non_json_values_skip_extraction(self):
         options = Options(block_size=512, compression="none",
                           indexed_attributes=("UserID",))
