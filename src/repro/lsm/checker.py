@@ -32,7 +32,7 @@ from repro.lsm.bloom import bloom_may_contain
 from repro.lsm.db import DB
 from repro.lsm.errors import CorruptionError
 from repro.lsm.keys import KIND_VALUE, internal_sort_key, unpack_internal_key
-from repro.lsm.manifest import parse_file_number, table_file_name
+from repro.lsm.manifest import list_db_files, table_file_name
 from repro.lsm.zonemap import column_entry
 
 
@@ -66,15 +66,8 @@ def verify_integrity(db: DB) -> IntegrityReport:
 
 
 def _check_manifest_vs_files(db: DB, report: IntegrityReport) -> None:
-    live = db.versions.live_file_numbers()
-    on_disk = {}
-    for name in db.vfs.list_dir(db.name + "/"):
-        base = name.rsplit("/", 1)[-1]
-        if base.endswith(".ldb"):
-            number = parse_file_number(base)
-            if number is not None:
-                on_disk[number] = name
-    for number in live:
+    on_disk = list_db_files(db.vfs, db.name).tables
+    for number in db.versions.live_file_numbers():
         if number not in on_disk:
             report.problem(f"live table {number} missing from filesystem")
     for _level, meta in db.versions.current.all_files():
@@ -94,29 +87,22 @@ def _check_orphans(db: DB, report: IntegrityReport) -> None:
     engine's purview and are ignored, matching recovery's skip-with-warning
     policy.
     """
-    from repro.lsm.manifest import current_tmp_file_name
-
+    files = list_db_files(db.vfs, db.name)
     live = db.versions.live_file_numbers()
-    for name in db.vfs.list_dir(db.name + "/"):
-        base = name.rsplit("/", 1)[-1]
-        if name == current_tmp_file_name(db.name):
-            report.problem("stranded CURRENT.tmp (interrupted install)")
-        elif base.endswith(".ldb"):
-            number = parse_file_number(base)
-            if number is not None and number not in live:
-                report.problem(f"orphaned table file {name}")
-        elif base.endswith(".log"):
-            number = parse_file_number(base)
-            # A WAL at or above the manifest's log number is still needed:
-            # the one being appended to, and that of a sealed (or, after a
-            # failed flush, restored) MemTable whose table is not installed.
-            if number is not None and number < db.versions.log_number:
-                report.problem(f"orphaned log file {name}")
-        elif base.startswith("MANIFEST-"):
-            suffix = base.split("-", 1)[1]
-            if db._manifest is not None and suffix.isdigit() and \
-                    int(suffix) != db._manifest.number:
-                report.problem(f"orphaned manifest file {name}")
+    if files.current_tmp is not None:
+        report.problem("stranded CURRENT.tmp (interrupted install)")
+    for number, name in files.tables.items():
+        if number not in live:
+            report.problem(f"orphaned table file {name}")
+    # A WAL at or above the manifest's log number is still needed: the one
+    # being appended to, and that of a sealed (or, after a failed flush,
+    # restored) MemTable whose table is not installed.
+    for number, name in files.logs.items():
+        if number < db.versions.log_number:
+            report.problem(f"orphaned log file {name}")
+    for number, name in files.manifests.items():
+        if db._manifest is not None and number != db._manifest.number:
+            report.problem(f"orphaned manifest file {name}")
 
 
 def _check_level_invariants(db: DB, report: IntegrityReport) -> None:

@@ -71,10 +71,9 @@ from repro.lsm.keys import (
 )
 from repro.lsm.manifest import (
     ManifestWriter,
-    current_tmp_file_name,
+    list_db_files,
     log_file_name,
     manifest_file_name,
-    parse_file_number,
     recover_version_set,
     table_file_name,
 )
@@ -377,13 +376,8 @@ class DB:
         self._log_number = log_number
 
     def _replay_logs(self) -> None:
-        log_names = [name for name in self.vfs.list_dir(self.name + "/")
-                     if name.endswith(".log")]
-        for name in sorted(log_names):
-            number = parse_file_number(name.rsplit("/", 1)[-1])
-            if number is None:
-                logger.warning("ignoring unrecognized log file %r", name)
-                continue
+        logs = list_db_files(self.vfs, self.name).logs
+        for number, name in sorted(logs.items()):
             if number < self.versions.log_number:
                 continue
             reader = LogReader(self.vfs.open_random(name))
@@ -396,37 +390,26 @@ class DB:
                     start_seq + len(batch.ops) - 1)
 
     def _delete_obsolete_files(self) -> None:
+        assert self._manifest is not None
+        files = list_db_files(self.vfs, self.name)
+        if files.unrecognized:
+            logger.warning("ignoring unrecognized files %s",
+                           files.unrecognized)
         live = self.versions.live_file_numbers()
-        tmp = current_tmp_file_name(self.name)
-        for name in self.vfs.list_dir(self.name + "/"):
-            base = name.rsplit("/", 1)[-1]
-            if name == tmp:
-                # A crash between writing CURRENT.tmp and renaming it over
-                # CURRENT strands the scratch file; it is never meaningful
-                # after open.
+        for number, name in files.tables.items():
+            if number not in live:
+                self.table_cache.evict(number)
                 self.vfs.delete_if_exists(name)
-            elif base.endswith(".ldb"):
-                number = parse_file_number(base)
-                if number is None:
-                    logger.warning("ignoring unrecognized table file %r",
-                                   name)
-                elif number not in live:
-                    self.table_cache.evict(number)
-                    self.vfs.delete_if_exists(name)
-            elif base.endswith(".log"):
-                number = parse_file_number(base)
-                if number is None:
-                    logger.warning("ignoring unrecognized log file %r", name)
-                elif number < self._log_number:
-                    self.vfs.delete_if_exists(name)
-            elif base.startswith("MANIFEST-"):
-                assert self._manifest is not None
-                suffix = base.split("-", 1)[1]
-                if not suffix.isdigit():
-                    logger.warning("ignoring unrecognized manifest file %r",
-                                   name)
-                elif int(suffix) != self._manifest.number:
-                    self.vfs.delete_if_exists(name)
+        for number, name in files.logs.items():
+            if number < self._log_number:
+                self.vfs.delete_if_exists(name)
+        # A crash between writing CURRENT.tmp and renaming it over CURRENT
+        # strands the scratch file; it is never meaningful after open.
+        if files.current_tmp is not None:
+            self.vfs.delete_if_exists(files.current_tmp)
+        for number, name in files.manifests.items():
+            if number != self._manifest.number:
+                self.vfs.delete_if_exists(name)
 
     def close(self) -> None:
         if self._closed:

@@ -9,6 +9,9 @@ uses.
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass, field
+
 from repro.lsm.errors import CorruptionError
 from repro.lsm.vfs import VFS, Category
 from repro.lsm.version import VersionEdit, VersionSet
@@ -36,15 +39,45 @@ def log_file_name(db_name: str, number: int) -> str:
     return f"{db_name}/{number:06d}.log"
 
 
-def parse_file_number(base: str) -> int | None:
-    """File number encoded in a ``NNNNNN.ldb``/``NNNNNN.log`` basename.
+_ENGINE_FILE = re.compile(r"([0-9]+)\.(ldb|log)|MANIFEST-([0-9]+)")
 
-    Returns ``None`` for names the engine did not produce (editor
-    droppings, half-renamed scratch files): recovery must tolerate them,
-    not crash on them.
+
+@dataclass
+class DBFiles:
+    """A database directory's files, each under what its name makes it.
+
+    ``tables``, ``logs`` and ``manifests`` map file number to full name.
+    ``unrecognized`` holds every name the engine did not produce (editor
+    droppings, a user's ``notes.log``, anything in a subdirectory): every
+    tool skips them and none deletes them.
     """
-    stem = base.split(".")[0]
-    return int(stem) if stem.isdigit() else None
+
+    tables: dict[int, str] = field(default_factory=dict)
+    logs: dict[int, str] = field(default_factory=dict)
+    manifests: dict[int, str] = field(default_factory=dict)
+    current_tmp: str | None = None
+    unrecognized: list[str] = field(default_factory=list)
+
+
+def list_db_files(vfs: VFS, db_name: str) -> DBFiles:
+    """Classify the files of ``db_name`` by name; the one place that does."""
+    files = DBFiles()
+    prefix = db_name + "/"
+    for name in vfs.list_dir(prefix):
+        base = name[len(prefix):]
+        match = _ENGINE_FILE.fullmatch(base)
+        if match is None:
+            if base == "CURRENT.tmp":
+                files.current_tmp = name
+            elif base != "CURRENT":
+                files.unrecognized.append(name)
+        elif match[3] is not None:
+            files.manifests[int(match[3])] = name
+        elif match[2] == "ldb":
+            files.tables[int(match[1])] = name
+        else:
+            files.logs[int(match[1])] = name
+    return files
 
 
 class ManifestWriter:

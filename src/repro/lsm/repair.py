@@ -47,7 +47,7 @@ from repro.lsm.keys import KIND_VALUE, unpack_internal_key
 from repro.lsm.manifest import (
     ManifestWriter,
     current_tmp_file_name,
-    parse_file_number,
+    list_db_files,
     table_file_name,
 )
 from repro.lsm.memtable import MemTable
@@ -155,7 +155,6 @@ class _Repairer:
         self.table_numbers: list[int] = []
         self.log_numbers: list[int] = []
         self.manifest_names: list[str] = []
-        self.max_file_number = 0
         self._next_number = 0
 
     # -- plumbing -----------------------------------------------------------
@@ -165,27 +164,12 @@ class _Repairer:
         return self._next_number
 
     def _scan_dir(self) -> None:
-        for full in self.vfs.list_dir(self.name + "/"):
-            base = full.rsplit("/", 1)[-1]
-            if base.endswith(".ldb"):
-                number = parse_file_number(base)
-                if number is not None:
-                    self.table_numbers.append(number)
-                    self.max_file_number = max(self.max_file_number, number)
-            elif base.endswith(".log"):
-                number = parse_file_number(base)
-                if number is not None:
-                    self.log_numbers.append(number)
-                    self.max_file_number = max(self.max_file_number, number)
-            elif base.startswith("MANIFEST-"):
-                self.manifest_names.append(full)
-                suffix = base.split("-", 1)[1]
-                if suffix.isdigit():
-                    self.max_file_number = max(self.max_file_number,
-                                               int(suffix))
-        self.table_numbers.sort()
-        self.log_numbers.sort()
-        self._next_number = self.max_file_number
+        files = list_db_files(self.vfs, self.name)
+        self.table_numbers = sorted(files.tables)
+        self.log_numbers = sorted(files.logs)
+        self.manifest_names = list(files.manifests.values())
+        self._next_number = max(
+            [*files.tables, *files.logs, *files.manifests], default=0)
 
     # -- tables -------------------------------------------------------------
 

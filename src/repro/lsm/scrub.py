@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.lsm.errors import CorruptionError, NotFoundError
 from repro.lsm.manifest import (
+    list_db_files,
     manifest_file_name,
     read_current_manifest_number,
     table_file_name,
@@ -82,11 +83,12 @@ class Scrubber:
                 continue
             if db.is_quarantined(file_number):
                 continue  # already known bad; repair handles it
-            # The budget is enforced at table boundaries: a table, once
-            # started, is always finished (so even a budget of 1 makes
-            # forward progress — a per-block cursor would go stale when a
-            # compaction rewrote the file mid-cycle).
-            if block_budget is not None and \
+            # The budget is enforced at table boundaries, and only once a
+            # table is verified: a table, once started, is always finished
+            # (so every budget, 0 included, makes forward progress — a
+            # per-block cursor would go stale when a compaction rewrote the
+            # file mid-cycle).
+            if block_budget is not None and report.tables_scanned and \
                     report.blocks_verified >= block_budget:
                 self._cursor = file_number
                 return report
@@ -155,9 +157,8 @@ class Scrubber:
 
     def _scrub_wal(self, report: ScrubReport) -> None:
         db = self.db
-        log_names = sorted(name for name in db.vfs.list_dir(db.name + "/")
-                           if name.endswith(".log"))
-        for name in log_names:
+        logs = list_db_files(db.vfs, db.name).logs
+        for _number, name in sorted(logs.items()):
             try:
                 reader = LogReader(db.vfs.open_random(name))
             except NotFoundError:

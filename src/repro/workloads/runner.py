@@ -11,7 +11,6 @@ and 12-15 directly.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -81,47 +80,6 @@ class RunReport:
         return seconds * 1e6 / ops
 
 
-@dataclass
-class ConcurrentRunReport:
-    """Results of a multi-threaded run: latency distributions, no I/O
-    attribution (the shared meters cannot attribute blocks to an op when
-    several ops are in flight)."""
-
-    threads: int
-    wall_seconds: float
-    op_counts: dict[str, int] = field(default_factory=dict)
-    latencies_by_op: dict[str, list[float]] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def total_ops(self) -> int:
-        return sum(self.op_counts.values())
-
-    @property
-    def ops_per_sec(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.total_ops / self.wall_seconds
-
-    def percentile_micros(self, op_name: str, fraction: float) -> float:
-        """Nearest-rank latency percentile of one op type, microseconds."""
-        latencies = sorted(self.latencies_by_op.get(op_name, ()))
-        if not latencies:
-            return 0.0
-        return latencies[nearest_rank_index(fraction, len(latencies))] * 1e6
-
-    def mean_micros(self, op_name: str | None = None) -> float:
-        if op_name is None:
-            seconds = sum(sum(vals) for vals in self.latencies_by_op.values())
-            ops = self.total_ops
-        else:
-            seconds = sum(self.latencies_by_op.get(op_name, ()))
-            ops = self.op_counts.get(op_name, 0)
-        if ops == 0:
-            return 0.0
-        return seconds * 1e6 / ops
-
-
 class WorkloadRunner:
     """Executes operations against one database, metering as it goes."""
 
@@ -154,59 +112,6 @@ class WorkloadRunner:
             if done % self.sample_every == 0:
                 report.samples.append(self._sample(done, report))
         report.samples.append(self._sample(done, report))
-        return report
-
-    def run_concurrent(self, streams: list[list[Operation]]
-                       ) -> ConcurrentRunReport:
-        """Apply one operation stream per client thread, concurrently.
-
-        The database must be safe for concurrent callers: either the
-        engine's background pipeline (``background_compaction=True`` and
-        no stand-alone indexes) or a
-        :class:`~repro.core.concurrent.ThreadSafeDB` wrapper.  Per-op I/O
-        attribution is skipped — overlapping ops share the meters — so the
-        report carries only counts and latency distributions.
-        """
-        barrier = threading.Barrier(len(streams) + 1)
-        locals_: list[tuple[dict, dict]] = [
-            ({}, {}) for _ in streams]
-        errors: list[str] = []
-        errors_lock = threading.Lock()
-
-        def client(index: int, operations: list[Operation]) -> None:
-            counts, latencies = locals_[index]
-            barrier.wait()
-            try:
-                for operation in operations:
-                    started = time.perf_counter()
-                    self._apply(operation)
-                    elapsed = time.perf_counter() - started
-                    name = operation.op_name
-                    counts[name] = counts.get(name, 0) + 1
-                    latencies.setdefault(name, []).append(elapsed)
-            except Exception as exc:  # noqa: BLE001 - reported, not lost
-                with errors_lock:
-                    errors.append(f"client {index}: {exc!r}")
-
-        threads = [threading.Thread(target=client, args=(i, ops),
-                                    name=f"client-{i}")
-                   for i, ops in enumerate(streams)]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        started = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - started
-
-        report = ConcurrentRunReport(threads=len(streams),
-                                     wall_seconds=wall, errors=errors)
-        for counts, latencies in locals_:
-            for name, count in counts.items():
-                report.op_counts[name] = \
-                    report.op_counts.get(name, 0) + count
-            for name, values in latencies.items():
-                report.latencies_by_op.setdefault(name, []).extend(values)
         return report
 
     def _all_meters(self) -> list:

@@ -8,6 +8,7 @@ bit-for-bit seed replay — that free-running threads can only hit by luck.
 
 from __future__ import annotations
 
+import random
 import threading
 
 from repro.lsm.db import DB
@@ -71,6 +72,67 @@ def test_concurrent_writers_real_threads():
     report = db.verify_integrity()
     assert report.ok, report
     db.close()
+
+
+#: Small zlib geometry: a few hundred puts per writer make flushes, merges
+#: and trivial moves (level 1 into an empty level 2) all happen.
+MAINTENANCE_HEAVY = dict(block_size=2048, sstable_target_size=16 * 1024,
+                         memtable_budget=8 * 1024, l1_target_size=64 * 1024,
+                         compression="zlib")
+
+
+def _flush_threads(background, writers):
+    """Run ``writers`` put streams on real threads.
+
+    Returns the counters ``stats()["pipeline"]`` and ``["compaction"]``
+    render, read once ``close()`` has joined the background thread (so no
+    maintenance is mid-flight), and the name of the thread each flush ran
+    on: a flush listener runs on the flushing thread.
+    """
+    db = DB.open_memory(Options(background_compaction=background,
+                                **MAINTENANCE_HEAVY))
+    flushed_on = []
+    db.add_flush_listener(
+        lambda _seq: flushed_on.append(threading.current_thread().name))
+
+    def writer(tid):
+        rng = random.Random(tid)  # values zlib cannot shrink
+        for i in range(600):
+            db.put(b"t%d-%06d" % (tid, i), rng.randbytes(60 + i * 7919 % 80))
+
+    threads = [threading.Thread(target=writer, args=(tid,),
+                                name=f"writer-{tid}")
+               for tid in range(writers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+        assert not thread.is_alive()
+    assert sum(1 for _ in db.scan()) == 600 * writers
+    db.close()
+    return db.pipeline_stats, db.compactor.stats, flushed_on
+
+
+def test_no_writer_pays_for_a_flush_or_a_merge():
+    """The pipeline's tail-latency win, as the structure that earns it:
+    every flush and every compaction ran on the background thread."""
+    pipeline, compaction, flushed_on = _flush_threads(True, writers=4)
+    assert flushed_on and set(flushed_on) == {"bg:db"}
+    assert pipeline.bg_flushes == compaction.flush_count == len(flushed_on)
+    assert compaction.compaction_count > 0
+    assert compaction.trivial_moves > 0
+    assert pipeline.bg_compactions == \
+        compaction.compaction_count + compaction.trivial_moves
+
+
+def test_inline_writer_pays_for_its_flushes():
+    """The inline twin: the same load flushes on the caller's thread, so
+    the test above can tell the two modes apart."""
+    pipeline, compaction, flushed_on = _flush_threads(False, writers=1)
+    assert flushed_on and set(flushed_on) == {"writer-0"}
+    assert compaction.flush_count == len(flushed_on)
+    assert pipeline.bg_flushes == pipeline.bg_compactions == 0
+    assert compaction.compaction_count + compaction.trivial_moves > 0
 
 
 def test_reopen_inline_after_background_run():

@@ -16,7 +16,7 @@ from repro.core.base import IndexKind
 from repro.core.database import SecondaryIndexedDB
 from repro.lsm.errors import CorruptionError
 from repro.lsm.faults import FaultInjectingVFS
-from repro.lsm.manifest import parse_file_number
+from repro.lsm.manifest import list_db_files
 from repro.lsm.repair import repair_db
 
 from drill_utils import corruption_options, meta_block_offset, table_files
@@ -65,7 +65,7 @@ def test_rotten_column_is_scrubbed_and_repaired(policy):
     expected = _answers(db)
     db.close()
 
-    victim = table_files(vfs, "data/primary")[0]
+    number, victim = min(list_db_files(vfs, "data/primary").tables.items())
     vfs.flip_bit(victim, meta_block_offset(vfs, victim, COLUMN) + 3)
     db = SecondaryIndexedDB.open(vfs, "data", INDEXES, options)
     if policy == "quarantine":
@@ -74,7 +74,6 @@ def test_rotten_column_is_scrubbed_and_repaired(policy):
         with pytest.raises(CorruptionError):
             _answers(db)
     report = db.primary.scrub()
-    number = parse_file_number(victim.rsplit("/", 1)[-1])
     assert any(f"table {number}" in problem for problem in report.problems)
     if policy == "quarantine":
         assert any(COLUMN in problem for problem in report.problems)

@@ -98,6 +98,18 @@ class TestScrubber:
             problems.extend(report.problems)
         assert any("CRC mismatch" in problem for problem in problems)
 
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_smallest_budgets_verify_one_table_per_call(self, faulty_db,
+                                                        budget):
+        _vfs, db, _expected = faulty_db
+        tables = sum(db.level_file_counts())
+        slices = []
+        while not (slices and slices[-1].complete):
+            assert len(slices) < tables, "a scrub slice made no progress"
+            slices.append(db.scrub(block_budget=budget))
+        assert [s.tables_scanned for s in slices] == [1] * tables
+        assert all(s.clean for s in slices)
+
     def test_scrub_reports_wal_corruption(self, faulty_db):
         vfs, db, _expected = faulty_db
         # Two records after the flush: rot in the *first* is mid-file
@@ -109,6 +121,36 @@ class TestScrubber:
         vfs.flip_bit(wal, 10)  # inside the first record's payload
         report = db.scrub()
         assert any("WAL" in problem for problem in report.problems)
+
+
+def test_stray_files_with_engine_suffixes_are_left_alone():
+    """``notes.log`` is nobody's WAL and ``notes.ldb`` nobody's table:
+    scrub, verify, reopen and repair all skip them and touch neither."""
+    vfs = FaultInjectingVFS()
+    db = DB.open(vfs, "db", corruption_options())
+    expected = populate(db)
+    strays = {"db/notes.log": b"not a wal", "db/notes.ldb": b"not a table"}
+    for name, data in strays.items():
+        vfs.write_whole(name, data)
+    report = db.scrub()
+    assert report.clean, report.problems
+    assert report.wal_files_verified == 1
+    assert db.verify_integrity().ok
+    db.close()
+    db = DB.open(vfs, "db", corruption_options())
+    assert dict(db.scan()) == expected
+    assert db.scrub().clean
+    assert db.verify_integrity().ok
+    db.close()
+    report = repair_db(vfs, "db", corruption_options())
+    assert report.problems == []
+    assert (report.tables_salvaged, report.tables_dropped) == (0, 0)
+    db = DB.open(vfs, "db", corruption_options())
+    assert dict(db.scan()) == expected
+    assert db.verify_integrity().ok
+    db.close()
+    for name, data in strays.items():
+        assert vfs.read_whole(name) == data
 
 
 class TestRepair:

@@ -7,6 +7,7 @@ where they can and keep datasets small.
 import hashlib
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -150,8 +151,6 @@ class TestWorkerCrash:
             _load(db, rounds=4)
             # A real SIGKILL, not a cooperative exit: fire it from a timer
             # while the coordinator blocks on the job.
-            import threading
-
             pid = db._executor.worker_pids()[0]
             threading.Timer(0.05, os.kill, args=(pid, signal.SIGKILL)).start()
             db.compact_range()  # retried on the respawned worker
@@ -270,6 +269,60 @@ class TestExecutorGating:
             assert db.stats()["pipeline"]["workers"]["jobs_dispatched"] == 0
             assert db.level_file_counts()[0] == 0
             assert db.get(b"t00-000") == b"v" * 60
+        finally:
+            db.close()
+
+
+class TestInterference:
+    def test_reads_complete_while_a_worker_merges(self, tmp_path):
+        """The coordinator does not hold the DB across its wait on the
+        worker pipe: GETs begin and end while a merge is in a worker."""
+        db = DB.open(LocalVFS(str(tmp_path)), "db",
+                     _options(background_compaction=True,
+                              compaction_processes=2))
+        try:
+            _load(db, rounds=6, keys=400)
+            in_worker = threading.Event()
+            run_job = db._executor.run_job
+
+            def watched_run_job(job, allocate):
+                in_worker.set()
+                try:
+                    return run_job(job, allocate)
+                finally:
+                    in_worker.clear()
+
+            db._executor.run_job = watched_run_job
+            stop = threading.Event()
+            reads = {"total": 0, "during_merge": 0}
+
+            def reader():
+                i = 0
+                while not stop.is_set():
+                    began_during = in_worker.is_set()
+                    db.get(b"k%04d" % (i % 400))
+                    reads["total"] += 1
+                    if began_during and in_worker.is_set():
+                        reads["during_merge"] += 1
+                    i += 7
+
+            thread = threading.Thread(target=reader)
+            thread.start()
+            try:
+                deadline = time.monotonic() + 30.0
+                while reads["total"] == 0:  # reading before the compaction
+                    assert time.monotonic() < deadline, "reader never read"
+                    time.sleep(0.001)
+                db.compact_range()
+            finally:
+                stop.set()
+                thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            assert reads["during_merge"] > 0
+            workers = db.stats()["pipeline"]["workers"]
+            assert workers["jobs_completed"] >= 1
+            assert workers["worker_cpu_seconds"] > 0
+            _expect(db, rounds=6, keys=400)
         finally:
             db.close()
 

@@ -7,11 +7,7 @@ from repro.core.database import SecondaryIndexedDB
 from repro.lsm.options import Options
 from repro.workloads.generator import MIXED_RATIOS, MixedWorkload
 from repro.workloads.ops import Delete, Get, Lookup, Put, RangeLookup
-from repro.workloads.runner import (
-    ConcurrentRunReport,
-    WorkloadRunner,
-    nearest_rank_index,
-)
+from repro.workloads.runner import WorkloadRunner, nearest_rank_index
 
 
 @pytest.fixture
@@ -96,72 +92,11 @@ class TestRunner:
         assert report.write_blocks_by_op.get("put", 0) > 0
 
 
-class TestConcurrentRunner:
-    def _streams(self, threads, per_thread):
-        return [[Put(f"c{tid}-{i:04d}", {"UserID": f"u{tid}", "n": i})
-                 for i in range(per_thread)]
-                for tid in range(threads)]
-
-    def test_concurrent_clients_over_background_pipeline(self):
-        options = Options(block_size=1024, sstable_target_size=4 * 1024,
-                          memtable_budget=4 * 1024,
-                          l1_target_size=16 * 1024,
-                          background_compaction=True)
-        db = SecondaryIndexedDB.open_memory(indexes={}, options=options)
-        try:
-            report = WorkloadRunner(db).run_concurrent(self._streams(4, 100))
-            assert report.errors == []
-            assert report.threads == 4
-            assert report.op_counts == {"put": 400}
-            assert report.total_ops == 400
-            assert report.ops_per_sec > 0
-            assert len(report.latencies_by_op["put"]) == 400
-            assert report.percentile_micros("put", 0.99) \
-                >= report.percentile_micros("put", 0.50) > 0
-            assert report.mean_micros("put") == report.mean_micros()
-            assert report.percentile_micros("get", 0.99) == 0.0
-            for tid in range(4):
-                assert db.get(f"c{tid}-0099") is not None
-        finally:
-            db.close()
-
-    def test_concurrent_via_thread_safe_wrapper(self):
-        from repro.core.concurrent import ThreadSafeDB
-
-        options = Options(block_size=1024, sstable_target_size=4 * 1024,
-                          memtable_budget=4 * 1024,
-                          l1_target_size=16 * 1024)
-        db = ThreadSafeDB(SecondaryIndexedDB.open_memory(
-            indexes={"UserID": IndexKind.LAZY}, options=options))
-        try:
-            report = WorkloadRunner(db).run_concurrent(self._streams(3, 80))
-            assert report.errors == []
-            assert report.op_counts == {"put": 240}
-            assert db.lookup("UserID", "u1", 5)
-        finally:
-            db.close()
-
-    def test_client_errors_are_reported(self):
-        options = Options(background_compaction=True)
-        db = SecondaryIndexedDB.open_memory(indexes={}, options=options)
-        try:
-            streams = [[Put("k1", {"n": 1})], [object()]]
-            report = WorkloadRunner(db).run_concurrent(streams)
-            assert len(report.errors) == 1
-            assert "client 1" in report.errors[0]
-            assert report.op_counts == {"put": 1}
-        finally:
-            db.close()
-
-
 class TestNearestRankIndex:
     def test_p50_of_two_samples_is_the_lower(self):
         # The regression this pins: ``int(0.5 * 2)`` is 1 (the larger
         # sample); nearest rank says ceil(0.5 * 2) = rank 1, index 0.
         assert nearest_rank_index(0.5, 2) == 0
-        report = ConcurrentRunReport(threads=1, wall_seconds=1.0,
-                                     latencies_by_op={"get": [2e-6, 1e-6]})
-        assert report.percentile_micros("get", 0.5) == pytest.approx(1.0)
 
     def test_textbook_ranks(self):
         assert nearest_rank_index(0.5, 1) == 0
