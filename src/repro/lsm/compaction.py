@@ -447,16 +447,7 @@ def finish_table(builder: TableBuilder, out, file_number: int) -> FileMetaData:
     props = builder.finish()
     out.sync()
     out.close()
-    return FileMetaData(
-        file_number=file_number,
-        file_size=props.file_size,
-        smallest=props.smallest,
-        largest=props.largest,
-        min_seq=props.min_seq,
-        max_seq=props.max_seq,
-        num_entries=props.num_entries,
-        secondary_zonemaps=props.secondary_zonemaps,
-    )
+    return props.file_meta(file_number)
 
 
 def process_key_group(options, user_key: bytes,

@@ -395,21 +395,13 @@ class DB:
         if files.unrecognized:
             logger.warning("ignoring unrecognized files %s",
                            files.unrecognized)
-        live = self.versions.live_file_numbers()
-        for number, name in files.tables.items():
-            if number not in live:
-                self.table_cache.evict(number)
-                self.vfs.delete_if_exists(name)
-        for number, name in files.logs.items():
-            if number < self._log_number:
-                self.vfs.delete_if_exists(name)
-        # A crash between writing CURRENT.tmp and renaming it over CURRENT
-        # strands the scratch file; it is never meaningful after open.
-        if files.current_tmp is not None:
-            self.vfs.delete_if_exists(files.current_tmp)
-        for number, name in files.manifests.items():
-            if number != self._manifest.number:
-                self.vfs.delete_if_exists(name)
+        obsolete = files.obsolete(self.versions.live_file_numbers(),
+                                  self.versions.log_number,
+                                  self._manifest.number)
+        for number in obsolete.tables:
+            self.table_cache.evict(number)
+        for name in obsolete.names():
+            self.vfs.delete_if_exists(name)
 
     def close(self) -> None:
         if self._closed:
@@ -610,7 +602,8 @@ class DB:
                 f"database is read-only ({self._read_only_reason})")
 
     def scrub(self, block_budget: int | None = None):
-        """Run (or resume) the CRC scrubber; see :mod:`repro.lsm.scrub`.
+        """Run (or resume) the CRC scrubber; see
+        :class:`repro.lsm.checker.Scrubber`.
 
         The scrubber object persists across calls, so repeated budgeted
         invocations walk the whole database incrementally — usable inline
@@ -618,7 +611,7 @@ class DB:
         """
         self._check_open()
         if self._scrubber is None:
-            from repro.lsm.scrub import Scrubber
+            from repro.lsm.checker import Scrubber
 
             self._scrubber = Scrubber(self)
         return self._scrubber.run(block_budget)
@@ -1886,9 +1879,10 @@ class DB:
     def verify_integrity(self):
         """Audit the database's persistent state; see :mod:`repro.lsm.checker`.
 
-        Checks manifest-vs-filesystem agreement (including orphaned engine
-        files left by an interrupted crash recovery), per-table physical and
-        logical invariants, and cross-table level invariants.  Returns an
+        Checks everything a scrub checks (the CRC of every live block, the
+        WAL and the manifest) plus manifest-vs-filesystem agreement
+        (including orphaned engine files left by an interrupted crash
+        recovery) and per-table logical invariants.  Returns an
         :class:`~repro.lsm.checker.IntegrityReport`; ``report.ok`` means the
         database is sound.
         """

@@ -58,6 +58,30 @@ class DBFiles:
     current_tmp: str | None = None
     unrecognized: list[str] = field(default_factory=list)
 
+    def obsolete(self, live_tables: set[int], log_number: int,
+                 manifest_number: int) -> "DBFiles":
+        """The engine files that state ``live_tables``, ``log_number`` and
+        ``manifest_number`` no longer needs: what recovery and repair
+        delete, and what the audit flags as orphaned.  A WAL at or above
+        the log number is still needed: the one being appended to, and that
+        of a sealed (or, after a failed flush, restored) MemTable whose
+        table is not installed.  A ``CURRENT.tmp`` (a crash between writing
+        it and renaming it over ``CURRENT``) is never meaningful."""
+        return DBFiles(
+            tables={number: name for number, name in self.tables.items()
+                    if number not in live_tables},
+            logs={number: name for number, name in self.logs.items()
+                  if number < log_number},
+            manifests={number: name for number, name in self.manifests.items()
+                       if number != manifest_number},
+            current_tmp=self.current_tmp)
+
+    def names(self) -> list[str]:
+        """Every engine file named here, tables first, manifests last."""
+        tmp = [] if self.current_tmp is None else [self.current_tmp]
+        return [*self.tables.values(), *self.logs.values(), *tmp,
+                *self.manifests.values()]
+
 
 def list_db_files(vfs: VFS, db_name: str) -> DBFiles:
     """Classify the files of ``db_name`` by name; the one place that does."""

@@ -128,8 +128,9 @@ class Options:
         per-read checksum pass — so silent bit rot in *data* blocks is only
         caught by scans/compactions that decode the block, by
         :meth:`repro.lsm.db.DB.verify_integrity`, or by the scrubber
-        (:mod:`repro.lsm.scrub`), both of which always verify regardless of
-        this option.  See TUNING.md for the tradeoff.
+        (:meth:`repro.lsm.db.DB.scrub`), both of which always verify
+        regardless of this option (:mod:`repro.lsm.checker`).  See
+        TUNING.md for the tradeoff.
     on_corruption:
         What a read does when a data block fails its integrity check.
         ``"raise"`` (default, LevelDB's behaviour) propagates

@@ -218,12 +218,11 @@ def _execute_job(conn, job: dict, shm_cache) -> dict:
 
         block_cache = ShmBackedBlockCache(shm_cache, local=None)
 
-    handles = []
+    tables = []
 
     def open_table(file_number: int) -> SSTable:
-        handle = vfs.open_random(table_file_name(db_name, file_number))
-        handles.append(handle)
-        table = SSTable(options, handle, file_number)
+        table = SSTable.open(vfs, db_name, options, file_number)
+        tables.append(table)
         table._block_cache = block_cache
         return table
 
@@ -242,9 +241,9 @@ def _execute_job(conn, job: dict, shm_cache) -> dict:
     try:
         return run_compaction_job(job, options, open_table, open_output)
     finally:
-        for handle in handles:
+        for table in tables:
             try:
-                handle.close()
+                table.file.close()
             except OSError:
                 pass
 

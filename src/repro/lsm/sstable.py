@@ -55,8 +55,11 @@ from repro.lsm.keys import (
     pack_internal_key,
     unpack_internal_key,
 )
+from repro.lsm.manifest import table_file_name
 from repro.lsm.options import Options
+from repro.lsm.version import FileMetaData
 from repro.lsm.vfs import (
+    VFS,
     Category,
     RandomAccessFile,
     WritableFile,
@@ -95,7 +98,8 @@ class BlockHandle:
 
 @dataclass
 class TableProperties:
-    """Summary statistics the builder reports for manifest bookkeeping."""
+    """A table's entries summed up for its manifest record: by the builder
+    as it writes them, by the audit as it reads them back."""
 
     num_entries: int = 0
     num_data_blocks: int = 0
@@ -105,6 +109,31 @@ class TableProperties:
     min_seq: int = 0
     max_seq: int = 0
     secondary_zonemaps: dict[str, ZoneMap] = field(default_factory=dict)
+
+    def track(self, internal_key: bytes, seq: int) -> None:
+        """Count one entry, fed in table order."""
+        if self.smallest is None:
+            self.smallest = internal_key
+            self.min_seq = seq
+            self.max_seq = seq
+        elif seq < self.min_seq:
+            self.min_seq = seq
+        elif seq > self.max_seq:
+            self.max_seq = seq
+        self.largest = internal_key
+        self.num_entries += 1
+
+    def file_meta(self, file_number: int) -> FileMetaData:
+        return FileMetaData(
+            file_number=file_number,
+            file_size=self.file_size,
+            smallest=self.smallest,
+            largest=self.largest,
+            min_seq=self.min_seq,
+            max_seq=self.max_seq,
+            num_entries=self.num_entries,
+            secondary_zonemaps=self.secondary_zonemaps,
+        )
 
 
 def _write_physical_block(out: WritableFile, payload: bytes,
@@ -218,8 +247,7 @@ class TableBuilder:
             self._observe_secondary(
                 self.options.attribute_extractor(value)
                 if kind == KIND_VALUE else None)
-        self._track_bounds(internal_key, seq)
-        self.props.num_entries += 1
+        self.props.track(internal_key, seq)
         if self._data_block.current_size_estimate() >= self.options.block_size:
             self._flush_data_block()
 
@@ -231,18 +259,6 @@ class TableBuilder:
             column.append(encoded)
             if encoded:
                 self._secondary_filter_builders[attr].add(encoded)
-
-    def _track_bounds(self, internal_key: bytes, seq: int) -> None:
-        props = self.props
-        if props.smallest is None:
-            props.smallest = internal_key
-            props.min_seq = seq
-            props.max_seq = seq
-        elif seq < props.min_seq:
-            props.min_seq = seq
-        elif seq > props.max_seq:
-            props.max_seq = seq
-        props.largest = internal_key
 
     def _flush_data_block(self) -> None:
         if self._data_block.is_empty:
@@ -438,6 +454,22 @@ class SSTable:
         self._load_meta(metaindex_handle)
         self._block_cache: Any = None  # set by TableCache when caching is on
 
+    @classmethod
+    def open(cls, vfs: VFS, db_name: str, options: Options,
+             file_number: int) -> "SSTable":
+        """Open table ``file_number`` of database ``db_name``: the one way a
+        table file is opened.  A transient open failure is retried
+        (``options.read_retries``); if the table fails to open, its file
+        handle is closed before the error propagates."""
+        handle = retry_transient_io(
+            options.read_retries, "table open", vfs.open_random,
+            table_file_name(db_name, file_number))
+        try:
+            return cls(options, handle, file_number)
+        except BaseException:
+            handle.close()
+            raise
+
     def _load_meta(self, metaindex_handle: BlockHandle) -> None:
         degrade = self.options.on_corruption == "quarantine"
         try:
@@ -534,8 +566,9 @@ class SSTable:
 
     def verified_blocks(self) -> Iterator[tuple[int, bytes | CorruptionError]]:
         """``(block_index, payload)`` of every data block, re-read from the
-        file and re-checksummed: the audit read of the checker, the scrubber
-        and repair, which trusts neither ``paranoid_checks`` nor any cache.
+        file and re-checksummed: the audit's read
+        (:class:`~repro.lsm.checker.TableAudit`), which trusts neither
+        ``paranoid_checks`` nor any cache.
         A block that fails yields its error in place of its payload, so one
         rotten block does not end the walk."""
         for block_index, (_key, handle) in enumerate(self._index_entries):

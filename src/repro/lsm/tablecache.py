@@ -13,10 +13,9 @@ import threading
 from collections import OrderedDict
 
 from repro.lsm.cache import LRUCache
-from repro.lsm.manifest import table_file_name
 from repro.lsm.options import Options
 from repro.lsm.sstable import SSTable
-from repro.lsm.vfs import VFS, retry_transient_io
+from repro.lsm.vfs import VFS
 
 
 class TableCache:
@@ -69,22 +68,22 @@ class TableCache:
                 return table
             self.misses += 1
         # Opening reads the footer/index/filter blocks — do the I/O outside
-        # the lock.  A racing open of the same table is harmless: both
-        # readers work, the later insert wins the cache slot.
-        handle = retry_transient_io(
-            self.options.read_retries, "table open", self.vfs.open_random,
-            table_file_name(self.db_name, file_number))
-        table = SSTable(self.options, handle, file_number)
+        # the lock.  A racing open of the same table is harmless: the first
+        # insert wins the cache slot, and the loser closes its own handle.
+        table = SSTable.open(self.vfs, self.db_name, self.options,
+                             file_number)
         table._block_cache = self.block_cache
-        if table.degraded_filters:
-            self.filter_degradations += len(table.degraded_filters)
         with self._lock:
-            self._tables[file_number] = table
-            while len(self._tables) > self.max_open_files:
-                _number, evicted = self._tables.popitem(last=False)
-                evicted.file.close()
-                self.evictions += 1
-        return table
+            cached = self._tables.setdefault(file_number, table)
+            if cached is table:
+                self.filter_degradations += len(table.degraded_filters)
+                while len(self._tables) > self.max_open_files:
+                    _number, evicted = self._tables.popitem(last=False)
+                    evicted.file.close()
+                    self.evictions += 1
+        if cached is not table:
+            table.file.close()
+        return cached
 
     def stats(self) -> dict[str, int]:
         return {

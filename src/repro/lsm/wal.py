@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.lsm.errors import CorruptionError
 from repro.lsm.vfs import Category, RandomAccessFile, WritableFile
@@ -30,8 +30,50 @@ _MIDDLE = 3
 _LAST = 4
 
 
+#: CRC32 of each record-type byte: a fragment's checksum continues from it.
+_TYPE_CRC = [zlib.crc32(bytes([record_type])) for record_type in range(256)]
+
+
+def _frame(payload: bytes, block_offset: int, parts: list[bytes]) -> int:
+    """Append ``payload``'s fragments to ``parts``, each after the padding of
+    any block tail too short for a header; returns the block offset after."""
+    remaining = payload
+    first_fragment = True
+    while True:
+        leftover = BLOCK_SIZE - block_offset
+        if leftover < HEADER_SIZE:
+            if leftover:
+                parts.append(b"\x00" * leftover)
+            block_offset = 0
+            leftover = BLOCK_SIZE
+        available = leftover - HEADER_SIZE
+        fragment, remaining = remaining[:available], remaining[available:]
+        if first_fragment and not remaining:
+            record_type = _FULL
+        elif first_fragment:
+            record_type = _FIRST
+        elif not remaining:
+            record_type = _LAST
+        else:
+            record_type = _MIDDLE
+        parts.append(_HEADER.pack(zlib.crc32(fragment, _TYPE_CRC[record_type]),
+                                  len(fragment), record_type))
+        parts.append(fragment)
+        block_offset += HEADER_SIZE + len(fragment)
+        first_fragment = False
+        if not remaining:
+            return block_offset
+
+
 class LogWriter:
-    """Appends records to a WAL file."""
+    """Appends records to a WAL file.
+
+    Each call writes its records — every fragment and block-tail pad — in
+    one append, and moves the block offset only once that append succeeded.
+    A failed append therefore leaves no FIRST fragment of a refused record
+    in the log for the next acknowledged record to land behind (which would
+    make the log unreadable: "FULL record inside fragmented record").
+    """
 
     def __init__(self, file: WritableFile, sync: bool = False) -> None:
         self._file = file
@@ -39,41 +81,10 @@ class LogWriter:
         self._block_offset = file.size % BLOCK_SIZE
 
     def add_record(self, payload: bytes) -> None:
-        remaining = payload
-        first_fragment = True
-        while True:
-            leftover = BLOCK_SIZE - self._block_offset
-            if leftover < HEADER_SIZE:
-                # Pad the block tail; a header can't fit.
-                if leftover:
-                    self._file.append(b"\x00" * leftover, Category.WAL)
-                self._block_offset = 0
-                leftover = BLOCK_SIZE
-            available = leftover - HEADER_SIZE
-            fragment, remaining = remaining[:available], remaining[available:]
-            if first_fragment and not remaining:
-                record_type = _FULL
-            elif first_fragment:
-                record_type = _FIRST
-            elif not remaining:
-                record_type = _LAST
-            else:
-                record_type = _MIDDLE
-            self._emit(record_type, fragment)
-            first_fragment = False
-            if not remaining:
-                break
-        if self._sync:
-            self._file.sync()
-
-    def _emit(self, record_type: int, fragment: bytes) -> None:
-        crc = zlib.crc32(bytes([record_type]) + fragment) & 0xFFFFFFFF
-        header = _HEADER.pack(crc, len(fragment), record_type)
-        self._file.append(header + fragment, Category.WAL)
-        self._block_offset += HEADER_SIZE + len(fragment)
+        self.add_records([payload])
 
     def add_records(self, payloads: list[bytes]) -> None:
-        """Append several records, syncing (at most) once at the end.
+        """Append several records in one write, syncing (at most) once.
 
         This is the group-commit primitive: the write-group leader encodes
         every queued batch, appends them back to back, and all writers in
@@ -81,14 +92,13 @@ class LogWriter:
         byte layout is identical to the same ``add_record`` calls made one
         at a time.
         """
-        sync = self._sync
-        self._sync = False
-        try:
-            for payload in payloads:
-                self.add_record(payload)
-        finally:
-            self._sync = sync
-        if sync:
+        parts: list[bytes] = []
+        block_offset = self._block_offset
+        for payload in payloads:
+            block_offset = _frame(payload, block_offset, parts)
+        self._file.append(b"".join(parts), Category.WAL)
+        self._block_offset = block_offset
+        if self._sync:
             self._file.sync()
 
     def sync(self) -> None:
@@ -100,16 +110,32 @@ class LogWriter:
 
 
 class LogReader:
-    """Replays records from a WAL file.
+    """Replays the records of a WAL (or manifest) file, and closes the file.
 
     Recovery semantics match LevelDB's default: a checksum mismatch or a
     truncated fragment at the tail ends iteration silently (the tail was a
-    torn write); a mismatch in the middle raises
+    torn write); damage in the middle raises
     :class:`~repro.lsm.errors.CorruptionError`.
+
+    Given ``report``, the reader salvages instead (LevelDB's
+    report-and-continue mode, which repair uses): each error is passed to
+    ``report`` and reading goes on.  A bad fragment abandons the rest of
+    its 32 KiB block, and a broken FIRST/MIDDLE/LAST chain drops only its
+    own record.  A torn tail stays silent.
     """
 
-    def __init__(self, file: RandomAccessFile) -> None:
-        self._data = file.read_at(0, file.size, Category.WAL)
+    def __init__(self, file: RandomAccessFile,
+                 report: Callable[[str], None] | None = None) -> None:
+        try:
+            self._data = file.read_at(0, file.size, Category.WAL)
+        finally:
+            file.close()
+        self._report = report
+
+    def _corrupt(self, message: str) -> None:
+        if self._report is None:
+            raise CorruptionError(message)
+        self._report(message)
 
     def __iter__(self) -> Iterator[bytes]:
         offset = 0
@@ -130,42 +156,50 @@ class LogReader:
                 continue
             frag_start = offset + HEADER_SIZE
             frag_end = frag_start + length
+            fragment = data[frag_start:frag_end]
             if HEADER_SIZE + length > block_left:
                 # A fragment never spans a block boundary by construction,
                 # so this header's length field is garbage.  At the tail it
                 # is a torn write; mid-file it is corruption.
-                if frag_end >= end:
-                    return
-                raise CorruptionError(
-                    f"WAL fragment at offset {offset} crosses a block "
-                    f"boundary")
-            if frag_end > end:
+                error = (f"WAL fragment at offset {offset} crosses a block "
+                         f"boundary")
+                torn = frag_end >= end
+            elif frag_end > end:
                 return  # torn payload at tail
-            fragment = data[frag_start:frag_end]
-            actual = zlib.crc32(bytes([record_type]) + fragment) & 0xFFFFFFFF
-            if actual != crc:
-                if frag_end >= end:
-                    return  # torn write at tail
-                raise CorruptionError(
-                    f"WAL checksum mismatch at offset {offset}")
+            elif zlib.crc32(fragment, _TYPE_CRC[record_type]) != crc:
+                error = f"WAL checksum mismatch at offset {offset}"
+                torn = frag_end >= end
+            elif not _FULL <= record_type <= _LAST:
+                error = f"unknown WAL record type {record_type}"
+                torn = False
+            else:
+                error = None
+            if error is not None:
+                # Salvage resumes at the next block, so there the damage
+                # is a torn tail only if no block follows.
+                if torn and (self._report is None
+                             or offset + block_left >= end):
+                    return
+                self._corrupt(error)
+                pending = None
+                offset += block_left
+                continue
             offset = frag_end
             if record_type == _FULL:
                 if pending is not None:
-                    raise CorruptionError("FULL record inside fragmented record")
+                    self._corrupt("FULL record inside fragmented record")
+                    pending = None
                 yield bytes(fragment)
             elif record_type == _FIRST:
                 if pending is not None:
-                    raise CorruptionError("FIRST record inside fragmented record")
+                    self._corrupt("FIRST record inside fragmented record")
                 pending = bytearray(fragment)
-            elif record_type == _MIDDLE:
-                if pending is None:
-                    raise CorruptionError("MIDDLE record without FIRST")
-                pending += fragment
-            elif record_type == _LAST:
-                if pending is None:
-                    raise CorruptionError("LAST record without FIRST")
-                pending += fragment
-                yield bytes(pending)
-                pending = None
+            elif pending is None:
+                self._corrupt(
+                    f"{'MIDDLE' if record_type == _MIDDLE else 'LAST'} "
+                    f"record without FIRST")
             else:
-                raise CorruptionError(f"unknown WAL record type {record_type}")
+                pending += fragment
+                if record_type == _LAST:
+                    yield bytes(pending)
+                    pending = None

@@ -5,7 +5,7 @@ Mirrors LevelDB's ``ldb``/``leveldbutil`` utilities::
     python -m repro stats   <directory> <db-name>
     python -m repro dump    <directory> <db-name> [--limit N]
     python -m repro verify  <directory> <db-name>
-    python -m repro scrub   <directory> <db-name> [--budget N]
+    python -m repro scrub   <directory> <db-name>
     python -m repro repair  <directory> <db-name> [--dry-run]
     python -m repro profile <workload> [--ops N] [--top N]
     python -m repro serve   <directory> <db-name> [--port P] [--indexes ...]
@@ -30,7 +30,6 @@ import sys
 from dataclasses import replace
 from typing import IO
 
-from repro.lsm.checker import verify_integrity
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.vfs import LocalVFS
@@ -106,27 +105,29 @@ def cmd_verify(directory: str, name: str, out: IO[str]) -> int:
     """Run the integrity checker; exit status 1 on any finding."""
     db = _open(directory, name)
     try:
-        report = verify_integrity(db)
+        report = db.verify_integrity()
         out.write(f"tables:  {report.tables_checked}\n")
         out.write(f"blocks:  {report.blocks_checked}\n")
         out.write(f"entries: {report.entries_checked}\n")
-        if report.ok:
-            out.write("OK\n")
-            return 0
-        for problem in report.problems:
-            out.write(f"PROBLEM: {problem}\n")
-        return 1
+        return _report_problems(report.problems, out)
     finally:
         db.close()
 
 
-def cmd_scrub(directory: str, name: str, out: IO[str],
-              budget: int | None = None) -> int:
+def _report_problems(problems: list[str], out: IO[str]) -> int:
+    """Print an audit's findings; returns the exit status (1 on any)."""
+    if not problems:
+        out.write("OK\n")
+        return 0
+    for problem in problems:
+        out.write(f"PROBLEM: {problem}\n")
+    return 1
+
+
+def cmd_scrub(directory: str, name: str, out: IO[str]) -> int:
     """CRC-verify every live block, the WAL tail and the manifest.
 
-    ``--budget N`` bounds one slice to about N blocks (resumption is an
-    in-process affair; the CLI always runs slices to completion).  Exit
-    status 1 on any finding.  The CLI opens with the default
+    Exit status 1 on any finding.  The CLI opens with the default
     ``on_corruption="raise"`` policy, so a scrub only *reports* — it never
     quarantines behind the running database's back.
     """
@@ -139,26 +140,13 @@ def cmd_scrub(directory: str, name: str, out: IO[str],
         out.write("hint: try `repair` to salvage readable data\n")
         return 1
     try:
-        report = db.scrub(block_budget=budget)
-        while not report.complete:
-            more = db.scrub(block_budget=budget)
-            report.tables_scanned += more.tables_scanned
-            report.blocks_verified += more.blocks_verified
-            report.wal_files_verified += more.wal_files_verified
-            report.manifest_verified = more.manifest_verified
-            report.problems.extend(more.problems)
-            report.complete = more.complete
+        report = db.scrub()
         out.write(f"tables:   {report.tables_scanned}\n")
         out.write(f"blocks:   {report.blocks_verified}\n")
         out.write(f"wal:      {report.wal_files_verified} file(s)\n")
         out.write(f"manifest: "
                   f"{'ok' if report.manifest_verified else 'PROBLEM'}\n")
-        if report.clean:
-            out.write("OK\n")
-            return 0
-        for problem in report.problems:
-            out.write(f"PROBLEM: {problem}\n")
-        return 1
+        return _report_problems(report.problems, out)
     finally:
         db.close()
 
@@ -390,9 +378,6 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
         if command == "dump":
             sub.add_argument("--limit", type=int, default=None,
                              help="stop after N entries")
-        elif command == "scrub":
-            sub.add_argument("--budget", type=int, default=None,
-                             help="blocks per scrub slice (default: all)")
         elif command == "repair":
             sub.add_argument("--dry-run", action="store_true",
                              help="report what would be done; change nothing")
@@ -436,7 +421,7 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     if args.command == "dump":
         return cmd_dump(args.directory, args.name, out, args.limit)
     if args.command == "scrub":
-        return cmd_scrub(args.directory, args.name, out, args.budget)
+        return cmd_scrub(args.directory, args.name, out)
     if args.command == "repair":
         return cmd_repair(args.directory, args.name, out, args.dry_run)
     if args.command == "profile":

@@ -110,7 +110,8 @@ class TestScrubber:
         assert [s.tables_scanned for s in slices] == [1] * tables
         assert all(s.clean for s in slices)
 
-    def test_scrub_reports_wal_corruption(self, faulty_db):
+    @pytest.mark.parametrize("audit", ["scrub", "verify_integrity"])
+    def test_scrub_reports_wal_corruption(self, faulty_db, audit):
         vfs, db, _expected = faulty_db
         # Two records after the flush: rot in the *first* is mid-file
         # corruption (a rotten final record is a torn tail by design and
@@ -119,7 +120,7 @@ class TestScrubber:
         db.put(b"tail-key-2", b"tail-value")
         wal = wal_files(vfs)[-1]
         vfs.flip_bit(wal, 10)  # inside the first record's payload
-        report = db.scrub()
+        report = getattr(db, audit)()
         assert any("WAL" in problem for problem in report.problems)
 
 

@@ -195,6 +195,39 @@ class TestFaultInjection:
                    for problem in report.problems), report.problems
         db.close()
 
+    def test_audits_close_every_file_handle(self, tmp_path):
+        """Open, scrub, verify of a table with a garbled footer, and repair
+        leave no file handle on LocalVFS for the garbage collector."""
+        import gc
+        import os
+        import warnings
+
+        from repro.lsm.repair import repair_db
+        from repro.lsm.vfs import LocalVFS
+
+        directory = str(tmp_path)
+        _vfs, db = _build(LocalVFS(directory))
+        victim = table_file_name("db", self._some_live_table(db).file_number)
+        db.close()
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            DB.open(LocalVFS(directory), "db", _options()).close()
+            db = DB.open(LocalVFS(directory), "db", _options())
+            assert db.scrub().clean
+            db.close()
+            with open(os.path.join(directory, victim), "r+b") as handle:
+                handle.seek(-48, os.SEEK_END)
+                handle.write(b"\xa5" * 48)
+            db = DB.open(LocalVFS(directory), "db", _options())
+            assert not db.verify_integrity().ok
+            db.close()
+            assert repair_db(LocalVFS(directory), "db").tables_dropped == 1
+            gc.collect()
+        leaks = [str(w.message) for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
+
     def test_random_corruption_sweep(self):
         """Any single flipped byte inside a table is either harmless to
         decoding (caught by CRC) or detected some other way — never a

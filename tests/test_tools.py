@@ -118,20 +118,6 @@ class TestScrub:
         assert "PROBLEM" in out.getvalue()
         assert "CRC mismatch" in out.getvalue()
 
-    def test_budgeted_scrub_covers_everything(self, populated_dir):
-        full = io.StringIO()
-        main(["scrub", populated_dir, "db"], full)
-        sliced = io.StringIO()
-        status = main(["scrub", populated_dir, "db", "--budget", "2"],
-                      sliced)
-        assert status == 0
-        # Slicing changes the schedule, not the coverage.
-        full_blocks = next(line for line in full.getvalue().splitlines()
-                           if line.startswith("blocks:"))
-        sliced_blocks = next(line for line in sliced.getvalue().splitlines()
-                             if line.startswith("blocks:"))
-        assert sliced_blocks == full_blocks
-
 
 class TestRepair:
     def test_repair_clean_database_keeps_everything(self, populated_dir):
