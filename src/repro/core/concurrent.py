@@ -47,9 +47,9 @@ class ThreadSafeDB:
         with self._lock:
             return self._inner.get(key)
 
-    def delete(self, key: str | bytes) -> None:
+    def delete(self, key: str | bytes) -> int:
         with self._lock:
-            self._inner.delete(key)
+            return self._inner.delete(key)
 
     # -- secondary queries ---------------------------------------------------------
 

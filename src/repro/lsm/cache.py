@@ -99,6 +99,14 @@ class LRUCache:
     def used_bytes(self) -> int:
         return self._used
 
+    def stats(self) -> dict[str, int]:
+        return {
+            "capacity_bytes": self.capacity,
+            "used_bytes": self.used_bytes,
+            "hits": self.hits,
+            "misses": self.misses,
+        }
+
 
 class BufferCacheSimulator(VFS):
     """VFS wrapper modelling the operating system's page cache.

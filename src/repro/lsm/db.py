@@ -80,7 +80,7 @@ from repro.lsm.manifest import (
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import Options
 from repro.lsm.tablecache import TableCache
-from repro.lsm.vfs import Category, MemoryVFS, VFS
+from repro.lsm.vfs import Category, MemoryVFS, VFS, counter_dict
 from repro.lsm.version import VersionEdit, VersionSet
 from repro.lsm.wal import LogReader, LogWriter
 
@@ -1904,150 +1904,93 @@ class DB:
             levels += 1
         return levels
 
-    @property
-    def io_stats(self):
-        return self.vfs.stats
-
     def stats(self) -> dict[str, Any]:
-        """Operational counters, one JSON-friendly dict (RocksDB's
-        ``GetProperty``, condensed): compaction work, table-cache and
-        block-cache hit rates, I/O meters and the level shape."""
+        """Operational counters, one JSON-friendly tree (RocksDB's
+        ``GetProperty``, condensed): each group is its counter dataclass
+        as a dict plus the gauges read under the same mutex acquisition.
+        """
         self._check_open()
+        block_cache = self.table_cache.block_cache
         with self._mutex:
             memtables = self._memtables_locked()
-        compaction = self.compactor.stats
-        io = self.vfs.stats
-        block_cache = self.table_cache.block_cache
-        return {
-            "levels": self.level_file_counts(),
-            "last_sequence": self.versions.last_sequence,
-            "memtable_entries": sum(len(m) for m in memtables),
-            "memtable_bytes": sum(m.approximate_memory_usage
-                                  for m in memtables),
-            "compaction": {
-                "flush_count": compaction.flush_count,
-                "compaction_count": compaction.compaction_count,
-                "bytes_flushed": compaction.bytes_flushed,
-                "bytes_compacted_in": compaction.bytes_compacted_in,
-                "bytes_compacted_out": compaction.bytes_compacted_out,
-                "entries_dropped": compaction.entries_dropped,
-                "merges_folded": compaction.merges_folded,
-                "compactions_by_level": dict(compaction.compactions_by_level),
-                "trivial_moves": compaction.trivial_moves,
-                "bytes_moved": compaction.bytes_moved,
-            },
-            "table_cache": self.table_cache.stats(),
-            "block_cache": None if block_cache is None else {
-                "capacity_bytes": block_cache.capacity,
-                "used_bytes": block_cache.used_bytes,
-                "hits": block_cache.hits,
-                "misses": block_cache.misses,
-            },
-            "io": {
-                "read_ops": io.read_ops,
-                "write_ops": io.write_ops,
-                "read_blocks": io.read_blocks,
-                "write_blocks": io.write_blocks,
-                "read_bytes": io.read_bytes,
-                "write_bytes": io.write_bytes,
-            },
-            "pipeline": self._pipeline_stats_dict(),
-            "corruption": {
-                "events": self.corruption_stats.events,
-                "tables_quarantined": self.corruption_stats.tables_quarantined,
-                "quarantined": self.quarantined_tables(),
-                "filter_degradations": self.table_cache.filter_degradations,
-                "read_only": self._read_only,
-                "read_only_reason": self._read_only_reason,
-            },
-        }
-
-    def _pipeline_stats_dict(self) -> dict[str, Any]:
-        pipeline = self.pipeline_stats
-        with self._mutex:
-            version = self.versions.current
-            # Queue depth: pending immutable MemTable plus levels whose
-            # score says "compact now" — the work the background thread
-            # still owes.
-            depth = 1 if self.imm is not None else 0
-            if version.num_files(0) >= self.options.l0_compaction_trigger:
-                depth += 1
-            for level in range(1, self.options.max_levels - 1):
-                if version.level_size(level) \
-                        >= self.options.max_bytes_for_level(level):
-                    depth += 1
+            imm_pending = 1 if self.imm is not None else 0
+            levels_due = sum(score >= 1.0 for score
+                             in self.versions.current.level_scores())
+            pipeline = self.pipeline_stats
             groups = pipeline.write_groups
             return {
-                "background": self._bg,
-                "imm_pending": 1 if self.imm is not None else 0,
-                "compaction_queue_depth": depth,
-                "stall_events": pipeline.stall_events,
-                "stall_seconds": pipeline.stall_seconds,
-                "slowdown_events": pipeline.slowdown_events,
-                "write_groups": groups,
-                "group_commit_batches": pipeline.group_commit_batches,
-                "group_commit_ops": pipeline.group_commit_ops,
-                "mean_group_batches": (
-                    pipeline.group_commit_batches / groups if groups else 0.0),
-                "max_group_batches": pipeline.max_group_batches,
-                "bg_flushes": pipeline.bg_flushes,
-                "bg_compactions": pipeline.bg_compactions,
-                "bg_error": (None if self._bg_error is None
-                             else repr(self._bg_error)),
-                "workers": (None if self._executor is None
-                            else self._executor.stats()),
-                "shm_cache": (None if self._shm_cache is None
-                              else self._shm_cache.stats_dict()),
+                "levels": self.level_file_counts(),
+                "last_sequence": self.versions.last_sequence,
+                "memtable_entries": sum(len(m) for m in memtables),
+                "memtable_bytes": sum(m.approximate_memory_usage
+                                      for m in memtables),
+                "compaction": counter_dict(self.compactor.stats),
+                "table_cache": self.table_cache.stats(),
+                "block_cache": (None if block_cache is None
+                                else block_cache.stats()),
+                "io": counter_dict(self.vfs.stats),
+                "pipeline": {
+                    "background": self._bg,
+                    "imm_pending": imm_pending,
+                    # The work the background thread still owes.
+                    "compaction_queue_depth": imm_pending + levels_due,
+                    **counter_dict(pipeline),
+                    "mean_group_batches": (
+                        pipeline.group_commit_batches / groups
+                        if groups else 0.0),
+                    "bg_error": (None if self._bg_error is None
+                                 else repr(self._bg_error)),
+                    "workers": (None if self._executor is None
+                                else self._executor.stats()),
+                    "shm_cache": (None if self._shm_cache is None
+                                  else self._shm_cache.stats_dict()),
+                },
+                "corruption": {
+                    **counter_dict(self.corruption_stats),
+                    "quarantined": sorted(self._quarantined),
+                    "filter_degradations":
+                        self.table_cache.filter_degradations,
+                    "read_only": self._read_only,
+                    "read_only_reason": self._read_only_reason,
+                },
             }
 
     def level_file_counts(self) -> list[int]:
         return [len(files) for files in self.versions.current.levels]
 
     def debug_string(self) -> str:
-        """Human-readable internal state (RocksDB's ``GetProperty`` spirit).
+        """The :meth:`stats` tree as text; ``python -m repro stats`` prints it.
 
-        Level shapes, MemTable pressure, compaction counters and the I/O
-        meters — everything needed to understand what the tree is doing.
+        One ``key: value`` line per leaf, indented under its group, plus a
+        files / bytes / entries line for every populated level.
         """
-        version = self.versions.current
-        stats = self.compactor.stats
-        io = self.vfs.stats
-        lines = [
-            f"-- DB {self.name} --",
-            f"last_sequence: {self.versions.last_sequence}",
-            f"memtable: {len(self.memtable)} entries / "
-            f"{self.memtable.approximate_memory_usage:,} of "
-            f"{self.options.memtable_budget:,} bytes",
-        ]
-        for level, files in enumerate(version.levels):
-            if not files:
+        lines = [f"-- DB {self.name} --",
+                 f"total size: {self.approximate_size():,} bytes"]
+        for key, value in self.stats().items():
+            lines.extend(_tree_lines(key, value, ""))
+            if key != "levels":
                 continue
-            budget = self.options.max_bytes_for_level(level)
-            budget_text = "n/a" if budget == float("inf") \
-                else f"{budget:,.0f}"
-            lines.append(
-                f"L{level}: {len(files):3d} files "
-                f"{version.level_size(level):>10,} bytes "
-                f"(budget {budget_text})")
-        lines.append(
-            f"flushes: {stats.flush_count}  "
-            f"compactions: {stats.compaction_count} "
-            f"{dict(sorted(stats.compactions_by_level.items()))}")
-        lines.append(
-            f"compacted: {stats.bytes_compacted_in:,} in / "
-            f"{stats.bytes_compacted_out:,} out  "
-            f"dropped entries: {stats.entries_dropped}  "
-            f"merges folded: {stats.merges_folded}")
-        lines.append(
-            f"trivial moves: {stats.trivial_moves} "
-            f"({stats.bytes_moved:,} bytes relabelled, none rewritten)")
-        lines.append(
-            f"io: {io.read_blocks:,} read blocks / "
-            f"{io.write_blocks:,} write blocks "
-            f"(reads by category: {dict(sorted(io.reads_by_category.items()))})")
+            version = self.versions.current
+            for level, files in enumerate(version.levels):
+                if files:
+                    entries = sum(meta.num_entries for meta in files)
+                    lines.append(
+                        f"  L{level}: {len(files):3d} files  "
+                        f"{version.level_size(level):>10,} bytes  "
+                        f"{entries:>8,} entries")
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         files = sum(self.level_file_counts())
         return (f"DB(name={self.name!r}, files={files}, "
                 f"last_seq={self.versions.last_sequence})")
+
+
+def _tree_lines(key: Any, value: Any, indent: str) -> list[str]:
+    """``key: value`` for a leaf; a non-empty dict nests one indent deeper."""
+    if not isinstance(value, dict) or not value:
+        return [f"{indent}{key}: {value}"]
+    lines = [f"{indent}{key}:"]
+    for child, item in value.items():
+        lines.extend(_tree_lines(child, item, indent + "  "))
+    return lines

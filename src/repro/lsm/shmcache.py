@@ -248,7 +248,7 @@ class ShmBackedBlockCache:
     Lookup order: local LRU (decoded :class:`Block` objects, zero copy) ->
     shared segment (payload bytes; a hit decodes and back-fills the local
     LRU, skipping disk, CRC and decompression) -> miss.  Stores go to both.
-    Presents the same ``get``/``put``/``evict``/``evict_file`` + counter
+    Presents the same ``get``/``put``/``evict``/``evict_file`` + ``stats``
     surface as :class:`~repro.lsm.cache.LRUCache`, so the table cache and
     ``DB.stats`` treat either interchangeably.
     """
@@ -301,3 +301,5 @@ class ShmBackedBlockCache:
     @property
     def used_bytes(self) -> int:
         return self.local.used_bytes if self.local is not None else 0
+
+    stats = LRUCache.stats

@@ -279,16 +279,22 @@ class Version:
 
     # -- compaction scoring ---------------------------------------------------
 
+    def level_scores(self) -> list[float]:
+        """Score of every level but the last; >= 1.0 means "compact now".
+
+        Level 0 is scored by file count against ``l0_compaction_trigger``,
+        deeper levels by bytes against their size budget.
+        """
+        options = self.options
+        return [len(self.levels[0]) / options.l0_compaction_trigger] + [
+            self.level_size(level) / options.max_bytes_for_level(level)
+            for level in range(1, len(self.levels) - 1)]
+
     def compaction_score(self) -> tuple[float, int]:
-        """Best (score, level) pair; a score >= 1.0 means "compact now"."""
-        best_score = len(self.levels[0]) / self.options.l0_compaction_trigger
-        best_level = 0
-        for level in range(1, len(self.levels) - 1):
-            score = self.level_size(level) / self.options.max_bytes_for_level(level)
-            if score > best_score:
-                best_score = score
-                best_level = level
-        return best_score, best_level
+        """Best (score, level) pair; the shallowest level wins a tie."""
+        scores = self.level_scores()
+        level = max(range(len(scores)), key=scores.__getitem__)
+        return scores[level], level
 
 
 class VersionSet:

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from typing import Any, Callable
@@ -94,6 +95,13 @@ def _blocks(nbytes: int) -> int:
     return -(-nbytes // DEVICE_BLOCK_SIZE)
 
 
+def counter_dict(counters: Any) -> dict[str, Any]:
+    """A counter dataclass as a dict, each dict field copied in one step:
+    threads count without a lock, and ``asdict`` would fail on a mapping
+    that grows mid-copy."""
+    return {f.name: copy(getattr(counters, f.name)) for f in fields(counters)}
+
+
 @dataclass
 class IOStats:
     """Counters of device-block reads and writes, split by category.
@@ -130,37 +138,23 @@ class IOStats:
 
     def snapshot(self) -> "IOStats":
         """Copy of the current counters (for before/after deltas)."""
-        return IOStats(
-            read_ops=self.read_ops,
-            write_ops=self.write_ops,
-            read_blocks=self.read_blocks,
-            write_blocks=self.write_blocks,
-            read_bytes=self.read_bytes,
-            write_bytes=self.write_bytes,
-            reads_by_category=dict(self.reads_by_category),
-            writes_by_category=dict(self.writes_by_category),
-        )
+        return IOStats(**counter_dict(self))
 
     def delta(self, earlier: "IOStats") -> "IOStats":
-        """Counters accumulated since ``earlier`` was snapshotted."""
-        return IOStats(
-            read_ops=self.read_ops - earlier.read_ops,
-            write_ops=self.write_ops - earlier.write_ops,
-            read_blocks=self.read_blocks - earlier.read_blocks,
-            write_blocks=self.write_blocks - earlier.write_blocks,
-            read_bytes=self.read_bytes - earlier.read_bytes,
-            write_bytes=self.write_bytes - earlier.write_bytes,
-            reads_by_category={
-                key: value - earlier.reads_by_category.get(key, 0)
-                for key, value in self.reads_by_category.items()
-                if value != earlier.reads_by_category.get(key, 0)
-            },
-            writes_by_category={
-                key: value - earlier.writes_by_category.get(key, 0)
-                for key, value in self.writes_by_category.items()
-                if value != earlier.writes_by_category.get(key, 0)
-            },
-        )
+        """Counters accumulated since ``earlier`` was snapshotted.
+
+        A per-category entry that did not change is left out.
+        """
+        counts: dict[str, Any] = {}
+        for f in fields(self):
+            now, then = getattr(self, f.name), getattr(earlier, f.name)
+            if isinstance(now, dict):
+                counts[f.name] = {key: value - then.get(key, 0)
+                                  for key, value in now.items()
+                                  if value != then.get(key, 0)}
+            else:
+                counts[f.name] = now - then
+        return IOStats(**counts)
 
     @property
     def total_blocks(self) -> int:

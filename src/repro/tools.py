@@ -40,43 +40,10 @@ def _open(directory: str, name: str, options: Options | None = None) -> DB:
 
 
 def cmd_stats(directory: str, name: str, out: IO[str]) -> int:
-    """Level shapes, file counts, sizes, sequence numbers."""
+    """The database's stats tree and level shapes (``DB.debug_string``)."""
     db = _open(directory, name)
     try:
-        version = db.versions.current
-        out.write(f"database:        {name}\n")
-        out.write(f"last sequence:   {db.versions.last_sequence}\n")
-        out.write(f"next file:       {db.versions.next_file_number}\n")
-        out.write(f"total size:      {db.approximate_size():,} bytes\n")
-        out.write(f"memtable:        {len(db.memtable)} entries, "
-                  f"{db.memtable.approximate_memory_usage:,} bytes\n")
-        out.write("levels:\n")
-        for level, files in enumerate(version.levels):
-            if not files:
-                continue
-            size = version.level_size(level)
-            entries = sum(meta.num_entries for meta in files)
-            out.write(f"  L{level}: {len(files):3d} files  "
-                      f"{size:>10,} bytes  {entries:>8,} entries\n")
-        stats = db.stats()
-        work = stats["compaction"]
-        out.write("maintenance since open:\n")
-        out.write(f"  flushes:         {work['flush_count']}, "
-                  f"{work['bytes_flushed']:,} bytes\n")
-        out.write(f"  compactions:     {work['compaction_count']} merged, "
-                  f"{work['bytes_compacted_in']:,} bytes in / "
-                  f"{work['bytes_compacted_out']:,} out\n")
-        out.write(f"  trivial moves:   {work['trivial_moves']}, "
-                  f"{work['bytes_moved']:,} bytes relabelled\n")
-        pipeline = stats["pipeline"]
-        out.write("pipeline:\n")
-        out.write(f"  background:      "
-                  f"{'on' if pipeline['background'] else 'off'}\n")
-        out.write(f"  imm pending:     {pipeline['imm_pending']}\n")
-        out.write(f"  queue depth:     "
-                  f"{pipeline['compaction_queue_depth']}\n")
-        out.write(f"  stalls:          {pipeline['stall_events']} events, "
-                  f"{pipeline['stall_seconds']:.3f}s\n")
+        out.write(db.debug_string() + "\n")
         return 0
     finally:
         db.close()

@@ -15,11 +15,11 @@ def _wrapped(index_options, kind=IndexKind.LAZY):
 class TestBasicDelegation:
     def test_operations_pass_through(self, index_options):
         db = _wrapped(index_options)
-        db.put("t1", {"UserID": "u1"})
+        put_seq = db.put("t1", {"UserID": "u1"})
         assert db.get("t1") == {"UserID": "u1"}
         assert [r.key for r in db.lookup("UserID", "u1")] == ["t1"]
         assert db.range_lookup("UserID", "u0", "u9")[0].key == "t1"
-        db.delete("t1")
+        assert db.delete("t1") > put_seq
         assert db.get("t1") is None
         db.flush()
         db.compact_all()

@@ -11,6 +11,15 @@ from repro.lsm.options import Options
 from repro.lsm.vfs import LocalVFS, MemoryVFS
 
 
+def _leaves(tree):
+    """(key, value) of every leaf of a stats tree; an empty dict is a leaf."""
+    for key, value in tree.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value)
+        else:
+            yield key, value
+
+
 def _options(**overrides):
     base = dict(block_size=1024, sstable_target_size=4 * 1024,
                 memtable_budget=4 * 1024, l1_target_size=16 * 1024)
@@ -411,6 +420,10 @@ class TestIntrospection:
         assert stats["io"]["read_blocks"] > 0
         assert stats["io"]["write_blocks"] > 0
         json.dumps(stats)  # the whole report is JSON-serializable
+        # debug_string() renders this one tree: a line per leaf, by key.
+        lines = {line.strip() for line in db.debug_string().splitlines()}
+        for key, value in _leaves(stats):
+            assert f"{key}: {value}" in lines
         db.close()
 
     def test_stats_reports_block_cache(self):
@@ -445,6 +458,15 @@ class TestIntrospection:
         assert pipe["bg_flushes"] == 0
         assert pipe["bg_error"] is None
         json.dumps(pipe)
+        db.close()
+        # A full level 0 the engine may not compact is one level of owed
+        # work.
+        db = DB.open_memory(_options(disable_auto_compaction=True))
+        for i in range(db.options.l0_compaction_trigger):
+            db.put(f"k{i:05d}".encode(), b"x" * 60)
+            db.flush()
+        assert db.stats()["levels"][0] == db.options.l0_compaction_trigger
+        assert db.stats()["pipeline"]["compaction_queue_depth"] == 1
         db.close()
 
     def test_pipeline_gauges_background_mode(self):

@@ -69,9 +69,11 @@ class TestDebugString:
         for i in range(500):
             db.put(f"k{i:05d}".encode(), b"x" * 40)
         text = db.debug_string()
+        lines = {line.strip() for line in text.splitlines()}
+        stats = db.stats()
         assert f"last_sequence: {db.versions.last_sequence}" in text
-        assert "memtable:" in text
-        assert "flushes:" in text
+        assert f"memtable_entries: {stats['memtable_entries']}" in lines
+        assert f"flush_count: {stats['compaction']['flush_count']}" in lines
         assert "io:" in text
         assert "L0:" in text or "L1:" in text
         db.close()

@@ -97,10 +97,11 @@ def test_doc_mode_lookup_and_range(doc_server):
 
 
 def test_stats_exposes_engine_and_server(kv_server):
-    server, _db = kv_server
+    server, db = kv_server
     with connect(server) as client:
         client.put(b"a", b"1")
         stats = client.stats()
+    assert stats["db"].keys() == db.stats().keys()
     assert stats["db"]["pipeline"]["group_commit_ops"] >= 1
     assert stats["server"]["connections_accepted"] == 1
     assert stats["server"]["requests"] >= 2
