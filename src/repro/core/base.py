@@ -5,9 +5,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Iterator
 
 from repro.core.records import Document
+from repro.lsm.db import DB, WriteBatch
 
 
 class IndexKind(Enum):
@@ -46,6 +47,11 @@ class SecondaryIndex(ABC):
     write hooks (keeping index and data table consistent, Section 1's
     "consistency management") and delegates queries.  ``k=None`` means the
     paper's "no limit on top-k": return every match, newest first.
+
+    The hooks add this index's entries to the :class:`WriteBatch` that
+    carries the primary write, so both commit at once.  The record's
+    sequence number is only known at that commit: an entry that stores it
+    is a function of it, and the batch stamps it (``WriteBatch.stamp``).
     """
 
     def __init__(self, attribute: str) -> None:
@@ -55,19 +61,22 @@ class SecondaryIndex(ABC):
 
     # -- write path -------------------------------------------------------------
 
-    @abstractmethod
-    def on_put(self, key: bytes, document: Document, seq: int) -> None:
-        """Maintain the index for ``PUT(key, document)`` at sequence ``seq``."""
+    def on_put(self, batch: WriteBatch, key: bytes,
+               document: Document) -> None:
+        """Add the index entries of ``PUT(key, document)`` to ``batch``."""
 
-    @abstractmethod
-    def on_delete(self, key: bytes, old_document: Document | None,
-                  seq: int) -> None:
-        """Maintain the index for ``DEL(key)``.
+    def on_delete(self, batch: WriteBatch, key: bytes,
+                  old_document: Document | None) -> None:
+        """Add the index entries of ``DEL(key)`` to ``batch``.
 
         ``old_document`` is the record being deleted (``None`` if the key
         was absent); stand-alone indexes need it to target the posting list
         of the old attribute value.
         """
+
+    def after_put(self, key: bytes, document: Document, seq: int) -> None:
+        """``PUT(key, document)`` committed at ``seq`` (the Embedded
+        index's MemTable B-tree follows the primary MemTable here)."""
 
     # -- query path -------------------------------------------------------------
 
@@ -111,3 +120,55 @@ class SecondaryIndex(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(attribute={self.attribute!r})"
+
+
+class StandAloneIndex(SecondaryIndex):
+    """An index kept in its own LSM table (Eager, Lazy, Composite).
+
+    Inside a :class:`~repro.core.database.SecondaryIndexedDB` the table is
+    WAL-less and commits through the primary table's WAL; the
+    :meth:`apply_put` / :meth:`apply_delete` pair writes the entries of a
+    record that committed elsewhere (a rebuild, the cluster's global
+    index) in a batch of their own.
+    """
+
+    def __init__(self, attribute: str, index_db: DB, checker) -> None:
+        super().__init__(attribute)
+        self.index_db = index_db
+        self.checker = checker
+
+    def apply_put(self, key: bytes, document: Document, seq: int) -> None:
+        """Write the entries of a record that committed at ``seq``."""
+        batch = WriteBatch()
+        self.on_put(batch, key, document)
+        self._apply(batch, seq)
+
+    def apply_delete(self, key: bytes, old_document: Document | None,
+                     seq: int) -> None:
+        """Write the entries of a deletion that committed at ``seq``."""
+        batch = WriteBatch()
+        self.on_delete(batch, key, old_document)
+        self._apply(batch, seq)
+
+    @abstractmethod
+    def entries(self) -> Iterator[tuple[bytes, bytes]]:
+        """``(encoded value, primary key)`` of every entry in the index
+        table that a LOOKUP of the value would fetch, stale or not; read
+        without filling the block cache (an audit's pass)."""
+
+    def _apply(self, batch: WriteBatch, seq: int) -> None:
+        if batch.ops:
+            batch.stamp(seq)
+            self.index_db.write(batch)
+
+    def flush(self) -> None:
+        self.index_db.flush()
+
+    def compact(self) -> None:
+        self.index_db.compact_range()
+
+    def size_bytes(self) -> int:
+        return self.index_db.approximate_size()
+
+    def close(self) -> None:
+        self.index_db.close()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.core.base import IndexKind, LookupResult, SecondaryIndex
+from repro.core.base import IndexKind, LookupResult, StandAloneIndex
 from repro.core.records import Document, attribute_of
 from repro.core.topk import TopKBySeq
 from repro.core.validity import (
@@ -34,7 +34,7 @@ from repro.core.validity import (
     attribute_equals,
     attribute_in_range,
 )
-from repro.lsm.db import DB
+from repro.lsm.db import DB, WriteBatch
 from repro.lsm.errors import CorruptionError
 from repro.lsm.keys import decode_varint, encode_varint
 from repro.lsm.zonemap import encode_attribute
@@ -82,30 +82,29 @@ def prefix_successor(prefix: bytes) -> bytes:
     return prefix[:-1] + b"\x01"
 
 
-class CompositeIndex(SecondaryIndex):
+class CompositeIndex(StandAloneIndex):
     """(secondary + primary) composite keys in a stand-alone index table."""
 
     kind = IndexKind.COMPOSITE
 
     def __init__(self, attribute: str, index_db: DB,
                  checker: ValidityChecker) -> None:
-        super().__init__(attribute)
-        self.index_db = index_db
-        self.checker = checker
+        super().__init__(attribute, index_db, checker)
         #: Composite entries examined by queries before validation.
         self.candidates_scanned = 0
 
     # -- write hooks --------------------------------------------------------------
 
-    def on_put(self, key: bytes, document: Document, seq: int) -> None:
+    def on_put(self, batch: WriteBatch, key: bytes,
+               document: Document) -> None:
         attr_value = attribute_of(document, self.attribute)
         if attr_value is None:
             return
         composite = make_composite_key(encode_attribute(attr_value), key)
-        self.index_db.put(composite, encode_varint(seq))
+        batch.put(composite, encode_varint, self.index_db)
 
-    def on_delete(self, key: bytes, old_document: Document | None,
-                  seq: int) -> None:
+    def on_delete(self, batch: WriteBatch, key: bytes,
+                  old_document: Document | None) -> None:
         """DEL "inserts the composite key with a deletion marker": the
         engine's own tombstone plays that role here, and compaction removes
         the dead entry exactly as the paper describes."""
@@ -115,7 +114,7 @@ class CompositeIndex(SecondaryIndex):
         if attr_value is None:
             return
         composite = make_composite_key(encode_attribute(attr_value), key)
-        self.index_db.delete(composite)
+        batch.delete(composite, self.index_db)
 
     # -- queries -------------------------------------------------------------
 
@@ -135,6 +134,10 @@ class CompositeIndex(SecondaryIndex):
         self.candidates_scanned += len(candidates)
         return self._validate_newest_first(
             candidates, attribute_equals(self.attribute, value), k)
+
+    def entries(self) -> Iterator[tuple[bytes, bytes]]:
+        for composite, _payload in self.index_db.scan(fill_cache=False):
+            yield split_composite_key(composite)
 
     def _validate_newest_first(self, candidates: list[tuple[int, bytes]],
                                predicate, k: int | None) -> list[LookupResult]:
@@ -175,17 +178,3 @@ class CompositeIndex(SecondaryIndex):
             posting_seq, _pos = decode_varint(payload, 0)
             candidates.append((posting_seq, primary_key))
         return self._validate_newest_first(candidates, predicate, k)
-
-    # -- maintenance ------------------------------------------------------------
-
-    def flush(self) -> None:
-        self.index_db.flush()
-
-    def compact(self) -> None:
-        self.index_db.compact_range()
-
-    def size_bytes(self) -> int:
-        return self.index_db.approximate_size()
-
-    def close(self) -> None:
-        self.index_db.close()

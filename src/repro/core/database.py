@@ -15,14 +15,23 @@ operations (Table 1)::
 Each stand-alone index lives in its *own* LSM table ("column family"), by
 default on its own metered VFS so that the paper's per-table I/O series
 (data-table GETs vs index compaction, Figures 9 and 13-15) fall directly
-out of the meters.
+out of the meters.  The index tables have no WAL of their own: they log
+through the primary table's WAL, in its sequence space
+(:meth:`repro.lsm.db.DB.open_table`).
 
 Consistency model (Section 1's "managing the consistency between secondary
-indexes and data tables"): the data table is written first and is always
-authoritative; index maintenance follows synchronously in the same call.
-Stale index entries left behind by updates are filtered at query time by
-validating every candidate against the data table — the same design as the
-paper's LevelDB++.
+indexes and data tables"): a PUT or DEL is one
+:class:`~repro.lsm.db.WriteBatch` holding the primary write and every
+stand-alone index's entries, committed with one WAL append and one sync.
+A crash therefore keeps all of it or none of it: recovery never holds a
+record that GET returns and LOOKUP misses (AsterixDB logs a dataset's
+primary and secondary index operations in one log for the same reason).
+The index entries carry the primary write's sequence number, stamped at
+commit.  The data table is authoritative: stale index entries left behind
+by updates are filtered at query time by validating every candidate
+against it — the same design as the paper's LevelDB++ — and
+:meth:`SecondaryIndexedDB.verify_integrity` checks that no live record is
+missing from an index.
 """
 
 from __future__ import annotations
@@ -30,7 +39,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Iterator, Mapping
 
-from repro.core.base import IndexKind, LookupResult, SecondaryIndex
+from repro.core.base import (
+    IndexKind,
+    LookupResult,
+    SecondaryIndex,
+    StandAloneIndex,
+)
 from repro.core.composite import CompositeIndex
 from repro.core.eager import EagerIndex
 from repro.core.embedded import EmbeddedIndex
@@ -43,12 +57,14 @@ from repro.core.records import (
     decode_document,
     encode_document,
     key_to_bytes,
+    key_to_str,
 )
 from repro.core.validity import ValidityChecker
-from repro.lsm.db import DB
-from repro.lsm.errors import InvalidArgumentError
+from repro.lsm.db import DB, WriteBatch
+from repro.lsm.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.options import Options
 from repro.lsm.vfs import MemoryVFS, VFS
+from repro.lsm.zonemap import encode_attribute
 
 
 class SecondaryIndexedDB:
@@ -61,14 +77,12 @@ class SecondaryIndexedDB:
         self.primary = primary
         self.indexes = indexes
         self.checker = checker
-        # attribute -> (kind, table_vfs, table_name, index_options) for
-        # every stand-alone index: everything needed to drop and re-create
-        # its table when corruption quarantines it (see rebuild_index).
+        # attribute -> (table_vfs, table_name, index_options) for every
+        # stand-alone index: everything needed to drop and re-create its
+        # table when corruption quarantines it (see rebuild_index).
         self._index_specs: dict[str, tuple] = index_specs or {}
         self._needs_old_doc_on_delete = any(
-            index.kind in (IndexKind.EAGER, IndexKind.LAZY,
-                           IndexKind.COMPOSITE)
-            for index in indexes.values())
+            isinstance(index, StandAloneIndex) for index in indexes.values())
         self._closed = False
 
     # -- construction ------------------------------------------------------------
@@ -92,17 +106,37 @@ class SecondaryIndexedDB:
         primary_options = replace(base_options,
                                   indexed_attributes=embedded_attrs,
                                   merge_operator=None)
-        primary = DB.open(vfs, f"{name}/primary", primary_options)
-        checker = ValidityChecker(primary)
-
-        built: dict[str, SecondaryIndex] = {}
+        for kind in indexes.values():
+            if not isinstance(kind, IndexKind):
+                raise InvalidArgumentError(f"unknown index kind: {kind!r}")
+        # The index tables open first and WAL-less: the primary's recovery
+        # replays their logged records into them.
         specs: dict[str, tuple] = {}
-        for attribute, kind in indexes.items():
-            built[attribute], spec = cls._build_index(
-                attribute, kind, primary, checker, base_options,
-                vfs, name, index_vfs_factory)
-            if spec is not None:
-                specs[attribute] = spec
+        tables: dict[str, DB] = {}
+        try:
+            for attribute, kind in indexes.items():
+                if kind in (IndexKind.EMBEDDED, IndexKind.NOINDEX):
+                    continue
+                table_name = f"{name}/index-{kind.value}-{attribute}"
+                table_vfs = vfs if index_vfs_factory is None \
+                    else index_vfs_factory(table_name)
+                index_options = replace(
+                    base_options, indexed_attributes=(),
+                    merge_operator=(posting_merge_operator
+                                    if kind == IndexKind.LAZY else None))
+                specs[attribute] = (table_vfs, table_name, index_options)
+                tables[attribute] = DB.open_table(table_vfs, table_name,
+                                                  index_options)
+            primary = DB.open(vfs, f"{name}/primary", primary_options,
+                              tables=tables.values())
+        except BaseException:
+            for table in tables.values():
+                table.close()
+            raise
+        checker = ValidityChecker(primary)
+        built = {attribute: cls._build_index(attribute, kind, primary,
+                                             checker, tables.get(attribute))
+                 for attribute, kind in indexes.items()}
         return cls(primary, built, checker, index_specs=specs)
 
     @classmethod
@@ -116,54 +150,38 @@ class SecondaryIndexedDB:
         return cls.open(vfs, name, indexes, options,
                         index_vfs_factory=factory)
 
-    @classmethod
-    def _build_index(cls, attribute: str, kind: IndexKind, primary: DB,
-                     checker: ValidityChecker, base_options: Options,
-                     vfs: VFS, name: str, index_vfs_factory
-                     ) -> tuple[SecondaryIndex, tuple | None]:
-        """Returns ``(index, rebuild_spec)``.
-
-        The spec — ``(kind, table_vfs, table_name, index_options)`` — is
-        ``None`` for index kinds that live inside the primary table and
-        therefore have no table of their own to rebuild.
-        """
-        if not isinstance(kind, IndexKind):
-            raise InvalidArgumentError(f"unknown index kind: {kind!r}")
+    @staticmethod
+    def _build_index(attribute: str, kind: IndexKind, primary: DB,
+                     checker: ValidityChecker, index_db: DB | None
+                     ) -> SecondaryIndex:
         if kind == IndexKind.EMBEDDED:
-            return EmbeddedIndex(attribute, primary, checker), None
+            return EmbeddedIndex(attribute, primary, checker)
         if kind == IndexKind.NOINDEX:
-            return NoIndex(attribute, primary), None
-        table_name = f"{name}/index-{kind.value}-{attribute}"
-        table_vfs = vfs if index_vfs_factory is None \
-            else index_vfs_factory(table_name)
-        merge_operator = posting_merge_operator \
-            if kind == IndexKind.LAZY else None
-        index_options = replace(base_options,
-                                indexed_attributes=(),
-                                merge_operator=merge_operator)
-        index_db = DB.open(table_vfs, table_name, index_options)
-        spec = (kind, table_vfs, table_name, index_options)
-        if kind == IndexKind.EAGER:
-            return EagerIndex(attribute, index_db, checker), spec
-        if kind == IndexKind.LAZY:
-            return LazyIndex(attribute, index_db, checker), spec
-        if kind == IndexKind.COMPOSITE:
-            return CompositeIndex(attribute, index_db, checker), spec
-        raise InvalidArgumentError(f"unknown index kind: {kind!r}")
+            return NoIndex(attribute, primary)
+        index_class = {IndexKind.EAGER: EagerIndex, IndexKind.LAZY: LazyIndex,
+                       IndexKind.COMPOSITE: CompositeIndex}[kind]
+        return index_class(attribute, index_db, checker)
 
     # -- base operations (Table 1) ----------------------------------------------
+
+    def _commit(self, batch: WriteBatch) -> int:
+        """Commit ``batch`` (the primary write first, then the index
+        entries); returns the primary write's own sequence number, which
+        the commit also stamped into the entries.  Reading
+        ``versions.last_sequence`` afterwards would race a concurrent
+        writer under the background pipeline."""
+        return self.primary.write(batch) - batch.span() + 1
 
     def put(self, key: str | bytes, document: Document) -> int:
         """PUT(k, v): write (or overwrite) and maintain every index."""
         self._check_open()
         key_bytes = key_to_bytes(key)
-        # The commit returns this write's own sequence number; reading
-        # versions.last_sequence afterwards would race a concurrent writer
-        # under the background pipeline and stamp the index entries with a
-        # stranger's sequence.
-        seq = self.primary.put(key_bytes, encode_document(document))
+        batch = WriteBatch().put(key_bytes, encode_document(document))
         for index in self.indexes.values():
-            index.on_put(key_bytes, document, seq)
+            index.on_put(batch, key_bytes, document)
+        seq = self._commit(batch)
+        for index in self.indexes.values():
+            index.after_put(key_bytes, document, seq)
         return seq
 
     def get(self, key: str | bytes) -> Document | None:
@@ -189,10 +207,10 @@ class SecondaryIndexedDB:
             old_value = self.primary.get(key_bytes)
             if old_value is not None:
                 old_document = decode_document(old_value)
-        seq = self.primary.delete(key_bytes)
+        batch = WriteBatch().delete(key_bytes)
         for index in self.indexes.values():
-            index.on_delete(key_bytes, old_document, seq)
-        return seq
+            index.on_delete(batch, key_bytes, old_document)
+        return self._commit(batch)
 
     # -- secondary queries (Table 1) -----------------------------------------------
 
@@ -326,14 +344,15 @@ class SecondaryIndexedDB:
         spec = self._index_specs.get(attribute)
         if spec is None:
             return 0  # embedded or noindex: lives inside the primary table
-        _kind, table_vfs, table_name, index_options = spec
+        table_vfs, table_name, index_options = spec
         index.index_db.close()
         for name in list(table_vfs.list_dir(table_name + "/")):
             table_vfs.delete_if_exists(name)
-        index.index_db = DB.open(table_vfs, table_name, index_options)
+        index.index_db = DB.open_table(table_vfs, table_name, index_options)
+        self.primary.attach_table(index.index_db)
         replayed = 0
         for key_bytes, value, seq in self.primary.scan_with_seq():
-            index.on_put(key_bytes, decode_document(value), seq)
+            index.apply_put(key_bytes, decode_document(value), seq)
             replayed += 1
         index.flush()
         return replayed
@@ -364,11 +383,49 @@ class SecondaryIndexedDB:
 
         Returns ``{"primary" | "index:attr": IntegrityReport}``; all
         reports ``.ok`` means every block checksum, table reference and
-        manifest entry verified.
+        manifest entry verified, and every live primary record is found
+        through every stand-alone index (an exhaustive LOOKUP of its
+        value returns it; stale index entries are allowed).
         """
         self._check_open()
-        return {label: table.verify_integrity()
-                for label, table in self.tables()}
+        reports = {label: table.verify_integrity()
+                   for label, table in self.tables()}
+        self._check_index_coverage(reports)
+        return reports
+
+    def _check_index_coverage(self, reports: dict[str, Any]) -> None:
+        """Report on each stand-alone index every live primary key it holds
+        no entry for under its value: one pass over each table, neither
+        filling a block cache; the live ``(value, key)`` pairs are what is
+        held.  A table whose own audit failed is not read again (its damage
+        is reported, and a read could raise or quarantine), and a record
+        or entry that does not parse is reported, not raised."""
+        expected: dict[str, set[tuple[bytes, bytes]]] = {
+            attribute: set() for attribute, index in self.indexes.items()
+            if isinstance(index, StandAloneIndex)
+            and reports[f"index:{attribute}"].ok}
+        if not expected or not reports["primary"].ok:
+            return
+        try:
+            for key, value in self.primary.scan(fill_cache=False):
+                document = decode_document(value)
+                for attribute, pairs in expected.items():
+                    attr_value = attribute_of(document, attribute)
+                    if attr_value is not None:
+                        pairs.add((encode_attribute(attr_value), key))
+        except (CorruptionError, ValueError) as exc:
+            reports["primary"].problem(f"unreadable record: {exc}")
+            return
+        for attribute, pairs in expected.items():
+            report = reports[f"index:{attribute}"]
+            try:
+                pairs.difference_update(self.indexes[attribute].entries())
+            except (CorruptionError, ValueError) as exc:
+                report.problem(f"unreadable entry: {exc}")
+                continue
+            for key in sorted(key_to_str(key) for _value, key in pairs):
+                report.problem(
+                    f"live record {key!r} is missing from the index")
 
     def size_breakdown(self) -> dict[str, int]:
         """Bytes per table — the paper's Figure 8a decomposition.

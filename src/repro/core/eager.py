@@ -20,13 +20,14 @@ validates a K prefix against the data table in batched GETs.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any
+from typing import Any, Iterator
 
-from repro.core.base import IndexKind, LookupResult, SecondaryIndex
+from repro.core.base import IndexKind, LookupResult, StandAloneIndex
 from repro.core.posting import (
     PostingEntry,
     decode_posting_list,
     encode_posting_list,
+    live_postings,
 )
 from repro.core.records import (
     Document,
@@ -40,27 +41,26 @@ from repro.core.validity import (
     attribute_equals,
     attribute_in_range,
 )
-from repro.lsm.db import DB
+from repro.lsm.db import DB, WriteBatch
 from repro.lsm.zonemap import encode_attribute
 
 
-class EagerIndex(SecondaryIndex):
+class EagerIndex(StandAloneIndex):
     """Read-modify-write posting lists in a stand-alone index table."""
 
     kind = IndexKind.EAGER
 
     def __init__(self, attribute: str, index_db: DB,
                  checker: ValidityChecker) -> None:
-        super().__init__(attribute)
-        self.index_db = index_db
-        self.checker = checker
+        super().__init__(attribute, index_db, checker)
         #: Index-table reads performed by the write path — the "Read l"
         #: column of Table 5 that the Lazy/Composite variants avoid.
         self.write_path_reads = 0
 
     # -- write hooks ------------------------------------------------------------
 
-    def on_put(self, key: bytes, document: Document, seq: int) -> None:
+    def on_put(self, batch: WriteBatch, key: bytes,
+               document: Document) -> None:
         attr_value = attribute_of(document, self.attribute)
         if attr_value is None:
             return
@@ -68,11 +68,13 @@ class EagerIndex(SecondaryIndex):
         entries = self._read_list(index_key)
         key_str = key_to_str(key)
         entries = [entry for entry in entries if entry.key != key_str]
-        entries.insert(0, PostingEntry(key_str, seq))
-        self.index_db.put(index_key, encode_posting_list(entries))
+        batch.put(index_key,
+                  lambda seq: encode_posting_list(
+                      [PostingEntry(key_str, seq), *entries]),
+                  self.index_db)
 
-    def on_delete(self, key: bytes, old_document: Document | None,
-                  seq: int) -> None:
+    def on_delete(self, batch: WriteBatch, key: bytes,
+                  old_document: Document | None) -> None:
         if old_document is None:
             return
         attr_value = attribute_of(old_document, self.attribute)
@@ -83,7 +85,11 @@ class EagerIndex(SecondaryIndex):
         key_str = key_to_str(key)
         remaining = [entry for entry in entries if entry.key != key_str]
         if len(remaining) != len(entries):
-            self.index_db.put(index_key, encode_posting_list(remaining))
+            batch.put(index_key, encode_posting_list(remaining),
+                      self.index_db)
+
+    def entries(self) -> Iterator[tuple[bytes, bytes]]:
+        return live_postings(self.index_db)
 
     def _read_list(self, index_key: bytes) -> list[PostingEntry]:
         self.write_path_reads += 1
@@ -138,17 +144,3 @@ class EagerIndex(SecondaryIndex):
             ((entry.seq, key_to_bytes(entry.key)) for entry in postings
              if not entry.deleted), predicate, heap, set())
         return heap.results()
-
-    # -- maintenance ----------------------------------------------------------
-
-    def flush(self) -> None:
-        self.index_db.flush()
-
-    def compact(self) -> None:
-        self.index_db.compact_range()
-
-    def size_bytes(self) -> int:
-        return self.index_db.approximate_size()
-
-    def close(self) -> None:
-        self.index_db.close()

@@ -122,22 +122,18 @@ class EmbeddedIndex(SecondaryIndex):
         extractor = self.primary.options.attribute_extractor
         for ikey, value in self.primary.scan_level(-1):
             if ikey.kind == KIND_VALUE:
-                self.on_put(ikey.user_key, extractor(value), ikey.seq)
+                self.after_put(ikey.user_key, extractor(value), ikey.seq)
 
     # -- write hooks ------------------------------------------------------------
 
-    def on_put(self, key: bytes, document: Document, seq: int) -> None:
+    def after_put(self, key: bytes, document: Document, seq: int) -> None:
+        # Nothing to add to the batch (on_put/on_delete): the filters live
+        # in the primary's own tables, and a MemTable tombstone invalidates
+        # any older B-tree posting at query time.
         attr_value = attribute_of(document, self.attribute)
         if attr_value is None:
             return
         self.memview.insert(encode_attribute(attr_value), seq, key)
-
-    def on_delete(self, key: bytes, old_document: Document | None,
-                  seq: int) -> None:
-        # Nothing to write: the MemTable tombstone itself invalidates any
-        # older B-tree posting at query time, and SSTable filters are
-        # immutable by design.
-        return
 
     # -- queries --------------------------------------------------------------
 

@@ -27,13 +27,15 @@ time).
 
 from __future__ import annotations
 
+from functools import partial
 from operator import attrgetter
-from typing import Any
+from typing import Any, Iterator
 
-from repro.core.base import IndexKind, LookupResult, SecondaryIndex
+from repro.core.base import IndexKind, LookupResult, StandAloneIndex
 from repro.core.posting import (
     PostingEntry,
     decode_posting_list,
+    live_postings,
     single_posting_fragment,
 )
 from repro.core.records import (
@@ -48,7 +50,7 @@ from repro.core.validity import (
     attribute_equals,
     attribute_in_range,
 )
-from repro.lsm.db import DB
+from repro.lsm.db import DB, WriteBatch
 from repro.lsm.keys import KIND_DELETE, KIND_MERGE
 from repro.lsm.zonemap import encode_attribute
 
@@ -67,43 +69,44 @@ class _HarvestState:
         self.cancelled: set[tuple[bytes, str]] = set()
 
 
-class LazyIndex(SecondaryIndex):
+class LazyIndex(StandAloneIndex):
     """Append-only posting fragments merged by compaction."""
 
     kind = IndexKind.LAZY
 
     def __init__(self, attribute: str, index_db: DB,
                  checker: ValidityChecker) -> None:
-        super().__init__(attribute)
         if index_db.options.merge_operator is None:
             raise ValueError(
                 "the Lazy index table must be opened with the posting "
                 "merge operator (see repro.core.posting)")
-        self.index_db = index_db
-        self.checker = checker
+        super().__init__(attribute, index_db, checker)
         #: Levels visited by LOOKUPs (the "up to L reads" of Table 5).
         self.levels_visited = 0
         self.lookups = 0
 
     # -- write hooks ---------------------------------------------------------
 
-    def on_put(self, key: bytes, document: Document, seq: int) -> None:
+    def on_put(self, batch: WriteBatch, key: bytes,
+               document: Document) -> None:
         attr_value = attribute_of(document, self.attribute)
         if attr_value is None:
             return
-        self.index_db.merge(encode_attribute(attr_value),
-                            single_posting_fragment(key_to_str(key), seq))
+        batch.merge(encode_attribute(attr_value),
+                    partial(single_posting_fragment, key_to_str(key)),
+                    self.index_db)
 
-    def on_delete(self, key: bytes, old_document: Document | None,
-                  seq: int) -> None:
+    def on_delete(self, batch: WriteBatch, key: bytes,
+                  old_document: Document | None) -> None:
         if old_document is None:
             return
         attr_value = attribute_of(old_document, self.attribute)
         if attr_value is None:
             return
-        self.index_db.merge(
-            encode_attribute(attr_value),
-            single_posting_fragment(key_to_str(key), seq, deleted=True))
+        batch.merge(encode_attribute(attr_value),
+                    partial(single_posting_fragment, key_to_str(key),
+                            deleted=True),
+                    self.index_db)
 
     # -- queries --------------------------------------------------------------
 
@@ -131,6 +134,11 @@ class LazyIndex(SecondaryIndex):
             if shadows_deeper or (early_termination and state.heap.is_full):
                 break
         return state.heap.results()
+
+    def entries(self) -> Iterator[tuple[bytes, bytes]]:
+        # The scan folds each value's fragments with the posting merge
+        # operator: a deletion marker cancels what it cancels in a LOOKUP.
+        return live_postings(self.index_db)
 
     def _gather(self, index_key: bytes, payload: bytes,
                 postings: list[PostingEntry], state: _HarvestState) -> None:
@@ -198,17 +206,3 @@ class LazyIndex(SecondaryIndex):
             if early_termination and state.heap.is_full:
                 break
         return state.heap.results()
-
-    # -- maintenance -------------------------------------------------------------
-
-    def flush(self) -> None:
-        self.index_db.flush()
-
-    def compact(self) -> None:
-        self.index_db.compact_range()
-
-    def size_bytes(self) -> int:
-        return self.index_db.approximate_size()
-
-    def close(self) -> None:
-        self.index_db.close()

@@ -12,12 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.base import IndexKind, LookupResult, SecondaryIndex
-from repro.core.records import (
-    Document,
-    attribute_of,
-    decode_document,
-    key_to_str,
-)
+from repro.core.records import attribute_of, decode_document, key_to_str
 from repro.core.topk import TopKBySeq
 from repro.lsm.db import DB
 from repro.lsm.zonemap import encode_attribute
@@ -31,13 +26,6 @@ class NoIndex(SecondaryIndex):
     def __init__(self, attribute: str, primary: DB) -> None:
         super().__init__(attribute)
         self.primary = primary
-
-    def on_put(self, key: bytes, document: Document, seq: int) -> None:
-        return None
-
-    def on_delete(self, key: bytes, old_document: Document | None,
-                  seq: int) -> None:
-        return None
 
     def lookup(self, value: Any, k: int | None = None,
                early_termination: bool = True) -> list[LookupResult]:

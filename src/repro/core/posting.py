@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.lsm.errors import CorruptionError
 
@@ -89,6 +90,16 @@ def merge_fragments(fragments_oldest_first: list[list[PostingEntry]]
     for fragment in fragments_oldest_first:
         combined.extend(fragment)
     return normalize(combined)
+
+
+def live_postings(index_db) -> Iterator[tuple[bytes, bytes]]:
+    """``(index key, primary key)`` of every posting in an Eager or Lazy
+    index table that no deletion marker cancels, read without filling the
+    block cache."""
+    for index_key, payload in index_db.scan(fill_cache=False):
+        for entry in decode_posting_list(payload):
+            if not entry.deleted:
+                yield index_key, entry.key.encode("utf-8")
 
 
 def posting_merge_operator(key: bytes, operands: list[bytes]) -> bytes:

@@ -130,7 +130,7 @@ class GlobalSecondaryIndex:
         value = attribute_of(document, self.attribute)
         if value is None:
             return
-        self._shard_for(value).on_put(key, document, seq)
+        self._shard_for(value).apply_put(key, document, seq)
 
     def on_delete(self, key: bytes, old_document: Document | None,
                   seq: int) -> None:
@@ -140,7 +140,7 @@ class GlobalSecondaryIndex:
         value = attribute_of(old_document, self.attribute)
         if value is None:
             return
-        self._shard_for(value).on_delete(key, old_document, seq)
+        self._shard_for(value).apply_delete(key, old_document, seq)
 
     # -- queries --------------------------------------------------------------
 

@@ -93,26 +93,87 @@ MAX_WRITE_GROUP_BYTES = 1 << 20
 logger = logging.getLogger(__name__)
 
 
+#: A WAL batch op whose kind byte has this bit set belongs to another table
+#: logging through the same WAL; that table's log id (a varint) follows.
+_TABLE_FLAG = 0x80
+
+
 class WriteBatch:
-    """An atomic group of writes, applied under consecutive sequence numbers."""
+    """An atomic group of writes, applied under consecutive sequence numbers.
+
+    ``table`` names a WAL-less table (:meth:`DB.open_table`) attached to the
+    DB that commits the batch; ``None`` is that DB itself, so one batch can
+    commit a primary record and its index entries together.  Each table's
+    ops take consecutive sequence numbers from the batch's first, so a PUT
+    and its index entries share one.  A value may be a function of that
+    first sequence number: the commit calls it once (:meth:`stamp`), which
+    is how an index entry stores the sequence of the record it indexes.
+    """
 
     def __init__(self) -> None:
-        self.ops: list[tuple[int, bytes, bytes]] = []
+        self.ops: list[tuple[int, bytes, Any, Any]] = []
+        #: The WAL-less tables the ops name, in first-use order, and how
+        #: many ops each.
+        self.tables: dict[DB, int] = {}
+        self._own = 0   # ops of the writing DB itself
+        self._span = 0  # the most ops any one table receives
+        self._deferred = False
 
-    def put(self, key: bytes, value: bytes) -> "WriteBatch":
-        self.ops.append((KIND_VALUE, key, value))
+    def _add(self, kind: int, key: bytes, value, table) -> "WriteBatch":
+        self.ops.append((kind, key, value, table))
+        if table is None:
+            self._own = count = self._own + 1
+        else:
+            self.tables[table] = count = self.tables.get(table, 0) + 1
+        if count > self._span:
+            self._span = count
+        if callable(value):
+            self._deferred = True
         return self
 
-    def delete(self, key: bytes) -> "WriteBatch":
-        self.ops.append((KIND_DELETE, key, b""))
-        return self
+    def put(self, key: bytes, value, table: "DB | None" = None
+            ) -> "WriteBatch":
+        return self._add(KIND_VALUE, key, value, table)
 
-    def merge(self, key: bytes, operand: bytes) -> "WriteBatch":
-        self.ops.append((KIND_MERGE, key, operand))
-        return self
+    def delete(self, key: bytes, table: "DB | None" = None) -> "WriteBatch":
+        return self._add(KIND_DELETE, key, b"", table)
+
+    def merge(self, key: bytes, operand, table: "DB | None" = None
+              ) -> "WriteBatch":
+        return self._add(KIND_MERGE, key, operand, table)
 
     def __len__(self) -> int:
         return len(self.ops)
+
+    def span(self) -> int:
+        """How many sequence numbers the batch takes: the most ops any one
+        table receives."""
+        return self._span
+
+    @staticmethod
+    def sequences(start_seq: int, tables: Iterable) -> Iterator[int]:
+        """The sequence of each op whose table is the matching item of
+        ``tables`` (``None``, a DB or a log id): each table counts on from
+        ``start_seq`` by itself."""
+        taken: dict = {}
+        for table in tables:
+            offset = taken.get(table, 0)
+            taken[table] = offset + 1
+            yield start_seq + offset
+
+    def _retarget(self, old: "DB | None", new: "DB | None") -> "WriteBatch":
+        """This batch with the ops naming ``old`` naming ``new`` instead."""
+        routed = WriteBatch()
+        for kind, key, value, table in self.ops:
+            routed._add(kind, key, value, new if table is old else table)
+        return routed
+
+    def stamp(self, seq: int) -> None:
+        """Replace every value that is a function by its value at ``seq``."""
+        if self._deferred:
+            self.ops = [(kind, key, value(seq) if callable(value) else value,
+                         table) for kind, key, value, table in self.ops]
+            self._deferred = False
 
     def encode(self, start_seq: int) -> bytes:
         out = bytearray(encode_varint(start_seq))
@@ -120,8 +181,12 @@ class WriteBatch:
         # Length prefixes are appended directly (not via
         # encode_length_prefixed) to skip one intermediate bytes object
         # per field — this runs once per write batch on the WAL path.
-        for kind, key, value in self.ops:
-            out.append(kind)
+        for kind, key, value, table in self.ops:
+            if table is None:
+                out.append(kind)
+            else:
+                out.append(kind | _TABLE_FLAG)
+                out += encode_varint(table._log_id)
             out += encode_varint(len(key))
             out += key
             out += encode_varint(len(value))
@@ -130,16 +195,55 @@ class WriteBatch:
 
     @classmethod
     def decode(cls, payload: bytes) -> tuple["WriteBatch", int]:
+        """The batch and its first sequence; an op of another table names
+        it by log id (see :func:`decode_table_directory`)."""
         start_seq, pos = decode_varint(payload, 0)
         count, pos = decode_varint(payload, pos)
         batch = cls()
         for _ in range(count):
             kind = payload[pos]
             pos += 1
+            table = None
+            if kind & _TABLE_FLAG:
+                kind &= ~_TABLE_FLAG
+                table, pos = decode_varint(payload, pos)
             key, pos = decode_length_prefixed(payload, pos)
             value, pos = decode_length_prefixed(payload, pos)
-            batch.ops.append((kind, key, value))
+            batch._add(kind, key, value, table)
         return batch, start_seq
+
+
+def encode_table_directory(labels: list[str]) -> bytes:
+    """The WAL record naming the tables that log through it, log id 1 first.
+
+    A batch never starts at sequence 0, so the leading ``varint(0)`` tells
+    this record apart (docs/FORMAT.md §3.1).
+    """
+    out = bytearray(encode_varint(0))
+    out += encode_varint(len(labels))
+    for label in labels:
+        out += encode_length_prefixed(label.encode("utf-8"))
+    return bytes(out)
+
+
+def is_table_directory(payload: bytes) -> bool:
+    return payload[:1] == b"\x00"
+
+
+def decode_table_directory(payload: bytes) -> list[str]:
+    """Inverse of :func:`encode_table_directory`."""
+    count, pos = decode_varint(payload, 1)
+    labels = []
+    for _ in range(count):
+        label, pos = decode_length_prefixed(payload, pos)
+        labels.append(label.decode("utf-8"))
+    return labels
+
+
+def table_label(name: str) -> str:
+    """How a shared WAL names a table: the last part of its name, so a
+    store copied under another name still routes its records."""
+    return name.rsplit("/", 1)[-1]
 
 
 class Snapshot:
@@ -168,8 +272,9 @@ def _approximate_batch_bytes(batch: "WriteBatch") -> int:
     Counting exact varint widths would mean encoding twice; keys and
     values dominate, so a fixed per-op overhead is plenty.
     """
-    return 16 + sum(len(key) + len(value) + 12
-                    for _kind, key, value in batch.ops)
+    return 16 + sum(len(key) + 12
+                    + (len(value) if isinstance(value, bytes) else 16)
+                    for _kind, key, value, _table in batch.ops)
 
 
 class _Writer:
@@ -221,13 +326,35 @@ class PipelineStats:
 
 
 class DB:
-    """A LevelDB-style LSM key-value store over a metered VFS."""
+    """A LevelDB-style LSM key-value store over a metered VFS.
 
-    def __init__(self, vfs: VFS, name: str, options: Options) -> None:
-        """Use :meth:`open` / :meth:`open_memory` instead of direct construction."""
+    Several tables can share one WAL and one sequence space (RocksDB's
+    column families): the *host* owns the log, and each WAL-less table
+    (:meth:`open_table`) attached to it (``DB.open(..., tables=...)``)
+    keeps its own MemTable, levels, files, compaction, meters and manifest.
+    One :class:`WriteBatch` then commits to several tables with one append
+    and one sync.  Each table's flush edit records the oldest WAL it still
+    needs; the host deletes a WAL once every table has flushed past it, and
+    recovery sends each logged op to its table, skipping those the table's
+    files already hold (DESIGN.md §2.2, the index tables' write path).
+    """
+
+    def __init__(self, vfs: VFS, name: str, options: Options,
+                 tables: Iterable["DB"] = (), wal: bool = True) -> None:
+        """Use :meth:`open` / :meth:`open_memory` / :meth:`open_table`
+        instead of direct construction."""
         self.vfs = vfs
         self.name = name
         self.options = options
+        # -- the shared log (see the class docstring) ----------------------
+        self._has_wal = wal
+        self._host: DB | None = None      # a WAL-less table's host
+        self._log_id = 0                  # its id in the host's WAL records
+        self._tables: list[DB] = []       # a host's WAL-less tables
+        self._wal_need = 0                # oldest WAL holding unflushed data
+        self._imm_wal_need = 0            # the need once ``imm`` is flushed
+        # A log holding records of a table not attached here is kept.
+        self._foreign_floor: int | None = None
         self.versions = VersionSet(options)
         self.table_cache = TableCache(vfs, name, options)
         self.memtable = MemTable()
@@ -249,8 +376,8 @@ class DB:
         self._work_cv = threading.Condition(self._mutex)   # bg thread waits
         self._stall_cv = threading.Condition(self._mutex)  # writers wait
         self.imm: MemTable | None = None     # sealed MemTable being flushed
-        # WALs a rotation closed, deleted once a flush edit records a newer
-        # log number (more than one when an inline flush failed and retried).
+        # WALs a rotation closed, deleted once every table logging here has
+        # flushed past them (_retire_logs).
         self._closed_logs: list[int] = []
         self._writers: deque[_Writer] = deque()
         self._pending_seq = 0  # last *allocated* seq; published lags behind
@@ -292,6 +419,8 @@ class DB:
                 # Before _recover(): tables opened later must see the
                 # layered cache.
                 self.table_cache.attach_shared_cache(self._shm_cache)
+        for table in tables:
+            self._attach_locked(table)
         self._recover()
         self._pending_seq = self.versions.last_sequence
         if self._bg:
@@ -306,9 +435,22 @@ class DB:
 
     @classmethod
     def open(cls, vfs: VFS, name: str = "db",
-             options: Options | None = None) -> "DB":
-        """Open (creating if necessary) the database ``name`` on ``vfs``."""
-        return cls(vfs, name, options or Options())
+             options: Options | None = None,
+             tables: Iterable["DB"] = ()) -> "DB":
+        """Open (creating if necessary) the database ``name`` on ``vfs``.
+
+        ``tables`` (from :meth:`open_table`) log through this database's
+        WAL; recovery replays their records into them.
+        """
+        return cls(vfs, name, options or Options(), tables)
+
+    @classmethod
+    def open_table(cls, vfs: VFS, name: str,
+                   options: Options | None = None) -> "DB":
+        """Open a WAL-less table; it accepts writes once a host attaches it
+        (:meth:`open` with ``tables=``), and they commit through the host's
+        WAL.  Its logged records are replayed when the host opens."""
+        return cls(vfs, name, options or Options(), wal=False)
 
     @classmethod
     def open_memory(cls, options: Options | None = None,
@@ -332,11 +474,23 @@ class DB:
                 self.memtable = MemTable()
         self._manifest = ManifestWriter(self.vfs, self.name,
                                         self.versions.new_file_number())
-        log_number = self.versions.new_file_number()
-        self.versions.log_number = log_number
-        self._manifest.log_edit(self._snapshot_edit(log_number))
+        if self._has_wal:
+            log_number = self.versions.new_file_number()
+            # The attached tables' replayed records go to level 0 too, each
+            # table's edit naming the new WAL as the oldest it needs.
+            for table in self._tables:
+                if not table.memtable.is_empty():
+                    table.compactor.flush_memtable(table.memtable,
+                                                   log_number=log_number)
+                    table.memtable = MemTable()
+                table._wal_need = log_number
+            self._wal_need = log_number
+            self.versions.log_number = self._wal_floor(log_number)
+        # A WAL-less table keeps its log number until its host attaches it.
+        self._manifest.log_edit(self._snapshot_edit(self.versions.log_number))
         self._manifest.install_as_current()
-        self._open_wal(log_number)
+        if self._has_wal:
+            self._open_wal(log_number)
         self._delete_obsolete_files()
 
     def _snapshot_edit(self, log_number: int, version=None,
@@ -370,24 +524,121 @@ class DB:
         log = LogWriter(
             self.vfs.create(log_file_name(self.name, log_number)),
             sync=self.options.sync_writes)
+        if self._tables:
+            # The ids the records below use: every WAL names its tables.
+            try:
+                log.add_record(encode_table_directory(
+                    [table_label(table.name) for table in self._tables]))
+            except BaseException:
+                log.close()
+                raise
         if self._log is not None:
             self._log.close()
         self._log = log
         self._log_number = log_number
 
+    def _attach_locked(self, table: "DB") -> None:
+        """Make the WAL-less ``table`` log through this DB; it replaces an
+        attached table of the same name (a rebuilt index)."""
+        if table._has_wal or table._host not in (None, self):
+            raise InvalidArgumentError(
+                f"{table.name} is not a WAL-less table free to attach")
+        label = table_label(table.name)
+        for position, attached in enumerate(self._tables):
+            if table_label(attached.name) == label:
+                self._tables[position] = table
+                break
+        else:
+            if self._log is not None:
+                # The open WAL's directory record is already written.
+                raise InvalidArgumentError(
+                    f"{self.name} is open: it can only swap {label!r} for "
+                    f"a fresh table of that name")
+            self._tables.append(table)
+        table._host = self
+        table._log_id = self._tables.index(table) + 1
+        table._wal_need = self._log_number
+        table.versions.last_sequence = max(table.versions.last_sequence,
+                                           self.versions.last_sequence)
+
+    def attach_table(self, table: "DB") -> None:
+        """Attach a WAL-less table (:meth:`open_table`) to an open host."""
+        self._check_open()
+        with self._mutex:
+            self._attach_locked(table)
+
+    def _wal_floor(self, need: int) -> int:
+        """The oldest WAL still needed, by this table (``need``) or by any
+        table logging through it that holds unflushed records."""
+        floor = min([need, *(table._wal_need for table in self._tables
+                             if table.imm is not None
+                             or not table.memtable.is_empty())])
+        if self._foreign_floor is not None:
+            floor = min(floor, self._foreign_floor)
+        return floor
+
+    @staticmethod
+    def _flushed_seq(table: "DB") -> int:
+        """Every op of ``table`` up to this sequence is in its files."""
+        return max((meta.max_seq for _level, meta
+                    in table.versions.current.all_files()), default=0)
+
     def _replay_logs(self) -> None:
+        """Replay the WALs into this DB and its attached tables.
+
+        Each op goes to its table unless that table's files already hold
+        it: a WAL is kept until every table flushed past it, so it may hold
+        ops one table flushed and another did not (re-adding a merge
+        operand would fold it twice).  A record of a table that is not
+        attached keeps its WAL (:attr:`_foreign_floor`).  A WAL-less table
+        replays only logs found in its own directory.
+        """
+        start = 0
+        if self._has_wal:
+            start = min([self.versions.log_number,
+                         *(table.versions.log_number
+                           for table in self._tables)])
+        by_label = {table_label(table.name): table for table in self._tables}
+        flushed = {table: self._flushed_seq(table)
+                   for table in (self, *self._tables)}
+        # One sequence space: new writes go above every table's history.
+        last = max([self.versions.last_sequence,
+                    *(table.versions.last_sequence for table in self._tables)])
         logs = list_db_files(self.vfs, self.name).logs
         for number, name in sorted(logs.items()):
-            if number < self.versions.log_number:
+            if number < start:
                 continue
-            reader = LogReader(self.vfs.open_random(name))
-            for payload in reader:
+            directory: list[DB | None] = []
+            for payload in LogReader(self.vfs.open_random(name)):
+                if is_table_directory(payload):
+                    directory = [by_label.get(label) for label
+                                 in decode_table_directory(payload)]
+                    continue
                 batch, start_seq = WriteBatch.decode(payload)
-                for offset, (kind, key, value) in enumerate(batch.ops):
-                    self.memtable.add(start_seq + offset, kind, key, value)
-                self.versions.last_sequence = max(
-                    self.versions.last_sequence,
-                    start_seq + len(batch.ops) - 1)
+                seqs = WriteBatch.sequences(start_seq,
+                                            (op[3] for op in batch.ops))
+                for (kind, key, value, log_id), seq in zip(batch.ops, seqs):
+                    table = self
+                    if log_id is not None:
+                        if not 0 < log_id <= len(directory):
+                            raise CorruptionError(
+                                f"{name}: record names table {log_id}, "
+                                f"which no directory record defines")
+                        table = directory[log_id - 1]
+                        if table is None:
+                            self._foreign_floor = min(
+                                number, self._foreign_floor or number)
+                            continue
+                    if seq > flushed[table]:
+                        table.memtable.add(seq, kind, key, value)
+                last = max(last, start_seq + batch.span() - 1)
+        for table in (self, *self._tables):
+            table.versions.last_sequence = max(table.versions.last_sequence,
+                                               last)
+        if self._foreign_floor is not None:
+            logger.warning("%s: keeping WALs from %06d on: they hold "
+                           "records of tables not attached", self.name,
+                           self._foreign_floor)
 
     def _delete_obsolete_files(self) -> None:
         assert self._manifest is not None
@@ -395,8 +646,11 @@ class DB:
         if files.unrecognized:
             logger.warning("ignoring unrecognized files %s",
                            files.unrecognized)
+        # A WAL-less table's own directory holds no log it needs: any there
+        # was replayed into its files above.
         obsolete = files.obsolete(self.versions.live_file_numbers(),
-                                  self.versions.log_number,
+                                  self.versions.log_number if self._has_wal
+                                  else MAX_SEQUENCE,
                                   self._manifest.number)
         for number in obsolete.tables:
             self.table_cache.evict(number)
@@ -406,6 +660,18 @@ class DB:
     def close(self) -> None:
         if self._closed:
             return
+        if self._host is not None and not self._host._closed \
+                and not self._read_only and self._bg_error is None \
+                and (self.imm is not None or not self.memtable.is_empty()) \
+                and self._wal_need < self._host._log_number:
+            # The host keeps every WAL from this table's oldest unflushed
+            # record on; flushing lets it delete the closed ones, so a
+            # closed store holds about one MemTable's worth of WAL.
+            try:
+                self.flush()
+            except OSError as exc:  # its records stay in the host's WAL
+                logger.warning("%s: flush at close failed (%s)",
+                               self.name, exc)
         if self._bg_thread is not None:
             with self._mutex:
                 self._bg_stop = True
@@ -656,17 +922,28 @@ class DB:
         same condition blocks the writer until the background thread
         drains level 0 instead of raising.
         """
+        if not self._has_wal:
+            return self._write_through_host(batch)
+        if self in batch.tables:
+            # Ops naming this DB are its own: an index whose table logs
+            # for itself (the cluster's global index shards) gets the
+            # same batches as one attached to a host.
+            batch = batch._retarget(self, None)
         if self._bg:
             return self._write_concurrent(batch)
         self._check_open()
         self._check_writable()
         if not batch.ops:
             return self.versions.last_sequence
+        tables = batch.tables
+        if tables:
+            self._check_tables(tables)
         l0_files = self.versions.current.num_files(0)
         if l0_files >= self.options.l0_stop_writes_trigger:
             raise self._stall_error(l0_files)
-        start_seq = self._next_sequence(len(batch.ops),
-                                        self.versions.last_sequence)
+        span = batch.span()
+        start_seq = self._next_sequence(span, self.versions.last_sequence)
+        batch.stamp(start_seq)
         assert self._log is not None
         try:
             self._log.add_record(batch.encode(start_seq))
@@ -676,13 +953,56 @@ class DB:
             # sees the original error, later writes see ReadOnlyError.
             self._park_if_disk_full(exc)
             raise
-        for offset, (kind, key, value) in enumerate(batch.ops):
-            self.memtable.add(start_seq + offset, kind, key, value)
-        self.versions.last_sequence = start_seq + len(batch.ops) - 1
+        self._apply(batch, start_seq, self.memtable)
+        last = start_seq + span - 1
+        self.versions.last_sequence = last
+        for table in tables:
+            table.versions.last_sequence = last
         if self.memtable.approximate_memory_usage \
                 >= self.options.memtable_budget:
             self.flush()
-        return self.versions.last_sequence
+        for table in tables:
+            if table.memtable.approximate_memory_usage \
+                    >= table.options.memtable_budget:
+                table.flush()
+        return last
+
+    @staticmethod
+    def _apply(batch: WriteBatch, start_seq: int, memtable: MemTable) -> None:
+        """Insert ``batch``'s ops: this DB's into ``memtable``, each other
+        table's into that table's active MemTable (which only the writer
+        holding the queue head may rotate)."""
+        add = memtable.add
+        if not batch.tables:
+            for offset, (kind, key, value, _table) in enumerate(batch.ops):
+                add(start_seq + offset, kind, key, value)
+        else:
+            seqs = WriteBatch.sequences(start_seq,
+                                        (op[3] for op in batch.ops))
+            for (kind, key, value, table), seq in zip(batch.ops, seqs):
+                (add if table is None else table.memtable.add)(
+                    seq, kind, key, value)
+
+    def _check_tables(self, tables) -> None:
+        """A batch may name only tables attached here that can still take
+        writes."""
+        for table in tables:
+            if table._host is not self:
+                raise InvalidArgumentError(
+                    f"{table.name} does not log through {self.name}")
+            if table._closed or table._bg_error is not None \
+                    or table._read_only:
+                table._check_open()
+                table._raise_if_bg_failed()
+                table._check_writable()
+
+    def _write_through_host(self, batch: WriteBatch) -> int:
+        """A WAL-less table's own writes commit through its host's WAL."""
+        self._check_open()
+        if self._host is None:
+            raise InvalidArgumentError(
+                f"{self.name} has no WAL and is attached to no host")
+        return self._host.write(batch._retarget(None, self))
 
     def _stall_error(self, l0_files: int) -> WriteStallError:
         return WriteStallError(
@@ -736,6 +1056,7 @@ class DB:
             # This writer is now the leader.
             try:
                 self._make_room_for_write()
+                self._check_tables(writer.batch.tables)
                 group = [writer]
                 group_bytes = _approximate_batch_bytes(writer.batch)
                 for candidate in list(self._writers)[1:]:
@@ -744,11 +1065,21 @@ class DB:
                     size = _approximate_batch_bytes(candidate.batch)
                     if group_bytes + size > MAX_WRITE_GROUP_BYTES:
                         break
+                    try:
+                        self._check_tables(candidate.batch.tables)
+                    except Exception:  # noqa: BLE001 - it leads its own try
+                        break
                     group.append(candidate)
                     group_bytes += size
+                tables: dict[DB, int] = {}
+                for member in group:
+                    tables.update(member.batch.tables)
+                for table in tables:
+                    table._rotate_if_full()
                 total_ops = sum(len(w.batch.ops) for w in group)
-                start_seq = self._next_sequence(total_ops, self._pending_seq)
-                self._pending_seq = start_seq + total_ops - 1
+                total_seqs = sum(w.batch.span() for w in group)
+                start_seq = self._next_sequence(total_seqs, self._pending_seq)
+                self._pending_seq = start_seq + total_seqs - 1
             except BaseException:
                 self._writers.remove(writer)
                 self._stall_cv.notify_all()
@@ -761,24 +1092,30 @@ class DB:
         payloads: list[bytes] = []
         seq = start_seq
         for member in group:
+            member.batch.stamp(seq)
             payloads.append(member.batch.encode(seq))
             seqs.append(seq)
-            seq += len(member.batch.ops)
+            seq += member.batch.span()
         self._step("write:wal")
         try:
             assert log is not None
             log.add_records(payloads)
             self._step("write:memtable")
             for member, member_seq in zip(group, seqs):
-                for offset, (kind, key, value) in enumerate(member.batch.ops):
-                    memtable.add(member_seq + offset, kind, key, value)
+                self._apply(member.batch, member_seq, memtable)
         except BaseException as exc:  # noqa: BLE001 - propagated to the group
             error = exc
         self._step("write:publish")
         with self._mutex:
             if error is None:
                 self.versions.last_sequence = max(
-                    self.versions.last_sequence, start_seq + total_ops - 1)
+                    self.versions.last_sequence, start_seq + total_seqs - 1)
+                # The attached tables' readers see the group only now too
+                # (a plain store: an int assignment needs no table mutex).
+                for table in tables:
+                    table.versions.last_sequence = max(
+                        table.versions.last_sequence,
+                        start_seq + total_seqs - 1)
             else:
                 # Disk full during the group's WAL append: nothing in the
                 # group was acknowledged.  Park read-only so queued writers
@@ -793,7 +1130,7 @@ class DB:
             for member, member_seq in zip(group, seqs):
                 popped = self._writers.popleft()
                 assert popped is member
-                member.seq = member_seq + len(member.batch.ops) - 1
+                member.seq = member_seq + member.batch.span() - 1
                 member.error = error
                 member.done = True
             self._stall_cv.notify_all()
@@ -885,9 +1222,14 @@ class DB:
         level-0 table whose edit records the *new* log number.
         """
         assert self.imm is None
-        closed_log = self._log_number
-        self._open_wal(self.versions.new_file_number())
-        self._closed_logs.append(closed_log)
+        if self._has_wal:
+            closed_log = self._log_number
+            self._open_wal(self.versions.new_file_number())
+            self._closed_logs.append(closed_log)
+            self._imm_wal_need = self._log_number
+        else:
+            # The new MemTable's records go to the host's current WAL on.
+            self._imm_wal_need = self._host._log_number
         self.memtable.seal()
         self.imm = self.memtable
         self.memtable = MemTable()
@@ -904,23 +1246,41 @@ class DB:
         """
         imm = self.imm
         assert imm is not None
-        # No rotation happens while an imm is pending, so the current WAL
-        # is still the one opened when this MemTable was sealed.
-        self.compactor.flush_memtable(imm, log_number=self._log_number)
+        need = self._imm_wal_need
+        self.compactor.flush_memtable(imm, log_number=self._wal_floor(need))
         with self._mutex:
             self.imm = None
-            # Every WAL closed so far is below the log number just recorded.
-            obsolete_logs, self._closed_logs = self._closed_logs, []
+            self._wal_need = need
             if self._bg:
                 self.pipeline_stats.bg_flushes += 1
             self._stall_cv.notify_all()
-        # A crash-interrupted earlier flush (or recovery's own cleanup) may
-        # have removed a previous WAL already.
-        for old_log in obsolete_logs:
-            self.vfs.delete_if_exists(log_file_name(self.name, old_log))
+        (self._host or self)._retire_logs()
         # Listeners run on whichever thread flushed.
         for listener in self._flush_listeners:
             listener(imm.max_seq or 0)
+
+    def _retire_logs(self) -> None:
+        """Delete the closed WALs every table has flushed past.
+
+        Runs after a flush edit is durable, without any table's mutex held
+        on entry.  A crash-interrupted earlier flush (or recovery's own
+        cleanup) may have removed one already.
+        """
+        with self._mutex:
+            floor = self._wal_floor(self._wal_need)
+            obsolete = [n for n in self._closed_logs if n < floor]
+            self._closed_logs = [n for n in self._closed_logs if n >= floor]
+        for number in obsolete:
+            self.vfs.delete_if_exists(log_file_name(self.name, number))
+
+    def _rotate_if_full(self) -> None:
+        """A WAL-less table's rotation, run by its host's write leader: the
+        full MemTable goes to the table's background thread, unless the
+        previous one is still being flushed (then it grows a while)."""
+        with self._mutex:
+            if self.imm is None and self.memtable.approximate_memory_usage \
+                    >= self.options.memtable_budget:
+                self._rotate_memtable_locked()
 
     # -- background thread -----------------------------------------------------
 
@@ -1213,27 +1573,36 @@ class DB:
         The sentinel claims the writer-queue head so no leader can be
         inserting into the active MemTable while it is sealed; pending
         writers simply commit after the rotation, into the fresh MemTable.
+        A WAL-less table's queue is its host's, whose write leader inserts
+        into its MemTable; no host lock is held while the table drains.
         """
+        host = self._host or self
+        if not self._has_wal and self._host is None:
+            raise InvalidArgumentError(
+                f"{self.name} has no WAL and is attached to no host")
         sentinel = _Writer(None)
-        with self._mutex:
+        with host._mutex:
             self._raise_if_bg_failed()
             self._check_writable()
-            self._writers.append(sentinel)
-            self._await_locked(
-                self._stall_cv,
-                lambda: self._writers[0] is sentinel,
+            host._writers.append(sentinel)
+            host._await_locked(
+                host._stall_cv,
+                lambda: host._writers[0] is sentinel,
                 "flush:queue")
-            try:
+        try:
+            with self._mutex:
                 if not self.memtable.is_empty():
                     self._await_pipeline(lambda: self.imm is None,
                                          "flush:room")
                     self._raise_if_bg_failed()
                     self._check_writable()
                     self._rotate_memtable_locked()
-            finally:
-                popped = self._writers.popleft()
+        finally:
+            with host._mutex:
+                popped = host._writers.popleft()
                 assert popped is sentinel
-                self._stall_cv.notify_all()
+                host._stall_cv.notify_all()
+        with self._mutex:
             self._await_pipeline(lambda: self.imm is None, "flush:drain")
             self._raise_if_bg_failed()
             if self.imm is not None:
@@ -1589,15 +1958,18 @@ class DB:
 
     def scan(self, lo: bytes | None = None, hi: bytes | None = None,
              snapshot: Snapshot | None = None,
-             category: Category = Category.DATA
+             category: Category = Category.DATA, fill_cache: bool = True
              ) -> Iterator[tuple[bytes, bytes]]:
-        """User-visible ordered iteration over ``lo <= key <= hi``."""
+        """User-visible ordered iteration over ``lo <= key <= hi``;
+        ``fill_cache=False`` leaves the block cache as it found it (an
+        audit's pass over everything)."""
         return map(itemgetter(0, 1),
-                   self.scan_with_seq(lo, hi, snapshot, category))
+                   self.scan_with_seq(lo, hi, snapshot, category, fill_cache))
 
     def scan_with_seq(self, lo: bytes | None = None, hi: bytes | None = None,
                       snapshot: Snapshot | None = None,
-                      category: Category = Category.DATA
+                      category: Category = Category.DATA,
+                      fill_cache: bool = True
                       ) -> Iterator[tuple[bytes, bytes, int]]:
         """Like :meth:`scan` but yields ``(key, value, seq)``.
 
@@ -1616,7 +1988,7 @@ class DB:
                 "sorted_entries",
                 None if lo is None else
                 pack_internal_key(lo, MAX_SEQUENCE, KIND_FOR_SEEK),
-                category)
+                category, fill_cache)
             streams = [self._memtable_sorted(lo, memtable)
                        for memtable in memtables]
             # Level-0 files overlap: one heap stream each.  Deeper levels are
@@ -1811,6 +2183,14 @@ class DB:
         self._check_open()
         self._check_writable()
         self.flush()
+        with self._compaction_slot():
+            self._compact_range_levels()
+
+    @contextmanager
+    def _compaction_slot(self, audit: bool = False):
+        """Hold the manual-compaction slot: the background thread finishes
+        the compaction it runs and starts no other until the block ends.
+        A sticky background error raises, unless an ``audit`` waits."""
         with self._mutex:
             self._manual_compaction = True
             self._work_cv.notify_all()
@@ -1820,13 +2200,14 @@ class DB:
                     lambda: not self._bg_compacting
                     or self._bg_error is not None,
                     "manual:exclusive")
-                self._raise_if_bg_failed()
+                if not audit:
+                    self._raise_if_bg_failed()
             except BaseException:
                 self._manual_compaction = False
                 self._work_cv.notify_all()
                 raise
         try:
-            self._compact_range_levels()
+            yield
         finally:
             with self._mutex:
                 self._manual_compaction = False
@@ -1889,7 +2270,10 @@ class DB:
         self._check_open()
         from repro.lsm.checker import verify_integrity
 
-        return verify_integrity(self)
+        # A compaction in flight has outputs not yet live and inputs not
+        # yet deleted: the audit would call them orphans.
+        with self._compaction_slot(audit=True):
+            return verify_integrity(self)
 
     def approximate_size(self) -> int:
         """Total bytes of all files belonging to this database."""

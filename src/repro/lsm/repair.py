@@ -25,10 +25,15 @@ strategy:
   mode: a bad fragment loses at most the rest of its 32 KiB block, a
   broken fragment chain only its own record, and every intact
   record is replayed into a new level-0 table (LevelDB likewise
-  "convert[s] logs to tables").
+  "convert[s] logs to tables").  A WAL shared with WAL-less tables (an
+  indexed store's primary, docs/FORMAT.md §3.1) also holds their records,
+  which repair cannot put into another directory's tables: a WAL that
+  reads clean is kept for them (the next open replays it, skipping what
+  the salvage table holds), and one that does not is reported with the
+  records it drops.
 * A fresh manifest is written with **everything at level 0** and a
-  ``log_number`` above every existing WAL, so the next open replays
-  nothing twice (a WAL whose contents were salvaged into a table must
+  ``log_number`` above every existing WAL but the kept ones, so the next
+  open replays nothing twice (a WAL whose contents were salvaged into a table must
   never be replayed on top of it — merge operands would fold twice).
   Level-0 placement is always safe: per-entry sequence numbers order
   overlapping tables, and ordinary compaction will re-sort the tree.
@@ -82,6 +87,8 @@ class _Repairer:
         self.report = RepairReport(dry_run=dry_run)
         self.tables: list[FileMetaData] = []
         self.max_seq = 0
+        #: WALs kept for the records of other tables they hold.
+        self.kept_logs: dict[int, str] = {}
         # Inputs, classified from the directory listing.
         self.files = list_db_files(vfs, name)
         self._next_number = max([*self.files.tables, *self.files.logs,
@@ -181,29 +188,56 @@ class _Repairer:
     def _salvage_logs(self) -> None:
         report = self.report
         memtable = MemTable()
-        from repro.lsm.db import WriteBatch
+        from repro.lsm.db import (
+            WriteBatch,
+            decode_table_directory,
+            is_table_directory,
+        )
 
-        for _number, name in sorted(self.files.logs.items()):
+        for number, name in sorted(self.files.logs.items()):
             def problem(text: str) -> None:
                 report.problems.append(f"WAL {name}: {text}")
 
+            problems_before = len(report.problems)
             try:
                 reader = LogReader(self.vfs.open_random(name), problem)
             except OSError as exc:
                 problem(f"unreadable ({exc})")
                 continue
+            labels: list[str] = []
+            others: dict[str, int] = {}
             for payload in reader:
                 try:
+                    if is_table_directory(payload):
+                        labels = decode_table_directory(payload)
+                        continue
                     batch, start_seq = WriteBatch.decode(payload)
                 except Exception:  # noqa: BLE001 - salvage must not die
                     report.problems.append(
                         f"WAL {name}: undecodable record, dropped")
                     continue
-                for offset, (kind, key, value) in enumerate(batch.ops):
-                    memtable.add(start_seq + offset, kind, key, value)
+                seqs = WriteBatch.sequences(start_seq,
+                                            (op[3] for op in batch.ops))
+                for (kind, key, value, log_id), seq in zip(batch.ops, seqs):
+                    if log_id is None:
+                        memtable.add(seq, kind, key, value)
+                    else:
+                        label = labels[log_id - 1] \
+                            if 0 < log_id <= len(labels) else f"#{log_id}"
+                        others[label] = others.get(label, 0) + 1
                 report.wal_records_salvaged += 1
                 self.max_seq = max(self.max_seq,
-                                   start_seq + len(batch.ops) - 1)
+                                   start_seq + batch.span() - 1)
+            if others:
+                counts = ", ".join(f"{count} of table {label!r}"
+                                   for label, count in sorted(others.items()))
+                if len(report.problems) == problems_before:
+                    self.kept_logs[number] = name
+                    report.action(f"keep WAL {name} for the records of "
+                                  f"other tables it holds ({counts})")
+                else:
+                    problem(f"dropped the records of other tables it holds "
+                            f"({counts}); rebuild their indexes")
         if memtable.is_empty():
             return
         if self.report.dry_run:
@@ -226,17 +260,20 @@ class _Repairer:
     def _install_manifest(self) -> None:
         report = self.report
         # A log_number above every existing WAL: their surviving records
-        # now live in tables, so no log may ever be replayed again.
+        # now live in tables, so no log may ever be replayed again — but
+        # for a kept one (its records of this table are skipped by
+        # sequence on replay).
         new_log_number = self.new_file_number()
         manifest_number = self.new_file_number()
+        log_number = min([new_log_number, *self.kept_logs])
         if self.report.dry_run:
             report.action(
                 f"would write manifest MANIFEST-{manifest_number:06d} with "
                 f"{len(self.tables)} tables at level 0, "
-                f"log_number={new_log_number}")
+                f"log_number={log_number}")
             return
         edit = VersionEdit(
-            log_number=new_log_number,
+            log_number=log_number,
             next_file_number=self._next_number + 1,
             last_sequence=self.max_seq)
         for meta in sorted(self.tables, key=lambda m: m.file_number):
@@ -252,6 +289,8 @@ class _Repairer:
         obsolete = list_db_files(self.vfs, self.name).obsolete(
             {meta.file_number for meta in self.tables}, new_log_number,
             manifest_number)
+        for number in self.kept_logs:
+            del obsolete.logs[number]
         for name in obsolete.names():
             self.vfs.delete_if_exists(name)
         report.action(

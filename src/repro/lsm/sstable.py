@@ -531,10 +531,13 @@ class SSTable:
         return len(self._index_entries)
 
     def read_data_block(self, index: int, category: Category = Category.DATA,
-                        held: dict | None = None) -> Block:
+                        held: dict | None = None,
+                        fill_cache: bool = True) -> Block:
         """Read (and decompress) data block ``index``, consulting the cache —
         after ``held``, a batched read's ``{file_number: (index, block)}`` of
-        the block each table served last, which needs no second read."""
+        the block each table served last, which needs no second read.
+        ``fill_cache=False`` (an audit's pass over every block) does not
+        leave what it read in the cache (LevelDB's ``fill_cache``)."""
         if held is not None:
             kept = held.get(self.file_number)
             if kept is None or kept[0] != index:
@@ -560,7 +563,7 @@ class SSTable:
             if self._block_cache is not None:
                 self._block_cache.evict(cache_key)
             raise
-        if self._block_cache is not None:
+        if self._block_cache is not None and fill_cache:
             self._block_cache.put(cache_key, block, len(payload))
         return block
 
@@ -736,7 +739,8 @@ class SSTable:
                 yield unpack_internal_key(ikey_bytes), value
 
     def sorted_entries(self, start_internal_key: bytes | None = None,
-                       category: Category = Category.DATA
+                       category: Category = Category.DATA,
+                       fill_cache: bool = True
                        ) -> Iterator[tuple[tuple[bytes, int], bytes]]:
         """``(sort_key, value)`` pairs from ``start_internal_key`` onward.
 
@@ -749,9 +753,10 @@ class SSTable:
             first = self._block_index_for(start_internal_key)
             if first is None:
                 return
-            block = self.read_data_block(first, category)
+            block = self.read_data_block(first, category,
+                                         fill_cache=fill_cache)
             yield from block.sorted_seek(start_internal_key)
             start = first + 1
         for block_index in range(start, len(self._index_entries)):
-            yield from self.read_data_block(block_index,
-                                            category).sorted_items()
+            yield from self.read_data_block(
+                block_index, category, fill_cache=fill_cache).sorted_items()

@@ -156,3 +156,68 @@ class TestConsistencyUnderUpdates:
                         if (i + 2) % 6 == user_index}
                 assert got == want, (kind, user_index)
             db.close()
+
+
+class TestCrossTableIntegrity:
+    STAND_ALONE = (IndexKind.EAGER, IndexKind.LAZY, IndexKind.COMPOSITE)
+
+    @pytest.mark.parametrize("kind", STAND_ALONE, ids=lambda k: k.value)
+    def test_stale_entries_pass(self, index_options, kind):
+        db = open_db(kind, index_options)
+        load_tweets(db, 120, users=6)
+        for i in range(0, 120, 7):  # move records: old entries go stale
+            db.put(f"t{i:05d}", {"UserID": "moved"})
+        db.delete("t00003")
+        reports = db.verify_integrity()
+        assert all(report.ok for report in reports.values()), reports
+        db.close()
+
+    @pytest.mark.parametrize("kind", STAND_ALONE, ids=lambda k: k.value)
+    def test_record_missing_from_the_index_fails(self, index_options, kind):
+        from repro.core.records import encode_document
+
+        db = open_db(kind, index_options)
+        load_tweets(db, 30)
+        # Written past the facade: the primary has it, the index never will.
+        db.primary.put(b"orphan", encode_document({"UserID": "u1"}))
+        reports = db.verify_integrity()
+        assert reports["primary"].ok
+        assert not reports["index:UserID"].ok
+        assert any("'orphan'" in problem
+                   for problem in reports["index:UserID"].problems)
+        db.rebuild_index("UserID")
+        assert all(report.ok for report in db.verify_integrity().values())
+        db.close()
+
+    @pytest.mark.parametrize("policy", ["raise", "quarantine"])
+    @pytest.mark.parametrize("kind", STAND_ALONE, ids=lambda k: k.value)
+    @pytest.mark.parametrize("rotten", ["primary", "index"])
+    def test_bad_block_is_reported_not_raised(self, index_options, kind,
+                                              policy, rotten):
+        from dataclasses import replace
+
+        from repro.lsm.vfs import MemoryVFS
+
+        vfs = MemoryVFS()
+        db = SecondaryIndexedDB.open(
+            vfs, "data", {"UserID": kind},
+            options=replace(index_options, compression="none",
+                            on_corruption=policy))
+        load_tweets(db, 120)
+        db.flush()
+        folder = "data/primary/" if rotten == "primary" \
+            else f"data/index-{kind.value}-UserID/"
+        tables = [n for n in vfs.list_dir(folder) if n.endswith(".ldb")]
+        assert tables
+        for name in tables:
+            vfs._files[name][40] ^= 0xFF  # inside the first data block
+        reports = db.verify_integrity()
+        label = "primary" if rotten == "primary" else "index:UserID"
+        assert not reports[label].ok
+        assert all(report.ok for other, report in reports.items()
+                   if other != label), reports
+        # The audit only reads: it quarantines nothing.
+        assert db.quarantined_indexes() == []
+        assert all(not table.quarantined_tables()
+                   for _label, table in db.tables())
+        db.close()

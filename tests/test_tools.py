@@ -4,6 +4,8 @@ import io
 
 import pytest
 
+from repro.core.base import IndexKind
+from repro.core.database import SecondaryIndexedDB
 from repro.lsm.db import DB
 from repro.lsm.manifest import table_file_name
 from repro.lsm.options import Options
@@ -161,6 +163,104 @@ class TestRepair:
         assert snapshot() == before
         # Still corrupt afterwards — nothing was silently fixed.
         assert main(["verify", populated_dir, "db"], io.StringIO()) == 1
+
+
+USERS = ["u0", "u1", "u2"]
+
+
+def _open_store(directory):
+    # A MemTable no write fills: every record stays in the shared WAL.
+    return SecondaryIndexedDB.open(
+        LocalVFS(directory), "data", {"UserID": IndexKind.LAZY},
+        Options(memtable_budget=1 << 30))
+
+
+@pytest.fixture
+def indexed_dir(tmp_path):
+    """An indexed store closed with its records only in the primary's WAL,
+    which holds the Lazy index table's records too."""
+    directory = str(tmp_path)
+    db = _open_store(directory)
+    for i in range(60):
+        db.put(f"t{i:03d}", {"UserID": USERS[i % 3], "Body": "b" * i})
+    db.close()
+    return directory
+
+
+def _assert_store_whole(directory, rows=60):
+    db = _open_store(directory)
+    try:
+        assert len(list(db.scan())) == rows
+        found = sum(len(db.lookup("UserID", user, None)) for user in USERS)
+        assert found == rows
+        assert all(report.ok for report in db.verify_integrity().values())
+    finally:
+        db.close()
+
+
+class TestIndexedStore:
+    """The single-table tools over a store whose index tables log through
+    the primary's WAL (``data/primary``) and have none of their own."""
+
+    @pytest.mark.parametrize("command", ["stats", "dump", "verify", "scrub"])
+    def test_primary_tools_keep_the_index_records(self, indexed_dir,
+                                                  command):
+        out = io.StringIO()
+        assert main([command, indexed_dir, "data/primary"], out) == 0
+        if command == "dump":
+            assert "60 entries" in out.getvalue()
+        # Twice: a tool's own reopen must keep the WAL it cannot replay.
+        assert main([command, indexed_dir, "data/primary"],
+                    io.StringIO()) == 0
+        _assert_store_whole(indexed_dir)
+
+    @pytest.mark.parametrize("command", ["stats", "verify", "scrub"])
+    def test_index_table_tools(self, indexed_dir, command):
+        db = _open_store(indexed_dir)
+        db.flush()
+        db.close()
+        out = io.StringIO()
+        assert main([command, indexed_dir, "data/index-lazy-UserID"],
+                    out) == 0
+        _assert_store_whole(indexed_dir)
+
+    def test_repair_keeps_a_clean_wal_for_the_index(self, indexed_dir):
+        out = io.StringIO()
+        assert main(["repair", indexed_dir, "data/primary"], out) == 0
+        text = out.getvalue()
+        assert "wal records:     60" in text
+        assert "60 of table 'index-lazy-UserID'" in text
+        assert main(["verify", indexed_dir, "data/primary"],
+                    io.StringIO()) == 0
+        _assert_store_whole(indexed_dir)
+
+    def test_repair_reports_index_records_it_drops(self, indexed_dir):
+        import os
+
+        wal = next(name for name in os.listdir(
+            os.path.join(indexed_dir, "data", "primary"))
+            if name.endswith(".log"))
+        path = os.path.join(indexed_dir, "data", "primary", wal)
+        with open(path, "r+b") as handle:
+            handle.seek(200)  # inside an early record, not the tail
+            byte = handle.read(1)
+            handle.seek(200)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+        out = io.StringIO()
+        assert main(["repair", indexed_dir, "data/primary"], out) == 0
+        assert "dropped the records of other tables it holds" \
+            in out.getvalue()
+        assert "of table 'index-lazy-UserID'" in out.getvalue()
+        db = _open_store(indexed_dir)
+        try:
+            # The cross-table check names what the index lost, and a
+            # rebuild from the primary brings it back.
+            reports = db.verify_integrity()
+            assert not reports["index:UserID"].ok
+            db.rebuild_index("UserID")
+            assert all(report.ok for report in db.verify_integrity().values())
+        finally:
+            db.close()
 
 
 class TestArgumentParsing:
