@@ -36,6 +36,8 @@ from repro.lsm.keys import (
 
 _U32 = struct.Struct("<I")
 _TRAILER = struct.Struct(">Q")
+_HEADER3 = struct.Struct("BBB")
+_HEADER4 = struct.Struct("BBBB")
 DEFAULT_RESTART_INTERVAL = 16
 
 
@@ -65,8 +67,9 @@ class BlockBuilder:
         return len(self._buffer) + 4 * len(self._restarts) + 4
 
     def add(self, key: bytes, value: bytes,
-            sort_key: tuple[bytes, int] | None = None) -> None:
-        """Append an entry.  Keys must arrive in strictly increasing order.
+            sort_key: tuple[bytes, int] | None = None) -> int:
+        """Append an entry and return :meth:`current_size_estimate`.  Keys
+        must arrive in strictly increasing order.
 
         ``sort_key`` is ``internal_sort_key(key)`` from a caller that holds
         the key decoded already.
@@ -76,21 +79,32 @@ class BlockBuilder:
         if self._last_sort_key is not None and sort_key <= self._last_sort_key:
             raise ValueError("block keys must be added in increasing order")
         self._last_sort_key = sort_key
+        buffer = self._buffer
         if self._counter < self.restart_interval:
             shared = _shared_prefix_length(self._last_key, key)
         else:
             shared = 0
-            self._restarts.append(len(self._buffer))
+            self._restarts.append(len(buffer))
             self._counter = 0
         non_shared = len(key) - shared
-        self._buffer += encode_varint(shared)
-        self._buffer += encode_varint(non_shared)
-        self._buffer += encode_varint(len(value))
-        self._buffer += key[shared:]
-        self._buffer += value
+        value_len = len(value)
+        # The header's three varints, packed at once when the key lengths
+        # take one byte each and the value length one or two.
+        if shared | non_shared | value_len < 0x80:
+            buffer += _HEADER3.pack(shared, non_shared, value_len)
+        elif shared | non_shared < 0x80 and value_len < 0x4000:
+            buffer += _HEADER4.pack(shared, non_shared,
+                                    value_len & 0x7F | 0x80, value_len >> 7)
+        else:
+            buffer += encode_varint(shared)
+            buffer += encode_varint(non_shared)
+            buffer += encode_varint(value_len)
+        buffer += key[shared:]
+        buffer += value
         self._last_key = key
         self._counter += 1
         self._num_entries += 1
+        return len(buffer) + 4 * len(self._restarts) + 4
 
     def finish(self) -> bytes:
         out = bytes(self._buffer)
@@ -110,11 +124,17 @@ class BlockBuilder:
 
 
 def _shared_prefix_length(a: bytes, b: bytes) -> int:
-    limit = min(len(a), len(b))
-    i = 0
-    while i < limit and a[i] == b[i]:
-        i += 1
-    return i
+    """Length of the common prefix of ``a`` and ``b``: the first differing
+    byte is the highest set byte of their big-endian XOR (over the shorter
+    length; keys of one length, the common case, are not sliced)."""
+    limit = len(a)
+    if limit > len(b):
+        limit = len(b)
+        a = a[:limit]
+    elif limit < len(b):
+        b = b[:limit]
+    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return limit - (diff.bit_length() + 7) // 8
 
 
 class Block:
@@ -255,6 +275,12 @@ class Block:
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         keys = self._parse_all()
         return iter(zip(keys, self._values))
+
+    def arrays(self) -> tuple[list[bytes], list[bytes]]:
+        """Encoded keys and values, index-aligned: what iteration yields,
+        for a caller that derives its own per-entry form (a compaction's
+        sort keys) without leaving it memoized on a cached block."""
+        return self._parse_all(), self._values
 
     def sorted_items(self) -> Iterator[tuple[tuple[bytes, int], bytes]]:
         """``(sort_key, value)`` pairs for every entry, in order.

@@ -59,27 +59,36 @@ class BloomFilterBuilder:
         self._hashes: list[tuple[int, int]] = []
 
     def add(self, key: bytes) -> None:
-        self._hashes.append(bloom_hash(key))
+        # bloom_hash, inlined: this runs once per key written.
+        self._hashes.append(
+            _U64.unpack(hashlib.blake2b(key, digest_size=16).digest()))
 
     def __len__(self) -> int:
         return len(self._hashes)
 
     def finish(self) -> bytes:
+        """The filter blob: each key sets bits ``(h1 + i*h2) mod 2**64 mod
+        nbits`` for ``i < num_probes`` (:func:`bloom_probe`'s positions).
+
+        A probe marks its bit as one ``"1"`` character of an ``nbits``-long
+        bit string — one store, where a byte-and-mask update takes a load,
+        two shifts and an or — and ``int(..., 2)`` packs the string at the
+        end (character ``nbits - 1 - p`` is bit ``p``).
+        """
         if not self._hashes:
             return b""
         nbits = max(64, int(len(self._hashes) * self.bits_per_key))
         nbytes = (nbits + 7) // 8
         nbits = nbytes * 8
-        bits = bytearray(nbytes)
         num_probes = optimal_num_probes(self.bits_per_key)
-        for h1, h2 in self._hashes:
-            h = h1
-            for _ in range(num_probes):
-                pos = h % nbits
-                bits[pos >> 3] |= 1 << (pos & 7)
+        probes = range(num_probes)
+        bits = bytearray(b"0") * nbits
+        for h, h2 in self._hashes:
+            for _ in probes:
+                bits[h % nbits] = 0x31  # "1"
                 h = (h + h2) & 0xFFFFFFFFFFFFFFFF
-        bits.append(num_probes)
-        return bytes(bits)
+        bits.reverse()
+        return int(bits, 2).to_bytes(nbytes, "little") + bytes((num_probes,))
 
 
 def bloom_may_contain(filter_blob: bytes, key: bytes) -> bool:

@@ -32,20 +32,24 @@ in step.
 
 from __future__ import annotations
 
+import heapq
 import logging
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from repro.lsm.compression import compressor_for
-from repro.lsm.errors import InvalidArgumentError, SimulatedCrashError
-from repro.lsm.iterator import merge_streams
+from repro.lsm.errors import (
+    CorruptionError,
+    InvalidArgumentError,
+    SimulatedCrashError,
+)
 from repro.lsm.keys import (
-    KIND_DELETE,
     KIND_MERGE,
     KIND_VALUE,
-    InternalKey,
     MAX_SEQUENCE,
-    unpack_internal_key,
+    pack_internal_key,
 )
 from repro.lsm.manifest import table_file_name
 from repro.lsm.sstable import TableBuilder
@@ -53,6 +57,8 @@ from repro.lsm.vfs import Category
 from repro.lsm.version import FileMetaData, Version, VersionEdit, VersionSet
 
 logger = logging.getLogger(__name__)
+
+_TRAILER = struct.Struct(">Q")
 
 
 @dataclass
@@ -243,8 +249,10 @@ class Compactor:
                                    compressor_for(self.options.compression),
                                    Category.FLUSH)
             for entry in memtable:
-                builder.add_entry(entry.user_key, entry.seq, entry.kind,
-                                  entry.value)
+                builder.add_sorted(
+                    (entry.user_key, -((entry.seq << 8) | entry.kind)),
+                    pack_internal_key(entry.user_key, entry.seq, entry.kind),
+                    entry.value)
             meta = finish_table(builder, out, file_number)
             self._step("flush:install")
             edit = VersionEdit(log_number=log_number)
@@ -414,18 +422,185 @@ def run_compaction_job(job: dict, options, open_table, open_output,
     stats = CompactionStats()
     outputs: list[FileMetaData] = []
     writer = CompactionOutputWriter(options, open_output, outputs, on_output)
-    streams = [table_entry_stream(open_table(meta.file_number))
-               for _level, meta in job["inputs"]]
     try:
-        merge_entry_streams(
-            options, streams, job["oldest_snapshot"],
-            bounds_base_predicate(job["deeper_bounds"]), writer, stats)
+        _merge_entries(options, _input_streams(job["inputs"], open_table,
+                                              options.indexed_attributes),
+                      job["oldest_snapshot"],
+                      bounds_base_predicate(job["deeper_bounds"]),
+                      writer, stats)
     except BaseException:
         writer.abort()
         raise
     return {"outputs": outputs,
             "entries_dropped": stats.entries_dropped,
             "merges_folded": stats.merges_folded}
+
+
+def _input_streams(inputs, open_table, attributes) -> list:
+    """One entry stream per level-0 input and one per deeper level, in the
+    job's order (newest first): a deeper level's tables are sorted and
+    disjoint, so they concatenate (as in the scan path)."""
+    runs: list[tuple[int, list[int]]] = []
+    for level, meta in inputs:
+        if level == 0 or not runs or runs[-1][0] != level:
+            runs.append((level, []))
+        runs[-1][1].append(meta.file_number)
+    return [chain.from_iterable(
+                block
+                for number in numbers
+                for block in _table_blocks(open_table(number), attributes))
+            for _level, numbers in runs]
+
+
+def _table_blocks(table, attributes):
+    """A table's data blocks, read as compaction I/O, each as an iterator
+    of its entries' ``(sort_key, internal_key, value, slots)``.
+
+    ``slots`` are the entry's attribute-column slots (one per attribute
+    of ``attributes``) from the table's column, or ``None`` where the
+    table has no column for one of them (written before columns existed,
+    or its column block dropped as corrupt): the builder then derives
+    them.  A column that does not describe its block entry for entry is
+    corrupt.  The sort keys are derived per block and not kept: a block
+    left in the block cache holds nothing a read would not.
+    """
+    columns = [table.secondary_columns.get(attr) for attr in attributes]
+    carried = bool(columns) and None not in columns
+    no_slots = repeat(None)
+    unpack_trailer = _TRAILER.unpack_from
+    for block_index in range(table.num_data_blocks):
+        keys, values = table.read_data_block(
+            block_index, Category.COMPACTION).arrays()
+        try:
+            sort_keys = [(key[:-8], -unpack_trailer(key, len(key) - 8)[0])
+                         for key in keys]
+        except struct.error as exc:
+            raise CorruptionError(
+                f"table {table.file_number} block {block_index}: entry key "
+                "shorter than trailer") from exc
+        slots = no_slots
+        if carried:
+            block_columns = [column[block_index] for column in columns]
+            for column in block_columns:
+                if len(column) != len(keys):
+                    raise CorruptionError(
+                        f"table {table.file_number} block {block_index}: "
+                        f"attribute column of {len(column)} entries for a "
+                        f"block of {len(keys)}")
+            slots = zip(*block_columns)
+        yield zip(sort_keys, keys, values, slots)
+
+
+def _merge_entries(options, streams, oldest_snapshot: int, is_base_of,
+                  writer: "CompactionOutputWriter",
+                  stats: CompactionStats) -> None:
+    """The whole merge: k-way heap merge, per-key policy and output
+    cutting, in one loop over ``(sort_key, internal_key, value, slots)``
+    entries (streams listed newest first, which breaks ties).
+
+    A user key's versions arrive newest first.  The first version that is
+    not a merge operand and is visible to every snapshot (``seq <=
+    oldest_snapshot``) settles the key: every older version is shadowed
+    and dropped.  ``is_base_of(user_key)`` answers "could no level deeper
+    than the output hold this key?".
+
+    * A key its newest version settles — the common case — is decided
+      here: a VALUE is written as read, column slots and all; so is a
+      DELETE, unless no snapshot is live and no deeper level could hold
+      the key (the tombstone is elided).
+    * Otherwise the versions down to the settling one — a run of merge
+      operands, or versions a live snapshot may still read — are held and
+      go to :func:`_settle_run`.
+    """
+    heap = []
+    for index, stream in enumerate(streams):
+        advance = iter(stream).__next__
+        try:
+            entry = advance()
+        except StopIteration:
+            continue
+        heap.append((entry[0], index, entry, advance))
+    heapq.heapify(heap)
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
+    add = writer.add
+    snapshots_live = oldest_snapshot != MAX_SEQUENCE
+    current_key: bytes | None = None
+    run: list | None = None  # held versions of current_key, newest first
+    dropped = 0
+    while heap:
+        _sort_key, index, entry, advance = heap[0]
+        try:
+            following = advance()
+        except StopIteration:
+            heappop(heap)
+        else:
+            heapreplace(heap, (following[0], index, following, advance))
+        sort_key = entry[0]
+        user_key = sort_key[0]
+        tag = -sort_key[1]  # (seq << 8) | kind
+        settles = tag & 0xFF != KIND_MERGE and tag >> 8 <= oldest_snapshot
+        if user_key == current_key:
+            if run is None:
+                dropped += 1  # shadowed by the version that settled the key
+            else:
+                run.append(entry)
+                if settles:
+                    _settle_run(options, run, True, snapshots_live,
+                                is_base_of, add, stats)
+                    run = None
+            continue
+        if run:
+            _settle_run(options, run, False, snapshots_live, is_base_of,
+                        add, stats)
+        current_key = user_key
+        run = None
+        if not settles:
+            run = [entry]
+        elif (tag & 0xFF == KIND_VALUE or snapshots_live
+              or not is_base_of(user_key)):
+            add(entry)
+        else:
+            dropped += 1  # a tombstone with nothing left to shadow
+    if run:
+        _settle_run(options, run, False, snapshots_live, is_base_of, add,
+                    stats)
+    writer.finish()
+    stats.entries_dropped += dropped
+
+
+def _settle_run(options, run: list, settled: bool, snapshots_live: bool,
+                is_base_of, add, stats: CompactionStats) -> None:
+    """Write the held versions of one key (newest first; ``settled``: the
+    last is the version that settled the key).
+
+    With a live snapshot every held version is kept as it is: no folding,
+    no elision — correctness first, space later.  Otherwise the run is
+    merge operands, then possibly their base, and folds into one entry:
+    a plain value when the base was in the inputs or no deeper level could
+    hold one (a full merge), else a single combined operand (a partial
+    merge, which needs the operator to be associative, as posting-list
+    union is).
+    """
+    if snapshots_live:
+        for entry in run:
+            add(entry)
+        return
+    operator = options.merge_operator
+    if operator is None:
+        raise InvalidArgumentError(
+            "merge entries present but no merge_operator configured")
+    user_key, negated_tag = run[0][0]
+    newest_seq = -negated_tag >> 8
+    base = run.pop() if settled else None
+    operands = [entry[2] for entry in reversed(run)]  # oldest first
+    if base is not None and -base[0][1] & 0xFF == KIND_VALUE:
+        operands.insert(0, base[2])
+    folded = operator(user_key, operands)
+    stats.merges_folded += len(run)
+    kind = (KIND_VALUE if base is not None or is_base_of(user_key)
+            else KIND_MERGE)
+    add(((user_key, -((newest_seq << 8) | kind)),
+         pack_internal_key(user_key, newest_seq, kind), folded, None))
 
 
 def _abandon(out) -> None:
@@ -450,101 +625,6 @@ def finish_table(builder: TableBuilder, out, file_number: int) -> FileMetaData:
     return props.file_meta(file_number)
 
 
-def process_key_group(options, user_key: bytes,
-                      group: list[tuple[InternalKey, bytes]],
-                      oldest_snapshot: int, is_base_of,
-                      stats: CompactionStats
-                      ) -> list[tuple[InternalKey, bytes]]:
-    """Decide which versions of one user key survive the merge.
-
-    ``is_base_of(user_key)`` answers "could no level deeper than the output
-    contain this key?" — the tombstone-elision and full-fold predicate.
-    """
-    kept: list[tuple[InternalKey, bytes]] = []
-    for ikey, value in group:
-        kept.append((ikey, value))
-        # A non-merge entry visible to every snapshot shadows all older
-        # versions; merge operands never shadow (they need their base).
-        if ikey.kind != KIND_MERGE and ikey.seq <= oldest_snapshot:
-            break
-    stats.entries_dropped += len(group) - len(kept)
-
-    if oldest_snapshot != MAX_SEQUENCE:
-        # Live snapshots: be conservative — no folding, no elision.
-        return kept
-
-    is_base = is_base_of(user_key)
-    operands = [value for ikey, value in kept if ikey.kind == KIND_MERGE]
-    if operands:
-        base_entry = kept[-1] if kept[-1][0].kind != KIND_MERGE else None
-        newest_seq = kept[0][0].seq
-        folded = fold_operands(options, user_key, operands, base_entry)
-        stats.merges_folded += len(operands)
-        if base_entry is not None or is_base:
-            # A base was present in the inputs (or cannot exist deeper):
-            # the fold is a full merge and becomes a plain value.
-            kept = [(InternalKey(user_key, newest_seq, KIND_VALUE), folded)]
-        else:
-            # No base in sight and deeper levels may hold one: emit a
-            # single combined operand (partial merge — requires the
-            # operator to be associative, which posting-list union is).
-            kept = [(InternalKey(user_key, newest_seq, KIND_MERGE), folded)]
-    if (len(kept) == 1 and kept[0][0].kind == KIND_DELETE and is_base):
-        stats.entries_dropped += 1
-        return []
-    return kept
-
-
-def fold_operands(options, user_key: bytes,
-                  operands_newest_first: list[bytes],
-                  base_entry: tuple[InternalKey, bytes] | None
-                  ) -> bytes | None:
-    operator = options.merge_operator
-    if operator is None:
-        raise InvalidArgumentError(
-            "merge entries present but no merge_operator configured")
-    oldest_first = list(reversed(operands_newest_first))
-    if base_entry is not None and base_entry[0].kind == KIND_VALUE:
-        oldest_first.insert(0, base_entry[1])
-    return operator(user_key, oldest_first)
-
-
-def merge_entry_streams(options, streams, oldest_snapshot: int, is_base_of,
-                        writer: "CompactionOutputWriter",
-                        stats: CompactionStats) -> None:
-    """The whole merge loop: k-way merge, per-key policy, output cutting."""
-    merged = merge_streams(streams)
-    for user_key, group in _group_by_user_key(merged):
-        kept = process_key_group(options, user_key, group, oldest_snapshot,
-                                 is_base_of, stats)
-        for ikey, value in kept:
-            writer.add(ikey, value)
-    writer.finish()
-
-
-def table_entry_stream(table):
-    """Entry stream over a whole table, charged as compaction I/O."""
-    for block_index in range(table.num_data_blocks):
-        block = table.read_data_block(block_index, Category.COMPACTION)
-        for ikey_bytes, value in block:
-            yield unpack_internal_key(ikey_bytes), value
-
-
-def _group_by_user_key(merged):
-    """Group a merged entry stream into per-user-key lists (newest first)."""
-    current_key: bytes | None = None
-    group: list[tuple[InternalKey, bytes]] = []
-    for ikey, value in merged:
-        if ikey.user_key != current_key:
-            if group:
-                yield current_key, group
-            current_key = ikey.user_key
-            group = []
-        group.append((ikey, value))
-    if group:
-        yield current_key, group
-
-
 class CompactionOutputWriter:
     """Cuts compaction output into files of ``sstable_target_size``.
 
@@ -564,16 +644,17 @@ class CompactionOutputWriter:
         self._out = None
         self._file_number = 0
 
-    def add(self, ikey: InternalKey, value: bytes) -> None:
-        if self._builder is None:
+    def add(self, entry: tuple) -> None:
+        """Write one kept ``(sort_key, internal_key, value, slots)`` entry
+        (see :meth:`TableBuilder.add_sorted`)."""
+        builder = self._builder
+        if builder is None:
             self._file_number, self._out, observer = self.open_output()
-            self._builder = TableBuilder(
+            builder = self._builder = TableBuilder(
                 self.options, self._out,
                 compressor_for(self.options.compression),
                 Category.COMPACTION, block_observer=observer)
-        self._builder.add_entry(*ikey, value)
-        if self._builder.estimated_file_size >= \
-                self.options.sstable_target_size:
+        if builder.add_sorted(*entry) >= self.options.sstable_target_size:
             self.finish()
 
     def finish(self) -> None:

@@ -178,13 +178,15 @@ def _read_physical_block(file: RandomAccessFile, handle: BlockHandle,
 class TableBuilder:
     """Streams sorted entries into a new SSTable file.
 
-    When :attr:`Options.indexed_attributes` is non-empty, the builder runs
-    the options' attribute extractor over every VALUE entry and accumulates,
+    When :attr:`Options.indexed_attributes` is non-empty, the builder keeps,
     per data block, a bloom filter and a column for each attribute — the
     Embedded Index structures of the paper's Section 3 (the column stands
-    in for the zone map, which the reader derives from it).  They cost
-    nothing extra at write time beyond CPU: they are emitted with the table
-    during flush/compaction, never updated in place.
+    in for the zone map, which the reader derives from it).  An entry's
+    column slots come with it when its writer holds them (a compaction
+    carries them over from its input tables); otherwise the options'
+    attribute extractor derives them from a VALUE.  They cost nothing extra
+    at write time beyond CPU: they are emitted with the table during
+    flush/compaction, never updated in place.
     """
 
     def __init__(self, options: Options, out: WritableFile,
@@ -205,60 +207,59 @@ class TableBuilder:
         self._index_entries: list[tuple[bytes, BlockHandle]] = []
         self._primary_filter = BloomFilterBuilder(options.bloom_bits_per_key)
         self._primary_filters: list[bytes] = []
+        self._attributes = tuple(options.indexed_attributes)
         self._secondary_filters: dict[str, list[bytes]] = {
-            attr: [] for attr in options.indexed_attributes}
-        self._secondary_filter_builders: dict[str, BloomFilterBuilder] = {}
+            attr: [] for attr in self._attributes}
         self._secondary_columns: dict[str, list[list[bytes]]] = {
-            attr: [] for attr in options.indexed_attributes}
-        self._block_columns: dict[str, list[bytes]] = {}
+            attr: [] for attr in self._attributes}
+        # The open block's filter and column per attribute, in
+        # ``_attributes`` order (the order of an entry's slots).
+        self._block_filters: list[BloomFilterBuilder] = []
+        self._block_columns: list[list[bytes]] = []
         self._reset_block_secondary_builders()
         self.props = TableProperties()
         self._finished = False
 
     def _reset_block_secondary_builders(self) -> None:
         bits = self.options.secondary_bloom_bits_per_key
-        self._secondary_filter_builders = {
-            attr: BloomFilterBuilder(bits)
-            for attr in self.options.indexed_attributes}
-        self._block_columns = {
-            attr: [] for attr in self.options.indexed_attributes}
+        self._block_filters = [BloomFilterBuilder(bits)
+                               for _attr in self._attributes]
+        self._block_columns = [[] for _attr in self._attributes]
 
     def add(self, internal_key: bytes, value: bytes) -> None:
         """Append an entry (keys must be in internal-key order)."""
-        self._add(internal_key, *unpack_internal_key(internal_key), value)
+        self.add_sorted(internal_sort_key(internal_key), internal_key, value)
 
-    def add_entry(self, user_key: bytes, seq: int, kind: int,
-                  value: bytes) -> None:
-        """:meth:`add` for a caller that holds the key decoded (a MemTable
-        entry, a merged compaction entry): packed here once, never unpacked."""
-        self._add(pack_internal_key(user_key, seq, kind),
-                  user_key, seq, kind, value)
-
-    def _add(self, internal_key: bytes, user_key: bytes, seq: int, kind: int,
-             value: bytes) -> None:
+    def add_sorted(self, sort_key: tuple[bytes, int], internal_key: bytes,
+                   value: bytes,
+                   slots: tuple[bytes, ...] | None = None) -> int:
+        """:meth:`add` for a caller that holds the entry decoded: its
+        ``sort_key`` (:func:`~repro.lsm.keys.internal_sort_key`), and —
+        a compaction carrying them from its input — its column ``slots``,
+        one per indexed attribute (``None``: derive them from the value).
+        Returns :attr:`estimated_file_size`."""
         if self._finished:
             raise ValueError("builder already finished")
-        # The sort key is InternalKey.sort_key(), inline: once per entry
-        # written, and the parts are already in hand.
-        self._data_block.add(internal_key, value,
-                             (user_key, -((seq << 8) | kind)))
+        block_size = self._data_block.add(internal_key, value, sort_key)
+        user_key = sort_key[0]
+        tag = -sort_key[1]  # (seq << 8) | kind
         self._primary_filter.add(user_key)
-        if self.options.indexed_attributes:
-            self._observe_secondary(
-                self.options.attribute_extractor(value)
-                if kind == KIND_VALUE else None)
-        self.props.track(internal_key, seq)
-        if self._data_block.current_size_estimate() >= self.options.block_size:
+        if self._attributes:
+            if slots is None:
+                attrs = (self.options.attribute_extractor(value)
+                         if tag & 0xFF == KIND_VALUE else None)
+                slots = [column_entry(attrs, attr)
+                         for attr in self._attributes]
+            for column, bloom, encoded in zip(
+                    self._block_columns, self._block_filters, slots):
+                column.append(encoded)
+                if encoded:
+                    bloom.add(encoded)
+        self.props.track(internal_key, tag >> 8)
+        if block_size >= self.options.block_size:
             self._flush_data_block()
-
-    def _observe_secondary(self, attrs: dict[str, Any] | None) -> None:
-        """One column slot per entry and attribute; a present value also
-        enters the block's bloom."""
-        for attr, column in self._block_columns.items():
-            encoded = column_entry(attrs, attr)
-            column.append(encoded)
-            if encoded:
-                self._secondary_filter_builders[attr].add(encoded)
+            block_size = self._data_block.current_size_estimate()
+        return self._out.size + block_size
 
     def _flush_data_block(self) -> None:
         if self._data_block.is_empty:
@@ -272,10 +273,10 @@ class TableBuilder:
         self._index_entries.append((last_key, handle))
         self._primary_filters.append(self._primary_filter.finish())
         self._primary_filter = BloomFilterBuilder(self.options.bloom_bits_per_key)
-        for attr in self.options.indexed_attributes:
-            self._secondary_filters[attr].append(
-                self._secondary_filter_builders[attr].finish())
-            self._secondary_columns[attr].append(self._block_columns[attr])
+        for attr, bloom, column in zip(
+                self._attributes, self._block_filters, self._block_columns):
+            self._secondary_filters[attr].append(bloom.finish())
+            self._secondary_columns[attr].append(column)
         self._reset_block_secondary_builders()
         self._data_block.reset()
         self.props.num_data_blocks += 1
@@ -297,7 +298,7 @@ class TableBuilder:
         meta_handles.append((
             _META_PRIMARY_FILTER,
             self._write_filter_block(self._primary_filters)))
-        for attr in self.options.indexed_attributes:
+        for attr in self._attributes:
             meta_handles.extend(self._secondary_meta_blocks(attr))
         metaindex_handle = self._write_metaindex(meta_handles)
         for last_key, handle in self._index_entries:

@@ -25,18 +25,33 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import os
 import pstats
 import sys
 from dataclasses import replace
-from typing import IO
+from itertools import groupby
+from typing import IO, Iterator
 
 from repro.lsm.db import DB
+from repro.lsm.iterator import merge_streams
+from repro.lsm.keys import KIND_MERGE, KIND_VALUE
+from repro.lsm.manifest import current_file_name
 from repro.lsm.options import Options
 from repro.lsm.vfs import LocalVFS
+
+#: The commands that inspect an existing database: on a path holding none
+#: they fail instead of letting ``DB.open`` create one there.
+INSPECTING_COMMANDS = ("stats", "dump", "verify", "scrub")
 
 
 def _open(directory: str, name: str, options: Options | None = None) -> DB:
     return DB.open(LocalVFS(directory), name, options or Options())
+
+
+def _database_exists(directory: str, name: str) -> bool:
+    """Does ``directory`` hold database ``name`` (a ``CURRENT`` file)?
+    Checked on the path itself: a :class:`LocalVFS` creates its root."""
+    return os.path.exists(os.path.join(directory, current_file_name(name)))
 
 
 def cmd_stats(directory: str, name: str, out: IO[str]) -> int:
@@ -51,13 +66,20 @@ def cmd_stats(directory: str, name: str, out: IO[str]) -> int:
 
 def cmd_dump(directory: str, name: str, out: IO[str],
              limit: int | None = None) -> int:
-    """Print visible key/value pairs in key order."""
+    """Print visible key/value pairs in key order.
+
+    A key whose newest versions are merge operands is printed with its
+    operand chain unfolded: the tool has no merge operator to fold it."""
     db = _open(directory, name)
     try:
         printed = 0
-        for key, value in db.scan():
-            out.write(f"{key!r} => {value[:80]!r}"
-                      f"{' ...' if len(value) > 80 else ''}\n")
+        for key, value, operands in _visible_versions(db):
+            shown = "" if value is None else _show(value)
+            if operands:
+                chain = ", ".join(_show(operand) for operand in operands)
+                shown = (f"{len(operands)} merge operands, unfolded (newest "
+                         f"first): {chain}" + (shown and f" over {shown}"))
+            out.write(f"{key!r} => {shown}\n")
             printed += 1
             if limit is not None and printed >= limit:
                 out.write(f"... (stopped at --limit {limit})\n")
@@ -66,6 +88,34 @@ def cmd_dump(directory: str, name: str, out: IO[str],
         return 0
     finally:
         db.close()
+
+
+def _show(value: bytes) -> str:
+    return f"{value[:80]!r}{' ...' if len(value) > 80 else ''}"
+
+
+def _visible_versions(db: DB) -> Iterator[tuple[bytes, bytes | None,
+                                                list[bytes]]]:
+    """``(key, value, operands)`` per visible key, in key order.
+
+    ``operands`` are the merge operands above the key's newest value or
+    tombstone, newest first, and ``value`` the value they apply to
+    (``None``: a tombstone or no base at all); a key with no operands has
+    a value.  Read raw, level by level, so no merge operator is needed.
+    """
+    streams = [db.scan_level(level)
+               for level in range(-1, db.options.max_levels)]
+    for key, versions in groupby(merge_streams(streams),
+                                 key=lambda entry: entry[0].user_key):
+        operands: list[bytes] = []
+        value = None
+        for ikey, stored in versions:
+            if ikey.kind != KIND_MERGE:
+                value = stored if ikey.kind == KIND_VALUE else None
+                break
+            operands.append(stored)
+        if operands or value is not None:
+            yield key, value, operands
 
 
 def cmd_verify(directory: str, name: str, out: IO[str]) -> int:
@@ -267,7 +317,6 @@ def cmd_serve(directory: str, name: str, out: IO[str], host: str,
     accepting, finish every fully received request, answer it, flush, then
     exit 0 — no acked write is lost, no request half-applied.
     """
-    import os as _os
     import signal as _signal
     import threading as _threading
 
@@ -283,13 +332,13 @@ def cmd_serve(directory: str, name: str, out: IO[str], host: str,
         from repro.dist.cluster import ShardedDB
 
         def shard_vfs(shard_id: int, replica_id: int) -> LocalVFS:
-            return LocalVFS(_os.path.join(
+            return LocalVFS(os.path.join(
                 directory, f"{name}-s{shard_id}-r{replica_id}"))
 
         db: object = ShardedDB.open(
             shard_vfs, num_shards=shards, replication_factor=replication,
             local_indexes=index_map, options=options,
-            meta_vfs=LocalVFS(_os.path.join(directory, f"{name}-cluster")))
+            meta_vfs=LocalVFS(os.path.join(directory, f"{name}-cluster")))
     elif indexes:
         from repro.core.database import SecondaryIndexedDB
 
@@ -383,6 +432,11 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
                        help="synchronous replicas per shard (with --shards; "
                             "default 1)")
     args = parser.parse_args(argv)
+    if args.command in INSPECTING_COMMANDS and \
+            not _database_exists(args.directory, args.name):
+        out.write(f"no database at "
+                  f"{os.path.join(args.directory, args.name)}\n")
+        return 1
     if args.command == "stats":
         return cmd_stats(args.directory, args.name, out)
     if args.command == "dump":

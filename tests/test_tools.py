@@ -224,6 +224,20 @@ class TestIndexedStore:
                     out) == 0
         _assert_store_whole(indexed_dir)
 
+    def test_dump_prints_an_index_tables_operand_chains(self, indexed_dir):
+        db = _open_store(indexed_dir)
+        db.flush()
+        db.close()
+        out = io.StringIO()
+        assert main(["dump", indexed_dir, "data/index-lazy-UserID"],
+                    out) == 0
+        lines = out.getvalue().splitlines()
+        assert lines[-1] == "3 entries"
+        # One posting fragment per PUT, unfolded: no merge operator.
+        assert all("=> 20 merge operands, unfolded (newest first): " in line
+                   for line in lines[:-1])
+        _assert_store_whole(indexed_dir)
+
     def test_repair_keeps_a_clean_wal_for_the_index(self, indexed_dir):
         out = io.StringIO()
         assert main(["repair", indexed_dir, "data/primary"], out) == 0
@@ -261,6 +275,19 @@ class TestIndexedStore:
             assert all(report.ok for report in db.verify_integrity().values())
         finally:
             db.close()
+
+
+class TestMissingDatabase:
+    @pytest.mark.parametrize("command", ["stats", "dump", "verify", "scrub"])
+    def test_inspecting_creates_nothing(self, tmp_path, command):
+        missing = tmp_path / "nodb"
+        out = io.StringIO()
+        assert main([command, str(missing), "db"], out) != 0
+        assert out.getvalue() == f"no database at {missing / 'db'}\n"
+        assert not missing.exists()
+        # A directory without the database is left as it was, too.
+        assert main([command, str(tmp_path), "db"], io.StringIO()) != 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestArgumentParsing:
