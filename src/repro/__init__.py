@@ -8,7 +8,7 @@ The package is organised in three layers:
 
 ``repro.lsm``
     A from-scratch LevelDB-style log-structured merge-tree storage engine:
-    skiplist MemTable, write-ahead log, block-partitioned immutable SSTables
+    ordered-map MemTable, write-ahead log, block-partitioned immutable SSTables
     with bloom filters and zone maps, leveled compaction and versioned
     manifests.  All I/O flows through a virtual filesystem that counts block
     reads and writes, so experiments report deterministic I/O costs instead

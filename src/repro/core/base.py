@@ -76,7 +76,7 @@ class SecondaryIndex(ABC):
 
     def after_put(self, key: bytes, document: Document, seq: int) -> None:
         """``PUT(key, document)`` committed at ``seq`` (the Embedded
-        index's MemTable B-tree follows the primary MemTable here)."""
+        index's MemTable view follows the primary MemTable here)."""
 
     # -- query path -------------------------------------------------------------
 

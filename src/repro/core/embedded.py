@@ -10,8 +10,9 @@ No separate index table exists.  Instead:
   parsing the values it skips;
 * each SSTable's file-level zone map lives in the manifest metadata
   ("a global metadata file"), pruning whole files;
-* the MemTable is covered by an in-memory B-tree on the attribute
-  (:class:`repro.core.btree.MemTableAttributeIndex`).
+* the MemTable is covered by an in-memory ordered map on the attribute,
+  the paper's MemTable B-tree
+  (:class:`repro.core.memview.MemTableAttributeIndex`).
 
 LOOKUP (Algorithm 5) scans one level at a time, newest component first,
 consulting only the *in-memory* filters and reading just the data blocks
@@ -32,11 +33,12 @@ reordering — validity never depends on heap state — so the answers are
 those of the forward walk (kept as the reference in
 ``tests/core/test_embedded_pruning.py``).
 
-A query is a client of the engine's read view: everything after the B-tree
-read runs inside one ``with primary.read_view()`` block.  A MemTable sealed
-but not yet flushed enters through :meth:`repro.lsm.db.DB.newest_in_memory`
-(B-tree postings are checked against both MemTables of the view) and
-through GetLite's probes, which see the same view; a quarantined table
+A query is a client of the engine's read view: everything after the
+MemTable view's read runs inside one ``with primary.read_view()`` block.
+A MemTable sealed but not yet flushed enters through
+:meth:`repro.lsm.db.DB.newest_in_memory` (the MemTable view's postings are
+checked against both MemTables of the read view) and through GetLite's
+probes, which see the same view; a quarantined table
 enters through :meth:`repro.lsm.db.DB.blocks_admitting` (it has no blocks;
 one found rotten mid-walk is quarantined there, or the error raised, as
 ``Options.on_corruption`` says) and through GetLite, which treats what it
@@ -56,7 +58,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.base import IndexKind, LookupResult, SecondaryIndex
-from repro.core.btree import MemTableAttributeIndex
+from repro.core.memview import MemTableAttributeIndex
 from repro.core.records import (
     Document,
     attribute_of,
@@ -117,7 +119,7 @@ class EmbeddedIndex(SecondaryIndex):
         """Re-index MemTable contents recovered from the WAL on reopen.
 
         SSTable-resident entries are covered by their embedded filters, but
-        entries replayed into the MemTable need their B-tree postings back.
+        entries replayed into the MemTable need their view postings back.
         """
         extractor = self.primary.options.attribute_extractor
         for ikey, value in self.primary.scan_level(-1):
@@ -129,7 +131,7 @@ class EmbeddedIndex(SecondaryIndex):
     def after_put(self, key: bytes, document: Document, seq: int) -> None:
         # Nothing to add to the batch (on_put/on_delete): the filters live
         # in the primary's own tables, and a MemTable tombstone invalidates
-        # any older B-tree posting at query time.
+        # any older MemTable-view posting at query time.
         attr_value = attribute_of(document, self.attribute)
         if attr_value is None:
             return
@@ -160,8 +162,8 @@ class EmbeddedIndex(SecondaryIndex):
                k: int | None, early_termination: bool) -> list[LookupResult]:
         """Algorithms 5 and 8 under one engine read view.
 
-        ``postings`` were read from the B-tree *before* the view is taken:
-        a flush that lands in between expires them from the B-tree on its
+        ``postings`` were read from the MemTable view *before* the engine's
+        view is taken: a flush that lands in between expires them on its
         own thread, and read in this order they can only be stale — the
         view then no longer holds their MemTable, they fail the check
         against it and the same records are found on disk — never missing.

@@ -4,7 +4,8 @@ This subpackage is the substrate on which the paper's five secondary-index
 techniques are implemented.  It mirrors the architecture of Google's LevelDB
 (the base system of the paper's LevelDB++):
 
-* an in-memory **MemTable** backed by a skip list (:mod:`repro.lsm.memtable`),
+* an in-memory **MemTable**, an ordered map of versions per key
+  (:mod:`repro.lsm.memtable`),
 * a **write-ahead log** with CRC-protected, block-fragmented records
   (:mod:`repro.lsm.wal`),
 * immutable **SSTables** partitioned into prefix-compressed data blocks, with

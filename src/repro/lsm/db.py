@@ -1867,11 +1867,11 @@ class DB:
         """GetLite's one walk of the components above ``below_level``: the
         newest sequence of ``key`` there, ``None`` if none holds it.  A
         MemTable hit or a table's ``MAX_SEQUENCE`` ends the walk."""
-        memtables, version, _max_seq, pin = self._acquire_view()
+        memtables, version, max_seq, pin = self._acquire_view()
         try:
             if include_memtable:
                 for memtable in memtables:
-                    entry = memtable.get(key)
+                    entry = memtable.get(key, max_seq)
                     if entry is not None:
                         return entry.seq
             best: int | None = None
@@ -2095,14 +2095,14 @@ class DB:
                          ) -> Iterator[tuple[tuple[bytes, int], bytes]]:
         """MemTable entries from ``lo`` on, as the scan path's
         ``(sort_key, value)`` pairs (``b""`` sorts before every key)."""
-        for _key, entry in memtable._list.items_from((lo or b"", 0)):
+        for entry in memtable.entries_from(lo or b""):
             yield ((entry.user_key, -((entry.seq << 8) | entry.kind)),
                    entry.value)
 
     @staticmethod
     def _memtable_stream(lo: bytes | None, memtable: MemTable
                          ) -> Iterator[tuple[InternalKey, bytes]]:
-        for _key, entry in memtable._list.items_from((lo or b"", 0)):
+        for entry in memtable.entries_from(lo or b""):
             yield InternalKey(entry.user_key, entry.seq, entry.kind), \
                 entry.value
 

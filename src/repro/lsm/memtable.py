@@ -1,20 +1,28 @@
 """The in-memory write buffer (LSM component C0).
 
-Entries live in a skip list ordered by ``(user_key asc, seq desc)`` — the
-internal-key order — so a forward walk within one user key visits versions
-newest-first.  The MemTable never discards data; obsolete versions are
-dropped later by compaction.
+Entries are kept per user key: a dict maps each key to its versions
+(oldest first), and a grow-only sorted list holds the distinct keys, so a
+walk in internal-key order ``(user_key asc, seq desc)`` visits the keys in
+order and each key's versions newest-first.  The MemTable never discards
+data; obsolete versions are dropped later by compaction.
 
-Memory accounting is approximate (key + value bytes plus a fixed per-node
+One writer, any number of lock-free readers: a reader sees each version
+list either before or after an insert, never half-way, because CPython's
+dict stores, ``list.append`` / ``list.insert`` and ``bisect`` are atomic, a
+key reaches the dict before its slot in the key list, and an out-of-order
+version replaces its key's list whole instead of editing it in place.
+
+Memory accounting is approximate (key + value bytes plus a fixed per-entry
 overhead), which is how LevelDB decides when to flush as well.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from operator import attrgetter
 from typing import Iterator
 
 from repro.lsm.keys import KIND_DELETE, KIND_MERGE, KIND_VALUE, MAX_SEQUENCE
-from repro.lsm.skiplist import SkipList
 
 _NODE_OVERHEAD = 64
 
@@ -36,17 +44,21 @@ class MemTableEntry:
 
 
 class MemTable:
-    """Skiplist-backed buffer of recent writes."""
+    """Buffer of recent writes, ordered by internal key."""
 
     def __init__(self) -> None:
-        self._list = SkipList()
+        #: user key -> its versions, oldest first.
+        self._versions: dict[bytes, list[MemTableEntry]] = {}
+        #: The keys of ``_versions``, sorted; only ever inserted into.
+        self._keys: list[bytes] = []
+        self._size = 0
         self._memory = 0
         self._min_seq: int | None = None
         self._max_seq: int | None = None
         self._sealed = False
 
     def __len__(self) -> int:
-        return len(self._list)
+        return self._size
 
     @property
     def approximate_memory_usage(self) -> int:
@@ -70,8 +82,7 @@ class MemTable:
         A sealed MemTable rejects further inserts; readers keep working.
         The background pipeline (DESIGN.md §8) seals the active MemTable
         when it fills, hands it to the compactor thread, and swaps in a
-        fresh one — sealing turns the single-writer skip list into
-        read-only shared state that is safe to scan from any thread.
+        fresh one.
         """
         self._sealed = True
 
@@ -80,13 +91,27 @@ class MemTable:
         self._sealed = False
 
     def add(self, seq: int, kind: int, user_key: bytes, value: bytes) -> None:
-        """Insert one version.  ``value`` is ignored for deletions."""
+        """Insert one version.  ``value`` is ignored for deletions.
+
+        Raises ``KeyError`` if ``user_key`` already has a version ``seq``.
+        """
         if self._sealed:
             raise RuntimeError("cannot add to a sealed MemTable")
         if kind not in (KIND_VALUE, KIND_DELETE, KIND_MERGE):
             raise ValueError(f"invalid kind: {kind}")
         entry = MemTableEntry(user_key, seq, kind, value)
-        self._list.insert((user_key, MAX_SEQUENCE - seq), entry)
+        versions = self._versions.get(user_key)
+        if versions is None:
+            self._versions[user_key] = [entry]
+            insort(self._keys, user_key)
+        elif versions[-1].seq < seq:
+            versions.append(entry)
+        else:
+            at = bisect_left(versions, seq, key=attrgetter("seq"))
+            if at < len(versions) and versions[at].seq == seq:
+                raise KeyError(f"duplicate memtable key: {user_key!r}@{seq}")
+            self._versions[user_key] = versions[:at] + [entry] + versions[at:]
+        self._size += 1
         self._memory += len(user_key) + len(value) + _NODE_OVERHEAD
         if self._min_seq is None or seq < self._min_seq:
             self._min_seq = seq
@@ -96,11 +121,9 @@ class MemTable:
     def versions(self, user_key: bytes,
                  max_seq: int = MAX_SEQUENCE) -> Iterator[MemTableEntry]:
         """Versions of ``user_key`` with ``seq <= max_seq``, newest first."""
-        start = (user_key, MAX_SEQUENCE - max_seq)
-        for (key, _inv_seq), entry in self._list.items_from(start):
-            if key != user_key:
-                return
-            yield entry
+        for entry in reversed(self._versions.get(user_key, ())):
+            if entry.seq <= max_seq:
+                yield entry
 
     def get(self, user_key: bytes,
             max_seq: int = MAX_SEQUENCE) -> MemTableEntry | None:
@@ -113,10 +136,28 @@ class MemTable:
             return entry
         return None
 
+    def entries_from(self, lo: bytes = b"") -> Iterator[MemTableEntry]:
+        """Entries whose user key is ``>= lo``, in internal-key order.
+
+        Safe against the writer: a key inserted in front of the walk's
+        position shifts the keys already visited back under it, so each
+        step skips keys it has passed and the walk stays strictly
+        increasing.
+        """
+        keys, versions = self._keys, self._versions
+        index = bisect_left(keys, lo)
+        last = None
+        while index < len(keys):
+            key = keys[index]
+            index += 1
+            if last is not None and key <= last:
+                continue
+            last = key
+            yield from reversed(versions[key])
+
     def __iter__(self) -> Iterator[MemTableEntry]:
         """All entries in internal-key order (user key asc, seq desc)."""
-        for _key, entry in self._list:
-            yield entry
+        return self.entries_from()
 
     def is_empty(self) -> bool:
-        return len(self._list) == 0
+        return self._size == 0

@@ -101,9 +101,13 @@ class TableCache:
             table.file.close()
 
     def close(self) -> None:
+        # Drop the block cache too: a DB is part of a reference cycle (its
+        # compactor holds its bound methods), so a cache it kept would stay
+        # alive until the cyclic collector ran.
         with self._lock:
             tables = list(self._tables.values())
             self._tables.clear()
+            self.block_cache = None
         for table in tables:
             table.file.close()
 

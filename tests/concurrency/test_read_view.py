@@ -9,6 +9,10 @@ parked there.
 
 from __future__ import annotations
 
+import threading
+
+from repro.core.base import IndexKind
+from repro.core.database import SecondaryIndexedDB
 from repro.core.validity import ValidityChecker
 from repro.lsm.db import DB
 from repro.lsm.options import Options
@@ -77,4 +81,40 @@ def test_getlite_sees_a_newer_version_in_the_sealed_memtable():
     assert checker.getlite_confirm_reads == 1
     assert checker.is_newest_version(b"t1", new_seq, level=0)
     sched.shutdown()
+    db.close()
+
+
+def test_getlite_ignores_a_version_not_yet_published():
+    """A writer parked before it publishes its sequence has put its new
+    version in the MemTable, but no read view includes it yet: GET returns
+    the old document, and so must an Embedded LOOKUP, whose GetLite probe
+    sees the same view."""
+    writer_parked, release = threading.Event(), threading.Event()
+
+    def hook(label: str) -> None:
+        if label == "write:publish" \
+                and threading.current_thread().name == "updater":
+            writer_parked.set()
+            release.wait(timeout=30)
+
+    db = SecondaryIndexedDB.open_memory(
+        {"u": IndexKind.EMBEDDED},
+        Options(background_compaction=True, step_hook=hook))
+    old_seq = db.put("t1", {"u": "alice"})
+    db.flush()
+    updater = threading.Thread(
+        target=db.put, args=("t1", {"u": "bob"}), name="updater")
+    updater.start()
+    try:
+        assert writer_parked.wait(timeout=30)
+        assert db.get("t1") == {"u": "alice"}
+        assert [(r.key, r.seq) for r in db.lookup("u", "alice")] == \
+            [("t1", old_seq)]
+        assert db.lookup("u", "bob") == []
+    finally:
+        release.set()
+        updater.join(timeout=30)
+    assert not updater.is_alive()
+    assert [r.key for r in db.lookup("u", "bob")] == ["t1"]
+    assert db.lookup("u", "alice") == []
     db.close()

@@ -4,7 +4,7 @@ import random
 import sys
 import threading
 
-from repro.core.btree import MemTableAttributeIndex
+from repro.core.memview import MemTableAttributeIndex
 from repro.lsm.zonemap import encode_attribute
 
 

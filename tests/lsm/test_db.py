@@ -1,6 +1,8 @@
 """The DB facade: basic operations, scans, probes, recovery, snapshots."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -438,6 +440,24 @@ class TestIntrospection:
         assert cache_stats["capacity_bytes"] == 32 * 1024
         assert cache_stats["hits"] >= 1
         db.close()
+
+    def test_close_releases_the_block_cache(self):
+        """A DB sits in a reference cycle (its compactor holds its bound
+        methods); the cache must not wait for the cyclic collector."""
+        gc.disable()
+        try:
+            db = DB.open_memory(_options(block_cache_size=32 * 1024))
+            for i in range(100):
+                db.put(f"k{i:05d}".encode(), b"x" * 60)
+            db.flush()
+            assert db.get(b"k00050") == b"x" * 60
+            cache = weakref.ref(db.table_cache.block_cache)
+            assert cache().stats()["used_bytes"] > 0
+            db.close()
+            assert db.table_cache.block_cache is None
+            assert cache() is None
+        finally:
+            gc.enable()
 
     def test_pipeline_gauges_inline_mode(self):
         db = DB.open_memory(_options())

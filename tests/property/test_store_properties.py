@@ -11,6 +11,7 @@ Hypothesis drives random operation sequences; the invariants are:
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,9 @@ from repro.core.database import SecondaryIndexedDB
 from repro.core.posting import posting_merge_operator, single_posting_fragment
 from repro.lsm.bloom import BloomFilterBuilder, bloom_may_contain
 from repro.lsm.db import DB
+from repro.lsm.keys import KIND_DELETE, KIND_MERGE, KIND_VALUE
+from repro.lsm.memtable import MemTable
 from repro.lsm.options import Options
-from repro.lsm.skiplist import SkipList
 
 _SETTINGS = settings(max_examples=25, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -139,12 +141,50 @@ class TestMergeOperatorAssociativity:
         assert json.loads(left) == json.loads(right)
 
 
-class TestSkipListSorted:
+class TestMemTableSorted:
     @given(st.lists(st.integers(min_value=0, max_value=10**6),
                     unique=True, max_size=300))
     @settings(max_examples=50, deadline=None)
     def test_iteration_sorted(self, keys):
-        sl = SkipList()
-        for key in keys:
-            sl.insert(key, None)
-        assert [k for k, _v in sl] == sorted(keys)
+        mem = MemTable()
+        for seq, key in enumerate(keys, start=1):
+            mem.add(seq, KIND_VALUE, b"%07d" % key, b"")
+        assert [e.user_key for e in mem] == sorted(b"%07d" % k for k in keys)
+
+    @given(st.lists(st.tuples(st.sampled_from([b"", b"a", b"ab", b"b", b"c"]),
+                              st.integers(min_value=1, max_value=30),
+                              st.sampled_from([KIND_VALUE, KIND_DELETE,
+                                               KIND_MERGE])),
+                    max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_against_sorted_oracle(self, adds):
+        """Any insertion order, sequences out of order included."""
+        mem = MemTable()
+        oracle: dict[tuple[bytes, int], tuple[int, bytes]] = {}
+        for key, seq, kind in adds:
+            value = b"%s@%d" % (key, seq)
+            if (key, seq) in oracle:
+                with pytest.raises(KeyError):
+                    mem.add(seq, kind, key, value)
+                continue
+            mem.add(seq, kind, key, value)
+            oracle[key, seq] = (kind, value)
+        assert len(mem) == len(oracle)
+        entries = sorted(oracle, key=lambda ks: (ks[0], -ks[1]))
+
+        def triples(found):
+            return [(e.user_key, e.seq, e.kind, e.value) for e in found]
+
+        want = [(key, seq, *oracle[key, seq]) for key, seq in entries]
+        assert triples(mem) == want
+        for lo in (b"", b"\0", b"a", b"a\0", b"ab", b"abc", b"b", b"c",
+                   b"d"):
+            assert triples(mem.entries_from(lo)) == \
+                [entry for entry in want if entry[0] >= lo]
+        for key in (b"", b"a", b"ab", b"b", b"c", b"z"):
+            for max_seq in range(32):
+                visible = [entry for entry in want
+                           if entry[0] == key and entry[1] <= max_seq]
+                assert triples(mem.versions(key, max_seq)) == visible
+                newest = mem.get(key, max_seq)
+                assert triples([newest] if newest else []) == visible[:1]
