@@ -19,15 +19,14 @@ validates a K prefix against the data table in batched GETs.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Any, Iterator
 
 from repro.core.base import IndexKind, LookupResult, StandAloneIndex
 from repro.core.posting import (
-    PostingEntry,
     decode_posting_list,
     encode_posting_list,
     live_postings,
+    posting_seq,
 )
 from repro.core.records import (
     Document,
@@ -67,10 +66,9 @@ class EagerIndex(StandAloneIndex):
         index_key = encode_attribute(attr_value)
         entries = self._read_list(index_key)
         key_str = key_to_str(key)
-        entries = [entry for entry in entries if entry.key != key_str]
+        entries = [entry for entry in entries if entry[0] != key_str]
         batch.put(index_key,
-                  lambda seq: encode_posting_list(
-                      [PostingEntry(key_str, seq), *entries]),
+                  lambda seq: encode_posting_list([[key_str, seq], *entries]),
                   self.index_db)
 
     def on_delete(self, batch: WriteBatch, key: bytes,
@@ -83,7 +81,7 @@ class EagerIndex(StandAloneIndex):
         index_key = encode_attribute(attr_value)
         entries = self._read_list(index_key)
         key_str = key_to_str(key)
-        remaining = [entry for entry in entries if entry.key != key_str]
+        remaining = [entry for entry in entries if entry[0] != key_str]
         if len(remaining) != len(entries):
             batch.put(index_key, encode_posting_list(remaining),
                       self.index_db)
@@ -91,7 +89,7 @@ class EagerIndex(StandAloneIndex):
     def entries(self) -> Iterator[tuple[bytes, bytes]]:
         return live_postings(self.index_db)
 
-    def _read_list(self, index_key: bytes) -> list[PostingEntry]:
+    def _read_list(self, index_key: bytes) -> list[list]:
         self.write_path_reads += 1
         payload = self.index_db.get(index_key)
         if payload is None:
@@ -131,16 +129,16 @@ class EagerIndex(StandAloneIndex):
             attribute_in_range(self.attribute, low, high, encode_attribute),
             k)
 
-    def _harvest(self, postings: list[PostingEntry], predicate,
+    def _harvest(self, postings: list[list], predicate,
                  k: int | None) -> list[LookupResult]:
         """Validate postings newest first; see ``ValidityChecker.harvest``.
 
         A list is newest-first as the write path leaves it (the sort is
         then one pass) but in key order after ``rebuild_index``.
         """
-        postings.sort(key=attrgetter("seq"), reverse=True)
+        postings.sort(key=posting_seq, reverse=True)
         heap: TopKBySeq[LookupResult] = TopKBySeq(k)
         self.checker.harvest(
-            ((entry.seq, key_to_bytes(entry.key)) for entry in postings
-             if not entry.deleted), predicate, heap, set())
+            ((entry[1], key_to_bytes(entry[0])) for entry in postings
+             if len(entry) == 2), predicate, heap, set())
         return heap.results()

@@ -20,22 +20,21 @@ sequence and validated by
 the heap can still accept, so a level costs K data-table GETs whatever
 order its fragments arrive in.
 
-DEL writes a fragment carrying a deletion marker, which cancels older
-postings of the key when fragments merge (during compaction or at query
-time).
+DEL writes a fragment carrying a deletion marker (``[pk, seq, 1]``), which
+cancels older postings of the key when fragments merge (during compaction
+or at query time).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from operator import attrgetter
 from typing import Any, Iterator
 
 from repro.core.base import IndexKind, LookupResult, StandAloneIndex
 from repro.core.posting import (
-    PostingEntry,
     decode_posting_list,
     live_postings,
+    posting_seq,
     single_posting_fragment,
 )
 from repro.core.records import (
@@ -118,7 +117,7 @@ class LazyIndex(StandAloneIndex):
         state = _HarvestState(k, attribute_equals(self.attribute, value))
         for _level, entries in fragments:
             self.levels_visited += 1
-            postings: list[PostingEntry] = []
+            postings: list[list] = []
             shadows_deeper = False
             for kind, _seq, payload in entries:
                 if kind != KIND_DELETE:
@@ -141,7 +140,7 @@ class LazyIndex(StandAloneIndex):
         return live_postings(self.index_db)
 
     def _gather(self, index_key: bytes, payload: bytes,
-                postings: list[PostingEntry], state: _HarvestState) -> None:
+                postings: list[list], state: _HarvestState) -> None:
         """Collect one fragment's live postings for the level's harvest.
 
         A deletion marker *cancels* older postings of the same primary key
@@ -149,15 +148,15 @@ class LazyIndex(StandAloneIndex):
         arrival order a marker always precedes what it cancels.
         """
         for posting in decode_posting_list(payload):
-            scope = (index_key, posting.key)
+            scope = (index_key, posting[0])
             if scope in state.cancelled:
                 continue
-            if posting.deleted:
+            if len(posting) == 3:
                 state.cancelled.add(scope)
             else:
                 postings.append(posting)
 
-    def _harvest(self, postings: list[PostingEntry],
+    def _harvest(self, postings: list[list],
                  state: _HarvestState) -> None:
         """Validate one level's postings, newest first, in batches.
 
@@ -166,9 +165,9 @@ class LazyIndex(StandAloneIndex):
         that can fill the heap costs K GETs whatever order its fragments
         arrived in; what it skips stays unresolved for deeper levels.
         """
-        postings.sort(key=attrgetter("seq"), reverse=True)
+        postings.sort(key=posting_seq, reverse=True)
         self.checker.harvest(
-            ((posting.seq, key_to_bytes(posting.key)) for posting in postings),
+            ((posting[1], key_to_bytes(posting[0])) for posting in postings),
             state.predicate, state.heap, state.resolved)
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
@@ -192,7 +191,7 @@ class LazyIndex(StandAloneIndex):
         shadowed: set[bytes] = set()
         for level in [-1, *range(self.index_db.options.max_levels)]:
             self.levels_visited += 1
-            postings: list[PostingEntry] = []
+            postings: list[list] = []
             for ikey, payload in self.index_db.scan_level(
                     level, low_encoded, high_encoded):
                 if ikey.user_key in shadowed:

@@ -8,77 +8,72 @@ Lazy index's compaction CPU cost — with each entry carrying the data-table
 sequence number ("we attach a sequence number to each entry in the postings
 list on every write").
 
-Entry forms::
+A posting is its decoded JSON entry (a str pk, an int seq)::
 
     [pk, seq]        a live posting
     [pk, seq, 1]     a deletion marker (Lazy DEL writes these; they cancel
                      older postings of pk when fragments merge)
 
-Lists are kept newest-first, at most one entry per primary key.
+Lists are kept newest-first, at most one entry per primary key, and written
+in the canonical encoding of docs/FORMAT.md §5; decoding checks each entry's
+shape.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from repro.lsm.errors import CorruptionError
 
-
-@dataclass(frozen=True)
-class PostingEntry:
-    """One ``(primary key, seq)`` posting, possibly a deletion marker."""
-
-    key: str
-    seq: int
-    deleted: bool = False
-
-    def to_json(self) -> list:
-        if self.deleted:
-            return [self.key, self.seq, 1]
-        return [self.key, self.seq]
+posting_key = itemgetter(0)
+posting_seq = itemgetter(1)
 
 
-def encode_posting_list(entries: list[PostingEntry]) -> bytes:
-    """Serialize entries (assumed newest-first) as a JSON array."""
-    return json.dumps([entry.to_json() for entry in entries],
-                      separators=(",", ":")).encode("utf-8")
+def encode_posting_list(entries: list[list]) -> bytes:
+    """Serialize postings (assumed newest-first) as a JSON array."""
+    return json.dumps(entries, separators=(",", ":")).encode("ascii")
 
 
-def decode_posting_list(payload: bytes) -> list[PostingEntry]:
-    """Parse a stored posting list; order is preserved."""
+def decode_posting_list(payload: bytes) -> list[list]:
+    """Parse and check a stored posting list; order is preserved."""
     try:
-        raw = json.loads(payload)
+        entries = json.loads(payload.decode("utf-8"))
     except ValueError as exc:
         raise CorruptionError(f"bad posting list: {exc}") from exc
-    if not isinstance(raw, list):
+    if type(entries) is not list:
         raise CorruptionError("posting list is not a JSON array")
-    entries = []
-    for item in raw:
-        if not isinstance(item, list) or len(item) not in (2, 3):
-            raise CorruptionError(f"bad posting entry: {item!r}")
-        entries.append(PostingEntry(item[0], item[1], len(item) == 3))
+    # C-level passes, each run once the previous held; ``type`` bars bools.
+    if not (set(map(type, entries)) <= {list}
+            and (lengths := set(map(len, entries))) <= {2, 3}
+            and set(map(type, map(posting_key, entries))) <= {str}
+            and set(map(type, map(posting_seq, entries))) <= {int}
+            and (3 not in lengths or {(type(e[2]), e[2]) for e in entries
+                                      if len(e) == 3} == {(int, 1)})):
+        raise CorruptionError(f"bad posting list: {payload[:80]!r}")
     return entries
 
 
-def normalize(entries: list[PostingEntry]) -> list[PostingEntry]:
+def normalize(entries: Iterable[list]) -> list[list]:
     """Deduplicate by primary key (newest wins) and sort newest-first.
 
-    The key tiebreak makes the form canonical: sequence ties cannot occur
+    Among postings of one key with equal sequences the earliest wins.  The
+    key tiebreak makes the form canonical: sequence ties cannot occur
     between real writes, but canonicality keeps the merge operator exactly
     associative on arbitrary inputs.
     """
-    newest: dict[str, PostingEntry] = {}
-    for entry in entries:
-        current = newest.get(entry.key)
-        if current is None or entry.seq > current.seq:
-            newest[entry.key] = entry
-    return sorted(newest.values(), key=lambda e: (-e.seq, e.key))
+    # Oldest first, later arrivals first among equal sequences (the sort
+    # is stable): the dict keeps each key's last posting, its winner.
+    ascending = sorted(entries, key=posting_seq, reverse=True)[::-1]
+    newest = dict(zip(map(posting_key, ascending), ascending)).values()
+    return sorted(sorted(newest, key=posting_key), key=posting_seq,
+                  reverse=True)
 
 
-def merge_fragments(fragments_oldest_first: list[list[PostingEntry]]
-                    ) -> list[PostingEntry]:
+def merge_fragments(fragments_oldest_first: Iterable[list[list]]
+                    ) -> list[list]:
     """Union posting fragments: per key, the newest posting (or marker) wins.
 
     Deletion markers survive the merge — a marker must keep cancelling
@@ -86,10 +81,7 @@ def merge_fragments(fragments_oldest_first: list[list[PostingEntry]]
     can only be discarded by a query (or a hypothetical bottommost full
     merge, which the operator cannot detect).
     """
-    combined: list[PostingEntry] = []
-    for fragment in fragments_oldest_first:
-        combined.extend(fragment)
-    return normalize(combined)
+    return normalize(chain.from_iterable(fragments_oldest_first))
 
 
 def live_postings(index_db) -> Iterator[tuple[bytes, bytes]]:
@@ -98,8 +90,8 @@ def live_postings(index_db) -> Iterator[tuple[bytes, bytes]]:
     block cache."""
     for index_key, payload in index_db.scan(fill_cache=False):
         for entry in decode_posting_list(payload):
-            if not entry.deleted:
-                yield index_key, entry.key.encode("utf-8")
+            if len(entry) == 2:
+                yield index_key, entry[0].encode("utf-8")
 
 
 def posting_merge_operator(key: bytes, operands: list[bytes]) -> bytes:
@@ -107,10 +99,10 @@ def posting_merge_operator(key: bytes, operands: list[bytes]) -> bytes:
 
     Associative by construction, which the engine's partial merges require.
     """
-    fragments = [decode_posting_list(op) for op in operands]
-    return encode_posting_list(merge_fragments(fragments))
+    return encode_posting_list(
+        merge_fragments(map(decode_posting_list, operands)))
 
 
 def single_posting_fragment(key: str, seq: int, deleted: bool = False) -> bytes:
     """The Lazy index's per-write fragment: ``PUT(a, [k])`` of Example 1."""
-    return encode_posting_list([PostingEntry(key, seq, deleted)])
+    return encode_posting_list([[key, seq, 1] if deleted else [key, seq]])

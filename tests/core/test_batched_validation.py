@@ -89,14 +89,14 @@ class PerPostingWalks:
             return []
         predicate = attribute_equals(self.attribute, value)
         results = []
-        for entry in decode_posting_list(payload):
-            if entry.deleted:
+        for key, _posting_seq, *marker in decode_posting_list(payload):
+            if marker:
                 continue
-            found = self.fetch_valid(key_to_bytes(entry.key), predicate)
+            found = self.fetch_valid(key_to_bytes(key), predicate)
             if found is None:
                 continue
             document, seq = found
-            results.append(LookupResult(entry.key, document, seq))
+            results.append(LookupResult(key, document, seq))
             if k is not None and len(results) >= k:
                 break
         return results
@@ -109,18 +109,19 @@ class PerPostingWalks:
         predicate = self._range_predicate(low, high)
         heap = TopKBySeq(k)
         seen = set()
-        for entry in self._eager_merged(index, low_encoded, high_encoded):
-            if entry.deleted or entry.key in seen:
+        for key, posting_seq, *marker in self._eager_merged(
+                index, low_encoded, high_encoded):
+            if marker or key in seen:
                 continue
-            seen.add(entry.key)
+            seen.add(key)
             if k is not None and heap.is_full and not \
-                    heap.would_accept(entry.seq):
+                    heap.would_accept(posting_seq):
                 break
-            found = self.fetch_valid(key_to_bytes(entry.key), predicate)
+            found = self.fetch_valid(key_to_bytes(key), predicate)
             if found is None:
                 continue
             document, seq = found
-            heap.add(seq, LookupResult(entry.key, document, seq))
+            heap.add(seq, LookupResult(key, document, seq))
         return heap.results()
 
     @staticmethod
@@ -132,13 +133,13 @@ class PerPostingWalks:
                 lists.append(entries)
         merged = []
         for number, entries in enumerate(lists):
-            heapq.heappush(merged, (-entries[0].seq, number, 0))
+            heapq.heappush(merged, (-entries[0][1], number, 0))
         while merged:
             _neg_seq, number, pos = heapq.heappop(merged)
             yield lists[number][pos]
             if pos + 1 < len(lists[number]):
                 heapq.heappush(
-                    merged, (-lists[number][pos + 1].seq, number, pos + 1))
+                    merged, (-lists[number][pos + 1][1], number, pos + 1))
 
     # Lazy ----------------------------------------------------------------------
 
@@ -168,23 +169,23 @@ class PerPostingWalks:
 
     def _lazy_harvest(self, index_key, postings, heap, state, predicate):
         resolved, cancelled = state
-        for posting in postings:
-            if posting.key in resolved:
+        for key, posting_seq, *marker in postings:
+            if key in resolved:
                 continue
-            scope = (index_key, posting.key)
+            scope = (index_key, key)
             if scope in cancelled:
                 continue
-            if posting.deleted:
+            if marker:
                 cancelled.add(scope)
                 continue
-            if not heap.would_accept(posting.seq):
+            if not heap.would_accept(posting_seq):
                 continue
-            resolved.add(posting.key)
-            found = self.fetch_valid(key_to_bytes(posting.key), predicate)
+            resolved.add(key)
+            found = self.fetch_valid(key_to_bytes(key), predicate)
             if found is None:
                 continue
             document, seq = found
-            heap.add(seq, LookupResult(posting.key, document, seq))
+            heap.add(seq, LookupResult(key, document, seq))
 
     def lazy_range(self, index, low, high, k, early_termination):
         low_encoded, high_encoded = \

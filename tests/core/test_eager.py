@@ -16,7 +16,7 @@ class TestListMaintenance:
         index = db.indexes["UserID"]
         payload = index.index_db.get(encode_attribute("u1"))
         entries = decode_posting_list(payload)
-        assert [e.key for e in entries] == ["t3", "t2", "t1"]
+        assert [e[0] for e in entries] == ["t3", "t2", "t1"]
         db.close()
 
     def test_reput_moves_to_front_without_duplicates(self, index_options):
@@ -27,7 +27,7 @@ class TestListMaintenance:
         index = db.indexes["UserID"]
         entries = decode_posting_list(
             index.index_db.get(encode_attribute("u1")))
-        assert [e.key for e in entries] == ["t1", "t2"]
+        assert [e[0] for e in entries] == ["t1", "t2"]
         db.close()
 
     def test_update_leaves_stale_entry_in_old_list(self, index_options):
@@ -39,7 +39,7 @@ class TestListMaintenance:
         index = db.indexes["UserID"]
         stale = decode_posting_list(
             index.index_db.get(encode_attribute("u2")))
-        assert [e.key for e in stale] == ["t3"]
+        assert [e[0] for e in stale] == ["t3"]
         assert [r.key for r in db.lookup("UserID", "u2")] == []
         assert [r.key for r in db.lookup("UserID", "u1")] == ["t3"]
         db.close()
@@ -52,7 +52,7 @@ class TestListMaintenance:
         index = db.indexes["UserID"]
         entries = decode_posting_list(
             index.index_db.get(encode_attribute("u1")))
-        assert [e.key for e in entries] == ["t2"]
+        assert [e[0] for e in entries] == ["t2"]
         assert [r.key for r in db.lookup("UserID", "u1")] == ["t2"]
         db.close()
 

@@ -30,8 +30,8 @@ class TestFragmentWrites:
         assert len(fragments) == 1
         _level, entries = fragments[0]
         postings = decode_posting_list(entries[0][2])
-        live = [p for p in postings if not p.deleted]
-        assert [p.key for p in live] == [
+        live = [p for p in postings if len(p) == 2]
+        assert [p[0] for p in live] == [
             f"t{i:05d}" for i in range(399, -1, -1) if i % 4 == 1]
         db.close()
 
@@ -54,7 +54,7 @@ class TestFragmentWrites:
         assert level == index_db.options.max_levels - 1
         (kind, _seq, value), = entries
         assert kind == KIND_VALUE
-        assert [p.key for p in decode_posting_list(value)] \
+        assert [p[0] for p in decode_posting_list(value)] \
             == ["t2", "t1", "t0"]
         stats = index_db.stats()["compaction"]
         assert stats["trivial_moves"] == 0 and stats["merges_folded"] >= 3

@@ -32,8 +32,8 @@ class TestExample2:
             index.index_db.get(encode_attribute("u1")))
         u2_list = decode_posting_list(
             index.index_db.get(encode_attribute("u2")))
-        assert [e.key for e in u1_list] == ["t2", "t1"]
-        assert [e.key for e in u2_list] == ["t4", "t3"]
+        assert [e[0] for e in u1_list] == ["t2", "t1"]
+        assert [e[0] for e in u2_list] == ["t4", "t3"]
         db.close()
 
     def test_lookup_results_all_variants(self):

@@ -100,7 +100,7 @@ class TestByteIdentity:
         assert shapes["inline"] == shapes["process"]
 
     def test_merge_operator_folds_identically(self, tmp_path):
-        from repro.core.posting import PostingEntry, encode_posting_list
+        from repro.core.posting import encode_posting_list
 
         shapes = {}
         for mode, processes in (("inline", 0), ("process", 1)):
@@ -114,7 +114,7 @@ class TestByteIdentity:
                     for i in range(40):
                         seq += 1
                         db.merge(f"p{i:03d}".encode(), encode_posting_list(
-                            [PostingEntry(f"doc-{r}-{i}", seq)]))
+                            [[f"doc-{r}-{i}", seq]]))
                     db.flush()
                 db.compact_range()
                 assert b"doc-0-7" in db.get(b"p007")
