@@ -4,7 +4,7 @@
 top-k during a scan in one level, LOOKUP can stop there" (Section 4.1.2) —
 the property that gives Lazy its small-K edge over Composite.  The
 ablation disables the stop and measures the extra levels visited and the
-extra index I/O.
+extra index I/O: the walk reads a level only once it reaches it.
 """
 
 import pytest
@@ -66,4 +66,6 @@ def test_ablation_early_termination(benchmark, lazy_db, early):
     if len(_RESULTS) == 2:
         _TABLE.write()
         assert _RESULTS[True]["levels"] < _RESULTS[False]["levels"]
-        assert _RESULTS[True]["reads"] <= _RESULTS[False]["reads"]
+        # The walk reads a level only when it gets there, so stopping
+        # early saves index blocks, not just levels.
+        assert _RESULTS[True]["reads"] < _RESULTS[False]["reads"]

@@ -7,7 +7,8 @@ per workload, per variant:
 * (b) cumulative read I/O attributed to GETs (identical across variants),
 * (c) cumulative read I/O attributed to LOOKUPs (in the paper Lazy lowest
   at small top-K on the non-time-correlated attribute and Embedded
-  highest; here Embedded's sequence-pruned walk reads the least).
+  highest; here Embedded's sequence-pruned walk reads the least on the
+  write- and read-heavy mixes, and Lazy the least on the update-heavy one).
 """
 
 import pytest
@@ -66,12 +67,18 @@ def _finalize():
                 composite["get_reads"]]
         assert max(gets) <= 2 * max(1, min(gets))
         # (c) LOOKUP reads (top-5).  The paper has Embedded paying the
-        # most on the non-time-correlated attribute; with the recency-
-        # pruned walk it pays the least (EXPERIMENTS.md, Figs. 13-15) —
-        # level with Lazy under update_heavy, where stale versions keep
-        # the newest files from filling the heap.
-        assert embedded["lookup_reads"] <= lazy["lookup_reads"] * 1.05
+        # most on the non-time-correlated attribute and Lazy the least.
+        # With the recency-pruned walk Embedded is level with Lazy or
+        # below it (EXPERIMENTS.md, Figs. 13-15), except under
+        # update_heavy: there stale versions keep the newest files from
+        # filling Embedded's heap, while Lazy's walk stops reading at the
+        # level that fills its own — the paper's order.
+        if workload_name == "update_heavy":
+            assert lazy["lookup_reads"] < embedded["lookup_reads"]
+        else:
+            assert embedded["lookup_reads"] <= lazy["lookup_reads"] * 1.05
         assert embedded["lookup_reads"] < composite["lookup_reads"]
+        assert lazy["lookup_reads"] < composite["lookup_reads"]
     # Update-heavy compaction is heavier than write-heavy for the
     # stand-alone indexes (updates force extra merges of stale entries).
     for kind in (IndexKind.LAZY, IndexKind.COMPOSITE):

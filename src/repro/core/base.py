@@ -5,10 +5,14 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.records import Document
+from repro.core.topk import TopKBySeq
 from repro.lsm.db import DB, WriteBatch
+
+#: An ownership filter on primary keys (a cluster shard's part of the ring).
+Owns = Callable[[str | bytes], bool]
 
 
 class IndexKind(Enum):
@@ -38,6 +42,14 @@ class LookupResult:
     def value(self) -> Document:
         """Alias kept for symmetry with the paper's (k, v) notation."""
         return self.document
+
+
+def offer(heap: TopKBySeq[LookupResult], results: Iterable[LookupResult],
+          owns: Owns | None = None) -> None:
+    """Add finished results to ``heap``, those ``owns`` rejects excepted."""
+    for result in results:
+        if owns is None or owns(result.key):
+            heap.add(result.seq, result)
 
 
 class SecondaryIndex(ABC):
@@ -80,7 +92,6 @@ class SecondaryIndex(ABC):
 
     # -- query path -------------------------------------------------------------
 
-    @abstractmethod
     def lookup(self, value: Any, k: int | None = None,
                early_termination: bool = True) -> list[LookupResult]:
         """LOOKUP(A, a, K): the K most recent live records with val(A) = a.
@@ -89,6 +100,22 @@ class SecondaryIndex(ABC):
         for the techniques that support it (Embedded, Lazy); the Eager and
         Composite techniques are unaffected (Eager reads a single list;
         Composite must traverse every level regardless, Section 4.2).
+        """
+        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
+        self.lookup_into(heap, value, early_termination)
+        return heap.results()
+
+    @abstractmethod
+    def lookup_into(self, heap: TopKBySeq[LookupResult], value: Any,
+                    early_termination: bool = True,
+                    owns: Owns | None = None) -> None:
+        """Offer LOOKUP(A, a, ``heap.k``)'s results to ``heap``.
+
+        The heap may already hold results from other stores (the shards
+        of a cluster): a candidate it would refuse costs no validation
+        GET.  A record whose primary key ``owns`` rejects enters no heap,
+        not even one the index keeps for itself.  :meth:`lookup` is this
+        on a fresh heap.
         """
 
     @abstractmethod

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.core.base import IndexKind, LookupResult, StandAloneIndex
+from repro.core.base import IndexKind, LookupResult, Owns, StandAloneIndex
 from repro.core.records import Document, attribute_of
 from repro.core.topk import TopKBySeq
 from repro.core.validity import (
@@ -118,8 +118,9 @@ class CompositeIndex(StandAloneIndex):
 
     # -- queries -------------------------------------------------------------
 
-    def lookup(self, value: Any, k: int | None = None,
-               early_termination: bool = True) -> list[LookupResult]:
+    def lookup_into(self, heap: TopKBySeq[LookupResult], value: Any,
+                    early_termination: bool = True,
+                    owns: Owns | None = None) -> None:
         """Algorithm 4: full prefix scan, then validate candidates by recency.
 
         The scan must traverse every level (no early termination is
@@ -132,19 +133,13 @@ class CompositeIndex(StandAloneIndex):
         """
         candidates = list(self._prefix_scan(encode_attribute(value)))
         self.candidates_scanned += len(candidates)
-        return self._validate_newest_first(
-            candidates, attribute_equals(self.attribute, value), k)
+        self.checker.harvest(sorted(candidates, reverse=True),
+                             attribute_equals(self.attribute, value), heap,
+                             set(), owns)
 
     def entries(self) -> Iterator[tuple[bytes, bytes]]:
         for composite, _payload in self.index_db.scan(fill_cache=False):
             yield split_composite_key(composite)
-
-    def _validate_newest_first(self, candidates: list[tuple[int, bytes]],
-                               predicate, k: int | None) -> list[LookupResult]:
-        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-        self.checker.harvest(sorted(candidates, reverse=True), predicate,
-                             heap, set())
-        return heap.results()
 
     def _prefix_scan(self, encoded_attr: bytes
                      ) -> Iterator[tuple[int, bytes]]:
@@ -177,4 +172,7 @@ class CompositeIndex(StandAloneIndex):
             self.candidates_scanned += 1
             posting_seq, _pos = decode_varint(payload, 0)
             candidates.append((posting_seq, primary_key))
-        return self._validate_newest_first(candidates, predicate, k)
+        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
+        self.checker.harvest(sorted(candidates, reverse=True), predicate,
+                             heap, set())
+        return heap.results()

@@ -37,11 +37,12 @@ missing from an index.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.base import (
     IndexKind,
     LookupResult,
+    Owns,
     SecondaryIndex,
     StandAloneIndex,
 )
@@ -59,12 +60,25 @@ from repro.core.records import (
     key_to_bytes,
     key_to_str,
 )
+from repro.core.topk import TopKBySeq
 from repro.core.validity import ValidityChecker
 from repro.lsm.db import DB, WriteBatch
 from repro.lsm.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.options import Options
 from repro.lsm.vfs import MemoryVFS, VFS
 from repro.lsm.zonemap import encode_attribute
+
+
+def records_by_seq(get_with_seq: Callable[[bytes], tuple[bytes, int] | None],
+                   seq_keys: Iterable[tuple[int, bytes]]
+                   ) -> Iterator[tuple[bytes, bytes, int]]:
+    """``(key, value, seq)`` of the live records named by ``(seq, key)``
+    pairs, oldest first: what an index rebuild replays.  Only the pairs
+    are held at once; ``get_with_seq`` reads each record in its turn."""
+    for _seq, key in sorted(seq_keys):
+        found = get_with_seq(key)
+        if found is not None:
+            yield key, found[0], found[1]
 
 
 class SecondaryIndexedDB:
@@ -220,6 +234,16 @@ class SecondaryIndexedDB:
         self._check_open()
         return self._index_for(attribute).lookup(value, k, early_termination)
 
+    def lookup_into(self, attribute: str, value: Any,
+                    heap: TopKBySeq[LookupResult],
+                    early_termination: bool = True,
+                    owns: Owns | None = None) -> None:
+        """LOOKUP(A, a, ``heap.k``) offered to a heap that may already hold
+        other stores' results; see :meth:`SecondaryIndex.lookup_into`."""
+        self._check_open()
+        self._index_for(attribute).lookup_into(heap, value,
+                                               early_termination, owns)
+
     def range_lookup(self, attribute: str, low: Any, high: Any,
                      k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
@@ -336,6 +360,10 @@ class SecondaryIndexedDB:
         one is built in its place, so the rebuilt index answers queries
         exactly as an index that had never been corrupted.
 
+        Records are replayed oldest first, as they were written: a deeper
+        level of the index table must hold only older entries of a key,
+        which Lazy's level walk and early termination rest on.
+
         Returns the number of records replayed.  Embedded/NOINDEX
         attributes have nothing to rebuild and return 0.
         """
@@ -350,8 +378,11 @@ class SecondaryIndexedDB:
             table_vfs.delete_if_exists(name)
         index.index_db = DB.open_table(table_vfs, table_name, index_options)
         self.primary.attach_table(index.index_db)
+        seq_keys = [(seq, key) for key, _value, seq
+                    in self.primary.scan_with_seq(fill_cache=False)]
         replayed = 0
-        for key_bytes, value, seq in self.primary.scan_with_seq():
+        for key_bytes, value, seq in records_by_seq(
+                self.primary.get_with_seq, seq_keys):
             index.apply_put(key_bytes, decode_document(value), seq)
             replayed += 1
         index.flush()

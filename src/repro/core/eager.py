@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.core.base import IndexKind, LookupResult, StandAloneIndex
+from repro.core.base import IndexKind, LookupResult, Owns, StandAloneIndex
 from repro.core.posting import (
     decode_posting_list,
     encode_posting_list,
@@ -98,14 +98,14 @@ class EagerIndex(StandAloneIndex):
 
     # -- queries -----------------------------------------------------------------
 
-    def lookup(self, value: Any, k: int | None = None,
-               early_termination: bool = True) -> list[LookupResult]:
+    def lookup_into(self, heap: TopKBySeq[LookupResult], value: Any,
+                    early_termination: bool = True,
+                    owns: Owns | None = None) -> None:
         """Algorithm 2: one index read, then GET-and-validate a K prefix."""
         payload = self.index_db.get(encode_attribute(value))
-        if payload is None:
-            return []
-        return self._harvest(decode_posting_list(payload),
-                             attribute_equals(self.attribute, value), k)
+        if payload is not None:
+            self._harvest(decode_posting_list(payload),
+                          attribute_equals(self.attribute, value), heap, owns)
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
@@ -124,21 +124,22 @@ class EagerIndex(StandAloneIndex):
         postings = [entry for _key, payload
                     in self.index_db.scan(low_encoded, high_encoded)
                     for entry in decode_posting_list(payload)]
-        return self._harvest(
+        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
+        self._harvest(
             postings,
             attribute_in_range(self.attribute, low, high, encode_attribute),
-            k)
+            heap)
+        return heap.results()
 
     def _harvest(self, postings: list[list], predicate,
-                 k: int | None) -> list[LookupResult]:
+                 heap: TopKBySeq[LookupResult],
+                 owns: Owns | None = None) -> None:
         """Validate postings newest first; see ``ValidityChecker.harvest``.
 
-        A list is newest-first as the write path leaves it (the sort is
-        then one pass) but in key order after ``rebuild_index``.
+        One list is newest-first as the write path and ``rebuild_index``
+        leave it (the sort is then one pass); a range concatenates lists.
         """
         postings.sort(key=posting_seq, reverse=True)
-        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
         self.checker.harvest(
             ((entry[1], key_to_bytes(entry[0])) for entry in postings
-             if len(entry) == 2), predicate, heap, set())
-        return heap.results()
+             if len(entry) == 2), predicate, heap, set(), owns)

@@ -57,7 +57,13 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.base import IndexKind, LookupResult, SecondaryIndex
+from repro.core.base import (
+    IndexKind,
+    LookupResult,
+    Owns,
+    SecondaryIndex,
+    offer,
+)
 from repro.core.memview import MemTableAttributeIndex
 from repro.core.records import (
     Document,
@@ -139,11 +145,16 @@ class EmbeddedIndex(SecondaryIndex):
 
     # -- queries --------------------------------------------------------------
 
-    def lookup(self, value: Any, k: int | None = None,
-               early_termination: bool = True) -> list[LookupResult]:
+    def lookup_into(self, heap: TopKBySeq[LookupResult], value: Any,
+                    early_termination: bool = True,
+                    owns: Owns | None = None) -> None:
+        """The level-boundary stop is the paper's approximate rule, defined
+        on this index's own top-K: the walk fills a heap of its own, whose
+        results are then offered to ``heap``."""
         encoded = encode_attribute(value)
-        return self._query(self.memview.get(encoded), encoded, encoded,
-                           bloom_hash(encoded), k, early_termination)
+        offer(heap, self._query(self.memview.get(encoded), encoded, encoded,
+                                bloom_hash(encoded), heap.k,
+                                early_termination, owns))
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
@@ -159,8 +170,10 @@ class EmbeddedIndex(SecondaryIndex):
 
     def _query(self, postings: list[tuple[int, bytes]], low: bytes,
                high: bytes, value_hash: tuple[int, int] | None,
-               k: int | None, early_termination: bool) -> list[LookupResult]:
-        """Algorithms 5 and 8 under one engine read view.
+               k: int | None, early_termination: bool,
+               owns: Owns | None = None) -> list[LookupResult]:
+        """Algorithms 5 and 8 under one engine read view; a record whose
+        key ``owns`` rejects is passed over before its validity check.
 
         ``postings`` were read from the MemTable view *before* the engine's
         view is taken: a flush that lands in between expires them on its
@@ -169,16 +182,18 @@ class EmbeddedIndex(SecondaryIndex):
         against it and the same records are found on disk — never missing.
         """
         heap: TopKBySeq[LookupResult] = TopKBySeq(k)
+        if owns is not None:
+            postings = [posting for posting in postings if owns(posting[1])]
         with self.primary.read_view() as version:
             self._memtable_matches(heap, postings)
             self._walk_levels(heap, version, low, high, value_hash,
-                              early_termination)
+                              early_termination, owns)
         return heap.results()
 
     def _walk_levels(self, heap: TopKBySeq[LookupResult], version: Version,
                      low: bytes, high: bytes,
                      value_hash: tuple[int, int] | None,
-                     early_termination: bool) -> None:
+                     early_termination: bool, owns: Owns | None) -> None:
         """The disk half of Algorithms 5 and 8: values in ``[low, high]``.
 
         ``value_hash`` is the bloom hash of a point LOOKUP's value (then
@@ -195,7 +210,7 @@ class EmbeddedIndex(SecondaryIndex):
                     self.files_seq_pruned += len(files) - visited
                     break
                 self._scan_file(heap, level, position, meta, low, high,
-                                value_hash)
+                                value_hash, owns)
             if early_termination and heap.is_full:
                 break
 
@@ -219,7 +234,8 @@ class EmbeddedIndex(SecondaryIndex):
 
     def _scan_file(self, heap: TopKBySeq[LookupResult], level: int,
                    position: int, meta: FileMetaData, low: bytes, high: bytes,
-                   value_hash: tuple[int, int] | None) -> None:
+                   value_hash: tuple[int, int] | None,
+                   owns: Owns | None) -> None:
         """Scan the blocks of one file whose filters admit ``[low, high]``."""
         self.filter_probes += 1
         if self.use_file_zonemaps:
@@ -232,12 +248,12 @@ class EmbeddedIndex(SecondaryIndex):
         self.filter_probes += num_blocks
         for block, column, boundary_key in blocks:
             self._scan_block(heap, level, position, block, column,
-                             boundary_key, low, high)
+                             boundary_key, low, high, owns)
 
     def _scan_block(self, heap: TopKBySeq[LookupResult], level: int,
                     position: int, block: Block, column: list[bytes],
                     boundary_key: bytes | None, low: bytes,
-                    high: bytes) -> None:
+                    high: bytes, owns: Owns | None) -> None:
         """Harvest valid matches from one surviving block.
 
         The column decides first: an entry is looked at only if its
@@ -272,6 +288,8 @@ class EmbeddedIndex(SecondaryIndex):
             seq = tag >> 8
             if not heap.would_accept(seq):
                 continue  # too old to matter — skip validity work
+            if owns is not None and not owns(key):
+                continue  # another shard's copy
             if self._is_valid(key, seq, level, position):
                 self.records_parsed += 1
                 heap.add(seq, LookupResult(key_to_str(key),

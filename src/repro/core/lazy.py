@@ -10,15 +10,20 @@ lists."  The fragments are merge operands of the storage engine
 touches them.
 
 LOOKUP (Algorithm 3) walks the index table level by level, newest
-component first; since fragments only migrate downward through compaction,
-every fragment of a key is strictly newer than the same key's fragments in
-deeper levels, so the scan may stop as soon as the top-K heap fills at a
-level boundary — the property that makes Lazy beat Composite on small-K
-queries (Figure 10a).  Within a level the postings are gathered, sorted by
-sequence and validated by
-:meth:`repro.core.validity.ValidityChecker.harvest` in batched GETs of what
-the heap can still accept, so a level costs K data-table GETs whatever
-order its fragments arrive in.
+component first, and :meth:`repro.lsm.db.DB.fragments_by_level` reads a
+level only when the walk asks for it.  Fragments only migrate downward
+through compaction, and every writer — a rebuild too — adds them in
+sequence order, so every posting of a key in a deeper level is older than
+each posting of it above.  After harvesting a level the walk therefore
+stops once the heap would refuse a posting older than the oldest one read
+so far (deletion markers included), and the levels below are never read —
+the property that makes Lazy beat Composite on small-K queries (Figure
+10a).  For a heap the LOOKUP fills alone that is the moment it is full; a
+heap other shards already filled may stop the walk after its first level.
+Within a level the postings are gathered, sorted by sequence and
+validated by :meth:`repro.core.validity.ValidityChecker.harvest` in
+batched GETs of what the heap can still accept, so a level costs K
+data-table GETs whatever order its fragments arrive in.
 
 DEL writes a fragment carrying a deletion marker (``[pk, seq, 1]``), which
 cancels older postings of the key when fragments merge (during compaction
@@ -30,7 +35,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Iterator
 
-from repro.core.base import IndexKind, LookupResult, StandAloneIndex
+from repro.core.base import IndexKind, LookupResult, Owns, StandAloneIndex
 from repro.core.posting import (
     decode_posting_list,
     live_postings,
@@ -50,18 +55,20 @@ from repro.core.validity import (
     attribute_in_range,
 )
 from repro.lsm.db import DB, WriteBatch
-from repro.lsm.keys import KIND_DELETE, KIND_MERGE
+from repro.lsm.keys import KIND_DELETE, KIND_MERGE, MAX_SEQUENCE
 from repro.lsm.zonemap import encode_attribute
 
 
 class _HarvestState:
     """One query's bookkeeping across levels (see ``LazyIndex._gather``)."""
 
-    __slots__ = ("heap", "predicate", "resolved", "cancelled")
+    __slots__ = ("heap", "predicate", "owns", "resolved", "cancelled")
 
-    def __init__(self, k: int | None, predicate) -> None:
-        self.heap: TopKBySeq[LookupResult] = TopKBySeq(k)
+    def __init__(self, heap: TopKBySeq[LookupResult], predicate,
+                 owns: Owns | None = None) -> None:
+        self.heap = heap
         self.predicate = predicate
+        self.owns = owns
         #: Primary keys whose fate a data-table GET decided.
         self.resolved: set[bytes] = set()
         #: ``(index key, primary key)`` pairs a deletion marker cancelled.
@@ -109,45 +116,60 @@ class LazyIndex(StandAloneIndex):
 
     # -- queries --------------------------------------------------------------
 
-    def lookup(self, value: Any, k: int | None = None,
-               early_termination: bool = True) -> list[LookupResult]:
-        """Algorithm 3: merge the key's fragments, one level at a time."""
+    def lookup_into(self, heap: TopKBySeq[LookupResult], value: Any,
+                    early_termination: bool = True,
+                    owns: Owns | None = None) -> None:
+        """Algorithm 3: merge the key's fragments, one level at a time,
+        reading a level only if the heap could still take a posting of
+        it."""
         self.lookups += 1
-        fragments = self.index_db.fragments_by_level(encode_attribute(value))
-        state = _HarvestState(k, attribute_equals(self.attribute, value))
-        for _level, entries in fragments:
-            self.levels_visited += 1
-            postings: list[list] = []
-            shadows_deeper = False
-            for kind, _seq, payload in entries:
-                if kind != KIND_DELETE:
-                    self._gather(b"", payload, postings, state)
-                if kind != KIND_MERGE:
-                    # A ``KIND_VALUE`` entry is a fully folded list
-                    # (compaction reached a base) and a tombstone hides
-                    # everything older: deeper levels hold only obsolete
-                    # data for this key.
-                    shadows_deeper = True
+        state = _HarvestState(heap, attribute_equals(self.attribute, value),
+                              owns)
+        # The oldest posting read so far, markers included: every posting
+        # in a deeper level is older still.
+        oldest = MAX_SEQUENCE
+        levels = self.index_db.fragments_by_level(encode_attribute(value))
+        try:
+            for _level, entries in levels:
+                self.levels_visited += 1
+                postings: list[list] = []
+                shadows_deeper = False
+                for kind, _seq, payload in entries:
+                    if kind != KIND_DELETE:
+                        decoded = decode_posting_list(payload)
+                        if decoded:
+                            oldest = min(oldest,
+                                         min(map(posting_seq, decoded)))
+                        self._gather(b"", decoded, postings, state)
+                    if kind != KIND_MERGE:
+                        # A ``KIND_VALUE`` entry is a fully folded list
+                        # (compaction reached a base) and a tombstone hides
+                        # everything older: deeper levels hold only obsolete
+                        # data for this key.
+                        shadows_deeper = True
+                        break
+                self._harvest(postings, state)
+                if shadows_deeper or early_termination and \
+                        not heap.would_accept(oldest - 1):
                     break
-            self._harvest(postings, state)
-            if shadows_deeper or (early_termination and state.heap.is_full):
-                break
-        return state.heap.results()
+        finally:
+            levels.close()
 
     def entries(self) -> Iterator[tuple[bytes, bytes]]:
         # The scan folds each value's fragments with the posting merge
         # operator: a deletion marker cancels what it cancels in a LOOKUP.
         return live_postings(self.index_db)
 
-    def _gather(self, index_key: bytes, payload: bytes,
+    def _gather(self, index_key: bytes, decoded: list[list],
                 postings: list[list], state: _HarvestState) -> None:
-        """Collect one fragment's live postings for the level's harvest.
+        """Collect one decoded fragment's live postings for the level's
+        harvest.
 
         A deletion marker *cancels* older postings of the same primary key
         under the same index key; fragments only migrate downward, so in
         arrival order a marker always precedes what it cancels.
         """
-        for posting in decode_posting_list(payload):
+        for posting in decoded:
             scope = (index_key, posting[0])
             if scope in state.cancelled:
                 continue
@@ -168,7 +190,7 @@ class LazyIndex(StandAloneIndex):
         postings.sort(key=posting_seq, reverse=True)
         self.checker.harvest(
             ((posting[1], key_to_bytes(posting[0])) for posting in postings),
-            state.predicate, state.heap, state.resolved)
+            state.predicate, state.heap, state.resolved, state.owns)
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
@@ -186,7 +208,7 @@ class LazyIndex(StandAloneIndex):
         high_encoded = encode_attribute(high)
         if low_encoded > high_encoded:
             return []
-        state = _HarvestState(k, attribute_in_range(
+        state = _HarvestState(TopKBySeq(k), attribute_in_range(
             self.attribute, low, high, encode_attribute))
         shadowed: set[bytes] = set()
         for level in [-1, *range(self.index_db.options.max_levels)]:
@@ -200,7 +222,8 @@ class LazyIndex(StandAloneIndex):
                     shadowed.add(ikey.user_key)
                     if ikey.kind == KIND_DELETE:
                         continue
-                self._gather(ikey.user_key, payload, postings, state)
+                self._gather(ikey.user_key, decode_posting_list(payload),
+                             postings, state)
             self._harvest(postings, state)
             if early_termination and state.heap.is_full:
                 break

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.base import IndexKind, LookupResult, SecondaryIndex
+from repro.core.base import IndexKind, LookupResult, Owns, SecondaryIndex
 from repro.core.records import attribute_of, decode_document, key_to_str
 from repro.core.topk import TopKBySeq
 from repro.lsm.db import DB
@@ -27,10 +27,11 @@ class NoIndex(SecondaryIndex):
         super().__init__(attribute)
         self.primary = primary
 
-    def lookup(self, value: Any, k: int | None = None,
-               early_termination: bool = True) -> list[LookupResult]:
+    def lookup_into(self, heap: TopKBySeq[LookupResult], value: Any,
+                    early_termination: bool = True,
+                    owns: Owns | None = None) -> None:
         encoded = encode_attribute(value)
-        return self._scan(lambda e: e == encoded, k)
+        self._scan(lambda e: e == encoded, heap, owns)
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
@@ -38,15 +39,18 @@ class NoIndex(SecondaryIndex):
         high_encoded = encode_attribute(high)
         if low_encoded > high_encoded:
             return []
-        return self._scan(lambda e: low_encoded <= e <= high_encoded, k)
-
-    def _scan(self, matches, k: int | None) -> list[LookupResult]:
         heap: TopKBySeq[LookupResult] = TopKBySeq(k)
+        self._scan(lambda e: low_encoded <= e <= high_encoded, heap)
+        return heap.results()
+
+    def _scan(self, matches, heap: TopKBySeq[LookupResult],
+              owns: Owns | None = None) -> None:
         for key, value, seq in self.primary.scan_with_seq():
+            if owns is not None and not owns(key):
+                continue
             document = decode_document(value)
             attr_value = attribute_of(document, self.attribute)
             if attr_value is None:
                 continue
             if matches(encode_attribute(attr_value)):
                 heap.add(seq, LookupResult(key_to_str(key), document, seq))
-        return heap.results()

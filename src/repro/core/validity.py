@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from repro.core.base import LookupResult
+from repro.core.base import LookupResult, Owns
 from repro.core.records import (
     Document,
     attribute_of,
@@ -61,7 +61,8 @@ class ValidityChecker:
 
     def harvest(self, candidates: Iterable[tuple[int, bytes]],
                 predicate: Callable[[Document], bool],
-                heap: TopKBySeq[LookupResult], resolved: set[bytes]) -> None:
+                heap: TopKBySeq[LookupResult], resolved: set[bytes],
+                owns: Owns | None = None) -> None:
         """Turn ``(posting_seq, primary_key)`` candidates into results.
 
         "For each entry k in the list of primary keys, we issue a GET(k) on
@@ -73,14 +74,15 @@ class ValidityChecker:
         candidate too old for the heap ends the harvest — nothing newer
         follows — and stays unresolved: the same record may carry a newer
         posting elsewhere.  A key whose fate a GET decided joins
-        ``resolved`` and is never fetched again.
+        ``resolved`` and is never fetched again; a key ``owns`` rejects
+        (another shard's) is never fetched at all.
         """
         candidates = iter(candidates)
         while True:
             room = None if heap.k is None else max(heap.k - len(heap), 1)
             batch: list[bytes] = []
             for posting_seq, key in candidates:
-                if key in resolved:
+                if key in resolved or owns is not None and not owns(key):
                     continue
                 if not heap.would_accept(posting_seq):
                     candidates = iter(())  # nothing newer follows

@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import replace
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from repro.core.base import IndexKind, LookupResult
+from repro.core.base import IndexKind, LookupResult, offer
+from repro.core.database import records_by_seq
 from repro.core.lazy import LazyIndex
 from repro.core.posting import posting_merge_operator
 from repro.core.records import (
@@ -46,6 +48,7 @@ from repro.core.records import (
     decode_document,
     key_to_bytes,
 )
+from repro.core.topk import TopKBySeq
 from repro.core.validity import ValidityChecker
 from repro.dist.migration import ShardSplit
 from repro.dist.partitioner import (
@@ -178,7 +181,7 @@ class GlobalSecondaryIndex:
         """Discard the ring and replay every live owned record.
 
         ``records`` yields ``(key, document, seq)`` from the authoritative
-        data shards (same contract as
+        data shards, oldest first (same contract as
         :meth:`SecondaryIndexedDB.rebuild_index`): a ring left stale by a
         mid-maintenance fault — or diverged by corruption — is regenerated
         wholesale, so afterwards it answers queries exactly as a ring that
@@ -618,19 +621,24 @@ class ShardedDB:
         return self._query(
             "lookup", attribute, k,
             lambda index: index.lookup(value, k, early_termination),
-            lambda shard: shard.lookup(attribute, value, k,
-                                       early_termination))
+            lambda shard, heap, owns: shard.lookup_into(
+                attribute, value, heap, early_termination, owns))
 
     def range_lookup(self, attribute: str, low: Any, high: Any,
                      k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
-        """RANGELOOKUP, routed or scattered per the attribute's scope."""
+        """RANGELOOKUP, routed or scattered per the attribute's scope.
+
+        Scattered, each shard computes its own answer, which is offered
+        to the shared heap: Lazy's level-boundary range termination is
+        approximate, and run against other shards' results it would stop
+        earlier and answer differently."""
         return self._query(
             "rangelookup", attribute, k,
             lambda index: index.range_lookup(low, high, k,
                                              early_termination),
-            lambda shard: shard.range_lookup(attribute, low, high, k,
-                                             early_termination))
+            lambda shard, heap, owns: offer(heap, shard.range_lookup(
+                attribute, low, high, k, early_termination), owns))
 
     def _query(self, label: str, attribute: str, k: int | None,
                on_global, on_shard) -> list[LookupResult]:
@@ -650,27 +658,32 @@ class ShardedDB:
                 f"no index on attribute {attribute!r}")
         return self._scatter_gather(on_shard, k)
 
-    def _scatter_gather(self, query, k: int | None) -> list[LookupResult]:
-        """Local indexes: ask every shard for its top-K, merge exactly.
+    def _scatter_gather(self, fill, k: int | None) -> list[LookupResult]:
+        """Local indexes: one top-K heap, filled by every shard in turn.
 
-        Per-shard results are each correct top-K lists under globally
-        comparable sequence numbers, so the merged prefix is the global
-        top-K.  Once a split has begun, each shard's results are filtered
-        to the keys the current ring assigns it: pre-cleanup copies on the
-        split's source (or unpurged destination) shard validate as live
-        but belong to the other side, and surfacing both would double
-        results.  An owned record with global rank <= K is always within
-        its owner shard's local top-K (every record beating it locally
-        maps to a distinct record beating it globally), so the filter
-        never causes an under-count.
+        ``fill(shard, heap, owns)`` offers a shard's results to the heap.
+        Sequence numbers are globally comparable, so the heap ends holding
+        the global top-K, and a candidate it already refuses — older than
+        K results found on earlier shards — costs no validation GET.  Once
+        a split has begun, ``owns`` admits only the keys the current ring
+        assigns to the shard: pre-cleanup copies on the split's source (or
+        unpurged destination) shard validate as live but belong to the
+        other side, and must neither double a result nor, by raising the
+        K-th sequence, push an owned one out.  A LOOKUP drops such a key
+        before it can enter any heap (the stand-alone kinds before its
+        GET, Embedded before its validity check, inside the walk that
+        fills its own heap), so no owned record is displaced.  A
+        RANGELOOKUP offers a shard's own top-K, filtered afterwards: an
+        owned record of global rank <= K is within its owner's local
+        top-K only while every record beating it there maps to a distinct
+        record beating it globally.
         """
-        merged: list[LookupResult] = []
+        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
         for shard_id, group in enumerate(self.data_shards):
             self.data_shards_contacted += 1
-            merged.extend(result for result in query(group)
-                          if self._owns(shard_id, result.key))
-        merged.sort(key=lambda r: -r.seq)
-        return merged if k is None else merged[:k]
+            fill(group, heap, partial(self._owns, shard_id)
+                 if self._filter_owned else None)
+        return heap.results()
 
     def scan(self, low: str | bytes | None = None,
              high: str | bytes | None = None
@@ -803,11 +816,17 @@ class ShardedDB:
 
     def _owned_records(self) -> Iterator[tuple[bytes, Document, int]]:
         """Every live record the current ring assigns to its shard —
-        the authoritative dataset GSI rebuilds replay."""
-        for shard_id, group in enumerate(self.data_shards):
-            for key_bytes, value, seq in group.primary.scan_with_seq():
-                if self._owns(shard_id, key_bytes):
-                    yield key_bytes, decode_document(value), seq
+        the authoritative dataset GSI rebuilds replay — oldest first
+        across all shards, as the records were written."""
+        seq_keys = [(seq, key_bytes)
+                    for shard_id, group in enumerate(self.data_shards)
+                    for key_bytes, _value, seq
+                    in group.primary.scan_with_seq(fill_cache=False)
+                    if self._owns(shard_id, key_bytes)]
+        for key_bytes, value, seq in records_by_seq(
+                lambda key: self._shard_for(key).primary.get_with_seq(key),
+                seq_keys):
+            yield key_bytes, decode_document(value), seq
 
     def rebuild_global_index(self, attribute: str) -> int:
         """Rebuild one GSI ring from the (authoritative) data shards.

@@ -30,9 +30,10 @@ import logging
 from collections import deque
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.core.base import IndexKind, LookupResult
+from repro.core.base import IndexKind, LookupResult, Owns
 from repro.core.database import SecondaryIndexedDB
 from repro.core.records import Document
+from repro.core.topk import TopKBySeq
 from repro.lsm.errors import InvalidArgumentError, LSMError
 from repro.lsm.options import Options
 from repro.lsm.vfs import VFS
@@ -336,10 +337,12 @@ class ReplicaSet:
                           ) -> dict[bytes, tuple[bytes, int] | None]:
         return self._read_replica().db.primary.get_many_with_seq(keys)
 
-    def lookup(self, attribute: str, value: Any, k: int | None = None,
-               early_termination: bool = True) -> list[LookupResult]:
-        return self._read_replica().db.lookup(attribute, value, k,
-                                              early_termination)
+    def lookup_into(self, attribute: str, value: Any,
+                    heap: TopKBySeq[LookupResult],
+                    early_termination: bool = True,
+                    owns: Owns | None = None) -> None:
+        self._read_replica().db.lookup_into(attribute, value, heap,
+                                            early_termination, owns)
 
     def range_lookup(self, attribute: str, low: Any, high: Any,
                      k: int | None = None,

@@ -1773,27 +1773,32 @@ class DB:
 
     # -- LevelDB++ probes -------------------------------------------------------
 
-    def fragments_by_level(self, key: bytes, max_seq: int = MAX_SEQUENCE
-                           ) -> list[tuple[int, list[tuple[int, int, bytes]]]]:
-        """Per-level version lists for ``key``: ``[(level, [(kind, seq, value)])]``.
+    def fragments_by_level(
+            self, key: bytes, max_seq: int = MAX_SEQUENCE
+    ) -> Iterator[tuple[int, list[tuple[int, int, bytes]]]]:
+        """Per-level version lists for ``key``, one level at a time:
+        ``(level, [(kind, seq, value)])``.
 
         Level ``-1`` is the MemTable.  Within a level, entries come newest
         first.  This is the access path of the Lazy index's LOOKUP
         (Algorithm 3): "it checks the MemTable and then the SSTables, and
-        moves down in the storage hierarchy one level at a time".
+        moves down in the storage hierarchy one level at a time".  A level
+        is read only when the caller asks for it, so a walk that stops
+        early never reads the levels below.  The generator holds the read
+        view from its first item until it is exhausted, closed or
+        abandoned, as :meth:`scan_with_seq` does.
         """
         memtables, version, view_seq, pin = self._acquire_view()
         try:
             if max_seq == MAX_SEQUENCE:
                 max_seq = view_seq  # implicit snapshot, as in get()
-            out: list[tuple[int, list[tuple[int, int, bytes]]]] = []
             # Active MemTable first: its sequences are strictly newer than
             # the sealed one's, so the concatenation is already newest-first.
             mem = [(e.kind, e.seq, e.value)
                    for memtable in memtables
                    for e in memtable.versions(key, max_seq)]
             if mem:
-                out.append((-1, mem))
+                yield -1, mem
             quarantined = self._quarantined
             table_cache_get = self.table_cache.get
             for level in range(self.options.max_levels):
@@ -1810,8 +1815,7 @@ class DB:
                         self._contain(file_number, exc)
                 if found:
                     found.sort(key=lambda item: -item[1])
-                    out.append((level, found))
-            return out
+                    yield level, found
         finally:
             self._release_view(pin)
 

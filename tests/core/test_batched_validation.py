@@ -350,9 +350,8 @@ def test_answers_equal_the_per_posting_walks(kind, seed):
 
 
 def test_eager_lookup_is_newest_first_after_a_rebuild():
-    """``rebuild_index`` replays records in key order, so a rebuilt posting
-    list is not newest-first; the harvest's precondition is restored by
-    Eager itself (the per-posting walk answered in list order here)."""
+    """A rebuilt posting list answers as the list the write path left
+    (``rebuild_index`` replays in sequence order, not key order)."""
     db = SecondaryIndexedDB.open_memory(indexes={"UserID": IndexKind.EAGER})
     for key in ("a", "z", "m"):
         db.put(key, {"UserID": "u1"})

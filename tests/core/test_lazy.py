@@ -26,7 +26,8 @@ class TestFragmentWrites:
         # Force everything into one level: fragments must fold into one
         # complete list.
         db.compact_all()
-        fragments = index.index_db.fragments_by_level(encode_attribute("u1"))
+        fragments = list(index.index_db.fragments_by_level(
+            encode_attribute("u1")))
         assert len(fragments) == 1
         _level, entries = fragments[0]
         postings = decode_posting_list(entries[0][2])
@@ -64,7 +65,8 @@ class TestFragmentWrites:
         db = open_db(IndexKind.LAZY, index_options)
         db.put("t1", {"UserID": "u1"})
         index = db.indexes["UserID"]
-        fragments = index.index_db.fragments_by_level(encode_attribute("u1"))
+        fragments = list(index.index_db.fragments_by_level(
+            encode_attribute("u1")))
         assert fragments[0][0] == -1
         assert fragments[0][1][0][0] == KIND_MERGE
         db.close()

@@ -80,8 +80,9 @@ def _probe_everything(db: DB) -> dict:
     return {
         "get_with_seq": [db.get_with_seq(key) for key in KEYS],
         "get_many_with_seq": db.get_many_with_seq(KEYS),
-        "fragments_by_level": [db.fragments_by_level(key) for key in KEYS],
-        "fragments_bounded": [db.fragments_by_level(key, max_seq=300)
+        "fragments_by_level": [list(db.fragments_by_level(key))
+                               for key in KEYS],
+        "fragments_bounded": [list(db.fragments_by_level(key, max_seq=300))
                               for key in KEYS],
         "key_maybe_in_levels": [
             [db.key_maybe_in_levels(key, below)

@@ -440,6 +440,27 @@ class TestGlobalIndexFaultContainment:
             assert [r.key for r in results] == expected
         cluster.close()
 
+    def test_rebuilt_ring_answers_like_the_exhaustive_walk(self):
+        """Keys descend while sequences ascend.  A rebuild that replayed
+        the shards in key order put the newest postings deepest, and K=3
+        answered ``k00572…`` for u2, whose newest records are
+        ``k00002, k00012, k00022``."""
+        cluster = ShardedDB.open_memory(
+            num_shards=2, global_indexes=("UserID",),
+            options=Options(block_size=512, sstable_target_size=2 * 1024,
+                            memtable_budget=2 * 1024,
+                            l1_target_size=2 * 1024))
+        for i in reversed(range(800)):
+            cluster.put(f"k{i:05d}", {"UserID": f"u{i % 10}"})
+        assert cluster.rebuild_global_index("UserID") == 800
+        for user in range(10):
+            want = cluster.lookup("UserID", f"u{user}", 3,
+                                  early_termination=False)
+            assert [r.key for r in want] == [
+                f"k{n:05d}" for n in (user, user + 10, user + 20)]
+            assert cluster.lookup("UserID", f"u{user}", 3) == want
+        cluster.close()
+
     def test_rebuild_unknown_attribute_rejected(self):
         cluster = _global_cluster()
         with pytest.raises(InvalidArgumentError):

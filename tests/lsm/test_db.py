@@ -192,7 +192,7 @@ class TestProbes:
             db.put(f"fill{i:05d}".encode(), b"x" * 60)
         db.flush()
         db.put(b"k", b"shallow")
-        frags = db.fragments_by_level(b"k")
+        frags = list(db.fragments_by_level(b"k"))
         levels = [level for level, _entries in frags]
         assert levels[0] == -1  # memtable first
         values = [entries[0][2] for _level, entries in frags]
@@ -379,7 +379,7 @@ class TestMergeOperator:
         db = DB.open_memory(_options(merge_operator=TestMergeOperator._union,
                                      memtable_budget=64 * 1024))
         db.merge(b"k", b"[1]")
-        frags = db.fragments_by_level(b"k")
+        frags = list(db.fragments_by_level(b"k"))
         assert frags[0][1][0][0] == KIND_MERGE
         db.close()
 
