@@ -44,12 +44,11 @@ class LookupResult:
         return self.document
 
 
-def offer(heap: TopKBySeq[LookupResult], results: Iterable[LookupResult],
-          owns: Owns | None = None) -> None:
-    """Add finished results to ``heap``, those ``owns`` rejects excepted."""
+def offer(heap: TopKBySeq[LookupResult],
+          results: Iterable[LookupResult]) -> None:
+    """Add finished results to ``heap``."""
     for result in results:
-        if owns is None or owns(result.key):
-            heap.add(result.seq, result)
+        heap.add(result.seq, result)
 
 
 class SecondaryIndex(ABC):
@@ -120,13 +119,15 @@ class SecondaryIndex(ABC):
 
     @abstractmethod
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
-                     early_termination: bool = True) -> list[LookupResult]:
+                     early_termination: bool = True,
+                     owns: Owns | None = None) -> list[LookupResult]:
         """RANGELOOKUP(A, a, b, K): K most recent with a <= val(A) <= b.
 
         ``early_termination`` enables the paper's stop-at-end-of-level rule
         where the technique supports it; passing ``False`` forces an
         exhaustive scan (exact top-K even under pathological compaction
-        timing).
+        timing).  As in :meth:`lookup_into`, a record whose primary key
+        ``owns`` rejects is not a result.
         """
 
     # -- maintenance ------------------------------------------------------------

@@ -153,7 +153,8 @@ class CompositeIndex(StandAloneIndex):
             yield seq, composite[len(prefix):]
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
-                     early_termination: bool = True) -> list[LookupResult]:
+                     early_termination: bool = True,
+                     owns: Owns | None = None) -> list[LookupResult]:
         """Algorithm 7: one ordered scan across the whole composite range."""
         low_encoded = encode_attribute(low)
         high_encoded = encode_attribute(high)
@@ -174,5 +175,5 @@ class CompositeIndex(StandAloneIndex):
             candidates.append((posting_seq, primary_key))
         heap: TopKBySeq[LookupResult] = TopKBySeq(k)
         self.checker.harvest(sorted(candidates, reverse=True), predicate,
-                             heap, set())
+                             heap, set(), owns)
         return heap.results()

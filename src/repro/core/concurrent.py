@@ -3,10 +3,11 @@
 The facade takes one caller at a time — the paper chose LevelDB *because*
 "it is a single-threaded pure single-node key value store, so we can
 easily isolate and explain the performance differences", and index
-maintenance on PUT still assumes it.  The engine's own maintenance may run
-on its own thread (``Options.background_compaction``): every index reads
-through the engine's read view, so a flush or compaction landing in the
-middle of a LOOKUP changes nothing the LOOKUP sees.
+maintenance on PUT still assumes it.  The engine runs its flushes and
+compactions through one scheduler: inline, in the writing caller's
+thread, or on a thread of its own (``Options.background_compaction``),
+where every index reads through the engine's read view, so a flush or
+compaction landing in the middle of a LOOKUP changes nothing it sees.
 
 Applications that want to share one database across threads wrap it in
 :class:`ThreadSafeDB`: a re-entrant mutex serialises every operation, so

@@ -246,11 +246,13 @@ class SecondaryIndexedDB:
 
     def range_lookup(self, attribute: str, low: Any, high: Any,
                      k: int | None = None,
-                     early_termination: bool = True) -> list[LookupResult]:
-        """RANGELOOKUP(A, a, b, K): K most recent with a <= val(A) <= b."""
+                     early_termination: bool = True,
+                     owns: Owns | None = None) -> list[LookupResult]:
+        """RANGELOOKUP(A, a, b, K): K most recent with a <= val(A) <= b,
+        the records ``owns`` rejects excepted."""
         self._check_open()
         return self._index_for(attribute).range_lookup(
-            low, high, k, early_termination)
+            low, high, k, early_termination, owns)
 
     def multi_lookup(self, conditions: Mapping[str, Any],
                      k: int | None = None) -> list[LookupResult]:

@@ -108,7 +108,8 @@ class EagerIndex(StandAloneIndex):
                           attribute_equals(self.attribute, value), heap, owns)
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
-                     early_termination: bool = True) -> list[LookupResult]:
+                     early_termination: bool = True,
+                     owns: Owns | None = None) -> list[LookupResult]:
         """Range scan on the index table, merging lists newest-first.
 
         "We issue this range query on our index table for given range
@@ -128,7 +129,7 @@ class EagerIndex(StandAloneIndex):
         self._harvest(
             postings,
             attribute_in_range(self.attribute, low, high, encode_attribute),
-            heap)
+            heap, owns)
         return heap.results()
 
     def _harvest(self, postings: list[list], predicate,

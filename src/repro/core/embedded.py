@@ -157,7 +157,8 @@ class EmbeddedIndex(SecondaryIndex):
                                 early_termination, owns))
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
-                     early_termination: bool = True) -> list[LookupResult]:
+                     early_termination: bool = True,
+                     owns: Owns | None = None) -> list[LookupResult]:
         low_encoded = encode_attribute(low)
         high_encoded = encode_attribute(high)
         if low_encoded > high_encoded:
@@ -166,7 +167,7 @@ class EmbeddedIndex(SecondaryIndex):
                     in self.memview.range(low_encoded, high_encoded)
                     for posting in value_postings]
         return self._query(postings, low_encoded, high_encoded, None, k,
-                           early_termination)
+                           early_termination, owns)
 
     def _query(self, postings: list[tuple[int, bytes]], low: bytes,
                high: bytes, value_hash: tuple[int, int] | None,

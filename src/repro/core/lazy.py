@@ -193,7 +193,8 @@ class LazyIndex(StandAloneIndex):
             state.predicate, state.heap, state.resolved, state.owns)
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
-                     early_termination: bool = True) -> list[LookupResult]:
+                     early_termination: bool = True,
+                     owns: Owns | None = None) -> list[LookupResult]:
         """Algorithm 6: a level-by-level range scan over the index table.
 
         "The original range iterator ... does not scan a key within the
@@ -209,7 +210,7 @@ class LazyIndex(StandAloneIndex):
         if low_encoded > high_encoded:
             return []
         state = _HarvestState(TopKBySeq(k), attribute_in_range(
-            self.attribute, low, high, encode_attribute))
+            self.attribute, low, high, encode_attribute), owns)
         shadowed: set[bytes] = set()
         for level in [-1, *range(self.index_db.options.max_levels)]:
             self.levels_visited += 1

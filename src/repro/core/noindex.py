@@ -34,13 +34,14 @@ class NoIndex(SecondaryIndex):
         self._scan(lambda e: e == encoded, heap, owns)
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
-                     early_termination: bool = True) -> list[LookupResult]:
+                     early_termination: bool = True,
+                     owns: Owns | None = None) -> list[LookupResult]:
         low_encoded = encode_attribute(low)
         high_encoded = encode_attribute(high)
         if low_encoded > high_encoded:
             return []
         heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-        self._scan(lambda e: low_encoded <= e <= high_encoded, heap)
+        self._scan(lambda e: low_encoded <= e <= high_encoded, heap, owns)
         return heap.results()
 
     def _scan(self, matches, heap: TopKBySeq[LookupResult],

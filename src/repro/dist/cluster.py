@@ -629,16 +629,16 @@ class ShardedDB:
                      early_termination: bool = True) -> list[LookupResult]:
         """RANGELOOKUP, routed or scattered per the attribute's scope.
 
-        Scattered, each shard computes its own answer, which is offered
-        to the shared heap: Lazy's level-boundary range termination is
-        approximate, and run against other shards' results it would stop
-        earlier and answer differently."""
+        Scattered, each shard computes its own answer over the records it
+        owns, which is offered to the shared heap: Lazy's level-boundary
+        range termination is approximate, and run against other shards'
+        results it would stop earlier and answer differently."""
         return self._query(
             "rangelookup", attribute, k,
             lambda index: index.range_lookup(low, high, k,
                                              early_termination),
             lambda shard, heap, owns: offer(heap, shard.range_lookup(
-                attribute, low, high, k, early_termination), owns))
+                attribute, low, high, k, early_termination, owns)))
 
     def _query(self, label: str, attribute: str, k: int | None,
                on_global, on_shard) -> list[LookupResult]:
@@ -669,14 +669,11 @@ class ShardedDB:
         assigns to the shard: pre-cleanup copies on the split's source (or
         unpurged destination) shard validate as live but belong to the
         other side, and must neither double a result nor, by raising the
-        K-th sequence, push an owned one out.  A LOOKUP drops such a key
-        before it can enter any heap (the stand-alone kinds before its
+        K-th sequence, push an owned one out.  Both queries drop such a
+        key before it can enter any heap (the stand-alone kinds before its
         GET, Embedded before its validity check, inside the walk that
-        fills its own heap), so no owned record is displaced.  A
-        RANGELOOKUP offers a shard's own top-K, filtered afterwards: an
-        owned record of global rank <= K is within its owner's local
-        top-K only while every record beating it there maps to a distinct
-        record beating it globally.
+        fills a RANGELOOKUP's own top-K too), so no owned record is
+        displaced.
         """
         heap: TopKBySeq[LookupResult] = TopKBySeq(k)
         for shard_id, group in enumerate(self.data_shards):

@@ -346,9 +346,10 @@ class ReplicaSet:
 
     def range_lookup(self, attribute: str, low: Any, high: Any,
                      k: int | None = None,
-                     early_termination: bool = True) -> list[LookupResult]:
+                     early_termination: bool = True,
+                     owns: Owns | None = None) -> list[LookupResult]:
         return self._read_replica().db.range_lookup(attribute, low, high, k,
-                                                    early_termination)
+                                                    early_termination, owns)
 
     def scan(self, low=None, high=None):
         return self._read_replica().db.scan(low, high)

@@ -16,21 +16,21 @@ plus:
 * ``read_view``: one view held across several probes, which is how the
   Embedded index reads (``newest_in_memory``, ``blocks_admitting``).
 
-By default, writes are synchronous and single-threaded (the paper chose
-LevelDB for exactly this property, to isolate index costs); a MemTable
-flush and any due compactions run inline in the writing call.
-
-With ``options.background_compaction`` the engine instead runs LevelDB's
-background maintenance pipeline (DESIGN.md §8): the full MemTable seals
-into an *immutable* MemTable that a dedicated compactor thread flushes
-while a fresh MemTable absorbs writes; compactions run on the same
-thread; concurrent writers queue behind a leader that appends and syncs
-all their WAL batches at once (group commit); level-0 pileups slow and
-then stop writers (backpressure waits instead of
-:class:`~repro.lsm.errors.WriteStallError`); and every read's *view*
+Every write goes through LevelDB's writer queue (DESIGN.md §8): the queue
+head leads a group, makes room (the write-stall ladder), appends and syncs
+the group's batches in one WAL write, inserts them and only then publishes
+their sequence numbers.  A MemTable that fills is sealed into an
+*immutable* MemTable behind a fresh WAL, and its flush and the due
+compactions go to one scheduler seam (:meth:`DB._schedule`, LevelDB's
+``MaybeScheduleCompaction``).  The *inline* scheduler, the default, runs
+that job at once in the writing thread: the synchronous engine the paper
+chose LevelDB for, whose outputs the golden vectors pin byte for byte.
+With ``options.background_compaction`` the *threaded* scheduler hands it
+to a maintenance thread while a fresh MemTable absorbs writes, level-0
+pileups slow and then stop writers, and every read's *view*
 (:meth:`DB._acquire_view`: both MemTables, a pinned Version, the published
 sequence number) is a consistent snapshot it reads without the mutex.
-Inline, the same view is taken lock- and pin-free.
+Under the inline scheduler the same view is taken lock- and pin-free.
 """
 
 from __future__ import annotations
@@ -43,9 +43,17 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter, methodcaller
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.lsm.batch import (
+    WriteBatch,
+    decode_table_directory,
+    encode_table_directory,
+    is_table_directory,
+    table_label,
+)
 from repro.lsm.compaction import Compaction, Compactor, pick_compaction
 from repro.lsm.errors import (
     CorruptionError,
@@ -57,16 +65,11 @@ from repro.lsm.errors import (
 )
 from repro.lsm.iterator import merge_streams
 from repro.lsm.keys import (
-    KIND_DELETE,
     KIND_FOR_SEEK,
     KIND_MERGE,
     KIND_VALUE,
     InternalKey,
     MAX_SEQUENCE,
-    decode_length_prefixed,
-    decode_varint,
-    encode_length_prefixed,
-    encode_varint,
     pack_internal_key,
 )
 from repro.lsm.manifest import (
@@ -91,159 +94,6 @@ FlushListener = Callable[[int], None]
 MAX_WRITE_GROUP_BYTES = 1 << 20
 
 logger = logging.getLogger(__name__)
-
-
-#: A WAL batch op whose kind byte has this bit set belongs to another table
-#: logging through the same WAL; that table's log id (a varint) follows.
-_TABLE_FLAG = 0x80
-
-
-class WriteBatch:
-    """An atomic group of writes, applied under consecutive sequence numbers.
-
-    ``table`` names a WAL-less table (:meth:`DB.open_table`) attached to the
-    DB that commits the batch; ``None`` is that DB itself, so one batch can
-    commit a primary record and its index entries together.  Each table's
-    ops take consecutive sequence numbers from the batch's first, so a PUT
-    and its index entries share one.  A value may be a function of that
-    first sequence number: the commit calls it once (:meth:`stamp`), which
-    is how an index entry stores the sequence of the record it indexes.
-    """
-
-    def __init__(self) -> None:
-        self.ops: list[tuple[int, bytes, Any, Any]] = []
-        #: The WAL-less tables the ops name, in first-use order, and how
-        #: many ops each.
-        self.tables: dict[DB, int] = {}
-        self._own = 0   # ops of the writing DB itself
-        self._span = 0  # the most ops any one table receives
-        self._deferred = False
-
-    def _add(self, kind: int, key: bytes, value, table) -> "WriteBatch":
-        self.ops.append((kind, key, value, table))
-        if table is None:
-            self._own = count = self._own + 1
-        else:
-            self.tables[table] = count = self.tables.get(table, 0) + 1
-        if count > self._span:
-            self._span = count
-        if callable(value):
-            self._deferred = True
-        return self
-
-    def put(self, key: bytes, value, table: "DB | None" = None
-            ) -> "WriteBatch":
-        return self._add(KIND_VALUE, key, value, table)
-
-    def delete(self, key: bytes, table: "DB | None" = None) -> "WriteBatch":
-        return self._add(KIND_DELETE, key, b"", table)
-
-    def merge(self, key: bytes, operand, table: "DB | None" = None
-              ) -> "WriteBatch":
-        return self._add(KIND_MERGE, key, operand, table)
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def span(self) -> int:
-        """How many sequence numbers the batch takes: the most ops any one
-        table receives."""
-        return self._span
-
-    @staticmethod
-    def sequences(start_seq: int, tables: Iterable) -> Iterator[int]:
-        """The sequence of each op whose table is the matching item of
-        ``tables`` (``None``, a DB or a log id): each table counts on from
-        ``start_seq`` by itself."""
-        taken: dict = {}
-        for table in tables:
-            offset = taken.get(table, 0)
-            taken[table] = offset + 1
-            yield start_seq + offset
-
-    def _retarget(self, old: "DB | None", new: "DB | None") -> "WriteBatch":
-        """This batch with the ops naming ``old`` naming ``new`` instead."""
-        routed = WriteBatch()
-        for kind, key, value, table in self.ops:
-            routed._add(kind, key, value, new if table is old else table)
-        return routed
-
-    def stamp(self, seq: int) -> None:
-        """Replace every value that is a function by its value at ``seq``."""
-        if self._deferred:
-            self.ops = [(kind, key, value(seq) if callable(value) else value,
-                         table) for kind, key, value, table in self.ops]
-            self._deferred = False
-
-    def encode(self, start_seq: int) -> bytes:
-        out = bytearray(encode_varint(start_seq))
-        out += encode_varint(len(self.ops))
-        # Length prefixes are appended directly (not via
-        # encode_length_prefixed) to skip one intermediate bytes object
-        # per field — this runs once per write batch on the WAL path.
-        for kind, key, value, table in self.ops:
-            if table is None:
-                out.append(kind)
-            else:
-                out.append(kind | _TABLE_FLAG)
-                out += encode_varint(table._log_id)
-            out += encode_varint(len(key))
-            out += key
-            out += encode_varint(len(value))
-            out += value
-        return bytes(out)
-
-    @classmethod
-    def decode(cls, payload: bytes) -> tuple["WriteBatch", int]:
-        """The batch and its first sequence; an op of another table names
-        it by log id (see :func:`decode_table_directory`)."""
-        start_seq, pos = decode_varint(payload, 0)
-        count, pos = decode_varint(payload, pos)
-        batch = cls()
-        for _ in range(count):
-            kind = payload[pos]
-            pos += 1
-            table = None
-            if kind & _TABLE_FLAG:
-                kind &= ~_TABLE_FLAG
-                table, pos = decode_varint(payload, pos)
-            key, pos = decode_length_prefixed(payload, pos)
-            value, pos = decode_length_prefixed(payload, pos)
-            batch._add(kind, key, value, table)
-        return batch, start_seq
-
-
-def encode_table_directory(labels: list[str]) -> bytes:
-    """The WAL record naming the tables that log through it, log id 1 first.
-
-    A batch never starts at sequence 0, so the leading ``varint(0)`` tells
-    this record apart (docs/FORMAT.md §3.1).
-    """
-    out = bytearray(encode_varint(0))
-    out += encode_varint(len(labels))
-    for label in labels:
-        out += encode_length_prefixed(label.encode("utf-8"))
-    return bytes(out)
-
-
-def is_table_directory(payload: bytes) -> bool:
-    return payload[:1] == b"\x00"
-
-
-def decode_table_directory(payload: bytes) -> list[str]:
-    """Inverse of :func:`encode_table_directory`."""
-    count, pos = decode_varint(payload, 1)
-    labels = []
-    for _ in range(count):
-        label, pos = decode_length_prefixed(payload, pos)
-        labels.append(label.decode("utf-8"))
-    return labels
-
-
-def table_label(name: str) -> str:
-    """How a shared WAL names a table: the last part of its name, so a
-    store copied under another name still routes its records."""
-    return name.rsplit("/", 1)[-1]
 
 
 class Snapshot:
@@ -312,7 +162,8 @@ class CorruptionStats:
 
 @dataclass
 class PipelineStats:
-    """Gauges for the background write pipeline (``DB.stats()["pipeline"]``)."""
+    """Write-pipeline counters (``DB.stats()["pipeline"]``): the groups
+    count every write, ``bg_*`` the background thread's work alone."""
 
     stall_events: int = 0          # writer waits at the stop/rotation gates
     stall_seconds: float = 0.0     # wall time spent in those waits
@@ -370,8 +221,7 @@ class DB:
         self._read_only = False          # ENOSPC flipped the DB read-only
         self._read_only_reason: str | None = None
         self._scrubber = None            # lazily created by DB.scrub()
-        # -- background pipeline state (all guarded by _mutex) --------------
-        self._bg = bool(options.background_compaction)
+        # -- write pipeline state (all guarded by _mutex) -------------------
         self._mutex = threading.RLock()
         self._work_cv = threading.Condition(self._mutex)   # bg thread waits
         self._stall_cv = threading.Condition(self._mutex)  # writers wait
@@ -384,7 +234,11 @@ class DB:
         self._version_pins: dict[int, list] = {}  # id(version) -> [v, refs]
         self._held_views: dict[int, tuple] = {}  # thread id -> read_view()'s
         self._zombie_tables: set[int] = set()  # retired but pinned files
-        self._bg_thread: threading.Thread | None = None
+        # The scheduler (:meth:`_schedule`): a maintenance thread, or None
+        # for the inline scheduler, which runs the job in the writer's thread.
+        self._bg_thread = threading.Thread(
+            target=self._background_main, name=f"bg:{name}", daemon=True) \
+            if options.background_compaction else None
         self._bg_stop = False
         self._bg_error: BaseException | None = None
         self._bg_compacting = False
@@ -423,9 +277,7 @@ class DB:
             self._attach_locked(table)
         self._recover()
         self._pending_seq = self.versions.last_sequence
-        if self._bg:
-            self._bg_thread = threading.Thread(
-                target=self._background_main, name=f"bg:{name}", daemon=True)
+        if self._bg_thread is not None:
             self._bg_thread.start()
             # Under the deterministic scheduler this lets the spawner wait
             # for the new task to reach its first yield point.
@@ -676,24 +528,16 @@ class DB:
             with self._mutex:
                 self._bg_stop = True
                 self._work_cv.notify_all()
-            hook = self.options.step_hook
-            if hook is not None:
+            thread = self._bg_thread
+            while self.options.step_hook is not None and thread.is_alive():
                 # Cooperative join: keep yielding to the scheduler so it can
                 # run the background task to completion instead of
                 # deadlocking on a real join while the task is parked.  The
                 # guard keeps this loop out of the schedule until the thread
                 # has actually exited (a plain park would add an unbounded
                 # "poll again" branch to every explored schedule).
-                thread = self._bg_thread
-                park_until = getattr(hook, "park_until", None)
-                while thread.is_alive():
-                    if park_until is not None:
-                        park_until("close:join",
-                                   lambda: not thread.is_alive())
-                    else:
-                        hook("close:join")
-            self._bg_thread.join()
-            self._bg_thread = None
+                self._park("close:join", lambda: not thread.is_alive())
+            thread.join()
         if self._executor is not None:
             # Bounded shutdown: quit messages, then join-with-timeout, then
             # terminate/kill — a dead or wedged worker cannot hang close().
@@ -764,17 +608,22 @@ class DB:
         if self.options.step_hook is None:
             cv.wait_for(predicate)
             return
-        hook = self.options.step_hook
-        park_until = getattr(hook, "park_until", None)
         while not predicate():
             self._mutex.release()
             try:
-                if park_until is not None:
-                    park_until(label, predicate)
-                else:
-                    hook(label)
+                self._park(label, predicate)
             finally:
                 self._mutex.acquire()
+
+    def _park(self, label: str, guard: Callable[[], bool]) -> None:
+        """Park at ``label`` under the step hook, not to be picked again
+        until ``guard()`` holds if the hook supports guards."""
+        hook = self.options.step_hook
+        park_until = getattr(hook, "park_until", None)
+        if park_until is not None:
+            park_until(label, guard)
+        else:
+            hook(label)
 
     def _raise_if_bg_failed(self) -> None:
         if self._bg_error is not None:
@@ -863,6 +712,9 @@ class DB:
         return True
 
     def _check_writable(self) -> None:
+        """Raise the sticky background error, or :class:`ReadOnlyError`
+        once a full disk parked the DB."""
+        self._raise_if_bg_failed()
         if self._read_only:
             raise ReadOnlyError(
                 f"database is read-only ({self._read_only_reason})")
@@ -915,57 +767,178 @@ class DB:
     def write(self, batch: WriteBatch) -> int:
         """Apply ``batch`` atomically; returns the last assigned sequence.
 
-        Raises :class:`~repro.lsm.errors.WriteStallError` when level 0 has
-        reached ``l0_stop_writes_trigger`` files — only reachable with
-        ``disable_auto_compaction``, since inline compaction otherwise
-        drains level 0 as it fills.  With ``background_compaction`` the
-        same condition blocks the writer until the background thread
-        drains level 0 instead of raising.
+        LevelDB's leader/follower group commit, the one write path: the
+        queue head makes room (:meth:`_make_room_for_write`), claims one
+        sequence range for a prefix of the queue, then — mutex released:
+        it alone owns the WAL and the active MemTables — appends every
+        batch in one WAL write, inserts them, and only then publishes
+        ``last_sequence``, so a half-applied group is never visible.  It
+        seals each MemTable the group filled before the next leader can
+        insert, and hands it to the scheduler (:meth:`_schedule`).
         """
         if not self._has_wal:
-            return self._write_through_host(batch)
+            # A WAL-less table's own writes commit through its host's WAL.
+            self._check_open()
+            return self._queue_host().write(batch._retarget(None, self))
         if self in batch.tables:
             # Ops naming this DB are its own: an index whose table logs
             # for itself (the cluster's global index shards) gets the
             # same batches as one attached to a host.
             batch = batch._retarget(self, None)
-        if self._bg:
-            return self._write_concurrent(batch)
         self._check_open()
-        self._check_writable()
         if not batch.ops:
             return self.versions.last_sequence
-        tables = batch.tables
-        if tables:
-            self._check_tables(tables)
-        l0_files = self.versions.current.num_files(0)
-        if l0_files >= self.options.l0_stop_writes_trigger:
-            raise self._stall_error(l0_files)
-        span = batch.span()
-        start_seq = self._next_sequence(span, self.versions.last_sequence)
-        batch.stamp(start_seq)
-        assert self._log is not None
+        writer = _Writer(batch)
+        writers = self._writers
+        options = self.options
+        hook = options.step_hook
+        mutex = self._mutex
+        # The mutex is taken by hand, not with ``with``, on this path: a
+        # lone writer pays for every step here (DESIGN.md §8).
+        mutex.acquire()
         try:
-            self._log.add_record(batch.encode(start_seq))
-        except OSError as exc:
-            # ENOSPC before any MemTable insert: the batch is not acked and
-            # nothing is half-applied.  Park the DB read-only; the caller
-            # sees the original error, later writes see ReadOnlyError.
-            self._park_if_disk_full(exc)
-            raise
-        self._apply(batch, start_seq, self.memtable)
-        last = start_seq + span - 1
-        self.versions.last_sequence = last
-        for table in tables:
-            table.versions.last_sequence = last
-        if self.memtable.approximate_memory_usage \
-                >= self.options.memtable_budget:
-            self.flush()
-        for table in tables:
-            if table.memtable.approximate_memory_usage \
-                    >= table.options.memtable_budget:
-                table.flush()
-        return last
+            writers.append(writer)
+            if writers[0] is not writer:
+                self._await_locked(
+                    self._stall_cv,
+                    lambda: writer.done or writers[0] is writer,
+                    "write:queue")
+                if writer.done:
+                    if writer.error is not None:
+                        raise writer.error
+                    return writer.seq
+            # This writer is now the leader.
+            try:
+                if self._bg_error is not None or self._read_only \
+                        or self.memtable.approximate_memory_usage \
+                        >= options.memtable_budget \
+                        or len(self.versions.current.levels[0]) \
+                        >= options.l0_slowdown_writes_trigger:
+                    self._make_room_for_write()
+                if batch.tables:
+                    self._check_tables(batch.tables)
+                if len(writers) == 1:
+                    group, tables = (writer,), batch.tables
+                    total_seqs, total_ops = batch.span(), len(batch.ops)
+                else:
+                    group, tables, total_seqs, total_ops = \
+                        self._write_group(writer)
+                oracle = options.sequence_oracle
+                start_seq = self._pending_seq + 1 if oracle is None \
+                    else oracle(total_seqs)
+                if start_seq <= self._pending_seq:
+                    raise InvalidArgumentError(
+                        f"sequence oracle went backwards: {start_seq} <= "
+                        f"{self._pending_seq}")
+                self._pending_seq = last = start_seq + total_seqs - 1
+            except BaseException:
+                writers.remove(writer)
+                self._stall_cv.notify_all()
+                raise
+            memtable = self.memtable
+            log = self._log
+        finally:
+            mutex.release()
+        # -- mutex released: only the leader runs here ---------------------
+        error: BaseException | None = None
+        payloads: list[bytes] = []
+        seq = start_seq
+        for member in group:
+            member.seq = seq  # its first; its last once done
+            member.batch.stamp(seq)
+            payloads.append(member.batch.encode(seq))
+            seq += member.batch.span()
+        if hook is not None:
+            hook("write:wal")
+        try:
+            assert log is not None
+            log.add_records(payloads)
+            if hook is not None:
+                hook("write:memtable")
+            for member in group:
+                self._apply(member.batch, member.seq, memtable)
+        except BaseException as exc:  # noqa: BLE001 - propagated to the group
+            error = exc
+        if hook is not None:
+            hook("write:publish")
+        sealed: tuple[DB, ...] = ()
+        mutex.acquire()
+        try:
+            if error is None:
+                if last > self.versions.last_sequence:
+                    self.versions.last_sequence = last
+                # The attached tables' readers see the group only now too
+                # (a plain store: an int assignment needs no table mutex).
+                for table in tables:
+                    if last > table.versions.last_sequence:
+                        table.versions.last_sequence = last
+            else:
+                # Disk full during the group's WAL append: nothing in the
+                # group was acknowledged.  Park read-only so queued writers
+                # fail fast instead of each rediscovering the full disk.
+                self._park_if_disk_full(error)
+            stats = self.pipeline_stats
+            stats.write_groups += 1
+            stats.group_commit_batches += len(group)
+            stats.group_commit_ops += total_ops
+            if len(group) > stats.max_group_batches:
+                stats.max_group_batches = len(group)
+            for member in group:
+                popped = writers.popleft()
+                assert popped is member
+                member.seq += member.batch.span() - 1
+                member.error = error
+                member.done = True
+            if len(group) > 1 or writers:
+                self._stall_cv.notify_all()
+            if error is not None:
+                raise error
+            # Seal each full MemTable now, before the next leader can
+            # insert into it; the scheduler takes it from there.
+            if self.memtable.approximate_memory_usage \
+                    >= options.memtable_budget and self._seal_full_memtable():
+                self._schedule()
+            for table in tables:
+                if table.memtable.approximate_memory_usage \
+                        >= table.options.memtable_budget \
+                        and table._seal_full_memtable():
+                    sealed += (table,)
+        finally:
+            mutex.release()
+        for table in sealed:
+            with table._mutex:
+                table._schedule()
+        return writer.seq
+
+    def _write_group(self, leader: _Writer
+                     ) -> tuple[list[_Writer], dict["DB", int], int, int]:
+        """The writers the leader commits, the tables their batches name,
+        and how many sequence numbers and ops they take; mutex held.
+        Queued writers join up to a flush sentinel,
+        ``MAX_WRITE_GROUP_BYTES``, or one whose tables cannot take writes
+        (it leads its own group and fails)."""
+        batch = leader.batch
+        group = [leader]
+        tables = dict(batch.tables)
+        total_seqs = batch.span()
+        total_ops = len(batch.ops)
+        group_bytes = _approximate_batch_bytes(batch)
+        for candidate in list(self._writers)[1:]:
+            if candidate.batch is None:
+                break  # flush sentinel: do not commit past it
+            size = _approximate_batch_bytes(candidate.batch)
+            if group_bytes + size > MAX_WRITE_GROUP_BYTES:
+                break
+            try:
+                self._check_tables(candidate.batch.tables)
+            except Exception:  # noqa: BLE001 - it leads its own try
+                break
+            group.append(candidate)
+            group_bytes += size
+            tables.update(candidate.batch.tables)
+            total_seqs += candidate.batch.span()
+            total_ops += len(candidate.batch.ops)
+        return group, tables, total_seqs, total_ops
 
     @staticmethod
     def _apply(batch: WriteBatch, start_seq: int, memtable: MemTable) -> None:
@@ -977,8 +950,9 @@ class DB:
             for offset, (kind, key, value, _table) in enumerate(batch.ops):
                 add(start_seq + offset, kind, key, value)
         else:
-            seqs = WriteBatch.sequences(start_seq,
-                                        (op[3] for op in batch.ops))
+            # An indexed PUT names each table once: every op takes start_seq.
+            seqs = repeat(start_seq) if batch.span() == 1 else \
+                WriteBatch.sequences(start_seq, (op[3] for op in batch.ops))
             for (kind, key, value, table), seq in zip(batch.ops, seqs):
                 (add if table is None else table.memtable.add)(
                     seq, kind, key, value)
@@ -993,179 +967,39 @@ class DB:
             if table._closed or table._bg_error is not None \
                     or table._read_only:
                 table._check_open()
-                table._raise_if_bg_failed()
                 table._check_writable()
 
-    def _write_through_host(self, batch: WriteBatch) -> int:
-        """A WAL-less table's own writes commit through its host's WAL."""
-        self._check_open()
-        if self._host is None:
+    def _queue_host(self) -> "DB":
+        """The DB whose writer queue and WAL this one's writes go through."""
+        if not self._has_wal and self._host is None:
             raise InvalidArgumentError(
                 f"{self.name} has no WAL and is attached to no host")
-        return self._host.write(batch._retarget(None, self))
-
-    def _stall_error(self, l0_files: int) -> WriteStallError:
-        return WriteStallError(
-            f"level 0 holds {l0_files} files "
-            f"(stop trigger {self.options.l0_stop_writes_trigger}); "
-            f"run compact_range() or enable auto compaction")
-
-    def _next_sequence(self, count: int, last: int) -> int:
-        """First of ``count`` fresh sequence numbers, all above ``last``."""
-        oracle = self.options.sequence_oracle
-        if oracle is None:
-            return last + 1
-        start_seq = oracle(count)
-        if start_seq <= last:
-            raise InvalidArgumentError(
-                f"sequence oracle went backwards: {start_seq} <= {last}")
-        return start_seq
-
-    # -- concurrent write path (background_compaction) -------------------------
-
-    def _write_concurrent(self, batch: WriteBatch) -> int:
-        """LevelDB's leader/follower group commit.
-
-        Every writer enqueues and waits until either (a) a leader already
-        committed it, or (b) it reaches the queue head and becomes the
-        leader itself.  The leader makes room (stall ladder), claims a
-        contiguous sequence range for a prefix of the queue, then — with
-        the mutex *released*, since it alone owns the WAL and the active
-        MemTable head — appends all batches in one WAL write, inserts them
-        into the MemTable, and finally publishes ``last_sequence``.
-        Readers snapshot the published value, so a half-applied group is
-        never visible: sequences become readable only after every MemTable
-        insert of the group completed.
-        """
-        self._check_open()
-        if not batch.ops:
-            return self.versions.last_sequence
-        writer = _Writer(batch)
-        with self._mutex:
-            self._raise_if_bg_failed()
-            self._check_writable()
-            self._writers.append(writer)
-            self._await_locked(
-                self._stall_cv,
-                lambda: writer.done or self._writers[0] is writer,
-                "write:queue")
-            if writer.done:
-                if writer.error is not None:
-                    raise writer.error
-                return writer.seq
-            # This writer is now the leader.
-            try:
-                self._make_room_for_write()
-                self._check_tables(writer.batch.tables)
-                group = [writer]
-                group_bytes = _approximate_batch_bytes(writer.batch)
-                for candidate in list(self._writers)[1:]:
-                    if candidate.batch is None:
-                        break  # flush sentinel: do not commit past it
-                    size = _approximate_batch_bytes(candidate.batch)
-                    if group_bytes + size > MAX_WRITE_GROUP_BYTES:
-                        break
-                    try:
-                        self._check_tables(candidate.batch.tables)
-                    except Exception:  # noqa: BLE001 - it leads its own try
-                        break
-                    group.append(candidate)
-                    group_bytes += size
-                tables: dict[DB, int] = {}
-                for member in group:
-                    tables.update(member.batch.tables)
-                for table in tables:
-                    table._rotate_if_full()
-                total_ops = sum(len(w.batch.ops) for w in group)
-                total_seqs = sum(w.batch.span() for w in group)
-                start_seq = self._next_sequence(total_seqs, self._pending_seq)
-                self._pending_seq = start_seq + total_seqs - 1
-            except BaseException:
-                self._writers.remove(writer)
-                self._stall_cv.notify_all()
-                raise
-            memtable = self.memtable
-            log = self._log
-        # -- mutex released: only the leader runs here ---------------------
-        error: BaseException | None = None
-        seqs: list[int] = []
-        payloads: list[bytes] = []
-        seq = start_seq
-        for member in group:
-            member.batch.stamp(seq)
-            payloads.append(member.batch.encode(seq))
-            seqs.append(seq)
-            seq += member.batch.span()
-        self._step("write:wal")
-        try:
-            assert log is not None
-            log.add_records(payloads)
-            self._step("write:memtable")
-            for member, member_seq in zip(group, seqs):
-                self._apply(member.batch, member_seq, memtable)
-        except BaseException as exc:  # noqa: BLE001 - propagated to the group
-            error = exc
-        self._step("write:publish")
-        with self._mutex:
-            if error is None:
-                self.versions.last_sequence = max(
-                    self.versions.last_sequence, start_seq + total_seqs - 1)
-                # The attached tables' readers see the group only now too
-                # (a plain store: an int assignment needs no table mutex).
-                for table in tables:
-                    table.versions.last_sequence = max(
-                        table.versions.last_sequence,
-                        start_seq + total_seqs - 1)
-            else:
-                # Disk full during the group's WAL append: nothing in the
-                # group was acknowledged.  Park read-only so queued writers
-                # fail fast instead of each rediscovering the full disk.
-                self._park_if_disk_full(error)
-            stats = self.pipeline_stats
-            stats.write_groups += 1
-            stats.group_commit_batches += len(group)
-            stats.group_commit_ops += total_ops
-            if len(group) > stats.max_group_batches:
-                stats.max_group_batches = len(group)
-            for member, member_seq in zip(group, seqs):
-                popped = self._writers.popleft()
-                assert popped is member
-                member.seq = member_seq + member.batch.span() - 1
-                member.error = error
-                member.done = True
-            self._stall_cv.notify_all()
-            # Eager rotation keeps the pipeline primed: hand the full
-            # MemTable to the background thread now instead of making the
-            # next writer pay for the rotation.
-            if (error is None and self.imm is None
-                    and self.memtable.approximate_memory_usage
-                    >= self.options.memtable_budget):
-                self._rotate_memtable_locked()
-        if error is not None:
-            raise error
-        return writer.seq
+        return self._host or self
 
     def _make_room_for_write(self) -> None:
         """LevelDB's write-stall ladder; called by the leader, mutex held.
 
         In order: a one-step *slowdown* pause when level 0 approaches the
         stop trigger (spreads delay across writers instead of one long
-        stall), a wait for the previous immutable MemTable to drain when
-        the active one is full, and a hard *stop* wait when level 0 is at
-        the stop trigger.  With ``disable_auto_compaction`` nothing would
-        ever drain level 0, so the stop condition raises instead of
-        deadlocking — same contract as the inline path.
+        stall); then, if the active MemTable is full, a stall until the
+        sealed one is flushed and one until level 0 is below the stop
+        trigger, each through :meth:`_schedule` (the inline scheduler runs
+        the job then and there).  With ``disable_auto_compaction`` nothing
+        would ever drain level 0: the stop condition raises
+        :class:`~repro.lsm.errors.WriteStallError` instead.
         """
         options = self.options
         allow_delay = True
         stats = self.pipeline_stats
         while True:
-            self._raise_if_bg_failed()
             self._check_writable()
             l0_files = self.versions.current.num_files(0)
             if l0_files >= options.l0_stop_writes_trigger \
                     and options.disable_auto_compaction:
-                raise self._stall_error(l0_files)
+                raise WriteStallError(
+                    f"level 0 holds {l0_files} files (stop trigger "
+                    f"{options.l0_stop_writes_trigger}); run compact_range() "
+                    f"or enable auto compaction")
             if allow_delay and not options.disable_auto_compaction \
                     and options.l0_slowdown_writes_trigger <= l0_files \
                     < options.l0_stop_writes_trigger:
@@ -1184,47 +1018,79 @@ class DB:
                     < options.memtable_budget:
                 return
             if self.imm is not None:
-                self._stall_until(lambda: self.imm is None, "stall:memtable")
-                continue
-            if l0_files >= options.l0_stop_writes_trigger:
-                self._stall_until(
-                    lambda: (self.versions.current.num_files(0)
-                             < options.l0_stop_writes_trigger),
-                    "stall:stop")
-                continue
-            self._rotate_memtable_locked()
-            return
+                done, label = (lambda: self.imm is None), "stall:memtable"
+            elif l0_files >= options.l0_stop_writes_trigger:
+                done, label = (lambda: self.versions.current.num_files(0)
+                               < options.l0_stop_writes_trigger), "stall:stop"
+            else:
+                return  # the publish seals the full MemTable
+            started = time.perf_counter()
+            stats.stall_events += 1
+            self._schedule(done, label)
+            stats.stall_seconds += time.perf_counter() - started
 
-    def _await_pipeline(self, drained: Callable[[], bool], label: str) -> None:
-        """Wait, mutex held, for the background thread to make ``drained()``.
+    def _schedule(self, done: Callable[[], bool] | None = None,
+                  label: str = "") -> None:
+        """Hand a sealed MemTable's flush and the due compactions to the
+        scheduler (LevelDB's ``MaybeScheduleCompaction``); given ``done``,
+        return once it holds.  Mutex held once.
 
-        Also returns once it never will — the thread died into
-        ``_bg_error`` or parked read-only — so callers recheck both.
+        The one place that decides who runs maintenance.  The threaded
+        scheduler wakes the background thread and waits for ``done()`` —
+        or until it never will (``_bg_error``, read-only: callers recheck
+        both).  The inline one never waits: unless ``done()`` holds, it
+        runs the job (:meth:`_maintain`) now, in this thread, unlocked.
         """
-        self._await_locked(
-            self._stall_cv,
-            lambda: drained() or self._bg_error is not None or self._read_only,
-            label)
+        if self._bg_thread is not None:
+            self._work_cv.notify_all()
+            if done is not None:
+                self._await_locked(
+                    self._stall_cv,
+                    lambda: (done() or self._bg_error is not None
+                             or self._read_only),
+                    label)
+        elif done is None or not done():
+            self._mutex.release()
+            try:
+                self._maintain()
+            finally:
+                self._mutex.acquire()
 
-    def _stall_until(self, drained: Callable[[], bool], label: str) -> None:
-        """A writer's :meth:`_await_pipeline`, counted as a stall."""
-        stats = self.pipeline_stats
-        started = time.perf_counter()
-        stats.stall_events += 1
-        self._await_pipeline(drained, label)
-        stats.stall_seconds += time.perf_counter() - started
+    def _maintain(self) -> None:
+        """The inline scheduler's job: flush the sealed MemTable, then run
+        every due compaction, in the caller's thread.  It runs right after
+        the seal, so nothing was written since: a flush that fails before
+        its table is installed puts the sealed MemTable back into service,
+        readable, and replayable from the WAL the flush did not retire."""
+        if self.imm is not None:
+            try:
+                self._flush_imm()
+            except BaseException as exc:
+                if self.imm is not None:
+                    self.imm.unseal()
+                    self.memtable, self.imm = self.imm, None
+                if isinstance(exc, OSError):
+                    self._park_if_disk_full(exc)  # no doomed retries
+                raise
+        if not self.options.disable_auto_compaction:
+            while (compaction := pick_compaction(self.versions)) is not None:
+                self._run_compaction(compaction)
 
     def _rotate_memtable_locked(self) -> None:
         """Seal the active MemTable into ``imm`` and switch to a new WAL.
 
-        Mutex held (or inline); ``self.imm`` must be ``None``.  The old WAL
-        stays on disk until :meth:`_flush_imm` durably installs the
-        level-0 table whose edit records the *new* log number.
+        Mutex held; ``self.imm`` must be ``None``.  The old WAL stays on
+        disk until :meth:`_flush_imm` durably installs the level-0 table
+        whose edit records the *new* log number.
         """
         assert self.imm is None
         if self._has_wal:
             closed_log = self._log_number
-            self._open_wal(self.versions.new_file_number())
+            try:
+                self._open_wal(self.versions.new_file_number())
+            except OSError as exc:
+                self._park_if_disk_full(exc)
+                raise
             self._closed_logs.append(closed_log)
             self._imm_wal_need = self._log_number
         else:
@@ -1233,9 +1099,17 @@ class DB:
         self.memtable.seal()
         self.imm = self.memtable
         self.memtable = MemTable()
-        self._work_cv.notify_all()
 
-    def _flush_imm(self) -> None:
+    def _seal_full_memtable(self) -> bool:
+        """Seal the full MemTable unless the last one is still being flushed
+        (then it grows a while); a write leader's step.  Whether it did."""
+        with self._mutex:
+            if self.imm is not None:
+                return False
+            self._rotate_memtable_locked()
+            return True
+
+    def _flush_imm(self, background: bool = False) -> None:
         """Flush the sealed MemTable to level 0, then retire its WAL.
 
         The steps every flush runs, on the background thread or — inline —
@@ -1251,7 +1125,7 @@ class DB:
         with self._mutex:
             self.imm = None
             self._wal_need = need
-            if self._bg:
+            if background:
                 self.pipeline_stats.bg_flushes += 1
             self._stall_cv.notify_all()
         (self._host or self)._retire_logs()
@@ -1272,15 +1146,6 @@ class DB:
             self._closed_logs = [n for n in self._closed_logs if n >= floor]
         for number in obsolete:
             self.vfs.delete_if_exists(log_file_name(self.name, number))
-
-    def _rotate_if_full(self) -> None:
-        """A WAL-less table's rotation, run by its host's write leader: the
-        full MemTable goes to the table's background thread, unless the
-        previous one is still being flushed (then it grows a while)."""
-        with self._mutex:
-            if self.imm is None and self.memtable.approximate_memory_usage \
-                    >= self.options.memtable_budget:
-                self._rotate_memtable_locked()
 
     # -- background thread -----------------------------------------------------
 
@@ -1325,7 +1190,7 @@ class DB:
                 try:
                     if imm is not None:
                         self._step("bg:flush")
-                        self._flush_imm()
+                        self._flush_imm(background=True)
                     elif compaction is not None:
                         self._step("bg:compact")
                         self._run_compaction(compaction)
@@ -1346,8 +1211,8 @@ class DB:
     def _run_compaction(self, compaction: Compaction) -> None:
         """Run one compaction — the only caller of ``compactor.run``.
 
-        Inline auto-compaction inside :meth:`flush`, the background thread
-        and :meth:`compact_range` all come through here, so what a failed
+        The inline scheduler's job (:meth:`_maintain`), the background
+        thread and :meth:`compact_range` all come through here, so what a failed
         compaction does never depends on who asked for it: it installed
         nothing, its inputs stay live and the compactor has deleted what it
         wrote; a full disk parks the DB read-only; the error goes to the
@@ -1446,9 +1311,10 @@ class DB:
         ``memtables`` come newest first (the active one, then a sealed one
         still being flushed); ``max_seq`` is the implicit snapshot of a read
         that names none; ``pin`` goes back to :meth:`_release_view`.  This
-        is the one place the read path looks at the engine's mode.  Inline
-        there is one thread, so the view is taken lock- and pin-free and
-        everything written is visible.  In pipeline mode it is captured
+        is the one place the read path looks at the scheduler.  Under the
+        inline one, callers take one thread at a time, so the view is taken
+        lock- and pin-free and everything written is visible.  Under the
+        threaded one it is captured
         under the mutex in one short critical section, after which the read
         runs lock-free: the Version is refcounted so compaction defers
         deleting table files the read may still touch, and ``max_seq`` is
@@ -1462,7 +1328,7 @@ class DB:
             held = self._held_views.get(threading.get_ident())
             if held is not None:
                 return held
-        if not self._bg:
+        if self._bg_thread is None:
             return (self.memtable,), self.versions.current, MAX_SEQUENCE, None
         # The one scheduling point of the read path: once pinned, snapshot
         # isolation makes the rest of the read independent of concurrent
@@ -1504,11 +1370,12 @@ class DB:
         MemTables and the tables (the Embedded index: a walk, then GetLite
         per match).  The block owns the one pin and drops it on every way
         out; inside, :meth:`_acquire_view` hands out this view pin-free.
-        In pipeline mode the holder's own writes inside the block are not
-        visible to its probes, and a generator probe started inside must
-        be finished inside.  Only this explicit block is re-entrant: an
-        open :meth:`scan_with_seq` keeps its view to itself, so a GET
-        between two of its items still reads the caller's latest writes.
+        Under the threaded scheduler the holder's own writes inside the
+        block are not visible to its probes, and a generator probe started
+        inside must be finished inside.  Only this explicit block is
+        re-entrant: an open :meth:`scan_with_seq` keeps its view to itself,
+        so a GET between two of its items still reads the caller's latest
+        writes.
         """
         ident = threading.get_ident()
         memtables, version, max_seq, pin = view = self._acquire_view()
@@ -1526,63 +1393,18 @@ class DB:
             self._release_view(pin)
 
     def flush(self) -> None:
-        """Flush the MemTable to a level-0 SSTable and run due compactions.
+        """Flush the MemTable to a level-0 SSTable and run due compactions;
+        returns once everything acknowledged so far is in level 0.
 
-        Both modes run the same steps — seal the MemTable behind a new WAL
-        (:meth:`_rotate_memtable_locked`), then :meth:`_flush_imm` — and
-        differ in who runs the second.  In pipeline mode this seals the
-        active MemTable (if non-empty) and blocks until the background
-        thread has drained every immutable MemTable — i.e. all data
-        acknowledged so far is in level 0.  Inline, the caller's thread
-        does the flush and the due compactions itself.
+        A sentinel claims the writer-queue head (a WAL-less table's is its
+        host's), so no leader is inserting while the active MemTable is
+        sealed; the scheduler (:meth:`_schedule`) then flushes it in this
+        thread, or the background thread does while this one waits.
         """
         self._check_open()
-        if self._bg:
-            self._flush_concurrent()
-            return
-        self._check_writable()
-        if self.memtable.is_empty():
-            return
-        try:
-            with self._mutex:
-                self._rotate_memtable_locked()
-            try:
-                self._flush_imm()
-            except BaseException:
-                if self.imm is not None:
-                    # The table was not installed.  One thread: nothing was
-                    # written since the seal, so the sealed MemTable goes
-                    # back into service — every acknowledged write stays
-                    # readable, and replayable from the old WAL the failed
-                    # flush did not retire.
-                    self.imm.unseal()
-                    self.memtable, self.imm = self.imm, None
-                raise
-        except OSError as exc:
-            # A full disk is survivable (see above); park read-only rather
-            # than letting callers retry a doomed flush forever.
-            self._park_if_disk_full(exc)
-            raise
-        if not self.options.disable_auto_compaction:
-            while (compaction := pick_compaction(self.versions)) is not None:
-                self._run_compaction(compaction)
-
-    def _flush_concurrent(self) -> None:
-        """Pipeline-mode flush: rotate under a queue sentinel, then drain.
-
-        The sentinel claims the writer-queue head so no leader can be
-        inserting into the active MemTable while it is sealed; pending
-        writers simply commit after the rotation, into the fresh MemTable.
-        A WAL-less table's queue is its host's, whose write leader inserts
-        into its MemTable; no host lock is held while the table drains.
-        """
-        host = self._host or self
-        if not self._has_wal and self._host is None:
-            raise InvalidArgumentError(
-                f"{self.name} has no WAL and is attached to no host")
+        host = self._queue_host()
         sentinel = _Writer(None)
         with host._mutex:
-            self._raise_if_bg_failed()
             self._check_writable()
             host._writers.append(sentinel)
             host._await_locked(
@@ -1592,9 +1414,7 @@ class DB:
         try:
             with self._mutex:
                 if not self.memtable.is_empty():
-                    self._await_pipeline(lambda: self.imm is None,
-                                         "flush:room")
-                    self._raise_if_bg_failed()
+                    self._schedule(lambda: self.imm is None, "flush:room")
                     self._check_writable()
                     self._rotate_memtable_locked()
         finally:
@@ -1603,7 +1423,7 @@ class DB:
                 assert popped is sentinel
                 host._stall_cv.notify_all()
         with self._mutex:
-            self._await_pipeline(lambda: self.imm is None, "flush:drain")
+            self._schedule(lambda: self.imm is None, "flush:drain")
             self._raise_if_bg_failed()
             if self.imm is not None:
                 # Read-only parked the background thread with the immutable
@@ -2179,10 +1999,11 @@ class DB:
     def compact_range(self) -> None:
         """Flush, then push every level's data downward once (manual, full).
 
-        In pipeline mode the manual compaction runs on the calling thread
-        but first takes the *manual-compaction slot*: the background thread
-        stops picking automatic compactions (flushes still run) so the two
-        never install conflicting edits over the same input files.
+        Under the threaded scheduler the manual compaction runs on the
+        calling thread but first takes the *manual-compaction slot*: the
+        background thread stops picking automatic compactions (flushes still
+        run) so the two never install conflicting edits over the same input
+        files.
         """
         self._check_open()
         self._check_writable()
@@ -2318,7 +2139,7 @@ class DB:
                                 else block_cache.stats()),
                 "io": counter_dict(self.vfs.stats),
                 "pipeline": {
-                    "background": self._bg,
+                    "background": self._bg_thread is not None,
                     "imm_pending": imm_pending,
                     # The work the background thread still owes.
                     "compaction_queue_depth": imm_pending + levels_due,

@@ -52,17 +52,14 @@ class MemTable:
         #: The keys of ``_versions``, sorted; only ever inserted into.
         self._keys: list[bytes] = []
         self._size = 0
-        self._memory = 0
+        #: Bytes held, roughly: keys, values and a per-version overhead.
+        self.approximate_memory_usage = 0
         self._min_seq: int | None = None
         self._max_seq: int | None = None
         self._sealed = False
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def approximate_memory_usage(self) -> int:
-        return self._memory
 
     @property
     def min_seq(self) -> int | None:
@@ -77,13 +74,8 @@ class MemTable:
         return self._sealed
 
     def seal(self) -> None:
-        """Freeze this MemTable for the immutable flush handoff.
-
-        A sealed MemTable rejects further inserts; readers keep working.
-        The background pipeline (DESIGN.md §8) seals the active MemTable
-        when it fills, hands it to the compactor thread, and swaps in a
-        fresh one.
-        """
+        """Freeze this MemTable for its flush (DESIGN.md §8): a sealed
+        MemTable rejects further inserts; readers keep working."""
         self._sealed = True
 
     def unseal(self) -> None:
@@ -112,7 +104,8 @@ class MemTable:
                 raise KeyError(f"duplicate memtable key: {user_key!r}@{seq}")
             self._versions[user_key] = versions[:at] + [entry] + versions[at:]
         self._size += 1
-        self._memory += len(user_key) + len(value) + _NODE_OVERHEAD
+        self.approximate_memory_usage += \
+            len(user_key) + len(value) + _NODE_OVERHEAD
         if self._min_seq is None or seq < self._min_seq:
             self._min_seq = seq
         if self._max_seq is None or seq > self._max_seq:

@@ -164,25 +164,25 @@ class Options:
         stop-writes backpressure, surfaced as an error instead of a sleep
         because this engine is synchronous.
     background_compaction:
-        Move flushes and compactions off the foreground write path (DESIGN.md
-        §8).  When on, a full write sends the MemTable into an *immutable*
-        handoff buffer that a background thread flushes while a fresh
-        MemTable absorbs writes; compactions run on the same thread;
-        concurrent writers share one WAL append/sync per group (group
-        commit); and write stalls become waits (slowdown pause at
+        The maintenance scheduler (DESIGN.md §8).  Every write goes through
+        one writer queue and seals a full MemTable behind a new WAL either
+        way; this chooses who then flushes it and runs the compactions.
+        Off (the default): the *inline* scheduler, in the writing thread,
+        before the write returns — the synchronous engine whose outputs the
+        paper's experiments and the golden vectors pin byte for byte.  On:
+        the *threaded* scheduler, a background thread, while a fresh
+        MemTable absorbs writes; write stalls then wait (slowdown pause at
         ``l0_slowdown_writes_trigger``, hard wait at
-        ``l0_stop_writes_trigger``) instead of errors.  Off by default: the
-        paper's experiments depend on the synchronous engine's byte-identical
-        determinism, which the golden-vector tests pin.
+        ``l0_stop_writes_trigger``) for that thread.
     l0_slowdown_writes_trigger:
-        With ``background_compaction``, a writer pauses briefly once level 0
-        holds this many files (LevelDB's soft backpressure), giving the
-        background thread a head start before the hard stop trigger.
+        A writer pauses briefly once level 0 holds this many files
+        (LevelDB's soft backpressure), giving the background thread a head
+        start before the hard stop trigger.
     slowdown_sleep_seconds:
         Length of one slowdown pause (LevelDB sleeps 1 ms).
     step_hook:
         Test-only instrumentation: when set, the engine calls
-        ``step_hook(label)`` at the named yield points of the background
+        ``step_hook(label)`` at the named yield points of the write
         pipeline (``"write:wal"``, ``"bg:flush:install"``, ...), and every
         internal wait spins through the hook instead of blocking on a
         condition variable.  The deterministic scheduler in

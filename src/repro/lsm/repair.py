@@ -48,6 +48,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.lsm.batch import (
+    WriteBatch,
+    decode_table_directory,
+    is_table_directory,
+)
 from repro.lsm.checker import EntrySummary, TableAudit
 from repro.lsm.compaction import finish_table
 from repro.lsm.manifest import ManifestWriter, list_db_files, table_file_name
@@ -188,12 +193,6 @@ class _Repairer:
     def _salvage_logs(self) -> None:
         report = self.report
         memtable = MemTable()
-        from repro.lsm.db import (
-            WriteBatch,
-            decode_table_directory,
-            is_table_directory,
-        )
-
         for number, name in sorted(self.files.logs.items()):
             def problem(text: str) -> None:
                 report.problems.append(f"WAL {name}: {text}")

@@ -179,9 +179,13 @@ class DeterministicScheduler:
                 raise SchedulerDeadlockError(
                     f"no eligible task can run; parked: "
                     f"{self.parked_tasks()}")
-        task.gate.clear()
-        task.parked = False
-        task.guard = None
+        # Unpark under the lock: a poller that saw this task still parked
+        # with its gate already cleared would take the token for floating
+        # and grant it a second time (an extra, timing-made decision).
+        with self._lock:
+            task.gate.clear()
+            task.parked = False
+            task.guard = None
 
     # -- registration ------------------------------------------------------
 

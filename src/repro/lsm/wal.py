@@ -7,8 +7,8 @@ and recovery stops cleanly at the last complete record::
 
     fragment := crc32 (4, LE) | length (2, LE) | type (1) | payload
 
-Payloads here are serialized write batches (see :mod:`repro.lsm.db`); the
-WAL itself is payload-agnostic.
+Payloads here are serialized write batches (see :mod:`repro.lsm.batch`);
+the WAL itself is payload-agnostic.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ Frames come off the socket through a
 :class:`~repro.server.protocol.FrameReader`.
 
 Concurrency model (DESIGN.md §10): the threads of all connections call
-the engine *concurrently*.  With the background pipeline enabled
+the engine *concurrently*.  Under the threaded maintenance scheduler
 (``Options.background_compaction``) the engine's leader/follower group
 commit coalesces their WAL appends, so one fsync covers a whole batch of
 network writers — the server adds no locking of its own on that path.
@@ -23,12 +23,13 @@ engine's write-stall ladder — nothing is read, the socket's receive
 window fills, and TCP pushes back on the client.  A flood of writers
 degrades into flow control instead of unbounded buffering.
 
-Serving an inline (non-pipeline) engine still works: the handlers
-serialize on one lock, trading parallelism for the single-threaded
-engine's invariants.  :class:`~repro.core.database.SecondaryIndexedDB`
-is always served behind that lock: its reads go through the engine's read
-view and tolerate background maintenance, but index maintenance on PUT
-takes one caller at a time.
+Serving an engine under the inline scheduler still works: the handlers
+serialize on one lock, since that scheduler runs a flush in the writing
+thread and its reads take no pin, both safe for one caller at a time.
+:class:`~repro.core.database.SecondaryIndexedDB` is always served behind
+that lock: its reads go through the engine's read view and tolerate
+background maintenance, but index maintenance on PUT takes one caller at
+a time.
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ class Server:
         if isinstance(db, DB):
             self._primary = db
             self._indexed = None
-            # The pipeline engine takes concurrent writers natively (group
-            # commit); the inline engine is single-threaded by contract, so
-            # concurrent handlers must serialize.
+            # Under the threaded scheduler the engine takes concurrent
+            # writers natively (group commit); the inline one takes one
+            # caller at a time, so concurrent handlers must serialize.
             self._lock: threading.Lock | None = \
                 None if db.options.background_compaction \
                 else threading.Lock()
@@ -459,8 +460,8 @@ class Server:
         self._respond(conn, request_id, STATUS_OK, result)
 
     def _can_coalesce(self) -> bool:
-        # Raw-DB pipeline mode only: the run becomes one WriteBatch (one
-        # group-commit entry).  Indexed/inline engines execute op by op.
+        # A raw DB under the threaded scheduler only: the run becomes one
+        # WriteBatch (one group-commit entry).  The others go op by op.
         return self._indexed is None and self._lock is None
 
     def _execute_write_run(self, conn: _Connection,

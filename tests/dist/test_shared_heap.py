@@ -146,34 +146,53 @@ def test_shared_heap_validates_fewer_candidates_than_the_merge():
         cluster.close()
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.name)
-def test_a_stale_copy_does_not_push_an_owned_record_out(kind):
+def _flip_scenario(kind):
     """Between flip and cleanup the source still holds a moved record,
     which the new shard has since changed to another value.  The copy
-    validates on the source and is newer than the owned record the
-    LOOKUP must return; the per-shard merge let it take the source's one
-    slot and answered with an older record."""
+    validates on the source and is newer than the owned record a query
+    for the old value must return.  Returns the cluster and that record's
+    key."""
     cluster = ShardedDB.open_memory(
         num_shards=2, local_indexes={"UserID": kind}, options=Options())
+    for n in range(60):
+        cluster.put(f"f{n:03d}", {"UserID": "u1"})
+    split = cluster.begin_split(0)
+    split.step()  # prepare: the next ring is fixed
+    old_ring, new_ring = cluster.ring, split.next_ring
+    source = [key for key in (f"k{n}" for n in range(1000))
+              if old_ring.shard_of(key.encode()) == 0]
+    stays = next(key for key in source
+                 if new_ring.shard_of(key.encode()) == 0)
+    moves = next(key for key in source
+                 if new_ring.shard_of(key.encode()) != 0)
+    cluster.put(stays, {"UserID": "u1"})
+    cluster.put(moves, {"UserID": "u1"})
+    while split.phase != "cleanup":
+        split.step()
+    cluster.put(moves, {"UserID": "u9"})
+    return cluster, stays
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.name)
+def test_a_stale_copy_does_not_push_an_owned_record_out(kind):
+    """The per-shard merge let the stale copy take the source's one slot
+    and answered with an older record."""
+    cluster, stays = _flip_scenario(kind)
     try:
-        for n in range(60):
-            cluster.put(f"f{n:03d}", {"UserID": "u1"})
-        split = cluster.begin_split(0)
-        split.step()  # prepare: the next ring is fixed
-        old_ring, new_ring = cluster.ring, split.next_ring
-        source = [key for key in (f"k{n}" for n in range(1000))
-                  if old_ring.shard_of(key.encode()) == 0]
-        stays = next(key for key in source
-                     if new_ring.shard_of(key.encode()) == 0)
-        moves = next(key for key in source
-                     if new_ring.shard_of(key.encode()) != 0)
-        cluster.put(stays, {"UserID": "u1"})
-        cluster.put(moves, {"UserID": "u1"})
-        while split.phase != "cleanup":
-            split.step()
-        cluster.put(moves, {"UserID": "u9"})
         assert [r.key for r in cluster.lookup("UserID", "u1", 1)] == [stays]
         assert [r.key for r in reference_lookup(
             cluster, "UserID", "u1", 1, True)] != [stays]
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.name)
+def test_a_stale_copy_does_not_push_an_owned_record_out_of_a_range(kind):
+    """The RANGELOOKUP form: each shard's own top-K skips the records it
+    does not own, so the copy takes no slot there either."""
+    cluster, stays = _flip_scenario(kind)
+    try:
+        assert [r.key for r in cluster.range_lookup(
+            "UserID", "u1", "u1", 1)] == [stays]
     finally:
         cluster.close()

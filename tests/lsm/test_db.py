@@ -468,13 +468,13 @@ class TestIntrospection:
         assert pipe["background"] is False
         assert pipe["imm_pending"] == 0  # inline flush never leaves one
         assert pipe["compaction_queue_depth"] >= 0
-        # The writer queue, group commit and stall ladder only engage in
-        # pipeline mode; inline writes leave every counter at zero.
+        # Every write goes through the writer queue: 100 lone PUTs are 100
+        # groups of one, and the stall ladder never engages.
         assert pipe["stall_events"] == 0
         assert pipe["slowdown_events"] == 0
-        assert pipe["write_groups"] == 0
-        assert pipe["group_commit_batches"] == 0
-        assert pipe["max_group_batches"] == 0
+        assert pipe["write_groups"] == 100
+        assert pipe["group_commit_batches"] == 100
+        assert pipe["max_group_batches"] == 1
         assert pipe["bg_flushes"] == 0
         assert pipe["bg_error"] is None
         json.dumps(pipe)
