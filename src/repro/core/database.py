@@ -62,6 +62,7 @@ from repro.core.records import (
 )
 from repro.core.topk import TopKBySeq
 from repro.core.validity import ValidityChecker
+from repro.lsm.batch import table_label
 from repro.lsm.db import DB, WriteBatch
 from repro.lsm.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.options import Options
@@ -178,25 +179,9 @@ class SecondaryIndexedDB:
 
     # -- base operations (Table 1) ----------------------------------------------
 
-    def _commit(self, batch: WriteBatch) -> int:
-        """Commit ``batch`` (the primary write first, then the index
-        entries); returns the primary write's own sequence number, which
-        the commit also stamped into the entries.  Reading
-        ``versions.last_sequence`` afterwards would race a concurrent
-        writer under the background pipeline."""
-        return self.primary.write(batch) - batch.span() + 1
-
     def put(self, key: str | bytes, document: Document) -> int:
         """PUT(k, v): write (or overwrite) and maintain every index."""
-        self._check_open()
-        key_bytes = key_to_bytes(key)
-        batch = WriteBatch().put(key_bytes, encode_document(document))
-        for index in self.indexes.values():
-            index.on_put(batch, key_bytes, document)
-        seq = self._commit(batch)
-        for index in self.indexes.values():
-            index.after_put(key_bytes, document, seq)
-        return seq
+        return self.commit("put", key_to_bytes(key), document)[0]
 
     def get(self, key: str | bytes) -> Document | None:
         """GET(k): the live document, or ``None``."""
@@ -214,17 +199,57 @@ class SecondaryIndexedDB:
         costs one data-table GET here (the paper's Table 5 read column).
         Returns the tombstone's sequence number.
         """
+        return self.commit("delete", key_to_bytes(key), None)[0]
+
+    def commit(self, op: str, key: bytes, document: Document | None,
+               seq: int = 0) -> tuple[int, WriteBatch]:
+        """PUT (``op="put"``) or DEL of ``key`` as one :class:`WriteBatch`:
+        the primary write first, then every index's entries.  Returns the
+        primary write's sequence, which the commit stamped into the
+        entries, and the committed batch, which :meth:`apply_committed`
+        applies to another copy of this store.  A nonzero ``seq`` fixes
+        the sequence instead of drawing it (``DB.write``)."""
         self._check_open()
-        key_bytes = key_to_bytes(key)
-        old_document: Document | None = None
-        if self._needs_old_doc_on_delete:
-            old_value = self.primary.get(key_bytes)
-            if old_value is not None:
-                old_document = decode_document(old_value)
-        batch = WriteBatch().delete(key_bytes)
-        for index in self.indexes.values():
-            index.on_delete(batch, key_bytes, old_document)
-        return self._commit(batch)
+        if op == "put":
+            batch = WriteBatch().put(key, encode_document(document))
+            for index in self.indexes.values():
+                index.on_put(batch, key, document)
+        elif op == "delete":
+            old_document: Document | None = None
+            if self._needs_old_doc_on_delete:
+                old_value = self.primary.get(key)
+                if old_value is not None:
+                    old_document = decode_document(old_value)
+            batch = WriteBatch().delete(key)
+            for index in self.indexes.values():
+                index.on_delete(batch, key, old_document)
+        else:
+            raise InvalidArgumentError(f"unknown write op {op!r}")
+        # The write's own sequence: reading ``versions.last_sequence``
+        # afterwards would race a concurrent writer.
+        seq = self.primary.write(batch, seq) - batch.span() + 1
+        if op == "put":
+            for index in self.indexes.values():
+                index.after_put(key, document, seq)
+        return seq, batch
+
+    def apply_committed(self, op: str, key: bytes,
+                        document: Document | None, seq: int,
+                        batch: WriteBatch) -> None:
+        """Apply the batch another copy of this store committed for
+        ``op`` on ``key`` at ``seq`` (:meth:`commit`), at that sequence:
+        its tables map onto this store's by name, and no index
+        maintenance runs, so nothing is read.  Only the Embedded index's
+        MemTable view is fed, from the record, as recovery feeds it."""
+        self._check_open()
+        by_label = {table_label(table.name): table
+                    for _label, table in self.tables()}
+        self.primary.write(batch.retarget(
+            {table: by_label[table_label(table.name)]
+             for table in batch.tables}), seq)
+        if op == "put":
+            for index in self.indexes.values():
+                index.after_put(key, document, seq)
 
     # -- secondary queries (Table 1) -----------------------------------------------
 

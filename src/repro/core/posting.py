@@ -30,11 +30,14 @@ from repro.lsm.errors import CorruptionError
 
 posting_key = itemgetter(0)
 posting_seq = itemgetter(1)
+# One encoder for every call: ``json.dumps`` with non-default separators
+# builds a new ``JSONEncoder`` each time.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def encode_posting_list(entries: list[list]) -> bytes:
     """Serialize postings (assumed newest-first) as a JSON array."""
-    return json.dumps(entries, separators=(",", ":")).encode("ascii")
+    return _encode_json(entries).encode("ascii")
 
 
 def decode_posting_list(payload: bytes) -> list[list]:

@@ -33,10 +33,8 @@ from repro.dist.partitioner import (
 )
 from repro.dist.replication import (
     NoReplicaError,
-    ReplicaDivergenceError,
     ReplicaSet,
     ReplicationError,
-    SequenceChannel,
 )
 
 __all__ = [
@@ -45,10 +43,8 @@ __all__ = [
     "MigrationError",
     "NoReplicaError",
     "RangePartitioner",
-    "ReplicaDivergenceError",
     "ReplicaSet",
     "ReplicationError",
-    "SequenceChannel",
     "SequenceOracle",
     "ShardSplit",
     "ShardedDB",

@@ -14,11 +14,12 @@ downed replicas.  Secondary queries depend on the index scope:
 
 Recency is globally comparable because every shard draws sequence numbers
 from one :class:`SequenceOracle` (the timestamp-oracle pattern), so
-cross-shard top-K merges are exact.  Replicas of a shard draw through a
-record/replay :class:`~repro.dist.replication.SequenceChannel`, so all
-copies stamp each write with identical sequence numbers — which is also
-what lets a live shard split (:mod:`repro.dist.migration`) replay its WAL
-tail onto the new shard without perturbing recency order.
+cross-shard top-K merges are exact.  Only a write's leader draws: the
+other replicas of its shard apply the batch it committed, at its sequence
+(:mod:`repro.dist.replication`), and a live shard split
+(:mod:`repro.dist.migration`) replays its journaled tail onto the new
+shard at the sequences the source assigned, so recency order survives
+the move.
 
 The topology — ring, replica shape, index layout — is one value, a
 :class:`~repro.dist.topology.ClusterManifest`: ``open`` loads it from the
@@ -57,7 +58,7 @@ from repro.dist.partitioner import (
     SplitHashRing,
     partitioner_from_shape,
 )
-from repro.dist.replication import ReplicaSet, SequenceChannel, purge_files
+from repro.dist.replication import ReplicaSet, purge_files
 from repro.dist.topology import ClusterManifest, load_cluster_manifest
 from repro.lsm.db import DB
 from repro.lsm.errors import DBClosedError, InvalidArgumentError
@@ -247,14 +248,12 @@ class ShardedDB:
                          in manifest.local_indexes.items()}
         self.data_shards: list[ReplicaSet] = []
         for shard_id in range(self.ring.num_shards):
-            channel = SequenceChannel(oracle.allocate)
             vfs_list = [None if single_copy
                         else self._vfs_factory(shard_id, replica_id)
                         for replica_id in range(manifest.replication_factor)]
             self.data_shards.append(ReplicaSet.open_replicated(
-                shard_id, vfs_list, local_indexes,
-                replace(base_options, sequence_oracle=channel.allocate),
-                channel, self._step_hook))
+                shard_id, vfs_list, local_indexes, base_options,
+                self._step_hook))
         checker = ValidityChecker(None, self._routed_get_many_with_seq)
         self.global_indexes = {
             attribute: GlobalSecondaryIndex(
@@ -505,9 +504,9 @@ class ShardedDB:
             old_document = group.get(key_bytes)
         journaled = []
 
-        def on_commit(seq, alloc_log):
+        def on_commit(seq):
             journaled.append(self._observe_commit(
-                op, key_bytes, document, shard_id, seq, alloc_log))
+                op, key_bytes, document, shard_id, seq))
 
         if op == "put":
             seq = group.put(key_bytes, document, on_commit=on_commit)
@@ -542,14 +541,14 @@ class ShardedDB:
             migration.flush_tail()
 
     def _observe_commit(self, op: str, key_bytes: bytes,
-                        document: Document | None, shard_id: int, seq: int,
-                        alloc_log: tuple[tuple[int, int], ...]) -> bool:
+                        document: Document | None, shard_id: int,
+                        seq: int) -> bool:
         """Journal a commit into the in-flight split, atomically with the
         commit itself (runs before the fan-out's ack yield point);
         returns whether the split took it."""
         return self._migration is not None \
             and self._migration.observe(op, key_bytes, document, shard_id,
-                                        seq, alloc_log)
+                                        seq)
 
     def _reroute_straggler(self, op: str, key_bytes: bytes,
                            document: Document | None, shard_id: int,
@@ -586,8 +585,7 @@ class ShardedDB:
         new_seq = owner.apply_local(op, key_bytes, document)
         # The owner may itself be the source of a newer in-flight split;
         # journal the re-applied write so that split's drains ferry it.
-        self._observe_commit(op, key_bytes, document, owner_id, new_seq,
-                             owner.last_alloc_log)
+        self._observe_commit(op, key_bytes, document, owner_id, new_seq)
         return new_seq
 
     def _maintain_global(self, apply: Callable[[GlobalSecondaryIndex], None]

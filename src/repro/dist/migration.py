@@ -10,15 +10,21 @@ actually admits:
 
 1. **prepare** — register with the cluster: from here on, every acked
    write whose key will move under the next ring is also appended to the
-   migration journal (together with the leader's sequence-allocation log,
-   so the tail can be replayed with byte-identical sequence numbers).
+   migration journal, as the statement (op, key, document) and the
+   sequence the source committed it at.
 2. **copy** — checkpoint the source leader into each destination
    replica's filesystem (immutable SSTables + a fresh self-contained
    manifest; internal sequence numbers preserved exactly) and open the
    destination replica group over the shipped files.  The journal is
    cleared inside the same chunk: everything recorded so far is already
    inside the checkpoint, and everything after is exactly the WAL tail.
-3. **drain** — replay the journaled tail onto the destination group.
+3. **drain** — replay the journaled tail onto the destination group: its
+   leader re-executes each write at the write's own sequence (recency
+   order across shards stays exact), and its followers apply that
+   leader's batch.  The source's batch is not shipped: a stand-alone
+   index entry is computed from the store that commits it — Eager's
+   value is a whole posting list — so the source's entry would overwrite
+   postings that writes made directly on the destination after the flip.
    Writers may keep appending; drain repeats until it observes an empty
    journal.
 4. **flip** — replay whatever landed since the last drain, then publish
@@ -39,11 +45,11 @@ resumed by calling :meth:`run` again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.records import Document
-from repro.dist.replication import ReplicaSet, SequenceChannel, purge_files
+from repro.dist.replication import ReplicaSet, purge_files
 from repro.lsm.errors import LSMError
 from repro.lsm.vfs import VFS
 
@@ -60,7 +66,6 @@ class JournalEntry:
     key: bytes
     document: Document | None
     seq: int
-    alloc_log: tuple[tuple[int, int], ...]
 
 
 class ShardSplit:
@@ -108,8 +113,7 @@ class ShardSplit:
     # -- journal capture (called from the cluster write path) --------------
 
     def observe(self, op: str, key: bytes, document: Document | None,
-                shard_id: int, seq: int,
-                alloc_log: tuple[tuple[int, int], ...]) -> bool:
+                shard_id: int, seq: int) -> bool:
         """Record an acked write that the next ring routes to the new
         shard.  Runs inside the write's own atomic step, after the source
         group acked.  Returns whether the write was journaled — if not,
@@ -123,7 +127,7 @@ class ShardSplit:
             return False
         if self.next_ring.shard_of(key) != self.new_id:
             return False
-        self.journal.append(JournalEntry(op, key, document, seq, alloc_log))
+        self.journal.append(JournalEntry(op, key, document, seq))
         return True
 
     # -- the chunks --------------------------------------------------------
@@ -164,15 +168,13 @@ class ShardSplit:
     def _copy(self) -> None:
         source = self.cluster.data_shards[self.source_id]
         leader = source._serving()
-        channel = SequenceChannel(self.cluster.oracle.allocate)
-        options = replace(source.options, sequence_oracle=channel.allocate)
         name = self.dest_name
         self.dest_vfs = [self._vfs_factory(replica_id) for replica_id
                          in range(self.cluster.manifest.replication_factor)]
         for vfs in self.dest_vfs:
             leader.db.checkpoint(vfs, name)
         self.dest = ReplicaSet.open_replicated(
-            self.new_id, self.dest_vfs, source.indexes, options, channel,
+            self.new_id, self.dest_vfs, source.indexes, source.options,
             step_hook=self.cluster._step_hook, name=name)
         # Everything journaled so far is inside the checkpoint; everything
         # after this (atomic) chunk is exactly the WAL tail.  A writer
@@ -189,8 +191,8 @@ class ShardSplit:
             if entry.seq <= self.copied_seq:
                 self.skipped += 1
                 continue
-            self.dest.apply_replayed(entry.op, entry.key, entry.document,
-                                     entry.alloc_log, entry.seq)
+            self.dest.apply_local(entry.op, entry.key, entry.document,
+                                  entry.seq)
             self.replayed += 1
         return bool(entries)
 

@@ -1,14 +1,17 @@
-"""N-way shard replication with deterministic sequence replay.
+"""N-way shard replication by shipping the committed write.
 
 A :class:`ReplicaSet` is one logical shard realised as ``replication_factor``
 full copies of a :class:`~repro.core.database.SecondaryIndexedDB`.  Writes
 fan out synchronously: the first live replica (the *leader* for that
-operation) executes the write while a :class:`SequenceChannel` records the
-sequence numbers it drew from the cluster oracle; every follower then
-replays the same operation against the *recorded* allocation log, so all
-replicas stamp the write with byte-identical sequence numbers.  The
-follower's returned sequence is compared against the leader's — any drift
-is a hard :class:`ReplicaDivergenceError`, not a silent fork.
+operation) runs the write, index maintenance and all, drawing its sequence
+from the cluster oracle, and commits it as one stamped
+:class:`~repro.lsm.batch.WriteBatch` — the record and every index entry.
+Every follower applies that batch at the leader's sequence
+(:meth:`SecondaryIndexedDB.apply_committed`): no oracle draw, no
+maintenance read, no index logic.  Every write therefore lands the same
+on every copy, sequence included: even a follower whose contents drifted
+stores the leader's index entries, not ones computed from its own state
+(anti-entropy still finds and reseeds the drifted records).
 
 Reads are served by the first live replica and fail over past downed ones.
 A replica that was down while writes were acked comes back ``stale``;
@@ -16,19 +19,18 @@ read-repair reseeds it from the leader via the checkpoint machinery
 (:meth:`SecondaryIndexedDB.checkpoint` copies immutable SSTables plus a
 fresh self-contained manifest) before it serves again.
 
-The same channel log powers migration (:mod:`repro.dist.migration`): a
-journaled write carries its leader's allocation log, so replaying the WAL
-tail onto a destination shard — the same fan-out loop, every replica a
-follower of the recorded write — reproduces the exact sequence numbers
-the source assigned; cross-shard top-K merges stay exact through a split.
+A live split (:mod:`repro.dist.migration`) replays its journaled tail
+through the same fan-out loop with the write's sequence fixed: the
+destination's leader re-executes the write at the source's sequence, so
+cross-shard top-K merges stay exact through a split, and its followers
+apply that leader's batch.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from collections import deque
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.core.base import IndexKind, LookupResult, Owns
 from repro.core.database import SecondaryIndexedDB
@@ -54,74 +56,11 @@ class NoReplicaError(ReplicationError):
     """Every replica of a shard is down; the operation cannot be acked."""
 
 
-class ReplicaDivergenceError(ReplicationError):
-    """A replica produced a different sequence than its leader recorded."""
-
-
 def purge_files(vfs: VFS, name: str) -> None:
     """Delete every file of the shard copy ``name`` on ``vfs`` (other
     shards — and the cluster manifest — may share the filesystem)."""
     for file_name in list(vfs.list_dir(name + "/")):
         vfs.delete_if_exists(file_name)
-
-
-class SequenceChannel:
-    """Record/replay virtualisation of the cluster sequence oracle.
-
-    Each replica group owns one channel wired in as its databases'
-    ``Options.sequence_oracle``.  In *record* mode allocations pass through
-    to the real oracle and are logged as ``(count, first)`` pairs; in
-    *replay* mode allocations are answered from a previously recorded log
-    without touching the oracle at all.  Outside both modes the channel is
-    a transparent pass-through, so a ``replication_factor=1`` group
-    allocates exactly like the pre-replication cluster did.
-    """
-
-    def __init__(self, base_allocate: Callable[[int], int]) -> None:
-        self._base = base_allocate
-        self._recording: list[tuple[int, int]] | None = None
-        self._replaying: deque[tuple[int, int]] | None = None
-
-    def allocate(self, count: int) -> int:
-        if self._replaying is not None:
-            if not self._replaying:
-                raise ReplicaDivergenceError(
-                    "replica drew more sequence allocations than its "
-                    "leader recorded")
-            logged_count, first = self._replaying.popleft()
-            if logged_count != count:
-                raise ReplicaDivergenceError(
-                    f"replica asked for {count} sequences where its leader "
-                    f"recorded {logged_count}")
-            return first
-        first = self._base(count)
-        if self._recording is not None:
-            self._recording.append((count, first))
-        return first
-
-    def start_record(self) -> None:
-        self._recording = []
-
-    def finish_record(self) -> tuple[tuple[int, int], ...]:
-        log = tuple(self._recording or ())
-        self._recording = None
-        return log
-
-    def start_replay(self, log: Iterable[tuple[int, int]]) -> None:
-        self._replaying = deque(log)
-
-    def finish_replay(self) -> None:
-        leftover = self._replaying
-        self._replaying = None
-        if leftover:
-            raise ReplicaDivergenceError(
-                f"replica drew {len(leftover)} fewer sequence allocations "
-                f"than its leader recorded")
-
-    def abandon(self) -> None:
-        """Drop any in-progress record/replay (error-path cleanup)."""
-        self._recording = None
-        self._replaying = None
 
 
 class Replica:
@@ -151,13 +90,11 @@ class ReplicaSet:
     """
 
     def __init__(self, shard_id: int, name: str, replicas: list[Replica],
-                 channel: SequenceChannel, indexes: Mapping[str, IndexKind],
-                 options: Options,
+                 indexes: Mapping[str, IndexKind], options: Options,
                  step_hook: Callable[[str], None] | None = None) -> None:
         self.shard_id = shard_id
         self.name = name
         self.replicas = replicas
-        self.channel = channel
         self.indexes = dict(indexes)
         self.options = options
         self.step_hook = step_hook
@@ -167,15 +104,12 @@ class ReplicaSet:
         self.failover_reads = 0
         #: Stale replicas reseeded on the read path.
         self.read_repairs = 0
-        #: Allocation log of the most recent acked write (for journaling).
-        self.last_alloc_log: tuple[tuple[int, int], ...] = ()
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def open_replicated(cls, shard_id: int, vfs_list: list[VFS | None],
                         indexes: Mapping[str, IndexKind], options: Options,
-                        channel: SequenceChannel,
                         step_hook: Callable[[str], None] | None = None,
                         name: str | None = None) -> "ReplicaSet":
         """Open one replica per VFS (shared by that replica's tables so the
@@ -193,8 +127,7 @@ class ReplicaSet:
             else:
                 db = SecondaryIndexedDB.open(vfs, name, indexes, options)
             replicas.append(Replica(replica_id, vfs, db))
-        return cls(shard_id, name, replicas, channel, indexes, options,
-                   step_hook)
+        return cls(shard_id, name, replicas, indexes, options, step_hook)
 
     # -- scheduling --------------------------------------------------------
 
@@ -239,94 +172,55 @@ class ReplicaSet:
     # -- write fan-out -----------------------------------------------------
 
     def put(self, key: bytes, document: Document,
-            on_commit: Callable[[int, tuple[tuple[int, int], ...]], None]
-            | None = None) -> int:
+            on_commit: Callable[[int], None] | None = None) -> int:
         return self._apply("put", key, document, hooked=True,
                            on_commit=on_commit)
 
     def delete(self, key: bytes,
-               on_commit: Callable[[int, tuple[tuple[int, int], ...]], None]
-               | None = None) -> int:
+               on_commit: Callable[[int], None] | None = None) -> int:
         return self._apply("delete", key, None, hooked=True,
                            on_commit=on_commit)
 
-    def apply_local(self, op: str, key: bytes,
-                    document: Document | None) -> int:
-        """Internal write (migration cleanup): fan out without yield
-        points, so a whole batch stays one atomic step under the
-        deterministic scheduler."""
-        return self._apply(op, key, document, hooked=False)
-
-    def _invoke(self, replica: Replica, op: str, key: bytes,
-                document: Document | None) -> int:
-        if op == "put":
-            return replica.db.put(key, document)
-        if op == "delete":
-            return replica.db.delete(key)
-        raise InvalidArgumentError(f"unknown replicated op {op!r}")
+    def apply_local(self, op: str, key: bytes, document: Document | None,
+                    seq: int = 0) -> int:
+        """Internal write (a split's tail and cleanup, a re-routed
+        straggler): fan out without yield points, so a whole batch stays
+        one atomic step under the deterministic scheduler.  A nonzero
+        ``seq`` fixes the write's sequence (a journaled write)."""
+        return self._apply(op, key, document, hooked=False, seq=seq)
 
     def _apply(self, op: str, key: bytes, document: Document | None,
-               hooked: bool,
-               on_commit: Callable[[int, tuple[tuple[int, int], ...]], None]
-               | None = None,
-               log: tuple[tuple[int, int], ...] | None = None,
-               result: int | None = None) -> int:
-        """The one fan-out loop.  Without ``log`` the first live replica
-        leads (its allocations are recorded) and the rest follow; with
-        ``log`` and ``result`` given — a journaled write — every replica
-        follows that recording."""
-        replayed = log is not None
-        applied = False
-        try:
-            for replica in self.replicas:
+               hooked: bool, on_commit: Callable[[int], None] | None = None,
+               seq: int = 0) -> int:
+        """The one fan-out loop.  The first live replica commits the write
+        (at ``seq`` if nonzero, else at a sequence it draws); every other
+        live replica applies the batch it committed, at its sequence."""
+        batch = None
+        for replica in self.replicas:
+            if replica.state != UP:
+                continue
+            if hooked:
+                self._hook(f"repl:{op}:s{self.shard_id}:r"
+                           f"{replica.replica_id}")
                 if replica.state != UP:
-                    continue
-                if hooked:
-                    self._hook(f"repl:{op}:s{self.shard_id}:r"
-                               f"{replica.replica_id}")
-                    if replica.state != UP:
-                        continue  # killed at the yield point just above
-                if log is None:
-                    self.channel.start_record()
-                    result = self._invoke(replica, op, key, document)
-                    log = self.channel.finish_record()
-                else:
-                    self.channel.start_replay(log)
-                    echoed = self._invoke(replica, op, key, document)
-                    self.channel.finish_replay()
-                    if echoed != result:
-                        raise ReplicaDivergenceError(
-                            f"shard {self.shard_id} replica "
-                            f"{replica.replica_id}: {op} returned seq "
-                            f"{echoed}, leader recorded {result}")
-                replica.applied += 1
-                applied = True
-        except BaseException:
-            self.channel.abandon()
-            raise
-        if not applied:
+                    continue  # killed at the yield point just above
+            if batch is None:
+                seq, batch = replica.db.commit(op, key, document, seq)
+            else:
+                replica.db.apply_committed(op, key, document, seq, batch)
+            replica.applied += 1
+        if batch is None:
             raise NoReplicaError(
                 f"shard {self.shard_id}: no live replica; {op} not acked")
         self.ops_applied += 1
-        if not replayed:
-            self.last_alloc_log = log
         if on_commit is not None:
             # Runs inside the commit's atomic chunk, *before* the ack
             # yield point: a migration journaling this write can never
             # observe a committed-but-unjournaled gap.
-            on_commit(result, log)
+            on_commit(seq)
         if hooked:
             self._hook(f"repl:ack:s{self.shard_id}")
-        return result  # type: ignore[return-value]
-
-    def apply_replayed(self, op: str, key: bytes,
-                       document: Document | None,
-                       alloc_log: tuple[tuple[int, int], ...],
-                       expected_seq: int) -> int:
-        """Replay a journaled write (migration WAL tail) on every live
-        replica against the originating leader's allocation log."""
-        return self._apply(op, key, document, hooked=False, log=alloc_log,
-                           result=expected_seq)
+        return seq
 
     # -- reads -------------------------------------------------------------
 

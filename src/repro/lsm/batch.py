@@ -3,7 +3,7 @@ the tables that log through that WAL (docs/FORMAT.md §3.1)."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.lsm.keys import (
     KIND_DELETE,
@@ -86,11 +86,12 @@ class WriteBatch:
             taken[table] = offset + 1
             yield start_seq + offset
 
-    def _retarget(self, old: "DB | None", new: "DB | None") -> "WriteBatch":
-        """This batch with the ops naming ``old`` naming ``new`` instead."""
+    def retarget(self, tables: Mapping) -> "WriteBatch":
+        """This batch with the ops naming a key of ``tables`` (``None`` or
+        a DB) naming its value instead."""
         routed = WriteBatch()
         for kind, key, value, table in self.ops:
-            routed._add(kind, key, value, new if table is old else table)
+            routed._add(kind, key, value, tables.get(table, table))
         return routed
 
     def stamp(self, seq: int) -> None:

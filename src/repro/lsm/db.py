@@ -135,15 +135,17 @@ class _Writer:
     every member ``done`` with its last assigned sequence (or the shared
     error).  ``batch is None`` marks a flush sentinel: it claims the head
     slot so no leader can insert into the MemTable while ``flush()``
-    rotates it, but it never commits anything itself.
+    rotates it, but it never commits anything itself.  A queued writer
+    with a nonzero ``seq`` must commit at that sequence, so it commits
+    alone.
     """
 
     __slots__ = ("batch", "done", "seq", "error")
 
-    def __init__(self, batch: "WriteBatch | None") -> None:
+    def __init__(self, batch: "WriteBatch | None", seq: int = 0) -> None:
         self.batch = batch
         self.done = False
-        self.seq = 0
+        self.seq = seq
         self.error: BaseException | None = None
 
 
@@ -764,7 +766,7 @@ class DB:
                 "DB.merge requires options.merge_operator")
         return self.write(WriteBatch().merge(key, operand))
 
-    def write(self, batch: WriteBatch) -> int:
+    def write(self, batch: WriteBatch, seq: int = 0) -> int:
         """Apply ``batch`` atomically; returns the last assigned sequence.
 
         LevelDB's leader/follower group commit, the one write path: the
@@ -775,20 +777,27 @@ class DB:
         ``last_sequence``, so a half-applied group is never visible.  It
         seals each MemTable the group filled before the next leader can
         insert, and hands it to the scheduler (:meth:`_schedule`).
+
+        A nonzero ``seq`` is the batch's first sequence, fixed by the
+        caller (a replica applying the write its leader committed, a
+        split replaying a journaled one): the batch draws none and commits
+        as a group of its own, and a ``seq`` at or below one already taken
+        is refused.
         """
         if not self._has_wal:
             # A WAL-less table's own writes commit through its host's WAL.
             self._check_open()
-            return self._queue_host().write(batch._retarget(None, self))
+            return self._queue_host().write(batch.retarget({None: self}),
+                                            seq)
         if self in batch.tables:
             # Ops naming this DB are its own: an index whose table logs
             # for itself (the cluster's global index shards) gets the
             # same batches as one attached to a host.
-            batch = batch._retarget(self, None)
+            batch = batch.retarget({self: None})
         self._check_open()
         if not batch.ops:
             return self.versions.last_sequence
-        writer = _Writer(batch)
+        writer = _Writer(batch, seq)
         writers = self._writers
         options = self.options
         hook = options.step_hook
@@ -817,18 +826,18 @@ class DB:
                     self._make_room_for_write()
                 if batch.tables:
                     self._check_tables(batch.tables)
-                if len(writers) == 1:
+                if len(writers) == 1 or seq:
                     group, tables = (writer,), batch.tables
                     total_seqs, total_ops = batch.span(), len(batch.ops)
                 else:
                     group, tables, total_seqs, total_ops = \
                         self._write_group(writer)
                 oracle = options.sequence_oracle
-                start_seq = self._pending_seq + 1 if oracle is None \
-                    else oracle(total_seqs)
+                start_seq = seq or (self._pending_seq + 1 if oracle is None
+                                    else oracle(total_seqs))
                 if start_seq <= self._pending_seq:
                     raise InvalidArgumentError(
-                        f"sequence oracle went backwards: {start_seq} <= "
+                        f"sequence went backwards: {start_seq} <= "
                         f"{self._pending_seq}")
                 self._pending_seq = last = start_seq + total_seqs - 1
             except BaseException:
@@ -924,8 +933,8 @@ class DB:
         total_ops = len(batch.ops)
         group_bytes = _approximate_batch_bytes(batch)
         for candidate in list(self._writers)[1:]:
-            if candidate.batch is None:
-                break  # flush sentinel: do not commit past it
+            if candidate.batch is None or candidate.seq:
+                break  # a flush sentinel, or a write at a fixed sequence
             size = _approximate_batch_bytes(candidate.batch)
             if group_bytes + size > MAX_WRITE_GROUP_BYTES:
                 break

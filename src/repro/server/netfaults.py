@@ -23,10 +23,10 @@ The faults each event can carry:
   *request* is never half-applied (DESIGN.md §10); any complete frames in
   front of the tear *are* applied — exactly the case idempotent retry
   exists for.
-* ``response`` / ``"drop"`` — the connection dies just before that
-  response frame is read: the server applied the write and sent the ack,
-  the client never saw it.  The acked-but-lost case; a blind retry would
-  double-apply without the server's dedup window.
+* ``response`` / ``"drop"`` — that response frame is read whole, then
+  lost with the connection: the server applied the write and sent the
+  ack, the client never saw it.  The acked-but-lost case; a blind retry
+  would double-apply without the server's dedup window.
 * ``response`` / ``"torn"`` — the response frame arrives cut in half
   (``TornFrameError`` on the client), same recovery obligation.
 
@@ -114,16 +114,18 @@ class FaultInjectingTransport:
             # Frame boundary: pull one whole response frame, consulting
             # the schedule first.
             fault = self._schedule.hit("response")
+            header = self._read_exact(_LENGTH.size)
+            if header is not None:
+                (length,) = _LENGTH.unpack(header)
+                payload = self._read_exact(length)
+                frame = header + (payload if payload is not None else b"")
             if fault == "drop":
+                # Only now: the frame in hand proves the server answered.
                 self._die()
                 raise ConnectionResetError(
-                    "injected disconnect before response")
-            header = self._read_exact(_LENGTH.size)
+                    "injected disconnect after the response was sent")
             if header is None:
                 return b""  # true EOF from the server
-            (length,) = _LENGTH.unpack(header)
-            payload = self._read_exact(length)
-            frame = header + (payload if payload is not None else b"")
             if fault == "torn":
                 # Deliver the header and half the payload, then EOF:
                 # the client's frame reader sees a torn response.

@@ -1,26 +1,27 @@
 """Unit drills for the replication layer.
 
-Covers the pieces the scheduler drills compose: sequence-channel
-record/replay (byte-identical seqs across replicas), synchronous write
-fan-out, kill / revive / staleness bookkeeping, failover reads, read
-repair, and anti-entropy reseeding — including a GSI divergence healed
-back to exact query parity.
+Covers the pieces the scheduler drills compose: synchronous write fan-out
+(byte-identical seqs across replicas), followers that apply the leader's
+committed batch without reading or maintaining an index, a split's tail
+re-executed on the destination, kill / revive / staleness bookkeeping,
+failover reads, read repair, and anti-entropy reseeding — including a GSI
+divergence healed back to exact query parity.
 """
 
 import pytest
 
 from repro.core.base import IndexKind
-from repro.dist.cluster import SequenceOracle, ShardedDB
+from repro.dist.cluster import ShardedDB
 from repro.dist.replication import (
     DOWN,
     STALE,
     UP,
     NoReplicaError,
-    ReplicaDivergenceError,
-    SequenceChannel,
 )
+from repro.dist.partitioner import SplitHashRing
 from repro.lsm.errors import InvalidArgumentError
 from repro.lsm.options import Options
+from repro.lsm.zonemap import encode_attribute
 
 
 def _options():
@@ -40,61 +41,6 @@ def _key_on_shard(cluster, shard_id, start=0):
         if cluster.ring.shard_of(key.encode()) == shard_id:
             return key
     raise AssertionError(f"no key found for shard {shard_id}")
-
-
-class TestSequenceChannel:
-    def test_passthrough_outside_record_and_replay(self):
-        oracle = SequenceOracle()
-        channel = SequenceChannel(oracle.allocate)
-        first = channel.allocate(2)
-        second = channel.allocate(1)
-        assert second == first + 2
-        assert oracle.last_allocated == first + 2
-
-    def test_replay_echoes_the_recorded_allocations(self):
-        oracle = SequenceOracle()
-        channel = SequenceChannel(oracle.allocate)
-        channel.start_record()
-        first = channel.allocate(2)
-        second = channel.allocate(1)
-        log = channel.finish_record()
-        assert log == ((2, first), (1, second))
-        before = oracle.last_allocated
-        channel.start_replay(log)
-        assert channel.allocate(2) == first
-        assert channel.allocate(1) == second
-        channel.finish_replay()
-        # Replay never touches the real oracle.
-        assert oracle.last_allocated == before
-
-    def test_replay_overdraw_is_divergence(self):
-        channel = SequenceChannel(SequenceOracle().allocate)
-        channel.start_replay(((1, 1),))
-        channel.allocate(1)
-        with pytest.raises(ReplicaDivergenceError):
-            channel.allocate(1)
-        channel.abandon()
-
-    def test_replay_count_mismatch_is_divergence(self):
-        channel = SequenceChannel(SequenceOracle().allocate)
-        channel.start_replay(((2, 1),))
-        with pytest.raises(ReplicaDivergenceError):
-            channel.allocate(1)
-        channel.abandon()
-
-    def test_replay_underdraw_is_divergence(self):
-        channel = SequenceChannel(SequenceOracle().allocate)
-        channel.start_replay(((1, 1), (1, 2)))
-        channel.allocate(1)
-        with pytest.raises(ReplicaDivergenceError):
-            channel.finish_replay()
-
-    def test_abandon_restores_passthrough(self):
-        oracle = SequenceOracle()
-        channel = SequenceChannel(oracle.allocate)
-        channel.start_replay(((5, 100),))
-        channel.abandon()
-        assert channel.allocate(1) == oracle.last_allocated
 
 
 class TestWriteFanOut:
@@ -137,6 +83,111 @@ class TestWriteFanOut:
             assert cluster.get(key) == {"UserID": "u0"}
             cluster.put(key, {"UserID": "u2"})
             assert cluster.get(key) == {"UserID": "u2"}
+
+
+def _count_gets(db, calls):
+    """Append to ``calls`` the name of every point read on ``db``'s tables."""
+    for _label, table in db.tables():
+        for name in ("get", "get_with_seq", "get_many_with_seq"):
+            def counted(*args, _read=getattr(table, name), _name=name,
+                        **kwargs):
+                calls.append(_name)
+                return _read(*args, **kwargs)
+            setattr(table, name, counted)
+
+
+def _index_entry(replica, value):
+    return replica.db.indexes["UserID"].index_db.get(encode_attribute(value))
+
+
+class TestShippedWrites:
+    @pytest.mark.parametrize("kind", list(IndexKind))
+    def test_a_follower_reads_nothing_to_apply_a_write(self, kind):
+        with _cluster(rf=2, shards=1,
+                      local_indexes={"UserID": kind}) as cluster:
+            for i in range(40):
+                cluster.put(f"k{i:02d}", {"UserID": f"u{i % 3}", "n": i})
+            cluster.flush()  # reads now come from the tables' files
+            leader, follower = cluster.data_shards[0].replicas
+            leader_blocks = leader.vfs.stats.read_blocks
+            follower_blocks = follower.vfs.stats.read_blocks
+            follower_gets = []
+            _count_gets(follower.db, follower_gets)
+            # An update (Eager reads u1's posting list) and a delete (a
+            # stand-alone index reads the dying record).
+            cluster.put("k04", {"UserID": "u1", "n": 99})
+            cluster.delete("k07")
+            assert follower_gets == []
+            assert follower.vfs.stats.read_blocks == follower_blocks
+            if kind in (IndexKind.EAGER, IndexKind.LAZY,
+                        IndexKind.COMPOSITE):
+                # The leader did the maintenance reads for both copies.
+                assert leader.vfs.stats.read_blocks > leader_blocks
+            assert len(set(cluster.data_shards[0]
+                           .replica_digests().values())) == 1
+            assert cluster.get("k07") is None
+            got = {r.key for r in cluster.lookup("UserID", "u1",
+                                                 early_termination=False)}
+            assert "k04" in got and "k07" not in got
+
+    def test_a_drifted_follower_stores_the_leaders_index_entry(self):
+        with _cluster(rf=2, shards=1,
+                      local_indexes={"UserID": IndexKind.EAGER}) as cluster:
+            for i in range(15):
+                cluster.put(f"k{i:02d}", {"UserID": f"u{i % 3}", "n": i})
+            group = cluster.data_shards[0]
+            leader, follower = group.replicas
+            # A write that never went through the group fan-out.
+            follower.db.put(b"rogue", {"UserID": "u9"})
+            assert _index_entry(follower, "u9") != _index_entry(leader, "u9")
+            cluster.put("k99", {"UserID": "u9"})
+            assert _index_entry(follower, "u9") == _index_entry(leader, "u9")
+            summary = cluster.anti_entropy()
+            assert summary["shards"][0]["reseeded"] == [1]
+            assert len(set(group.replica_digests().values())) == 1
+            assert cluster.get("rogue") is None
+
+    def test_a_straggler_drained_after_a_direct_destination_write(self):
+        """A write routed to the source before the flip commits after a
+        write made directly on the destination; the cleanup drain applies
+        it there.  Re-executed on the destination, it adds its posting to
+        the destination's Eager list rather than replacing the list with
+        the source's."""
+        ring = SplitHashRing(2)
+        moving = [key for key in (f"m{i:04d}" for i in range(2000))
+                  if ring.shard_of(key.encode()) == 0
+                  and ring.with_split(0, 2).shard_of(key.encode()) == 2]
+        straggler, direct = moving[:2]
+        with _cluster(rf=2, shards=2,
+                      local_indexes={"UserID": IndexKind.EAGER}) as cluster:
+            for key in moving[2:6]:
+                cluster.put(key, {"UserID": "u0"})
+            split = cluster.begin_split(0)
+            while split.phase != "flip":
+                split.step()
+            fired = []
+
+            def hook(label):
+                if label == "repl:put:s0:r0" and not fired:
+                    fired.append(label)
+                    split.step()  # the flip: the straggler has routed
+                    cluster.put(direct, {"UserID": "v"})
+
+            cluster.instrument(hook)
+            straggler_seq = cluster.put(straggler, {"UserID": "v"})
+            cluster.instrument(None)
+            assert fired and split.phase == "cleanup"
+            dest = cluster.data_shards[2]
+            direct_seq = dest.primary.get_with_seq(direct.encode())[1]
+            assert direct_seq < straggler_seq
+            assert split.journal  # the straggler waits for the drain
+            split.run()
+            got = [(r.key, r.seq) for r in cluster.lookup(
+                "UserID", "v", early_termination=False)]
+            assert got == [(straggler, straggler_seq), (direct, direct_seq)]
+            leader, follower = dest.replicas
+            assert _index_entry(follower, "v") == _index_entry(leader, "v")
+            assert len(set(dest.replica_digests().values())) == 1
 
 
 class TestKillReviveStale:

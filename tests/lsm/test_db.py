@@ -128,6 +128,21 @@ class TestWriteBatch:
         before = db.versions.last_sequence
         assert db.write(WriteBatch()) == before
 
+    def test_write_at_a_fixed_sequence(self):
+        drawn = []
+        db = DB.open_memory(_options(
+            sequence_oracle=lambda count: drawn.append(count) or 100))
+        assert db.write(WriteBatch().put(b"a", b"1").put(b"b", b"2"),
+                        seq=10) == 11
+        assert drawn == []  # a fixed sequence draws none
+        assert db.get_with_seq(b"b") == (b"2", 11)
+        with pytest.raises(InvalidArgumentError, match="went backwards"):
+            db.write(WriteBatch().put(b"c", b"3"), seq=11)
+        assert db.get(b"c") is None
+        assert db.put(b"c", b"3") == 100
+        assert drawn == [1]
+        db.close()
+
     def test_encode_decode_roundtrip(self):
         batch = WriteBatch().put(b"k", b"v").delete(b"d").merge(b"m", b"o")
         decoded, seq = WriteBatch.decode(batch.encode(41))
