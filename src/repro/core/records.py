@@ -16,6 +16,10 @@ from repro.lsm.errors import InvalidArgumentError
 
 Document = dict[str, Any]
 
+# One encoder for every call: ``json.dumps`` with non-default separators
+# builds a new ``JSONEncoder`` each time.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def key_to_bytes(key: str | bytes) -> bytes:
     """Canonical byte form of a primary key."""
@@ -41,7 +45,7 @@ def encode_document(document: Document) -> bytes:
     if not isinstance(document, dict):
         raise InvalidArgumentError(
             f"documents must be dicts, got {type(document).__name__}")
-    return json.dumps(document, separators=(",", ":")).encode("utf-8")
+    return _encode_json(document).encode("utf-8")
 
 
 def decode_document(value: bytes) -> Document:

@@ -22,12 +22,9 @@ Live snapshots suppress folding and dropping conservatively: correctness
 first, space later.
 
 "Turn these input tables into output tables" is one module-level function,
-:func:`run_compaction_job`, and who runs it is an *executor*:
-:class:`InProcessExecutor` calls it on the spot over the table cache, a
-:class:`~repro.lsm.procpool.ProcessCompactionExecutor` ships the job to a
-worker process that calls it over its own VFS handle.  Worker output is
-byte-identical to in-process output because there is no second body to keep
-in step.
+:func:`run_compaction_job`.  :meth:`Compactor.run` calls it in the thread
+the DB's scheduler picked (the writer's, or the maintenance thread's),
+reading inputs through the table cache.
 """
 
 from __future__ import annotations
@@ -194,12 +191,6 @@ class Compactor:
         self._retire_files = retire_files
         self._discard_outputs = discard_outputs
         self.stats = CompactionStats()
-        # Who runs the merge body.  A DB with worker processes swaps in its
-        # ProcessCompactionExecutor; either way the version edit, input
-        # retirement and output discard run here, so stall and failure
-        # semantics are shared.  Flushes never dispatch: they read the live
-        # MemTable, which exists only in this process.
-        self.executor = InProcessExecutor(self)
 
     def _step(self, label: str) -> None:
         hook = self.options.step_hook
@@ -207,9 +198,8 @@ class Compactor:
             hook(label)
 
     def _discard_uninstalled(self, file_numbers: list[int],
-                             error: BaseException | None = None) -> None:
-        """Delete the allocated outputs that did not become live (all of
-        them when ``error`` stopped the flush or merge).
+                             error: BaseException) -> None:
+        """Delete the outputs of a flush or merge that ``error`` stopped.
 
         A simulated crash took the filesystem down with it — there is no
         cleanup I/O to attempt, and recovery collects non-live tables.  A
@@ -271,14 +261,16 @@ class Compactor:
     def run(self, compaction: Compaction) -> list[FileMetaData]:
         """Merge the input files into new files at the output level.
 
-        One path whoever executes the merge: build the job, hand it to the
-        executor, install what it wrote.  Every output file number passes
-        through ``allocate``, so whatever goes wrong before the edit is
-        applied, exactly the files this call created are deleted and the
-        compaction simply did not happen — its inputs stay live.
+        Build the job, run the merge body, install what it wrote.  Every
+        output file number is recorded in ``allocated``, so whatever goes
+        wrong before the edit is applied, exactly the files this call
+        created are deleted and the compaction simply did not happen — its
+        inputs stay live.  On success every allocated file is an output:
+        the writer opens a file only to add an entry to it, and finishes
+        the last one when the merge ends.
 
         A trivial move (:meth:`Compaction.is_trivial_move`) is decided here,
-        before there is a job, so no executor ever sees one.
+        before there is a job.
         """
         if compaction.is_trivial_move():
             return [self._move(compaction)]
@@ -286,13 +278,19 @@ class Compactor:
                                    self._oldest_snapshot_seq())
         allocated: list[int] = []
 
-        def allocate() -> int:
+        def open_output():
             allocated.append(self.versions.new_file_number())
-            return allocated[-1]
+            name = table_file_name(self.db_name, allocated[-1])
+            return allocated[-1], self.vfs.create(name)
 
         self._step("compact:merge")
         try:
-            result = self.executor.run_job(job, allocate)
+            # table_cache.get is looked up per call: bench/ wraps it on the
+            # instance after the DB is built.
+            result = run_compaction_job(
+                job, self.options,
+                lambda file_number: self.table_cache.get(file_number),
+                open_output, on_output=lambda: self._step("compact:output"))
             outputs: list[FileMetaData] = result["outputs"]
             edit = VersionEdit()
             for level, meta in compaction.input_files():
@@ -307,9 +305,6 @@ class Compactor:
         except BaseException as exc:
             self._discard_uninstalled(allocated, exc)
             raise
-        if len(allocated) > len(outputs):
-            # A worker that died mid-job left files the retry did not reuse.
-            self._discard_uninstalled(allocated)
 
         self._retire_files([meta.file_number
                             for _level, meta in compaction.input_files()])
@@ -344,40 +339,14 @@ class Compactor:
         return meta
 
 
-class InProcessExecutor:
-    """The degenerate executor: the merge body runs on the calling thread,
-    reading inputs through the table cache and creating outputs on the
-    compactor's own VFS."""
-
-    def __init__(self, compactor: Compactor) -> None:
-        self._compactor = compactor
-
-    def run_job(self, job: dict, allocate) -> dict:
-        compactor = self._compactor
-
-        def open_output():
-            file_number = allocate()
-            name = table_file_name(compactor.db_name, file_number)
-            return file_number, compactor.vfs.create(name), None
-
-        # table_cache.get is looked up per call: bench/ wraps it on the
-        # instance after the DB is built.
-        return run_compaction_job(
-            job, compactor.options,
-            lambda file_number: compactor.table_cache.get(file_number),
-            open_output, on_output=lambda: compactor._step("compact:output"))
-
-
 def build_compaction_job(compaction: Compaction, base_version: Version,
                          oldest_snapshot: int) -> dict:
-    """What an executor merges from, picklable for the worker pipe.
+    """What :func:`run_compaction_job` merges from.
 
     Everything the merge body needs that is not already on disk: the input
     files' metadata, the snapshot horizon, and — so the tombstone-elision
     predicate needs no :class:`Version` — the user-key bounds of every file
-    in levels deeper than the output.  The process executor stamps in the
-    database name, VFS root, options snapshot and shared-cache name before
-    dispatch.
+    in levels deeper than the output.
     """
     return {
         "level": compaction.level,
@@ -628,10 +597,8 @@ def finish_table(builder: TableBuilder, out, file_number: int) -> FileMetaData:
 class CompactionOutputWriter:
     """Cuts compaction output into files of ``sstable_target_size``.
 
-    ``open_output()`` supplies each file: it returns ``(file_number,
-    writable, block_observer)``.  In-process that is an allocation +
-    ``vfs.create``; in a worker it is an allocation round-trip over the
-    coordinator pipe plus a shared-cache pre-warm observer.
+    ``open_output()`` supplies each file: it allocates a file number and
+    returns ``(file_number, writable)``.
     """
 
     def __init__(self, options, open_output,
@@ -649,11 +616,11 @@ class CompactionOutputWriter:
         (see :meth:`TableBuilder.add_sorted`)."""
         builder = self._builder
         if builder is None:
-            self._file_number, self._out, observer = self.open_output()
+            self._file_number, self._out = self.open_output()
             builder = self._builder = TableBuilder(
                 self.options, self._out,
                 compressor_for(self.options.compression),
-                Category.COMPACTION, block_observer=observer)
+                Category.COMPACTION)
         if builder.add_sorted(*entry) >= self.options.sstable_target_size:
             self.finish()
 

@@ -251,30 +251,6 @@ class DB:
             self._log_and_apply, self._oldest_snapshot_seq,
             retire_files=self._retire_table_files,
             discard_outputs=self._discard_table_files)
-        # -- multiprocess compaction (DESIGN.md §11) ------------------------
-        self._shm_cache = None
-        self._executor = None
-        # The deterministic scheduler serialises threads, not processes, so
-        # a step hook keeps the merge in-process.
-        if options.compaction_processes > 0 and options.step_hook is None:
-            from repro.lsm.procpool import create_executor
-
-            self._executor = create_executor(
-                vfs, name, options, options.compaction_processes)
-        if self._executor is not None:
-            self.compactor.executor = self._executor
-            if options.shm_cache_bytes > 0:
-                from repro.lsm.shmcache import (
-                    SharedBlockCache,
-                    slot_payload_bytes,
-                )
-
-                self._shm_cache = SharedBlockCache.create(
-                    options.shm_cache_bytes, slot_payload_bytes(options))
-                self._executor.shm_name = self._shm_cache.name
-                # Before _recover(): tables opened later must see the
-                # layered cache.
-                self.table_cache.attach_shared_cache(self._shm_cache)
         for table in tables:
             self._attach_locked(table)
         self._recover()
@@ -540,11 +516,6 @@ class DB:
                 # "poll again" branch to every explored schedule).
                 self._park("close:join", lambda: not thread.is_alive())
             thread.join()
-        if self._executor is not None:
-            # Bounded shutdown: quit messages, then join-with-timeout, then
-            # terminate/kill — a dead or wedged worker cannot hang close().
-            self._executor.close()
-            self._executor = None
         with self._mutex:
             if self._zombie_tables:
                 self._sweep_retired_locked(sorted(self._zombie_tables))
@@ -564,9 +535,6 @@ class DB:
         if self._manifest is not None:
             self._manifest.close()
         self.table_cache.close()
-        if self._shm_cache is not None:
-            self._shm_cache.close()  # owner: unlinks the segment
-            self._shm_cache = None
         self._closed = True
 
     def __enter__(self) -> "DB":
@@ -1288,11 +1256,9 @@ class DB:
 
         These files were allocated numbers but never entered any version,
         so there are no pins to honor — they must simply not survive as
-        orphans for ``verify_integrity`` to flag.  Poisoned shared-cache
-        blocks keyed by a reused file number would serve wrong bytes, so
-        the shm slots go too.  A file the current version does name stays:
-        its edit was applied before the failure (a manifest roll that
-        failed after it).
+        orphans for ``verify_integrity`` to flag.  A file the current
+        version does name stays: its edit was applied before the failure (a
+        manifest roll that failed after it).
 
         If the failure was the edit's own manifest write, its record may
         sit in the manifest un-synced, where a later sync would make it
@@ -1308,8 +1274,6 @@ class DB:
             if file_number in live:
                 continue
             self.table_cache.evict(file_number)
-            if self._shm_cache is not None:
-                self._shm_cache.evict_file(file_number)
             self.vfs.delete_if_exists(table_file_name(self.name, file_number))
 
     # -- the read view --------------------------------------------------------
@@ -2158,10 +2122,6 @@ class DB:
                         if groups else 0.0),
                     "bg_error": (None if self._bg_error is None
                                  else repr(self._bg_error)),
-                    "workers": (None if self._executor is None
-                                else self._executor.stats()),
-                    "shm_cache": (None if self._shm_cache is None
-                                  else self._shm_cache.stats_dict()),
                 },
                 "corruption": {
                     **counter_dict(self.corruption_stats),

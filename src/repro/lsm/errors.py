@@ -91,14 +91,3 @@ class SimulatedCrashError(FaultInjectedError):
     from :meth:`~repro.lsm.faults.FaultInjectingVFS.crash_image`.
     """
 
-
-class CompactionWorkerError(LSMError):
-    """A compaction worker process failed and the job was abandoned.
-
-    Raised by the coordinator when a worker dies past its retry budget or
-    reports an exception that does not map onto a known engine error.  By
-    then every partially written output file has been deleted and no
-    version edit was installed: the compaction simply did not happen, and
-    its inputs remain live — the same externally visible state as an
-    inline compaction that failed before its manifest edit.
-    """

@@ -6,11 +6,10 @@ loss, not just clean shutdowns.  Every drill scripts the same rule — "fail
 the *N*-th event of kind *K*, optionally for a run of events" — and
 :class:`FaultSchedule` is that rule: it counts events per kind, maps an
 event index to a fault, logs what fired, and round-trips through JSON so
-it can ride in a compaction worker's job.  Two adapters execute it:
+a failing schedule can be replayed.  Two adapters execute it:
 
 * :class:`FaultInjectingVFS` wraps a base :class:`~repro.lsm.vfs.VFS` (a
-  fresh :class:`~repro.lsm.vfs.MemoryVFS` by default; the compaction
-  worker wraps its :class:`~repro.lsm.vfs.LocalVFS`) and counts ``write``
+  fresh :class:`~repro.lsm.vfs.MemoryVFS` by default) and counts ``write``
   events (mutating ops: create, append, sync, delete, rename) and ``read``
   events (``open_random``, ``read_at``).
 * :class:`~repro.server.netfaults.FaultInjectingTransport` counts the
@@ -24,9 +23,7 @@ The storage faults:
   :meth:`~FaultInjectingVFS.schedule_crash` instead raises
   :class:`~repro.lsm.errors.SimulatedCrashError` and freezes the
   filesystem: every later operation fails the same way, so in-flight work
-  unwinds exactly as on a kernel panic.  The ``exit`` fault ends the
-  process with ``os._exit(1)`` — the SIGKILL-equivalent a compaction
-  worker's coordinator must absorb.
+  unwinds exactly as on a kernel panic.
 
 * **Durability tracking** — every file records how many of its bytes have
   been ``sync()``\\ ed.  :meth:`~FaultInjectingVFS.crash_image` snapshots
@@ -67,7 +64,6 @@ because the adapter shares its base's :class:`~repro.lsm.vfs.IOStats`.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 from typing import Callable, Container, Iterable
@@ -100,7 +96,7 @@ CORRUPT_MODES = ("bitflip", "garble")
 
 #: Every counted event, and the faults it can carry.
 FAULTS = {
-    "write": ("crash", "error", "enospc", "exit"),  # VFS mutating ops
+    "write": ("crash", "error", "enospc"),          # VFS mutating ops
     "read": ("eio",),                               # VFS read ops
     "connect": ("refuse",),                         # socket connect attempts
     "send": ("break", "torn"),                      # socket send calls
@@ -112,7 +108,7 @@ _NET_EVENTS = ("connect", "send", "response")
 _RANDOM_FAULTS = {"send": ("break", "torn"), "response": ("drop", "torn"),
                   "write": ("error",), "read": ("eio",)}
 
-#: The exception each write fault raises (``exit`` raises nothing).
+#: The exception each write fault raises.
 _RAISES = {"crash": SimulatedCrashError, "error": FaultInjectedError,
            "enospc": OutOfSpaceError}
 
@@ -415,8 +411,6 @@ class FaultInjectingVFS(VFS):
         self.op_log.append((kind, name))
         if fault is None:
             return
-        if fault == "exit":
-            os._exit(1)
         self.crashed = fault == "crash"
         raise _RAISES[fault](
             f"injected {fault} at mutating op {self.op_count} ({kind})")

@@ -188,25 +188,6 @@ class Options:
         condition variable.  The deterministic scheduler in
         :mod:`repro.lsm.testing` uses this to serialise all threads and
         enumerate interleavings.  ``None`` (the default) costs nothing.
-    compaction_processes:
-        Ship compactions to this many worker *processes* (DESIGN.md §11),
-        escaping the GIL: the coordinator thread blocks on a pipe while a
-        worker burns CPU on merge/fold/compress in another interpreter.
-        Requires a filesystem-backed VFS (``LocalVFS``); on a memory VFS the
-        engine logs a warning and falls back to in-process compaction.
-        0 (the default) keeps the current threaded behaviour and the
-        paper's byte-identical outputs (worker output is byte-identical
-        too — the golden-vector suite pins this — but defaults stay
-        conservative).  Flushes always stay in-process: they read the live
-        MemTable, which only exists in the coordinator.
-    shm_cache_bytes:
-        Size of a ``multiprocessing.shared_memory`` segment holding
-        decoded, CRC-verified data-block bytes keyed by
-        ``(file_number, offset)``, shared between the serving process and
-        compaction workers.  Workers pre-warm blocks they write so the
-        server reads them without re-reading or re-decompressing.  0 (the
-        default) disables the shared cache; it layers *behind* the
-        per-process ``block_cache_size`` LRU when both are enabled.
     """
 
     block_size: int = 4096
@@ -238,8 +219,6 @@ class Options:
     l0_slowdown_writes_trigger: int = 8
     slowdown_sleep_seconds: float = 0.001
     step_hook: StepHook | None = field(default=None, repr=False)
-    compaction_processes: int = 0
-    shm_cache_bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:
@@ -270,10 +249,6 @@ class Options:
                 f"unknown on_corruption policy: {self.on_corruption!r}")
         if self.read_retries < 0:
             raise ValueError("read_retries must be >= 0")
-        if self.compaction_processes < 0:
-            raise ValueError("compaction_processes must be >= 0")
-        if self.shm_cache_bytes < 0:
-            raise ValueError("shm_cache_bytes must be >= 0")
 
     def max_bytes_for_level(self, level: int) -> float:
         """Size budget of ``level``; level 0 is governed by file count instead."""

@@ -191,17 +191,11 @@ class TableBuilder:
 
     def __init__(self, options: Options, out: WritableFile,
                  compressor: Compressor,
-                 category: Category = Category.FLUSH,
-                 block_observer=None) -> None:
+                 category: Category = Category.FLUSH) -> None:
         self.options = options
         self._out = out
         self._compressor = compressor
         self._category = category
-        # ``block_observer(offset, payload)`` sees every finished *data*
-        # block's file offset and uncompressed payload.  Compaction workers
-        # use it to pre-warm the shared block cache with the exact bytes a
-        # later ``read_data_block`` would produce; ``None`` costs nothing.
-        self._block_observer = block_observer
         self._data_block = BlockBuilder()
         self._index_block = BlockBuilder(restart_interval=1)
         self._index_entries: list[tuple[bytes, BlockHandle]] = []
@@ -267,8 +261,6 @@ class TableBuilder:
         payload = self._data_block.finish()
         handle = _write_physical_block(
             self._out, payload, self._compressor, self._category)
-        if self._block_observer is not None:
-            self._block_observer(handle.offset, payload)
         last_key = self._data_block._last_key
         self._index_entries.append((last_key, handle))
         self._primary_filters.append(self._primary_filter.finish())

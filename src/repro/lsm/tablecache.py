@@ -48,17 +48,6 @@ class TableCache:
         if options.block_cache_size > 0:
             self.block_cache = LRUCache(options.block_cache_size)
 
-    def attach_shared_cache(self, shared) -> None:
-        """Layer a cross-process shared segment behind the block cache.
-
-        Must run before any table is opened — already-open tables keep the
-        ``_block_cache`` reference they were handed.  The local LRU (if
-        configured) stays as the first-level cache of decoded blocks.
-        """
-        from repro.lsm.shmcache import ShmBackedBlockCache
-
-        self.block_cache = ShmBackedBlockCache(shared, self.block_cache)
-
     def get(self, file_number: int) -> SSTable:
         with self._lock:
             table = self._tables.get(file_number)

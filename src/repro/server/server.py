@@ -40,6 +40,7 @@ import socket
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import Any, Callable
 
 from repro.core.records import key_to_bytes
@@ -615,20 +616,15 @@ class Server:
         limit = args[2] if len(args) > 2 else None
         if limit is None:
             limit = DEFAULT_SCAN_LIMIT
-        lo_b = key_to_bytes(lo) if lo is not None else None
-        hi_b = key_to_bytes(hi) if hi is not None else None
-        out = []
+        elif type(limit) is not int or limit < 0:  # bool is not a limit
+            raise InvalidArgumentError(
+                f"scan limit must be a non-negative int, got {limit!r}")
         if self._indexed is not None:
-            for key, document in self._indexed.scan(lo, hi):
-                out.append([key, document])
-                if len(out) >= limit:
-                    break
-            return out
-        for key, value in self.db.scan(lo_b, hi_b):
-            out.append([key, value])
-            if len(out) >= limit:
-                break
-        return out
+            rows = self._indexed.scan(lo, hi)
+        else:
+            rows = self.db.scan(key_to_bytes(lo) if lo is not None else None,
+                                key_to_bytes(hi) if hi is not None else None)
+        return [[key, value] for key, value in islice(rows, limit)]
 
     def _op_lookup(self, args: list) -> list:
         if self._indexed is None:

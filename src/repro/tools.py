@@ -295,9 +295,7 @@ def _parse_index_map(indexes: str, out: IO[str]):
 
 def cmd_serve(directory: str, name: str, out: IO[str], host: str,
               port: int, indexes: str | None, sync: bool,
-              compaction_processes: int = 0,
-              shm_cache_bytes: int = 0, shards: int = 0,
-              replication: int = 1) -> int:
+              shards: int = 0, replication: int = 1) -> int:
     """Serve one database over the framed socket protocol (ROADMAP item 1).
 
     Without ``--indexes`` the database is served raw (keys and values are
@@ -322,9 +320,7 @@ def cmd_serve(directory: str, name: str, out: IO[str], host: str,
 
     from repro.server import Server
 
-    options = Options(sync_writes=sync,
-                      compaction_processes=compaction_processes,
-                      shm_cache_bytes=shm_cache_bytes)
+    options = Options(sync_writes=sync)
     index_map = _parse_index_map(indexes, out) if indexes else {}
     if index_map is None:
         return 2
@@ -417,13 +413,6 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     serve.add_argument("--no-sync", dest="sync", action="store_false",
                        help="acknowledge writes before fsync (faster, "
                             "riskier)")
-    serve.add_argument("--compaction-processes", type=int, default=0,
-                       help="run compactions in N worker processes instead "
-                            "of the serving interpreter (default 0 = "
-                            "in-process)")
-    serve.add_argument("--shm-cache-bytes", type=int, default=0,
-                       help="shared-memory block cache size shared with "
-                            "compaction workers (default 0 = off)")
     serve.add_argument("--shards", type=int, default=0,
                        help="serve a ShardedDB with N hash-ring shards "
                             "(default 0 = single database; --indexes become "
@@ -449,8 +438,6 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
         return cmd_profile(args.workload, args.ops, args.top, out)
     if args.command == "serve":
         return cmd_serve(args.directory, args.name, out, args.host,
-                         args.port, args.indexes, args.sync,
-                         args.compaction_processes,
-                         args.shm_cache_bytes, args.shards,
+                         args.port, args.indexes, args.sync, args.shards,
                          args.replication)
     return cmd_verify(args.directory, args.name, out)

@@ -1,5 +1,7 @@
 """Record model codecs."""
 
+import json
+
 import pytest
 
 from repro.core.records import (
@@ -37,6 +39,14 @@ class TestDocuments:
 
     def test_compact_encoding(self):
         assert encode_document({"a": 1}) == b'{"a":1}'
+
+    @pytest.mark.parametrize("doc", [
+        {"UserID": "u1", "nested": {"a": [1, 2.5, None, True]}, "e": {}},
+        {"Body": "ключ — 日本語 🎉", "ü": ["\u00e9", "\n\t\""]},
+    ], ids=["nested", "non-ascii"])
+    def test_stored_bytes_equal_json_dumps(self, doc):
+        assert encode_document(doc) == json.dumps(
+            doc, separators=(",", ":")).encode("utf-8")
 
     def test_non_dict_rejected_on_encode(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,15 +1,13 @@
 """A failed flush or compaction did not happen — whoever asked for it.
 
-In-process twins of ``tests/lsm/test_procpool.py::TestWorkerCrash``'s
-``test_write_fault_in_worker_abandons_without_orphans`` and
-``test_worker_enospc_maps_to_out_of_space``: one write fault (EIO) or a full
-disk (ENOSPC) a few mutating ops into a merge, for each of the three
-drivers of a compaction — auto-compaction inside an inline ``flush()``, the
-background thread, ``compact_range()``.  Afterwards the compaction's
-partial outputs are gone (``verify_integrity().ok``), its inputs are still
-live, every key still reads, ENOSPC has parked the DB read-only, and once
-the fault is cleared (and the DB reopened where the mode requires it) a
-second ``compact_range()`` succeeds.
+One write fault (EIO) or a full disk (ENOSPC) a few mutating ops into a
+merge, for each of the three drivers of a compaction — auto-compaction
+inside an inline ``flush()``, the background thread, ``compact_range()``.
+Afterwards the compaction's partial outputs are gone
+(``verify_integrity().ok``), its inputs are still live, every key still
+reads, ENOSPC has parked the DB read-only, and once the fault is cleared
+(and the DB reopened where the mode requires it) a second
+``compact_range()`` succeeds.
 
 The sweep at the bottom moves one write fault over every mutating op of an
 inline load, and a seeded drill scatters write faults over the same load.

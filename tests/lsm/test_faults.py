@@ -234,8 +234,8 @@ class TestErrors:
 class TestOneSchedule:
     @pytest.mark.parametrize("base", ["memory", "local"])
     def test_same_ops_fire_over_any_base(self, base, tmp_path):
-        """The compaction worker's configuration (a LocalVFS base) fires
-        exactly what the drills' MemoryVFS base fires."""
+        """A LocalVFS base fires exactly what the drills' MemoryVFS base
+        fires."""
         vfs = FaultInjectingVFS(LocalVFS(str(tmp_path))
                                 if base == "local" else None)
         vfs.schedule_write_error(2)

@@ -133,7 +133,7 @@ def _fused(tables, snapshot, deeper, options, dropped):
 
     def open_output():
         number = next(numbers)
-        return number, vfs.create(table_file_name("db", number)), None
+        return number, vfs.create(table_file_name("db", number))
 
     job = {"level": tables[0][0], "inputs": inputs,
            "deeper_bounds": deeper, "oldest_snapshot": snapshot}
@@ -223,7 +223,7 @@ def test_column_slot_count_mismatch_is_corruption():
     with pytest.raises(CorruptionError, match="attribute column"):
         run_compaction_job(
             job, options, open_table,
-            lambda: (9, vfs.create(table_file_name("db", 9)), None))
+            lambda: (9, vfs.create(table_file_name("db", 9))))
 
 
 def _reference_bloom(hashes, bits_per_key) -> bytes:

@@ -79,6 +79,34 @@ def test_kv_scan_pages_and_limits(kv_server):
         assert len(everything) == 20
 
 
+def _put_rows(client: Client, mode: str, count: int) -> None:
+    for i in range(count):
+        if mode == "kv_server":
+            client.put(b"k%02d" % i, b"v")
+        else:
+            client.put("k%02d" % i, {"UserID": "u1"})
+
+
+@pytest.mark.parametrize("mode", ["kv_server", "doc_server"])
+def test_scan_limit_zero_is_an_empty_page(request, mode):
+    server, _db = request.getfixturevalue(mode)
+    with connect(server) as client:
+        _put_rows(client, mode, 5)
+        assert client.scan(limit=0) == []
+        assert len(client.scan(limit=3)) == 3
+
+
+@pytest.mark.parametrize("limit", [-1, True, 2.5])
+@pytest.mark.parametrize("mode", ["kv_server", "doc_server"])
+def test_scan_limit_that_is_not_a_count_is_an_error(request, mode, limit):
+    server, _db = request.getfixturevalue(mode)
+    with connect(server) as client:
+        _put_rows(client, mode, 5)
+        with pytest.raises(RemoteError, match="scan limit"):
+            client.scan(limit=limit)
+        assert len(client.scan()) == 5  # the connection still serves
+
+
 def test_doc_mode_lookup_and_range(doc_server):
     server, _db = doc_server
     with connect(server) as client:
