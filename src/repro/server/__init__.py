@@ -3,9 +3,9 @@
 The engine so far has been embedded — every caller shares the server
 process.  This package puts a socket in front of it (ROADMAP item 1):
 
-* :mod:`repro.server.protocol` — a length-prefixed framed wire format
-  with a small self-describing value codec (no third-party
-  serializer needed);
+* :mod:`repro.server.protocol` — length-prefixed frames carrying JSON
+  text (the stdlib's C ``json``, with tagged forms for ``bytes`` and
+  non-``str`` dict keys);
 * :mod:`repro.server.server` — a socket server, one thread per
   connection, whose concurrent handlers feed writes straight into the
   engine's leader/follower group commit; a stalled engine reaches the

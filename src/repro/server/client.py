@@ -49,11 +49,13 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Any, Callable, Iterator, TypeVar
 
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameReader,
+    FrameTooLargeError,
     ProtocolError,
     STATUS_OK,
     decode_value,
@@ -144,14 +146,13 @@ _TRANSIENT = (OSError, ProtocolError)
 
 
 class _Conn:
-    """One pooled socket, its response frames and request-id counter."""
+    """One pooled socket and its response frames."""
 
-    __slots__ = ("sock", "frames", "next_id", "broken")
+    __slots__ = ("sock", "frames", "broken")
 
     def __init__(self, sock: Any, max_frame_bytes: int) -> None:
         self.sock = sock
         self.frames = FrameReader(sock, max_frame_bytes)
-        self.next_id = 1
         self.broken = False
 
 
@@ -194,6 +195,7 @@ class Client:
         # across retries) — the server's dedup key.
         self._client_id = uuid.uuid4().hex
         self._write_seq = 0
+        self._request_ids = count(1)
 
     def _next_write_seq(self) -> int:
         with self._lock:
@@ -280,13 +282,22 @@ class Client:
 
     # -- request plumbing -----------------------------------------------------
 
-    def _call_once(self, op: str, args: list) -> Any:
+    def _request(self, op: str, args: list) -> tuple[int, bytes]:
+        """A fresh request id and the frame every attempt sends: a value
+        the codec refuses, or a frame over ``max_frame_bytes``, raises
+        here, never inside a retry loop."""
+        request_id = next(self._request_ids)
+        payload = encode_value([request_id, op, *args])
+        if len(payload) > self._max_frame_bytes:
+            raise FrameTooLargeError(
+                f"request of {len(payload)} bytes exceeds limit "
+                f"{self._max_frame_bytes}")
+        return request_id, encode_frame(payload)
+
+    def _call_once(self, request_id: int, frame: bytes) -> Any:
         conn = self._checkout()
         try:
-            request_id = conn.next_id
-            conn.next_id += 1
-            conn.sock.sendall(encode_frame(encode_value(
-                [request_id, op, *args])))
+            conn.sock.sendall(frame)
             return _read_response(conn, request_id)
         except (OSError, ProtocolError):
             conn.broken = True
@@ -295,9 +306,10 @@ class Client:
             self._release(conn)
 
     def _call(self, op: str, args: list) -> Any:
+        request_id, frame = self._request(op, args)
         if self._retry is None:
-            return self._call_once(op, args)
-        return self._retry.run(lambda: self._call_once(op, args))
+            return self._call_once(request_id, frame)
+        return self._retry.run(lambda: self._call_once(request_id, frame))
 
     def _call_write(self, op: str, args: list) -> Any:
         if self._retry is not None:
@@ -363,18 +375,19 @@ class Pipeline:
     def __init__(self, client: Client) -> None:
         self._client = client
         self._conn: _Conn | None = None
-        self._queued: list[tuple[str, list]] = []
+        self._queued: list[tuple[int, bytes]] = []
         self.results: list[Any] = []
 
     # -- queuing --------------------------------------------------------------
 
     def _queue_op(self, op: str, args: list) -> int:
-        """Queue one request; returns its index into :attr:`results`."""
+        """Encode and queue one request (a value the codec refuses raises
+        here); returns its index into :attr:`results`."""
         client = self._client
         if client._retry is not None and op in ("put", "delete"):
             args = [client._client_id, client._next_write_seq(), op, args]
             op = "apply"
-        self._queued.append((op, args))
+        self._queued.append(client._request(op, args))
         return len(self._queued) - 1
 
     def put(self, key: Any, value: Any) -> int:
@@ -395,24 +408,17 @@ class Pipeline:
 
     # -- flushing -------------------------------------------------------------
 
-    def _attempt(self, queued: list[tuple[str, list]]
+    def _attempt(self, queued: list[tuple[int, bytes]]
                  ) -> tuple[list[Any], RemoteError | None]:
         """One send-all/read-all pass; drops the connection on failure."""
         if self._conn is None:
             self._conn = self._client._checkout()
         conn = self._conn
-        frames: list[bytes] = []
-        request_ids: list[int] = []
-        for op, args in queued:
-            request_id = conn.next_id
-            conn.next_id += 1
-            request_ids.append(request_id)
-            frames.append(encode_frame(encode_value([request_id, op, *args])))
         try:
-            conn.sock.sendall(b"".join(frames))
+            conn.sock.sendall(b"".join(frame for _id, frame in queued))
             batch: list[Any] = []
             first_error: RemoteError | None = None
-            for request_id in request_ids:
+            for request_id, _frame in queued:
                 try:
                     batch.append(_read_response(conn, request_id))
                 except RemoteError as exc:

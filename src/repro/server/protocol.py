@@ -1,4 +1,4 @@
-"""Wire format of the serving layer: frames and a small value codec.
+"""Wire format of the serving layer: frames carrying JSON text.
 
 Framing
 -------
@@ -20,12 +20,20 @@ is never half-delivered.
 Value codec
 -----------
 
-Payloads are encoded with a self-describing tagged binary codec (the
-shape of msgpack, hand-rolled so the repo stays dependency-free).  It
-covers exactly the types the database surface needs: ``None``, bools,
-64-bit signed ints (zigzag varint), floats, ``bytes``, ``str``,
-lists and dicts.  Documents (JSON objects), primary keys (bytes/str),
-stats dicts and lookup results all round-trip losslessly.
+A payload is one JSON text, written and parsed by the standard library's
+C ``json`` encoder and decoder.  It carries ``None``, bools, ints, floats
+(``NaN`` and ``±Infinity`` too), ``str``, ``bytes``, lists (tuples
+travel as lists) and dicts.  The two that JSON lacks each have one tagged
+form, a one-key object whose key starts with the reserved character
+U+0000: a ``bytes`` value is ``{"\\u0000b": "<base64>"}``, and a dict
+with a key that is not a ``str``, or that holds U+0000, is
+``{"\\u0000d": [[key, value], ...]}`` — so no user key passes for a tag.
+Ints must fit in 64 signed bits, on both ends.  Text travels as UTF-8
+(only control characters are escaped); ``bytes`` as base64 take 4/3
+their size, so under the default frame limit a value a little under
+3 MiB is the largest that fits.  The encoder rebuilds the containers in
+Python to check keys and ints and to put in the tagged forms; the
+decoder checks them back with an ``object_hook`` and a ``parse_int``.
 
 Requests and responses are lists::
 
@@ -39,11 +47,11 @@ the id is a sanity check rather than a routing key.
 
 from __future__ import annotations
 
+import base64
+import json
 import socket
 import struct
 from typing import Any
-
-from repro.lsm.keys import decode_varint, encode_varint
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
@@ -55,7 +63,6 @@ __all__ = [
     "encode_frame",
     "FrameReader",
     "RECV_BYTES",
-    "OPS",
     "STATUS_OK",
     "STATUS_ERROR",
 ]
@@ -65,22 +72,13 @@ __all__ = [
 DEFAULT_MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
-_FLOAT = struct.Struct(">d")
 
 STATUS_OK = 0
 STATUS_ERROR = 1
 
-#: Operations the server understands (Table 1 plus engine surface).
-#: ``apply`` is the idempotent write envelope the retrying client uses:
-#: ``[request_id, "apply", client_id, client_seq, op, args]`` — the
-#: server's dedup window keys on ``(client_id, client_seq)`` and replays
-#: the original result (same sequence number) instead of re-applying.
-OPS = ("put", "get", "delete", "lookup", "rangelookup", "scan", "stats",
-       "apply")
-
 
 class ProtocolError(Exception):
-    """The peer sent bytes that do not parse as the protocol."""
+    """Bytes that do not parse as the protocol, or a value it cannot carry."""
 
 
 class FrameTooLargeError(ProtocolError):
@@ -93,126 +91,115 @@ class TornFrameError(ProtocolError):
 
 # -- value codec -------------------------------------------------------------
 
-_NIL = 0x00
-_TRUE = 0x01
-_FALSE = 0x02
-_INT = 0x03
-_FLOAT_TAG = 0x04
-_BYTES = 0x05
-_STR = 0x06
-_LIST = 0x07
-_DICT = 0x08
+_TAG = "\x00"              # first character of a tagged form's one key
+_BYTES_TAG = _TAG + "b"    # {"\u0000b": "<base64>"}
+_PAIRS_TAG = _TAG + "d"    # {"\u0000d": [[key, value], ...]}
+_INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
+#: Dict keys the pair form carries: the types that come back hashable.
+_KEY_TYPES = (str, int, float, bytes, type(None))
 
 
-def _encode_into(out: bytearray, value: Any) -> None:
-    if value is None:
-        out.append(_NIL)
-    elif value is True:
-        out.append(_TRUE)
-    elif value is False:
-        out.append(_FALSE)
-    elif isinstance(value, int):
-        # Zigzag maps signed ints onto the engine's non-negative varints.
-        # The varint decoder caps at 10 bytes, so bound the magnitude here
-        # and fail on the sender instead of poisoning the peer's stream.
-        if not -(2**63) <= value < 2**63:
-            raise ProtocolError(
-                f"int {value} outside the codec's 64-bit range")
-        zigzag = (value << 1) if value >= 0 else ((-value << 1) - 1)
-        out.append(_INT)
-        out += encode_varint(zigzag)
-    elif isinstance(value, float):
-        out.append(_FLOAT_TAG)
-        out += _FLOAT.pack(value)
-    elif isinstance(value, bytes):
-        out.append(_BYTES)
-        out += encode_varint(len(value))
-        out += value
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_STR)
-        out += encode_varint(len(raw))
-        out += raw
-    elif isinstance(value, (list, tuple)):
-        out.append(_LIST)
-        out += encode_varint(len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif isinstance(value, dict):
-        out.append(_DICT)
-        out += encode_varint(len(value))
-        for key, item in value.items():
-            _encode_into(out, key)
-            _encode_into(out, item)
-    else:
+def _encode_bytes(value: Any) -> dict[str, str]:
+    """The C encoder's ``default``: a ``bytes`` value's tagged form."""
+    if not isinstance(value, bytes):
         raise ProtocolError(
             f"cannot encode {type(value).__name__} on the wire")
+    return {_BYTES_TAG: base64.b64encode(value).decode()}
+
+
+_encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False,
+                                check_circular=False,
+                                default=_encode_bytes).encode
+
+
+#: Values the C encoder writes as they stand (``bytes`` via ``default``):
+#: :func:`_tagged` copies them without a call.
+_LEAVES = frozenset((str, float, bool, type(None), bytes))
+
+
+def _tagged(value: Any) -> Any:
+    """``value`` rebuilt for the C encoder: a dict with a key JSON cannot
+    carry becomes the pair form and ints are range-checked.  ``bytes``,
+    and the types the codec refuses, are left to ``default``."""
+    if isinstance(value, dict):
+        try:
+            plain = _TAG not in "".join(value)
+        except TypeError:  # a key that is not a str
+            plain = False
+        if plain:
+            return {key: item if type(item) in _LEAVES else _tagged(item)
+                    for key, item in value.items()}
+        for key in value:
+            if not isinstance(key, _KEY_TYPES):
+                raise ProtocolError(f"cannot encode a {type(key).__name__} "
+                                    "dict key on the wire")
+        return {_PAIRS_TAG: [[_tagged(key), _tagged(item)]
+                             for key, item in value.items()]}
+    if isinstance(value, (list, tuple)):
+        return [item if type(item) in _LEAVES else _tagged(item)
+                for item in value]
+    if isinstance(value, int) and not _INT_MIN <= value <= _INT_MAX:
+        raise ProtocolError(f"int {value} outside the codec's 64-bit range")
+    return value
 
 
 def encode_value(value: Any) -> bytes:
     """Serialize one value (the whole payload of a frame)."""
-    out = bytearray()
-    _encode_into(out, value)
-    return bytes(out)
+    try:
+        return _encode_json(_tagged(value)).encode()
+    except RecursionError:
+        raise ProtocolError("cannot encode a value nested past the "
+                            "recursion limit, or circular") from None
+    except UnicodeEncodeError:  # a str holding a lone surrogate
+        raise ProtocolError("cannot encode a str that is not valid "
+                            "Unicode on the wire") from None
 
 
-def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
-    try:
-        tag = data[pos]
-    except IndexError:
-        raise ProtocolError("truncated payload") from None
-    pos += 1
-    if tag == _NIL:
-        return None, pos
-    if tag == _TRUE:
-        return True, pos
-    if tag == _FALSE:
-        return False, pos
-    try:
-        if tag == _INT:
-            zigzag, pos = decode_varint(data, pos)
-            return (zigzag >> 1) if zigzag % 2 == 0 \
-                else -((zigzag + 1) >> 1), pos
-        if tag == _FLOAT_TAG:
-            return _FLOAT.unpack_from(data, pos)[0], pos + 8
-        if tag == _BYTES:
-            length, pos = decode_varint(data, pos)
-            end = pos + length
-            if end > len(data):
-                raise ProtocolError("truncated bytes value")
-            return data[pos:end], end
-        if tag == _STR:
-            length, pos = decode_varint(data, pos)
-            end = pos + length
-            if end > len(data):
-                raise ProtocolError("truncated str value")
-            return data[pos:end].decode("utf-8"), end
-        if tag == _LIST:
-            count, pos = decode_varint(data, pos)
-            items = []
-            for _ in range(count):
-                item, pos = _decode_from(data, pos)
-                items.append(item)
-            return items, pos
-        if tag == _DICT:
-            count, pos = decode_varint(data, pos)
-            mapping = {}
-            for _ in range(count):
-                key, pos = _decode_from(data, pos)
-                item, pos = _decode_from(data, pos)
-                mapping[key] = item
-            return mapping, pos
-    except (ValueError, struct.error) as exc:
-        raise ProtocolError(f"malformed payload: {exc}") from None
-    raise ProtocolError(f"unknown type tag 0x{tag:02x}")
+def _parse_int(digits: str) -> int:
+    """The decoder's ``parse_int``: refuses before converting."""
+    # "-9223372036854775808" is 20 characters.
+    if len(digits) <= 20 and _INT_MIN <= (value := int(digits)) <= _INT_MAX:
+        return value
+    raise ProtocolError(
+        f"int {digits[:24]}... outside the codec's 64-bit range")
+
+
+def _untag(obj: dict[str, Any]) -> Any:
+    """The decoder's ``object_hook``: a tagged form's value."""
+    if len(obj) == 1:
+        ((key, body),) = obj.items()
+        if key == _BYTES_TAG and isinstance(body, str):
+            return base64.b64decode(body, validate=True)
+        if key == _PAIRS_TAG and isinstance(body, list) and all(
+                type(pair) is list and len(pair) == 2 for pair in body):
+            pairs = dict(body)
+            if len(pairs) == len(body):  # no key given twice
+                return pairs
+    for key in obj:
+        if key[:1] == _TAG:
+            raise ProtocolError(f"malformed tagged form {key!r}")
+    return obj
+
+
+_decode_json = json.JSONDecoder(object_hook=_untag,
+                                parse_int=_parse_int).raw_decode
 
 
 def decode_value(data: bytes) -> Any:
     """Parse one payload back into a value; trailing bytes are an error."""
-    value, pos = _decode_from(data, 0)
-    if pos != len(data):
+    try:
+        text = data.decode()
+        value, end = _decode_json(text)
+    except RecursionError:
         raise ProtocolError(
-            f"{len(data) - pos} trailing bytes after payload")
+            "payload nested past the recursion limit") from None
+    except (ValueError, TypeError) as exc:
+        # Not UTF-8, not JSON, bad base64 (ValueErrors), or a pair form
+        # with an unhashable key (TypeError).
+        raise ProtocolError(f"malformed payload: {exc}") from None
+    if end != len(text):
+        raise ProtocolError(
+            f"{len(text) - end} trailing characters after payload")
     return value
 
 

@@ -50,6 +50,7 @@ from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameReader,
     FrameTooLargeError,
+    ProtocolError,
     STATUS_ERROR,
     STATUS_OK,
     TornFrameError,
@@ -440,11 +441,15 @@ class Server:
 
     def _respond(self, conn: _Connection, request_id: int, status: int,
                  payload: Any) -> None:
+        try:
+            frame = encode_frame(encode_value([request_id, status, payload]))
+        except ProtocolError as exc:  # a result the wire cannot carry
+            self._respond_error(conn, request_id, exc)
+            return
         self.stats.responses += 1
         if status == STATUS_ERROR:
             self.stats.errors += 1
-        conn.sock.sendall(encode_frame(encode_value(
-            [request_id, status, payload])))
+        conn.sock.sendall(frame)
 
     def _respond_error(self, conn: _Connection, request_id: int,
                        exc: Exception) -> None:
@@ -655,21 +660,10 @@ class Server:
         stats = self.db.stats() if self._primary is None \
             else self._primary.stats()
         return {
-            "db": _jsonish(stats),
+            "db": stats,
             "server": self.stats.as_dict(),
             "active_connections": self.active_connections(),
         }
-
-
-def _jsonish(value: Any) -> Any:
-    """Clamp a stats tree to codec-safe types (defensive copy)."""
-    if isinstance(value, dict):
-        return {key: _jsonish(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonish(item) for item in value]
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return value
-    return repr(value)
 
 
 # Typing helper for CLI wiring; avoids an import cycle with tools.py.

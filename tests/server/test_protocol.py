@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.server.protocol import (
+    DEFAULT_MAX_FRAME_BYTES,
     FrameReader,
     FrameTooLargeError,
     ProtocolError,
@@ -49,13 +53,59 @@ ROUND_TRIP_VALUES = [
     {"a": 1, "b": [2, 3], "c": {"d": None}},
     {b"bytes-key": "ok", 7: "int-key"},
     [0, 1, {"nested": [b"deep", {"deeper": -9}]}],
+    {7: "x"},
+    {"\x00b": "AAAA"},  # a user key spelled like the bytes tag
+    {"a\x00": b"x"},  # a user key holding the tag character
+    math.nan,
+    math.inf,
+    -math.inf,
 ]
+
+
+def _same(got, want) -> bool:
+    """Equal, with identical types all the way down (bool is not int,
+    bytes is not str, a dict's key types are kept) and NaN equal to NaN."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, float) and math.isnan(want):
+        return math.isnan(got)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    if isinstance(want, dict):
+        return list(map(type, got)) == list(map(type, want)) \
+            and got.keys() == want.keys() \
+            and all(_same(got[key], want[key]) for key in want)
+    return got == want
 
 
 @pytest.mark.parametrize("value", ROUND_TRIP_VALUES,
                          ids=[repr(v)[:40] for v in ROUND_TRIP_VALUES])
 def test_codec_round_trip(value):
-    assert decode_value(encode_value(value)) == value
+    assert _same(decode_value(encode_value(value)), value)
+
+
+_SCALARS = (st.none() | st.booleans()
+            | st.integers(min_value=-(2**63), max_value=2**63 - 1)
+            | st.floats() | st.text() | st.binary())
+_KEYS = (st.none() | st.booleans() | st.integers(-(2**63), 2**63 - 1)
+         | st.floats(allow_nan=False) | st.text() | st.binary()
+         | st.text().map(lambda text: "\x00" + text))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_codec_round_trip_keeps_values_and_types(value):
+    assert _same(decode_value(encode_value(value)), value)
+
+
+def test_tuples_travel_as_lists():
+    assert decode_value(encode_value((1, (b"x", "y")))) == [1, [b"x", "y"]]
 
 
 def test_codec_distinguishes_bool_from_int():
@@ -65,15 +115,64 @@ def test_codec_distinguishes_bool_from_int():
 
 
 def test_codec_rejects_unencodable_type():
-    with pytest.raises(ProtocolError, match="cannot encode"):
-        encode_value(object())
+    for value in (object(), {1, 2}, [bytearray(b"x")], {(1, 2): "tuple key"}):
+        with pytest.raises(ProtocolError, match="cannot encode"):
+            encode_value(value)
+
+
+def test_codec_rejects_circular_value():
+    loop: list = [1]
+    loop.append(loop)
+    mapping: dict = {}
+    mapping["self"] = mapping
+    for value in (loop, mapping):
+        with pytest.raises(ProtocolError, match="cannot encode"):
+            encode_value(value)
 
 
 def test_codec_rejects_out_of_range_int():
     # Fails on the sender, not as a poisoned stream on the peer.
-    for value in (2**63, -(2**63) - 1, 2**80):
+    for value in (2**63, -(2**63) - 1, 2**80, [1, {"n": 2**70}], {2**64: 1}):
         with pytest.raises(ProtocolError, match="64-bit"):
             encode_value(value)
+
+
+def test_decode_rejects_out_of_range_int():
+    # A peer's int past 64 bits is refused before its digits are
+    # converted, however many there are.
+    for digits in ("9223372036854775808", "-9223372036854775809",
+                   "1" * 5000):
+        with pytest.raises(ProtocolError, match="64-bit"):
+            decode_value(f'[1,{{"n":{digits}}}]'.encode())
+    assert decode_value(b"[9223372036854775807,-9223372036854775808]") \
+        == [2**63 - 1, -(2**63)]
+
+
+def test_decode_rejects_hostile_nesting():
+    # Deeper than the interpreter's recursion limit, far inside a frame.
+    for payload in (b"[" * 100_000 + b"]" * 100_000,
+                    b'{"a":' * 100_000 + b"1" + b"}" * 100_000):
+        assert len(payload) < DEFAULT_MAX_FRAME_BYTES
+        with pytest.raises(ProtocolError, match="recursion"):
+            decode_value(payload)
+
+
+def test_text_travels_as_utf8():
+    # Non-ASCII characters are not escaped, so a str costs its UTF-8
+    # bytes plus quotes on the wire; control characters still are.
+    text = "h\u00e9llo \u2603 \U0001f600"
+    assert encode_value(text) == b'"' + text.encode() + b'"'
+    assert encode_value("\x00\n") == b'"\\u0000\\n"'
+
+
+def test_codec_rejects_lone_surrogate():
+    with pytest.raises(ProtocolError, match="cannot encode"):
+        encode_value(["\ud800"])
+
+
+def test_decode_rejects_non_utf8():
+    with pytest.raises(ProtocolError):
+        decode_value(b'["\xff\xfe"]')
 
 
 def test_decode_rejects_trailing_bytes():
@@ -91,15 +190,29 @@ def test_decode_rejects_empty_and_truncated():
 
 
 def test_decode_rejects_unknown_tag():
-    with pytest.raises(ProtocolError, match="unknown type tag"):
+    # Not JSON at all, then objects keyed by the reserved tag character
+    # that are no tagged form.
+    with pytest.raises(ProtocolError, match="malformed payload"):
         decode_value(b"\x7f")
+    for bogus in (b'{"\\u0000z":1}', b'{"\\u0000b":"AAAA","x":1}',
+                  b'{"\\u0000b":7}', b'{"\\u0000d":{"a":1}}'):
+        with pytest.raises(ProtocolError, match="tagged form"):
+            decode_value(bogus)
+    # Pair forms that are not [[key, value], ...] with distinct keys.
+    for bogus in (b'{"\\u0000d":["ab","cd"]}', b'{"\\u0000d":[[1,2,3]]}',
+                  b'{"\\u0000d":[[1,"a"],[1,"b"]]}'):
+        with pytest.raises(ProtocolError, match="tagged form"):
+            decode_value(bogus)
+    # A pair form whose key cannot be a dict key.
+    with pytest.raises(ProtocolError):
+        decode_value(b'{"\\u0000d":[[[1],2]]}')
 
 
 def test_decode_rejects_length_past_end():
-    # A bytes value claiming more content than the payload holds.
-    bogus = bytes([0x05]) + encode_value(2**20)[1:]  # BYTES, length 2**20
-    with pytest.raises(ProtocolError):
-        decode_value(bogus)
+    # A bytes value whose base64 body is cut short or not base64.
+    for body in (b"AAA", b"AA=A", b"@@@@"):
+        with pytest.raises(ProtocolError, match="malformed payload"):
+            decode_value(b'{"\\u0000b":"' + body + b'"}')
 
 
 # -- framing over real sockets -----------------------------------------------

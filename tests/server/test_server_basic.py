@@ -15,8 +15,12 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.vfs import MemoryVFS
 from repro.server import Client, RemoteError, Server
+from repro.server.client import RetryPolicy
 from repro.server.protocol import (
+    DEFAULT_MAX_FRAME_BYTES,
     RECV_BYTES,
+    FrameTooLargeError,
+    ProtocolError,
     STATUS_ERROR,
     STATUS_OK,
     FrameReader,
@@ -263,6 +267,85 @@ def test_malformed_request_payload_keeps_connection(kv_server):
     finally:
         sock.close()
     assert server.stats.errors == 2
+
+
+def test_a_result_the_codec_refuses_is_an_error_response(doc_server):
+    server, db = doc_server
+    # Stored in-process: the engine keeps any JSON int, the wire only
+    # 64-bit ones.
+    db.put("big", {"UserID": "u1", "n": 2**70})
+    with connect(server) as client:
+        assert client.get("missing") is None
+        accepted = server.stats.connections_accepted
+        errors = server.stats.errors
+        with pytest.raises(RemoteError, match="ProtocolError.*64-bit"):
+            client.get("big")
+        with pytest.raises(RemoteError, match="ProtocolError.*64-bit"):
+            client.lookup("UserID", "u1")
+        # Same socket, still in sync.
+        assert client.put("small", {"UserID": "u2", "n": 1}) > 0
+        assert client.get("small") == {"UserID": "u2", "n": 1}
+    assert server.stats.errors == errors + 2
+    assert server.stats.connections_accepted == accepted
+
+
+def test_hostile_nesting_is_an_error_response(kv_server):
+    server, _db = kv_server
+    sock = socket.create_connection(server.address, timeout=5)
+    responses = FrameReader(sock)
+    try:
+        sock.sendall(encode_frame(b"[" * 100_000 + b"]" * 100_000))
+        error = decode_value(responses.next())
+        assert error[:2] == [0, STATUS_ERROR]
+        assert error[2][0] == "ProtocolError" and "recursion" in error[2][1]
+        sock.sendall(encode_frame(encode_value([1, "put", b"k", b"v"])))
+        assert decode_value(responses.next())[:2] == [1, STATUS_OK]
+    finally:
+        sock.close()
+    assert server.stats.errors == 1
+
+
+def test_a_request_the_codec_refuses_is_not_retried(kv_server):
+    # The caller's error, raised at once: no backoff, no reconnect, and
+    # the pooled connection stays.
+    server, _db = kv_server
+    sleeps: list[float] = []
+    with connect(server, retry=RetryPolicy(deadline=1.0,
+                                           sleep=sleeps.append)) as client:
+        assert client.put(b"before", b"v") > 0
+        with pytest.raises(ProtocolError, match="64-bit"):
+            client.put(b"k", {"n": 2**70})
+        with pytest.raises(ProtocolError, match="cannot encode"):
+            client.get(object())
+        pipeline = client.pipeline()
+        pipeline.put(b"p1", b"v")
+        with pytest.raises(ProtocolError, match="64-bit"):
+            pipeline.put(b"p2", 2**70)
+        pipeline.put(b"p3", b"v")
+        assert len(pipeline.flush()) == 2
+        pipeline.close()
+        assert client.get(b"p2") is None
+        assert client.get(b"p3") == b"v"
+    assert sleeps == []
+    assert server.stats.connections_accepted == 1
+
+
+def test_bytes_values_near_the_frame_limit(kv_server):
+    # A bytes value travels as base64, 4/3 its size: under the default
+    # limit the largest kv value is a little less than 3 MiB.  One over
+    # it is refused by the client before sending, not retried.
+    server, _db = kv_server
+    fits = b"\xff" * (DEFAULT_MAX_FRAME_BYTES * 3 // 4 - 1024)
+    sleeps: list[float] = []
+    with connect(server, retry=RetryPolicy(deadline=1.0,
+                                           sleep=sleeps.append)) as client:
+        client.put(b"big", fits)
+        assert client.get(b"big") == fits
+        with pytest.raises(FrameTooLargeError):
+            client.put(b"big", fits + b"\xff" * 2048)
+        assert client.get(b"big") == fits
+    assert sleeps == []
+    assert server.stats.connections_accepted == 1
 
 
 def test_oversized_frame_rejected_and_connection_dropped():
