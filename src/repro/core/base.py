@@ -85,10 +85,6 @@ class SecondaryIndex(ABC):
         of the old attribute value.
         """
 
-    def after_put(self, key: bytes, document: Document, seq: int) -> None:
-        """``PUT(key, document)`` committed at ``seq`` (the Embedded
-        index's MemTable view follows the primary MemTable here)."""
-
     # -- query path -------------------------------------------------------------
 
     def lookup(self, value: Any, k: int | None = None,

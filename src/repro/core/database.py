@@ -228,28 +228,20 @@ class SecondaryIndexedDB:
         # The write's own sequence: reading ``versions.last_sequence``
         # afterwards would race a concurrent writer.
         seq = self.primary.write(batch, seq) - batch.span() + 1
-        if op == "put":
-            for index in self.indexes.values():
-                index.after_put(key, document, seq)
         return seq, batch
 
-    def apply_committed(self, op: str, key: bytes,
-                        document: Document | None, seq: int,
-                        batch: WriteBatch) -> None:
-        """Apply the batch another copy of this store committed for
-        ``op`` on ``key`` at ``seq`` (:meth:`commit`), at that sequence:
-        its tables map onto this store's by name, and no index
-        maintenance runs, so nothing is read.  Only the Embedded index's
-        MemTable view is fed, from the record, as recovery feeds it."""
+    def apply_committed(self, seq: int, batch: WriteBatch) -> None:
+        """Apply the batch another copy of this store committed at ``seq``
+        (:meth:`commit`), at that sequence: its tables map onto this
+        store's by name, and no index maintenance runs, so nothing is
+        read (the Embedded index's MemTable postings come with the
+        primary write, as in recovery)."""
         self._check_open()
         by_label = {table_label(table.name): table
                     for _label, table in self.tables()}
         self.primary.write(batch.retarget(
             {table: by_label[table_label(table.name)]
              for table in batch.tables}), seq)
-        if op == "put":
-            for index in self.indexes.values():
-                index.after_put(key, document, seq)
 
     # -- secondary queries (Table 1) -----------------------------------------------
 

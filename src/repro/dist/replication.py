@@ -207,7 +207,7 @@ class ReplicaSet:
             if batch is None:
                 seq, batch = replica.db.commit(op, key, document, seq)
             else:
-                replica.db.apply_committed(op, key, document, seq, batch)
+                replica.db.apply_committed(seq, batch)
             replica.applied += 1
         if batch is None:
             raise NoReplicaError(

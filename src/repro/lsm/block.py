@@ -159,15 +159,6 @@ class Block:
         self._values: list[bytes] | None = None
         self._sort_keys: list[tuple[bytes, int]] | None = None
 
-    @property
-    def data(self) -> bytes:
-        """The block's raw (uncompressed) payload, restart array included.
-
-        ``Block(block.data)`` reconstructs an equivalent block; the shared
-        block cache ships these bytes across process boundaries.
-        """
-        return self._data
-
     def _parse_all(self) -> list[bytes]:
         """Decode every entry into ``self._keys``/``self._values`` (once).
 

@@ -388,7 +388,7 @@ class Pipeline:
             args = [client._client_id, client._next_write_seq(), op, args]
             op = "apply"
         self._queued.append(client._request(op, args))
-        return len(self._queued) - 1
+        return len(self.results) + len(self._queued) - 1
 
     def put(self, key: Any, value: Any) -> int:
         return self._queue_op("put", [key, value])

@@ -6,11 +6,11 @@ MemTables, one pinned Version — however the background flush and
 compaction interleave with it.  NoIndex (a full scan through
 ``DB.scan_with_seq``) is the reference answer.
 
-The race in scope is the B-tree's: the flush listener expires MemTable
-postings on the background thread.  A posting expired after the query's
-view was taken must still be found (in the view's sealed MemTable); one
-flushed before it must be found exactly once (on disk, not also through
-the B-tree).
+The race in scope is the B-tree's: the MemTable's postings leave with it
+when the background thread's flush installs.  A record flushed after the
+query's view was taken must still be found (in the view's sealed
+MemTable); one flushed before it must be found exactly once (on disk, not
+also through a MemTable's postings).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.core.noindex import NoIndex
 from repro.lsm.options import Options
 from repro.lsm.testing import DeterministicScheduler, explore_interleavings
 from repro.lsm.vfs import MemoryVFS
+from repro.lsm.zonemap import encode_attribute
 
 USERS = ("alice", "bob", "carol")
 
@@ -103,7 +104,8 @@ def test_embedded_equals_noindex_around_a_sealed_memtable():
     hook.hold = False
     db.flush()
     assert primary.imm is None and primary.level_file_counts()[0] >= 1
-    assert len(db.indexes["u"].memview) == 0
+    assert primary.memtable_postings("u", encode_attribute(""),
+                                     encode_attribute("\uffff")) == []
     assert _assert_equals_noindex(db) == written
     assert primary._version_pins == {}
     sched.shutdown()

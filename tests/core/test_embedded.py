@@ -9,6 +9,7 @@ from repro.core.embedded import EmbeddedIndex
 from repro.core.validity import ValidityChecker
 from repro.lsm.db import DB
 from repro.lsm.options import Options
+from repro.lsm.zonemap import encode_attribute
 
 
 class TestConstruction:
@@ -60,8 +61,8 @@ class TestMemTableComponent:
         db = open_db(IndexKind.EMBEDDED, index_options)
         load_tweets(db, 50)
         db.flush()
-        index = db.indexes["UserID"]
-        assert len(index.memview) == 0
+        assert db.primary.memtable_postings(
+            "UserID", encode_attribute(""), encode_attribute("\uffff")) == []
         # Data still findable through the SSTable filters.
         assert len(db.lookup("UserID", "u1")) == 5
         db.close()

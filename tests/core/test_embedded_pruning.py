@@ -48,7 +48,8 @@ ATTRIBUTES = ("UserID", "CreationTime")
 def reference_lookup(index: EmbeddedIndex, value, k, early_termination):
     encoded = encode_attribute(value)
     heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-    index._memtable_matches(heap, index.memview.get(encoded))
+    index._memtable_matches(heap, index.primary.memtable_postings(
+        index.attribute, encoded, encoded))
     return _reference_levels(index, heap, encoded, encoded, True,
                              early_termination)
 
@@ -59,8 +60,8 @@ def reference_range_lookup(index: EmbeddedIndex, low, high, k,
     if low_encoded > high_encoded:
         return []
     heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-    for _enc, postings in index.memview.range(low_encoded, high_encoded):
-        index._memtable_matches(heap, postings)
+    index._memtable_matches(heap, index.primary.memtable_postings(
+        index.attribute, low_encoded, high_encoded))
     return _reference_levels(index, heap, low_encoded, high_encoded, False,
                              early_termination)
 

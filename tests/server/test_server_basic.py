@@ -174,6 +174,22 @@ def test_pipeline_mixes_reads_and_writes(kv_server):
         assert w2_seq > w1_seq
 
 
+def test_pipeline_indexes_count_across_flushes(kv_server):
+    """An op's returned index points into :attr:`Pipeline.results`, which
+    every flush extends, not into the burst being queued."""
+    server, _db = kv_server
+    with connect(server) as client:
+        pipe = client.pipeline()
+        put_at = pipe.put(b"a", b"1")
+        pipe.flush()
+        get_at = pipe.get(b"a")
+        pipe.flush()
+        assert (put_at, get_at) == (0, 1)
+        assert pipe.results[get_at] == b"1"
+        assert isinstance(pipe.results[put_at], int)
+        pipe.close()
+
+
 def test_pipeline_error_does_not_desync(kv_server):
     server, _db = kv_server
     with connect(server) as client:
@@ -287,6 +303,30 @@ def test_a_result_the_codec_refuses_is_an_error_response(doc_server):
         assert client.get("small") == {"UserID": "u2", "n": 1}
     assert server.stats.errors == errors + 2
     assert server.stats.connections_accepted == accepted
+
+
+def test_a_lone_surrogate_is_refused_and_a_pair_is_kept(doc_server):
+    """A foreign peer's ``\\ud800`` escape is a protocol error, so no
+    document is stored that no client could read back; an escaped
+    surrogate pair is one character and round-trips."""
+    server, db = doc_server
+    sock = socket.create_connection(server.address, timeout=5)
+    responses = FrameReader(sock)
+    try:
+        sock.sendall(encode_frame(
+            b'[1,"put","k",{"UserID":"u1","t":"\\ud800"}]'))
+        error = decode_value(responses.next())
+        assert error[:2] == [0, STATUS_ERROR]
+        assert error[2][0] == "ProtocolError" and "surrogate" in error[2][1]
+        sock.sendall(encode_frame(
+            b'[2,"put","k",{"UserID":"u1","t":"\\ud83d\\ude00"}]'))
+        assert decode_value(responses.next())[:2] == [2, STATUS_OK]
+        sock.sendall(encode_frame(encode_value([3, "get", "k"])))
+        assert decode_value(responses.next()) == \
+            [3, STATUS_OK, {"UserID": "u1", "t": "\U0001f600"}]
+    finally:
+        sock.close()
+    assert db.get("k") == {"UserID": "u1", "t": "\U0001f600"}
 
 
 def test_hostile_nesting_is_an_error_response(kv_server):
