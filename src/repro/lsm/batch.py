@@ -43,6 +43,8 @@ class WriteBatch:
         self._own = 0   # ops of the writing DB itself
         self._span = 0  # the most ops any one table receives
         self._deferred = False
+        #: Each op's column slots, or ``None`` (see :meth:`DB.write`).
+        self.slots: list[tuple[bytes, ...] | None] | None = None
 
     def _add(self, kind: int, key: bytes, value, table) -> "WriteBatch":
         self.ops.append((kind, key, value, table))
