@@ -55,7 +55,6 @@ _EXPORTS = {
     "ShardedDB": ("repro.dist.cluster", "ShardedDB"),
     "ThreadSafeDB": ("repro.core.concurrent", "ThreadSafeDB"),
     "WorkloadProfile": ("repro.core.selector", "WorkloadProfile"),
-    "analyze_trace": ("repro.core.analyzer", "analyze_trace"),
     "verify_integrity": ("repro.lsm.checker", "verify_integrity"),
 }
 

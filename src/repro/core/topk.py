@@ -11,6 +11,8 @@ from __future__ import annotations
 import heapq
 from typing import Generic, TypeVar
 
+from repro.lsm.errors import InvalidArgumentError
+
 T = TypeVar("T")
 
 
@@ -18,8 +20,9 @@ class TopKBySeq(Generic[T]):
     """Keep the ``k`` items with the largest sequence numbers."""
 
     def __init__(self, k: int | None) -> None:
-        if k is not None and k <= 0:
-            raise ValueError("k must be positive or None")
+        if k is not None and (type(k) is not int or k < 1):  # bool is not a k
+            raise InvalidArgumentError(
+                f"k must be a positive int or None, got {k!r}")
         self.k = k
         self._heap: list[tuple[int, int, T]] = []
         self._tiebreak = 0  # makes heap entries totally ordered

@@ -34,6 +34,7 @@ from repro.core.records import (
 )
 from repro.core.topk import TopKBySeq
 from repro.lsm.db import DB
+from repro.lsm.zonemap import encode_attribute
 
 #: A batched data-table GET: ``keys -> {key: (value, seq) | None}``.
 FetchMany = Callable[[list[bytes]], dict[bytes, tuple[bytes, int] | None]]
@@ -129,9 +130,20 @@ class ValidityChecker:
 
 
 def attribute_equals(attribute: str, value: Any) -> Callable[[Document], bool]:
-    """Predicate: the live document still carries ``attribute == value``."""
+    """Predicate: the live document's ``attribute`` still encodes as
+    ``value`` does — the equality of Embedded, NoIndex and RANGELOOKUP
+    (``nan``, ``b"a"`` and ``"a"``, ints sharing a float).  Equal values
+    encode equal, so a plain ``==`` decides the common hit first."""
+    encoded = encode_attribute(value)
+
     def check(document: Document) -> bool:
-        return attribute_of(document, attribute) == value
+        attr_value = attribute_of(document, attribute)
+        if attr_value == value:
+            return True
+        try:
+            return encode_attribute(attr_value) == encoded
+        except TypeError:  # the attribute is gone, or is a list or object
+            return False
     return check
 
 

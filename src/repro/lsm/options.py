@@ -185,9 +185,9 @@ class Options:
         ``step_hook(label)`` at the named yield points of the write
         pipeline (``"write:wal"``, ``"bg:flush:install"``, ...), and every
         internal wait spins through the hook instead of blocking on a
-        condition variable.  The deterministic scheduler in
-        :mod:`repro.lsm.testing` uses this to serialise all threads and
-        enumerate interleavings.  ``None`` (the default) costs nothing.
+        condition variable.  The deterministic scheduler in the test
+        suite's ``tests/scheduling.py`` uses this to serialise all threads
+        and enumerate interleavings.  ``None`` (the default) costs nothing.
     """
 
     block_size: int = 4096

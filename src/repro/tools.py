@@ -283,6 +283,9 @@ def _parse_index_map(indexes: str, out: IO[str]):
             out.write(f"bad --indexes entry {spec!r} "
                       "(want attr=kind)\n")
             return None
+        if attribute in index_map:
+            out.write(f"repeated --indexes attribute {attribute!r}\n")
+            return None
         try:
             index_map[attribute] = IndexKind(kind.lower())
         except ValueError:

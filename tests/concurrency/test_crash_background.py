@@ -17,7 +17,7 @@ from repro.lsm.db import DB
 from repro.lsm.errors import SimulatedCrashError
 from repro.lsm.faults import FaultInjectingVFS
 from repro.lsm.options import Options
-from repro.lsm.testing import DeterministicScheduler
+from scheduling import DeterministicScheduler
 
 SCRIPT = [(b"k%03d" % i, b"v%03d-" % i + b"x" * 12) for i in range(80)]
 

@@ -21,7 +21,7 @@ from repro.core.base import IndexKind
 from repro.core.database import SecondaryIndexedDB
 from repro.core.noindex import NoIndex
 from repro.lsm.options import Options
-from repro.lsm.testing import DeterministicScheduler, explore_interleavings
+from scheduling import DeterministicScheduler, explore_interleavings
 from repro.lsm.vfs import MemoryVFS
 from repro.lsm.zonemap import encode_attribute
 

@@ -14,7 +14,7 @@ import threading
 
 from repro.lsm.db import DB, WriteBatch
 from repro.lsm.options import Options
-from repro.lsm.testing import DeterministicScheduler, explore_interleavings
+from scheduling import DeterministicScheduler, explore_interleavings
 
 
 def _torn_read_scenario(sched):

@@ -15,7 +15,7 @@ import threading
 from repro.lsm.db import DB
 from repro.lsm.manifest import table_file_name
 from repro.lsm.options import Options
-from repro.lsm.testing import DeterministicScheduler
+from scheduling import DeterministicScheduler
 from repro.lsm.vfs import LocalVFS, MemoryVFS
 
 

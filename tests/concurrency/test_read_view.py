@@ -16,7 +16,7 @@ from repro.core.database import SecondaryIndexedDB
 from repro.core.validity import ValidityChecker
 from repro.lsm.db import DB
 from repro.lsm.options import Options
-from repro.lsm.testing import DeterministicScheduler
+from scheduling import DeterministicScheduler
 from repro.lsm.vfs import MemoryVFS
 
 

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.lsm.testing import (
+from scheduling import (
     DeterministicScheduler,
     SchedulerDeadlockError,
     explore_interleavings,

@@ -5,6 +5,7 @@ import pytest
 from conftest import open_db
 
 from repro.core.base import IndexKind
+from repro.lsm.errors import InvalidArgumentError
 
 ALL = [IndexKind.EMBEDDED, IndexKind.EAGER, IndexKind.LAZY,
        IndexKind.COMPOSITE, IndexKind.NOINDEX]
@@ -107,6 +108,19 @@ class TestQueryEdges:
         assert db.lookup("UserID", "u1", early_termination=False) == []
         db.compact_all()
         assert db.lookup("UserID", "u1", early_termination=False) == []
+        db.close()
+
+    @pytest.mark.parametrize("k", [0, -1, True, 2.5, "3"])
+    def test_k_that_is_not_a_positive_int_is_refused(self, index_options,
+                                                      kind, k):
+        db = open_db(kind, index_options)
+        for i in range(5):
+            db.put(f"t{i}", {"UserID": "u1"})
+        with pytest.raises(InvalidArgumentError, match="k must be"):
+            db.lookup("UserID", "u1", k=k)
+        with pytest.raises(InvalidArgumentError, match="k must be"):
+            db.range_lookup("UserID", "u0", "u2", k=k)
+        assert len(db.lookup("UserID", "u1", k=2)) == 2
         db.close()
 
     def test_results_carry_full_documents(self, index_options, kind):

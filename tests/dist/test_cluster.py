@@ -290,6 +290,20 @@ class TestFanOut:
         cluster.close()
 
 
+@pytest.mark.parametrize("scope", ["local", "global"])
+@pytest.mark.parametrize("k", [0, True, 2.5, "3"])
+def test_k_that_is_not_a_positive_int_is_refused(scope, k):
+    cluster = _local_cluster() if scope == "local" else _global_cluster()
+    for i in range(5):
+        cluster.put(f"k{i}", {"UserID": "u001"})
+    with pytest.raises(InvalidArgumentError, match="k must be"):
+        cluster.lookup("UserID", "u001", k=k)
+    with pytest.raises(InvalidArgumentError, match="k must be"):
+        cluster.range_lookup("UserID", "u000", "u002", k=k)
+    assert len(cluster.lookup("UserID", "u001", k=2)) == 2
+    cluster.close()
+
+
 class TestGlobalIndexMaintenance:
     def test_deletes_clean_global_index(self):
         cluster = _global_cluster()

@@ -30,7 +30,7 @@ from repro.dist.partitioner import SplitHashRing
 from repro.lsm.errors import SimulatedCrashError
 from repro.lsm.faults import FaultInjectingVFS
 from repro.lsm.options import Options
-from repro.lsm.testing import DeterministicScheduler, explore_interleavings
+from scheduling import DeterministicScheduler, explore_interleavings
 
 FULL = os.environ.get("REPRO_DIST_DRILLS") == "full"
 

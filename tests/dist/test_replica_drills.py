@@ -25,7 +25,7 @@ import pytest
 from repro.core.base import IndexKind
 from repro.dist.cluster import ShardedDB
 from repro.lsm.options import Options
-from repro.lsm.testing import DeterministicScheduler
+from scheduling import DeterministicScheduler
 
 FULL = os.environ.get("REPRO_DIST_DRILLS") == "full"
 NEVER = 10 ** 9

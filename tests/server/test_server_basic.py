@@ -128,6 +128,20 @@ def test_doc_mode_lookup_and_range(doc_server):
             == ["t3"]
 
 
+@pytest.mark.parametrize("k", [0, True, 2.5, "3"])
+def test_lookup_k_that_is_not_a_positive_int_is_an_error(doc_server, k):
+    server, _db = doc_server
+    with connect(server) as client:
+        _put_rows(client, "doc_server", 5)
+        with pytest.raises(RemoteError,
+                           match="InvalidArgumentError: k must be"):
+            client.lookup("UserID", "u1", k)
+        with pytest.raises(RemoteError,
+                           match="InvalidArgumentError: k must be"):
+            client.range_lookup("UserID", "u0", "u2", k)
+        assert len(client.lookup("UserID", "u1", 2)) == 2  # still serves
+
+
 def test_stats_exposes_engine_and_server(kv_server):
     server, db = kv_server
     with connect(server) as client:

@@ -22,7 +22,7 @@ import time
 
 from repro.lsm.db import DB
 from repro.lsm.options import Options
-from repro.lsm.testing import DeterministicScheduler
+from scheduling import DeterministicScheduler
 from repro.lsm.vfs import LocalVFS, MemoryVFS
 from repro.server import Client, Server
 

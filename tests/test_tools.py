@@ -10,7 +10,7 @@ from repro.lsm.db import DB
 from repro.lsm.manifest import table_file_name
 from repro.lsm.options import Options
 from repro.lsm.vfs import LocalVFS
-from repro.tools import main
+from repro.tools import _parse_index_map, main
 
 
 @pytest.fixture
@@ -298,6 +298,13 @@ class TestArgumentParsing:
     def test_profile_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             main(["profile", "nosuch"], io.StringIO())
+
+    def test_serve_indexes_refuse_a_repeated_attribute(self):
+        out = io.StringIO()
+        assert _parse_index_map("UserID=lazy,UserID=eager", out) is None
+        assert out.getvalue() == "repeated --indexes attribute 'UserID'\n"
+        assert _parse_index_map("UserID=lazy,Time=eager", out) == {
+            "UserID": IndexKind.LAZY, "Time": IndexKind.EAGER}
 
 
 class TestProfile:
