@@ -10,6 +10,7 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.core.records import Document
 from repro.core.topk import TopKBySeq
 from repro.lsm.db import DB, WriteBatch
+from repro.lsm.zonemap import encode_attribute
 
 #: An ownership filter on primary keys (a cluster shard's part of the ring).
 Owns = Callable[[str | bytes], bool]
@@ -113,7 +114,6 @@ class SecondaryIndex(ABC):
         on a fresh heap.
         """
 
-    @abstractmethod
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
                      early_termination: bool = True,
                      owns: Owns | None = None) -> list[LookupResult]:
@@ -123,8 +123,24 @@ class SecondaryIndex(ABC):
         where the technique supports it; passing ``False`` forces an
         exhaustive scan (exact top-K even under pathological compaction
         timing).  As in :meth:`lookup_into`, a record whose primary key
-        ``owns`` rejects is not a result.
+        ``owns`` rejects is not a result.  ``k`` is checked first, so an
+        inverted range (``a > b`` in encoded order, which answers nothing)
+        refuses a bad ``k`` too.
         """
+        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
+        low_encoded = encode_attribute(low)
+        high_encoded = encode_attribute(high)
+        if low_encoded <= high_encoded:
+            self.range_lookup_into(heap, low_encoded, high_encoded,
+                                   early_termination, owns)
+        return heap.results()
+
+    @abstractmethod
+    def range_lookup_into(self, heap: TopKBySeq[LookupResult], low: bytes,
+                          high: bytes, early_termination: bool,
+                          owns: Owns | None) -> None:
+        """Offer :meth:`range_lookup`'s results over the encoded range
+        ``[low, high]`` (``low <= high``) to the fresh ``heap``."""
 
     # -- maintenance ------------------------------------------------------------
 

@@ -152,28 +152,21 @@ class CompositeIndex(StandAloneIndex):
             seq, _pos = decode_varint(payload, 0)
             yield seq, composite[len(prefix):]
 
-    def range_lookup(self, low: Any, high: Any, k: int | None = None,
-                     early_termination: bool = True,
-                     owns: Owns | None = None) -> list[LookupResult]:
+    def range_lookup_into(self, heap: TopKBySeq[LookupResult], low: bytes,
+                          high: bytes, early_termination: bool,
+                          owns: Owns | None) -> None:
         """Algorithm 7: one ordered scan across the whole composite range."""
-        low_encoded = encode_attribute(low)
-        high_encoded = encode_attribute(high)
-        if low_encoded > high_encoded:
-            return []
-        predicate = attribute_in_range(self.attribute, low, high,
-                                       encode_attribute)
-        scan_lo = attribute_prefix(low_encoded)
+        scan_lo = attribute_prefix(low)
         # Exact upper bound: just past every composite key of the high value.
-        scan_hi = prefix_successor(attribute_prefix(high_encoded))
+        scan_hi = prefix_successor(attribute_prefix(high))
         candidates: list[tuple[int, bytes]] = []
         for composite, payload in self.index_db.scan(scan_lo, scan_hi):
             encoded_attr, primary_key = split_composite_key(composite)
-            if encoded_attr > high_encoded:
+            if encoded_attr > high:
                 break
             self.candidates_scanned += 1
             posting_seq, _pos = decode_varint(payload, 0)
             candidates.append((posting_seq, primary_key))
-        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-        self.checker.harvest(sorted(candidates, reverse=True), predicate,
+        self.checker.harvest(sorted(candidates, reverse=True),
+                             attribute_in_range(self.attribute, low, high),
                              heap, set(), owns)
-        return heap.results()

@@ -107,9 +107,9 @@ class EagerIndex(StandAloneIndex):
             self._harvest(decode_posting_list(payload),
                           attribute_equals(self.attribute, value), heap, owns)
 
-    def range_lookup(self, low: Any, high: Any, k: int | None = None,
-                     early_termination: bool = True,
-                     owns: Owns | None = None) -> list[LookupResult]:
+    def range_lookup_into(self, heap: TopKBySeq[LookupResult], low: bytes,
+                          high: bytes, early_termination: bool,
+                          owns: Owns | None) -> None:
         """Range scan on the index table, merging lists newest-first.
 
         "We issue this range query on our index table for given range
@@ -118,19 +118,10 @@ class EagerIndex(StandAloneIndex):
         by sequence so candidates are validated in strictly newest-first
         order and validation GETs stop after K hits.
         """
-        low_encoded = encode_attribute(low)
-        high_encoded = encode_attribute(high)
-        if low_encoded > high_encoded:
-            return []
-        postings = [entry for _key, payload
-                    in self.index_db.scan(low_encoded, high_encoded)
+        postings = [entry for _key, payload in self.index_db.scan(low, high)
                     for entry in decode_posting_list(payload)]
-        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-        self._harvest(
-            postings,
-            attribute_in_range(self.attribute, low, high, encode_attribute),
-            heap, owns)
-        return heap.results()
+        self._harvest(postings, attribute_in_range(self.attribute, low, high),
+                      heap, owns)
 
     def _harvest(self, postings: list[list], predicate,
                  heap: TopKBySeq[LookupResult],

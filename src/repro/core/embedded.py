@@ -133,15 +133,11 @@ class EmbeddedIndex(SecondaryIndex):
         offer(heap, self._query(encoded, encoded, bloom_hash(encoded),
                                 heap.k, early_termination, owns))
 
-    def range_lookup(self, low: Any, high: Any, k: int | None = None,
-                     early_termination: bool = True,
-                     owns: Owns | None = None) -> list[LookupResult]:
-        low_encoded = encode_attribute(low)
-        high_encoded = encode_attribute(high)
-        if low_encoded > high_encoded:
-            return []
-        return self._query(low_encoded, high_encoded, None, k,
-                           early_termination, owns)
+    def range_lookup_into(self, heap: TopKBySeq[LookupResult], low: bytes,
+                          high: bytes, early_termination: bool,
+                          owns: Owns | None) -> None:
+        offer(heap, self._query(low, high, None, heap.k, early_termination,
+                                owns))
 
     def _query(self, low: bytes, high: bytes,
                value_hash: tuple[int, int] | None, k: int | None,

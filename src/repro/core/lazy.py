@@ -192,9 +192,9 @@ class LazyIndex(StandAloneIndex):
             ((posting[1], key_to_bytes(posting[0])) for posting in postings),
             state.predicate, state.heap, state.resolved, state.owns)
 
-    def range_lookup(self, low: Any, high: Any, k: int | None = None,
-                     early_termination: bool = True,
-                     owns: Owns | None = None) -> list[LookupResult]:
+    def range_lookup_into(self, heap: TopKBySeq[LookupResult], low: bytes,
+                          high: bytes, early_termination: bool,
+                          owns: Owns | None) -> None:
         """Algorithm 6: a level-by-level range scan over the index table.
 
         "The original range iterator ... does not scan a key within the
@@ -205,18 +205,13 @@ class LazyIndex(StandAloneIndex):
         times, this is the paper's behaviour but is only approximately
         top-K — pass ``False`` for an exhaustive (exact) scan.
         """
-        low_encoded = encode_attribute(low)
-        high_encoded = encode_attribute(high)
-        if low_encoded > high_encoded:
-            return []
-        state = _HarvestState(TopKBySeq(k), attribute_in_range(
-            self.attribute, low, high, encode_attribute), owns)
+        state = _HarvestState(heap, attribute_in_range(
+            self.attribute, low, high), owns)
         shadowed: set[bytes] = set()
         for level in [-1, *range(self.index_db.options.max_levels)]:
             self.levels_visited += 1
             postings: list[list] = []
-            for ikey, payload in self.index_db.scan_level(
-                    level, low_encoded, high_encoded):
+            for ikey, payload in self.index_db.scan_level(level, low, high):
                 if ikey.user_key in shadowed:
                     continue
                 if ikey.kind != KIND_MERGE:
@@ -226,6 +221,5 @@ class LazyIndex(StandAloneIndex):
                 self._gather(ikey.user_key, decode_posting_list(payload),
                              postings, state)
             self._harvest(postings, state)
-            if early_termination and state.heap.is_full:
+            if early_termination and heap.is_full:
                 break
-        return state.heap.results()

@@ -12,9 +12,14 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.base import IndexKind, LookupResult, Owns, SecondaryIndex
-from repro.core.records import attribute_of, decode_document, key_to_str
+from repro.core.records import (
+    Document,
+    attribute_of,
+    decode_document,
+    key_to_str,
+)
 from repro.core.topk import TopKBySeq
-from repro.lsm.db import DB
+from repro.lsm.db import DB, WriteBatch
 from repro.lsm.zonemap import encode_attribute
 
 
@@ -27,22 +32,26 @@ class NoIndex(SecondaryIndex):
         super().__init__(attribute)
         self.primary = primary
 
+    def on_put(self, batch: WriteBatch, key: bytes,
+               document: Document) -> None:
+        """Nothing to index, but a value no query could compare (a list,
+        an object, an int past float range) is refused here, before the
+        commit, as every other kind refuses it — stored, it would make
+        every later LOOKUP and RANGELOOKUP raise."""
+        attr_value = attribute_of(document, self.attribute)
+        if attr_value is not None:
+            encode_attribute(attr_value)
+
     def lookup_into(self, heap: TopKBySeq[LookupResult], value: Any,
                     early_termination: bool = True,
                     owns: Owns | None = None) -> None:
         encoded = encode_attribute(value)
         self._scan(lambda e: e == encoded, heap, owns)
 
-    def range_lookup(self, low: Any, high: Any, k: int | None = None,
-                     early_termination: bool = True,
-                     owns: Owns | None = None) -> list[LookupResult]:
-        low_encoded = encode_attribute(low)
-        high_encoded = encode_attribute(high)
-        if low_encoded > high_encoded:
-            return []
-        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-        self._scan(lambda e: low_encoded <= e <= high_encoded, heap, owns)
-        return heap.results()
+    def range_lookup_into(self, heap: TopKBySeq[LookupResult], low: bytes,
+                          high: bytes, early_termination: bool,
+                          owns: Owns | None) -> None:
+        self._scan(lambda e: low <= e <= high, heap, owns)
 
     def _scan(self, matches, heap: TopKBySeq[LookupResult],
               owns: Owns | None = None) -> None:

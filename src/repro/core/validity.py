@@ -147,17 +147,13 @@ def attribute_equals(attribute: str, value: Any) -> Callable[[Document], bool]:
     return check
 
 
-def attribute_in_range(attribute: str, low: Any, high: Any,
-                       encode: Callable[[Any], bytes]
+def attribute_in_range(attribute: str, low: bytes, high: bytes
                        ) -> Callable[[Document], bool]:
-    """Predicate: ``low <= document[attribute] <= high`` in encoded order."""
-    low_encoded = encode(low)
-    high_encoded = encode(high)
+    """Predicate: ``low <= document[attribute] <= high``, bounds encoded."""
 
     def check(document: Document) -> bool:
         attr_value = attribute_of(document, attribute)
         if attr_value is None:
             return False
-        encoded = encode(attr_value)
-        return low_encoded <= encoded <= high_encoded
+        return low <= encode_attribute(attr_value) <= high
     return check

@@ -156,27 +156,23 @@ class GlobalSecondaryIndex:
 
     def range_lookup(self, low: Any, high: Any, k: int | None = None,
                      early_termination: bool = True) -> list[LookupResult]:
-        """RANGELOOKUP over the index shards that can hold in-range values."""
-        shard_ids = self.partitioner.shards_overlapping(
-            encode_attribute(low), encode_attribute(high))
-        merged: list[LookupResult] = []
-        for shard_id in shard_ids:
-            self.shards_contacted += 1
-            merged.extend(self.shards[shard_id].range_lookup(
-                low, high, k, early_termination))
+        """RANGELOOKUP over the index shards that can hold in-range values;
+        ``k`` is checked before any shard is asked."""
+        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
         # A record updated between two in-range values leaves a stale
         # posting on a *different* index shard; both copies validate
-        # against the live record, so deduplicate by primary key (the
+        # against the live record, so offer each primary key once (the
         # copies are identical results).
-        merged.sort(key=lambda r: -r.seq)
         seen: set[str] = set()
-        deduped = []
-        for result in merged:
-            if result.key in seen:
-                continue
-            seen.add(result.key)
-            deduped.append(result)
-        return deduped if k is None else deduped[:k]
+        for shard_id in self.partitioner.shards_overlapping(
+                encode_attribute(low), encode_attribute(high)):
+            self.shards_contacted += 1
+            for result in self.shards[shard_id].range_lookup(
+                    low, high, k, early_termination):
+                if result.key not in seen:
+                    seen.add(result.key)
+                    heap.add(result.seq, result)
+        return heap.results()
 
     def rebuild(self, records: Iterable[tuple[bytes, Document, int]]) -> int:
         """Discard the ring and replay every live owned record.

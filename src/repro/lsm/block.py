@@ -288,15 +288,6 @@ class Block:
         index-aligned — for a caller that visits chosen entries only."""
         return self._materialize_sort_keys(), self._values
 
-    def sorted_seek(self, target: bytes
-                    ) -> Iterator[tuple[tuple[bytes, int], bytes]]:
-        """``(sort_key, value)`` pairs with internal key >= ``target``."""
-        sort_keys = self._materialize_sort_keys()
-        values = self._values
-        for index in range(bisect_left(sort_keys, internal_sort_key(target)),
-                           len(sort_keys)):
-            yield sort_keys[index], values[index]
-
     def seek(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Iterate entries with internal key >= ``target``.
 

@@ -64,7 +64,6 @@ from repro.lsm.errors import (
     SimulatedCrashError,
     WriteStallError,
 )
-from repro.lsm.iterator import merge_streams
 from repro.lsm.keys import (
     KIND_FOR_SEEK,
     KIND_MERGE,
@@ -1517,21 +1516,22 @@ class DB:
         """Fold ``key``'s versions, newest first, down to a base or tombstone."""
         operands: list[bytes] = []
         newest_seq: int | None = None
-        for kind, seq, value in self._versions_of(key, max_seq, memtables,
-                                                  version, held):
-            if newest_seq is None:
-                newest_seq = seq
-            if kind == KIND_MERGE:
-                operands.append(value)
-                continue
-            if kind == KIND_VALUE:
+        for _level, entries in self._level_walk(key, max_seq, memtables,
+                                                version, Category.DATA, held):
+            for kind, seq, value in entries:
+                if newest_seq is None:
+                    newest_seq = seq
+                if kind == KIND_MERGE:
+                    operands.append(value)
+                    continue
+                if kind == KIND_VALUE:
+                    if operands:
+                        return self._fold(key, operands, value), newest_seq
+                    return value, seq
+                # Tombstone: stop — older versions are dead.
                 if operands:
-                    return self._fold(key, operands, value), newest_seq
-                return value, seq
-            # Tombstone: stop — older versions are dead.
-            if operands:
-                return self._fold(key, operands, None), newest_seq
-            return None
+                    return self._fold(key, operands, None), newest_seq
+                return None
         if operands:
             assert newest_seq is not None
             return self._fold(key, operands, None), newest_seq
@@ -1548,55 +1548,51 @@ class DB:
             oldest_first.insert(0, base)
         return operator(key, oldest_first)
 
-    def _versions_of(self, key: bytes, max_seq: int, memtables, version,
-                     held: dict | None) -> Iterator[tuple[int, int, bytes]]:
-        """All stored versions of ``key``, newest first, across components.
+    def _level_walk(self, key: bytes, max_seq: int, memtables, version,
+                    category: Category, held: dict | None
+                    ) -> Iterator[tuple[int, Iterable[tuple[int, int, bytes]]]]:
+        """The one per-key walk: ``(level, entries)`` per component level
+        that may hold ``key``, top down, each level's ``(kind, seq, value)``
+        entries newest first.
 
-        Lazy: a GET that resolves in an upper component never opens the
-        tables below it.  Tables are read under :meth:`_contain`'s idiom.
+        Level ``-1`` is the view's MemTables (the active one first: its
+        sequences are strictly newer than the sealed one's).  Level 0's
+        files overlap, so their versions are read together and interleaved
+        by sequence; a deeper level has at most one candidate file, whose
+        entries stream lazily, so a GET that resolves in an upper component
+        never opens the tables below it.  Tables are read under
+        :meth:`_table_entries`'s form of :meth:`_contain`'s idiom.
         """
+        in_memory = []
         for memtable in memtables:
             for entry in memtable.versions(key, max_seq):
-                yield entry.kind, entry.seq, entry.value
-        quarantined = self._quarantined
-        table_cache_get = self.table_cache.get
-        # Level 0 files may each hold versions; interleave them by seq.
-        l0_entries: list[tuple[int, int, bytes]] = []
-        for meta in version.files_containing_key(0, key):
-            file_number = meta.file_number
-            if file_number in quarantined:
+                in_memory.append((entry.kind, entry.seq, entry.value))
+        if in_memory:
+            yield -1, in_memory
+        read = methodcaller("versions_raw", key, max_seq, category, held)
+        for level in range(self.options.max_levels):
+            files = version.files_containing_key(level, key)
+            if not files:
                 continue
-            try:
-                l0_entries.extend(table_cache_get(file_number).versions_raw(
-                    key, max_seq, Category.DATA, held))
-            except CorruptionError as exc:
-                self._contain(file_number, exc)
-        if l0_entries:
-            l0_entries.sort(key=lambda item: -item[1])
-            yield from l0_entries
-        for level in range(1, self.options.max_levels):
-            for meta in version.files_containing_key(level, key):
-                file_number = meta.file_number
-                if file_number in quarantined:
-                    continue
-                try:
-                    yield from table_cache_get(file_number) \
-                        .versions_raw(key, max_seq, Category.DATA, held)
-                except CorruptionError as exc:
-                    self._contain(file_number, exc)
+            if level:
+                yield level, self._table_entries(files, read)
+            else:
+                yield 0, sorted(self._table_entries(files, read),
+                                key=itemgetter(1), reverse=True)
 
     # -- LevelDB++ probes -------------------------------------------------------
 
     def fragments_by_level(
             self, key: bytes, max_seq: int = MAX_SEQUENCE
     ) -> Iterator[tuple[int, list[tuple[int, int, bytes]]]]:
-        """Per-level version lists for ``key``, one level at a time:
-        ``(level, [(kind, seq, value)])``.
+        """Per-level version lists for ``key``, one non-empty level at a
+        time: ``(level, [(kind, seq, value)])``.
 
         Level ``-1`` is the MemTable.  Within a level, entries come newest
         first.  This is the access path of the Lazy index's LOOKUP
         (Algorithm 3): "it checks the MemTable and then the SSTables, and
-        moves down in the storage hierarchy one level at a time".  A level
+        moves down in the storage hierarchy one level at a time" — GET's
+        walk (:meth:`_level_walk`), charged to ``Category.INDEX``.  A level
         is read only when the caller asks for it, so a walk that stops
         early never reads the levels below.  The generator holds the read
         view from its first item until it is exhausted, closed or
@@ -1606,29 +1602,10 @@ class DB:
         try:
             if max_seq == MAX_SEQUENCE:
                 max_seq = view_seq  # implicit snapshot, as in get()
-            # Active MemTable first: its sequences are strictly newer than
-            # the sealed one's, so the concatenation is already newest-first.
-            mem = [(e.kind, e.seq, e.value)
-                   for memtable in memtables
-                   for e in memtable.versions(key, max_seq)]
-            if mem:
-                yield -1, mem
-            quarantined = self._quarantined
-            table_cache_get = self.table_cache.get
-            for level in range(self.options.max_levels):
-                found: list[tuple[int, int, bytes]] = []
-                for meta in version.files_containing_key(level, key):
-                    file_number = meta.file_number
-                    if file_number in quarantined:
-                        continue
-                    try:
-                        found.extend(
-                            table_cache_get(file_number)
-                            .versions_raw(key, max_seq, Category.INDEX))
-                    except CorruptionError as exc:
-                        self._contain(file_number, exc)
+            for level, entries in self._level_walk(
+                    key, max_seq, memtables, version, Category.INDEX, None):
+                found = list(entries)
                 if found:
-                    found.sort(key=lambda item: -item[1])
                     yield level, found
         finally:
             self._release_view(pin)
@@ -1805,9 +1782,9 @@ class DB:
                       ) -> Iterator[tuple[bytes, bytes, int]]:
         """Like :meth:`scan` but yields ``(key, value, seq)``.
 
-        This is a fused fast path over the reference pipeline
-        ``clip_to_range(resolve_versions(merge_streams(...)))`` (which the
-        equivalence tests pin it against): one loop does the k-way heap
+        This is a fused fast path over the reference pipeline of
+        :mod:`repro.lsm.iterator` (which the equivalence tests pin it
+        against): one loop does the k-way heap
         merge and the version resolution directly on ``(sort_key, value)``
         pairs, so no :class:`InternalKey` is allocated per entry and no
         per-entry generator hand-off happens between pipeline stages.
@@ -1816,24 +1793,9 @@ class DB:
         try:
             if snapshot is not None:
                 max_seq = snapshot.seq
-            entries = methodcaller(
-                "sorted_entries",
-                None if lo is None else
-                pack_internal_key(lo, MAX_SEQUENCE, KIND_FOR_SEEK),
-                category, fill_cache)
-            streams = [self._memtable_sorted(lo, memtable)
-                       for memtable in memtables]
-            # Level-0 files overlap: one heap stream each.  Deeper levels are
-            # disjoint and sorted, so a whole level concatenates into a single
-            # stream (LevelDB's concatenating iterator) — the heap holds one
-            # entry per *level*, not per file, keeping each sift logarithmic in
-            # the number of components rather than the number of files.
-            for meta in version.overlapping_files(0, lo, hi):
-                streams.append(self._table_entries((meta,), entries))
-            for level in range(1, self.options.max_levels):
-                files = version.overlapping_files(level, lo, hi)
-                if files:
-                    streams.append(self._table_entries(files, entries))
+            streams = self._range_streams(
+                range(-1, self.options.max_levels), lo, hi, memtables,
+                version, category, fill_cache)
 
             # Seed the heap: (sort_key, stream_index, value, advance).  The
             # stream index breaks sort-key ties, so the newest component wins
@@ -1922,6 +1884,39 @@ class DB:
             except CorruptionError as exc:
                 self._contain(file_number, exc)
 
+    def _range_streams(self, levels: Iterable[int], lo: bytes | None,
+                       hi: bytes | None, memtables, version,
+                       category: Category, fill_cache: bool = True
+                       ) -> list[Iterator[tuple[tuple[bytes, int], bytes]]]:
+        """The one range-stream builder: sorted ``(sort_key, value)``
+        streams of ``levels`` (``-1``: the view's MemTables) from ``lo`` on,
+        newest component first.
+
+        One stream per MemTable and per level-0 file, since those overlap.
+        Deeper levels are disjoint and sorted, so a whole level concatenates
+        into a single stream (LevelDB's concatenating iterator): a merge
+        heap holds one entry per *level*, not per file, keeping each sift
+        logarithmic in the number of components rather than of files.
+        """
+        entries = methodcaller(
+            "sorted_entries",
+            None if lo is None else
+            pack_internal_key(lo, MAX_SEQUENCE, KIND_FOR_SEEK),
+            category, fill_cache)
+        streams = []
+        for level in levels:
+            if level == -1:
+                streams.extend(self._memtable_sorted(lo, memtable)
+                               for memtable in memtables)
+            elif level == 0:
+                streams.extend(self._table_entries((meta,), entries)
+                               for meta in version.overlapping_files(0, lo, hi))
+            else:
+                files = version.overlapping_files(level, lo, hi)
+                if files:
+                    streams.append(self._table_entries(files, entries))
+        return streams
+
     @staticmethod
     def _memtable_sorted(lo: bytes | None, memtable: MemTable
                          ) -> Iterator[tuple[tuple[bytes, int], bytes]]:
@@ -1931,50 +1926,31 @@ class DB:
             yield ((entry.user_key, -((entry.seq << 8) | entry.kind)),
                    entry.value)
 
-    @staticmethod
-    def _memtable_stream(lo: bytes | None, memtable: MemTable
-                         ) -> Iterator[tuple[InternalKey, bytes]]:
-        for entry in memtable.entries_from(lo or b""):
-            yield InternalKey(entry.user_key, entry.seq, entry.kind), \
-                entry.value
-
     def scan_level(self, level: int, lo: bytes | None = None,
                    hi: bytes | None = None,
                    category: Category = Category.INDEX
                    ) -> Iterator[tuple[InternalKey, bytes]]:
         """Raw versions stored in one level, in internal-key order.
 
-        ``level == -1`` scans the MemTable.  No version resolution and no
+        ``level == -1`` scans the MemTables.  No version resolution and no
         tombstone hiding happens here: the Lazy and Composite indexes
         interpret per-level entries themselves (Algorithms 3-4, 6-7).
-        Entries outside ``[lo, hi]`` (user keys) are excluded.
+        Entries outside ``[lo, hi]`` (user keys) are excluded; every table
+        read is charged to ``category``.
         """
         memtables, version, _max_seq, pin = self._acquire_view()
         try:
-            if level == -1:
-                # Level -1 is "the in-memory component": every MemTable of
-                # the view, merged into one internal-key-ordered stream.
-                streams = [self._memtable_stream(lo, memtable)
-                           for memtable in memtables]
-            else:
-                entries = iter if lo is None else methodcaller(
-                    "iterate_from",
-                    pack_internal_key(lo, MAX_SEQUENCE, KIND_FOR_SEEK),
-                    category)
-                files = version.overlapping_files(level, lo, hi)
-                if level == 0:
-                    streams = [self._table_entries((meta,), entries)
-                               for meta in files]
-                else:
-                    streams = [self._table_entries(files, entries)]
+            streams = self._range_streams((level,), lo, hi, memtables,
+                                          version, category)
             stream = streams[0] if len(streams) == 1 \
-                else merge_streams(streams)
-            for ikey, value in stream:
-                if lo is not None and ikey.user_key < lo:
+                else heapq.merge(*streams, key=itemgetter(0))
+            for (user_key, negated_tag), value in stream:
+                if lo is not None and user_key < lo:
                     continue
-                if hi is not None and ikey.user_key > hi:
+                if hi is not None and user_key > hi:
                     return
-                yield ikey, value
+                tag = -negated_tag
+                yield InternalKey(user_key, tag >> 8, tag & 0xFF), value
         finally:
             self._release_view(pin)
 

@@ -46,14 +46,12 @@ from repro.lsm.keys import (
     KIND_FOR_SEEK,
     KIND_VALUE,
     MAX_SEQUENCE,
-    InternalKey,
     decode_length_prefixed,
     decode_varint,
     encode_length_prefixed,
     encode_varint,
     internal_sort_key,
     pack_internal_key,
-    unpack_internal_key,
 )
 from repro.lsm.manifest import table_file_name
 from repro.lsm.options import Options
@@ -659,27 +657,17 @@ class SSTable:
                 return False
         return False
 
-    def versions(self, user_key: bytes, max_seq: int,
-                 category: Category = Category.DATA
-                 ) -> Iterator[tuple[InternalKey, bytes]]:
-        """All stored versions of ``user_key`` with ``seq <= max_seq``.
-
-        Yields newest-first.  Performs at most a handful of data-block reads
-        (bloom filters prune the common miss case without I/O).
-        """
-        for kind, seq, value in self.versions_raw(user_key, max_seq,
-                                                  category):
-            yield InternalKey(user_key, seq, kind), value
-
     def versions_raw(self, user_key: bytes, max_seq: int,
                      category: Category = Category.DATA,
                      held: dict | None = None
                      ) -> Iterator[tuple[int, int, bytes]]:
-        """Versions of ``user_key`` as ``(kind, seq, value)``, newest first.
+        """Versions of ``user_key`` with ``seq <= max_seq`` as ``(kind, seq,
+        value)``, newest first.
 
-        The engine-internal form of :meth:`versions`: the GET hot path
-        consumes kind/seq scalars straight off the key trailer, so no
-        :class:`InternalKey` (nor a user-key slice per entry) is allocated.
+        At most a handful of data-block reads (bloom filters prune the
+        common miss case without I/O).  Kind and seq come straight off the
+        key trailer, so no :class:`InternalKey` (nor a user-key slice per
+        entry) is allocated.
         """
         probe = pack_internal_key(user_key, max_seq, KIND_FOR_SEEK)
         start = self._block_index_for(probe)
@@ -711,36 +699,19 @@ class SSTable:
         """Could ``user_key`` have versions in blocks after ``block_index``?"""
         return self._index_last_user_keys[block_index] <= user_key
 
-    def __iter__(self) -> Iterator[tuple[InternalKey, bytes]]:
-        for block_index in range(len(self._index_entries)):
-            block = self.read_data_block(block_index)
-            for ikey_bytes, value in block:
-                yield unpack_internal_key(ikey_bytes), value
-
-    def iterate_from(self, internal_key: bytes,
-                     category: Category = Category.DATA
-                     ) -> Iterator[tuple[InternalKey, bytes]]:
-        """Entries with internal key >= ``internal_key``, in order."""
-        start = self._block_index_for(internal_key)
-        if start is None:
-            return
-        block = self.read_data_block(start, category)
-        for ikey_bytes, value in block.seek(internal_key):
-            yield unpack_internal_key(ikey_bytes), value
-        for block_index in range(start + 1, len(self._index_entries)):
-            block = self.read_data_block(block_index, category)
-            for ikey_bytes, value in block:
-                yield unpack_internal_key(ikey_bytes), value
-
     def sorted_entries(self, start_internal_key: bytes | None = None,
                        category: Category = Category.DATA,
                        fill_cache: bool = True
                        ) -> Iterator[tuple[tuple[bytes, int], bytes]]:
-        """``(sort_key, value)`` pairs from ``start_internal_key`` onward.
+        """``(sort_key, value)`` pairs from ``start_internal_key`` onward,
+        in order: every scan's read of a table.
 
-        The scan pipeline's form of :meth:`iterate_from`: no
-        :class:`InternalKey` objects are allocated; the per-block sort-key
-        arrays are handed out directly (see :meth:`Block.sorted_items`).
+        No :class:`InternalKey` objects are allocated; whole blocks hand
+        out their memoized sort-key arrays (:meth:`Block.sorted_items`).
+        The first block of a bounded scan goes through :meth:`Block.seek`,
+        which decodes only from the restart point before the start and
+        only as far as the caller reads — a narrow scan never pays for the
+        whole block.
         """
         start = 0
         if start_internal_key is not None:
@@ -749,7 +720,14 @@ class SSTable:
                 return
             block = self.read_data_block(first, category,
                                          fill_cache=fill_cache)
-            yield from block.sorted_seek(start_internal_key)
+            unpack_trailer = _TRAILER.unpack_from
+            try:
+                for key, value in block.seek(start_internal_key):
+                    yield ((key[:-8], -unpack_trailer(key, len(key) - 8)[0]),
+                           value)
+            except struct.error as exc:
+                raise CorruptionError(
+                    "block entry key shorter than trailer") from exc
             start = first + 1
         for block_index in range(start, len(self._index_entries)):
             yield from self.read_data_block(

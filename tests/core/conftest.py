@@ -1,11 +1,9 @@
-"""Fixtures for core-layer index tests."""
+"""Fixtures for core-layer index tests (helpers: ``index_helpers``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.base import IndexKind
-from repro.core.database import SecondaryIndexedDB
 from repro.lsm.options import Options
 
 
@@ -17,22 +15,3 @@ def index_options() -> Options:
         memtable_budget=4 * 1024,
         l1_target_size=16 * 1024,
     )
-
-
-def open_db(kind: IndexKind, options: Options,
-            attributes: tuple[str, ...] = ("UserID",)) -> SecondaryIndexedDB:
-    return SecondaryIndexedDB.open_memory(
-        indexes={attr: kind for attr in attributes}, options=options)
-
-
-def load_tweets(db: SecondaryIndexedDB, count: int, users: int = 10,
-                start: int = 0) -> dict[str, dict]:
-    """Insert ``count`` deterministic tweets; returns the final state."""
-    state = {}
-    for i in range(start, start + count):
-        key = f"t{i:05d}"
-        doc = {"UserID": f"u{i % users}", "CreationTime": 1000 + i,
-               "Body": "b" * 40}
-        db.put(key, doc)
-        state[key] = doc
-    return state

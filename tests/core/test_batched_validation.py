@@ -79,7 +79,8 @@ class PerPostingWalks:
         return walk(index, low, high, k, early_termination)
 
     def _range_predicate(self, low, high):
-        return attribute_in_range(self.attribute, low, high, encode_attribute)
+        return attribute_in_range(self.attribute, encode_attribute(low),
+                                  encode_attribute(high))
 
     # Eager ---------------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import load_tweets, open_db
+from index_helpers import load_tweets, open_db
 
 from repro.core.base import IndexKind
 from repro.core.composite import (

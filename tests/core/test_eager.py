@@ -1,6 +1,6 @@
 """Stand-Alone Eager Index: read-modify-write posting lists."""
 
-from conftest import load_tweets, open_db
+from index_helpers import load_tweets, open_db
 
 from repro.core.base import IndexKind
 from repro.core.posting import decode_posting_list

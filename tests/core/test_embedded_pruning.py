@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from conftest import load_tweets, open_db
+from index_helpers import load_tweets, open_db
 
 from repro.core.base import IndexKind, LookupResult
 from repro.core.database import SecondaryIndexedDB

@@ -1,6 +1,6 @@
 """The facade's primary-key scan API."""
 
-from conftest import load_tweets, open_db
+from index_helpers import load_tweets, open_db
 
 from repro.core.base import IndexKind
 

@@ -7,7 +7,7 @@ postings of it, so a walk whose heap refuses everything older than the
 level it just harvested never reads the levels below.
 """
 
-from conftest import load_tweets, open_db
+from index_helpers import load_tweets, open_db
 
 from repro.core.base import IndexKind, LookupResult
 from repro.core.database import SecondaryIndexedDB

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import open_db
+from index_helpers import open_db
 
 from repro.core.base import IndexKind
 from repro.lsm.options import resolve_attribute_path

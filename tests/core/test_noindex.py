@@ -1,6 +1,7 @@
 """The full-scan baseline."""
 
-from conftest import load_tweets, open_db
+import pytest
+from index_helpers import load_tweets, open_db
 
 from repro.core.base import IndexKind
 
@@ -50,4 +51,20 @@ class TestNoIndex:
         db = open_db(IndexKind.NOINDEX, index_options)
         load_tweets(db, 10)
         assert db.range_lookup("UserID", "z", "a") == []
+        db.close()
+
+    @pytest.mark.parametrize("bad", [[1, 2], {"n": 1}, 10**400],
+                             ids=["list", "object", "huge-int"])
+    def test_put_of_an_unencodable_value_is_refused(self, index_options,
+                                                     bad):
+        """Refused at PUT as on every other kind: stored, the value would
+        make every later query raise while encoding it."""
+        db = open_db(IndexKind.NOINDEX, index_options)
+        db.put("t0", {"UserID": "u1"})
+        with pytest.raises((TypeError, OverflowError)):
+            db.put("t1", {"UserID": bad})
+        assert db.get("t1") is None
+        assert [r.key for r in db.lookup("UserID", "u1")] == ["t0"]
+        assert [r.key for r in db.range_lookup("UserID", "u0", "u9")] == \
+            ["t0"]
         db.close()

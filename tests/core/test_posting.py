@@ -1,7 +1,7 @@
 """Posting-list codec and the Lazy index's merge operator."""
 
 import pytest
-from conftest import open_db
+from index_helpers import open_db
 
 from repro.core.base import IndexKind
 from repro.core.posting import (

@@ -109,7 +109,8 @@ class TestPredicates:
         assert not check({})
 
     def test_attribute_in_range(self):
-        check = attribute_in_range("CreationTime", 10, 20, encode_attribute)
+        check = attribute_in_range("CreationTime", encode_attribute(10),
+                                   encode_attribute(20))
         assert check({"CreationTime": 10})
         assert check({"CreationTime": 20})
         assert check({"CreationTime": 15})

@@ -10,7 +10,7 @@ from repro.lsm.db import DB, WriteBatch
 from repro.lsm.errors import DBClosedError, InvalidArgumentError
 from repro.lsm.keys import KIND_MERGE, KIND_VALUE
 from repro.lsm.options import Options
-from repro.lsm.vfs import LocalVFS, MemoryVFS
+from repro.lsm.vfs import Category, LocalVFS, MemoryVFS
 
 
 def _leaves(tree):
@@ -196,6 +196,22 @@ class TestScans:
         entries = list(db.scan_level(-1))
         assert [(ik.user_key, v) for ik, v in entries] == \
             [(b"k", b"v2"), (b"k", b"v1")]
+        db.close()
+
+    @pytest.mark.parametrize("lo", [None, b"k0100"], ids=["unbounded",
+                                                          "bounded"])
+    def test_scan_level_charges_reads_to_its_category(self, lo):
+        db = DB.open_memory(_options())
+        for i in range(300):
+            db.put(f"k{i:04d}".encode(), b"x" * 60)
+        db.flush()
+        level = next(level for level, count
+                     in enumerate(db.level_file_counts()) if count)
+        before = db.vfs.stats.snapshot()
+        rows = list(db.scan_level(level, lo, category=Category.INDEX))
+        charged = db.vfs.stats.delta(before).reads_by_category
+        assert rows and charged.get("index", 0) > 0
+        assert "data" not in charged
         db.close()
 
 

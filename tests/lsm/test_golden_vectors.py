@@ -91,11 +91,11 @@ def test_block_golden_bytes_decode_back():
     # One-shot seek path (fresh block, no memoized arrays).
     target = pack_internal_key(b"banana", 7, KIND_MERGE)
     assert next(Block(data).seek(target)) == expected[2]
-    # Memoized path.
+    # Memoized path (the sort-key arrays are built, then bisected).
     block = Block(data)
-    sort_key, value = next(block.sorted_seek(target))
-    assert sort_key == internal_sort_key(expected[2][0])
-    assert value == expected[2][1]
+    assert [sort_key for sort_key, _value in block.sorted_items()] == \
+        [internal_sort_key(key) for key, _value in expected]
+    assert next(block.seek(target)) == expected[2]
 
 
 # --- whole-table digests ----------------------------------------------------
@@ -141,8 +141,8 @@ def test_sstable_golden_roundtrip(compression_name):
     """The pinned bytes read back to exactly what was written."""
     options, reader, _raw = _build_golden_table(compression_name)
     table = SSTable(options, reader, 1)
-    got = [(ikey.user_key, ikey.seq, ikey.kind, value)
-           for ikey, value in table]
+    got = [(user_key, -negated_tag >> 8, -negated_tag & 0xFF, value)
+           for (user_key, negated_tag), value in table.sorted_entries()]
     assert len(got) == 120
     for i, (user_key, seq, kind, value) in enumerate(got):
         assert user_key == b"key%04d" % i

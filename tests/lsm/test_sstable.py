@@ -44,7 +44,8 @@ class TestRoundtrip:
         entries = [(f"k{i:04d}".encode(), i + 1, KIND_VALUE,
                     f"v{i}".encode()) for i in range(200)]
         table, props, _vfs = _build_table(entries)
-        got = [(ik.user_key, ik.seq, ik.kind, v) for ik, v in table]
+        got = [(user_key, -negated_tag >> 8, -negated_tag & 0xFF, v)
+               for (user_key, negated_tag), v in table.sorted_entries()]
         assert got == entries
         assert props.num_entries == 200
         assert props.num_data_blocks == table.num_data_blocks > 1
@@ -62,7 +63,8 @@ class TestRoundtrip:
         entries = [(f"k{i:04d}".encode(), i + 1, KIND_VALUE, b"v" * 50)
                    for i in range(100)]
         table, _props, _vfs = _build_table(entries, options)
-        assert [(ik.user_key, v) for ik, v in table] == \
+        assert [(user_key, v) for (user_key, _tag), v
+                in table.sorted_entries()] == \
             [(k, v) for k, _s, _kd, v in entries]
 
     def test_compression_shrinks_file(self):
@@ -80,22 +82,23 @@ class TestVersionLookups:
         entries = [(b"k", 9, KIND_VALUE, b"new"),
                    (b"k", 4, KIND_VALUE, b"old")]
         table, _props, _vfs = _build_table(entries)
-        got = list(table.versions(b"k", MAX_SEQUENCE))
-        assert [(ik.seq, v) for ik, v in got] == [(9, b"new"), (4, b"old")]
+        got = list(table.versions_raw(b"k", MAX_SEQUENCE))
+        assert [(seq, v) for _kind, seq, v in got] == \
+            [(9, b"new"), (4, b"old")]
 
     def test_versions_snapshot_bound(self):
         entries = [(b"k", 9, KIND_VALUE, b"new"),
                    (b"k", 4, KIND_VALUE, b"old")]
         table, _props, _vfs = _build_table(entries)
-        got = list(table.versions(b"k", max_seq=5))
-        assert [(ik.seq, v) for ik, v in got] == [(4, b"old")]
+        got = list(table.versions_raw(b"k", max_seq=5))
+        assert [(seq, v) for _kind, seq, v in got] == [(4, b"old")]
 
     def test_versions_absent_key_no_io(self):
         entries = [(f"k{i:03d}".encode(), i + 1, KIND_VALUE, b"v" * 30)
                    for i in range(300)]
         table, _props, vfs = _build_table(entries)
         before = vfs.stats.read_blocks
-        assert list(table.versions(b"k050x", MAX_SEQUENCE)) == []
+        assert list(table.versions_raw(b"k050x", MAX_SEQUENCE)) == []
         # Bloom filters answer from memory; no data block should be read.
         assert vfs.stats.read_blocks == before
 
@@ -105,20 +108,21 @@ class TestVersionLookups:
                    for seq in range(120, 0, -1)]
         table, _props, _vfs = _build_table(entries)
         assert table.num_data_blocks > 1
-        got = list(table.versions(b"hot", MAX_SEQUENCE))
-        assert [ik.seq for ik, _v in got] == list(range(120, 0, -1))
+        got = list(table.versions_raw(b"hot", MAX_SEQUENCE))
+        assert [seq for _kind, seq, _v in got] == list(range(120, 0, -1))
 
     def test_tombstones_visible(self):
         entries = [(b"k", 5, KIND_DELETE, b""), (b"k", 2, KIND_VALUE, b"v")]
         table, _props, _vfs = _build_table(entries)
-        got = list(table.versions(b"k", MAX_SEQUENCE))
-        assert got[0][0].kind == KIND_DELETE
+        got = list(table.versions_raw(b"k", MAX_SEQUENCE))
+        assert got[0][0] == KIND_DELETE
 
     def test_iterate_from(self):
         entries = [(f"k{i:03d}".encode(), 1, KIND_VALUE, b"") for i in range(50)]
         table, _props, _vfs = _build_table(entries)
         start = pack_internal_key(b"k025", MAX_SEQUENCE, KIND_VALUE)
-        got = [ik.user_key for ik, _v in table.iterate_from(start)]
+        got = [user_key for (user_key, _tag), _v
+               in table.sorted_entries(start)]
         assert got == [f"k{i:03d}".encode() for i in range(25, 50)]
 
     def test_may_contain_user_key(self):

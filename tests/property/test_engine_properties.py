@@ -103,8 +103,8 @@ class TestSSTableProperties:
         builder.finish()
         out.close()
         table = SSTable(options, vfs.open_random("t.ldb"))
-        got = [(ikey.encode(), value) for ikey, value in table]
-        assert got == entries
+        assert list(table.sorted_entries()) == \
+            [(internal_sort_key(key), value) for key, value in entries]
 
     @given(_entry_maps)
     @_SETTINGS
@@ -126,6 +126,6 @@ class TestSSTableProperties:
         for user_key in user_keys:
             want = sorted((seq for (key, seq) in keys_values
                            if key == user_key), reverse=True)
-            got = [ikey.seq for ikey, _v in table.versions(user_key,
-                                                           MAX_SEQUENCE)]
+            got = [seq for _kind, seq, _v in table.versions_raw(
+                user_key, MAX_SEQUENCE)]
             assert got == want
