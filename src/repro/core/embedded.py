@@ -23,7 +23,7 @@ LOOKUP (Algorithm 5) scans one level at a time, newest component first,
 consulting only the *in-memory* filters and reading just the data blocks
 that pass both checks.  Matches are validated with GetLite — "checks the
 in-memory metadata, index block and bloom filters for primary keys"
-(:meth:`repro.core.validity.ValidityChecker.is_newest_version`) — and
+(:meth:`repro.lsm.db.ReadView.newer_version`) — and
 ranked by the Algorithm-1 min-heap.  Entries inside a level are ordered by
 primary key, not by time, so the scan may stop only at a level boundary —
 but it finishes just the files of the level that can still beat the K-th
@@ -38,16 +38,13 @@ reordering — validity never depends on heap state — so the answers are
 those of the forward walk (kept as the reference in
 ``tests/core/test_embedded_pruning.py``).
 
-A query is a client of the engine's read view: it runs inside one
-``with primary.read_view()`` block.  Both MemTables of the view — the
-active one and one sealed but not yet flushed — enter through
-:meth:`repro.lsm.db.DB.memtable_postings`, each posting checked by
-:meth:`repro.lsm.db.DB.newest_in_memory` against the same MemTables, and
-through GetLite's probes, which see the same view; a quarantined table
-enters through :meth:`repro.lsm.db.DB.blocks_admitting` (it has no blocks;
+A query holds one engine read view (``with primary.read_view() as
+view:``) and reads through it alone: the MemTables' postings
+(:meth:`repro.lsm.db.ReadView.memtable_postings`, each confirmed by
+``newest_in_memory``), the pinned Version's files, and GetLite.  A
+quarantined table has no blocks (:meth:`repro.lsm.db.DB.blocks_admitting`;
 one found rotten mid-walk is quarantined there, or the error raised, as
-``Options.on_corruption`` says) and through GetLite, which treats what it
-can no longer read as "maybe newer".
+``Options.on_corruption`` says), and GetLite treats it as "maybe newer".
 
 RANGELOOKUP (Algorithm 8) is the same walk driven by zone-map overlap
 tests; bloom filters cannot help ranges.  As the paper's analysis warns,
@@ -74,10 +71,10 @@ from repro.core.topk import TopKBySeq
 from repro.core.validity import ValidityChecker
 from repro.lsm.block import Block
 from repro.lsm.bloom import bloom_hash
-from repro.lsm.db import DB
+from repro.lsm.db import DB, ReadView
 from repro.lsm.errors import CorruptionError
 from repro.lsm.keys import KIND_VALUE
-from repro.lsm.version import FileMetaData, Version
+from repro.lsm.version import FileMetaData
 from repro.lsm.zonemap import encode_attribute
 
 
@@ -130,34 +127,32 @@ class EmbeddedIndex(SecondaryIndex):
         on this index's own top-K: the walk fills a heap of its own, whose
         results are then offered to ``heap``."""
         encoded = encode_attribute(value)
-        offer(heap, self._query(encoded, encoded, bloom_hash(encoded),
-                                heap.k, early_termination, owns))
+        own: TopKBySeq[LookupResult] = TopKBySeq(heap.k)
+        self._query(own, encoded, encoded, bloom_hash(encoded),
+                    early_termination, owns)
+        offer(heap, own.results())
 
     def range_lookup_into(self, heap: TopKBySeq[LookupResult], low: bytes,
                           high: bytes, early_termination: bool,
                           owns: Owns | None) -> None:
-        offer(heap, self._query(low, high, None, heap.k, early_termination,
-                                owns))
+        self._query(heap, low, high, None, early_termination, owns)
 
-    def _query(self, low: bytes, high: bytes,
-               value_hash: tuple[int, int] | None, k: int | None,
-               early_termination: bool,
-               owns: Owns | None = None) -> list[LookupResult]:
-        """Algorithms 5 and 8 under one engine read view; a record whose
-        key ``owns`` rejects is passed over before its validity check."""
-        heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-        with self.primary.read_view() as version:
-            postings = self.primary.memtable_postings(self.attribute,
-                                                      low, high)
+    def _query(self, heap: TopKBySeq[LookupResult], low: bytes, high: bytes,
+               value_hash: tuple[int, int] | None, early_termination: bool,
+               owns: Owns | None) -> None:
+        """Algorithms 5 and 8 into ``heap``, under one engine read view; a
+        record whose key ``owns`` rejects is passed over before its
+        validity check."""
+        with self.primary.read_view() as view:
+            postings = view.memtable_postings(self.attribute, low, high)
             if owns is not None:
                 postings = [posting for posting in postings
                             if owns(posting[1])]
-            self._memtable_matches(heap, postings)
-            self._walk_levels(heap, version, low, high, value_hash,
+            self._memtable_matches(heap, view, postings)
+            self._walk_levels(heap, view, low, high, value_hash,
                               early_termination, owns)
-        return heap.results()
 
-    def _walk_levels(self, heap: TopKBySeq[LookupResult], version: Version,
+    def _walk_levels(self, heap: TopKBySeq[LookupResult], view: ReadView,
                      low: bytes, high: bytes,
                      value_hash: tuple[int, int] | None,
                      early_termination: bool, owns: Owns | None) -> None:
@@ -171,21 +166,22 @@ class EmbeddedIndex(SecondaryIndex):
         """
         if early_termination and heap.is_full:
             return
-        for level, files in enumerate(version.by_recency):
+        for level, files in enumerate(view.version.by_recency):
             for visited, (position, meta) in enumerate(files):
                 if not heap.would_accept(meta.seq_upper_bound):
                     self.files_seq_pruned += len(files) - visited
                     break
-                self._scan_file(heap, level, position, meta, low, high,
-                                value_hash, owns)
+                self._scan_file(heap, view, level, position, meta, low,
+                                high, value_hash, owns)
             if early_termination and heap.is_full:
                 break
 
     # -- memtable component ---------------------------------------------------
 
     def _memtable_matches(self, heap: TopKBySeq[LookupResult],
+                          view: ReadView,
                           postings: list[tuple[int, bytes]]) -> None:
-        newest_in_memory = self.primary.newest_in_memory
+        newest_in_memory = view.newest_in_memory
         for seq, key in postings:
             newest = newest_in_memory(key)
             if newest is None or newest[1] != seq:
@@ -197,9 +193,9 @@ class EmbeddedIndex(SecondaryIndex):
 
     # -- SSTable scans ----------------------------------------------------------
 
-    def _scan_file(self, heap: TopKBySeq[LookupResult], level: int,
-                   position: int, meta: FileMetaData, low: bytes, high: bytes,
-                   value_hash: tuple[int, int] | None,
+    def _scan_file(self, heap: TopKBySeq[LookupResult], view: ReadView,
+                   level: int, position: int, meta: FileMetaData, low: bytes,
+                   high: bytes, value_hash: tuple[int, int] | None,
                    owns: Owns | None) -> None:
         """Scan the blocks of one file whose filters admit ``[low, high]``."""
         self.filter_probes += 1
@@ -212,11 +208,12 @@ class EmbeddedIndex(SecondaryIndex):
             meta, self.attribute, low, high, value_hash)
         self.filter_probes += num_blocks
         for block, column, boundary_key in blocks:
-            self._scan_block(heap, level, position, block, column,
+            self._scan_block(heap, view, level, position, block, column,
                              boundary_key, low, high, owns)
 
-    def _scan_block(self, heap: TopKBySeq[LookupResult], level: int,
-                    position: int, block: Block, column: list[bytes],
+    def _scan_block(self, heap: TopKBySeq[LookupResult], view: ReadView,
+                    level: int, position: int, block: Block,
+                    column: list[bytes],
                     boundary_key: bytes | None, low: bytes,
                     high: bytes, owns: Owns | None) -> None:
         """Harvest valid matches from one surviving block.
@@ -255,30 +252,25 @@ class EmbeddedIndex(SecondaryIndex):
                 continue  # too old to matter — skip validity work
             if owns is not None and not owns(key):
                 continue  # another shard's copy
-            if self._is_valid(key, seq, level, position):
+            if self._is_valid(view, key, seq, level, position):
                 self.records_parsed += 1
                 heap.add(seq, LookupResult(key_to_str(key),
                                            decode_document(values[i]), seq))
 
-    def _is_valid(self, key: bytes, seq: int, level: int,
+    def _is_valid(self, view: ReadView, key: bytes, seq: int, level: int,
                   position: int) -> bool:
         """Is the matched version still the record's newest version?"""
         if not self.use_getlite:
             # Ablation baseline: a plain GET on the data table, as a naive
             # implementation would do.
-            found = self.primary.get_with_seq(key)
+            found = view.resolve(key, view.max_seq)
             return found is not None and found[1] == seq
+        newer, memory_only, confirm_reads = view.newer_version(
+            key, seq, level, position)
         checker = self.checker
-        if level == 0:
-            # Level-0 files overlap: the others may hold newer versions.
-            # Each item is one confirm read (charged), so a bloom false
-            # positive cannot discard a live record.
-            for newest in self.primary.newer_level0_versions(key, position,
-                                                             seq):
-                checker.getlite_confirm_reads += 1
-                if newest > seq:
-                    return False
-        return checker.is_newest_version(key, seq, level)
+        checker.getlite_memory_only += memory_only
+        checker.getlite_confirm_reads += confirm_reads
+        return not newer
 
     def probe_stats(self) -> dict[str, int]:
         """Counters for the cost-model experiments (Table 3)."""

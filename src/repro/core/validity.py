@@ -14,11 +14,11 @@ result:
   shared by several candidates read once).
 * The Embedded index found the *record version itself* in a primary-table
   block, so it only needs to know whether a **newer version** of the key
-  exists — the paper's GetLite (:meth:`ValidityChecker.is_newest_version`),
-  which resolves almost always from in-memory structures (MemTable, file
-  ranges, index blocks, primary bloom filters) and reads a block only to
-  confirm a bloom positive, keeping the check correct in the face of false
-  positives.
+  exists — the paper's GetLite, one probe of the engine's read view
+  (:meth:`repro.lsm.db.ReadView.newer_version`), which resolves almost
+  always from in-memory structures (MemTable, file ranges, index blocks,
+  primary bloom filters) and reads a block only to confirm a bloom
+  positive.  The checker keeps GetLite's counters.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class ValidityChecker:
     ``fetch_many`` is the stand-alone kinds' one dependency on the data
     table; it defaults to ``primary.get_many_with_seq`` (the cluster's
     global index passes a fetch routed across shards and no ``primary``).
-    GetLite needs the engine's own probes and therefore a ``primary``.
     """
 
     def __init__(self, primary: DB | None,
@@ -106,27 +105,6 @@ class ValidityChecker:
                 document = decode_document(value)
                 if predicate(document):
                     heap.add(seq, LookupResult(key_to_str(key), document, seq))
-
-    def is_newest_version(self, key: bytes, seq: int, level: int) -> bool:
-        """GetLite: is the version of ``key`` at ``seq`` still the newest?
-
-        ``level`` is the level in which the version was found (the paper's
-        ``currentLevel``); only strictly higher components can hold newer
-        versions of the key, so the probe is restricted to the MemTable and
-        levels ``0 .. level-1``.
-
-        The in-memory probe (:meth:`repro.lsm.db.DB.key_maybe_in_levels`)
-        decides the common case for free; a positive — which may be a bloom
-        false positive — is confirmed with a real read
-        (:meth:`repro.lsm.db.DB.newest_seq_above`) so the check never
-        wrongly discards a live record.
-        """
-        if not self.primary.key_maybe_in_levels(key, level):
-            self.getlite_memory_only += 1
-            return True
-        self.getlite_confirm_reads += 1
-        newest = self.primary.newest_seq_above(key, level)
-        return newest is None or newest <= seq
 
 
 def attribute_equals(attribute: str, value: Any) -> Callable[[Document], bool]:

@@ -11,11 +11,8 @@ plus:
   primary key" the Eager index uses for RANGELOOKUP);
 * ``scan_level`` / ``fragments_by_level``: raw per-level access, which the
   Lazy and Composite indexes need for level-at-a-time traversal;
-* ``key_maybe_in_levels``: the in-memory presence probe behind the
-  Embedded index's GetLite validity check;
-* ``read_view``: one view held across several probes, which is how the
-  Embedded index reads (``memtable_postings``, ``newest_in_memory``,
-  ``blocks_admitting``).
+* ``read_view``: a :class:`ReadView` held across the Embedded index's
+  probes — its walk, its MemTable postings and GetLite.
 
 Every write goes through LevelDB's writer queue (DESIGN.md §8): the queue
 head leads a group, makes room (the write-stall ladder), appends and syncs
@@ -29,7 +26,7 @@ chose LevelDB for, whose outputs the golden vectors pin byte for byte.
 With ``options.background_compaction`` the *threaded* scheduler hands it
 to a maintenance thread while a fresh MemTable absorbs writes, level-0
 pileups slow and then stop writers, and every read's *view*
-(:meth:`DB._acquire_view`: both MemTables, a pinned Version, the published
+(:class:`ReadView`: both MemTables, a pinned Version, the published
 sequence number) is a consistent snapshot it reads without the mutex.
 Under the inline scheduler the same view is taken lock- and pin-free.
 """
@@ -233,7 +230,6 @@ class DB:
         self._writers: deque[_Writer] = deque()
         self._pending_seq = 0  # last *allocated* seq; published lags behind
         self._version_pins: dict[int, list] = {}  # id(version) -> [v, refs]
-        self._held_views: dict[int, tuple] = {}  # thread id -> read_view()'s
         self._zombie_tables: set[int] = set()  # retired but pinned files
         # The scheduler (:meth:`_schedule`): a maintenance thread, or None
         # for the inline scheduler, which runs the job in the writer's thread.
@@ -1302,31 +1298,24 @@ class DB:
 
     # -- the read view --------------------------------------------------------
 
-    def _acquire_view(self):
-        """What one read sees: ``(memtables, version, max_seq, pin)``.
+    def _acquire_view(self) -> "ReadView":
+        """What one read sees (:class:`ReadView`); release it once.
 
-        ``memtables`` come newest first (the active one, then a sealed one
-        still being flushed); ``max_seq`` is the implicit snapshot of a read
-        that names none; ``pin`` goes back to :meth:`_release_view`.  This
-        is the one place the read path looks at the scheduler.  Under the
-        inline one, callers take one thread at a time, so the view is taken
-        lock- and pin-free and everything written is visible.  Under the
-        threaded one it is captured
-        under the mutex in one short critical section, after which the read
-        runs lock-free: the Version is refcounted so compaction defers
-        deleting table files the read may still touch, and ``max_seq`` is
-        the *published* sequence — a committing group publishes only after
-        all its MemTable inserts, so no torn (half-a-batch) read is
-        possible.
+        This is the one place the read path looks at the scheduler.  Under
+        the inline one, callers take one thread at a time, so the view is
+        taken lock- and pin-free and everything written is visible.  Under
+        the threaded one it is captured under the mutex in one short
+        critical section, after which the read runs lock-free: the Version
+        is refcounted so compaction defers deleting table files the read
+        may still touch, and ``max_seq`` is the *published* sequence — a
+        committing group publishes only after all its MemTable inserts, so
+        no torn (half-a-batch) read is possible.
         """
         if self._closed:
             raise DBClosedError("database is closed")
-        if self._held_views:
-            held = self._held_views.get(threading.get_ident())
-            if held is not None:
-                return held
         if self._bg_thread is None:
-            return (self.memtable,), self.versions.current, MAX_SEQUENCE, None
+            return ReadView(self, (self.memtable,), self.versions.current,
+                            MAX_SEQUENCE, None)
         # The one scheduling point of the read path: once pinned, snapshot
         # isolation makes the rest of the read independent of concurrent
         # writers, so yielding *here* lets the deterministic harness explore
@@ -1337,7 +1326,8 @@ class DB:
             version = self.versions.current
             entry = self._version_pins.setdefault(id(version), [version, 0])
             entry[1] += 1
-            return memtables, version, self.versions.last_sequence, version
+            return ReadView(self, memtables, version,
+                            self.versions.last_sequence, version)
 
     def _memtables_locked(self) -> tuple[MemTable, ...]:
         """The view's MemTables; also all that gauges need (no pin, and no
@@ -1347,8 +1337,6 @@ class DB:
 
     def _release_view(self, pin) -> None:
         """Drop a view's pin; the last one out sweeps the zombie tables."""
-        if pin is None:
-            return
         with self._mutex:
             entry = self._version_pins[id(pin)]
             entry[1] -= 1
@@ -1358,36 +1346,22 @@ class DB:
             if self._zombie_tables:
                 self._sweep_retired_locked(sorted(self._zombie_tables))
 
-    @contextmanager
-    def read_view(self):
-        """One view for every probe the calling thread makes inside the
-        ``with`` block; yields its :class:`~repro.lsm.version.Version`.
-
-        For a client whose read is several probes that must agree on the
-        MemTables and the tables (the Embedded index: a walk, then GetLite
-        per match).  The block owns the one pin and drops it on every way
-        out; inside, :meth:`_acquire_view` hands out this view pin-free.
-        Under the threaded scheduler the holder's own writes inside the
-        block are not visible to its probes, and a generator probe started
-        inside must be finished inside.  Only this explicit block is
-        re-entrant: an open :meth:`scan_with_seq` keeps its view to itself,
-        so a GET between two of its items still reads the caller's latest
-        writes.
+    def read_view(self) -> "ReadView":
+        """A :class:`ReadView` for a read of several probes that must agree
+        on the MemTables and the tables (the Embedded index: a walk, then
+        GetLite per match); the caller releases it on every way out
+        (``with db.read_view() as view:``).  Under the threaded scheduler,
+        writes made while it is held are not visible through it.
         """
-        ident = threading.get_ident()
-        memtables, version, max_seq, pin = view = self._acquire_view()
-        if self._held_views.get(ident) is view:
-            yield version  # nested: the outer block owns the view
-            return
-        self._held_views[ident] = (memtables, version, max_seq, None)
+        view = self._acquire_view()
         try:
             # The holder runs client code between its probes: a scheduling
             # point, so the deterministic harness puts maintenance there.
             self._step("read:held")
-            yield version
-        finally:
-            del self._held_views[ident]
-            self._release_view(pin)
+        except BaseException:
+            view.release()
+            raise
+        return view
 
     def flush(self) -> None:
         """Flush the MemTable to a level-0 SSTable and run due compactions;
@@ -1488,13 +1462,12 @@ class DB:
         For a merge chain the sequence of the newest operand is reported:
         it is the "time" the value last changed.
         """
-        memtables, version, max_seq, pin = self._acquire_view()
+        view = self._acquire_view()  # no ``with``: the GET hot path
         try:
-            if snapshot is not None:
-                max_seq = snapshot.seq
-            return self._resolve(key, max_seq, memtables, version, None)
+            return view.resolve(
+                key, view.max_seq if snapshot is None else snapshot.seq)
         finally:
-            self._release_view(pin)
+            view.release()
 
     def get_many_with_seq(self, keys: Iterable[bytes]
                           ) -> dict[bytes, tuple[bytes, int] | None]:
@@ -1503,39 +1476,13 @@ class DB:
         sorted order, so each table's data blocks are visited in
         non-decreasing order and holding the last block read per table
         (``held``) lets keys that share a block read it once."""
-        memtables, version, max_seq, pin = self._acquire_view()
+        view = self._acquire_view()
         try:
             held: dict = {}
-            return {key: self._resolve(key, max_seq, memtables, version, held)
+            return {key: view.resolve(key, view.max_seq, held)
                     for key in sorted(set(keys))}
         finally:
-            self._release_view(pin)
-
-    def _resolve(self, key: bytes, max_seq: int, memtables, version,
-                 held: dict | None) -> tuple[bytes, int] | None:
-        """Fold ``key``'s versions, newest first, down to a base or tombstone."""
-        operands: list[bytes] = []
-        newest_seq: int | None = None
-        for _level, entries in self._level_walk(key, max_seq, memtables,
-                                                version, Category.DATA, held):
-            for kind, seq, value in entries:
-                if newest_seq is None:
-                    newest_seq = seq
-                if kind == KIND_MERGE:
-                    operands.append(value)
-                    continue
-                if kind == KIND_VALUE:
-                    if operands:
-                        return self._fold(key, operands, value), newest_seq
-                    return value, seq
-                # Tombstone: stop — older versions are dead.
-                if operands:
-                    return self._fold(key, operands, None), newest_seq
-                return None
-        if operands:
-            assert newest_seq is not None
-            return self._fold(key, operands, None), newest_seq
-        return None
+            view.release()
 
     def _fold(self, key: bytes, operands_newest_first: list[bytes],
               base: bytes | None) -> bytes:
@@ -1547,38 +1494,6 @@ class DB:
         if base is not None:
             oldest_first.insert(0, base)
         return operator(key, oldest_first)
-
-    def _level_walk(self, key: bytes, max_seq: int, memtables, version,
-                    category: Category, held: dict | None
-                    ) -> Iterator[tuple[int, Iterable[tuple[int, int, bytes]]]]:
-        """The one per-key walk: ``(level, entries)`` per component level
-        that may hold ``key``, top down, each level's ``(kind, seq, value)``
-        entries newest first.
-
-        Level ``-1`` is the view's MemTables (the active one first: its
-        sequences are strictly newer than the sealed one's).  Level 0's
-        files overlap, so their versions are read together and interleaved
-        by sequence; a deeper level has at most one candidate file, whose
-        entries stream lazily, so a GET that resolves in an upper component
-        never opens the tables below it.  Tables are read under
-        :meth:`_table_entries`'s form of :meth:`_contain`'s idiom.
-        """
-        in_memory = []
-        for memtable in memtables:
-            for entry in memtable.versions(key, max_seq):
-                in_memory.append((entry.kind, entry.seq, entry.value))
-        if in_memory:
-            yield -1, in_memory
-        read = methodcaller("versions_raw", key, max_seq, category, held)
-        for level in range(self.options.max_levels):
-            files = version.files_containing_key(level, key)
-            if not files:
-                continue
-            if level:
-                yield level, self._table_entries(files, read)
-            else:
-                yield 0, sorted(self._table_entries(files, read),
-                                key=itemgetter(1), reverse=True)
 
     # -- LevelDB++ probes -------------------------------------------------------
 
@@ -1592,96 +1507,37 @@ class DB:
         first.  This is the access path of the Lazy index's LOOKUP
         (Algorithm 3): "it checks the MemTable and then the SSTables, and
         moves down in the storage hierarchy one level at a time" — GET's
-        walk (:meth:`_level_walk`), charged to ``Category.INDEX``.  A level
-        is read only when the caller asks for it, so a walk that stops
-        early never reads the levels below.  The generator holds the read
+        walk (:meth:`ReadView.level_walk`), charged to ``Category.INDEX``.
+        A level is read only when the caller asks for it, so a walk that
+        stops early never reads the levels below.  The generator holds its
         view from its first item until it is exhausted, closed or
         abandoned, as :meth:`scan_with_seq` does.
         """
-        memtables, version, view_seq, pin = self._acquire_view()
-        try:
+        with self._acquire_view() as view:
             if max_seq == MAX_SEQUENCE:
-                max_seq = view_seq  # implicit snapshot, as in get()
-            for level, entries in self._level_walk(
-                    key, max_seq, memtables, version, Category.INDEX, None):
+                max_seq = view.max_seq  # implicit snapshot, as in get()
+            for level, entries in view.level_walk(key, max_seq,
+                                                  Category.INDEX, None):
                 found = list(entries)
                 if found:
                     yield level, found
-        finally:
-            self._release_view(pin)
 
-    def key_maybe_in_levels(self, key: bytes, below_level: int,
-                            include_memtable: bool = True) -> bool:
-        """In-memory-only probe: could ``key`` exist in levels < ``below_level``?
+    def key_maybe_in_levels(self, key: bytes, below_level: int) -> bool:
+        """In-memory-only probe: could ``key`` exist in the MemTables or in
+        levels < ``below_level``?
 
-        Uses the MemTable (exact) and, per candidate SSTable, the in-memory
-        index block and primary bloom filters — zero I/O.  This implements
-        the paper's ``GetLite`` check: "If the key appears in the upper
-        levels (0 to currentlevel-1) ... there is an updated version".
-        May return false positives at the bloom rate; never false negatives.
+        Uses the MemTables (exact) and, per candidate SSTable, the
+        in-memory index block and primary bloom filters — zero I/O.  May
+        return false positives at the bloom rate; never false negatives.
         """
-        return self._newest_above(key, below_level, include_memtable,
-                                  confirm=False) is not None
-
-    def newest_seq_above(self, key: bytes, below_level: int) -> int | None:
-        """Newest sequence of ``key`` among MemTables and levels < ``below_level``.
-
-        The confirm read (``Category.DATA``) behind a
-        :meth:`key_maybe_in_levels` positive; ``None``: it was false.  A
-        quarantined or unreadable table may hold a version nobody can prove
-        absent, so it answers ``MAX_SEQUENCE``.
-        """
-        return self._newest_above(key, below_level, True, confirm=True)
-
-    def newer_level0_versions(self, key: bytes, position: int, seq: int
-                              ) -> Iterator[int]:
-        """GetLite inside level 0, whose files overlap: one confirm read per
-        other file that may hold a version above ``seq`` (its ``max_seq``
-        says so) and that the in-memory probe admits — the newest sequence
-        of ``key`` in it, 0 for a bloom false positive.  Lazy, so the caller
-        stops at the first hit.
-
-        In a tree the engine built, those are files before ``position``:
-        flushes give level 0 ordered, disjoint sequence ranges.  Repair
-        puts every table in level 0 by file number, and a table it rewrote
-        gets a new number — ahead of newer ones; asking by sequence range
-        keeps GetLite right there too, with no extra read elsewhere."""
-        _memtables, version, _max_seq, pin = self._acquire_view()
-        try:
-            for index, meta in enumerate(version.levels[0]):
-                if index != position and meta.seq_upper_bound > seq and \
-                        meta.contains_user_key(key):
-                    newest = self._newest_in_table(meta, key, True)
-                    if newest is not None:
-                        yield newest
-        finally:
-            self._release_view(pin)
-
-    def _newest_above(self, key: bytes, below_level: int,
-                      include_memtable: bool, confirm: bool) -> int | None:
-        """GetLite's one walk of the components above ``below_level``: the
-        newest sequence of ``key`` there, ``None`` if none holds it.  A
-        MemTable hit or a table's ``MAX_SEQUENCE`` ends the walk."""
-        memtables, version, max_seq, pin = self._acquire_view()
-        try:
-            if include_memtable:
-                for memtable in memtables:
-                    entry = memtable.get(key, max_seq)
-                    if entry is not None:
-                        return entry.seq
-            best: int | None = None
-            for level in range(min(below_level, self.options.max_levels)):
-                for meta in version.files_containing_key(level, key):
-                    newest = self._newest_in_table(meta, key, confirm)
-                    if newest == MAX_SEQUENCE:
-                        return newest
-                    if newest:
-                        best = max(best or 0, newest)
-                if best is not None and level >= 1:
-                    break  # deeper levels are older still
-            return best
-        finally:
-            self._release_view(pin)
+        with self._acquire_view() as view:
+            if any(memtable.get(key, view.max_seq) is not None
+                   for memtable in view.memtables):
+                return True
+            return any(
+                self._newest_in_table(meta, key, False) is not None
+                for level in range(min(below_level, self.options.max_levels))
+                for meta in view.version.files_containing_key(level, key))
 
     def _newest_in_table(self, meta, key: bytes, confirm: bool) -> int | None:
         """What one table knows of ``key``.
@@ -1709,33 +1565,6 @@ class DB:
             self._contain(file_number, exc)
             return MAX_SEQUENCE
         return newest[1] if newest else 0
-
-    def newest_in_memory(self, key: bytes) -> tuple[int, int, bytes] | None:
-        """``(kind, seq, value)`` of ``key``'s newest version in the view's
-        MemTables (the active one, then a sealed one not yet flushed)."""
-        memtables, _version, max_seq, pin = self._acquire_view()
-        try:
-            for memtable in memtables:
-                entry = memtable.get(key, max_seq)
-                if entry is not None:
-                    return entry.kind, entry.seq, entry.value
-            return None
-        finally:
-            self._release_view(pin)
-
-    def memtable_postings(self, attribute: str, low: bytes,
-                          high: bytes) -> list[tuple[int, bytes]]:
-        """``(seq, key)`` postings of the view's MemTables whose encoded
-        ``attribute`` lies in ``[low, high]`` (:meth:`MemTable.postings`):
-        the Embedded index's MemTable component.  Unchecked — a posting
-        may be superseded or past the view's sequence; a caller confirms
-        each with :meth:`newest_in_memory`."""
-        memtables, _version, _max_seq, pin = self._acquire_view()
-        try:
-            return [posting for memtable in memtables
-                    for posting in memtable.postings(attribute, low, high)]
-        finally:
-            self._release_view(pin)
 
     def blocks_admitting(self, meta, attribute: str, low: bytes, high: bytes,
                          value_hash: tuple[int, int] | None = None
@@ -1789,13 +1618,13 @@ class DB:
         pairs, so no :class:`InternalKey` is allocated per entry and no
         per-entry generator hand-off happens between pipeline stages.
         """
-        memtables, version, max_seq, pin = self._acquire_view()
-        try:
-            if snapshot is not None:
-                max_seq = snapshot.seq
-            streams = self._range_streams(
-                range(-1, self.options.max_levels), lo, hi, memtables,
-                version, category, fill_cache)
+        # Released when the scan is exhausted, closed, or abandoned
+        # (generator finalization leaves the ``with`` block).
+        with self._acquire_view() as view:
+            max_seq = view.max_seq if snapshot is None else snapshot.seq
+            streams = view._range_streams(
+                range(-1, self.options.max_levels), lo, hi, category,
+                fill_cache)
 
             # Seed the heap: (sort_key, stream_index, value, advance).  The
             # stream index breaks sort-key ties, so the newest component wins
@@ -1859,10 +1688,6 @@ class DB:
             if operands:
                 yield (current_key, self._fold(current_key, operands, None),
                        operand_seq)
-        finally:
-            # Released when the scan is exhausted, closed, or abandoned
-            # (generator finalization runs this finally block).
-            self._release_view(pin)
 
     def _table_entries(self, files, entries: Callable[[Any], Iterator]
                        ) -> Iterator:
@@ -1884,75 +1709,14 @@ class DB:
             except CorruptionError as exc:
                 self._contain(file_number, exc)
 
-    def _range_streams(self, levels: Iterable[int], lo: bytes | None,
-                       hi: bytes | None, memtables, version,
-                       category: Category, fill_cache: bool = True
-                       ) -> list[Iterator[tuple[tuple[bytes, int], bytes]]]:
-        """The one range-stream builder: sorted ``(sort_key, value)``
-        streams of ``levels`` (``-1``: the view's MemTables) from ``lo`` on,
-        newest component first.
-
-        One stream per MemTable and per level-0 file, since those overlap.
-        Deeper levels are disjoint and sorted, so a whole level concatenates
-        into a single stream (LevelDB's concatenating iterator): a merge
-        heap holds one entry per *level*, not per file, keeping each sift
-        logarithmic in the number of components rather than of files.
-        """
-        entries = methodcaller(
-            "sorted_entries",
-            None if lo is None else
-            pack_internal_key(lo, MAX_SEQUENCE, KIND_FOR_SEEK),
-            category, fill_cache)
-        streams = []
-        for level in levels:
-            if level == -1:
-                streams.extend(self._memtable_sorted(lo, memtable)
-                               for memtable in memtables)
-            elif level == 0:
-                streams.extend(self._table_entries((meta,), entries)
-                               for meta in version.overlapping_files(0, lo, hi))
-            else:
-                files = version.overlapping_files(level, lo, hi)
-                if files:
-                    streams.append(self._table_entries(files, entries))
-        return streams
-
-    @staticmethod
-    def _memtable_sorted(lo: bytes | None, memtable: MemTable
-                         ) -> Iterator[tuple[tuple[bytes, int], bytes]]:
-        """MemTable entries from ``lo`` on, as the scan path's
-        ``(sort_key, value)`` pairs (``b""`` sorts before every key)."""
-        for entry in memtable.entries_from(lo or b""):
-            yield ((entry.user_key, -((entry.seq << 8) | entry.kind)),
-                   entry.value)
-
     def scan_level(self, level: int, lo: bytes | None = None,
                    hi: bytes | None = None,
                    category: Category = Category.INDEX
                    ) -> Iterator[tuple[InternalKey, bytes]]:
-        """Raw versions stored in one level, in internal-key order.
-
-        ``level == -1`` scans the MemTables.  No version resolution and no
-        tombstone hiding happens here: the Lazy and Composite indexes
-        interpret per-level entries themselves (Algorithms 3-4, 6-7).
-        Entries outside ``[lo, hi]`` (user keys) are excluded; every table
-        read is charged to ``category``.
-        """
-        memtables, version, _max_seq, pin = self._acquire_view()
-        try:
-            streams = self._range_streams((level,), lo, hi, memtables,
-                                          version, category)
-            stream = streams[0] if len(streams) == 1 \
-                else heapq.merge(*streams, key=itemgetter(0))
-            for (user_key, negated_tag), value in stream:
-                if lo is not None and user_key < lo:
-                    continue
-                if hi is not None and user_key > hi:
-                    return
-                tag = -negated_tag
-                yield InternalKey(user_key, tag >> 8, tag & 0xFF), value
-        finally:
-            self._release_view(pin)
+        """:meth:`ReadView.scan_level` on a view of its own, held as
+        :meth:`scan_with_seq` holds its view."""
+        with self._acquire_view() as view:
+            yield from view.scan_level(level, lo, hi, category)
 
     # -- snapshots ----------------------------------------------------------------
 
@@ -2046,10 +1810,9 @@ class DB:
         self.flush()
         # The view's pin keeps background compaction from deleting a table
         # file mid-copy (it becomes a zombie until we release).
-        _memtables, version, _max_seq, pin = self._acquire_view()
-        try:
+        with self._acquire_view() as view:
             copied = 0
-            for _level, meta in version.all_files():
+            for _level, meta in view.version.all_files():
                 payload = self.vfs.read_whole(
                     table_file_name(self.name, meta.file_number),
                     Category.OTHER)
@@ -2058,13 +1821,11 @@ class DB:
                     Category.OTHER)
                 copied += 1
             manifest = ManifestWriter(dest_vfs, dest_name, 1)
-            manifest.log_edit(self._snapshot_edit(0, version,
+            manifest.log_edit(self._snapshot_edit(0, view.version,
                                                   compact_pointers=False))
             manifest.install_as_current()
             manifest.close()
             return copied
-        finally:
-            self._release_view(pin)
 
     def verify_integrity(self):
         """Audit the database's persistent state; see :mod:`repro.lsm.checker`.
@@ -2173,6 +1934,243 @@ class DB:
         files = sum(self.level_file_counts())
         return (f"DB(name={self.name!r}, files={files}, "
                 f"last_seq={self.versions.last_sequence})")
+
+
+class ReadView:
+    """What one read sees: ``memtables`` newest first (the active one, then
+    a sealed one still being flushed), the pinned ``version``, and
+    ``max_seq``, the implicit snapshot of a read that names none.
+
+    Taken by :meth:`DB._acquire_view` and released once, on every way out
+    (``with`` or :meth:`release`).  Its methods are the reads of one view:
+    the per-key walk, GetLite, the MemTable postings, the range streams.
+    """
+
+    __slots__ = ("memtables", "version", "max_seq", "_db", "_pin")
+
+    def __init__(self, db: DB, memtables: tuple[MemTable, ...], version,
+                 max_seq: int, pin) -> None:
+        self._db = db
+        self.memtables = memtables
+        self.version = version
+        self.max_seq = max_seq
+        self._pin = pin
+
+    def __enter__(self) -> "ReadView":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.release()
+
+    def release(self) -> None:
+        """Drop the view's pin, if it has one; a second call does nothing."""
+        pin = self._pin
+        if pin is not None:
+            self._pin = None
+            self._db._release_view(pin)
+
+    # -- the per-key walk -----------------------------------------------------
+
+    def resolve(self, key: bytes, max_seq: int, held: dict | None = None
+                ) -> tuple[bytes, int] | None:
+        """GET: fold ``key``'s versions, newest first, down to a base or
+        tombstone; ``(value, seq)`` or ``None``."""
+        operands: list[bytes] = []
+        newest_seq: int | None = None
+        for _level, entries in self.level_walk(key, max_seq, Category.DATA,
+                                               held):
+            for kind, seq, value in entries:
+                if newest_seq is None:
+                    newest_seq = seq
+                if kind == KIND_MERGE:
+                    operands.append(value)
+                    continue
+                if kind == KIND_VALUE:
+                    if operands:
+                        return self._db._fold(key, operands, value), newest_seq
+                    return value, seq
+                # Tombstone: stop — older versions are dead.
+                if operands:
+                    return self._db._fold(key, operands, None), newest_seq
+                return None
+        if operands:
+            assert newest_seq is not None
+            return self._db._fold(key, operands, None), newest_seq
+        return None
+
+    def level_walk(self, key: bytes, max_seq: int, category: Category,
+                   held: dict | None
+                   ) -> Iterator[tuple[int, Iterable[tuple[int, int, bytes]]]]:
+        """The one per-key walk: ``(level, entries)`` per component level
+        that may hold ``key``, top down, each level's ``(kind, seq, value)``
+        entries newest first.
+
+        Level ``-1`` is the view's MemTables (the active one first: its
+        sequences are strictly newer than the sealed one's).  Level 0's
+        files overlap, so their versions are read together and interleaved
+        by sequence; a deeper level has at most one candidate file, whose
+        entries stream lazily, so a GET that resolves in an upper component
+        never opens the tables below it.  Tables are read under
+        :meth:`DB._table_entries`'s form of :meth:`DB._contain`'s idiom.
+        """
+        in_memory = []
+        for memtable in self.memtables:
+            for entry in memtable.versions(key, max_seq):
+                in_memory.append((entry.kind, entry.seq, entry.value))
+        if in_memory:
+            yield -1, in_memory
+        db, version = self._db, self.version
+        read = methodcaller("versions_raw", key, max_seq, category, held)
+        for level in range(db.options.max_levels):
+            files = version.files_containing_key(level, key)
+            if not files:
+                continue
+            if level:
+                yield level, db._table_entries(files, read)
+            else:
+                yield 0, sorted(db._table_entries(files, read),
+                                key=itemgetter(1), reverse=True)
+
+    # -- GetLite ----------------------------------------------------------------
+
+    def newer_version(self, key: bytes, seq: int, level: int, position: int
+                      ) -> tuple[bool, int, int]:
+        """GetLite: is there a version of ``key`` newer than ``seq``, found
+        in file ``position`` of ``level`` (the paper's ``currentLevel``)?
+
+        One pass over what may hold one: a level-0 match's overlapping
+        siblings, then the MemTables, then levels ``0 .. level-1`` down to
+        the first deeper level that holds the key.  A table answers through
+        :meth:`DB._newest_in_table`: in memory, with a read only to confirm
+        a positive; what it cannot read counts as newer.  Returns
+        ``(newer, memory_only, confirm_reads)``: ``memory_only`` is 1 if
+        nothing above the level admitted the key, and a confirm read is
+        counted per sibling read, plus one if anything above admitted it.
+        """
+        db, version = self._db, self.version
+        newest_in_table = db._newest_in_table
+        reads = 0
+        if level == 0:
+            # In a tree the engine built, the files newer than the match are
+            # those before ``position``: flushes give level 0 ordered,
+            # disjoint sequence ranges.  Repair puts every table in level 0
+            # by file number, and a table it rewrote gets a new number —
+            # ahead of newer ones; asking by sequence range keeps GetLite
+            # right there too, with no extra read elsewhere.
+            for index, meta in enumerate(version.levels[0]):
+                if index != position and meta.seq_upper_bound > seq and \
+                        meta.contains_user_key(key):
+                    newest = newest_in_table(meta, key, True)
+                    if newest is not None:
+                        reads += 1
+                        if newest > seq:
+                            return True, 0, reads
+        for memtable in self.memtables:
+            entry = memtable.get(key, self.max_seq)
+            if entry is not None:
+                return entry.seq > seq, 0, reads + 1
+        admitted = False
+        best = 0
+        for above in range(min(level, db.options.max_levels)):
+            for meta in version.files_containing_key(above, key):
+                newest = newest_in_table(meta, key, True)
+                if newest is None:
+                    continue
+                if newest == MAX_SEQUENCE:
+                    return True, 0, reads + 1
+                admitted = True
+                best = max(best, newest)
+            if best and above:
+                break  # deeper levels are older still
+        return best > seq, int(not admitted), reads + admitted
+
+    # -- the Embedded index's MemTable component ---------------------------------
+
+    def newest_in_memory(self, key: bytes) -> tuple[int, int, bytes] | None:
+        """``(kind, seq, value)`` of ``key``'s newest version in the view's
+        MemTables."""
+        for memtable in self.memtables:
+            entry = memtable.get(key, self.max_seq)
+            if entry is not None:
+                return entry.kind, entry.seq, entry.value
+        return None
+
+    def memtable_postings(self, attribute: str, low: bytes,
+                          high: bytes) -> list[tuple[int, bytes]]:
+        """``(seq, key)`` postings of the view's MemTables whose encoded
+        ``attribute`` lies in ``[low, high]`` (:meth:`MemTable.postings`).
+        Unchecked — a posting may be superseded or past the view's
+        sequence; a caller confirms each with :meth:`newest_in_memory`."""
+        return [posting for memtable in self.memtables
+                for posting in memtable.postings(attribute, low, high)]
+
+    # -- range reads ------------------------------------------------------------
+
+    def scan_level(self, level: int, lo: bytes | None = None,
+                   hi: bytes | None = None,
+                   category: Category = Category.INDEX
+                   ) -> Iterator[tuple[InternalKey, bytes]]:
+        """Raw versions stored in one level, in internal-key order.
+
+        ``level == -1`` scans the MemTables.  No version resolution and no
+        tombstone hiding happens here: the Lazy and Composite indexes
+        interpret per-level entries themselves (Algorithms 3-4, 6-7).
+        Entries outside ``[lo, hi]`` (user keys) are excluded; every table
+        read is charged to ``category``.
+        """
+        streams = self._range_streams((level,), lo, hi, category)
+        stream = streams[0] if len(streams) == 1 \
+            else heapq.merge(*streams, key=itemgetter(0))
+        for (user_key, negated_tag), value in stream:
+            if lo is not None and user_key < lo:
+                continue
+            if hi is not None and user_key > hi:
+                return
+            tag = -negated_tag
+            yield InternalKey(user_key, tag >> 8, tag & 0xFF), value
+
+    def _range_streams(self, levels: Iterable[int], lo: bytes | None,
+                       hi: bytes | None, category: Category,
+                       fill_cache: bool = True
+                       ) -> list[Iterator[tuple[tuple[bytes, int], bytes]]]:
+        """The one range-stream builder: sorted ``(sort_key, value)``
+        streams of ``levels`` (``-1``: the view's MemTables) from ``lo`` on,
+        newest component first.
+
+        One stream per MemTable and per level-0 file, since those overlap.
+        Deeper levels are disjoint and sorted, so a whole level concatenates
+        into a single stream (LevelDB's concatenating iterator): a merge
+        heap holds one entry per *level*, not per file, keeping each sift
+        logarithmic in the number of components rather than of files.
+        """
+        table_entries, version = self._db._table_entries, self.version
+        entries = methodcaller(
+            "sorted_entries",
+            None if lo is None else
+            pack_internal_key(lo, MAX_SEQUENCE, KIND_FOR_SEEK),
+            category, fill_cache)
+        streams = []
+        for level in levels:
+            if level == -1:
+                streams.extend(_memtable_sorted(lo, memtable)
+                               for memtable in self.memtables)
+            elif level == 0:
+                streams.extend(table_entries((meta,), entries)
+                               for meta in version.overlapping_files(0, lo, hi))
+            else:
+                files = version.overlapping_files(level, lo, hi)
+                if files:
+                    streams.append(table_entries(files, entries))
+        return streams
+
+
+def _memtable_sorted(lo: bytes | None, memtable: MemTable
+                     ) -> Iterator[tuple[tuple[bytes, int], bytes]]:
+    """MemTable entries from ``lo`` on, as the scan path's
+    ``(sort_key, value)`` pairs (``b""`` sorts before every key)."""
+    for entry in memtable.entries_from(lo or b""):
+        yield ((entry.user_key, -((entry.seq << 8) | entry.kind)),
+               entry.value)
 
 
 def _tree_lines(key: Any, value: Any, indent: str) -> list[str]:

@@ -71,10 +71,10 @@ DEFAULT_SCAN_LIMIT = 1000
 #: Longest run of pipelined writes folded into one WriteBatch.
 MAX_COALESCED_OPS = 128
 
-#: Acked write results remembered per client for idempotent-retry dedup.
-#: A retry more than this many writes behind the client's newest is no
-#: longer recognizable — far beyond any real retry horizon (a client
-#: retries its most recent unacked writes, not a thousand-op backlog).
+#: Acked write results remembered per client for idempotent-retry dedup:
+#: bounded, refusing.  A retry more than this many writes behind the
+#: client's newest is refused, not applied again — far beyond any real
+#: retry horizon (a client retries its most recent unacked writes).
 DEDUP_WINDOW = 1024
 
 #: Clients whose dedup windows are kept: the most recently active ones.
@@ -119,14 +119,17 @@ class _DedupWindow:
     (or would have been) acked with; the lock makes check-and-apply
     atomic per client, so a retry racing its original attempt — the old
     connection's thread may still be draining when the client has
-    already reconnected — can never double-apply.
+    already reconnected — can never double-apply.  ``forgotten``: the
+    highest sequence evicted from ``results``; a retry at or below it is
+    refused, since it may have been applied.
     """
 
-    __slots__ = ("lock", "results")
+    __slots__ = ("lock", "results", "forgotten")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.results: OrderedDict[int, Any] = OrderedDict()
+        self.forgotten = 0
 
 
 class _Connection:
@@ -542,7 +545,8 @@ class Server:
         window; a retry of the same ``(client_id, client_seq)`` replays
         that result — same sequence number, nothing re-applied.  Errors
         are not cached: nothing was applied, so retrying is safe, and a
-        deterministic error simply errors again.
+        deterministic error simply errors again.  A retry older than the
+        window's memory is refused, not applied a second time.
         """
         if len(args) != 4 or not isinstance(args[0], str) \
                 or not isinstance(args[1], int) \
@@ -567,11 +571,16 @@ class Server:
             if client_seq in window.results:
                 self.stats.dedup_hits += 1
                 return window.results[client_seq]
+            if client_seq <= window.forgotten:
+                raise InvalidArgumentError(
+                    f"write {client_seq} of client {client_id} is older than "
+                    f"its dedup window: it may have been applied already")
             result = self._dispatch(op, inner_args)
             self.stats.dedup_applied += 1
             window.results[client_seq] = result
             while len(window.results) > DEDUP_WINDOW:
-                window.results.popitem(last=False)
+                evicted, _result = window.results.popitem(last=False)
+                window.forgotten = max(window.forgotten, evicted)
             return result
 
     def _dispatch_unlocked(self, op: str, args: list) -> Any:

@@ -104,8 +104,9 @@ def test_embedded_equals_noindex_around_a_sealed_memtable():
     hook.hold = False
     db.flush()
     assert primary.imm is None and primary.level_file_counts()[0] >= 1
-    assert primary.memtable_postings("u", encode_attribute(""),
-                                     encode_attribute("\uffff")) == []
+    with primary.read_view() as view:
+        assert view.memtable_postings("u", encode_attribute(""),
+                                      encode_attribute("\uffff")) == []
     assert _assert_equals_noindex(db) == written
     assert primary._version_pins == {}
     sched.shutdown()
@@ -247,13 +248,14 @@ def test_a_view_pinned_before_a_move_reads_the_table_at_its_old_level():
         seen: dict = {}
 
         def client() -> None:
-            with primary.read_view() as version:
-                seen["pinned"] = [len(files) for files in version.levels[:2]]
+            with primary.read_view() as view:
+                seen["pinned"] = [len(files)
+                                  for files in view.version.levels[:2]]
                 seen["current"] = primary.level_file_counts()[:2]
                 pinned_level = seen["pinned"].index(1)
                 seen["keys"] = [ikey.user_key for ikey, _value
-                                in primary.scan_level(pinned_level)]
-                seen["other"] = list(primary.scan_level(1 - pinned_level))
+                                in view.scan_level(pinned_level)]
+                seen["other"] = list(view.scan_level(1 - pinned_level))
                 seen["lookup"] = len(db.lookup("u", "alice"))
 
         sched.wait_threads(sched.spawn("client", client))

@@ -1,10 +1,10 @@
 """The read view's MemTable set is what the gauges and GetLite see.
 
 A sealed MemTable still waiting for its flush is part of every read's view
-(:meth:`DB._acquire_view`); ``DB.stats()`` and ``num_nonempty_levels()`` —
-the paper's *L*, fed to the cost model — must count it too, and GetLite's
-confirm read (:meth:`DB.newest_seq_above`) must find a newer version
-parked there.
+(:class:`repro.lsm.db.ReadView`); ``DB.stats()`` and
+``num_nonempty_levels()`` — the paper's *L*, fed to the cost model — must
+count it too, and GetLite (:meth:`ReadView.newer_version`) must find a
+newer version parked there.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import threading
 
 from repro.core.base import IndexKind
 from repro.core.database import SecondaryIndexedDB
-from repro.core.validity import ValidityChecker
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from scheduling import DeterministicScheduler
@@ -72,14 +71,13 @@ def test_getlite_sees_a_newer_version_in_the_sealed_memtable():
     assert db.imm.get(b"t1").seq == new_seq and len(db.memtable) == 0
     assert db.level_file_counts()[0] == 1
     reads_before = vfs.stats.read_blocks
-    assert db.newest_seq_above(b"t1", db.options.max_levels) == new_seq
+    with db.read_view() as view:
+        assert view.newest_in_memory(b"t1")[1] == new_seq
+        # GetLite on the on-disk version (found at level 0, so only the
+        # MemTables can hold anything newer): stale.
+        assert view.newer_version(b"t1", old_seq, 0, 0) == (True, 0, 1)
+        assert view.newer_version(b"t1", new_seq, 0, 0) == (False, 0, 1)
     assert vfs.stats.read_blocks == reads_before  # resolved in memory
-    # GetLite on the on-disk version (found at level 0, so only the
-    # MemTables can hold anything newer): stale.
-    checker = ValidityChecker(db)
-    assert not checker.is_newest_version(b"t1", old_seq, level=0)
-    assert checker.getlite_confirm_reads == 1
-    assert checker.is_newest_version(b"t1", new_seq, level=0)
     sched.shutdown()
     db.close()
 

@@ -70,8 +70,9 @@ def test_a_bad_value_fails_alone_and_never_reaches_the_wal():
     assert sorted(errors) == [b"b"]
     assert isinstance(errors[b"b"], TypeError)
     assert db.get(b"b") is None
-    assert sorted(key for _seq, key
-                  in db.memtable_postings("u", b"", b"\xff")) == [b"a", b"c"]
+    with db.read_view() as view:
+        assert sorted(key for _seq, key in view.memtable_postings(
+            "u", b"", b"\xff")) == [b"a", b"c"]
     db.close()
     # Reopening replays the WAL: it holds no record of b.
     db = DB.open(vfs, "db", _options())

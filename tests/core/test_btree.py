@@ -43,7 +43,8 @@ def _db(**options) -> DB:
 
 
 def _db_postings(db: DB, low, high):
-    return sorted(db.memtable_postings("u", _enc(low), _enc(high)))
+    with db.read_view() as view:
+        return sorted(view.memtable_postings("u", _enc(low), _enc(high)))
 
 
 class TestBasics:

@@ -61,8 +61,10 @@ class TestMemTableComponent:
         db = open_db(IndexKind.EMBEDDED, index_options)
         load_tweets(db, 50)
         db.flush()
-        assert db.primary.memtable_postings(
-            "UserID", encode_attribute(""), encode_attribute("\uffff")) == []
+        with db.primary.read_view() as view:
+            assert view.memtable_postings(
+                "UserID", encode_attribute(""),
+                encode_attribute("\uffff")) == []
         # Data still findable through the SSTable filters.
         assert len(db.lookup("UserID", "u1")) == 5
         db.close()

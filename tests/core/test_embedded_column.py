@@ -14,9 +14,9 @@ import random
 
 import pytest
 
-import repro.core.embedded as embedded_module
 from repro.core.base import IndexKind
 from repro.core.database import SecondaryIndexedDB
+from repro.core.embedded import EmbeddedIndex
 from repro.core.topk import TopKBySeq
 from repro.lsm.keys import encode_varint
 from repro.lsm.options import Options, json_attribute_extractor
@@ -159,15 +159,22 @@ def test_answers_identical_without_the_column(monkeypatch, seed,
 
 
 def test_records_parsed_never_exceed_heap_admissions(monkeypatch):
-    admissions = 0
+    """Admissions are counted on the heap each query's walk fills, wherever
+    that heap was built (a LOOKUP's own, a RANGELOOKUP's caller's)."""
+    added: dict[TopKBySeq, int] = {}  # keyed by the heap: no id reuse
+    filled: list[TopKBySeq] = []
+    add, query = TopKBySeq.add, EmbeddedIndex._query
 
-    class CountingHeap(TopKBySeq):
-        def add(self, seq, item):
-            nonlocal admissions
-            admissions += 1
-            return super().add(seq, item)
+    def counting_add(self, seq, item):
+        added[self] = added.get(self, 0) + 1
+        return add(self, seq, item)
 
-    monkeypatch.setattr(embedded_module, "TopKBySeq", CountingHeap)
+    def recording_query(self, heap, *args):
+        filled.append(heap)
+        return query(self, heap, *args)
+
+    monkeypatch.setattr(TopKBySeq, "add", counting_add)
+    monkeypatch.setattr(EmbeddedIndex, "_query", recording_query)
     extractor = CountingExtractor()
     db = _build(extractor, True, 5)
     for index in db.indexes.values():
@@ -175,6 +182,8 @@ def test_records_parsed_never_exceed_heap_admissions(monkeypatch):
     _answers, _blocks, calls = _run(db, extractor)
     parsed = sum(index.probe_stats()["records_parsed"]
                  for index in db.indexes.values())
+    admissions = sum(added.get(heap, 0)
+                     for heap in {id(heap): heap for heap in filled}.values())
     assert calls == 0
     assert 0 < parsed <= admissions
     db.close()

@@ -48,10 +48,11 @@ ATTRIBUTES = ("UserID", "CreationTime")
 def reference_lookup(index: EmbeddedIndex, value, k, early_termination):
     encoded = encode_attribute(value)
     heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-    index._memtable_matches(heap, index.primary.memtable_postings(
-        index.attribute, encoded, encoded))
-    return _reference_levels(index, heap, encoded, encoded, True,
-                             early_termination)
+    with index.primary.read_view() as view:
+        index._memtable_matches(heap, view, view.memtable_postings(
+            index.attribute, encoded, encoded))
+        return _reference_levels(index, view, heap, encoded, encoded, True,
+                                 early_termination)
 
 
 def reference_range_lookup(index: EmbeddedIndex, low, high, k,
@@ -60,17 +61,19 @@ def reference_range_lookup(index: EmbeddedIndex, low, high, k,
     if low_encoded > high_encoded:
         return []
     heap: TopKBySeq[LookupResult] = TopKBySeq(k)
-    index._memtable_matches(heap, index.primary.memtable_postings(
-        index.attribute, low_encoded, high_encoded))
-    return _reference_levels(index, heap, low_encoded, high_encoded, False,
-                             early_termination)
+    with index.primary.read_view() as view:
+        index._memtable_matches(heap, view, view.memtable_postings(
+            index.attribute, low_encoded, high_encoded))
+        return _reference_levels(index, view, heap, low_encoded,
+                                 high_encoded, False, early_termination)
 
 
-def _reference_levels(index, heap, low, high, use_blooms, early_termination):
+def _reference_levels(index, view, heap, low, high, use_blooms,
+                      early_termination):
     """Every file of a level in primary-key order, every block first to last."""
     if early_termination and heap.is_full:
         return heap.results()
-    version = index.primary.versions.current
+    version = view.version
     for level in range(index.primary.options.max_levels):
         for position, meta in enumerate(version.levels[level]):
             file_zone = meta.secondary_zonemaps.get(index.attribute)
@@ -86,14 +89,14 @@ def _reference_levels(index, heap, low, high, use_blooms, early_termination):
                 if block_index < len(zonemaps) and not \
                         zonemaps[block_index].overlaps(low, high):
                     continue
-                _reference_block(index, heap, level, position, table,
+                _reference_block(index, view, heap, level, position, table,
                                  block_index, low, high)
         if early_termination and heap.is_full:
             break
     return heap.results()
 
 
-def _reference_block(index, heap, level, position, table, block_index,
+def _reference_block(index, view, heap, level, position, table, block_index,
                      low, high):
     extractor = index.primary.options.attribute_extractor
     block = table.read_data_block(block_index, Category.DATA)
@@ -113,7 +116,8 @@ def _reference_block(index, heap, level, position, table, block_index,
             continue
         if not _newest_in_file(table, ikey.user_key, block_index):
             continue
-        if not index._is_valid(ikey.user_key, ikey.seq, level, position):
+        if not index._is_valid(view, ikey.user_key, ikey.seq, level,
+                               position):
             continue
         heap.add(ikey.seq, LookupResult(key_to_str(ikey.user_key),
                                         decode_document(value), ikey.seq))
@@ -237,9 +241,9 @@ def test_updated_deep_file_is_visited_first_and_never_skipped(index_options):
     visited: list[int] = []
     scan_file = index._scan_file
 
-    def spy(heap, level, position, meta, *rest):
+    def spy(heap, view, level, position, meta, *rest):
         visited.append(meta.file_number)
-        return scan_file(heap, level, position, meta, *rest)
+        return scan_file(heap, view, level, position, meta, *rest)
 
     index._scan_file = spy
     index.files_seq_pruned = 0

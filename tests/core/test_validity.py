@@ -119,6 +119,12 @@ class TestPredicates:
         assert not check({})
 
 
+def _getlite(db, key, seq, level, position=0):
+    """GetLite on a fresh view: ``(newer, memory_only, confirm_reads)``."""
+    with db.read_view() as view:
+        return view.newer_version(key, seq, level, position)
+
+
 class TestGetLite:
     def test_newest_version_in_memtable_invalidates(self):
         db = _open()
@@ -126,8 +132,8 @@ class TestGetLite:
         db.flush()
         _value, old_seq = db.get_with_seq(b"t1")
         db.put(b"t1", encode_document({"UserID": "u2"}))  # memtable
-        checker = ValidityChecker(db)
-        assert not checker.is_newest_version(b"t1", old_seq, level=0)
+        newer, _memory_only, _reads = _getlite(db, b"t1", old_seq, level=0)
+        assert newer
         db.close()
 
     def test_unique_version_validates_in_memory(self):
@@ -136,11 +142,9 @@ class TestGetLite:
             db.put(f"k{i:04d}".encode(), encode_document({"UserID": "u1"}))
         db.flush()
         _value, seq = db.get_with_seq(b"k0100")
-        checker = ValidityChecker(db)
         level = db.versions.current.deepest_nonempty_level()
         reads_before = db.vfs.stats.read_blocks
-        assert checker.is_newest_version(b"k0100", seq, level)
-        assert checker.getlite_memory_only == 1
+        assert _getlite(db, b"k0100", seq, level) == (False, 1, 0)
         assert db.vfs.stats.read_blocks == reads_before
         db.close()
 
@@ -156,6 +160,6 @@ class TestGetLite:
         deep_level = db.versions.current.deepest_nonempty_level()
         db.put(b"t1", encode_document({"UserID": "u2"}))
         db.flush()
-        checker = ValidityChecker(db)
-        assert not checker.is_newest_version(b"t1", old_seq, deep_level)
+        newer, _memory_only, _reads = _getlite(db, b"t1", old_seq, deep_level)
+        assert newer
         db.close()

@@ -28,6 +28,7 @@ import os
 import pytest
 
 from repro.lsm.db import DB
+from repro.lsm.errors import InvalidArgumentError
 from repro.lsm.options import Options
 from repro.lsm.vfs import MemoryVFS
 from repro.server import Client, Server
@@ -158,6 +159,22 @@ class TestDedupWindow:
             # Oldest entries were evicted, newest retained.
             assert 1 not in window.results
             assert DEDUP_WINDOW + 9 in window.results
+
+    def test_a_forgotten_retry_is_refused_not_applied_again(self):
+        from repro.server.server import DEDUP_WINDOW
+        with _Rig(FaultSchedule()) as rig:
+            server = rig.server
+            for seq in range(1, DEDUP_WINDOW + 10):
+                server._op_apply(["bulk", seq, "put",
+                                  [b"k%d" % seq, b"v"]])
+            committed = rig.db.versions.last_sequence
+            with pytest.raises(InvalidArgumentError,
+                               match="older than its dedup window"):
+                server._op_apply(["bulk", 1, "put", [b"k1", b"v"]])
+            assert rig.db.versions.last_sequence == committed
+            # A write newer than everything forgotten still applies.
+            assert server._op_apply(["bulk", DEDUP_WINDOW + 10, "put",
+                                     [b"k", b"v"]]) == committed + 1
 
     def test_client_windows_are_bounded(self):
         """One-shot clients (ROADMAP 5d) must not grow the server forever,
