@@ -14,17 +14,22 @@ appended to the *restart array* at the block's tail, enabling binary search::
 Keys are encoded internal keys; ordering uses the internal-key comparator
 (user key ascending, sequence number descending).
 
-Read-side strategy: the first iteration or seek **batch-decodes** every
-entry into parallel key/value arrays in one pass over the varint stream
-(a tight inline loop rather than one function call per field), and seeks
-bisect a lazily built sort-key array.  A :class:`Block` held in the block
-cache therefore pays the varint walk once per cache lifetime; repeated
-seeks in a hot block are an O(log n) bisect.
+Read-side strategy.  A block read once (the block cache off, or its first
+read) is searched **one-shot**, LevelDB's way: bisect the restart array,
+then decode forward from the chosen restart point, memoizing nothing.  A
+block the block cache serves a second time becomes **searchable**: one
+decode pass builds compact *search arrays* — the user keys, an ``array``
+of tags and an ``array`` of value bounds into the block's bytes — and
+every later seek is a bisect over them.  A scan decodes every entry in
+one pass over the varint stream (a tight inline loop rather than one
+function call per field) and memoizes its sort keys and values, so a
+cached block re-scanned pays the walk once.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left
 from typing import Iterator
 
@@ -138,10 +143,15 @@ def _shared_prefix_length(a: bytes, b: bytes) -> int:
 
 
 class Block:
-    """Read-side view of a finished block."""
+    """Read-side view of a finished block.
 
-    __slots__ = ("_data", "_restarts", "_entries_end",
-                 "_keys", "_values", "_sort_keys")
+    Shared between threads once it sits in the block cache: each memo
+    (``_sorted`` for scans, ``_search`` for seeks) is built whole and
+    published by one attribute store, so a reader sees it complete or
+    not at all.
+    """
+
+    __slots__ = ("_data", "_restarts", "_entries_end", "_sorted", "_search")
 
     def __init__(self, data: bytes) -> None:
         if len(data) < 4:
@@ -155,20 +165,19 @@ class Block:
         self._restarts = struct.unpack_from(f"<{num_restarts}I", data,
                                             restart_start)
         self._entries_end = restart_start
-        self._keys: list[bytes] | None = None
-        self._values: list[bytes] | None = None
-        self._sort_keys: list[tuple[bytes, int]] | None = None
+        self._sorted: tuple[list, list] | None = None  # sort keys, values
+        self._search: tuple[list, array, array] | None = None
 
-    def _parse_all(self) -> list[bytes]:
-        """Decode every entry into ``self._keys``/``self._values`` (once).
+    def _parse_all(self, bounds: array | None = None
+                   ) -> tuple[list[bytes], list[bytes]]:
+        """Every entry's encoded key and value, index-aligned — or, given
+        ``bounds``, no values: each value's ``[start, end)`` in the
+        block's bytes is appended to ``bounds`` instead.
 
         One pass, varints decoded inline: on a typical block this replaces
         three ``decode_varint`` calls plus a ``_decode_entry`` frame per
-        entry with straight-line bytecode, and the result is memoized for
-        the lifetime of the Block object.
+        entry with straight-line bytecode.  Nothing is memoized.
         """
-        if self._keys is not None:
-            return self._keys
         data = self._data
         end = self._entries_end
         keys: list[bytes] = []
@@ -236,42 +245,45 @@ class Block:
                 else:
                     previous = data[pos:key_end]
                 append_key(previous)
-                append_value(data[key_end:value_end])
+                if bounds is None:
+                    append_value(data[key_end:value_end])
+                else:
+                    bounds.append(key_end)
+                    bounds.append(value_end)
                 pos = value_end
         except IndexError as exc:
             raise CorruptionError(
                 "bad block entry header: truncated varint") from exc
-        self._keys = keys
-        self._values = values
-        return keys
+        return keys, values
 
-    def _materialize_sort_keys(self) -> list[tuple[bytes, int]]:
-        sort_keys = self._sort_keys
-        if sort_keys is None:
-            keys = self._parse_all()
+    def _materialize_sort_keys(self
+                               ) -> tuple[list[tuple[bytes, int]], list[bytes]]:
+        """Sort keys and values, index-aligned: the scan memo (built once)."""
+        memo = self._sorted
+        if memo is None:
+            keys, values = self._parse_all()
             # internal_sort_key, inlined into the listcomp: one C-level
             # loop, no per-entry Python frame.
             unpack_from = _TRAILER.unpack_from
             try:
-                sort_keys = self._sort_keys = [
-                    (key[:-8], -unpack_from(key, len(key) - 8)[0])
-                    for key in keys]
+                sort_keys = [(key[:-8], -unpack_from(key, len(key) - 8)[0])
+                             for key in keys]
             except struct.error as exc:
                 # A decoded key shorter than its 8-byte trailer: garbage
                 # that slipped past a skipped CRC (paranoid_checks off).
                 raise CorruptionError(
                     "block entry key shorter than trailer") from exc
-        return sort_keys
+            memo = self._sorted = (sort_keys, values)
+        return memo
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
-        keys = self._parse_all()
-        return iter(zip(keys, self._values))
+        return zip(*self._parse_all())
 
     def arrays(self) -> tuple[list[bytes], list[bytes]]:
         """Encoded keys and values, index-aligned: what iteration yields,
         for a caller that derives its own per-entry form (a compaction's
-        sort keys) without leaving it memoized on a cached block."""
-        return self._parse_all(), self._values
+        sort keys).  Nothing is left memoized on the block."""
+        return self._parse_all()
 
     def sorted_items(self) -> Iterator[tuple[tuple[bytes, int], bytes]]:
         """``(sort_key, value)`` pairs for every entry, in order.
@@ -280,38 +292,70 @@ class Block:
         resolution both work on sort keys directly, so handing them out
         pre-computed avoids allocating an :class:`InternalKey` per entry.
         """
-        sort_keys = self._materialize_sort_keys()
-        return iter(zip(sort_keys, self._values))
+        return zip(*self._materialize_sort_keys())
 
     def sorted_arrays(self) -> tuple[list[tuple[bytes, int]], list[bytes]]:
         """The arrays behind :meth:`sorted_items` — sort keys and values,
         index-aligned — for a caller that visits chosen entries only."""
-        return self._materialize_sort_keys(), self._values
+        return self._materialize_sort_keys()
+
+    def make_searchable(self) -> None:
+        """Build the search arrays :meth:`seek` bisects, once.
+
+        One decode pass: each entry's user key, its tag (``seq << 8 |
+        kind``) in an ``array('Q')``, and its value's ``[start, end)`` in
+        the block's bytes, two slots per entry of an ``array('I')`` (one
+        large value can push a block past 64 KiB).  No per-entry tuple and
+        no value copy is kept.  The block cache calls this when it serves
+        a block the second time; a block that fails to decode raises
+        :class:`CorruptionError` and stays unsearchable.
+        """
+        if self._search is not None:
+            return
+        bounds = array("I")
+        keys, _no_values = self._parse_all(bounds)
+        unpack_trailer = _TRAILER.unpack_from
+        try:
+            tags = array("Q", [unpack_trailer(key, len(key) - 8)[0]
+                               for key in keys])
+        except struct.error as exc:
+            raise CorruptionError(
+                "block entry key shorter than trailer") from exc
+        user_keys = [key[:-8] for key in keys]
+        self._search = (user_keys, tags, bounds)
 
     def seek(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Iterate entries with internal key >= ``target``.
 
-        Two regimes, chosen by whether the block's entries are already
-        materialized:
+        Two regimes, chosen by whether the block is searchable
+        (:meth:`make_searchable`):
 
-        * materialized (the block was iterated before, e.g. it sits in the
-          block cache): bisect the memoized sort-key array — O(log n) with
-          C-speed tuple compares;
-        * fresh (the common point-lookup case with the block cache off):
+        * searchable (the block cache served it before): bisect the user
+          keys, step past the target key's versions newer than its
+          sequence, and hand out each entry rebuilt from the arrays —
+          O(log n) with C-speed compares;
+        * one-shot (the block cache off, or a block's first read):
           LevelDB's strategy — binary-search the restart array, then decode
           forward from the chosen restart point.  At most
           ``restart_interval`` entries are decoded before the target, and
           nothing is memoized, so a one-shot seek never pays for the whole
           block.
         """
-        if self._keys is not None:
-            keys = self._keys
-            sort_keys = self._materialize_sort_keys()
-            values = self._values
-            for index in range(
-                    bisect_left(sort_keys, internal_sort_key(target)),
-                    len(keys)):
-                yield keys[index], values[index]
+        search = self._search
+        if search is not None:
+            user_keys, tags, bounds = search
+            user_key, negated_tag = internal_sort_key(target)
+            tag = -negated_tag
+            count = len(user_keys)
+            index = bisect_left(user_keys, user_key)
+            while index < count and tags[index] > tag \
+                    and user_keys[index] == user_key:
+                index += 1
+            data = self._data
+            pack_trailer = _TRAILER.pack
+            for index in range(index, count):
+                yield (user_keys[index] + pack_trailer(tags[index]),
+                       data[bounds[2 * index]:bounds[2 * index + 1]])
             return
 
         data = self._data

@@ -5,7 +5,14 @@ Two distinct caches appear in the paper:
 * LevelDB's optional **block cache** holds decompressed data blocks.  The
   paper ran with it *disabled* ("No block cache was used"), so
   :class:`LRUCache` defaults to off, but it is available for the cache-size
-  ablation bench.
+  ablation bench.  It holds only live tables' blocks: compaction reads its
+  inputs without filling it, and a table whose reader is dropped — its
+  file deleted, discarded or quarantined, or its reader closed by the
+  table cache — takes its blocks out by their keys
+  (:meth:`~repro.lsm.sstable.SSTable.evict_cached_blocks`).  A cached
+  block costs its decompressed bytes (its charge) plus, once served
+  twice, its search arrays, and, once scanned, its scan memo
+  (:class:`~repro.lsm.block.Block`).
 
 * The **OS buffer cache** caches raw device blocks and is responsible for
   the inflection points in Figure 12: once the database outgrows RAM, GETs
@@ -18,6 +25,7 @@ Two distinct caches appear in the paper:
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Any, Hashable
 
@@ -31,66 +39,59 @@ from repro.lsm.vfs import (
 
 
 class LRUCache:
-    """Size-bounded LRU map used as the (decompressed-)block cache."""
+    """Size-bounded LRU map used as the (decompressed-)block cache.
+
+    Server threads read through it while the background thread evicts a
+    retired table's blocks, so every operation holds one lock.
+    """
 
     def __init__(self, capacity_bytes: int) -> None:
         self.capacity = capacity_bytes
         self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
         self._used = 0
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get(self, key: Hashable) -> Any | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry[0]
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry[0]
 
     def put(self, key: Hashable, value: Any, size: int) -> None:
-        if self.capacity <= 0 or size > self.capacity:
-            # The new value is uncacheable, but a previously cached value
-            # under the same key is now stale and must not be served.
-            stale = self._entries.pop(key, None)
-            if stale is not None:
-                self._used -= stale[1]
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._used -= old[1]
-        self._entries[key] = (value, size)
-        self._used += size
-        while self._used > self.capacity:
-            _evicted_key, (_value, evicted_size) = self._entries.popitem(last=False)
-            self._used -= evicted_size
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                # Replaced or, if the new value is uncacheable, dropped: a
+                # stale value under the key must not be served.
+                self._used -= old[1]
+            if self.capacity <= 0 or size > self.capacity:
+                return
+            self._entries[key] = (value, size)
+            self._used += size
+            while self._used > self.capacity:
+                _key, (_value, evicted_size) = self._entries.popitem(
+                    last=False)
+                self._used -= evicted_size
 
     def evict(self, key: Hashable) -> bool:
-        """Drop ``key`` if cached (a poisoned or stale entry); True if it was.
+        """Drop ``key`` if cached (a poisoned or dead entry); True if it was.
 
         A block whose re-read failed CRC must never be served from cache
         again — not even after the underlying file heals — so corruption
         handling evicts eagerly rather than waiting for LRU pressure.
         """
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return False
-        self._used -= entry[1]
-        return True
-
-    def evict_file(self, file_number: int) -> int:
-        """Drop every cached block of one table file; returns the count.
-
-        Block-cache keys are ``(file_number, block_offset)`` tuples; used
-        when a whole table is quarantined so none of its blocks — possibly
-        decoded from rotten bytes before detection — survive in cache.
-        """
-        stale = [key for key in self._entries
-                 if isinstance(key, tuple) and key and key[0] == file_number]
-        for key in stale:
-            self._used -= self._entries.pop(key)[1]
-        return len(stale)
+        with self._lock:
+            entry = self._entries.pop(key, None)
+            if entry is None:
+                return False
+            self._used -= entry[1]
+            return True
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -103,6 +104,7 @@ class LRUCache:
         return {
             "capacity_bytes": self.capacity,
             "used_bytes": self.used_bytes,
+            "blocks": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,
         }

@@ -424,16 +424,19 @@ def _input_streams(inputs, open_table, attributes) -> list:
 
 
 def _table_blocks(table, attributes):
-    """A table's data blocks, read as compaction I/O, each as an iterator
-    of its entries' ``(sort_key, internal_key, value, slots)``.
+    """A table's data blocks, read as compaction I/O that does not fill
+    the block cache (LevelDB's ``fill_cache = false``: the inputs are
+    about to be deleted), each as an iterator of its entries'
+    ``(sort_key, internal_key, value, slots)``.
 
     ``slots`` are the entry's attribute-column slots (one per attribute
     of ``attributes``) from the table's column, or ``None`` where the
     table has no column for one of them (written before columns existed,
     or its column block dropped as corrupt): the builder then derives
     them.  A column that does not describe its block entry for entry is
-    corrupt.  The sort keys are derived per block and not kept: a block
-    left in the block cache holds nothing a read would not.
+    corrupt.  The keys, values and sort keys are decoded per block and
+    not kept on it (:meth:`~repro.lsm.block.Block.arrays`): an input block
+    a read left in the block cache holds nothing more after the merge.
     """
     columns = [table.secondary_columns.get(attr) for attr in attributes]
     carried = bool(columns) and None not in columns
@@ -441,7 +444,7 @@ def _table_blocks(table, attributes):
     unpack_trailer = _TRAILER.unpack_from
     for block_index in range(table.num_data_blocks):
         keys, values = table.read_data_block(
-            block_index, Category.COMPACTION).arrays()
+            block_index, Category.COMPACTION, fill_cache=False).arrays()
         try:
             sort_keys = [(key[:-8], -unpack_trailer(key, len(key) - 8)[0])
                          for key in keys]

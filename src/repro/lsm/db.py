@@ -230,6 +230,9 @@ class DB:
         self._writers: deque[_Writer] = deque()
         self._pending_seq = 0  # last *allocated* seq; published lags behind
         self._version_pins: dict[int, list] = {}  # id(version) -> [v, refs]
+        # The inline scheduler's pin-free view, reused while the MemTable
+        # and the Version it names are still current (_acquire_view).
+        self._inline_view: ReadView | None = None
         self._zombie_tables: set[int] = set()  # retired but pinned files
         # The scheduler (:meth:`_schedule`): a maintenance thread, or None
         # for the inline scheduler, which runs the job in the writer's thread.
@@ -532,6 +535,7 @@ class DB:
         if self._manifest is not None:
             self._manifest.close()
         self.table_cache.close()
+        self._inline_view = None
         self._closed = True
 
     def __enter__(self) -> "DB":
@@ -625,10 +629,7 @@ class DB:
                 return
             self._quarantined.add(file_number)
             self.corruption_stats.tables_quarantined += 1
-        self.table_cache.evict(file_number)
-        block_cache = self.table_cache.block_cache
-        if block_cache is not None:
-            block_cache.evict_file(file_number)
+        self.table_cache.evict(file_number)  # its blocks go with it
         invalidate = getattr(self.vfs, "invalidate_file", None)
         if invalidate is not None:
             invalidate(table_file_name(self.name, file_number))
@@ -1099,6 +1100,9 @@ class DB:
         self.memtable.seal()
         self.imm = self.memtable
         self.memtable = self._new_memtable()
+        # The reused inline view names the sealed MemTable: let it go with
+        # its flush, not with this table's next read.
+        self._inline_view = None
 
     def _seal_full_memtable(self) -> bool:
         """Seal the full MemTable unless the last one is still being flushed
@@ -1314,8 +1318,15 @@ class DB:
         if self._closed:
             raise DBClosedError("database is closed")
         if self._bg_thread is None:
-            return ReadView(self, (self.memtable,), self.versions.current,
-                            MAX_SEQUENCE, None)
+            # Pin-free and unbounded, so one view serves every read until
+            # a seal or a Version install replaces what it names.
+            view = self._inline_view
+            if view is None or view.memtables[0] is not self.memtable \
+                    or view.version is not self.versions.current:
+                view = self._inline_view = ReadView(
+                    self, (self.memtable,), self.versions.current,
+                    MAX_SEQUENCE, None)
+            return view
         # The one scheduling point of the read path: once pinned, snapshot
         # isolation makes the rest of the read independent of concurrent
         # writers, so yielding *here* lets the deterministic harness explore

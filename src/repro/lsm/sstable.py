@@ -418,11 +418,11 @@ class SSTable:
                 f"bad SSTable footer in file {file_number}")
         metaindex_handle, pos = BlockHandle.decode(footer, 0)
         index_handle, _pos = BlockHandle.decode(footer, pos)
-        self._index_block = Block(_read_physical_block(
+        index_block = Block(_read_physical_block(
             file, index_handle, Category.INDEX, verify_crc=True,
             options=options))
         self._index_entries: list[tuple[bytes, BlockHandle]] = []
-        for key, value in self._index_block:
+        for key, value in index_block:
             handle, _off = BlockHandle.decode(value, 0)
             self._index_entries.append((key, handle))
         # Per-block search metadata, decoded once at open (the index block
@@ -528,8 +528,14 @@ class SSTable:
         """Read (and decompress) data block ``index``, consulting the cache —
         after ``held``, a batched read's ``{file_number: (index, block)}`` of
         the block each table served last, which needs no second read.
-        ``fill_cache=False`` (an audit's pass over every block) does not
-        leave what it read in the cache (LevelDB's ``fill_cache``)."""
+        ``fill_cache=False`` (a compaction's or an audit's pass over every
+        block) does not leave what it read in the cache (LevelDB's
+        ``fill_cache``), nor makes a cached block searchable.
+
+        A block the cache serves is made searchable
+        (:meth:`Block.make_searchable`) — the first hit pays one decode
+        pass, and every later seek in it is a bisect.  A block whose
+        decode fails leaves the cache before the error propagates."""
         if held is not None:
             kept = held.get(self.file_number)
             if kept is None or kept[0] != index:
@@ -541,6 +547,12 @@ class SSTable:
         if self._block_cache is not None:
             cached = self._block_cache.get(cache_key)
             if cached is not None:
+                if fill_cache:
+                    try:
+                        cached.make_searchable()
+                    except CorruptionError:
+                        self._block_cache.evict(cache_key)
+                        raise
                 return cached
         try:
             payload = _read_physical_block(
@@ -558,6 +570,15 @@ class SSTable:
         if self._block_cache is not None and fill_cache:
             self._block_cache.put(cache_key, block, len(payload))
         return block
+
+    def evict_cached_blocks(self) -> None:
+        """Drop this table's blocks from the block cache: one key per
+        index handle, not a scan of the whole cache."""
+        block_cache = self._block_cache
+        if block_cache is not None:
+            number = self.file_number
+            for _key, handle in self._index_entries:
+                block_cache.evict((number, handle.offset))
 
     def verified_blocks(self) -> Iterator[tuple[int, bytes | CorruptionError]]:
         """``(block_index, payload)`` of every data block, re-read from the

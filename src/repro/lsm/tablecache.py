@@ -25,6 +25,12 @@ class TableCache:
     most-recent end, a miss opens (and may evict the least-recently-used
     reader, closing its file handle).  ``hits``/``misses``/``evictions``
     feed :meth:`repro.lsm.db.DB.stats`.
+
+    A table's blocks sit in the block cache only while its reader is
+    open here: a reader dropped for any reason — deleted, discarded or
+    quarantined file, or LRU pressure — takes its blocks with it (a
+    reopened reader reads them again), so the cache never holds a dead
+    table's blocks and eviction costs one key per block of that table.
     """
 
     def __init__(self, vfs: VFS, db_name: str, options: Options,
@@ -68,6 +74,7 @@ class TableCache:
                 self.filter_degradations += len(table.degraded_filters)
                 while len(self._tables) > self.max_open_files:
                     _number, evicted = self._tables.popitem(last=False)
+                    evicted.evict_cached_blocks()
                     evicted.file.close()
                     self.evictions += 1
         if cached is not table:
@@ -84,9 +91,12 @@ class TableCache:
         }
 
     def evict(self, file_number: int) -> None:
+        """Close ``file_number``'s reader and drop its cached blocks (its
+        file is gone, or must not be read again)."""
         with self._lock:
             table = self._tables.pop(file_number, None)
         if table is not None:
+            table.evict_cached_blocks()
             table.file.close()
 
     def close(self) -> None:

@@ -116,3 +116,28 @@ def test_getlite_ignores_a_version_not_yet_published():
     assert [r.key for r in db.lookup("u", "bob")] == ["t1"]
     assert db.lookup("u", "alice") == []
     db.close()
+
+
+def test_inline_view_is_reused_until_a_seal_or_an_install():
+    """The inline scheduler reuses one pin-free view per DB; a write that
+    seals the MemTable or installs a Version is seen by the very next
+    read."""
+    db = DB.open_memory(Options(memtable_budget=1 << 20,
+                                disable_auto_compaction=True))
+    db.put(b"a", b"1")
+    db.put(b"b", b"1")
+    assert db.get(b"a") == b"1"
+    view = db._acquire_view()
+    assert db._acquire_view() is view  # nothing changed: the same view
+    db.flush()  # seals the MemTable
+    db.put(b"a", b"2")  # lands in the new MemTable
+    assert db.get(b"a") == b"2"
+    assert db._acquire_view().memtables == (db.memtable,)
+    db.flush()  # two overlapping level-0 tables; the MemTable is empty
+    assert db.get(b"a") == b"2"
+    memtable = db.memtable
+    db.compact_range()  # installs a Version, deletes both tables, no seal
+    assert db.memtable is memtable
+    assert db.get(b"a") == b"2" and db.get(b"b") == b"1"
+    assert db._acquire_view().version is db.versions.current
+    db.close()

@@ -162,6 +162,63 @@ class TestCachePoisoning:
         db.close()
 
 
+def entry_offsets(block: bytes) -> list[int]:
+    """Where each entry of a well-formed data block payload starts."""
+    from repro.lsm.keys import decode_varint
+
+    num_restarts = int.from_bytes(block[-4:], "little")
+    end = len(block) - 4 - 4 * num_restarts
+    offsets, pos = [], 0
+    while pos < end:
+        offsets.append(pos)
+        _shared, pos = decode_varint(block, pos)
+        non_shared, pos = decode_varint(block, pos)
+        value_len, pos = decode_varint(block, pos)
+        pos += non_shared + value_len
+    return offsets
+
+
+class TestSearchBuildContainment:
+    """With ``paranoid_checks`` off, a cached block with a rotten tail
+    passes a one-shot seek that stops before the rot; the block cache's
+    second serve decodes it whole to make it searchable, and that decode's
+    error is contained like a read's: the table is quarantined or the
+    error raised, and the block leaves the cache either way."""
+
+    @pytest.mark.parametrize("policy", ["quarantine", "raise"])
+    def test_rotten_tail_found_by_the_search_build(self, policy):
+        from repro.lsm.block import Block
+
+        vfs = FaultInjectingVFS()
+        options = corruption_options(on_corruption=policy,
+                                     block_cache_size=1 << 20)
+        assert not options.paranoid_checks
+        db = DB.open(vfs, "db", options)
+        expected = populate(db)
+        victim = table_files(vfs)[0]
+        number = int(victim.rsplit("/", 1)[-1].split(".")[0])
+        data_offsets, _ = block_offsets(vfs, victim)
+        start, stop = data_offsets[0], data_offsets[1]
+        payload = bytes(vfs.base._files[victim][start:stop - 5])
+        first_key = next(iter(Block(payload)))[0][:-8]
+        # The last entry's shared-prefix length grows past its previous
+        # key: a decode that reaches it fails; one that stops short cannot
+        # tell.
+        vfs.flip_bit(victim, start + entry_offsets(payload)[-1], bit=6)
+        cache = db.table_cache.block_cache
+        assert db.get(first_key) == expected[first_key]  # one-shot: fine
+        assert (number, start) in cache._entries
+        if policy == "raise":
+            with pytest.raises(CorruptionError):
+                db.get(first_key)
+            assert db.stats()["corruption"]["tables_quarantined"] == 0
+        else:
+            assert db.get(first_key) is None  # served around, never garbage
+            assert db.quarantined_tables() == [number]
+        assert (number, start) not in cache._entries
+        db.close()
+
+
 class TestFilterDegradation:
     def test_corrupt_meta_block_degrades_not_fails(self, faulty_db):
         vfs, db, expected = faulty_db

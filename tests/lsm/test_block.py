@@ -1,12 +1,17 @@
 """Data blocks: prefix compression, restart points, seek."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.errors import CorruptionError
 from repro.lsm.keys import (
+    KIND_DELETE,
+    KIND_MERGE,
     KIND_VALUE,
     MAX_SEQUENCE,
+    internal_sort_key,
     pack_internal_key,
     unpack_internal_key,
 )
@@ -111,6 +116,81 @@ class TestSeek:
             assert list(block) == pairs
             got = list(block.seek(_key("key0040", MAX_SEQUENCE)))
             assert got == pairs[40:]
+
+
+# User keys share prefixes (so entries share bytes with the one before)
+# and some run past 127 bytes, like some values: their lengths, shared
+# and not, take two-byte varints.
+_user_keys = st.builds(bytes.__add__,
+                       st.sampled_from([b"", b"user", b"k" * 130]),
+                       st.binary(max_size=12))
+_versions = st.dictionaries(
+    st.integers(min_value=0, max_value=MAX_SEQUENCE),
+    st.tuples(st.sampled_from([KIND_VALUE, KIND_DELETE, KIND_MERGE]),
+              st.binary(max_size=200)),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def _blocks_and_targets(draw):
+    """``(entries, block_bytes, targets)``: several versions per key, all
+    three kinds, and seek targets before, between and after the entries."""
+    records = draw(st.dictionaries(_user_keys, _versions, max_size=40))
+    entries = sorted(
+        ((pack_internal_key(user_key, seq, kind), value)
+         for user_key, versions in records.items()
+         for seq, (kind, value) in versions.items()),
+        key=lambda entry: internal_sort_key(entry[0]))
+    builder = BlockBuilder(draw(st.sampled_from([1, 16])))
+    for key, value in entries:
+        builder.add(key, value)
+    target_keys = st.one_of(
+        st.sampled_from(sorted(records) or [b""]), _user_keys,
+        st.just(b""), st.just(b"\xff" * 140))
+    seqs = st.one_of(
+        st.sampled_from(sorted({seq + delta for versions in records.values()
+                                for seq in versions for delta in (-1, 0, 1)
+                                if 0 <= seq + delta <= MAX_SEQUENCE})
+                        or [0]),
+        st.just(0), st.just(MAX_SEQUENCE))
+    targets = draw(st.lists(
+        st.builds(pack_internal_key, target_keys, seqs,
+                  st.sampled_from([KIND_VALUE, KIND_MERGE])),
+        min_size=1, max_size=8))
+    return entries, builder.finish(), targets
+
+
+class TestSeekRegimes:
+    """The one-shot seek, the bisect over the search arrays and the bisect
+    on a block a scan parsed first answer alike."""
+
+    @given(_blocks_and_targets())
+    @settings(max_examples=200, deadline=None)
+    def test_every_regime_matches_a_sorted_list(self, case):
+        entries, data, targets = case
+        one_shot = Block(data)
+        searchable = Block(data)
+        searchable.make_searchable()
+        scanned = Block(data)
+        assert list(scanned.sorted_items()) == [
+            (internal_sort_key(key), value) for key, value in entries]
+        scanned.make_searchable()
+        for target in targets:
+            floor = internal_sort_key(target)
+            expected = [entry for entry in entries
+                        if internal_sort_key(entry[0]) >= floor]
+            assert list(one_shot.seek(target)) == expected
+            assert list(searchable.seek(target)) == expected
+            assert list(scanned.seek(target)) == expected
+        assert one_shot._search is None  # a one-shot seek memoizes nothing
+
+    def test_value_bounds_past_64_kib(self):
+        big = b"v" * 70_000
+        pairs = [(_key("a"), big), (_key("b"), b"tail")]
+        block = _build(pairs)
+        block.make_searchable()
+        assert list(block.seek(_key("b", MAX_SEQUENCE))) == pairs[1:]
+        assert list(block.seek(_key("a", MAX_SEQUENCE))) == pairs
 
 
 class TestCorruption:

@@ -103,3 +103,108 @@ class TestTableCache:
                            Options(block_size=512, max_open_files=7))
         assert cache.max_open_files == 7
         cache.close()
+
+
+def _db(**overrides):
+    from repro.lsm.db import DB
+
+    options = dict(block_size=512, memtable_budget=1 << 20,
+                   sstable_target_size=2048, compression="none",
+                   block_cache_size=1 << 20, disable_auto_compaction=True)
+    options.update(overrides)
+    db = DB.open(MemoryVFS(), "db", Options(**options))
+    keys = [f"key{i:04d}".encode() for i in range(300)]
+    for round_ in range(2):  # two overlapping runs: a merge, not a move
+        for key in keys:
+            db.put(key, b"value-%d-" % round_ + key)
+        db.flush()
+    return db, keys
+
+
+def _cached_tables(db) -> set[int]:
+    return {number for number, _offset in db.table_cache.block_cache._entries}
+
+
+class TestBlockCacheLifecycle:
+    """The block cache holds live tables' blocks only."""
+
+    def test_compaction_reads_do_not_fill_the_cache(self):
+        db, _keys = _db(background_compaction=True)
+        assert len(db.table_cache.block_cache) == 0
+        with db.read_view():  # keeps the inputs on disk through the merge
+            db.compact_range()
+            assert db._zombie_tables
+            assert len(db.table_cache.block_cache) == 0
+        db.close()
+
+    def test_compaction_leaves_no_input_block_cached(self):
+        db, keys = _db()
+        inputs = db.versions.current.live_file_numbers()
+        for key in keys:
+            db.get(key)
+        assert _cached_tables(db) & inputs
+        db.compact_range()
+        live = db.versions.current.live_file_numbers()
+        assert inputs - live, "the drill needs retired inputs"
+        assert _cached_tables(db) <= live
+        for key in keys:  # the live tables still fill it
+            assert db.get(key) == b"value-1-" + key
+        assert _cached_tables(db) and _cached_tables(db) <= live
+        db.close()
+
+    def test_a_pinned_retired_table_keeps_its_blocks_until_deleted(self):
+        db, keys = _db(background_compaction=True)
+        for key in keys:
+            db.get(key)
+        view = db.read_view()
+        try:
+            pinned = set(view.version.live_file_numbers())
+            assert _cached_tables(db) & pinned
+            db.compact_range()
+            retired = pinned - db.versions.current.live_file_numbers()
+            assert retired and retired <= db._zombie_tables
+            assert _cached_tables(db) & retired  # the view still reads them
+        finally:
+            view.release()
+        assert not db._zombie_tables
+        assert not _cached_tables(db) & retired
+        db.close()
+
+    def test_a_cache_off_db_never_builds_search_arrays(self, monkeypatch):
+        from repro.lsm.block import Block
+
+        built = []
+        make_searchable = Block.make_searchable
+
+        def counting(self):
+            built.append(self)
+            make_searchable(self)
+
+        monkeypatch.setattr(Block, "make_searchable", counting)
+        db, keys = _db(block_cache_size=0)
+        reads = db.vfs.stats.read_blocks
+        # One batch: keys sharing a block reuse it through ``held``.
+        answers = db.get_many_with_seq(keys)
+        assert all(answer is not None for answer in answers.values())
+        assert db.vfs.stats.read_blocks - reads < len(keys)
+        for key in keys[:20]:
+            db.get(key)
+        assert built == []
+        db.close()
+        # With the cache on, a block served a second time is searchable.
+        db, keys = _db()
+        db.get_many_with_seq(keys)
+        assert built == []  # each block read once: held, not re-served
+        db.get(keys[0])
+        assert built
+        db.close()
+
+    def test_stats_count_the_cached_blocks(self):
+        db, keys = _db()
+        assert db.stats()["block_cache"]["blocks"] == 0
+        for key in keys:
+            db.get(key)
+        blocks = db.stats()["block_cache"]["blocks"]
+        assert blocks == len(db.table_cache.block_cache) > 0
+        assert f"blocks: {blocks}" in db.debug_string()
+        db.close()
